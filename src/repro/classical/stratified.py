@@ -138,14 +138,10 @@ def strongly_connected_components(
     return result
 
 
-# Backwards-compatible private alias (pre-PR3 name).
-_strongly_connected_components = strongly_connected_components
-
-
 def is_stratified(rules: Iterable[Rule]) -> bool:
     """True when no dependency cycle passes through a negative edge."""
     graph = dependency_graph(rules)
-    components = _strongly_connected_components(graph.predicates, graph.edges())
+    components = strongly_connected_components(graph.predicates, graph.edges())
     membership = {
         pred: i for i, comp in enumerate(components) for pred in comp
     }
@@ -162,7 +158,7 @@ def stratification(rules: Iterable[Rule]) -> Optional[Mapping[str, int]]:
     """
     rules = tuple(rules)
     graph = dependency_graph(rules)
-    components = _strongly_connected_components(graph.predicates, graph.edges())
+    components = strongly_connected_components(graph.predicates, graph.edges())
     membership = {pred: i for i, comp in enumerate(components) for pred in comp}
     for src, dst in graph.negative_edges:
         if membership[src] == membership[dst]:

@@ -6,10 +6,13 @@ blocked / live-overruler / live-defeater — see
 :mod:`repro.core.incremental` for the monotonicity argument), advanced
 over **integer deltas**.  A stage's delta is a list of literal ids;
 propagation walks CSR slices and bumps ``array``/``bytearray`` cells,
-so no literal object is hashed anywhere inside the loop.
+so no literal object is hashed anywhere inside the loop.  The loop is
+resumable (:meth:`DenseFixpoint.advance`): incremental maintenance
+keeps the arrays alive across fact deltas and re-enters it after its
+deletion cascade, so there is one forward engine, not two.
 
-The result is a :class:`DenseModelData`: the derived literal ids plus
-the paired true/false bitsets of the least model.  Object
+The result of a cold run is a :class:`DenseModelData`: the derived
+literal ids plus the paired true/false bitsets of the least model.  Object
 :class:`~repro.core.interpretation.Interpretation` views are built from
 it lazily — a benchmark (or the solver) that re-runs the fixpoint
 without reading the model never pays the decode.
@@ -18,6 +21,8 @@ without reading the model never pays the decode.
 from __future__ import annotations
 
 from array import array
+from itertools import chain
+from typing import Collection, Iterable
 
 from ...lang.errors import InconsistencyError
 from ...lang.literals import Literal
@@ -66,23 +71,35 @@ class DenseModelData:
 
 
 class DenseFixpoint:
-    """One ``V↑ω(∅)`` computation over a compiled index.
+    """The ``V`` counter state over a compiled index, and the one loop
+    that advances it.
 
-    Mutable per-run state lives in flat arrays; the object-level
-    :class:`~repro.core.incremental.SemiNaiveFixpoint` wraps a run and
-    decodes on demand.
+    :meth:`run` is one cold ``V↑ω(∅)`` computation.  Incremental
+    maintenance (:class:`~repro.core.maintenance.MaintainedModel`) keeps
+    the same arrays alive across fact deltas and, after its deletion
+    cascade, re-enters :meth:`advance` from the touched rules.  Rules
+    appended after compilation are told facts: their bodies are empty,
+    so the index's body/block CSRs never change — only ``heads``,
+    ``body_sizes`` and the ``contra_extra`` overflow grow.
 
     Attributes:
+        heads / body_sizes: per-rule head literal id and body length
+            (the index's own arrays unless a model appends rules).
+        contra_extra: rule id → packed contradiction-watch entries
+            added after compilation (see :meth:`watchers`).
         satisfied: per-rule derived-body-literal counts (``array('l')``).
         blocked: per-rule blocked flags (``bytearray``).
         live_overrulers / live_defeaters: per-rule live-threat counts.
         fired: per-rule fired flags (``bytearray``).
         truth: per-literal-id membership flags of the growing model.
-        stage_ids: literal ids first derived at each stage.
+        stage_ids: literal ids first derived at each stage of :meth:`run`.
     """
 
     __slots__ = (
         "_index",
+        "heads",
+        "body_sizes",
+        "contra_extra",
         "satisfied",
         "blocked",
         "live_overrulers",
@@ -94,18 +111,45 @@ class DenseFixpoint:
 
     def __init__(self, index: CompiledRuleIndex) -> None:
         self._index = index
-        n = index.n_rules
-        self.satisfied = array("l", bytes(array("l").itemsize * n))
-        self.blocked = bytearray(n)
-        self.live_overrulers = array("l", index.init_live_overrulers)
-        self.live_defeaters = array("l", index.init_live_defeaters)
-        self.fired = bytearray(n)
-        self.truth = bytearray(index.n_literals)
+        self.heads = index.heads
+        self.body_sizes = index.body_sizes
+        self.contra_extra: dict[int, list[int]] = {}
         self.stage_ids: list[list[int]] = []
+        self.reset()
 
     @property
     def index(self) -> CompiledRuleIndex:
         return self._index
+
+    def reset(self) -> None:
+        """Fresh counters for the empty interpretation: nothing derived
+        or blocked, every potential threat live."""
+        index = self._index
+        n = len(self.heads)
+        pad = array("l", bytes(array("l").itemsize * (n - index.n_rules)))
+        self.satisfied = array("l", bytes(array("l").itemsize * n))
+        self.blocked = bytearray(n)
+        self.live_overrulers = array("l", index.init_live_overrulers) + pad
+        self.live_defeaters = array("l", index.init_live_defeaters) + pad
+        self.fired = bytearray(n)
+        self.truth = bytearray(2 * len(index.table))
+        for entries in self.contra_extra.values():
+            for packed in entries:
+                if packed & 1:
+                    self.live_overrulers[packed >> 1] += 1
+                else:
+                    self.live_defeaters[packed >> 1] += 1
+
+    def watchers(self, j: int) -> Iterable[int]:
+        """Packed ``(watcher << 1) | is_overruler`` entries of the rules
+        whose live-threat counter tracks whether rule ``j`` is blocked."""
+        index = self._index
+        extra = self.contra_extra.get(j, ())
+        if j >= index.n_rules:
+            return extra
+        start = index.contra_start
+        compiled = index.contra_watchers[start[j] : start[j + 1]]
+        return chain(compiled, extra) if extra else compiled
 
     def run(self, bound: int, obs=None) -> DenseModelData:
         """Advance to the fixpoint; ``bound`` caps the stage count.
@@ -113,27 +157,41 @@ class DenseFixpoint:
         ``obs`` is an enabled instrumentation facade or None; the
         disabled path costs nothing per stage.
         """
+        self.stage_ids += self.advance(self._index.source_facts, bound, obs)
+        derived = array("l")
+        for ids in self.stage_ids:
+            derived.extend(ids)
+        return DenseModelData(self._index.table, derived)
+
+    def advance(
+        self, candidates: Collection[int], bound: int, obs=None
+    ) -> list[list[int]]:
+        """Resume the iteration on the current arrays from the given
+        candidate rule ids; returns the literal ids derived per stage.
+
+        The only code that moves the counters *forward*: cold runs,
+        maintenance rederive and rebuilds all come through here.
+        """
         index = self._index
-        heads = index.heads
-        body_sizes = index.body_sizes
+        n_compiled = index.n_literals
         bw_start = index.body_watch_start
         bw_rules = index.body_watch_rules
         blw_start = index.block_watch_start
         blw_rules = index.block_watch_rules
         c_start = index.contra_start
         c_watchers = index.contra_watchers
+        c_extra = self.contra_extra
+        heads = self.heads
+        body_sizes = self.body_sizes
         satisfied = self.satisfied
         blocked = self.blocked
         live_over = self.live_overrulers
         live_defeat = self.live_defeaters
         fired = self.fired
         truth = self.truth
-        stage_ids = self.stage_ids
 
-        queued = bytearray(index.n_rules)
-        candidates = list(index.source_facts)
-        stages = 0
-        derived_total = 0
+        queued = bytearray(len(heads))
+        stage_ids: list[list[int]] = []
         while candidates:
             new_ids: list[int] = []
             applied = overruled = defeated = 0
@@ -168,25 +226,25 @@ class DenseFixpoint:
                 new_ids.append(h)
             if not new_ids:
                 break
-            stages += 1
-            if stages > bound:
+            if len(stage_ids) >= bound:
                 raise InconsistencyError(
                     "V failed to reach a fixpoint within the iteration "
                     "bound; this indicates non-monotone behaviour (a bug)"
                 )
+            stage_ids.append(new_ids)
             if obs is not None:
                 self._flush_stage(
-                    obs, stages, len(candidates), applied, overruled,
+                    obs, len(stage_ids), len(candidates), applied, overruled,
                     defeated, len(new_ids),
                 )
-            stage_ids.append(new_ids)
-            derived_total += len(new_ids)
             # Propagate the integer delta: advance satisfied counters,
             # flip blocked flags, release threatened watchers.  The
             # touched rules are the next stage's candidates (the queued
             # flags deduplicate within the stage).
             next_candidates: list[int] = []
             for h in new_ids:
+                if h >= n_compiled:
+                    continue  # told after compilation: no rule mentions it
                 for i in bw_rules[bw_start[h] : bw_start[h + 1]]:
                     satisfied[i] += 1
                     if not queued[i]:
@@ -195,7 +253,11 @@ class DenseFixpoint:
                 for j in blw_rules[blw_start[h] : blw_start[h + 1]]:
                     if not blocked[j]:
                         blocked[j] = 1
-                        for packed in c_watchers[c_start[j] : c_start[j + 1]]:
+                        if c_extra:
+                            watchers = self.watchers(j)
+                        else:
+                            watchers = c_watchers[c_start[j] : c_start[j + 1]]
+                        for packed in watchers:
                             i = packed >> 1
                             if packed & 1:
                                 live_over[i] -= 1
@@ -205,12 +267,7 @@ class DenseFixpoint:
                                 queued[i] = 1
                                 next_candidates.append(i)
             candidates = next_candidates
-        derived = array("l", bytes(array("l").itemsize * derived_total))
-        cursor = 0
-        for ids in stage_ids:
-            derived[cursor : cursor + len(ids)] = array("l", ids)
-            cursor += len(ids)
-        return DenseModelData(index.table, derived)
+        return stage_ids
 
     @staticmethod
     def _flush_stage(

@@ -26,10 +26,13 @@ The moving parts beyond classical DRed:
   re-evaluates status for exactly the rules whose blockers or
   contradictors changed.
 
-The maintained state is the same counter representation as
-:class:`~repro.core.incremental.SemiNaiveFixpoint` (satisfied
-counters, blocked flags, live overruler/defeater counters, fired
-flags), made mutable and kept alive across mutations.  Soundness of
+The maintained state **is** the dense kernel's: the satisfied /
+blocked / live-overruler / live-defeater / fired / truth arrays of a
+:class:`~repro.core.compiled.fixpoint.DenseFixpoint` over the view's
+compiled CSR watch lists, kept alive across mutations.  This module
+only moves them *backwards* (the deletion cascade); every forward step
+— the initial build, rederivation, the rebuild fallback — is the
+kernel's own stage loop resumed from the touched rules.  Soundness of
 rederive-from-survivors: the overcounting cascade deletes a superset
 of the literals that left the model, so the surviving interpretation
 ``S`` is contained in the new least fixpoint; ``V`` is monotone along
@@ -48,14 +51,17 @@ re-grounding anything.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence
+from itertools import compress
+from typing import TYPE_CHECKING, Collection, Iterable, Sequence
 
 from ..grounding.grounder import GroundRule
-from ..lang.errors import InconsistencyError, SemanticsError
+from ..lang.errors import SemanticsError
 from ..lang.literals import Atom, Literal
 from ..obs import get_instrumentation
 from ..obs.trace import current_trace
+from .compiled.fixpoint import DenseFixpoint
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .interpretation import Interpretation
@@ -128,16 +134,6 @@ class DeltaStats:
     rules_reevaluated: int = 0
     full_rebuild: bool = False
 
-    def merge(self, other: "DeltaStats") -> "DeltaStats":
-        return DeltaStats(
-            self.asserted + other.asserted,
-            self.retracted + other.retracted,
-            self.deleted + other.deleted,
-            self.rederived + other.rederived,
-            self.rules_reevaluated + other.rules_reevaluated,
-            self.full_rebuild or other.full_rebuild,
-        )
-
 
 class _FrontierExceeded(Exception):
     """Internal: the cascade dirtied more than the threshold allows."""
@@ -145,23 +141,28 @@ class _FrontierExceeded(Exception):
 
 @dataclass
 class _Pending:
-    """Work queued by the bookkeeping pass, consumed by the cascade."""
+    """Work queued by the bookkeeping pass, consumed by the cascade:
+    candidate rule ids and literal ids to delete."""
 
     candidates: set[int] = field(default_factory=set)
-    to_delete: list[Literal] = field(default_factory=list)
+    to_delete: list[int] = field(default_factory=list)
 
 
 class MaintainedModel:
     """A least model kept consistent under fact assertion/retraction.
 
-    Built from a :class:`~repro.core.statuses.StatusEvaluator` (whose
-    :class:`~repro.core.incremental.RuleIndex` provides the initial
-    watch lists) and immediately brought to ``V↑ω(∅)``.  Thereafter
-    :meth:`apply` absorbs batches of ground-fact deltas; reads go
-    through :meth:`interpretation`.
+    Built from a :class:`~repro.core.statuses.StatusEvaluator`, whose
+    compiled index provides the shared, immutable watch lists, and
+    brought to ``V↑ω(∅)`` by one kernel run.  Thereafter :meth:`apply`
+    absorbs batches of ground-fact deltas; reads go through
+    :meth:`interpretation`.
 
-    Rule ids are stable: retracting a fact marks its rule *dead*
-    rather than compacting the arrays, so every watch list stays valid.
+    Rule ids are stable.  A told fact is appended once per
+    ``(component, literal)``; retracting it leaves a *tombstone* — a
+    permanently blocked rule, which cannot fire and is no live threat,
+    and whose counters stay maintained like any blocked rule's — and
+    telling it again revives that same rule, so tell/retract cycles do
+    not grow the arrays.
     """
 
     def __init__(
@@ -173,64 +174,54 @@ class MaintainedModel:
         self.config = config
         self._order = evaluator.order
         self._base = frozenset(base)
-        index = evaluator.index
-        n = len(index)
-        self._rules: list[GroundRule] = list(index.rules)
-        self._alive: list[bool] = [True] * n
-        self._heads: list[Literal] = list(index.heads)
-        self._body_sizes: list[int] = list(index.body_sizes)
-        self._body_watch: dict[Literal, list[int]] = {
-            lit: list(ids) for lit, ids in index.body_watch.items()
-        }
-        self._block_watch: dict[Literal, list[int]] = {
-            lit: list(ids) for lit, ids in index.block_watch.items()
-        }
-        self._contradiction_watch: list[list[tuple[int, bool]]] = [
-            list(watchers) for watchers in index.contradiction_watch
-        ]
-        self._by_head: dict[Literal, list[int]] = {}
-        for i, head in enumerate(self._heads):
-            self._by_head.setdefault(head, []).append(i)
-        # Every alive empty-body rule is a retractable fact; refcounts
-        # mirror the grounder's instance dedup (telling the same fact
-        # twice grounds to one instance, so the model drops it only
-        # when the last copy is retracted).
+        compiled = evaluator.index.compiled
+        self._table = compiled.table
+        self._rules: list[GroundRule] = list(evaluator.index.rules)
+        self._alive = bytearray(b"\x01") * compiled.n_rules
+        self._by_head: dict[int, list[int]] = {}
+        for i, h in enumerate(compiled.heads):
+            self._by_head.setdefault(h, []).append(i)
+        # Every empty-body rule is a retractable fact: key → [rule id,
+        # told copies].  Refcounts mirror the grounder's instance dedup
+        # (telling the same fact twice grounds to one instance, so the
+        # model drops it only when the last copy is retracted); zero
+        # copies mark a tombstone.
         self._fact_refs: dict[tuple[str, Literal], list[int]] = {}
-        for i, r in enumerate(self._rules):
-            if not r.body:
-                self._fact_refs[(r.component, r.head)] = [i, 1]
-        # Per-run counter state (the SemiNaiveFixpoint representation,
-        # kept alive across mutations).
-        self._satisfied: list[int] = []
-        self._blocked: list[bool] = []
-        self._live_over: list[int] = []
-        self._live_defeat: list[int] = []
-        self._fired: list[bool] = []
-        self._derived: set[Literal] = set()
-        self.rebuild()
+        for i in compiled.source_facts:
+            r = self._rules[i]
+            self._fact_refs[(r.component, r.head)] = [i, 1]
+        # The counter state is a kernel's arrays; heads/body_sizes are
+        # per-model copies because told facts get appended to them.
+        self._fp = fp = DenseFixpoint(compiled)
+        fp.heads = array("l", compiled.heads)
+        fp.body_sizes = array("l", compiled.body_sizes)
+        self._advance(compiled.source_facts)
 
     # ------------------------------------------------------------------
     # Reads
     # ------------------------------------------------------------------
     def interpretation(self) -> "Interpretation":
-        """The maintained least model as an immutable interpretation."""
+        """The maintained least model as an immutable interpretation.
+
+        Decoded lazily, but from a copy of the membership flags taken
+        now: a published snapshot pins the returned object, so it must
+        not alias the live ``truth`` array that later deltas mutate.
+        """
         from .interpretation import Interpretation
 
-        return Interpretation(self._derived, self._base)
+        flags = bytes(self._fp.truth)
+        table = self._table
+        return Interpretation.deferred(
+            lambda: table.flagged_literals(flags), self._base
+        )
 
     def alive_rules(self) -> tuple[GroundRule, ...]:
         """The current ground rule multiset (original order, asserted
         facts appended, retracted facts omitted)."""
-        return tuple(
-            r for r, alive in zip(self._rules, self._alive) if alive
-        )
-
-    @property
-    def base(self) -> frozenset[Atom]:
-        return self._base
+        return tuple(compress(self._rules, self._alive))
 
     def alive_count(self) -> int:
-        return sum(self._alive)
+        return self._alive.count(1)
 
     # ------------------------------------------------------------------
     # Mutation
@@ -249,19 +240,16 @@ class MaintainedModel:
         stats = DeltaStats()
         pending = _Pending()
         for kind, component, literal in ops:
-            if kind == RETRACT:
-                self._retract_one(component, literal, pending)
-                stats.retracted += 1
-            elif kind == ASSERT:
-                self._assert_one(component, literal, pending)
+            if kind == ASSERT:
                 stats.asserted += 1
+            elif kind == RETRACT:
+                stats.retracted += 1
             else:
                 raise ValueError(f"unknown delta op kind {kind!r}")
-        cap = self._frontier_cap()
+            self._tell(kind == ASSERT, component, literal, pending)
         try:
-            stats.deleted, cascade_reevals = self._cascade(pending, cap)
-            stats.rules_reevaluated += cascade_reevals
-            stats.rederived = self._forward(pending.candidates)
+            stats.deleted, stats.rules_reevaluated = self._cascade(pending)
+            stats.rederived = self._advance(pending.candidates)
         except _FrontierExceeded:
             self.rebuild()
             stats.full_rebuild = True
@@ -292,67 +280,83 @@ class MaintainedModel:
         No re-grounding happens — this is the engine-level fallback for
         deltas whose status frontier exceeds the configured threshold.
         """
-        n = len(self._rules)
-        self._satisfied = [0] * n
-        self._blocked = [False] * n
-        self._live_over = [0] * n
-        self._live_defeat = [0] * n
-        self._fired = [False] * n
-        self._derived = set()
-        for j in range(n):
-            if not self._alive[j]:
-                continue
-            for i, is_overruler in self._contradiction_watch[j]:
-                if not self._alive[i]:
-                    continue
-                if is_overruler:
-                    self._live_over[i] += 1
-                else:
-                    self._live_defeat[i] += 1
-        candidates = {
-            i
-            for i in range(n)
-            if self._alive[i] and self._body_sizes[i] == 0
-        }
-        self._forward(candidates)
+        fp = self._fp
+        fp.reset()
+        released = _Pending()
+        for i, copies in self._fact_refs.values():
+            if not copies:
+                fp.blocked[i] = 1
+                self._set_threat(i, False, released)
+        told = range(fp.index.n_rules, len(fp.heads))
+        self._advance([*fp.index.source_facts, *told])
+
+    def _advance(self, candidates: Collection[int]) -> int:
+        """Resume the kernel's stage loop; returns literals derived."""
+        stages = self._fp.advance(candidates, 2 * len(self._base) + 2)
+        return sum(map(len, stages))
+
+    def _set_threat(self, j: int, live: bool, pending: _Pending) -> int:
+        """Rule ``j`` became (or stopped being) a live threat: shift the
+        live counters of the rules it contradicts, un-firing the newly
+        threatened ones.  Returns the number of rules touched."""
+        fp = self._fp
+        step = 1 if live else -1
+        touched = 0
+        for packed in fp.watchers(j):
+            w = packed >> 1
+            if packed & 1:
+                fp.live_overrulers[w] += step
+            else:
+                fp.live_defeaters[w] += step
+            pending.candidates.add(w)
+            touched += 1
+            if live and fp.fired[w]:
+                fp.fired[w] = 0
+                pending.to_delete.append(fp.heads[w])
+        return touched
 
     # ------------------------------------------------------------------
     # Bookkeeping: one op at a time (cheap, no cascade yet)
     # ------------------------------------------------------------------
-    def _retract_one(
-        self, component: str, literal: Literal, pending: _Pending
+    def _tell(
+        self, told: bool, component: str, literal: Literal, pending: _Pending
     ) -> None:
+        """One told copy more (or fewer) of a ground fact; the first
+        copy revives the fact's rule, the last one tombstones it."""
         key = (component, literal)
         entry = self._fact_refs.get(key)
-        if entry is None:
-            raise SemanticsError(
-                f"cannot retract {literal} from component {component!r}: "
-                "no such told fact"
-            )
-        entry[1] -= 1
-        if entry[1] > 0:
-            return
+        if told:
+            if entry is None:
+                i = self._append_tombstone(component, literal)
+                entry = self._fact_refs[key] = [i, 0]
+            entry[1] += 1
+            if entry[1] > 1:
+                return
+        else:
+            if entry is None or not entry[1]:
+                raise SemanticsError(
+                    f"cannot retract {literal} from component {component!r}: "
+                    "no such told fact"
+                )
+            entry[1] -= 1
+            if entry[1]:
+                return
+        # A fact has an empty body, so while told it is never blocked: a
+        # live threat to everything it watches.  Its tombstone is blocked.
         i = entry[0]
-        del self._fact_refs[key]
-        self._alive[i] = False
-        # A fact has an empty body, so it was never blocked: it was a
-        # live threat to everything it watches.  Release them.
-        if not self._blocked[i]:
-            for w, is_overruler in self._contradiction_watch[i]:
-                if not self._alive[w]:
-                    continue
-                if is_overruler:
-                    self._live_over[w] -= 1
-                else:
-                    self._live_defeat[w] -= 1
-                pending.candidates.add(w)
-        if self._fired[i]:
-            self._fired[i] = False
-            pending.to_delete.append(self._heads[i])
+        fp = self._fp
+        self._alive[i] = told
+        fp.blocked[i] = not told
+        self._set_threat(i, told, pending)
+        if told:
+            pending.candidates.add(i)
+        elif fp.fired[i]:
+            fp.fired[i] = 0
+            pending.to_delete.append(fp.heads[i])
 
-    def _assert_one(
-        self, component: str, literal: Literal, pending: _Pending
-    ) -> None:
+    def _append_tombstone(self, component: str, literal: Literal) -> int:
+        """Append a never-yet-told fact as a tombstone wired into the
+        contradiction watches; returns its rule id."""
         if not literal.is_ground:
             raise DeltaUnsupported(
                 f"only ground facts can be asserted incrementally: {literal}"
@@ -362,225 +366,110 @@ class MaintainedModel:
                 f"atom {literal.atom} is outside the grounded base; "
                 "the view must be re-grounded"
             )
-        key = (component, literal)
-        entry = self._fact_refs.get(key)
-        if entry is not None:
-            entry[1] += 1
-            return
-        rule = GroundRule(literal, frozenset(), component)
-        i = len(self._rules)
-        self._rules.append(rule)
-        self._alive.append(True)
-        self._heads.append(literal)
-        self._body_sizes.append(0)
-        self._satisfied.append(0)
-        self._blocked.append(False)
-        self._fired.append(False)
-        self._contradiction_watch.append([])
+        fp = self._fp
+        h = self._table.literal_id(literal)
+        if h >= len(fp.truth):
+            # In the base but mentioned by no ground rule: the atom was
+            # interned just now, past the compiled literal-id range.
+            fp.truth.extend(bytes((h | 1) + 1 - len(fp.truth)))
+        i = len(fp.heads)
+        self._rules.append(GroundRule(literal, frozenset(), component))
+        self._alive.append(0)
+        fp.heads.append(h)
+        fp.body_sizes.append(0)
+        fp.satisfied.append(0)
+        fp.blocked.append(1)
+        fp.fired.append(0)
         live_over = live_defeat = 0
         order = self._order
-        for j in self._by_head.get(literal.complement(), ()):
-            if not self._alive[j]:
-                continue
+        extra = fp.contra_extra
+        for j in self._by_head.get(h ^ 1, ()):
             other = self._rules[j].component
             # The existing rule as a threat to the new fact...
             if order.strictly_below(other, component):
-                if not self._blocked[j]:
-                    live_over += 1
-                self._contradiction_watch[j].append((i, True))
+                extra.setdefault(j, []).append(i << 1 | 1)
+                live_over += not fp.blocked[j]
             elif order.incomparable_or_equal(other, component):
-                if not self._blocked[j]:
-                    live_defeat += 1
-                self._contradiction_watch[j].append((i, False))
-            # ... and the new fact as a threat to the existing rule.  A
-            # fact is never blocked, so the threat is live immediately.
-            threatens = False
+                extra.setdefault(j, []).append(i << 1)
+                live_defeat += not fp.blocked[j]
+            # ... and the new fact as a threat to the existing rule
+            # (counted when the tombstone is revived).
             if order.strictly_below(component, other):
-                self._live_over[j] += 1
-                self._contradiction_watch[i].append((j, True))
-                threatens = True
+                extra.setdefault(i, []).append(j << 1 | 1)
             elif order.incomparable_or_equal(component, other):
-                self._live_defeat[j] += 1
-                self._contradiction_watch[i].append((j, False))
-                threatens = True
-            if threatens and self._fired[j]:
-                self._fired[j] = False
-                pending.to_delete.append(self._heads[j])
-            pending.candidates.add(j)
-        self._live_over.append(live_over)
-        self._live_defeat.append(live_defeat)
-        self._by_head.setdefault(literal, []).append(i)
-        self._fact_refs[key] = [i, 1]
-        pending.candidates.add(i)
+                extra.setdefault(i, []).append(j << 1)
+        fp.live_overrulers.append(live_over)
+        fp.live_defeaters.append(live_defeat)
+        self._by_head.setdefault(h, []).append(i)
+        return i
 
     # ------------------------------------------------------------------
     # Deletion cascade (the overcounting half of delete-rederive)
     # ------------------------------------------------------------------
-    def _frontier_cap(self) -> Optional[int]:
-        threshold = self.config.frontier_threshold
-        if threshold >= 1.0:
-            return None
-        return max(4, int(threshold * max(1, self.alive_count())))
-
-    def _cascade(
-        self, pending: _Pending, cap: Optional[int]
-    ) -> tuple[int, int]:
+    def _cascade(self, pending: _Pending) -> tuple[int, int]:
         """Overcount-delete everything whose derivation might have
         depended on the mutated facts; returns (deleted, reevals)."""
+        threshold = self.config.frontier_threshold
+        cap = max(4, int(threshold * max(1, self.alive_count())))
+        fp = self._fp
+        index = fp.index
+        bw_start = index.body_watch_start
+        blw_start = index.block_watch_start
+        fired = fp.fired
+        truth = fp.truth
         deleted = 0
         reevals = 0
         worklist = pending.to_delete
         candidates = pending.candidates
-        recheck_blocked: set[int] = set()
+        recheck_blocked: list[int] = []
         while worklist:
             l = worklist.pop()
-            if l not in self._derived:
+            if not truth[l]:
                 continue
-            self._derived.discard(l)
+            truth[l] = 0
             deleted += 1
             # Un-fire every remaining deriver; the forward phase will
             # re-fire (and re-derive l) whatever is still supported.
             for i in self._by_head.get(l, ()):
-                if self._alive[i] and self._fired[i]:
-                    self._fired[i] = False
+                if fired[i]:
+                    fired[i] = 0
                     candidates.add(i)
                     reevals += 1
-            # Body support lost: consequences are overcount-deleted.
-            for i in self._body_watch.get(l, ()):
-                if not self._alive[i]:
-                    continue
-                self._satisfied[i] -= 1
-                candidates.add(i)
-                reevals += 1
-                if self._fired[i]:
-                    self._fired[i] = False
-                    worklist.append(self._heads[i])
-            # l may have been keeping some rule blocked.  Even when
-            # another derived blocker remains, that blocker's own
-            # justification may be cyclic through this very blockage
-            # (blocked threat → undefeated rule → derived blocker), so
-            # over-delete: treat the rule as unblocked, revive its
-            # threats, and delete the watchers' heads.  Survivors are
-            # re-blocked after the cascade drains and rederived by the
-            # forward phase.
-            for j in self._block_watch.get(l, ()):
-                if not self._alive[j] or not self._blocked[j]:
-                    continue
-                reevals += 1
-                self._blocked[j] = False
-                recheck_blocked.add(j)
-                candidates.add(j)
-                for w, is_overruler in self._contradiction_watch[j]:
-                    if not self._alive[w]:
-                        continue
-                    if is_overruler:
-                        self._live_over[w] += 1
-                    else:
-                        self._live_defeat[w] += 1
-                    candidates.add(w)
+            if l < index.n_literals:  # else no compiled rule mentions l
+                # Body support lost: consequences are overcount-deleted.
+                for i in index.body_watch_rules[bw_start[l] : bw_start[l + 1]]:
+                    fp.satisfied[i] -= 1
+                    candidates.add(i)
                     reevals += 1
-                    if self._fired[w]:
-                        self._fired[w] = False
-                        worklist.append(self._heads[w])
-            if cap is not None and deleted + reevals > cap:
+                    if fired[i]:
+                        fired[i] = 0
+                        worklist.append(fp.heads[i])
+                # l may have been keeping some rule blocked.  Even when
+                # another derived blocker remains, that blocker's own
+                # justification may be cyclic through this very blockage
+                # (blocked threat → undefeated rule → derived blocker),
+                # so over-delete: treat the rule as unblocked, revive
+                # its threats, and delete the watchers' heads.
+                # Survivors are re-blocked after the cascade drains and
+                # rederived by the forward phase.
+                for j in index.block_watch_rules[blw_start[l] : blw_start[l + 1]]:
+                    if fp.blocked[j]:
+                        fp.blocked[j] = 0
+                        recheck_blocked.append(j)
+                        candidates.add(j)
+                        reevals += 1 + self._set_threat(j, True, pending)
+            if threshold < 1.0 and deleted + reevals > cap:
                 raise _FrontierExceeded
         # Re-establish blockage that genuinely survived the deletion:
         # the surviving interpretation is contained in the new least
         # model, so a surviving blocker proves the rule stays blocked.
+        lit_id = self._table.literal_id
         for j in recheck_blocked:
-            if not self._alive[j] or self._blocked[j]:
-                continue
             reevals += 1
-            if not any(
-                b.complement() in self._derived
-                for b in self._rules[j].body
-            ):
-                continue
-            self._blocked[j] = True
-            for w, is_overruler in self._contradiction_watch[j]:
-                if not self._alive[w]:
-                    continue
-                if is_overruler:
-                    self._live_over[w] -= 1
-                else:
-                    self._live_defeat[w] -= 1
-                candidates.add(w)
+            if any(truth[lit_id(b) ^ 1] for b in self._rules[j].body):
+                fp.blocked[j] = 1
+                self._set_threat(j, False, pending)
         return deleted, reevals
-
-    # ------------------------------------------------------------------
-    # Forward phase (initial run, rederive, and new derivations)
-    # ------------------------------------------------------------------
-    def _forward(self, candidates: set[int]) -> int:
-        """Resume the semi-naive iteration from the current state.
-
-        Mirrors :meth:`SemiNaiveFixpoint.run` over the mutable arrays;
-        sound because the surviving interpretation is contained in the
-        target least fixpoint (see the module docstring).
-        """
-        heads = self._heads
-        body_sizes = self._body_sizes
-        satisfied = self._satisfied
-        blocked = self._blocked
-        live_over = self._live_over
-        live_defeat = self._live_defeat
-        fired = self._fired
-        alive = self._alive
-        derived = self._derived
-        bound = 2 * len(self._base) + 2
-        stages = 0
-        total = 0
-        while candidates:
-            new_literals: set[Literal] = set()
-            for i in candidates:
-                if not alive[i] or fired[i] or blocked[i]:
-                    continue
-                if satisfied[i] != body_sizes[i]:
-                    continue
-                if live_over[i] or live_defeat[i]:
-                    continue
-                fired[i] = True
-                head = heads[i]
-                if head in derived or head in new_literals:
-                    continue
-                complement = head.complement()
-                if complement in derived or complement in new_literals:
-                    raise InconsistencyError(
-                        f"V produced both {head} and {complement}; "
-                        "the maintained state is inconsistent (a bug)"
-                    )
-                new_literals.add(head)
-            if not new_literals:
-                break
-            stages += 1
-            if stages > bound:
-                raise InconsistencyError(
-                    "maintenance rederive failed to converge within the "
-                    "stage bound; this indicates non-monotone behaviour "
-                    "(a bug)"
-                )
-            total += len(new_literals)
-            next_candidates: set[int] = set()
-            for lit in new_literals:
-                derived.add(lit)
-                for i in self._body_watch.get(lit, ()):
-                    if not alive[i]:
-                        continue
-                    satisfied[i] += 1
-                    next_candidates.add(i)
-                for j in self._block_watch.get(lit, ()):
-                    if not alive[j] or blocked[j]:
-                        continue
-                    blocked[j] = True
-                    for w, is_overruler in self._contradiction_watch[j]:
-                        if not alive[w]:
-                            continue
-                        if is_overruler:
-                            self._live_over[w] -= 1
-                        else:
-                            self._live_defeat[w] -= 1
-                        next_candidates.add(w)
-            candidates = next_candidates
-        return total
 
     # ------------------------------------------------------------------
     # Auditing (tests)
@@ -590,31 +479,35 @@ class MaintainedModel:
 
         O(rules²) — test/debug use only.
         """
-        derived = self._derived
+        fp = self._fp
+        derived = self.interpretation().literals
+        fired_heads = set()
         for i, r in enumerate(self._rules):
-            if not self._alive[i]:
-                continue
-            satisfied = sum(1 for b in r.body if b in derived)
-            assert self._satisfied[i] == satisfied, (i, str(r))
-            blocked = any(b.complement() in derived for b in r.body)
-            assert self._blocked[i] == blocked, (i, str(r))
             live_over = live_defeat = 0
-            for j in self._by_head.get(r.head.complement(), ()):
-                if not self._alive[j] or self._blocked[j]:
+            for j in self._by_head.get(fp.heads[i] ^ 1, ()):
+                if fp.blocked[j]:  # tombstones included
                     continue
                 other = self._rules[j].component
                 if self._order.strictly_below(other, r.component):
                     live_over += 1
                 elif self._order.incomparable_or_equal(other, r.component):
                     live_defeat += 1
-            assert self._live_over[i] == live_over, (i, str(r))
-            assert self._live_defeat[i] == live_defeat, (i, str(r))
+            assert fp.live_overrulers[i] == live_over, (i, str(r))
+            assert fp.live_defeaters[i] == live_defeat, (i, str(r))
+            if not self._alive[i]:
+                assert fp.blocked[i] and not fp.fired[i], (i, str(r))
+                continue
+            satisfied = sum(1 for b in r.body if b in derived)
+            assert fp.satisfied[i] == satisfied, (i, str(r))
+            blocked = any(b.complement() in derived for b in r.body)
+            assert fp.blocked[i] == blocked, (i, str(r))
             fires = (
                 satisfied == len(r.body)
                 and not blocked
                 and not live_over
                 and not live_defeat
             )
-            assert self._fired[i] == fires, (i, str(r))
+            assert fp.fired[i] == fires, (i, str(r))
             if fires:
-                assert r.head in derived, (i, str(r))
+                fired_heads.add(r.head)
+        assert derived == fired_heads, sorted(map(str, derived ^ fired_heads))

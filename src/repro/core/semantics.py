@@ -370,49 +370,43 @@ class OrderedSemantics:
             # emitted, which refcount maintenance cannot see; re-ground.
             and not self._grounding_options.domain_pruning
         )
-        if not use_engine:
-            self.program = new_program
-            self._invalidate_all()
-            base_stats.full_rebuild = True
-            if obs.enabled:
-                obs.count("maintain.full_rebuilds")
-            return base_stats
+        stats: Optional[DeltaStats] = None
         try:
-            if self._maintained is None:
-                self._maintained = MaintainedModel(
-                    self.evaluator, self.ground.base, self.maintenance
-                )
-            stats = self._maintained.apply(engine_ops)
+            if use_engine:
+                if self._maintained is None:
+                    self._maintained = MaintainedModel(
+                        self.evaluator, self.ground.base, self.maintenance
+                    )
+                stats = self._maintained.apply(engine_ops)
         except DeltaUnsupported:
             # e.g. an asserted atom outside the grounded base: the view
             # must be re-grounded from the mutated program.
-            self.program = new_program
-            self._invalidate_all()
-            if obs.enabled:
-                obs.count("maintain.full_rebuilds")
-            base_stats.full_rebuild = True
-            return base_stats
+            pass
         except Exception:
             # The maintained state may be mid-mutation; drop it so the
             # next read recomputes from the mutated program.
-            self.program = new_program
             self._invalidate_all()
             raise
-        self.program = new_program
-        maintained = self._maintained
-        old_ground = self.__dict__.get("ground")
+        finally:
+            self.program = new_program
+        if stats is None:
+            self._invalidate_all()
+            base_stats.full_rebuild = True
+            if obs.enabled:
+                obs.count("maintain.full_rebuilds")
+            return base_stats
+        old_ground = self.ground  # cached: the engine was built from it
         for name in self._CACHED:
             self.__dict__.pop(name, None)
-        if old_ground is not None:
-            # The old atom table stays valid: maintenance only toggles
-            # rule liveness, it never invents atoms outside the base.
-            self.__dict__["ground"] = GroundProgram(
-                maintained.alive_rules(),
-                old_ground.base,
-                old_ground.universe,
-                old_ground.atom_table,
-            )
-        self.__dict__["least_model"] = maintained.interpretation()
+        # The old atom table stays valid: maintenance only toggles rule
+        # liveness and appends atoms, it never moves an id.
+        self.__dict__["ground"] = GroundProgram(
+            self._maintained.alive_rules(),
+            old_ground.base,
+            old_ground.universe,
+            old_ground.atom_table,
+        )
+        self.__dict__["least_model"] = self._maintained.interpretation()
         return stats
 
     def _mutate_program(
@@ -426,12 +420,15 @@ class OrderedSemantics:
         fact told twice grounds once: only the first copy's assertion
         and the last copy's retraction reach the delta engine.
         """
-        rules = {c.name: list(c.rules) for c in self.program.components()}
+        components = {c.name: c for c in self.program.components()}
+        rules: dict[str, list[Rule]] = {}  # only the buckets the batch touches
         visible = {c.name for c in self.program.visible_components(self.component)}
         engine_ops: list[tuple[str, str, Literal]] = []
         unsupported = False
         for kind, comp, lit in ops:
-            bucket = rules[comp]
+            bucket = rules.get(comp)
+            if bucket is None:
+                bucket = rules[comp] = list(components[comp].rules)
             fact = Rule(lit)
             count = sum(1 for r in bucket if r == fact)
             if kind == ASSERT:
@@ -463,7 +460,10 @@ class OrderedSemantics:
                         unsupported = True
                     engine_ops.append((RETRACT, comp, lit))
         new_program = OrderedProgram(
-            [Component(name, rs) for name, rs in rules.items()],
+            [
+                Component(name, rules[name]) if name in rules else c
+                for name, c in components.items()
+            ],
             self.program.order.pairs(),
         )
         if not unsupported:

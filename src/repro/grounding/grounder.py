@@ -35,6 +35,7 @@ grounding for the enumeration-side consumers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Optional, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -69,11 +70,8 @@ class AtomTable:
 
     Ids are **stable**: the table is append-only, so an atom keeps its
     id across fact deltas for the lifetime of the table (maintenance
-    reuses the grounding-time table rather than re-interning).  After
-    retract-heavy traces the table can be :meth:`compact`-ed into a
-    fresh table over the surviving atoms; compaction deliberately
-    returns a *new* table plus a remap instead of mutating ids in
-    place.
+    reuses the grounding-time table rather than re-interning, and
+    interns a told atom no ground rule mentions at the end).
     """
 
     __slots__ = ("_ids", "_atoms", "_literals")
@@ -111,6 +109,10 @@ class AtomTable:
         """Decode a literal id back to the (cached) literal object."""
         return self._literals[literal_id]
 
+    def flagged_literals(self, flags: Sequence[int]) -> Iterator[Literal]:
+        """Decode per-literal-id membership flags to the set literals."""
+        return compress(self._literals, flags)
+
     def __len__(self) -> int:
         return len(self._atoms)
 
@@ -120,25 +122,6 @@ class AtomTable:
     def atoms(self) -> tuple[Atom, ...]:
         """All interned atoms, in id order."""
         return tuple(self._atoms)
-
-    def compact(self, live: Iterable[Atom]) -> tuple["AtomTable", dict[int, int]]:
-        """A fresh table over the live atoms plus an old-id → new-id map.
-
-        Relative id order of surviving atoms is preserved.  Atoms in
-        ``live`` that were never interned here are interned into the new
-        table (at the end, in iteration order) but do not appear in the
-        remap.
-        """
-        live_set = set(live)
-        table = AtomTable()
-        remap: dict[int, int] = {}
-        for old_id, atom in enumerate(self._atoms):
-            if atom in live_set:
-                remap[old_id] = table.intern(atom)
-                live_set.discard(atom)
-        for atom in sorted(live_set, key=str):
-            table.intern(atom)
-        return table, remap
 
     def __repr__(self) -> str:  # pragma: no cover - convenience
         return f"AtomTable({len(self._atoms)} atoms)"

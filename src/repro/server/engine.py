@@ -1057,7 +1057,11 @@ class ServerEngine:
                 if view in affected and view in self.kb.objects:
                     r0 = time.perf_counter()
                     try:
-                        models[view] = self.kb.view(view).least_model
+                        model = self.kb.view(view).least_model
+                        # A maintained model decodes on first read; do
+                        # it here so snapshot readers only ever look up.
+                        len(model)
+                        models[view] = model
                     except ReproError:
                         # The view is now erroneous (e.g. inconsistent);
                         # readers get the error lazily instead of the

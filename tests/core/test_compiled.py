@@ -90,25 +90,6 @@ class TestAtomTable:
         assert sem.ground.atom_table is table
         assert table.id_of(penguin) == before
 
-    def test_compact_after_retract_heavy_trace(self):
-        table = AtomTable()
-        ids = {i: table.intern(atom("p", str(i))) for i in range(10)}
-        survivors = [atom("p", str(i)) for i in (1, 4, 7)]
-        compacted, remap = table.compact(survivors)
-        assert len(compacted) == 3
-        # Relative order of survivors is preserved; ids are dense again.
-        assert remap == {ids[1]: 0, ids[4]: 1, ids[7]: 2}
-        assert compacted.atoms() == tuple(survivors)
-        # The original table is untouched (compaction never mutates ids).
-        assert len(table) == 10
-        assert table.id_of(atom("p", "1")) == ids[1]
-
-    def test_compact_interns_unseen_live_atoms_without_remap(self):
-        table = AtomTable(atoms=[atom("p")])
-        compacted, remap = table.compact([atom("p"), atom("fresh")])
-        assert remap == {0: 0}
-        assert atom("fresh") in compacted
-
 
 class TestBackends:
     def test_available_backends_always_include_python(self):

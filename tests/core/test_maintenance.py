@@ -264,3 +264,76 @@ def test_obs_counters_flow():
     assert counters["maintain.delta_facts"] == 2
     assert counters["maintain.rules_reevaluated"] >= 1
     assert counters["maintain.full_rebuilds"] == 1
+
+
+# ----------------------------------------------------------------------
+# Edges of the dense state: tombstones, pinned reads, late-interned atoms
+# ----------------------------------------------------------------------
+def test_reasserting_a_retracted_fact_revives_its_tombstone():
+    sem, engine = figure1_engine()
+    initial = engine.interpretation().literals
+    op = ("c1", parse_literal("ground_animal(pigeon)"))
+    engine.apply([(ASSERT, *op)])
+    engine.apply([(RETRACT, *op)])
+    n_rules = len(engine._rules)  # tombstones included
+    for _ in range(1000):
+        engine.apply([(ASSERT, *op)])
+        engine.apply([(RETRACT, *op)])
+    assert len(engine._rules) == n_rules
+    assert engine.alive_count() == len(sem.ground.rules)
+    assert engine.interpretation().literals == initial
+    engine.audit()
+
+
+def test_interpretation_is_a_snapshot_not_a_view_of_live_state():
+    sem = OrderedSemantics(tweety_program(), "specific", strategy="seminaive")
+    engine = MaintainedModel(
+        sem.evaluator, sem.ground.base, MaintenanceConfig(frontier_threshold=1.0)
+    )
+    expected = sem.least_model.literals
+    before = engine.interpretation()  # deliberately not read yet
+    engine.apply([(RETRACT, "specific", parse_literal("penguin_of(tweety)"))])
+    assert engine.interpretation().literals == frozenset()
+    assert before.literals == expected
+
+
+def test_pinned_least_model_survives_apply_delta():
+    sem = OrderedSemantics(paper.figure1(), "c1")
+    expected = model_of(sem)
+    sem.apply_delta(retractions=[("c2", "bird(penguin)")])
+    sem.apply_delta(assertions=[("c2", "bird(penguin)")])
+    pinned = sem.least_model  # a maintained, still undecoded model
+    sem.apply_delta(retractions=[("c2", "bird(penguin)")])
+    assert model_of(sem) != expected
+    assert {str(l) for l in pinned.literals} == expected
+
+
+def test_told_atom_outside_the_compiled_table_stays_on_the_delta_path():
+    # r(a,a) is in the Herbrand base but the guard keeps it out of every
+    # ground rule, so it has no literal id in the compiled index.
+    program = parse_program(
+        """
+        component general { s(a). s(b). r(X,Y) :- s(X), s(Y), X != Y. }
+        component specific { }
+        order specific < general.
+        """
+    )
+    sem = OrderedSemantics(program, "specific")
+    sem.least_model
+    outside = parse_literal("r(a,a)")
+    assert outside.atom in sem.ground.base
+    assert outside.atom not in sem.ground.atom_table
+    n_literals = sem.evaluator.index.compiled.n_literals
+    for kind, comp, fact in [
+        ("assert", "general", "r(a,a)"),
+        ("assert", "specific", "-r(a,a)"),  # overrules the general fact
+        ("retract", "general", "r(a,a)"),
+        ("assert", "general", "r(a,a)"),
+        ("retract", "specific", "-r(a,a)"),
+        ("retract", "general", "r(a,a)"),
+    ]:
+        stats = sem.apply_ops([(kind, comp, fact)])
+        assert not stats.full_rebuild
+        assert model_of(sem) == fresh_model(sem)
+        sem._maintained.audit()
+    assert sem.ground.atom_table.literal_id(outside) >= n_literals
