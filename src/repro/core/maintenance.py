@@ -59,6 +59,7 @@ from typing import TYPE_CHECKING, Collection, Iterable, Sequence
 from ..grounding.grounder import GroundRule
 from ..lang.errors import SemanticsError
 from ..lang.literals import Atom, Literal
+from ..lang.program import ASSERT, RETRACT
 from ..obs import get_instrumentation
 from ..obs.trace import current_trace
 from .compiled.fixpoint import DenseFixpoint
@@ -76,10 +77,6 @@ __all__ = [
     "ASSERT",
     "RETRACT",
 ]
-
-#: Op kinds understood by :meth:`MaintainedModel.apply`.
-ASSERT = "assert"
-RETRACT = "retract"
 
 #: One mutation: ``(kind, component, ground fact literal)``.
 DeltaOp = tuple[str, str, Literal]
@@ -116,8 +113,8 @@ class DeltaStats:
     """What one :meth:`MaintainedModel.apply` call did.
 
     Attributes:
-        asserted: facts added (after refcount dedup).
-        retracted: facts removed (after refcount dedup).
+        asserted: facts added (after copy dedup).
+        retracted: facts removed (after copy dedup).
         deleted: literals removed by the overcounting cascade.
         rederived: literals (re)derived by the forward phase —
             includes cascade survivors that were re-established.
@@ -181,15 +178,15 @@ class MaintainedModel:
         self._by_head: dict[int, list[int]] = {}
         for i, h in enumerate(compiled.heads):
             self._by_head.setdefault(h, []).append(i)
-        # Every empty-body rule is a retractable fact: key → [rule id,
-        # told copies].  Refcounts mirror the grounder's instance dedup
-        # (telling the same fact twice grounds to one instance, so the
-        # model drops it only when the last copy is retracted); zero
-        # copies mark a tombstone.
-        self._fact_refs: dict[tuple[str, Literal], list[int]] = {}
+        # Every empty-body rule is a retractable fact: key → rule id,
+        # told while ``_alive`` (else a tombstone).  One ground instance
+        # stands for all told copies; counting them is the program's
+        # job (``OrderedProgram.update_facts`` forwards only the first
+        # copy's assertion and the last copy's retraction).
+        self._fact_ids: dict[tuple[str, Literal], int] = {}
         for i in compiled.source_facts:
             r = self._rules[i]
-            self._fact_refs[(r.component, r.head)] = [i, 1]
+            self._fact_ids[(r.component, r.head)] = i
         # The counter state is a kernel's arrays; heads/body_sizes are
         # per-model copies because told facts get appended to them.
         self._fp = fp = DenseFixpoint(compiled)
@@ -283,8 +280,8 @@ class MaintainedModel:
         fp = self._fp
         fp.reset()
         released = _Pending()
-        for i, copies in self._fact_refs.values():
-            if not copies:
+        for i in self._fact_ids.values():
+            if not self._alive[i]:
                 fp.blocked[i] = 1
                 self._set_threat(i, False, released)
         told = range(fp.index.n_rules, len(fp.heads))
@@ -321,29 +318,26 @@ class MaintainedModel:
     def _tell(
         self, told: bool, component: str, literal: Literal, pending: _Pending
     ) -> None:
-        """One told copy more (or fewer) of a ground fact; the first
-        copy revives the fact's rule, the last one tombstones it."""
+        """Tell a ground fact (reviving its tombstone, appended on first
+        sight) or retract it (leaving the tombstone).  Telling a fact
+        that is already live — a further copy, or an instance some other
+        source rule grounds to — changes nothing."""
         key = (component, literal)
-        entry = self._fact_refs.get(key)
+        i = self._fact_ids.get(key)
         if told:
-            if entry is None:
-                i = self._append_tombstone(component, literal)
-                entry = self._fact_refs[key] = [i, 0]
-            entry[1] += 1
-            if entry[1] > 1:
-                return
-        else:
-            if entry is None or not entry[1]:
-                raise SemanticsError(
-                    f"cannot retract {literal} from component {component!r}: "
-                    "no such told fact"
+            if i is None:
+                i = self._fact_ids[key] = self._append_tombstone(
+                    component, literal
                 )
-            entry[1] -= 1
-            if entry[1]:
+            elif self._alive[i]:
                 return
+        elif i is None or not self._alive[i]:
+            raise SemanticsError(
+                f"cannot retract {literal} from component {component!r}: "
+                "no such told fact"
+            )
         # A fact has an empty body, so while told it is never blocked: a
         # live threat to everything it watches.  Its tombstone is blocked.
-        i = entry[0]
         fp = self._fp
         self._alive[i] = told
         fp.blocked[i] = not told

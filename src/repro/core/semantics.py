@@ -16,15 +16,14 @@ True
 
 from __future__ import annotations
 
+from dataclasses import replace
 from functools import cached_property
 from typing import Iterable, Optional, Union
 
 from ..grounding.grounder import Grounder, GroundingOptions, GroundProgram
 from ..lang.errors import SemanticsError
 from ..lang.literals import Literal
-from ..lang.program import Component, OrderedProgram
-from ..lang.rules import Rule
-from ..lang.terms import Constant, walk_terms
+from ..lang.program import OrderedProgram
 from ..obs import get_instrumentation
 from ..obs.trace import current_trace
 from .assumptions import AssumptionAnalyzer
@@ -111,6 +110,8 @@ class OrderedSemantics:
         self._engine_strategy = engine_strategy(self.strategy)
         self.maintenance = maintenance
         self._maintained: Optional[MaintainedModel] = None
+        #: The grounding ``_maintained`` was built from.
+        self._seed_ground: Optional[GroundProgram] = None
 
     # ------------------------------------------------------------------
     # Grounding and shared machinery (built lazily, cached)
@@ -122,7 +123,15 @@ class OrderedSemantics:
         When :attr:`GroundingOptions.domain_pruning` is on, this is the
         *pruned* grounding — sound for the least model only.  The
         enumeration-side machinery reads :attr:`full_ground` instead.
+
+        A maintained view never re-grounds: after a delta this is the
+        seed grounding (same base, universe and id-stable atom table)
+        over the engine's current rule multiset, derived on first read.
         """
+        if self._maintained is not None and self._seed_ground is not None:
+            return replace(
+                self._seed_ground, rules=self._maintained.alive_rules()
+            )
         return Grounder(self._grounding_options).ground_component_star(
             self.program, self.component
         )
@@ -139,8 +148,6 @@ class OrderedSemantics:
         """
         if not self._grounding_options.domain_pruning:
             return self.ground
-        from dataclasses import replace
-
         options = replace(self._grounding_options, domain_pruning=False)
         return Grounder(options).ground_component_star(
             self.program, self.component
@@ -327,25 +334,18 @@ class OrderedSemantics:
     ) -> DeltaStats:
         """Apply a batch of ``(kind, component, fact)`` mutations.
 
-        Mutates :attr:`program` (facts are appended/removed as rules)
-        and repairs the cached least model through the delta engine when
+        Moves :attr:`program` to its successor
+        (:meth:`OrderedProgram.update_facts`, which also says which ops
+        reach the engine and when only re-grounding can tell) and
+        repairs the cached least model through the delta engine when
         possible; falls back to invalidation + recomputation otherwise
         (maintenance disabled, ``strategy="classical"``, or an asserted
         atom outside the grounded base).
         """
-        coerced: list[tuple[str, str, Literal]] = []
-        for kind, comp, item in ops:
-            if kind not in (ASSERT, RETRACT):
-                raise SemanticsError(f"unknown delta op kind {kind!r}")
-            if comp not in self.program:
-                raise SemanticsError(f"no component named {comp!r}")
-            lit = self._coerce(item)
-            if not lit.is_ground:
-                raise SemanticsError(
-                    f"only ground facts can be told/retracted: {lit}"
-                )
-            coerced.append((kind, comp, lit))
-        new_program, engine_ops, unsupported = self._mutate_program(coerced)
+        coerced = [(kind, comp, self._coerce(item)) for kind, comp, item in ops]
+        new_program, engine_ops, reground = self.program.update_facts(
+            coerced, self.component
+        )
         obs = get_instrumentation()
         if obs.enabled:
             obs.count("maintain.delta_facts", len(coerced))
@@ -353,7 +353,7 @@ class OrderedSemantics:
         base_stats = DeltaStats(
             asserted=n_assert, retracted=len(coerced) - n_assert
         )
-        if not engine_ops and not unsupported:
+        if not engine_ops and not reground:
             # No visible ground-level change (facts outside C*, or
             # duplicate copies absorbed): every cache stays valid.
             self.program = new_program
@@ -365,15 +365,16 @@ class OrderedSemantics:
             self.maintenance.enabled
             and self.strategy != CLASSICAL_STRATEGY
             and have_model
-            and not unsupported
+            and not reground
             # A fact delta can revive rules the pruned grounding never
-            # emitted, which refcount maintenance cannot see; re-ground.
+            # emitted, which the delta engine cannot see; re-ground.
             and not self._grounding_options.domain_pruning
         )
         stats: Optional[DeltaStats] = None
         try:
             if use_engine:
                 if self._maintained is None:
+                    self._seed_ground = self.ground
                     self._maintained = MaintainedModel(
                         self.evaluator, self.ground.base, self.maintenance
                     )
@@ -395,95 +396,13 @@ class OrderedSemantics:
             if obs.enabled:
                 obs.count("maintain.full_rebuilds")
             return base_stats
-        old_ground = self.ground  # cached: the engine was built from it
         for name in self._CACHED:
             self.__dict__.pop(name, None)
-        # The old atom table stays valid: maintenance only toggles rule
-        # liveness and appends atoms, it never moves an id.
-        self.__dict__["ground"] = GroundProgram(
-            self._maintained.alive_rules(),
-            old_ground.base,
-            old_ground.universe,
-            old_ground.atom_table,
-        )
         self.__dict__["least_model"] = self._maintained.interpretation()
         return stats
 
-    def _mutate_program(
-        self, ops: list[tuple[str, str, Literal]]
-    ) -> tuple[OrderedProgram, list[tuple[str, str, Literal]], bool]:
-        """The mutated immutable program, the ops that change the
-        *deduplicated* ground fact multiset of this view, and whether
-        the batch defeats refcounting (forcing a full recomputation).
-
-        The grounder collapses identical instances per component, so a
-        fact told twice grounds once: only the first copy's assertion
-        and the last copy's retraction reach the delta engine.
-        """
-        components = {c.name: c for c in self.program.components()}
-        rules: dict[str, list[Rule]] = {}  # only the buckets the batch touches
-        visible = {c.name for c in self.program.visible_components(self.component)}
-        engine_ops: list[tuple[str, str, Literal]] = []
-        unsupported = False
-        for kind, comp, lit in ops:
-            bucket = rules.get(comp)
-            if bucket is None:
-                bucket = rules[comp] = list(components[comp].rules)
-            fact = Rule(lit)
-            count = sum(1 for r in bucket if r == fact)
-            if kind == ASSERT:
-                bucket.append(fact)
-                if count == 0 and comp in visible:
-                    engine_ops.append((ASSERT, comp, lit))
-            else:
-                if count == 0:
-                    raise SemanticsError(
-                        f"cannot retract {lit} from component {comp!r}: "
-                        "fact was never told"
-                    )
-                bucket.remove(fact)
-                if count == 1 and comp in visible:
-                    if any(
-                        not r.body_literals()
-                        and r.head.positive == lit.positive
-                        and (
-                            r.head == lit
-                            if r.head.is_ground
-                            else r.head.atom.signature == lit.atom.signature
-                        )
-                        for r in bucket
-                    ):
-                        # Another source (a non-ground fact like p(X).,
-                        # or a guard-only rule with the same head) may
-                        # ground to the same deduplicated instance;
-                        # refcounts cannot tell.  Recompute.
-                        unsupported = True
-                    engine_ops.append((RETRACT, comp, lit))
-        new_program = OrderedProgram(
-            [
-                Component(name, rules[name]) if name in rules else c
-                for name, c in components.items()
-            ],
-            self.program.order.pairs(),
-        )
-        if not unsupported:
-            retracted_constants = {
-                constant
-                for kind, _, lit in ops
-                if kind == RETRACT
-                for term in lit.args
-                for constant in walk_terms(term)
-                if isinstance(constant, Constant)
-            }
-            if retracted_constants and not retracted_constants <= new_program.constants():
-                # The retraction removed a constant's last occurrence,
-                # shrinking the Herbrand universe: closed-world defaults
-                # over that constant are no longer grounded.  Recompute.
-                unsupported = True
-        return new_program, engine_ops, unsupported
-
     def _invalidate_all(self) -> None:
-        self._maintained = None
+        self._maintained = self._seed_ground = None
         for name in self._CACHED:
             self.__dict__.pop(name, None)
 

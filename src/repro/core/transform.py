@@ -48,6 +48,7 @@ __all__ = [
     "CLASSICAL_STRATEGY",
     "DEMAND_STRATEGY",
     "SEMANTICS_STRATEGIES",
+    "READ_STRATEGIES",
     "engine_strategy",
 ]
 
@@ -81,6 +82,11 @@ SEMANTICS_STRATEGIES = (
     DEMAND_STRATEGY,
     *STRATEGIES,
 )
+
+#: The read strategies a query may name (``KnowledgeBase.query`` and the
+#: server protocol's per-request ``strategy`` field validate against
+#: this one tuple).
+READ_STRATEGIES = (AUTO_STRATEGY, DEMAND_STRATEGY)
 
 
 def validate_strategy(strategy: str) -> str:

@@ -22,12 +22,14 @@ abstractions:
 >>> kb.ask("penguin", "-fly(tweety)")
 True
 
-Mutations are absorbed *incrementally* (docs/maintenance.md): telling
-or retracting ground facts only dirties the cached views whose ``C*``
-contains the mutated object, and a dirty view repairs itself through
-the delta engine on its next read instead of recomputing from scratch.
-Structural mutations (non-fact rules, new isa edges, closure
-assumptions) still drop the affected views.
+The knowledge base holds one immutable :class:`OrderedProgram` and
+every mutation replaces it by its successor.  Mutations are absorbed
+*incrementally* (docs/maintenance.md): telling or retracting ground
+facts only dirties the cached views whose ``C*`` contains the mutated
+object, and a dirty view repairs itself through the delta engine on
+its next read instead of recomputing from scratch.  Structural
+mutations (non-fact rules, new isa edges, closure assumptions) still
+drop the affected views.
 """
 
 from __future__ import annotations
@@ -38,12 +40,11 @@ from ..core.interpretation import Interpretation, TruthValue
 from ..core.maintenance import ASSERT, RETRACT, MaintenanceConfig
 from ..core.semantics import OrderedSemantics
 from ..core.solver import SearchBudget
-from ..core.transform import AUTO_STRATEGY, DEMAND_STRATEGY
+from ..core.transform import DEMAND_STRATEGY, READ_STRATEGIES
 from ..grounding.grounder import GroundingOptions
 from ..lang.errors import QueryError, SemanticsError
 from ..lang.literals import Literal
 from ..lang.parser import parse_literal, parse_rules
-from ..lang.poset import PartialOrder
 from ..obs import get_instrumentation
 from ..lang.program import Component, OrderedProgram
 from ..lang.rules import Rule
@@ -65,8 +66,7 @@ class KnowledgeBase:
         budget: Optional[SearchBudget] = None,
         maintenance: Optional[MaintenanceConfig] = None,
     ) -> None:
-        self._rules: dict[str, list[Rule]] = {}
-        self._pairs: set[tuple[str, str]] = set()
+        self._program = OrderedProgram(())
         self._grounding = grounding if grounding is not None else GroundingOptions()
         self._budget = budget if budget is not None else SearchBudget()
         self._maintenance = (
@@ -94,8 +94,7 @@ class KnowledgeBase:
         so ``kb.program()`` round-trips to an order-equivalent program.
         """
         kb = cls(grounding=grounding, budget=budget, maintenance=maintenance)
-        kb._rules = {c.name: list(c.rules) for c in program.components()}
-        kb._pairs = set(program.order.pairs())
+        kb._program = program
         return kb
 
     # ------------------------------------------------------------------
@@ -128,13 +127,12 @@ class KnowledgeBase:
             SemanticsError: if the object already exists or a parent is
                 unknown.
         """
-        if name in self._rules:
+        if name in self._program:
             raise SemanticsError(f"object {name!r} already defined")
-        self._rules[name] = self._parse(rules)
-        for parent in isa:
-            self._link(name, parent)
-        if self.DEFAULTS_OBJECT in self._rules and name != self.DEFAULTS_OBJECT:
-            self._pairs.add((name, self.DEFAULTS_OBJECT))
+        below = list(isa)
+        if self.DEFAULTS_OBJECT in self._program and name != self.DEFAULTS_OBJECT:
+            below.append(self.DEFAULTS_OBJECT)
+        self._install(Component(name, self._parse(rules)), below)
         # A fresh object sits below (or beside) everything that exists,
         # so no cached view can see it: existing views stay warm.
 
@@ -148,16 +146,16 @@ class KnowledgeBase:
         """
         self._require(name)
         parsed = self._parse(rules)
-        self._rules[name].extend(parsed)
         if all(r.is_fact and r.is_ground for r in parsed):
-            self._queue_facts(ASSERT, name, parsed)
+            self._write_facts(ASSERT, name, parsed)
         else:
+            self._install(self._program.component(name).extend(parsed))
             self._drop_views_seeing(name)
 
     def isa(self, child: str, parent: str) -> None:
         """Declare ``child < parent`` (child inherits from parent)."""
         self._require(child)
-        self._link(child, parent)
+        self._install(self._program.component(child), [parent])
         # Every view that sees the child now also sees the parent's
         # rules: structural for exactly those views.
         self._drop_views_seeing(child)
@@ -166,13 +164,7 @@ class KnowledgeBase:
         """Load an extensional :class:`repro.db.Database` into an object
         as ground facts (Example 6's "parent is defined through a
         database relation")."""
-        self._require(name)
-        facts = list(database.facts())
-        self._rules[name].extend(facts)
-        if all(r.is_fact and r.is_ground for r in facts):
-            self._queue_facts(ASSERT, name, facts)
-        else:  # pragma: no cover - databases produce ground facts
-            self._drop_views_seeing(name)
+        self.tell(name, database.facts())
 
     def attach_edb(self, name: str, store) -> None:
         """Attach a disk-backed :class:`~repro.db.edb.EdbStore` to an
@@ -189,7 +181,7 @@ class KnowledgeBase:
 
         The object is created when it does not exist yet.
         """
-        if name not in self._rules:
+        if name not in self._program:
             self.define(name)
         self._edb[name] = store
         self._drop_views_seeing(name)
@@ -221,24 +213,12 @@ class KnowledgeBase:
         """
         self._require(name)
         parsed = self._parse(rules)
-        bucket = self._rules[name]
-        removals: dict[Rule, int] = {}
         for r in parsed:
             if not (r.is_fact and r.is_ground):
                 raise SemanticsError(
                     f"only ground facts can be retracted, not {r}"
                 )
-            removals[r] = removals.get(r, 0) + 1
-        for r, wanted in removals.items():
-            present = sum(1 for existing in bucket if existing == r)
-            if present < wanted:
-                raise SemanticsError(
-                    f"cannot retract {r} from object {name!r}: "
-                    "fact was never told"
-                )
-        for r in parsed:
-            bucket.remove(r)
-        self._queue_facts(RETRACT, name, parsed)
+        self._write_facts(RETRACT, name, parsed)
 
     def derive(
         self,
@@ -306,24 +286,22 @@ class KnowledgeBase:
 
         variables = tuple(Variable(f"X{i + 1}") for i in range(arity))
         head = Literal(Atom(predicate, variables), not negative)
-        if self.DEFAULTS_OBJECT not in self._rules:
-            self._rules[self.DEFAULTS_OBJECT] = []
-        existing_objects = [
-            name for name in self._rules if name != self.DEFAULTS_OBJECT
-        ]
-        self._rules[self.DEFAULTS_OBJECT].append(Rule(head, ()))
-        for name in existing_objects:
-            pair = (name, self.DEFAULTS_OBJECT)
-            if pair not in self._pairs:
-                self._pairs.add(pair)
+        users = self.objects - {self.DEFAULTS_OBJECT}
+        if self.DEFAULTS_OBJECT in self._program:
+            defaults = self._program.component(self.DEFAULTS_OBJECT)
+        else:
+            defaults = Component(self.DEFAULTS_OBJECT)
+        self._program = self._program.with_component(
+            defaults.extend([Rule(head, ())]), above=users
+        )
         self._invalidate()
 
-    def _link(self, child: str, parent: str) -> None:
-        self._require(parent)
-        # Validate against cycles by building the order eagerly.
-        trial = PartialOrder(self._rules.keys(), self._pairs)
-        trial.add_pair(child, parent)
-        self._pairs.add((child, parent))
+    def _install(self, obj: Component, parents: Sequence[str] = ()) -> None:
+        """Install ``obj`` (new, or replacing its namesake) below
+        ``parents``; a cycle raises before anything changes."""
+        for parent in parents:
+            self._require(parent)
+        self._program = self._program.with_component(obj, below=parents)
 
     def _parse(self, rules: Union[str, Iterable[Rule]]) -> list[Rule]:
         if isinstance(rules, str):
@@ -331,7 +309,7 @@ class KnowledgeBase:
         return list(rules)
 
     def _require(self, name: str) -> None:
-        if name not in self._rules:
+        if name not in self._program:
             raise SemanticsError(f"unknown object {name!r}")
 
     def _invalidate(self) -> None:
@@ -341,14 +319,11 @@ class KnowledgeBase:
     # ------------------------------------------------------------------
     # Fine-grained invalidation (docs/maintenance.md)
     # ------------------------------------------------------------------
-    def _poset(self) -> PartialOrder:
-        return PartialOrder(self._rules.keys(), self._pairs)
-
     def seers(self, name: str) -> frozenset[str]:
         """Objects whose point of view sees ``name`` (``name ∈ C*``) —
         exactly the views a mutation of ``name`` can change."""
         self._require(name)
-        return self._poset().downset(name)
+        return self._program.order.downset(name)
 
     def scope(self, name: str) -> frozenset[str]:
         """The objects ``name``'s point of view consults (``C*``, the
@@ -357,14 +332,12 @@ class KnowledgeBase:
         use it to select the journal prefix a view-subset follower
         needs (``docs/replication.md``)."""
         self._require(name)
-        return self._poset().upset(name)
+        return self._program.order.upset(name)
 
     def _seeing_views(self, name: str) -> list[str]:
         """Cached views whose ``C*`` contains ``name`` — exactly the
         views whose meaning a mutation of ``name`` can change."""
-        if not self._semantics_cache:
-            return []
-        down = self._poset().downset(name)
+        down = self._program.order.downset(name)
         return [view for view in self._semantics_cache if view in down]
 
     def _drop_views_seeing(self, name: str) -> None:
@@ -372,16 +345,16 @@ class KnowledgeBase:
             del self._semantics_cache[view]
             self._pending.pop(view, None)
 
-    def _queue_facts(
+    def _write_facts(
         self, kind: str, name: str, facts: Iterable[Rule]
     ) -> None:
-        """Queue fact deltas for every cached view that sees ``name``;
-        views that cannot see the object stay cached *and* clean."""
+        """Move to the successor program and queue the fact deltas for
+        every cached view that sees ``name``; views that cannot see the
+        object stay cached *and* clean."""
+        ops = [(kind, name, r.head) for r in facts]
+        self._program = self._program.update_facts(ops).program
         if not self._maintenance.enabled:
             self._drop_views_seeing(name)
-            return
-        ops = [(kind, name, r.head) for r in facts]
-        if not ops:
             return
         for view in self._seeing_views(name):
             self._pending.setdefault(view, []).extend(ops)
@@ -391,37 +364,38 @@ class KnowledgeBase:
     # ------------------------------------------------------------------
     @property
     def objects(self) -> frozenset[str]:
-        return frozenset(self._rules)
+        return self._program.component_names
 
     def parents(self, name: str) -> frozenset[str]:
-        """Direct isa parents of an object."""
+        """Direct isa parents of an object (its covers in the order)."""
         self._require(name)
-        return frozenset(high for low, high in self._pairs if low == name)
+        order = self._program.order
+        above = order.strictly_above(name)
+        return frozenset(
+            high for high in above if not any(order.less(mid, high) for mid in above)
+        )
 
     def program(self) -> OrderedProgram:
-        """A snapshot of the knowledge base as an ordered program.
+        """The knowledge base as an ordered program: the held immutable
+        value itself, O(1), sharing structure with every earlier version
+        (the server pins it in each published snapshot).
 
-        Attached EDB stores are *not* expanded here (this snapshot must
-        stay cheap — the server republishes it on every write); use
+        Attached EDB stores are *not* expanded here; use
         :meth:`_program_for_eval` where materialization needs the
         extensional rows.
         """
-        comps = [Component(name, rules) for name, rules in self._rules.items()]
-        return OrderedProgram(comps, self._pairs)
+        return self._program
 
     def _program_for_eval(self) -> OrderedProgram:
         """The program with attached EDB rows expanded into facts — the
         input to full materialization.  O(store size); the demand path
         never builds this."""
-        if not self._edb:
-            return self.program()
-        comps = []
-        for name, rules in self._rules.items():
-            store = self._edb.get(name)
-            if store is not None:
-                rules = list(rules) + list(store.facts())
-            comps.append(Component(name, rules))
-        return OrderedProgram(comps, self._pairs)
+        program = self._program
+        for name, store in self._edb.items():
+            program = program.with_component(
+                program.component(name).extend(store.facts())
+            )
+        return program
 
     # ------------------------------------------------------------------
     # Reading
@@ -443,7 +417,6 @@ class KnowledgeBase:
                 maintenance=self._maintenance,
             )
             self._semantics_cache[name] = cached
-            self._pending.pop(name, None)
             return cached
         pending = self._pending.pop(name, None)
         if pending:
@@ -485,10 +458,10 @@ class KnowledgeBase:
         see ``docs/query.md``.
         """
         self._require(name)
-        if strategy not in (None, AUTO_STRATEGY, DEMAND_STRATEGY):
+        if strategy is not None and strategy not in READ_STRATEGIES:
             raise QueryError(
                 f"unknown query strategy {strategy!r}; "
-                f"use one of {AUTO_STRATEGY!r}, {DEMAND_STRATEGY!r}"
+                f"use one of {', '.join(map(repr, READ_STRATEGIES))}"
             )
         if isinstance(pattern, str):
             pattern = parse_literal(pattern)

@@ -9,11 +9,18 @@
   component sees its own rules as local rules and the rules of the
   components above it as global (inherited) rules.  ``C*`` (the rules a
   component sees) is :meth:`OrderedProgram.visible_rules`.
+
+Both are immutable values.  A told or retracted ground fact yields a
+*successor* program (Section 5's versioning reading):
+:meth:`OrderedProgram.update_facts` is the one place that says what a
+batch of fact writes does to ``<C,<>`` — which copies it adds or
+removes, which of those change ``ground(C*)`` of a view, and when only
+re-grounding can tell.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Collection, Iterable, Iterator, Mapping, NamedTuple, Optional, Union
 
 from .builtins import expr_leaf_terms
 from .errors import SemanticsError
@@ -22,7 +29,72 @@ from .poset import PartialOrder
 from .rules import Rule
 from .terms import Compound, Constant, Term, walk_terms
 
-__all__ = ["Component", "OrderedProgram"]
+__all__ = ["ASSERT", "RETRACT", "Component", "FactUpdate", "OrderedProgram"]
+
+#: Fact-write kinds understood by :meth:`OrderedProgram.update_facts`
+#: (and, downstream, by the delta engine).
+ASSERT = "assert"
+RETRACT = "retract"
+
+
+def _symbols_in(terms: Iterable[Term]) -> Iterator[object]:
+    """Every occurrence of a symbol the Herbrand universe is built from:
+    a :class:`Constant`, or ``(functor, arity)`` for a compound term."""
+    for term in terms:
+        for sub in walk_terms(term):
+            if isinstance(sub, Constant):
+                yield sub
+            elif isinstance(sub, Compound):
+                yield sub.functor, sub.arity
+
+
+def _bump(counter: dict, key: object, step: int) -> int:
+    """Shift one count, dropping the entry at zero; returns the count."""
+    count = counter.get(key, 0) + step
+    if count:
+        counter[key] = count
+    else:
+        del counter[key]
+    return count
+
+
+class _FactLedger(NamedTuple):
+    """What :meth:`OrderedProgram.update_facts` needs to know about one
+    component without walking its rules: derived once per component
+    value, carried forward (patched) into each successor.
+
+    Attributes:
+        copies: told copies of each ground fact.
+        symbols: occurrences of each constant and function symbol over
+            all rules (:func:`_symbols_in`).
+        open_heads: heads that may ground to a told fact's instance from
+            another source — the ground head of a guard-only rule, or
+            ``(positive, signature)`` of a non-ground bodyless rule.
+            Fact writes never change it.
+    """
+
+    copies: dict[Literal, int]
+    symbols: dict[object, int]
+    open_heads: frozenset
+
+    @classmethod
+    def of(cls, comp: "Component") -> "_FactLedger":
+        copies: dict[Literal, int] = {}
+        open_heads = set()
+        for r in comp.rules:
+            if r.body_literals():
+                continue
+            head = r.head
+            if not head.is_ground:
+                open_heads.add((head.positive, head.atom.signature))
+            elif r.body:  # guards only
+                open_heads.add(head)
+            else:
+                _bump(copies, head, 1)
+        symbols: dict[object, int] = {}
+        for symbol in _symbols_in(comp._all_terms()):
+            _bump(symbols, symbol, 1)
+        return cls(copies, symbols, frozenset(open_heads))
 
 
 class Component:
@@ -33,21 +105,36 @@ class Component:
     are immutable; :meth:`extend` returns a new component.
     """
 
-    __slots__ = ("name", "rules", "_hash")
+    __slots__ = ("name", "rules", "_ledger")
 
-    def __init__(self, name: str, rules: Iterable[Rule] = ()) -> None:
-        if not name:
-            raise ValueError("component name must be non-empty")
+    def __init__(
+        self,
+        name: str,
+        rules: Iterable[Rule] = (),
+        _ledger: Optional[_FactLedger] = None,
+    ) -> None:
         rules = tuple(rules)
-        for r in rules:
-            if not isinstance(r, Rule):
-                raise TypeError(f"component rules must be Rule, got {r!r}")
+        # ``_ledger`` marks a successor that update_facts assembled from
+        # a validated component: nothing is re-checked or re-walked.
+        if _ledger is None:
+            if not name:
+                raise ValueError("component name must be non-empty")
+            for r in rules:
+                if not isinstance(r, Rule):
+                    raise TypeError(f"component rules must be Rule, got {r!r}")
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "rules", rules)
-        object.__setattr__(self, "_hash", hash(("component", name, frozenset(rules))))
+        object.__setattr__(self, "_ledger", _ledger)
 
     def __setattr__(self, key: str, value: object) -> None:
         raise AttributeError("Component is immutable")
+
+    def _fact_ledger(self) -> _FactLedger:
+        ledger = self._ledger
+        if ledger is None:
+            ledger = _FactLedger.of(self)
+            object.__setattr__(self, "_ledger", ledger)
+        return ledger
 
     # ------------------------------------------------------------------
     # Classification (paper Section 2)
@@ -80,21 +167,15 @@ class Component:
 
     def constants(self) -> frozenset[Constant]:
         """All constants occurring in the component's rules."""
-        found: set[Constant] = set()
-        for term in self._all_terms():
-            for sub in walk_terms(term):
-                if isinstance(sub, Constant):
-                    found.add(sub)
-        return frozenset(found)
+        return frozenset(
+            s for s in _symbols_in(self._all_terms()) if isinstance(s, Constant)
+        )
 
     def function_symbols(self) -> frozenset[tuple[str, int]]:
         """All ``(functor, arity)`` pairs occurring in the component."""
-        found: set[tuple[str, int]] = set()
-        for term in self._all_terms():
-            for sub in walk_terms(term):
-                if isinstance(sub, Compound):
-                    found.add((sub.functor, sub.arity))
-        return frozenset(found)
+        return frozenset(
+            s for s in _symbols_in(self._all_terms()) if isinstance(s, tuple)
+        )
 
     def _all_terms(self) -> Iterator[Term]:
         for r in self.rules:
@@ -138,7 +219,7 @@ class Component:
         )
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash(("component", self.name, frozenset(self.rules)))
 
     def __str__(self) -> str:
         body = "\n".join(f"  {r}" for r in self.rules)
@@ -146,6 +227,26 @@ class Component:
 
     def __repr__(self) -> str:  # pragma: no cover - convenience
         return f"Component({self.name!r}, {len(self.rules)} rules)"
+
+
+class FactUpdate(NamedTuple):
+    """What a batch of ground-fact writes does to an ordered program.
+
+    Attributes:
+        program: the successor ``<C',<>``.  Untouched components and the
+            order are the predecessor's objects — a fact write never
+            changes ``<``.
+        engine_ops: the writes that change the *deduplicated* ground
+            fact set of the view's ``C*`` (the grounder collapses
+            identical instances per component, so only a fact's first
+            copy in and last copy out count), in batch order.
+        reground: copy counting cannot tell what ``ground(C*)`` became;
+            the view must be re-grounded from :attr:`program`.
+    """
+
+    program: "OrderedProgram"
+    engine_ops: list[tuple[str, str, Literal]]
+    reground: bool
 
 
 class OrderedProgram:
@@ -156,7 +257,11 @@ class OrderedProgram:
             or as a mapping ``name -> iterable of rules``.
         order: pairs ``(low, high)`` asserting ``low < high`` — *low
             inherits from high*.  The transitive closure is taken; cycles
-            raise :class:`~repro.lang.errors.OrderError`.
+            raise :class:`~repro.lang.errors.OrderError`.  A
+            :class:`PartialOrder` over exactly the component names is
+            adopted by reference instead (how a successor program
+            shares its predecessor's ``<``; it must not be mutated
+            afterwards).
     """
 
     __slots__ = ("_components", "_order")
@@ -164,7 +269,7 @@ class OrderedProgram:
     def __init__(
         self,
         components: Union[Iterable[Component], Mapping[str, Iterable[Rule]]],
-        order: Iterable[tuple[str, str]] = (),
+        order: Union[Iterable[tuple[str, str]], PartialOrder] = (),
     ) -> None:
         comps: dict[str, Component] = {}
         if isinstance(components, Mapping):
@@ -177,15 +282,15 @@ class OrderedProgram:
                 if comp.name in comps:
                     raise SemanticsError(f"duplicate component name {comp.name!r}")
                 comps[comp.name] = comp
-        poset: PartialOrder = PartialOrder(comps.keys())
-        for low, high in order:
-            if low not in comps:
-                raise SemanticsError(f"order refers to unknown component {low!r}")
-            if high not in comps:
-                raise SemanticsError(f"order refers to unknown component {high!r}")
-            poset.add_pair(low, high)
+        if not isinstance(order, PartialOrder):
+            order = PartialOrder(comps.keys(), order)
+        stray = order.elements ^ comps.keys()
+        if stray:
+            raise SemanticsError(
+                f"order refers to unknown component {min(stray)!r}"
+            )
         object.__setattr__(self, "_components", comps)
-        object.__setattr__(self, "_order", poset)
+        object.__setattr__(self, "_order", order)
 
     def __setattr__(self, key: str, value: object) -> None:
         raise AttributeError("OrderedProgram is immutable")
@@ -294,17 +399,98 @@ class OrderedProgram:
         above: Iterable[str] = (),
     ) -> "OrderedProgram":
         """A new program with ``comp`` added (or replaced), ordered below
-        the components in ``below`` and above those in ``above``."""
+        the components in ``below`` and above those in ``above``.  The
+        order is extended incrementally, and shared outright when no
+        element or pair is new."""
+        comps = {**self._components, comp.name: comp}
+        pairs = [(comp.name, high) for high in below]
+        pairs += [(low, comp.name) for low in above]
+        order = self._order
+        if pairs or comp.name not in order:
+            order = order.copy()
+            order.add_element(comp.name)
+            for low, high in pairs:
+                order.add_pair(low, high)
+        return OrderedProgram(comps.values(), order)
+
+    def update_facts(
+        self,
+        ops: Iterable[tuple[str, str, Literal]],
+        view: Optional[str] = None,
+    ) -> FactUpdate:
+        """Tell/retract a batch of ground facts, in order.
+
+        Each op is ``(ASSERT | RETRACT, component, ground literal)``; a
+        retraction removes the component's oldest copy of the fact.
+        ``engine_ops`` and ``reground`` are relative to ``view``'s
+        ``C*`` (with no view nothing is seen: no engine ops, no
+        verdict — the caller only wants the successor).  Re-grounding
+        is needed when the last copy of a fact leaves a component that
+        holds another possible source of the same ground instance (a
+        non-ground fact or guard-only rule with that head), and when a
+        retraction removes the last occurrence of a constant or function
+        symbol in the view's ``C*`` — the Herbrand universe of ``C*``
+        shrinks, so instances over that symbol are no longer grounded,
+        even if components the view cannot see still mention it.
+
+        Raises:
+            SemanticsError: unknown kind or component, non-ground fact,
+                or retracting a fact that was never told (the program is
+                a value: a failed batch changes nothing).
+        """
+        visible: Collection[str] = () if view is None else self._order.upset(view)
+        touched: dict[str, tuple[list[Rule], _FactLedger]] = {}
+        engine_ops: list[tuple[str, str, Literal]] = []
+        reground = False
+        dropped: set[object] = set()
+        for kind, name, lit in ops:
+            if kind not in (ASSERT, RETRACT):
+                raise SemanticsError(f"unknown delta op kind {kind!r}")
+            if not lit.is_ground:
+                raise SemanticsError(
+                    f"only ground facts can be told/retracted: {lit}"
+                )
+            if name not in touched:
+                comp = self.component(name)
+                held = comp._fact_ledger()
+                touched[name] = list(comp.rules), _FactLedger(
+                    dict(held.copies), dict(held.symbols), held.open_heads
+                )
+            rules, ledger = touched[name]
+            if kind == ASSERT:
+                rules.append(Rule(lit))
+                step = 1
+            elif lit in ledger.copies:
+                rules.remove(Rule(lit))
+                step = -1
+            else:
+                raise SemanticsError(
+                    f"cannot retract {lit} from component {name!r}: "
+                    "fact was never told"
+                )
+            copies = _bump(ledger.copies, lit, step)
+            seen = name in visible
+            for symbol in _symbols_in(lit.args):
+                if not _bump(ledger.symbols, symbol, step) and seen:
+                    dropped.add(symbol)
+            if seen and copies == (kind == ASSERT):
+                # The first copy in (now 1) or the last copy out (now 0).
+                engine_ops.append((kind, name, lit))
+                if kind == RETRACT and (
+                    lit in ledger.open_heads
+                    or (lit.positive, lit.atom.signature) in ledger.open_heads
+                ):
+                    reground = True
         comps = dict(self._components)
-        comps[comp.name] = comp
-        pairs = set()
-        for low, high in self._order.pairs():
-            pairs.add((low, high))
-        for high in below:
-            pairs.add((comp.name, high))
-        for low in above:
-            pairs.add((low, comp.name))
-        return OrderedProgram(list(comps.values()), pairs)
+        for name, (rules, ledger) in touched.items():
+            comps[name] = Component(name, rules, ledger)
+        if dropped and not reground:
+            reground = not all(
+                any(s in comps[name]._fact_ledger().symbols for name in visible)
+                for s in dropped
+            )
+        successor = OrderedProgram(comps.values(), self._order)
+        return FactUpdate(successor, engine_ops, reground)
 
     def __eq__(self, other: object) -> bool:
         return (

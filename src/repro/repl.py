@@ -1,8 +1,9 @@
 """An interactive shell for ordered logic programs.
 
-Launched by ``olp repl [FILE]``.  The session holds a mutable program
-(component rules + order pairs) and a current *focus* component; every
-mutation invalidates the cached semantics.
+Launched by ``olp repl [FILE]``.  The session holds the current
+(immutable) program and a *focus* component; every mutation moves to a
+successor program, and all but ground-fact writes invalidate the cached
+semantics.
 
 Commands::
 
@@ -39,7 +40,7 @@ from .kb.query import evaluate_query
 from .lang.errors import ReproError
 from .lang.parser import parse_program, parse_rule
 from .lang.printer import render_program
-from .lang.program import Component, OrderedProgram
+from .lang.program import ASSERT, RETRACT, Component, OrderedProgram
 from .lang.rules import Rule
 
 __all__ = ["ReplSession"]
@@ -49,8 +50,7 @@ class ReplSession:
     """The REPL's state machine: one command string in, output out."""
 
     def __init__(self, program: Optional[OrderedProgram] = None) -> None:
-        self._rules: dict[str, list[Rule]] = {"main": []}
-        self._pairs: set[tuple[str, str]] = set()
+        self._program = OrderedProgram.single((), "main")
         self._focus = "main"
         self._semantics: Optional[OrderedSemantics] = None
         if program is not None:
@@ -78,19 +78,12 @@ class ReplSession:
     # Program state
     # ------------------------------------------------------------------
     def _adopt(self, program: OrderedProgram) -> None:
-        self._rules = {
-            comp.name: list(comp.rules) for comp in program.components()
-        }
-        self._pairs = set(program.order.covering_pairs())
-        minimal = sorted(program.order.minimal_elements())
-        self._focus = minimal[0] if minimal else next(iter(self._rules))
+        self._program = program
+        self._focus = min(program.order.minimal_elements(), default="main")
         self._semantics = None
 
     def program(self) -> OrderedProgram:
-        return OrderedProgram(
-            [Component(name, rules) for name, rules in self._rules.items()],
-            self._pairs,
-        )
+        return self._program
 
     @property
     def focus(self) -> str:
@@ -135,13 +128,12 @@ class ReplSession:
         with open(arg) as handle:
             self._adopt(parse_program(handle.read()))
         return (
-            f"loaded {len(self._rules)} component(s); focus = {self._focus}"
+            f"loaded {len(self._program)} component(s); focus = {self._focus}"
         )
 
     def _cmd_focus(self, arg: str) -> str:
-        if arg not in self._rules:
-            self._rules.setdefault(arg, [])
-            self._invalidate()
+        if arg not in self._program:
+            self._program = self._program.with_component(Component(arg))
         self._focus = arg
         self._invalidate()
         return f"focus = {arg}"
@@ -149,26 +141,31 @@ class ReplSession:
     def _split_target(self, arg: str) -> tuple[str, str]:
         target = self._focus
         word, _, rest = arg.partition(" ")
-        if word in self._rules and rest.strip().endswith("."):
+        if word in self._program and rest.strip().endswith("."):
             target, arg = word, rest.strip()
         return target, arg
 
     def _cmd_assert(self, arg: str) -> str:
         target, arg = self._split_target(arg)
         r = parse_rule(arg)
-        self._rules.setdefault(target, []).append(r)
-        # Ground facts repair the cached model through the delta engine
-        # instead of recomputing the view from scratch.
-        if (
-            self._semantics is not None
-            and r.is_fact
-            and r.is_ground
-            and target in self._semantics.program
-        ):
-            self._semantics.apply_ops([("assert", target, r.head)])
+        if r.is_fact and r.is_ground:
+            self._write_fact(ASSERT, target, r)
         else:
+            self._program = self._program.with_component(
+                self._program.component(target).extend([r])
+            )
             self._invalidate()
         return f"[{target}] {r}"
+
+    def _write_fact(self, kind: str, target: str, r: Rule) -> None:
+        """Ground facts repair the cached model through the delta engine
+        instead of recomputing the view from scratch."""
+        ops = [(kind, target, r.head)]
+        if self._semantics is not None:
+            self._semantics.apply_ops(ops)
+            self._program = self._semantics.program
+        else:
+            self._program = self._program.update_facts(ops).program
 
     def _cmd_retract(self, arg: str) -> str:
         target, arg = self._split_target(arg)
@@ -177,32 +174,20 @@ class ReplSession:
         r = parse_rule(arg)
         if not (r.is_fact and r.is_ground):
             return f"error: only ground facts can be retracted, not {r}"
-        bucket = self._rules.get(target, [])
-        try:
-            bucket.remove(r)
-        except ValueError:
-            return (
-                f"error: cannot retract {r} from component {target!r}: "
-                "fact was never told"
-            )
-        if (
-            self._semantics is not None
-            and target in self._semantics.program
-        ):
-            self._semantics.apply_ops([("retract", target, r.head)])
-        else:
-            self._invalidate()
+        self._write_fact(RETRACT, target, r)
         return f"[{target}] retracted {r}"
 
     def _cmd_order(self, arg: str) -> str:
         parts = [p.strip() for p in arg.split("<")]
         if len(parts) < 2 or not all(parts):
             return "usage: order A < B [< C ...]"
+        program = self._program
         for name in parts:
-            self._rules.setdefault(name, [])
+            if name not in program:
+                program = program.with_component(Component(name))
         for low, high in zip(parts, parts[1:], strict=False):
-            self._pairs.add((low, high))
-        self.program()  # validates acyclicity
+            program = program.with_component(program.component(low), below=[high])
+        self._program = program  # only once the whole chain is acyclic
         self._invalidate()
         return " < ".join(parts)
 

@@ -121,6 +121,10 @@ class Snapshot:
     first read — from the writer's incrementally-maintained view when
     this snapshot is still current, from :attr:`program` otherwise —
     and pinned, so every later read at this version is a lookup.
+
+    :attr:`program` is the knowledge base's own program value at this
+    version, held by reference: consecutive snapshots share the order
+    and every component the batch did not touch.
     """
 
     __slots__ = (

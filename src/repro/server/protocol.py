@@ -78,6 +78,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Optional, Union
 
+from ..core.transform import READ_STRATEGIES
+
 __all__ = [
     "OPS",
     "READ_OPS",
@@ -112,7 +114,7 @@ OPS = READ_OPS | WRITE_OPS | ADMIN_OPS | STREAM_OPS
 MODES = ("cautious", "skeptical", "credulous")
 
 #: Per-request read strategies (None = the server default, ``auto``).
-STRATEGIES = ("auto", "demand")
+STRATEGIES = READ_STRATEGIES
 
 BAD_REQUEST = "bad_request"
 SEMANTICS = "semantics"

@@ -19,6 +19,7 @@ from repro.core.maintenance import (
     MaintenanceConfig,
 )
 from repro.core.semantics import OrderedSemantics
+from repro.grounding.grounder import GroundingOptions
 from repro.lang.errors import SemanticsError
 from repro.lang.parser import parse_literal, parse_program
 from repro.obs import instrumented
@@ -124,13 +125,17 @@ def test_retraction_undefeats_incomparable_rival():
     engine.audit()
 
 
-def test_refcount_duplicate_asserts():
+def test_engine_holds_one_instance_per_fact():
+    # Told copies are counted by OrderedProgram.update_facts, which only
+    # forwards the first copy in and the last copy out; the engine itself
+    # keeps a liveness flag, so telling a live fact again is a no-op.
     sem, engine = figure1_engine()
     lit = parse_literal("bird(penguin)")
-    engine.apply([(ASSERT, "c2", lit)])  # second copy of an initial fact
-    engine.apply([(RETRACT, "c2", lit)])  # drops the refcount, not the fact
-    assert "bird(penguin)" in {str(l) for l in engine.interpretation().literals}
-    engine.apply([(RETRACT, "c2", lit)])  # last copy: the fact falls
+    initial = engine.interpretation().literals
+    stats = engine.apply([(ASSERT, "c2", lit)])  # already a live instance
+    assert stats.rules_reevaluated == 0
+    assert engine.interpretation().literals == initial
+    engine.apply([(RETRACT, "c2", lit)])
     assert "bird(penguin)" not in {
         str(l) for l in engine.interpretation().literals
     }
@@ -264,6 +269,31 @@ def test_obs_counters_flow():
     assert counters["maintain.delta_facts"] == 2
     assert counters["maintain.rules_reevaluated"] >= 1
     assert counters["maintain.full_rebuilds"] == 1
+
+
+@pytest.mark.parametrize(
+    "term, options",
+    [("k", GroundingOptions()), ("f(a0)", GroundingOptions(max_depth=1))],
+    ids=["constant", "function-symbol"],
+)
+def test_retracting_a_symbols_last_visible_occurrence_regrounds(term, options):
+    # The symbol survives only in c, which a's view cannot see: once
+    # p(term) is retracted the universe of a* no longer holds the term,
+    # so b's closed-world instance -q(term) must go — exactly as a cold
+    # evaluation says.
+    from repro.kb import KnowledgeBase
+
+    kb = KnowledgeBase(grounding=options)
+    kb.define("b", "-q(X). r(a0).")
+    kb.define("a", isa=["b"])
+    kb.define("c", f"s({term}).")
+    kb.tell("a", f"p({term}).")
+    assert kb.ask("a", f"-q({term})")
+    kb.retract("a", f"p({term}).")
+    maintained = kb.least_model("a").literals
+    cold = OrderedSemantics(kb.program(), "a", grounding=options).least_model
+    assert maintained == cold.literals
+    assert f"-q({term})" not in {str(l) for l in maintained}
 
 
 # ----------------------------------------------------------------------

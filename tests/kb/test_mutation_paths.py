@@ -182,3 +182,28 @@ def test_pending_deltas_flush_in_one_batch_on_next_read():
     assert counters.get("maintain.delta_facts", 0) == 3
     assert counters.get("maintain.full_rebuilds", 0) == 0
     assert kb.view("penguin") is penguin_view
+
+
+def test_fact_write_shares_everything_it_did_not_touch():
+    # The knowledge base holds one immutable program; a ground-fact
+    # tell/retract moves to a successor that shares the order and every
+    # other component by reference.
+    kb = bird_kb()
+    before = kb.program()
+    assert kb.program() is before
+    kb.tell("penguin", "penguin_of(tweety).")
+    after = kb.program()
+    assert after is kb.program() and after is not before
+    assert after.order is before.order
+    for name in ("defaults", "bird", "reptile"):
+        assert after.component(name) is before.component(name)
+    assert len(after.component("penguin")) == len(before.component("penguin")) + 1
+    assert len(before.component("penguin")) == 2  # the old version is intact
+    kb.retract("penguin", "penguin_of(tweety).")
+    assert kb.program() == before and kb.program().order is before.order
+    # A structural tell leaves the order alone too; only isa extends it.
+    kb.tell("bird", "sings(X) :- bird_of(X).")
+    assert kb.program().order is before.order
+    kb.isa("reptile", "bird")
+    assert kb.program().order is not before.order
+    assert not before.order.less("reptile", "bird")

@@ -196,6 +196,46 @@ def test_random_mutation_traces_agree():
 
 
 # ----------------------------------------------------------------------
+# Multi-object: constants that survive only where the view cannot look
+# ----------------------------------------------------------------------
+def test_invisible_objects_do_not_pin_a_views_universe():
+    """Retracting the last occurrence of a constant in ``C*`` shrinks
+    that view's Herbrand universe even while an object outside ``C*``
+    still mentions the constant: the closed-world instances over it
+    must leave the maintained model exactly as they leave a cold one."""
+    from repro.kb import KnowledgeBase
+
+    rng = random.Random(0xC57A4)
+    constants = ["a0", "k0", "k1", "k2"]
+    for trial in range(max(10, MAINTENANCE_TRACES // 5)):
+        kb = KnowledgeBase()
+        kb.define("top", "-q(X). r(a0).")
+        kb.define("mid", "t(X) :- p(X).", isa=["top"])
+        kb.define("view", isa=["mid"])
+        kb.define("aside", " ".join(f"s({c})." for c in constants))
+        told: list[tuple[str, str]] = []
+        for step in range(TRACE_LENGTH):
+            if told and rng.random() < 0.5:
+                obj, fact = told.pop(rng.randrange(len(told)))
+                kb.retract(obj, fact)
+                op = ("retract", obj, fact)
+            else:
+                obj = rng.choice(["view", "mid", "aside"])
+                fact = f"p({rng.choice(constants)})."
+                kb.tell(obj, fact)
+                told.append((obj, fact))
+                op = ("tell", obj, fact)
+            for name in ("view", "mid"):
+                mine = kb.least_model(name).literals
+                fresh = fresh_literals(kb.program(), name)
+                assert mine == fresh, (
+                    f"trial {trial} step {step} {op} at {name}: "
+                    f"mine-fresh={sorted(map(str, mine - fresh))} "
+                    f"fresh-mine={sorted(map(str, fresh - mine))}"
+                )
+
+
+# ----------------------------------------------------------------------
 # KB-level session equivalence
 # ----------------------------------------------------------------------
 def test_session_delta_and_rebuild_answer_identically():
