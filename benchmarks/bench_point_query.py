@@ -33,7 +33,7 @@ from repro.workloads.point_query import (
 from .conftest import capture_metrics, record
 
 #: Number of trees; facts grow linearly, materialization superlinearly.
-SIZES = [2, 4, 8]
+SIZES = [2, 8, 32]
 DEPTH = 3
 #: ``ancestor(root, X)`` answers: every proper descendant of the root.
 SUBTREE = 2**DEPTH - 2

@@ -15,8 +15,9 @@ With ``--abstract`` the script additionally checks the abstract
 interpreter's claims against the concrete semantics of every component
 view: a predicate inferred underivable must have no literals in the
 view's least model, every cardinality interval must contain the true
-relation size, every inferred sort must admit the derived terms, and
-grounding with domain pruning must produce a bit-identical least model.
+relation size and every inferred sort must admit the derived terms —
+and the relevance check: the default least model must be bit-identical
+to naive ``V`` iteration over the full instantiation.
 
 Deliberately excluded, with the diagnostic each one legitimately
 triggers:
@@ -38,10 +39,18 @@ from collections import Counter
 from repro.analysis.abstract import analyze_view, signed_name
 from repro.analysis.static import Severity, analyze_program
 from repro.core.semantics import OrderedSemantics
+from repro.core.transform import OrderedTransform
 from repro.grounding.grounder import GroundingOptions
 from repro.lang.program import Component, OrderedProgram
 from repro.reductions import ordered_version, three_level_version
-from repro.workloads import classic, experts, hierarchies, paper, sessions
+from repro.workloads import (
+    classic,
+    experts,
+    hierarchies,
+    paper,
+    point_query,
+    sessions,
+)
 
 #: Term-depth cap shared by the abstract and the concrete side of the
 #: ``--abstract`` gate, so both describe the same ground program.
@@ -80,6 +89,7 @@ def workloads():
     yield "experts.expert_panel(3,3)", experts.expert_panel(3, 3)
     yield "experts.contradicting_panel(3)", experts.contradicting_panel(3)
     yield "sessions.interactive_session(4,6)", sessions.interactive_session(4, 6)
+    yield "point_query.forest_program(2,3)", point_query.forest_program(2, 3)
     yield "classic.sparse_pairs(24,3)", OrderedProgram(
         [Component("main", classic.sparse_pairs(24, 3))], []
     )
@@ -90,14 +100,14 @@ def check_abstract(program) -> list[str]:
     concrete least model (empty list when the analysis is sound)."""
     errors: list[str] = []
     options = GroundingOptions(max_depth=MAX_DEPTH)
-    pruned = GroundingOptions(max_depth=MAX_DEPTH, domain_pruning=True)
     for component in program.components():
         view = component.name
         analysis = analyze_view(program, view, max_depth=MAX_DEPTH)
         if analysis is None:
             errors.append(f"view {view}: universe construction failed")
             continue
-        model = OrderedSemantics(program, view, grounding=options).least_model
+        semantics = OrderedSemantics(program, view, grounding=options)
+        model = semantics.least_model
         sizes: Counter = Counter()
         for literal in model.literals:
             sizes[(literal.predicate, len(literal.args), literal.positive)] += 1
@@ -123,12 +133,12 @@ def check_abstract(program) -> list[str]:
                 errors.append(
                     f"view {view}: inferred sorts exclude derived {literal}"
                 )
-        pruned_model = OrderedSemantics(
-            program, view, grounding=pruned
-        ).least_model
-        if pruned_model.literals != model.literals:
+        full_model = OrderedTransform(
+            semantics.full_evaluator, semantics.full_ground.base, strategy="naive"
+        ).least_fixpoint()
+        if full_model.literals != model.literals:
             errors.append(
-                f"view {view}: pruned grounding changed the least model"
+                f"view {view}: relevance grounding changed the least model"
             )
     return errors
 
@@ -138,8 +148,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--abstract",
         action="store_true",
-        help="also verify abstract-interpretation claims against the "
-        "concrete semantics of every component view",
+        help="also verify abstract-interpretation claims, and relevance "
+        "grounding, against the concrete semantics of every component view",
     )
     args = parser.parse_args(argv)
     failures = 0
@@ -158,12 +168,18 @@ def main(argv: list[str] | None = None) -> int:
             for problem in problems:
                 print(f"  {problem}")
         else:
-            suffix = ", abstract claims sound" if args.abstract else ""
+            suffix = (
+                ", abstract claims sound, relevance invisible" if args.abstract else ""
+            )
             print(f"{name}: ok ({notes} informational note(s){suffix})")
     if failures:
         print(f"{failures}/{total} workload(s) failed")
         return 1
-    label = "warning-clean and abstract-sound" if args.abstract else "warning-clean"
+    label = (
+        "warning-clean, abstract-sound and relevance-invisible"
+        if args.abstract
+        else "warning-clean"
+    )
     print(f"all {total} workloads {label}")
     return 0
 

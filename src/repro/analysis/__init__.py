@@ -4,7 +4,6 @@ from .abstract import (
     AbstractAnalysis,
     CardInterval,
     PredicateFacts,
-    RuleRestriction,
     Sort,
     analyze_rules,
     analyze_view,
@@ -32,7 +31,6 @@ __all__ = [
     "AbstractAnalysis",
     "CardInterval",
     "PredicateFacts",
-    "RuleRestriction",
     "Sort",
     "analyze_rules",
     "analyze_view",

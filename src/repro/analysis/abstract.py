@@ -38,11 +38,13 @@ bound is widened to ⊤ after :data:`WIDEN_AFTER` rounds, so every SCC
 converges after a bounded number of rounds.  Widenings are counted on
 the ``analysis.widenings.*`` counters.
 
-Consumers: the grounder (:mod:`repro.grounding.grounder`, via
-:meth:`AbstractAnalysis.restriction`), the Datalog engine's join
-planner (:func:`repro.db.columnar.plan_join`), and the static analyzer
-(:mod:`repro.analysis.static`: ``type-clash``, ``provably-empty``,
-``dead-rule`` and the semantic ``function-growth`` check).  See
+Consumers: the Datalog engine's join planner
+(:func:`repro.db.columnar.plan_join`), the magic-sets sips ordering, and
+the static analyzer (:mod:`repro.analysis.static`: ``type-clash``,
+``provably-empty``, ``dead-rule`` and the semantic ``function-growth``
+check).  The grounder is not one: its relevance grounding joins against
+the concrete possible-literal set (:mod:`repro.grounding.grounder`),
+which is exact where these domains are widened.  See
 ``docs/analysis.md`` ("Abstract domains").
 """
 
@@ -68,7 +70,6 @@ __all__ = [
     "Sort",
     "CardInterval",
     "PredicateFacts",
-    "RuleRestriction",
     "AbstractAnalysis",
     "analyze_rules",
     "analyze_view",
@@ -254,17 +255,6 @@ class PredicateFacts:
             "cardinality": {"lo": self.card.lo, "hi": self.card.hi},
             "recursive": self.recursive,
         }
-
-
-@dataclass(frozen=True)
-class RuleRestriction:
-    """The grounder-facing result for one prune-safe rule: either the
-    whole rule is statically dead, or each variable with a finite
-    inferred domain is listed (unlisted variables enumerate the full
-    universe)."""
-
-    dead: bool
-    domains: Mapping[Variable, tuple[Term, ...]]
 
 
 class AbstractAnalysis:
@@ -606,24 +596,9 @@ class AbstractAnalysis:
         """True when dropping underivable instances of ``r`` cannot
         change any least model: no rule heads the complement of ``r``'s
         head, so no instance of ``r`` can ever overrule or defeat
-        another rule (statuses consult only complementary heads)."""
+        another rule (statuses consult only complementary heads).  The
+        grounder applies the same test to the view it grounds."""
         return not self._heads_complement(_signed(r.head))
-
-    def restriction(self, r: Rule) -> Optional[RuleRestriction]:
-        """What the grounder may skip for this rule: None when pruning
-        is unsafe, otherwise dead-rule status plus finite variable
-        domains."""
-        if not self.prune_safe(r):
-            return None
-        env = self._env_for(r)
-        if env is None:
-            return RuleRestriction(True, {})
-        domains = {
-            v: tuple(sorted(s.values, key=str))
-            for v, s in env.items()
-            if s.values is not None
-        }
-        return RuleRestriction(False, domains)
 
     def dead_body_literal(self, r: Rule) -> Optional[Literal]:
         """A body literal whose signed predicate is proven empty, if any."""

@@ -84,6 +84,8 @@ def find_conflicts(
 def conflict_summary(semantics: OrderedSemantics) -> dict[str, int]:
     """Counts of each conflict kind for a component view."""
     counts = {kind.value: 0 for kind in ConflictKind}
-    for conflict in find_conflicts(semantics.ground.rules, semantics.evaluator.order):
+    for conflict in find_conflicts(
+        semantics.full_ground.rules, semantics.full_evaluator.order
+    ):
         counts[conflict.kind.value] += 1
     return counts

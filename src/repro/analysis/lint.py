@@ -95,9 +95,10 @@ def _never_blockable(
 
 def lint_component(semantics: OrderedSemantics) -> Iterator[LintWarning]:
     """All findings for one component view."""
-    ev = semantics.evaluator
-    head_literals = frozenset(r.head for r in semantics.ground.rules)
-    for r in semantics.ground.rules:
+    # Every instance: "no rule derives it" is a claim about ground(C*).
+    ev = semantics.full_evaluator
+    head_literals = frozenset(r.head for r in semantics.full_ground.rules)
+    for r in semantics.full_ground.rules:
         for other in ev.contradictors(r):
             never, body = _never_blockable(other, head_literals)
             if not never:

@@ -118,15 +118,15 @@ class OrderedSemantics:
     # ------------------------------------------------------------------
     @cached_property
     def ground(self) -> GroundProgram:
-        """``ground(C*)`` plus the Herbrand base of ``C*``.
-
-        When :attr:`GroundingOptions.domain_pruning` is on, this is the
-        *pruned* grounding — sound for the least model only.  The
-        enumeration-side machinery reads :attr:`full_ground` instead.
+        """The relevance grounding of ``C*`` plus the Herbrand base of
+        ``C*``: every instance the least model can depend on (see
+        :mod:`repro.grounding.grounder`).  Sound for the least model
+        only — whoever looks at more reads :attr:`full_ground`.
 
         A maintained view never re-grounds: after a delta this is the
-        seed grounding (same base, universe and id-stable atom table)
-        over the engine's current rule multiset, derived on first read.
+        full seed grounding (same base, universe and id-stable atom
+        table) over the engine's current rule multiset, derived on
+        first read.
         """
         if self._maintained is not None and self._seed_ground is not None:
             return replace(
@@ -138,39 +138,36 @@ class OrderedSemantics:
 
     @cached_property
     def full_ground(self) -> GroundProgram:
-        """The unpruned ``ground(C*)``.
+        """The whole of ``ground(C*)``.
 
-        Identical to :attr:`ground` unless domain pruning is enabled;
-        Definition-3 model checking and enumeration must see every
-        ground instance (a never-applicable rule still constrains which
-        total interpretations are models), so they ground without
-        pruning.
+        Definition-3 model checking and enumeration, assumption
+        analysis and per-instance diagnostics must see every ground
+        instance (a never-applicable rule still constrains which total
+        interpretations are models), and so must the delta engine (a
+        told fact can make any instance applicable).
         """
-        if not self._grounding_options.domain_pruning:
+        if self._maintained is not None:
             return self.ground
-        options = replace(self._grounding_options, domain_pruning=False)
-        return Grounder(options).ground_component_star(
-            self.program, self.component
+        return Grounder(self._grounding_options).ground_component_star(
+            self.program, self.component, full=True
         )
 
     @cached_property
     def evaluator(self) -> StatusEvaluator:
-        return StatusEvaluator(
-            self.ground.rules,
-            ComponentOrder(self.program.order),
-            atom_table=self.ground.atom_table,
-        )
+        return self._evaluator_over(self.ground)
 
     @cached_property
     def full_evaluator(self) -> StatusEvaluator:
-        """Status evaluator over the unpruned grounding (shared with
-        :attr:`evaluator` when pruning is off)."""
-        if not self._grounding_options.domain_pruning:
+        """Status evaluator over :attr:`full_ground`."""
+        if self._maintained is not None:
             return self.evaluator
+        return self._evaluator_over(self.full_ground)
+
+    def _evaluator_over(self, ground: GroundProgram) -> StatusEvaluator:
         return StatusEvaluator(
-            self.full_ground.rules,
+            ground.rules,
             ComponentOrder(self.program.order),
-            atom_table=self.full_ground.atom_table,
+            atom_table=ground.atom_table,
         )
 
     @cached_property
@@ -366,17 +363,19 @@ class OrderedSemantics:
             and self.strategy != CLASSICAL_STRATEGY
             and have_model
             and not reground
-            # A fact delta can revive rules the pruned grounding never
-            # emitted, which the delta engine cannot see; re-ground.
-            and not self._grounding_options.domain_pruning
         )
         stats: Optional[DeltaStats] = None
         try:
             if use_engine:
                 if self._maintained is None:
-                    self._seed_ground = self.ground
+                    # A told fact can make an instance relevance dropped
+                    # applicable, or flip a rule's prune-safety: seed the
+                    # engine from the full grounding, once.  The relevance
+                    # caches go first so the two never coexist.
+                    self._drop_caches()
+                    seed = self._seed_ground = self.full_ground
                     self._maintained = MaintainedModel(
-                        self.evaluator, self.ground.base, self.maintenance
+                        self.full_evaluator, seed.base, self.maintenance
                     )
                 stats = self._maintained.apply(engine_ops)
         except DeltaUnsupported:
@@ -396,15 +395,17 @@ class OrderedSemantics:
             if obs.enabled:
                 obs.count("maintain.full_rebuilds")
             return base_stats
-        for name in self._CACHED:
-            self.__dict__.pop(name, None)
+        self._drop_caches()
         self.__dict__["least_model"] = self._maintained.interpretation()
         return stats
 
-    def _invalidate_all(self) -> None:
-        self._maintained = self._seed_ground = None
+    def _drop_caches(self) -> None:
         for name in self._CACHED:
             self.__dict__.pop(name, None)
+
+    def _invalidate_all(self) -> None:
+        self._maintained = self._seed_ground = None
+        self._drop_caches()
 
     # ------------------------------------------------------------------
     # Definition 2 statuses (diagnostics)
@@ -500,8 +501,8 @@ class OrderedSemantics:
         """A short multi-line description of the component's meaning."""
         lm = self.least_model
         lines = [
-            f"component {self.component}: {len(self.ground.rules)} ground rules, "
-            f"base of {len(self.ground.base)} atoms",
+            f"component {self.component}: {len(self.full_ground.rules)} ground rules, "
+            f"base of {len(self.full_ground.base)} atoms",
             f"least model ({len(lm)} literals): {lm}",
             f"undefined atoms: {sorted(map(str, lm.undefined_atoms()))}",
         ]

@@ -172,13 +172,14 @@ class Explainer:
         if value is TruthValue.FALSE:
             complement = self.why(literal.complement())
         failures = []
-        ev = sem.evaluator
-        for r in ev.rules_with_head(literal):
+        # Every instance, not just the ones the least model needed: a
+        # rule that never fired is exactly what is being asked about.
+        for r in sem.full_evaluator.rules_with_head(literal):
             failures.append(self._diagnose(r, model))
         return NonDerivation(literal, value, tuple(failures), complement)
 
     def _diagnose(self, r: GroundRule, model: Interpretation) -> RuleFailure:
-        ev = self._sem.evaluator
+        ev = self._sem.full_evaluator
         for body_literal in sorted(r.body):
             if body_literal.complement() in model:
                 return RuleFailure(r, "blocked", body_literal.complement())

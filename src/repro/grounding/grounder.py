@@ -6,50 +6,67 @@ came from — the paper's ``C(r)`` function ("if a rule occurs in more than
 one component then we assume that it has distinct ground instances so
 that C is actually a function from ground instances to components").
 
-**When relevance-based pruning is sound.**  In ordered programs a rule
+**Which instances the least model needs.**  In ordered programs a rule
 can *defeat* or *overrule* another while being merely *non-blocked* — it
-need not be applicable (Definition 2).  A ground instance whose body
-atoms are underivable can therefore still change the meaning of a
-program, so by default the grounder emits the full instantiation over
-the Herbrand universe; the always-safe reductions applied are
-(a) evaluating comparison guards as soon as their variables are bound,
-dropping instances with false guards, and (b) deduplicating identical
-instances within a component.
+need not be applicable (Definition 2) — so an instance whose body is
+underivable can still change the meaning of a program.  But statuses
+consult only *complementary* heads.  Call a rule **prune-safe** when no
+rule in the view heads the complement of its head's signed predicate:
+no instance of it can overrule or defeat anything, nothing can overrule
+or defeat it, and it matters to ``V_{P,C}`` only when it is applicable.
+An applicable instance has its whole body inside the least model, hence
+inside the **possible-literal set**: the least fixpoint of the view's
+rules read as a positive program over signed literals (overruling and
+defeating ignored, so it contains every stage of ``V``).  Dropping the
+prune-safe instances with a body literal outside that set preserves the
+least fixpoint of ``V_{P,C}``; every instance of every other rule is
+kept.  This *relevance grounding* is what
+:meth:`Grounder.ground_component_star` returns.
 
-With :attr:`GroundingOptions.domain_pruning` enabled, the grounder
-additionally consults the abstract interpretation
-(:mod:`repro.analysis.abstract`) and drops instances whose body is
-provably unsatisfiable — but **only** for *prune-safe* rules: rules
-whose head's complement is headed by no rule in the view, so no
-instance can ever act as the overruler or defeater of another rule
-(statuses consult only complementary heads).  For those rules the
-instance is inert unless applicable, and an instance with an
-underivable body literal is never applicable in the least model, so
-dropping it preserves ``V_{P,C}``'s least fixpoint.  Pruning is **not**
-sound for Definition-3 model *enumeration* (a never-applicable rule
-still constrains which total interpretations are models), which is why
-:class:`repro.core.semantics.OrderedSemantics` keeps an unpruned
-grounding for the enumeration-side consumers.
+**One instantiation procedure.**  A rule's variables are bound by
+joining a list of its body literals against the possible-literal
+relations (hash indexes on the bound argument positions); any variable
+still unbound then ranges over the Herbrand universe; comparison guards
+fire as soon as their variables are bound (variable-free guards once,
+before anything is enumerated), and identical instances within a
+component are emitted once.  Prune-safe rules that have variables join
+all their body literals; every other rule joins none, which is the
+Herbrand product ``|HU|^vars``.  The possible-literal relations are
+computed semi-naively (a worklist of new literals waking the rules that
+watch their predicate, or the exact literal for ground body literals)
+and only for the dependency cone of the joined rules, so a view without
+a prune-safe rule with variables pays nothing for them.
+
+**Who must ask for the full instantiation.**  Relevance is *not* sound
+for Definition-3 model checking and enumeration (a never-applicable
+rule still constrains which total interpretations are models), for
+assumption analysis, for diagnostics that report on every instance, or
+once a told fact may make a dropped instance applicable or flip a
+rule's prune-safety.  Those consumers state the requirement:
+``ground_component_star(program, view, full=True)`` joins nothing
+(:attr:`repro.core.semantics.OrderedSemantics.full_ground`).
+:meth:`Grounder.ground_rules` grounds a *classical* program, whose
+consumers read negative body literals as negation as failure, and is
+always full.
 """
 
 from __future__ import annotations
 
+import os
+from collections import deque
 from dataclasses import dataclass
 from itertools import compress
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Optional, Sequence
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..analysis.abstract import RuleRestriction
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from ..lang.builtins import Comparison
 from ..lang.errors import GroundingError
 from ..lang.literals import Atom, Literal
 from ..lang.program import Component, OrderedProgram
 from ..lang.rules import Rule
-from ..lang.terms import Term, Variable
+from ..lang.terms import Compound, Term, Variable
 from ..obs import Level, get_instrumentation
 from .herbrand import HerbrandUniverse, herbrand_base, universe_of
-from .substitution import Substitution
+from .substitution import Substitution, _match_term
 
 __all__ = [
     "AtomTable",
@@ -220,8 +237,8 @@ class GroundProgram:
     base: frozenset[Atom]
     universe: HerbrandUniverse
     atom_table: Optional[AtomTable] = None
-    #: Source rules skipped entirely by domain pruning (statically dead
-    #: under the abstract interpretation); 0 when pruning was off.
+    #: Prune-safe source rules with variables that relevance left
+    #: without a single instance; 0 for a full instantiation.
     pruned_rules: int = 0
 
     def __len__(self) -> int:
@@ -248,6 +265,10 @@ class GroundProgram:
 class GroundingOptions:
     """Knobs for the grounder.
 
+    Which instantiation is produced — relevance or full — is not a knob:
+    the consumer asks for what its semantics needs (see the module
+    docstring).
+
     Attributes:
         max_depth: Herbrand-universe depth bound (needed iff the program
             has function symbols).
@@ -257,27 +278,101 @@ class GroundingOptions:
             the full Herbrand base; when False it is restricted to atoms
             mentioned by ground rules (sufficient for least/AF/stable
             model computation, smaller for enumeration).
-        domain_pruning: when True, run the abstract interpretation over
-            the rule set first and, for prune-safe rules (see the module
-            docstring), restrict variable enumeration to the inferred
-            argument domains and skip statically dead rules outright.
-            Sound for least-model computation only — keep it off for
-            model enumeration.
     """
 
     max_depth: Optional[int] = None
     instance_cap: int = 5_000_000
     full_base: bool = True
-    domain_pruning: bool = False
+
+
+#: A signed predicate: ``(symbol, arity, positive)``.
+Signed = tuple[str, int, bool]
+
+#: Grounding is the longest stretch of a cold read that never lets go of
+#: the interpreter lock, and a thread that asks for the lock meanwhile
+#: waits a whole switch interval (5 ms) for it.  Offered once per
+#: grounding call, the lock changes hands at once instead — in
+#: particular a sampling thread of the host process (a profiler, a
+#: heartbeat, ``benchmarks/e2e``'s speed probes) gets to run inside an
+#: evaluation that now takes less than that interval.  A third of a
+#: microsecond when nobody waits.
+_offer_interpreter_lock = getattr(os, "sched_yield", lambda: None)
+
+
+def _signed(literal: Literal) -> Signed:
+    return (literal.atom.predicate, len(literal.atom.args), literal.positive)
+
+
+class _Relation:
+    """The possible ground atoms of one signed predicate, hash-indexed on
+    demand by bound argument positions."""
+
+    __slots__ = ("atoms", "members", "_indexes")
+
+    def __init__(self) -> None:
+        self.atoms: list[Atom] = []
+        self.members: set[Atom] = set()
+        self._indexes: dict[tuple[int, ...], dict[tuple[Term, ...], list[Atom]]] = {}
+
+    def add(self, atom: Atom) -> bool:
+        """Insert; False when the atom was already possible."""
+        if atom in self.members:
+            return False
+        self.members.add(atom)
+        self.atoms.append(atom)
+        for positions, index in self._indexes.items():
+            index.setdefault(tuple(atom.args[p] for p in positions), []).append(atom)
+        return True
+
+    def lookup(
+        self, positions: tuple[int, ...], key: tuple[Term, ...]
+    ) -> Sequence[Atom]:
+        """The atoms whose arguments at ``positions`` equal ``key``."""
+        if not positions:
+            return self.atoms
+        index = self._indexes.get(positions)
+        if index is None:
+            index = self._indexes[positions] = {}
+            for atom in self.atoms:
+                index.setdefault(tuple(atom.args[p] for p in positions), []).append(atom)
+        return index.get(key, ())
+
+
+class _Step(NamedTuple):
+    """One binding step of a rule's instantiation: a join of one body
+    literal against its possible relation, or (``relation`` None) the
+    range of ``variable`` over the Herbrand universe."""
+
+    relation: Optional[_Relation]
+    #: Argument positions already bound when the step runs, and what
+    #: they hold (a ground term, or the bound variable).
+    positions: tuple[int, ...]
+    key: tuple[Term, ...]
+    #: ``(pattern, position)`` for the arguments the step binds.
+    rest: tuple[tuple[Term, int], ...]
+    variable: Optional[Variable]
+    #: Guards whose last variable this step binds.
+    guards: tuple[Comparison, ...]
+
+
+class _Plan(NamedTuple):
+    #: Arguments of the body literal matched against the literal that
+    #: woke the rule (possible-set computation only).
+    seed: tuple[tuple[Term, int], ...]
+    #: Guards decidable before the first step (variable-free ones when
+    #: there is no seed): evaluated once, not at every leaf.
+    guards: tuple[Comparison, ...]
+    steps: tuple[_Step, ...]
 
 
 class Grounder:
     """Grounds components and ordered programs.
 
-    The grounder enumerates, per rule, all assignments of the rule's
-    variables to Herbrand-universe terms, evaluating comparison guards as
-    soon as their variables are bound (so ``X > Y + 2`` prunes the
-    enumeration early instead of filtering at the end).
+    One procedure instantiates every rule (module docstring): join the
+    chosen body literals against the possible-literal relations, range
+    what is left over the Herbrand universe, evaluate each comparison
+    guard as soon as its variables are bound (so ``X > Y + 2`` prunes
+    the enumeration early instead of filtering at the end).
     """
 
     def __init__(self, options: GroundingOptions = GroundingOptions()) -> None:
@@ -294,13 +389,18 @@ class Grounder:
     # Entry points
     # ------------------------------------------------------------------
     def ground_component_star(
-        self, program: OrderedProgram, component: str
+        self, program: OrderedProgram, component: str, *, full: bool = False
     ) -> GroundProgram:
         """Ground ``C*`` — the rules the component sees (Definition 1b).
 
         The Herbrand universe and base are those of the negative program
         ``C*`` itself, exactly as the paper defines interpretations "for
         P in C" as interpretations of ``C*``.
+
+        By default the result is the relevance grounding, which has the
+        same least model as ``ground(C*)``; ``full=True`` is the whole
+        of ``ground(C*)``, for consumers that look at more than the
+        least model (module docstring).
         """
         obs = get_instrumentation()
         with obs.span("ground", component=component):
@@ -308,9 +408,9 @@ class Grounder:
             star = Component("_star", tuple(r for _, r in visible))
             universe = universe_of(star, max_depth=self.options.max_depth)
             table = AtomTable()
-            restrictions = self._restrictions(star.rules, universe)
-            rules = self._ground_tagged(visible, universe, table, restrictions)
+            rules = self._ground_tagged(visible, universe, table, full)
             base = self._base_for(star, universe, rules)
+        _offer_interpreter_lock()
         if obs.enabled:
             self._flush_stats(obs, len(visible), rules, base)
         return GroundProgram(rules, base, universe, table, self._pruned_rules)
@@ -321,7 +421,8 @@ class Grounder:
         component: str = "main",
         universe: Optional[HerbrandUniverse] = None,
     ) -> GroundProgram:
-        """Ground a plain rule set (a classical program) as one component."""
+        """Ground a plain rule set (a classical program) as one
+        component, in full."""
         obs = get_instrumentation()
         with obs.span("ground", component=component):
             comp = Component(component, rules)
@@ -329,12 +430,11 @@ class Grounder:
                 universe = universe_of(comp, max_depth=self.options.max_depth)
             tagged = tuple((component, r) for r in comp.rules)
             table = AtomTable()
-            restrictions = self._restrictions(comp.rules, universe)
-            ground = self._ground_tagged(tagged, universe, table, restrictions)
+            ground = self._ground_tagged(tagged, universe, table, full=True)
             base = self._base_for(comp, universe, ground)
         if obs.enabled:
             self._flush_stats(obs, len(tagged), ground, base)
-        return GroundProgram(ground, base, universe, table, self._pruned_rules)
+        return GroundProgram(ground, base, universe, table)
 
     # ------------------------------------------------------------------
     # Internals
@@ -352,56 +452,43 @@ class Grounder:
             found |= r.atoms()
         return frozenset(found)
 
-    def _restrictions(
-        self, rules: Sequence[Rule], universe: HerbrandUniverse
-    ) -> Optional[dict[Rule, "RuleRestriction"]]:
-        """Per-rule pruning decisions from the abstract interpretation,
-        or None when ``domain_pruning`` is off.  A rule mapping to None
-        inside the dict is not prune-safe and grounds in full."""
-        if not self.options.domain_pruning:
-            return None
-        # Imported lazily: repro.analysis.abstract consumes grounding
-        # types (HerbrandUniverse), not the other way around.
-        from ..analysis.abstract import analyze_rules
-
-        analysis = analyze_rules(rules, universe=universe)
-        return {r: analysis.restriction(r) for r in set(rules)}
-
     def _ground_tagged(
         self,
         tagged_rules: Sequence[tuple[str, Rule]],
         universe: HerbrandUniverse,
-        table: Optional[AtomTable] = None,
-        restrictions: Optional[dict[Rule, "RuleRestriction"]] = None,
+        table: AtomTable,
+        full: bool,
     ) -> tuple[GroundRule, ...]:
         self._subs_tried = 0
         self._guard_pruned = 0
         self._deduped = 0
         self._pruned_rules = 0
+        relations: dict[Signed, _Relation] = {}
+        joined: frozenset[Rule] = frozenset()
+        if not full and universe.terms:
+            joined, relations = self._possible_literals(
+                [r for _, r in tagged_rules], universe
+            )
         produced: list[GroundRule] = []
         seen: set[GroundRule] = set()
-        count = 0
         for component, r in tagged_rules:
-            restriction = restrictions.get(r) if restrictions else None
-            if restriction is not None and restriction.dead:
-                self._pruned_rules += 1
-                continue
-            domains = restriction.domains if restriction is not None else None
-            for instance in self._instances(r, component, universe, domains):
+            joins = r.body_literals() if r in joined else ()
+            before = len(produced) + self._deduped
+            for instance in self._instances(r, component, universe, joins, relations):
                 if instance in seen:
                     self._deduped += 1
                     continue
                 seen.add(instance)
                 produced.append(instance)
-                if table is not None:
-                    table.intern(instance.head.atom)
-                    for lit in instance.body:
-                        table.intern(lit.atom)
-                count += 1
-                if count > self.options.instance_cap:
+                table.intern(instance.head.atom)
+                for lit in instance.body:
+                    table.intern(lit.atom)
+                if len(produced) > self.options.instance_cap:
                     raise GroundingError(
                         f"grounding exceeded instance cap {self.options.instance_cap}"
                     )
+            if joins and len(produced) + self._deduped == before:
+                self._pruned_rules += 1
         return tuple(produced)
 
     def _flush_stats(
@@ -423,84 +510,261 @@ class Grounder:
             substitutions=self._subs_tried,
         )
 
-    @staticmethod
-    def _guard_holds(guard: Comparison, bindings: dict[Variable, Term]) -> bool:
-        """Evaluate a guard; guards that cannot be evaluated (symbolic
-        operand, division by zero) are treated as false, so the instance
-        is dropped rather than the grounder crashing on e.g.
-        ``penguin > 11``."""
-        try:
-            return guard.holds(bindings)
-        except GroundingError:
-            return False
+    # ------------------------------------------------------------------
+    # The possible-literal set
+    # ------------------------------------------------------------------
+    def _possible_literals(
+        self, rules: Sequence[Rule], universe: HerbrandUniverse
+    ) -> tuple[frozenset[Rule], dict[Signed, _Relation]]:
+        """The rules relevance joins — prune-safe, with variables and
+        body literals — and the possible-literal relation of every signed
+        predicate in their dependency cone.
 
+        The relations are the least fixpoint of the cone's rules read as
+        a positive program over signed literals, computed semi-naively:
+        each new literal wakes the rules with a body literal watching it
+        and joins the rest of their bodies against everything possible so
+        far.  Ground body literals watch the exact literal, not its
+        predicate, so a ground chain costs one probe per rule rather
+        than one per rule per link.
+        """
+        by_head: dict[Signed, list[Rule]] = {}
+        for r in dict.fromkeys(rules):
+            by_head.setdefault(_signed(r.head), []).append(r)
+        joined = frozenset(
+            r
+            for (predicate, arity, positive), headed in by_head.items()
+            if (predicate, arity, not positive) not in by_head
+            for r in headed
+            if not r.is_ground and r.body_literals()
+        )
+        relations: dict[Signed, _Relation] = {}
+        stack = [_signed(l) for r in joined for l in r.body_literals()]
+        while stack:
+            key = stack.pop()
+            if key not in relations:
+                relations[key] = _Relation()
+                stack.extend(
+                    _signed(l) for r in by_head.get(key, ()) for l in r.body_literals()
+                )
+
+        # Who a new literal wakes: (rule, body index) pairs under the
+        # literal's signed predicate, or under the exact (atom, sign)
+        # for a ground body literal.
+        watchers: dict[object, list[tuple[Rule, int]]] = {}
+        queue: deque[tuple[Signed, Atom]] = deque()
+
+        def possible(key: Signed, atom: Atom) -> None:
+            if relations[key].add(atom):
+                queue.append((key, atom))
+
+        def fire(r: Rule, plan: _Plan, woken_by: Optional[Atom]) -> None:
+            key = _signed(r.head)
+            heads = [
+                Substitution(bindings).apply_atom(r.head.atom)
+                for bindings in self._bindings(plan, universe, woken_by)
+            ]
+            for atom in heads:
+                possible(key, atom)
+
+        for key in relations:
+            for r in by_head.get(key, ()):
+                body = r.body_literals()
+                for i, l in enumerate(body):
+                    watch = (l.atom, l.positive) if l.is_ground else _signed(l)
+                    watchers.setdefault(watch, []).append((r, i))
+                if not r.body and r.head.is_ground:
+                    possible(key, r.head.atom)
+                elif not body:
+                    fire(r, self._plan(r, (), relations), None)
+        plans: dict[tuple[Rule, int], _Plan] = {}
+        while queue:
+            (predicate, arity, positive), atom = queue.popleft()
+            for watch in ((predicate, arity, positive), (atom, positive)):
+                for r, i in watchers.get(watch, ()):
+                    plan = plans.get((r, i))
+                    if plan is None:
+                        body = r.body_literals()
+                        plan = plans[r, i] = self._plan(
+                            r, body[:i] + body[i + 1 :], relations, seed=body[i]
+                        )
+                    fire(r, plan, atom)
+        return joined, relations
+
+    # ------------------------------------------------------------------
+    # Instantiation
+    # ------------------------------------------------------------------
     def _instances(
         self,
         r: Rule,
         component: str,
         universe: HerbrandUniverse,
-        domains: Optional[Mapping[Variable, tuple[Term, ...]]] = None,
+        joins: Sequence[Literal],
+        relations: dict[Signed, _Relation],
     ) -> Iterator[GroundRule]:
-        variables = sorted(r.variables(), key=str)
-        if not variables:
+        if r.is_ground:
             self._subs_tried += 1
-            if all(self._guard_holds(guard, {}) for guard in r.guards()):
-                yield self._make_ground(r, Substitution(), component)
-            else:
-                self._guard_pruned += 1
+            guards = r.guards() if r.body else ()
+            if not guards or self._guards_hold(guards, {}):
+                yield self._make_ground(r, _IDENTITY, component)
             return
         if not universe.terms:
             # No ground terms exist: a rule with variables has no ground
             # instances (the paper's HU is built from symbols in P).
             return
-        # Evaluate each guard as soon as the last of its variables binds.
-        guard_trigger: dict[int, list[Comparison]] = {}
-        var_index = {v: i for i, v in enumerate(variables)}
-        for guard in r.guards():
-            last = max(var_index[v] for v in guard.variables()) if guard.variables() else -1
-            guard_trigger.setdefault(last, []).append(guard)
-        bindings: dict[Variable, Term] = {}
-        yield from self._assign(
-            r, component, universe, variables, 0, bindings, guard_trigger, domains or {}
-        )
+        plan = self._plan(r, joins, relations)
+        for bindings in self._bindings(plan, universe):
+            yield self._make_ground(r, Substitution(bindings), component)
 
-    def _assign(
-        self,
+    @staticmethod
+    def _plan(
         r: Rule,
-        component: str,
+        joins: Sequence[Literal],
+        relations: dict[Signed, _Relation],
+        seed: Optional[Literal] = None,
+    ) -> _Plan:
+        """Order ``joins`` (smallest possible relation first, then the
+        smallest one sharing a bound variable — textual order on ties),
+        range the variables they leave unbound over the universe, and
+        file each guard under the step that binds its last variable."""
+        bound: set[Variable] = set(seed.variables()) if seed is not None else set()
+        pending = list(r.guards())
+
+        def due() -> tuple[Comparison, ...]:
+            ready = tuple(g for g in pending if g.variables() <= bound)
+            for g in ready:
+                pending.remove(g)
+            return ready
+
+        first = due()
+        steps: list[_Step] = []
+        remaining = list(joins)
+        while remaining:
+            literal = min(
+                remaining,
+                key=lambda l: (
+                    bool(bound) and bool(l.variables()) and not l.variables() & bound,
+                    len(relations[_signed(l)].atoms),
+                ),
+            )
+            remaining.remove(literal)
+            positions, key, rest = [], [], []
+            for p, arg in enumerate(literal.args):
+                if arg.is_ground or arg in bound:
+                    positions.append(p)
+                    key.append(arg)
+                else:
+                    rest.append((arg, p))
+            bound |= literal.variables()
+            steps.append(
+                _Step(
+                    relations[_signed(literal)],
+                    tuple(positions),
+                    tuple(key),
+                    tuple(rest),
+                    None,
+                    due(),
+                )
+            )
+        for v in sorted(r.variables() - bound, key=str):
+            bound.add(v)
+            steps.append(_Step(None, (), (), (), v, due()))
+        seed_args = tuple((arg, p) for p, arg in enumerate(seed.args)) if seed else ()
+        return _Plan(seed_args, first, tuple(steps))
+
+    def _bindings(
+        self,
+        plan: _Plan,
         universe: HerbrandUniverse,
-        variables: list[Variable],
+        woken_by: Optional[Atom] = None,
+    ) -> Iterator[dict[Variable, Term]]:
+        """Every total assignment of the planned rule's variables that
+        passes its joins and guards.  The one dict is yielded each time,
+        mutated in place."""
+        bindings: dict[Variable, Term] = {}
+        if woken_by is not None:
+            self._subs_tried += 1
+            if not self._match(plan.seed, woken_by.args, bindings, universe):
+                return
+        if plan.guards and not self._guards_hold(plan.guards, bindings):
+            return
+        for _ in self._extend(plan.steps, 0, bindings, universe):
+            yield bindings
+
+    def _extend(
+        self,
+        steps: tuple[_Step, ...],
         index: int,
         bindings: dict[Variable, Term],
-        guard_trigger: dict[int, list[Comparison]],
-        domains: Mapping[Variable, tuple[Term, ...]],
-    ) -> Iterator[GroundRule]:
-        if index == len(variables):
-            for guard in guard_trigger.get(-1, ()):
-                if not self._guard_holds(guard, bindings):
-                    self._guard_pruned += 1
-                    return
-            yield self._make_ground(r, Substitution(bindings), component)
+        universe: HerbrandUniverse,
+    ) -> Iterator[None]:
+        if index == len(steps):
+            yield
             return
-        v = variables[index]
-        for term in domains.get(v, universe.terms):
+        step = steps[index]
+        guards = step.guards
+        if step.relation is None:
+            v = step.variable
+            for term in universe.terms:
+                self._subs_tried += 1
+                bindings[v] = term
+                if not guards or self._guards_hold(guards, bindings):
+                    yield from self._extend(steps, index + 1, bindings, universe)
+            del bindings[v]
+            return
+        mark = len(bindings)
+        key = tuple(bindings.get(k, k) for k in step.key)
+        for atom in step.relation.lookup(step.positions, key):
             self._subs_tried += 1
-            bindings[v] = term
-            ok = True
-            for guard in guard_trigger.get(index, ()):
-                if not self._guard_holds(guard, bindings):
-                    ok = False
-                    self._guard_pruned += 1
-                    break
-            if ok:
-                yield from self._assign(
-                    r, component, universe, variables, index + 1,
-                    bindings, guard_trigger, domains,
-                )
-        del bindings[v]
+            if self._match(step.rest, atom.args, bindings, universe) and (
+                not guards or self._guards_hold(guards, bindings)
+            ):
+                yield from self._extend(steps, index + 1, bindings, universe)
+            while len(bindings) > mark:
+                bindings.popitem()
+
+    @staticmethod
+    def _match(
+        patterns: tuple[tuple[Term, int], ...],
+        args: tuple[Term, ...],
+        bindings: dict[Variable, Term],
+        universe: HerbrandUniverse,
+    ) -> bool:
+        """Match argument patterns against a possible atom's arguments,
+        extending ``bindings`` (the caller undoes a failed match).  A
+        variable may only take a term of the Herbrand universe — heads
+        can nest one level deeper than ``max_depth`` allows."""
+        for pattern, p in patterns:
+            mark = len(bindings)
+            if not _match_term(pattern, args[p], bindings):
+                return False
+            if len(bindings) > mark and isinstance(args[p], Compound):
+                for v in list(bindings)[mark:]:
+                    if bindings[v] not in universe:
+                        return False
+        return True
+
+    def _guards_hold(
+        self, guards: tuple[Comparison, ...], bindings: dict[Variable, Term]
+    ) -> bool:
+        """Evaluate guards; a guard that cannot be evaluated (symbolic
+        operand, division by zero) is false, so the instance is dropped
+        rather than the grounder crashing on e.g. ``penguin > 11``."""
+        for guard in guards:
+            try:
+                if guard.holds(bindings):
+                    continue
+            except GroundingError:
+                pass
+            self._guard_pruned += 1
+            return False
+        return True
 
     @staticmethod
     def _make_ground(r: Rule, theta: Substitution, component: str) -> GroundRule:
         head = theta.apply_literal(r.head)
         body = frozenset(theta.apply_literal(l) for l in r.body_literals())
         return GroundRule(head, body, component, origin=r)
+
+
+_IDENTITY = Substitution()

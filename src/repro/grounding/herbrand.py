@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Optional, Union
 
 from ..lang.errors import GroundingError
@@ -48,7 +49,11 @@ class HerbrandUniverse:
         return iter(self.terms)
 
     def __contains__(self, term: object) -> bool:
-        return term in set(self.terms)
+        return term in self._term_set
+
+    @cached_property
+    def _term_set(self) -> frozenset[Term]:
+        return frozenset(self.terms)
 
 
 def universe_of(

@@ -291,7 +291,11 @@ def kb_from_dict(data: dict[str, Any]) -> "KnowledgeBase":
             for name, rules in data["objects"].items()
         ]
         order = [(low, high) for low, high in data.get("order", [])]
-        grounding = GroundingOptions(**config.get("grounding", {}))
+        grounding_config = dict(config.get("grounding", {}))
+        # Dumps and WAL checkpoints written while relevance grounding
+        # was opt-in carry this knob; either value now means the default.
+        grounding_config.pop("domain_pruning", None)
+        grounding = GroundingOptions(**grounding_config)
         budget = SearchBudget(**config.get("budget", {}))
         maintenance = MaintenanceConfig(**config.get("maintenance", {}))
     except (KeyError, TypeError, ValueError) as error:

@@ -165,23 +165,21 @@ class TestRestrictions:
         )
         rule = parse_rule("p(a) :- q(a).")
         assert not analysis.prune_safe(rule)
-        assert analysis.restriction(rule) is None
+        assert analysis.prune_safe(parse_rule("q(a)."))
 
     def test_dead_rule_restriction(self):
         analysis = analyze_rules(parse_rules("p(X) :- q(X). r(a)."))
-        restriction = analysis.restriction(parse_rule("p(X) :- q(X)."))
-        assert restriction is not None
-        assert restriction.dead
+        assert analysis.rule_dead(parse_rule("p(X) :- q(X)."))
+        assert not analysis.rule_dead(parse_rule("r(a)."))
 
     def test_finite_domains(self):
         analysis = analyze_rules(
             parse_rules("active(a). active(b). d(c). pair(X, Y) :- active(X), active(Y).")
         )
         rule = parse_rule("pair(X, Y) :- active(X), active(Y).")
-        restriction = analysis.restriction(rule)
-        assert restriction is not None and not restriction.dead
-        domains = {str(v): set(map(str, ts)) for v, ts in restriction.domains.items()}
-        assert domains == {"X": {"a", "b"}, "Y": {"a", "b"}}
+        assert not analysis.rule_dead(rule)
+        sorts = analysis.fact_for("pair", 2).sorts
+        assert [set(map(str, s.values)) for s in sorts] == [{"a", "b"}, {"a", "b"}]
 
     def test_unmatchable_argument(self):
         analysis = analyze_rules(parse_rules("p(a). q :- p(b)."))

@@ -78,6 +78,9 @@ class TestAtomTable:
     def test_ids_stable_across_maintained_deltas(self):
         sem = OrderedSemantics(paper.figure1(), "c1")
         _ = sem.least_model
+        # The engine's table is the full seed grounding's, built on the
+        # first maintained write.
+        sem.apply_delta(assertions=[("c1", "ground_animal(pigeon)")])
         table = sem.ground.atom_table
         penguin = atom("bird", "penguin")
         before = table.id_of(penguin)

@@ -52,7 +52,7 @@ class TestInterpretationBuilder:
 class TestDiagnostics:
     def test_statuses_default_to_least_model(self, figure1_semantics):
         reports = figure1_semantics.statuses()
-        assert len(reports) == len(figure1_semantics.ground.rules)
+        assert len(reports) == len(figure1_semantics.full_ground.rules)
 
     def test_describe_mentions_component(self, figure1_semantics):
         text = figure1_semantics.describe()

@@ -54,6 +54,25 @@ class TestWhy:
 
 
 class TestWhyNot:
+    def test_unmet_body_of_an_instance_the_least_model_never_needed(self):
+        # owns(p0, n1_3) has two instances in ground(C*), through
+        # owner(p0, n0_0) and owner(p0, n1_0); relevance grounding emits
+        # neither (p0 owns nothing in tree 1), and the explanation must
+        # still name the unmet body literal of each.
+        from repro.workloads import forest_program
+
+        sem = OrderedSemantics(forest_program(2, 3), "main")
+        assert not any(
+            str(r.head) == "owns(p0, n1_3)" for r in sem.ground.rules
+        )
+        report = Explainer(sem).why_not("owns(p0, n1_3)")
+        assert report.value is TruthValue.UNDEFINED
+        assert report.failures
+        assert {f.reason for f in report.failures} == {"unmet-body"}
+        witnesses = {str(f.witness) for f in report.failures}
+        assert "ancestor(n0_0, n1_3)" in witnesses
+        assert "owner(p0, n1_0)" in witnesses
+
     def test_false_literal_points_at_complement(self, f1_explainer):
         report = f1_explainer.why_not("fly(penguin)")
         assert report.value is TruthValue.FALSE

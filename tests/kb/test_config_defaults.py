@@ -2,11 +2,13 @@
 config objects (a module-level ``GroundingOptions()`` default would
 leak mutations from one KB into every other), and serialization must
 round-trip *every* engine-config field — a restored KB silently losing
-a tuning knob (e.g. ``GroundingOptions.domain_pruning``) would serve
-with different performance and, for the abstract-pruning path,
-different grounding behavior after every ``--restore``."""
+a tuning knob (e.g. ``GroundingOptions.full_base``) would serve with
+different performance and a different Herbrand base after every
+``--restore``.  A knob that was *removed* must keep loading: dumps and
+WAL checkpoints written before the removal still carry its key."""
 
 import dataclasses
+import json
 
 from repro.core.maintenance import MaintenanceConfig
 from repro.core.semantics import OrderedSemantics
@@ -69,7 +71,6 @@ class TestConfigRoundTrip:
                 max_depth=7,
                 instance_cap=12345,
                 full_base=False,
-                domain_pruning=True,
             ),
             budget=SearchBudget(max_leaves=11, max_visited=222),
             maintenance=MaintenanceConfig(enabled=False, frontier_threshold=9),
@@ -91,15 +92,19 @@ class TestConfigRoundTrip:
                 ), f"{attr}.{field.name} lost in dumps_kb/loads_kb round-trip"
             assert recovered == original
 
-    def test_domain_pruning_round_trips_both_ways(self):
-        # The PR 8 knob specifically: both the non-default False and
-        # the default True must survive a restore.
+    def test_legacy_domain_pruning_key_is_ignored(self):
+        # Written by a build where relevance grounding was an opt-in
+        # GroundingOptions field: both values restore to today's options
+        # (format version unchanged) instead of "bad knowledge-base
+        # payload".
+        kb = self._non_default_kb()
         for domain_pruning in (False, True):
-            kb = KnowledgeBase(
-                grounding=GroundingOptions(domain_pruning=domain_pruning)
-            )
-            restored = loads_kb(dumps_kb(kb))
-            assert restored.grounding.domain_pruning is domain_pruning
+            payload = json.loads(dumps_kb(kb))
+            payload["config"]["grounding"]["domain_pruning"] = domain_pruning
+            restored = loads_kb(json.dumps(payload))
+            assert restored.grounding == kb.grounding
+            assert kb_signature(restored) == kb_signature(kb)
+            assert restored.ask("bird", "flies(tweety)")
 
     def test_signature_is_stable_across_round_trip(self):
         kb = self._non_default_kb()
@@ -109,6 +114,6 @@ class TestConfigRoundTrip:
     def test_signature_sees_config_changes(self):
         base = KnowledgeBase()
         tuned = KnowledgeBase(
-            grounding=GroundingOptions(domain_pruning=True)
+            grounding=GroundingOptions(full_base=False)
         )
         assert kb_signature(base) != kb_signature(tuned)

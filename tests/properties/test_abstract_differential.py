@@ -1,16 +1,19 @@
-"""Differential testing: abstract-interpretation domain pruning must be
-semantically invisible, and the inferred facts must be sound.
+"""Differential testing: relevance grounding must be semantically
+invisible, and the abstract interpretation's inferred facts must be
+sound.
 
-Two properties over paper figures, workload generators, and a seeded
-random sweep (``ABSTRACT_DIFF_PROGRAMS`` scales it in CI):
+Two properties over paper figures, every workload generator, and a
+seeded random sweep of first-order programs (``ABSTRACT_DIFF_PROGRAMS``
+scales it in CI):
 
-* **Pruning invisibility** — grounding with ``domain_pruning=True``
-  yields bit-identical results for all four semantics (least model,
-  Definition-3 model enumeration, assumption-free models, stable
-  models) in every component view.  The least model may legitimately be
-  computed from the pruned grounding; enumeration always runs over the
-  full grounding (never-applicable rules still constrain total models),
-  and this sweep is the regression net for that split.
+* **Relevance invisibility** — the least model every configuration
+  computes by default (``auto``, ``seminaive``, ``naive``, and the
+  stratified route where the view is routable) is bit-identical to
+  naive ``V`` iteration over the **full** grounding, in every component
+  view; and Definition-3 model enumeration, assumption-free models and
+  stable models through the facade equal the ones enumerated from a
+  full grounding built by hand (never-applicable rules still constrain
+  total models — this sweep is the regression net for that split).
 * **Fact soundness** — for every view, every signed predicate the
   analysis claims underivable has no literals in the concrete least
   model, every cardinality interval contains the true relation size,
@@ -26,11 +29,25 @@ import pytest
 
 from repro.analysis.abstract import analyze_view, signed_name
 from repro.core.semantics import OrderedSemantics
-from repro.grounding.grounder import GroundingOptions
+from repro.core.solver import ModelEnumerator
+from repro.core.statuses import ComponentOrder, StatusEvaluator
+from repro.core.transform import OrderedTransform
+from repro.grounding.grounder import Grounder, GroundingOptions
+from repro.lang.builtins import Comparison
+from repro.lang.literals import Atom, Literal
 from repro.lang.program import Component, OrderedProgram
+from repro.lang.rules import Rule
+from repro.lang.terms import Constant, Variable
 from repro.reductions import extended_version, ordered_version, three_level_version
-from repro.workloads import classic, experts, hierarchies, paper
-from repro.workloads.random_programs import random_ordered_program
+from repro.workloads import (
+    classic,
+    experts,
+    hierarchies,
+    paper,
+    point_query,
+    random_programs,
+    sessions,
+)
 
 #: Number of seeded random programs swept (overridable from CI).
 N_RANDOM_PROGRAMS = int(os.environ.get("ABSTRACT_DIFF_PROGRAMS", "200"))
@@ -39,33 +56,61 @@ N_RANDOM_PROGRAMS = int(os.environ.get("ABSTRACT_DIFF_PROGRAMS", "200"))
 #: the same ground program.
 MAX_DEPTH = 3
 
-FULL = GroundingOptions(max_depth=MAX_DEPTH)
-PRUNED = GroundingOptions(max_depth=MAX_DEPTH, domain_pruning=True)
+OPTIONS = GroundingOptions(max_depth=MAX_DEPTH)
+
+#: Largest Herbrand base the random sweep enumerates models over.
+ENUMERATION_BASE = 8
 
 
 def model_set(models):
     return {frozenset(m.literals) for m in models}
 
 
-def assert_pruning_invisible(program, component, enumerate_models=True):
-    full = OrderedSemantics(program, component, grounding=FULL)
-    pruned = OrderedSemantics(program, component, grounding=PRUNED)
-    assert pruned.least_model.literals == full.least_model.literals, (
-        f"least-model mismatch in view {component!r}"
+def instances(ground):
+    return {(r.component, r.head, r.body) for r in ground.rules}
+
+
+def assert_relevance_invisible(program, component, enumerate_models=True):
+    # The oracle side is built by hand from the full instantiation: no
+    # OrderedSemantics decides which grounding it reads.
+    full = Grounder(OPTIONS).ground_component_star(program, component, full=True)
+    evaluator = StatusEvaluator(
+        full.rules, ComponentOrder(program.order), atom_table=full.atom_table
     )
+    oracle = OrderedTransform(evaluator, full.base, strategy="naive").least_fixpoint()
+    default = OrderedSemantics(program, component, grounding=OPTIONS)
+    assert instances(default.ground) <= instances(full)
+    assert default.ground.base == full.base
+    for strategy in ("auto", "seminaive", "naive"):
+        sem = (
+            default
+            if strategy == "auto"
+            else OrderedSemantics(program, component, grounding=OPTIONS, strategy=strategy)
+        )
+        assert sem.least_model.literals == oracle.literals, (
+            f"least-model mismatch in view {component!r} under {strategy!r}"
+        )
+    if default.routing is not None:
+        routed = OrderedSemantics(
+            program, component, grounding=OPTIONS, strategy="classical"
+        )
+        assert routed.least_model.literals == oracle.literals, (
+            f"stratified-route mismatch in view {component!r}"
+        )
     if not enumerate_models:
         # Herbrand base too large for the enumeration budget; the
-        # least-model comparison above is the meaningful differential
-        # (enumeration never reads the pruned grounding).
+        # least-model comparison above is the meaningful differential.
         return
-    assert model_set(pruned.models()) == model_set(full.models()), (
+    assert instances(default.full_ground) == instances(full)
+    by_hand = ModelEnumerator(evaluator, full.base)
+    assert model_set(default.models()) == model_set(by_hand.models()), (
         f"model-enumeration mismatch in view {component!r}"
     )
-    assert model_set(pruned.assumption_free_models()) == model_set(
-        full.assumption_free_models()
+    assert model_set(default.assumption_free_models()) == model_set(
+        by_hand.assumption_free_models()
     ), f"assumption-free mismatch in view {component!r}"
-    assert model_set(pruned.stable_models()) == model_set(
-        full.stable_models()
+    assert model_set(default.stable_models()) == model_set(
+        by_hand.stable_models()
     ), f"stable-model mismatch in view {component!r}"
 
 
@@ -73,7 +118,7 @@ def assert_facts_sound(program, component):
     analysis = analyze_view(program, component, max_depth=MAX_DEPTH)
     if analysis is None:
         pytest.fail(f"universe construction failed for view {component!r}")
-    model = OrderedSemantics(program, component, grounding=FULL).least_model
+    model = OrderedSemantics(program, component, grounding=OPTIONS).least_model
     sizes: dict[tuple[str, int, bool], int] = {}
     for literal in model.literals:
         key = (literal.predicate, len(literal.args), literal.positive)
@@ -104,7 +149,7 @@ def every_component(program):
 
 def check_program(program, enumerate_models=True):
     for component in every_component(program):
-        assert_pruning_invisible(program, component, enumerate_models)
+        assert_relevance_invisible(program, component, enumerate_models)
         assert_facts_sound(program, component)
 
 
@@ -115,11 +160,14 @@ PAPER_PROGRAMS = [
     ("figure3_empty", paper.figure3()),
     ("figure3_conflict", paper.figure3(["inflation(12).", "loan_rate(16)."])),
     ("figure3_overrule", paper.figure3(["inflation(19).", "loan_rate(16)."])),
+    ("example3", paper.example3()),
+    ("example4", paper.example4()),
     ("example4_extended", paper.example4_extended()),
     ("example5", paper.example5()),
     ("example6", ordered_version(paper.example6_ancestor()).program),
     ("example7", ordered_version(paper.example7()).program),
     ("example8", three_level_version(paper.example8_birds()).program),
+    ("example9", three_level_version(paper.example9_colored()).program),
     ("scaled_figure1", paper.scaled_figure1(6, 3)),
     ("scaled_figure2", paper.scaled_figure2(4, 2)),
 ]
@@ -130,6 +178,9 @@ PAPER_PROGRAMS = [
 )
 def test_paper_programs(program):
     check_program(program)
+
+
+single = OrderedProgram.single
 
 
 #: (name, program, enumerate_models) — enumeration is skipped where the
@@ -145,10 +196,18 @@ WORKLOAD_PROGRAMS = [
     ("ov_win_move", ordered_version(classic.win_move(4, cycle=2)).program, True),
     ("ev_even_odd", extended_version(classic.even_odd(4)).program, False),
     ("3v_two_stable", three_level_version(classic.two_stable(2)).program, True),
+    ("sparse_pairs", single(classic.sparse_pairs(12, 3)), False),
+    ("ancestor_chain", single(classic.ancestor_chain(6)), False),
+    ("win_move", single(classic.win_move(4, cycle=2)), False),
+    ("even_odd", single(classic.even_odd(4)), False),
+    ("two_stable", single(classic.two_stable(2)), True),
+    ("forest", point_query.forest_program(2, 3), False),
+    ("session", sessions.session_program(3, 4), False),
+    ("random_ordered", random_programs.random_ordered_program(random.Random(14)), True),
     (
-        "sparse_pairs",
-        OrderedProgram([Component("main", classic.sparse_pairs(12, 3))], []),
-        False,
+        "random_stratified",
+        random_programs.random_stratified_program(random.Random(14)),
+        True,
     ),
 ]
 
@@ -162,22 +221,70 @@ def test_workload_generators(program, enumerate_models):
     check_program(program, enumerate_models)
 
 
+# ----------------------------------------------------------------------
+# Random first-order programs
+# ----------------------------------------------------------------------
+CONSTANTS = [Constant("a"), Constant("b"), Constant(1), Constant(2)]
+VARIABLES = [Variable("X"), Variable("Y")]
+SIGNATURES = [("p", 1), ("q", 1), ("s", 1), ("r", 2), ("t", 0)]
+
+
+def random_literal(rng, neg_prob, var_prob, constants):
+    predicate, arity = rng.choice(SIGNATURES)
+    args = tuple(
+        rng.choice(VARIABLES) if rng.random() < var_prob else rng.choice(constants)
+        for _ in range(arity)
+    )
+    return Literal(Atom(predicate, args), rng.random() >= neg_prob)
+
+
+def random_first_order_program(rng) -> OrderedProgram:
+    """Facts, rules with shared, head-only and body-only variables,
+    contradicting heads and the odd guard, spread over an isa order."""
+    constants = CONSTANTS[: rng.randint(1, len(CONSTANTS))]
+    neg_head = rng.uniform(0.0, 0.5)
+    neg_body = rng.uniform(0.0, 0.4)
+    names = [f"c{i}" for i in range(rng.randint(1, 3))]
+    buckets: dict[str, list[Rule]] = {name: [] for name in names}
+    for _ in range(rng.randint(1, 9)):
+        if rng.random() < 0.4:
+            r = Rule(random_literal(rng, neg_head, 0.0, constants))
+        else:
+            body = [
+                random_literal(rng, neg_body, 0.7, constants)
+                for _ in range(rng.randint(1, 3))
+            ]
+            if rng.random() < 0.25:
+                op = rng.choice(["!=", "<", "="])
+                body.append(Comparison(op, VARIABLES[0], rng.choice([VARIABLES[1], Constant(2)])))
+            r = Rule(random_literal(rng, neg_head, 0.7, constants), body)
+        buckets[rng.choice(names)].append(r)
+    pairs = [
+        (names[i], names[j])
+        for i in range(len(names))
+        for j in range(i + 1, len(names))
+        if rng.random() < 0.6
+    ]
+    return OrderedProgram([Component(n, rs) for n, rs in buckets.items()], pairs)
+
+
 def test_random_program_sweep():
     rng = random.Random(0xAB57)
-    checked = 0
+    checked = enumerated = pruned = 0
     for _trial in range(N_RANDOM_PROGRAMS):
-        program = random_ordered_program(
-            rng,
-            n_atoms=rng.randint(2, 5),
-            n_components=rng.randint(1, 4),
-            n_rules=rng.randint(1, 12),
-            max_body=rng.randint(0, 3),
-            neg_head_prob=rng.uniform(0.1, 0.6),
-            neg_body_prob=rng.uniform(0.1, 0.6),
-            order_density=rng.uniform(0.0, 1.0),
-        )
+        program = random_first_order_program(rng)
         for component in every_component(program):
-            assert_pruning_invisible(program, component)
+            ground = Grounder(OPTIONS).ground_component_star(program, component)
+            small = len(ground.base) <= ENUMERATION_BASE
+            assert_relevance_invisible(program, component, enumerate_models=small)
             assert_facts_sound(program, component)
             checked += 1
+            enumerated += small
+            pruned += bool(ground.pruned_rules) or len(ground.rules) < len(
+                Grounder(OPTIONS).ground_component_star(program, component, full=True).rules
+            )
     assert checked >= N_RANDOM_PROGRAMS
+    # The sweep must exercise what it is for: views where relevance
+    # drops instances, and views small enough to enumerate.
+    assert pruned >= checked // 10
+    assert enumerated >= checked // 10

@@ -279,6 +279,25 @@ class TestCheckpoints:
         wal.close()
         wal2.close()
 
+    def test_recovers_from_checkpoint_with_legacy_grounding_key(self, tmp_path):
+        # A checkpoint written while GroundingOptions still had the
+        # domain_pruning field.  latest_checkpoint skips what it cannot
+        # load, so rejecting the key would silently recover an older
+        # state — here, with the journal truncated, an empty KB.
+        kb = self.make_kb()
+        path = write_checkpoint(str(tmp_path), kb, 5)
+        with open(path, encoding="utf-8") as handle:
+            payload = json.load(handle)
+        payload["kb"]["config"]["grounding"]["domain_pruning"] = True
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(payload, handle)
+        wal = Wal(str(tmp_path), fsync="never")
+        recovered, version = wal.recover()
+        wal.close()
+        assert version == 5
+        assert kb_signature(recovered) == kb_signature(kb)
+        assert recovered.ask("bird", "fly(tweety)")
+
     def test_keep_checkpoints_bound(self, tmp_path):
         wal = Wal(str(tmp_path), fsync="never", keep_checkpoints=2,
                   checkpoint_every=None)
