@@ -112,6 +112,9 @@ class OrderedSemantics:
         self._maintained: Optional[MaintainedModel] = None
         #: The grounding ``_maintained`` was built from.
         self._seed_ground: Optional[GroundProgram] = None
+        #: component -> demand route compiled from :attr:`program`
+        #: (``strategy="demand"``, docs/query.md); dropped with it.
+        self.demand_routes: dict = {}
 
     # ------------------------------------------------------------------
     # Grounding and shared machinery (built lazily, cached)
@@ -343,6 +346,8 @@ class OrderedSemantics:
         new_program, engine_ops, reground = self.program.update_facts(
             coerced, self.component
         )
+        # Every path below ends on ``new_program``.
+        self.demand_routes.clear()
         obs = get_instrumentation()
         if obs.enabled:
             obs.count("maintain.delta_facts", len(coerced))

@@ -28,7 +28,8 @@ from __future__ import annotations
 
 import json
 import sqlite3
-from typing import Iterable, Iterator, Optional, Sequence
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from ..lang.literals import Atom, Literal
 from ..lang.rules import Rule
@@ -104,6 +105,10 @@ class EdbStore:
         self._terms: dict[int, Term] = {}
         self._tids: dict[Term, int] = {}
         self._arities: dict[str, int] = {}
+        self._schema = MappingProxyType(self._arities)
+        #: name -> row count, filled by the first :meth:`count` of a
+        #: relation and dropped for it by :meth:`bulk_load`.
+        self._counts: dict[str, int] = {}
         self._init_schema(object_name)
 
     # ------------------------------------------------------------------
@@ -232,6 +237,7 @@ class EdbStore:
                 cur.execute(f"INSERT OR IGNORE INTO {table} VALUES (1)")
                 inserted += cur.rowcount
         self._conn.commit()
+        self._counts.pop(name, None)
         return inserted
 
     def load_database(self, database) -> int:
@@ -249,18 +255,27 @@ class EdbStore:
     def names(self) -> tuple[str, ...]:
         return tuple(sorted(self._arities))
 
+    def schema(self) -> Mapping[str, int]:
+        """``name -> arity`` of every relation: a read-only view that
+        follows :meth:`bulk_load`."""
+        return self._schema
+
     def arity(self, name: str) -> Optional[int]:
         """The relation's arity, or None when the store has no such
         relation."""
         return self._arities.get(name)
 
     def count(self, name: str) -> int:
+        """Rows in one relation (0 when unknown): one ``COUNT(*)`` scan
+        per relation per load, answered from memory afterwards."""
         if name not in self._arities:
             return 0
-        row = self._conn.execute(
-            f"SELECT COUNT(*) FROM {_table(name)}"
-        ).fetchone()
-        return row[0]
+        count = self._counts.get(name)
+        if count is None:
+            count = self._counts[name] = self._conn.execute(
+                f"SELECT COUNT(*) FROM {_table(name)}"
+            ).fetchone()[0]
+        return count
 
     def _term(self, tid: int) -> Term:
         term = self._terms.get(tid)

@@ -75,9 +75,13 @@ class KnowledgeBase:
         self._semantics_cache: dict[str, OrderedSemantics] = {}
         #: Fact deltas queued per cached view, flushed on next read.
         self._pending: dict[str, list[tuple[str, str, Literal]]] = {}
-        #: Disk-backed extensional stores per object (read-only here;
-        #: writes keep flowing through tell/retract + the delta engine).
-        self._edb: dict[str, object] = {}
+        #: Disk-backed extensional stores per object, as fact sources
+        #: (read-only here; writes keep flowing through tell/retract +
+        #: the delta engine).
+        self._edb: dict[str, "EdbFactSource"] = {}
+        #: view -> compiled demand route of the held program value
+        #: (docs/query.md); dropped with that value.
+        self._demand_routes: dict[str, "CompiledDemand"] = {}
 
     @classmethod
     def from_program(
@@ -94,7 +98,7 @@ class KnowledgeBase:
         so ``kb.program()`` round-trips to an order-equivalent program.
         """
         kb = cls(grounding=grounding, budget=budget, maintenance=maintenance)
-        kb._program = program
+        kb._replace_program(program)
         return kb
 
     # ------------------------------------------------------------------
@@ -181,23 +185,23 @@ class KnowledgeBase:
 
         The object is created when it does not exist yet.
         """
+        from ..query.sources import EdbFactSource
+
         if name not in self._program:
             self.define(name)
-        self._edb[name] = store
+        self._edb[name] = EdbFactSource(store)
+        self._demand_routes.clear()
         self._drop_views_seeing(name)
 
     def edb_sources(self, name: str) -> tuple:
         """The attached EDB stores visible from ``name``'s view, as
-        :class:`~repro.query.sources.FactSource` objects."""
+        :class:`~repro.query.sources.FactSource` objects (the same
+        object per store on every call)."""
         self._require(name)
         if not self._edb:
             return ()
-        from ..query.sources import EdbFactSource
-
         return tuple(
-            EdbFactSource(self._edb[obj])
-            for obj in sorted(self.scope(name))
-            if obj in self._edb
+            self._edb[obj] for obj in sorted(self.scope(name)) if obj in self._edb
         )
 
     def retract(self, name: str, rules: Union[str, Iterable[Rule]]) -> None:
@@ -291,8 +295,10 @@ class KnowledgeBase:
             defaults = self._program.component(self.DEFAULTS_OBJECT)
         else:
             defaults = Component(self.DEFAULTS_OBJECT)
-        self._program = self._program.with_component(
-            defaults.extend([Rule(head, ())]), above=users
+        self._replace_program(
+            self._program.with_component(
+                defaults.extend([Rule(head, ())]), above=users
+            )
         )
         self._invalidate()
 
@@ -301,7 +307,13 @@ class KnowledgeBase:
         ``parents``; a cycle raises before anything changes."""
         for parent in parents:
             self._require(parent)
-        self._program = self._program.with_component(obj, below=parents)
+        self._replace_program(self._program.with_component(obj, below=parents))
+
+    def _replace_program(self, program: OrderedProgram) -> None:
+        """Move to a new program value; what was compiled from the old
+        one goes with it."""
+        self._program = program
+        self._demand_routes.clear()
 
     def _parse(self, rules: Union[str, Iterable[Rule]]) -> list[Rule]:
         if isinstance(rules, str):
@@ -352,7 +364,7 @@ class KnowledgeBase:
         every cached view that sees ``name``; views that cannot see the
         object stay cached *and* clean."""
         ops = [(kind, name, r.head) for r in facts]
-        self._program = self._program.update_facts(ops).program
+        self._replace_program(self._program.update_facts(ops).program)
         if not self._maintenance.enabled:
             self._drop_views_seeing(name)
             return
@@ -391,9 +403,9 @@ class KnowledgeBase:
         input to full materialization.  O(store size); the demand path
         never builds this."""
         program = self._program
-        for name, store in self._edb.items():
+        for name, source in self._edb.items():
             program = program.with_component(
-                program.component(name).extend(store.facts())
+                program.component(name).extend(source.store.facts())
             )
         return program
 
@@ -490,17 +502,16 @@ class KnowledgeBase:
     ) -> Optional[list[Answer]]:
         """Goal-directed answers, or None when the demand path declined
         (the caller then materializes)."""
-        from ..query import demand_answers
+        from ..query import demand_read
 
-        mode_value = mode.value if isinstance(mode, QueryMode) else str(mode)
-        result = demand_answers(
-            self.program(),
+        return demand_read(
+            self._demand_routes,
+            self._program,
             name,
             pattern,
-            mode_value,
-            sources=self.edb_sources(name),
+            mode.value if isinstance(mode, QueryMode) else str(mode),
+            self.edb_sources(name),
         )
-        return result.answers if result.used else None
 
     def least_model(self, name: str) -> Interpretation:
         return self.view(name).least_model

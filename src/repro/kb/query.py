@@ -103,18 +103,18 @@ def evaluate_query(
                 f"use one of {[m.value for m in QueryMode]}"
             ) from None
     if semantics.strategy == DEMAND_STRATEGY:
-        from ..query import demand_answers  # deferred: repro.query imports us
+        from ..query import demand_read  # deferred: repro.query imports us
 
-        result = demand_answers(
+        answers = demand_read(
+            semantics.demand_routes,
             semantics.program,
             semantics.component,
             pattern,
             mode.value,
-            sources=tuple(sources),
+            tuple(sources),
         )
-        if result.used:
-            assert result.answers is not None
-            return result.answers
+        if answers is not None:
+            return answers
     models = _entailed_sets(semantics, mode)
     candidates = _matches(models[0], pattern)
     answers = []

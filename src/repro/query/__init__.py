@@ -6,14 +6,23 @@ The subsystem has four layers:
   told facts, disk-backed :class:`~repro.db.edb.EdbStore`, unions);
 * :mod:`repro.query.magic` — the magic-sets rewrite specialized to the
   ordered transform (cone, eligibility, sips, adornment);
-* :mod:`repro.query.engine` — semi-naive evaluation of the rewritten
-  program with lazy EDB fetches;
-* :mod:`repro.query.api` — :func:`demand_answers`, the entry point the
-  knowledge base, server and CLI route ``strategy="demand"`` through.
+* :mod:`repro.query.engine` — delta-first join orders compiled per goal
+  shape, and their semi-naive evaluation with lazy EDB fetches;
+* :mod:`repro.query.api` — :class:`CompiledDemand`, the demand route of
+  one view compiled once per program value; :func:`demand_read`, the
+  entry point the knowledge base, server and CLI route
+  ``strategy="demand"`` through; :func:`demand_answers`, its
+  compile-then-ask-once form.
 """
 
-from .api import DemandResult, demand_answers, demand_ineligibility
-from .engine import DemandEngine
+from .api import (
+    CompiledDemand,
+    DemandResult,
+    demand_answers,
+    demand_ineligibility,
+    demand_read,
+)
+from .engine import DemandEngine, JoinPlan
 from .magic import (
     BodyAtom,
     DemandIneligible,
@@ -31,10 +40,13 @@ from .sources import (
 )
 
 __all__ = [
+    "CompiledDemand",
     "DemandResult",
     "demand_answers",
     "demand_ineligibility",
+    "demand_read",
     "DemandEngine",
+    "JoinPlan",
     "BodyAtom",
     "DemandIneligible",
     "DemandRule",

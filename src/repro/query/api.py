@@ -1,7 +1,12 @@
-"""The public demand-evaluation entry point.
+"""The public demand-evaluation entry points.
 
-:func:`demand_answers` answers a literal pattern against one view of an
-ordered program *without materializing the least model*, when sound:
+A :class:`CompiledDemand` is the demand route of one view, compiled once
+from an immutable program value; :func:`demand_read` is how a holder of
+such a value (a server snapshot, a knowledge base, an
+:class:`~repro.core.semantics.OrderedSemantics`) keeps and asks it, and
+:func:`demand_answers` is the compile-then-ask-once form.  All three
+answer a literal pattern against one view of an ordered program
+*without materializing the least model*, when sound:
 
 * the view must be seminegative and positive-or-stratified
   (:func:`~repro.analysis.static.classify_view`; single-component is
@@ -22,7 +27,7 @@ the fast path declined.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from ..analysis.abstract import analyze_rules
 from ..analysis.static import classify_view
@@ -32,14 +37,17 @@ from ..lang.parser import parse_literal
 from ..lang.program import OrderedProgram
 from ..lang.rules import Rule
 from ..obs import get_instrumentation
-from .engine import DemandEngine
-from .magic import DemandIneligible, build_plan, cone_ineligibility
+from ..obs.trace import current_trace
+from .engine import DemandEngine, JoinPlan
+from .magic import DemandIneligible, build_plan, cone_ineligibility, goal_adornment
 from .sources import FactSource, MemoryFactSource, UnionFactSource
 
 __all__ = [
+    "CompiledDemand",
     "DemandResult",
     "demand_answers",
     "demand_ineligibility",
+    "demand_read",
 ]
 
 #: Fallback reasons that are about the request, not the program.
@@ -55,6 +63,9 @@ class DemandResult:
     used: bool
     reason: Optional[str] = None
     detail: Optional[str] = None
+    #: ``"compiled"`` when this request compiled its goal shape's plan,
+    #: ``"hit"`` when it found one, None when no plan was involved.
+    plan: Optional[str] = None
 
 
 def _partition(
@@ -152,6 +163,133 @@ def _view_unroutable(program: OrderedProgram, component: str) -> Optional[str]:
     return None
 
 
+class CompiledDemand:
+    """The demand route of one view, compiled from one program value.
+
+    Everything a request would otherwise re-derive about the *program*
+    is worked out here once: the routability verdict, the split into
+    demandable rules and told facts (with their
+    :class:`MemoryFactSource`), the cardinality estimates (abstract
+    analysis seeded from the sources' ``count``/``sample``, read on the
+    first plan) and, per goal shape ``(predicate, adornment)``, the
+    :class:`~repro.query.engine.JoinPlan` or the reason that shape is
+    ineligible.  :meth:`ask` parses the goal, looks the plan up, binds
+    the seed and runs; per-run state lives in the
+    :class:`~repro.query.engine.DemandEngine` it creates.
+
+    The object is valid for exactly its inputs (:meth:`valid_for`):
+    :class:`OrderedProgram` values are immutable, so identity of the
+    program covers rules and told facts, and the extra sources must be
+    the same objects holding the same ``predicate -> arity`` map.  Rows
+    added to a known relation of an attached store are seen anyway —
+    they are fetched at run time; only the row counts that order the
+    joins may go stale.
+    """
+
+    def __init__(
+        self,
+        program: OrderedProgram,
+        component: str,
+        sources: Sequence[FactSource] = (),
+    ) -> None:
+        self.program = program
+        self.sources = tuple(sources)
+        self._schemas = [dict(source.schema()) for source in self.sources]
+        self.unroutable = _view_unroutable(program, component)
+        if self.unroutable is not None:
+            return
+        self.rules, facts = _partition(program, component)
+        self.source = UnionFactSource((facts, *self.sources))
+        self._schema = self.source.schema()
+        self._idb = frozenset(r.head.predicate for r in self.rules)
+        self._cardinality: Optional[Callable[[Literal], Optional[int]]] = None
+        self._plans: dict[tuple[str, str], Union[JoinPlan, DemandIneligible]] = {}
+
+    def valid_for(
+        self, program: OrderedProgram, sources: Sequence[FactSource]
+    ) -> bool:
+        """Dictionary reads only: no SQL, no walk over the program."""
+        return (
+            program is self.program
+            and len(sources) == len(self.sources)
+            and all(
+                new is old and new.schema() == schema
+                for new, old, schema in zip(sources, self.sources, self._schemas)
+            )
+        )
+
+    def ineligibility(self) -> Optional[tuple[str, str]]:
+        """Why *no* goal against this view can take the demand path
+        (``(reason, detail)``), or None."""
+        if self.unroutable is not None:
+            return (REASON_UNROUTABLE, self.unroutable)
+        problem = cone_ineligibility(None, self.rules)
+        if problem is not None:
+            return (problem.reason, problem.detail)
+        return None
+
+    def _plan(self, goal: Literal) -> tuple[Union[JoinPlan, DemandIneligible], bool]:
+        """The goal shape's plan (or why it has none), and whether this
+        call compiled it."""
+        shape = (goal.predicate, goal_adornment(goal))
+        plan = self._plans.get(shape)
+        if plan is not None:
+            return plan, False
+        if self._cardinality is None:
+            self._cardinality = _cardinality_estimator(self.rules, self.source)
+        try:
+            plan = JoinPlan(
+                build_plan(
+                    goal, self.rules, frozenset(self._schema), self._cardinality
+                ),
+                self._schema.get,
+            )
+        except DemandIneligible as problem:
+            plan = problem
+        self._plans[shape] = plan
+        return plan, True
+
+    def ask(
+        self, pattern: Union[Literal, str], mode: str = "cautious"
+    ) -> DemandResult:
+        """Answer one goal, or decline with a reason (counted on every
+        request as ``query.demand.fallback.<reason>``)."""
+        if isinstance(pattern, str):
+            pattern = parse_literal(pattern)
+        if mode != "cautious":
+            return _declined(REASON_MODE, f"mode {mode!r} needs stable models")
+        if self.unroutable is not None:
+            return _declined(REASON_UNROUTABLE, self.unroutable)
+        if not pattern.positive:
+            # A routable (seminegative) view derives no negative literals:
+            # the least model cannot match a negative pattern.
+            return _served([])
+        if pattern.predicate not in self._idb:
+            # Purely extensional goal: answer straight from the sources.
+            return _served(_extensional_answers(pattern, self.source))
+
+        joins, compiled = self._plan(pattern)
+        outcome = "compiled" if compiled else "hit"
+        get_instrumentation().count(f"query.demand.plan.{outcome}")
+        if isinstance(joins, DemandIneligible):
+            return _declined(joins.reason, joins.detail, outcome)
+        seed = tuple(a for a in pattern.args if a.is_ground)
+        rows = DemandEngine(joins, self.source).run(seed)
+        return _served(_filter_rows(pattern, rows), outcome)
+
+
+def _served(answers: list[Answer], plan: Optional[str] = None) -> DemandResult:
+    get_instrumentation().count("query.demand.served")
+    return DemandResult(answers, True, plan=plan)
+
+
+def _declined(
+    reason: str, detail: Optional[str], plan: Optional[str] = None
+) -> DemandResult:
+    get_instrumentation().count(f"query.demand.fallback.{reason}")
+    return DemandResult(None, False, reason, detail, plan)
+
+
 def demand_ineligibility(
     program: OrderedProgram, component: str
 ) -> Optional[tuple[str, str]]:
@@ -162,14 +300,7 @@ def demand_ineligibility(
     ``unroutable`` (unstratified / negative heads), ``unsafe-sips`` or
     ``function-growth``.
     """
-    detail = _view_unroutable(program, component)
-    if detail is not None:
-        return (REASON_UNROUTABLE, detail)
-    rules, _ = _partition(program, component)
-    problem = cone_ineligibility(None, rules)
-    if problem is not None:
-        return (problem.reason, problem.detail)
-    return None
+    return CompiledDemand(program, component).ineligibility()
 
 
 def demand_answers(
@@ -180,7 +311,10 @@ def demand_answers(
     *,
     sources: Sequence[FactSource] = (),
 ) -> DemandResult:
-    """Answer a literal pattern goal-directed, or decline with a reason.
+    """Answer a literal pattern goal-directed, or decline with a reason:
+    compile the view's demand route, ask it once, drop it.  A caller
+    that holds a program value across requests keeps the route instead
+    (:func:`demand_read`).
 
     Args:
         program: the ordered program.
@@ -194,55 +328,38 @@ def demand_answers(
     ``answers_in(semantics.least_model, pattern)`` whenever
     ``used=True``.
     """
-    obs = get_instrumentation()
+    return CompiledDemand(program, component, sources).ask(pattern, mode)
 
-    def fallback(reason: str, detail: Optional[str] = None) -> DemandResult:
-        if obs.enabled:
-            obs.count(f"query.demand.fallback.{reason}")
-        return DemandResult(None, False, reason, detail)
 
-    if isinstance(pattern, str):
-        pattern = parse_literal(pattern)
-    if mode != "cautious":
-        return fallback(REASON_MODE, f"mode {mode!r} needs stable models")
+def demand_read(
+    routes: dict[str, CompiledDemand],
+    program: OrderedProgram,
+    component: str,
+    pattern: Union[Literal, str],
+    mode: str = "cautious",
+    sources: Sequence[FactSource] = (),
+) -> Optional[list[Answer]]:
+    """Goal-directed answers for a holder of a program value, or None
+    when the demand path declined (the caller then materializes).
 
-    unroutable = _view_unroutable(program, component)
-    if unroutable is not None:
-        return fallback(REASON_UNROUTABLE, unroutable)
-
-    if not pattern.positive:
-        # A routable (seminegative) view derives no negative literals:
-        # the least model cannot match a negative pattern.
-        if obs.enabled:
-            obs.count("query.demand.served")
-        return DemandResult([], True)
-
-    rules, facts = _partition(program, component)
-    source = UnionFactSource((facts, *sources))
-
-    idb = {r.head.predicate for r in rules}
-    if pattern.predicate not in idb:
-        # Purely extensional goal: answer straight from the sources.
-        answers = _extensional_answers(pattern, source)
-        if obs.enabled:
-            obs.count("query.demand.served")
-        return DemandResult(answers, True)
-
-    try:
-        plan = build_plan(
-            pattern,
-            rules,
-            source.predicates(),
-            _cardinality_estimator(rules, source),
-        )
-    except DemandIneligible as problem:
-        return fallback(problem.reason, problem.detail)
-
-    rows = DemandEngine(plan, source).run()
-    answers = _filter_rows(pattern, rows)
-    if obs.enabled:
-        obs.count("query.demand.served")
-    return DemandResult(answers, True)
+    ``routes`` is the holder's ``view -> CompiledDemand`` map: the
+    view's route is reused while it is valid for ``program`` and
+    ``sources`` and replaced the moment it is not.  The active trace,
+    if any, is told which route answered and why.
+    """
+    compiled = routes.get(component)
+    if compiled is None or not compiled.valid_for(program, sources):
+        compiled = routes[component] = CompiledDemand(program, component, sources)
+    result = compiled.ask(pattern, mode)
+    ctx = current_trace()
+    if ctx is not None:
+        fields = {"route": "demand" if result.used else "materialized"}
+        if result.plan is not None:
+            fields["demand.plan"] = result.plan
+        if result.reason is not None:
+            fields["demand.fallback"] = result.reason
+        ctx.annotate(**fields)
+    return result.answers if result.used else None
 
 
 def _extensional_answers(pattern: Literal, source: FactSource) -> list[Answer]:

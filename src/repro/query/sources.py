@@ -20,7 +20,7 @@ Three implementations:
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from ..lang.literals import Atom
 from ..lang.terms import Term
@@ -39,9 +39,16 @@ Pattern = Sequence[Optional[Term]]
 class FactSource:
     """Pattern-directed access to one set of extensional relations."""
 
+    def schema(self) -> Mapping[str, int]:
+        """``predicate -> arity`` for every relation held here, read
+        without touching the rows.  A compiled demand route
+        (:class:`~repro.query.api.CompiledDemand`) is valid for exactly
+        the schema it was compiled against."""
+        raise NotImplementedError
+
     def arity(self, predicate: str) -> Optional[int]:
         """The predicate's arity, or None when unknown here."""
-        raise NotImplementedError
+        return self.schema().get(predicate)
 
     def count(self, predicate: str) -> int:
         """Total rows for the predicate (0 when unknown)."""
@@ -57,7 +64,7 @@ class FactSource:
         raise NotImplementedError
 
     def predicates(self) -> frozenset[str]:
-        raise NotImplementedError
+        return frozenset(self.schema())
 
 
 def _matches(row: Row, pattern: Pattern) -> bool:
@@ -95,8 +102,8 @@ class MemoryFactSource(FactSource):
                 if index is not None:
                     index.setdefault(term, []).append(atom.args)
 
-    def arity(self, predicate: str) -> Optional[int]:
-        return self._arity.get(predicate)
+    def schema(self) -> Mapping[str, int]:
+        return self._arity
 
     def count(self, predicate: str) -> int:
         return len(self._rows.get(predicate, ()))
@@ -133,15 +140,15 @@ class MemoryFactSource(FactSource):
                 break
         return out
 
-    def predicates(self) -> frozenset[str]:
-        return frozenset(self._rows)
-
 
 class EdbFactSource(FactSource):
     """A :class:`~repro.db.edb.EdbStore` as a fact source."""
 
     def __init__(self, store) -> None:
         self.store = store
+
+    def schema(self) -> Mapping[str, int]:
+        return self.store.schema()
 
     def arity(self, predicate: str) -> Optional[int]:
         return self.store.arity(predicate)
@@ -155,9 +162,6 @@ class EdbFactSource(FactSource):
     def sample(self, predicate: str, limit: int = 32) -> list[Row]:
         return self.store.sample(predicate, limit)
 
-    def predicates(self) -> frozenset[str]:
-        return frozenset(self.store.names())
-
 
 class UnionFactSource(FactSource):
     """Several sources read as one; duplicate rows are collapsed."""
@@ -165,7 +169,15 @@ class UnionFactSource(FactSource):
     def __init__(self, sources: Sequence[FactSource]) -> None:
         self.sources = tuple(sources)
 
+    def schema(self) -> Mapping[str, int]:
+        merged: dict[str, int] = {}
+        for source in reversed(self.sources):
+            merged.update(source.schema())
+        return merged
+
     def arity(self, predicate: str) -> Optional[int]:
+        # The first source that knows the predicate decides, as in
+        # ``schema()``, without merging the maps on every fetch.
         for source in self.sources:
             arity = source.arity(predicate)
             if arity is not None:
@@ -177,10 +189,12 @@ class UnionFactSource(FactSource):
 
     def fetch(self, predicate: str, pattern: Pattern) -> Iterator[Row]:
         arity = self.arity(predicate)
+        holders = [s for s in self.sources if s.arity(predicate) == arity]
+        if len(holders) == 1:
+            yield from holders[0].fetch(predicate, pattern)
+            return
         seen: set[Row] = set()
-        for source in self.sources:
-            if source.arity(predicate) != arity:
-                continue
+        for source in holders:
             for row in source.fetch(predicate, pattern):
                 if row not in seen:
                     seen.add(row)
@@ -193,9 +207,3 @@ class UnionFactSource(FactSource):
             if len(out) >= limit:
                 break
         return out
-
-    def predicates(self) -> frozenset[str]:
-        preds: frozenset[str] = frozenset()
-        for source in self.sources:
-            preds |= source.predicates()
-        return preds

@@ -136,6 +136,7 @@ class Snapshot:
         "models",
         "_sems",
         "_explainers",
+        "demand_routes",
     )
 
     def __init__(
@@ -158,6 +159,9 @@ class Snapshot:
         self._explainers: dict[str, Explainer] = (
             explainers if explainers is not None else {}
         )
+        #: view -> demand route compiled from :attr:`program`
+        #: (docs/query.md); lives and dies with this version.
+        self.demand_routes: dict = {}
 
     def age(self, now: Optional[float] = None) -> float:
         return (now if now is not None else time.monotonic()) - self.published_at
@@ -517,16 +521,16 @@ class ServerEngine:
         KB's stores is safe at any snapshot version.  This read never
         warms :attr:`Snapshot.models` — not materializing is the point.
         """
-        from ..query import demand_answers
+        from ..query import demand_read
 
-        result = demand_answers(
+        return demand_read(
+            snap.demand_routes,
             snap.program,
             view,
             pattern,
             mode,
-            sources=self.kb.edb_sources(view),
+            self.kb.edb_sources(view),
         )
-        return result.answers if result.used else None
 
     def _explain(self, snap: Snapshot, view: str, pattern: str) -> dict[str, Any]:
         """The ``explain`` op: derivation (or failure analysis) of one

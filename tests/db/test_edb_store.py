@@ -42,6 +42,18 @@ class TestRoundTrip:
         store.bulk_load("edge", 2, ROWS)
         assert store.count("edge") == 3
 
+    def test_count_scans_once_per_load(self, store):
+        store.bulk_load("edge", 2, ROWS[:2])
+        statements = []
+        store._conn.set_trace_callback(statements.append)
+        assert store.count("edge") == 2
+        scans = len(statements)
+        assert scans == 1
+        assert store.count("edge") == 2 and store.total_facts() == 2
+        assert len(statements) == scans
+        store.bulk_load("edge", 2, ROWS[2:])
+        assert store.count("edge") == 3 and store.total_facts() == 3
+
     def test_compound_terms_round_trip(self, store):
         row = (Compound("pair", (Constant("a"), Constant(1))),)
         store.bulk_load("box", 1, [row])

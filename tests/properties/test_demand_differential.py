@@ -20,7 +20,7 @@ from repro.core.semantics import OrderedSemantics
 from repro.kb.query import answers_in
 from repro.lang.parser import parse_rules
 from repro.lang.program import OrderedProgram
-from repro.query import demand_answers
+from repro.query import CompiledDemand, demand_answers
 from repro.workloads.random_programs import random_stratified_program
 
 #: Number of seeded random programs swept (CI-overridable).
@@ -140,6 +140,28 @@ class TestFirstOrderSweep:
                 if assert_demand_agrees(program, "main", goal):
                     served += 1
         assert served == checked, "every generated view is demand-eligible"
+
+
+class TestCompiledReuse:
+    def test_one_compiled_route_serves_every_goal(self):
+        """Every goal of a program asked in shuffled order (and twice)
+        through ONE compiled route: a row set, index, worklist, fetch
+        memo or counter surviving a run would show as a wrong answer."""
+        for seed in range(N_PROGRAMS):
+            rng = random.Random(30_000 + seed)
+            program = random_first_order_program(rng)
+            goals = random_goals(rng, program) * 2
+            rng.shuffle(goals)
+            model = OrderedSemantics(program, "main", strategy="seminaive").least_model
+            compiled = CompiledDemand(program, "main")
+            for goal in goals:
+                expected = shape(answers_in(model, goal))
+                for result in (
+                    compiled.ask(goal),
+                    demand_answers(program, "main", goal),
+                ):
+                    assert result.used
+                    assert shape(result.answers) == expected, goal
 
 
 class TestKnowledgeBaseParity:

@@ -314,6 +314,46 @@ class TestMetricsOp:
         run(scenario())
 
 
+class TestDemandRoute:
+    """A ``"strategy": "demand"`` read says which route answered and,
+    when it materialized, why."""
+
+    def test_trace_names_route_plan_and_fallback(self):
+        async def scenario():
+            kb = make_kb()
+            kb.define("tree", "anc(X, Y) :- par(X, Y).\npar(a, b).")
+            config = ServerConfig(slow_ms=0.0)
+            with instrumented() as obs:
+                async with ServerEngine(kb, config) as engine:
+                    plans = []
+                    for rid in (1, 2):
+                        reply = await roundtrip(
+                            engine, op="query", view="tree", pattern="anc(a, X)",
+                            strategy="demand", trace=True, id=rid,
+                        )
+                        fields = reply["result"]["trace"]["spans"]["fields"]
+                        assert fields["route"] == "demand"
+                        plans.append(fields["demand.plan"])
+                    assert plans == ["compiled", "hit"]
+                    # The penguin view has negative heads: demand declines.
+                    await roundtrip(
+                        engine, op="query", view="penguin", pattern="fly(X)",
+                        strategy="demand", id=3,
+                    )
+                    entry = (await roundtrip(engine, op="slow", id=4))[
+                        "result"
+                    ]["entries"][-1]
+                    assert entry["id"] == 3
+                    assert entry["spans"]["fields"]["route"] == "materialized"
+                    assert entry["spans"]["fields"]["demand.fallback"] == "unroutable"
+                counters = obs.snapshot()["counters"]
+            assert counters["query.demand.plan.compiled"] == 1
+            assert counters["query.demand.plan.hit"] == 1
+            assert counters["query.demand.fallback.unroutable"] == 1
+
+        run(scenario())
+
+
 class TestSlowQueryLog:
     def test_disabled_by_default(self):
         async def scenario():
