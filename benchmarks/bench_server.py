@@ -24,13 +24,27 @@ hierarchy that the maintenance benchmarks use:
   p50 to stay within 1.3x of the untraced p50
   (``scripts/check_server_read_latency.py --experiment server-trace
   --baseline untraced --contender traced --max-ratio 1.3``).
+* ``server-read-scaling`` / ``server-read-scaling-open`` — p50 of one
+  ground goal, and of one open goal over an empty relation, against the
+  session registry at 32 entities (``small``: 448 literals in the view)
+  and at 512 (``large``: 7,168), the two served side by side and read
+  alternately inside one timed loop so that the ratio does not depend
+  on the host holding its speed between two tests.  A ground goal is a
+  membership probe and an open goal reads only its own relation, so
+  neither may grow with the model: the gate requires large within 2x
+  of small (``scripts/check_server_read_latency.py --experiment
+  server-read-scaling --baseline small --contender large --max-ratio
+  2``; a full-model scan measured 15x).
 """
 
 import asyncio
+import contextlib
 
 import pytest
 
+from repro.kb.knowledge_base import KnowledgeBase
 from repro.server import ServerConfig, ServerEngine, parse_request
+from repro.workloads import session_program
 from repro.workloads.clients import build_server_kb
 
 from .conftest import capture_metrics, record
@@ -43,6 +57,16 @@ WRITE_SIZES = [("small", 32), ("large", 256)]
 
 #: Reads timed per round in the read-latency experiment.
 N_READS = 200
+
+#: (size label, registry entities) for the read-scaling experiment.
+SCALING_SIZES = [("small", 32), ("large", 512)]
+
+#: goal kind -> (experiment, pattern, answers): no entity is enrolled,
+#: so every ``-member(e<j>)`` holds and ``member`` is an empty relation.
+SCALING_GOALS = {
+    "ground": ("server-read-scaling", "-member(e7)", 1),
+    "open": ("server-read-scaling-open", "member(X)", 0),
+}
 
 
 def _tell(i: int):
@@ -211,3 +235,49 @@ def test_read_tracing_overhead(benchmark, mode):
         p50_s=p50,
         p95_s=p95,
     )
+
+
+@pytest.mark.parametrize("goal", sorted(SCALING_GOALS))
+def test_read_scaling(benchmark, goal):
+    import time
+
+    experiment, pattern, answers = SCALING_GOALS[goal]
+    kbs = {
+        size: KnowledgeBase.from_program(session_program(6, entities))
+        for size, entities in SCALING_SIZES
+    }
+    # Materialized once, untimed.
+    literals = {size: len(kb.least_model("level0")) for size, kb in kbs.items()}
+    request = parse_request(
+        {"id": "s", "op": "query", "view": "level0", "pattern": pattern}
+    )
+    collected = {size: [] for size in kbs}
+
+    async def scenario():
+        # Both sizes are served side by side and read alternately, so a
+        # host that speeds up or slows down mid-run moves numerator and
+        # denominator of the gated ratio together.
+        async with contextlib.AsyncExitStack() as stack:
+            engines = {
+                size: await stack.enter_async_context(ServerEngine(kb))
+                for size, kb in kbs.items()
+            }
+            for engine in engines.values():
+                await engine.handle(request)  # pin the view into the snapshot
+            for _ in range(N_READS):
+                for size, engine in engines.items():
+                    t0 = time.perf_counter()
+                    reply = await engine.handle(request)
+                    collected[size].append(time.perf_counter() - t0)
+                    assert reply["ok"] and reply["result"]["count"] == answers
+
+    benchmark(lambda: asyncio.run(scenario()))
+    strategies = {}
+    for size, latencies in collected.items():
+        latencies.sort()
+        strategies[size] = {
+            "literals": literals[size],
+            "p50_s": latencies[len(latencies) // 2],
+            "p95_s": latencies[int(len(latencies) * 0.95)],
+        }
+    record(benchmark, experiment=experiment, reads=N_READS, strategies=strategies)

@@ -19,7 +19,11 @@ tracing overhead (``server-trace``: ``traced`` vs ``untraced``).
 
 The p50s come from ``extra_info`` (measured per request inside the
 benchmark) because the benchmark's own mean times the whole read loop —
-which, in the busy mode, *does* include interleaved writer work.
+which, in the busy mode, *does* include interleaved writer work.  An
+entry is either one strategy's ``strategy``/``p50_s``/``p95_s`` or
+carries several under ``strategies`` — timed interleaved inside one
+test, so that host drift cancels out of their ratio
+(``server-read-scaling``).
 """
 
 from __future__ import annotations
@@ -67,8 +71,12 @@ def main(argv: list[str]) -> int:
         info = bench.get("extra_info", {})
         if info.get("experiment") != args.experiment:
             continue
-        p50s[info["strategy"]] = float(info["p50_s"])
-        p95s[info["strategy"]] = float(info["p95_s"])
+        # One entry per strategy, or one entry that timed several
+        # strategies interleaved (``strategies``: name -> p50_s/p95_s).
+        timings = info.get("strategies") or {info["strategy"]: info}
+        for strategy, timing in timings.items():
+            p50s[strategy] = float(timing["p50_s"])
+            p95s[strategy] = float(timing["p95_s"])
 
     missing = {args.baseline, args.contender} - set(p50s)
     if missing:

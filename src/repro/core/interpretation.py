@@ -15,6 +15,13 @@ producer that *guarantees* those invariants (the dense fixpoint kernel
 derives ids that are consistent by construction) and materializes the
 member set only when something actually reads it; until then the object
 costs two attribute slots.
+
+Truth is membership, so a ground goal is one hash probe.  An *open*
+goal (``fly(X)``) can only match members of its own signed predicate;
+:meth:`Interpretation.relation` hands those out from an index the value
+builds for itself on the first such read.  The value is immutable, so
+the index can never go stale — a write produces a new interpretation,
+which indexes itself if and when an open goal reaches it.
 """
 
 from __future__ import annotations
@@ -51,7 +58,7 @@ class Interpretation:
             a wider base is given).
     """
 
-    __slots__ = ("_literals", "_base", "_hash", "_thunk")
+    __slots__ = ("_literals", "_base", "_hash", "_thunk", "_relations")
 
     def __init__(
         self,
@@ -82,6 +89,7 @@ class Interpretation:
         object.__setattr__(self, "_base", full_base)
         object.__setattr__(self, "_hash", None)
         object.__setattr__(self, "_thunk", None)
+        object.__setattr__(self, "_relations", None)
 
     @classmethod
     def deferred(
@@ -104,6 +112,7 @@ class Interpretation:
         object.__setattr__(self, "_base", frozenset(base))
         object.__setattr__(self, "_hash", None)
         object.__setattr__(self, "_thunk", thunk)
+        object.__setattr__(self, "_relations", None)
         return self
 
     def __setattr__(self, key: str, value: object) -> None:
@@ -136,6 +145,32 @@ class Interpretation:
 
     def __len__(self) -> int:
         return len(self._members())
+
+    def relation(
+        self, predicate: str, arity: int, positive: bool
+    ) -> tuple[Literal, ...]:
+        """The members of one signed predicate, in ``str`` order — the
+        only members a non-ground goal over it can match.
+
+        Members are bucketed on the first call (one pass) and a bucket
+        is ordered on its first read; both are derived from the
+        immutable member set, so like the lazy hash they are cached on
+        the value and play no part in equality.
+        """
+        relations = self._relations
+        if relations is None:
+            relations = {}
+            for l in self._members():
+                atom = l.atom
+                relations.setdefault(
+                    (atom.predicate, len(atom.args), l.positive), []
+                ).append(l)
+            object.__setattr__(self, "_relations", relations)
+        key = (predicate, arity, positive)
+        bucket = relations.get(key, ())
+        if isinstance(bucket, list):
+            bucket = relations[key] = tuple(sorted(bucket, key=str))
+        return bucket
 
     def value(self, literal: Literal) -> TruthValue:
         """The value of a ground literal: T if a member, F if its

@@ -5,10 +5,14 @@ that finding a total model is hard even for seminegative programs), so
 the enumerator is an explicit-budget backtracking search rather than a
 polynomial pretender:
 
-* :meth:`ModelEnumerator.models` — all Definition-3 models.  Branches
-  three ways (true / false / undefined) over every base atom, pruning
-  branches that already violate condition (a) restricted to decided
-  atoms.
+* :meth:`ModelEnumerator.models` — all Definition-3 models, by
+  generate-and-test: :meth:`ModelEnumerator._expand` branches three
+  ways (true / false / undefined) over every base atom with no pruning
+  at all, and each of the ``3^|base|`` leaves is built as an
+  interpretation and handed to :class:`~repro.core.models.ModelChecker`
+  (eight atoms are 6,561 leaves).  A search that propagates condition
+  (a) over the decided atoms and cuts violating branches is not
+  implemented (ROADMAP item 2).
 * :meth:`ModelEnumerator.assumption_free_models` — branches only over
   *head* atoms: by Theorem 1(a) every literal of an assumption-free
   model is the head of an applied rule, so atoms that head no rule are

@@ -44,13 +44,16 @@ from ..core.transform import DEMAND_STRATEGY, READ_STRATEGIES
 from ..grounding.grounder import GroundingOptions
 from ..lang.errors import QueryError, SemanticsError
 from ..lang.literals import Literal
-from ..lang.parser import parse_literal, parse_rules
+from ..lang.parser import parse_rules
 from ..obs import get_instrumentation
 from ..lang.program import Component, OrderedProgram
 from ..lang.rules import Rule
-from .query import Answer, QueryMode, evaluate_query
+from .query import Answer, QueryMode, evaluate_query, goal, holds_in
 
 __all__ = ["KnowledgeBase"]
+
+#: Both spellings of the cautious mode a read may carry.
+_CAUTIOUS = (QueryMode.CAUTIOUS, QueryMode.CAUTIOUS.value)
 
 
 class KnowledgeBase:
@@ -445,8 +448,15 @@ class KnowledgeBase:
         mode: Union[QueryMode, str] = QueryMode.CAUTIOUS,
         strategy: Optional[str] = None,
     ) -> bool:
-        """Is a ground literal entailed from an object's point of view?"""
-        return bool(self.query(name, literal, mode, strategy=strategy))
+        """Is a literal (pattern) entailed from an object's point of
+        view?  A cautious ask answered from the materialized model stops
+        at the first match instead of building every answer."""
+        pattern, answers = self._demand_first(name, literal, mode, strategy)
+        if answers is not None:
+            return bool(answers)
+        if mode in _CAUTIOUS:
+            return holds_in(self.least_model(name), pattern)
+        return bool(evaluate_query(self.view(name), pattern, mode))
 
     def value(self, name: str, literal: Union[Literal, str]) -> TruthValue:
         """Truth value in the object's least model."""
@@ -469,42 +479,34 @@ class KnowledgeBase:
         trying the demand path.  Answers are identical either way —
         see ``docs/query.md``.
         """
+        pattern, answers = self._demand_first(name, pattern, mode, strategy)
+        if answers is not None:
+            return answers
+        return evaluate_query(self.view(name), pattern, mode)
+
+    def _demand_first(
+        self,
+        name: str,
+        pattern: Union[Literal, str],
+        mode: Union[QueryMode, str],
+        strategy: Optional[str],
+    ) -> tuple[Literal, Optional[list[Answer]]]:
+        """Validate a read and offer it to the demand path: the goal,
+        and its goal-directed answers — or None when the strategy does
+        not ask for them or the demand path declined (the caller then
+        reads the materialized model)."""
         self._require(name)
         if strategy is not None and strategy not in READ_STRATEGIES:
             raise QueryError(
                 f"unknown query strategy {strategy!r}; "
                 f"use one of {', '.join(map(repr, READ_STRATEGIES))}"
             )
-        if isinstance(pattern, str):
-            pattern = parse_literal(pattern)
-        if strategy == DEMAND_STRATEGY or self._auto_demand(name, pattern, mode):
-            answers = self._demand_query(name, pattern, mode)
-            if answers is not None:
-                return answers
-        return evaluate_query(self.view(name), pattern, mode)
-
-    def _auto_demand(
-        self, name: str, pattern: Literal, mode: Union[QueryMode, str]
-    ) -> bool:
-        """Should an unforced query try the demand path first?  Yes for
-        cautious ground point queries when materialization would not be
-        (or stay) free: the view is cold, or an EDB store is attached."""
-        if mode not in (QueryMode.CAUTIOUS, QueryMode.CAUTIOUS.value):
-            return False
-        if not pattern.is_ground:
-            return False
-        if any(obj in self._edb for obj in self.scope(name)):
-            return True
-        return name not in self._semantics_cache
-
-    def _demand_query(
-        self, name: str, pattern: Literal, mode: Union[QueryMode, str]
-    ) -> Optional[list[Answer]]:
-        """Goal-directed answers, or None when the demand path declined
-        (the caller then materializes)."""
+        pattern = goal(pattern)
+        if strategy != DEMAND_STRATEGY and not self._auto_demand(name, pattern, mode):
+            return pattern, None
         from ..query import demand_read
 
-        return demand_read(
+        return pattern, demand_read(
             self._demand_routes,
             self._program,
             name,
@@ -512,6 +514,20 @@ class KnowledgeBase:
             mode.value if isinstance(mode, QueryMode) else str(mode),
             self.edb_sources(name),
         )
+
+    def _auto_demand(
+        self, name: str, pattern: Literal, mode: Union[QueryMode, str]
+    ) -> bool:
+        """Should an unforced query try the demand path first?  Yes for
+        cautious ground point queries when materialization would not be
+        (or stay) free: the view is cold, or an EDB store is attached."""
+        if mode not in _CAUTIOUS:
+            return False
+        if not pattern.is_ground:
+            return False
+        if any(obj in self._edb for obj in self.scope(name)):
+            return True
+        return name not in self._semantics_cache
 
     def least_model(self, name: str) -> Interpretation:
         return self.view(name).least_model

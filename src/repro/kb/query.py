@@ -10,13 +10,20 @@ Three entailment modes, all standard for partial-model semantics:
 Queries are literal *patterns*: ``fly(X)`` asks for every binding of
 ``X`` that makes the literal entailed.  Answers carry the matched ground
 literal and the substitution that produced it.
+
+A model answers a pattern the way Section 2 defines truth — by
+membership (:func:`_matches`): a ground pattern is one probe of the
+member set, a non-ground one is matched against the members of its own
+signed predicate only.  No read walks the whole model.
 """
 
 from __future__ import annotations
 
 import enum
+from contextlib import closing
 from dataclasses import dataclass
-from typing import Iterator, Sequence, Union
+from functools import lru_cache
+from typing import Generator, Sequence, Union
 
 from ..core.interpretation import Interpretation
 from ..core.semantics import OrderedSemantics
@@ -25,8 +32,29 @@ from ..grounding.substitution import Substitution, match_atom
 from ..lang.errors import QueryError
 from ..lang.literals import Literal
 from ..lang.parser import parse_literal
+from ..obs.trace import current_trace
 
-__all__ = ["QueryMode", "Answer", "evaluate_query", "answers_in"]
+__all__ = [
+    "QueryMode",
+    "Answer",
+    "goal",
+    "evaluate_query",
+    "answers_in",
+    "holds_in",
+]
+
+#: Distinct goal texts :func:`goal` remembers (least recently used out
+#: first): a serving process sees the same few hundred goal strings
+#: over and over.
+GOAL_MEMO_SIZE = 1024
+
+#: Longest goal text worth remembering.  Goal text arrives from the
+#: network; a remembered entry pins its key *and* its parse tree, so
+#: the two constants together bound what the memo can hold.  Longer
+#: text is parsed on every call.
+GOAL_MEMO_MAX_CHARS = 256
+
+_NO_BINDINGS = Substitution()
 
 
 class QueryMode(enum.Enum):
@@ -44,6 +72,24 @@ class Answer:
 
     def __str__(self) -> str:
         return f"{self.literal}  {self.bindings}"
+
+
+_parse_goal = lru_cache(maxsize=GOAL_MEMO_SIZE)(parse_literal)
+
+
+def goal(pattern: Union[Literal, str]) -> Literal:
+    """A literal pattern from a literal or its surface text.
+
+    Text of up to :data:`GOAL_MEMO_MAX_CHARS` characters is parsed once
+    per distinct string (the last :data:`GOAL_MEMO_SIZE` are
+    remembered); malformed text raises
+    :class:`~repro.lang.errors.ParseError` on every call.
+    """
+    if not isinstance(pattern, str):
+        return pattern
+    if len(pattern) > GOAL_MEMO_MAX_CHARS:
+        return parse_literal(pattern)
+    return _parse_goal(pattern)
 
 
 def _entailed_sets(
@@ -65,14 +111,22 @@ def answers_in(
     """All matches of a literal pattern in one interpretation.
 
     This is cautious entailment against an already-materialized model —
-    the lock-free read path of the query server evaluates patterns
-    against published snapshot models through this function, without
-    touching an :class:`OrderedSemantics`.
+    the query server's read path answers from published snapshot models
+    through this function, without touching an
+    :class:`OrderedSemantics` or the writer.  A ground pattern costs one
+    membership probe whatever the model's size; a non-ground one costs
+    a match per member of its signed predicate (the first such read of
+    a model value also buckets that model once).  Answers come in
+    ``str(literal)`` order.
     """
-    if isinstance(pattern, str):
-        pattern = parse_literal(pattern)
-    answers = [Answer(lit, bindings) for lit, bindings in _matches(interp, pattern)]
-    return sorted(answers, key=lambda a: str(a.literal))
+    return [Answer(l, bindings) for l, bindings in _matches(interp, goal(pattern))]
+
+
+def holds_in(interp: Interpretation, pattern: Union[Literal, str]) -> bool:
+    """Whether :func:`answers_in` would be non-empty — found by stopping
+    at the first match instead of building every answer."""
+    with closing(_matches(interp, goal(pattern))) as matches:
+        return next(matches, None) is not None
 
 
 def evaluate_query(
@@ -92,8 +146,7 @@ def evaluate_query(
     ``sources`` as extra extensional fact sources) whenever the view is
     eligible; anything else falls back to the materialized path below.
     """
-    if isinstance(pattern, str):
-        pattern = parse_literal(pattern)
+    pattern = goal(pattern)
     if isinstance(mode, str):
         try:
             mode = QueryMode(mode)
@@ -130,15 +183,41 @@ def evaluate_query(
                 if literal not in seen:
                     seen.add(literal)
                     answers.append(Answer(literal, bindings))
-    return sorted(answers, key=lambda a: str(a.literal))
+        answers.sort(key=lambda a: str(a.literal))  # merge the per-model orders
+    return answers
 
 
 def _matches(
     interp: Interpretation, pattern: Literal
-) -> Iterator[tuple[Literal, Substitution]]:
-    for literal in interp:
-        if literal.positive != pattern.positive:
-            continue
-        bindings = match_atom(pattern.atom, literal.atom)
-        if bindings is not None:
-            yield literal, bindings
+) -> Generator[tuple[Literal, Substitution], None, None]:
+    """The members of a model a pattern matches, with the bindings, in
+    ``str(literal)`` order.
+
+    Tells the active trace (if any) how the model was read: root field
+    ``read.probe`` and cost keys ``read_candidates`` / ``read_answers``
+    — deposited when the iterator is exhausted or closed, so a caller
+    that stops early is charged for what it looked at.
+    """
+    atom = pattern.atom
+    tried = found = 0
+    try:
+        if atom.is_ground:
+            probe, tried = "member", 1
+            if pattern in interp:
+                found = 1
+                yield pattern, _NO_BINDINGS
+        else:
+            probe = "relation"
+            for literal in interp.relation(
+                atom.predicate, len(atom.args), pattern.positive
+            ):
+                tried += 1
+                bindings = match_atom(atom, literal.atom)
+                if bindings is not None:
+                    found += 1
+                    yield literal, bindings
+    finally:
+        ctx = current_trace()
+        if ctx is not None:
+            ctx.annotate(route="materialized", **{"read.probe": probe})
+            ctx.add_cost(read_candidates=tried, read_answers=found)

@@ -255,6 +255,10 @@ class CompiledDemand:
         """Answer one goal, or decline with a reason (counted on every
         request as ``query.demand.fallback.<reason>``)."""
         if isinstance(pattern, str):
+            # Not through ``kb.query.goal``: a demand goal names one key
+            # of a large extensional relation, so its text rarely comes
+            # back (``point_query``: 5 % of requests) and remembering it
+            # only pins memory.
             pattern = parse_literal(pattern)
         if mode != "cautious":
             return _declined(REASON_MODE, f"mode {mode!r} needs stable models")

@@ -44,14 +44,14 @@ from ..core.solver import SearchBudget
 from ..explain.trace import Explainer
 from ..grounding.grounder import GroundingOptions
 from ..kb.knowledge_base import KnowledgeBase
-from ..kb.query import answers_in, evaluate_query
+from ..kb.query import answers_in, evaluate_query, holds_in
 from ..lang.errors import ReproError
 from ..lang.program import OrderedProgram
 from ..obs import get_instrumentation
 from ..obs import exposition
 from ..obs.exposition import PrometheusWriter, write_registry
 from ..obs.instruments import Histogram
-from ..obs.trace import TraceContext
+from ..obs.trace import TraceContext, current_trace
 from ..serialize import kb_to_dict
 from . import protocol
 from .protocol import Request
@@ -87,7 +87,8 @@ class ServerConfig:
             carry their own ``deadline_ms``; None means unbounded.
         refresh_hot_views: eagerly re-materialize, at publish time, the
             views that were materialized in the previous snapshot and
-            affected by the batch — keeps hot-view reads O(lookup).
+            affected by the batch — a hot view's read then never
+            computes or decodes a model, it only probes one.
         keep_history: record every published snapshot and the batch
             that produced it (``engine.history``) — the differential
             harness's oracle input.  Unbounded memory; tests only.
@@ -491,6 +492,8 @@ class ServerEngine:
                 pass
             elif request.mode == "cautious":
                 interp = self._model_at(snap, view)
+                if request.op == "ask":
+                    return {"holds": holds_in(interp, pattern)}
                 answers = answers_in(interp, pattern)
             else:
                 sem = self._semantics_at(snap, view)
@@ -535,6 +538,9 @@ class ServerEngine:
     def _explain(self, snap: Snapshot, view: str, pattern: str) -> dict[str, Any]:
         """The ``explain`` op: derivation (or failure analysis) of one
         ground literal against the captured snapshot."""
+        ctx = current_trace()
+        if ctx is not None:
+            ctx.annotate(route="materialized")
         sem = self._semantics_at(snap, view)
         self._model_at(snap, view)  # force the least model first
         explainer = snap.explainer(view, sem)
@@ -1066,8 +1072,12 @@ class ServerEngine:
                     r0 = time.perf_counter()
                     try:
                         model = self.kb.view(view).least_model
-                        # A maintained model decodes on first read; do
-                        # it here so snapshot readers only ever look up.
+                        # A maintained model decodes its member set on
+                        # first read; do it here so a snapshot reader's
+                        # ground goal is one membership probe.  The
+                        # per-predicate index open goals use is *not*
+                        # built here: most versions never see an open
+                        # goal, and the model builds it on the first.
                         len(model)
                         models[view] = model
                     except ReproError:

@@ -73,6 +73,7 @@ version a mutation became visible at.  Error codes:
 
 from __future__ import annotations
 
+import asyncio
 import json
 import time
 from dataclasses import dataclass, field
@@ -96,8 +97,11 @@ __all__ = [
     "INTERNAL",
     "MODES",
     "STRATEGIES",
+    "MAX_LINE_BYTES",
     "ProtocolError",
     "Request",
+    "read_request_line",
+    "oversize_line_response",
     "parse_request",
     "request_id_of",
     "ok_response",
@@ -126,6 +130,10 @@ INTERNAL = "internal"
 ERROR_CODES = frozenset(
     {BAD_REQUEST, SEMANTICS, OVERLOADED, TIMEOUT, SHUTTING_DOWN, NOT_LEADER, INTERNAL}
 )
+
+#: Longest request line a connection may send (asyncio's stream default,
+#: named so the refusal can state it; front-ends pass it as ``limit=``).
+MAX_LINE_BYTES = 2**16
 
 
 class ProtocolError(ValueError):
@@ -299,6 +307,34 @@ def _parse_trace(raw: Any) -> Optional[dict]:
     ):
         raise ProtocolError("'trace.baggage' must map strings to strings")
     return {"id": trace_id, "baggage": dict(baggage)}
+
+
+async def read_request_line(reader: asyncio.StreamReader) -> Optional[bytes]:
+    """The next request line (``b""`` at end of stream), or None for a
+    line over :data:`MAX_LINE_BYTES` — which is read through its newline
+    and dropped, in bounded memory, so that the refusal
+    (:func:`oversize_line_response`) reaches a peer that is still
+    sending it."""
+    oversize = False
+    while True:
+        try:
+            line = await reader.readuntil(b"\n")
+        except asyncio.IncompleteReadError as eof:
+            line = eof.partial
+        except asyncio.LimitOverrunError as over:
+            await reader.readexactly(over.consumed)
+            oversize = True
+            continue
+        return None if oversize else line
+
+
+def oversize_line_response() -> dict:
+    """What a front-end answers (then closes the connection) when
+    :func:`read_request_line` returned None: a peer that framed one
+    request wrong is not asked for another."""
+    return error_response(
+        None, BAD_REQUEST, f"request line exceeds {MAX_LINE_BYTES} bytes"
+    )
 
 
 def request_id_of(raw: Union[str, bytes]) -> Any:

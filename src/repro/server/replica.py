@@ -505,7 +505,10 @@ class FleetServer:
 
     async def start(self) -> "FleetServer":
         self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
+            self._handle_connection,
+            self.host,
+            self.port,
+            limit=protocol.MAX_LINE_BYTES,
         )
         sockets = self._server.sockets or ()
         if sockets:
@@ -587,14 +590,19 @@ class FleetServer:
         try:
             while True:
                 try:
-                    line = await reader.readline()
-                except (ConnectionResetError, asyncio.IncompleteReadError):
+                    line = await protocol.read_request_line(reader)
+                except ConnectionResetError:
                     break
-                if not line:
+                if line is None:
+                    # Refused here, like a backend would; the reply is
+                    # this connection's last.
+                    reply = protocol.oversize_line_response()
+                elif not line:
                     break
-                if not line.strip():
+                elif not line.strip():
                     continue
-                reply = await self._route(line)
+                else:
+                    reply = await self._route(line)
                 payload = (
                     protocol.encode(reply) if isinstance(reply, dict) else reply
                 )
@@ -603,7 +611,7 @@ class FleetServer:
                     await writer.drain()
                 except (ConnectionResetError, BrokenPipeError):
                     break
-                if self.shutdown_requested.is_set():
+                if line is None or self.shutdown_requested.is_set():
                     break
         finally:
             try:

@@ -17,6 +17,7 @@ before the process exits.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 from typing import Optional
 
 from ..obs import get_instrumentation
@@ -125,7 +126,10 @@ class QueryServer:
     async def start(self) -> "QueryServer":
         await self.engine.start()
         self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
+            self._handle_connection,
+            self.host,
+            self.port,
+            limit=protocol.MAX_LINE_BYTES,
         )
         sockets = self._server.sockets or ()
         if sockets:
@@ -185,8 +189,15 @@ class QueryServer:
         try:
             while True:
                 try:
-                    line = await reader.readline()
-                except (ConnectionResetError, asyncio.IncompleteReadError):
+                    line = await protocol.read_request_line(reader)
+                except ConnectionResetError:
+                    break
+                if line is None:
+                    # The refusal is this connection's last reply.
+                    refusal = protocol.oversize_line_response()
+                    with contextlib.suppress(ConnectionResetError, BrokenPipeError):
+                        writer.write(protocol.encode(refusal))
+                        await writer.drain()
                     break
                 if not line:
                     break

@@ -18,10 +18,16 @@ import random
 
 from repro.core.semantics import OrderedSemantics
 from repro.kb.query import answers_in
-from repro.lang.parser import parse_rules
+from repro.lang.parser import parse_literal, parse_rules
 from repro.lang.program import OrderedProgram
 from repro.query import CompiledDemand, demand_answers
 from repro.workloads.random_programs import random_stratified_program
+
+from ..kb.test_indexed_reads import (
+    assert_reads_match_scan,
+    scan_answers_in,
+    sweep_random_programs,
+)
 
 #: Number of seeded random programs swept (CI-overridable).
 N_PROGRAMS = int(os.environ.get("DEMAND_PROGRAMS", "200"))
@@ -140,6 +146,27 @@ class TestFirstOrderSweep:
                 if assert_demand_agrees(program, "main", goal):
                     served += 1
         assert served == checked, "every generated view is demand-eligible"
+
+
+class TestMaterializedOracle:
+    def test_probe_reads_equal_the_scan(self):
+        """This lane's oracle, ``answers_in`` over the materialized
+        model, is itself held to the full-model scan it used to be
+        (``tests/kb/test_indexed_reads.py`` keeps that scan): on this
+        lane's programs and goals, on every goal shape the read path
+        distinguishes, and on the ordered first-order sweep — negative
+        heads, several components, all three modes."""
+        for seed in range(N_PROGRAMS):
+            rng = random.Random(40_000 + seed)
+            program = random_first_order_program(rng)
+            semantics = OrderedSemantics(program, "main")
+            model = semantics.least_model
+            for goal in random_goals(rng, program):
+                assert answers_in(model, goal) == scan_answers_in(
+                    model, parse_literal(goal)
+                ), goal
+            assert_reads_match_scan(semantics, rng)
+        assert sweep_random_programs(N_PROGRAMS, 50_000) >= N_PROGRAMS
 
 
 class TestCompiledReuse:

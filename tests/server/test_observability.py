@@ -354,6 +354,70 @@ class TestDemandRoute:
         run(scenario())
 
 
+class TestMaterializedRoute:
+    """Every read's root span names its route; a materialized read also
+    says how the model was read (``read.probe``) and what that looked
+    at (cost keys ``read_candidates`` / ``read_answers``)."""
+
+    def test_trace_tells_a_probe_from_a_relation_walk(self):
+        from repro.workloads import build_session_kb
+
+        members = 512
+        kb = build_session_kb(1, members)
+        kb.tell("level0", "\n".join(f"enrolled_0(e{i})." for i in range(members)))
+
+        async def traced(engine, op, pattern, **extra):
+            reply = await roundtrip(
+                engine, op=op, view="level0", pattern=pattern, trace=True, id=1, **extra
+            )
+            trace = reply["result"].pop("trace")
+            fields = trace["spans"]["fields"]
+            assert trace["spans"]["name"] == f"server.{op}"
+            assert "server.read" in span_names(trace["spans"])
+            assert fields["route"] == "materialized"
+            return reply["result"], fields.get("read.probe"), trace.get("costs", {})
+
+        async def scenario():
+            async with ServerEngine(kb) as engine:
+                await roundtrip(engine, op="ask", view="level0", pattern="ok(e0)", id=0)
+                result, probe, costs = await traced(engine, "query", "member(X)")
+                assert result["count"] == members and probe == "relation"
+                assert costs == {"read_candidates": members, "read_answers": members}
+                # A cautious ask stops at the first match instead of
+                # building, sorting and discarding all 512 answers.
+                result, probe, costs = await traced(engine, "ask", "member(X)")
+                assert result == {"holds": True} and probe == "relation"
+                assert costs == {"read_candidates": 1, "read_answers": 1}
+                result, probe, costs = await traced(engine, "ask", "member(e7)")
+                assert result == {"holds": True} and probe == "member"
+                assert costs == {"read_candidates": 1, "read_answers": 1}
+                # False, undefined-relation and unknown-predicate goals
+                # hold exactly as they did.
+                for pattern, probe_kind in (
+                    ("-member(e7)", "member"),
+                    ("-member(X)", "relation"),
+                    ("sus_0(X)", "relation"),
+                    ("zz_unknown(X)", "relation"),
+                    ("zz_unknown(e7)", "member"),
+                ):
+                    result, probe, costs = await traced(engine, "ask", pattern)
+                    assert result == {"holds": False} and probe == probe_kind
+                    assert costs["read_answers"] == 0
+                    assert costs["read_candidates"] == (probe_kind == "member")
+                # Skeptical asks keep the full evaluation.
+                result, probe, costs = await traced(
+                    engine, "ask", "member(X)", mode="skeptical"
+                )
+                assert result == {"holds": True}
+                assert costs["read_candidates"] == members
+                # An explain is a materialized read too (no probe: it
+                # replays the derivation).
+                result, probe, _ = await traced(engine, "explain", "member(e7)")
+                assert result["derived"] is True and probe is None
+
+        run(scenario())
+
+
 class TestSlowQueryLog:
     def test_disabled_by_default(self):
         async def scenario():

@@ -519,3 +519,45 @@ class TestFleet:
                     await fleet.aclose()
 
         run(scenario())
+
+    def test_oversize_line_is_refused_by_the_fleet_front_end(self):
+        """The fleet proxy reads request lines the way ``QueryServer``
+        does: an oversize one gets ``bad_request`` and a closed
+        connection — it used to kill the handler with no reply."""
+        from repro.server.protocol import MAX_LINE_BYTES
+
+        async def scenario():
+            unhandled = []
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: unhandled.append(context)
+            )
+            async with QueryServer(ServerEngine(make_kb()), port=0) as leader:
+                backend = Backend("127.0.0.1", leader.port)
+                fleet = FleetServer(backend, [], port=0)
+                await fleet.start()
+                try:
+                    bystander = await Client.connect(fleet.port)
+                    client = await Client.connect(fleet.port)
+                    reply = await client.call(
+                        id=1, op="ask", view="bird",
+                        pattern="fly(" + "a" * 100_000 + ")",
+                    )
+                    assert reply["ok"] is False and reply["id"] is None
+                    assert reply["error"]["code"] == "bad_request"
+                    assert reply["error"]["message"] == (
+                        f"request line exceeds {MAX_LINE_BYTES} bytes"
+                    )
+                    assert await client.reader.read() == b""
+                    await client.close()
+                    # Never forwarded; other connections still routed.
+                    assert backend.requests == 0
+                    asked = await bystander.call(
+                        id=2, op="ask", view="bird", pattern="fly(tweety)"
+                    )
+                    assert asked["ok"] and asked["result"]["holds"] is True
+                    await bystander.close()
+                finally:
+                    await fleet.aclose()
+            assert unhandled == []
+
+        run(scenario())

@@ -110,6 +110,53 @@ def test_malformed_lines_get_bad_request_replies():
     run(scenario())
 
 
+def test_oversize_line_is_refused_without_killing_the_handler():
+    """A request line over the stream limit used to raise ValueError out
+    of ``readline``: the handler died with "Unhandled exception in
+    client_connected_cb" and the client got EOF with no reply."""
+    from repro.server.protocol import MAX_LINE_BYTES
+
+    async def scenario():
+        unhandled = []
+        asyncio.get_running_loop().set_exception_handler(
+            lambda loop, context: unhandled.append(context)
+        )
+        async with QueryServer(ServerEngine(make_kb()), port=0) as server:
+            bystander = await Client.connect(server.port)
+            client = await Client.connect(server.port)
+            request = {
+                "id": 1,
+                "op": "ask",
+                "view": "bird",
+                "pattern": "fly(" + "a" * 100_000 + ")",
+            }
+            reply = await client.send_raw((json.dumps(request) + "\n").encode())
+            assert reply["ok"] is False and reply["id"] is None
+            assert reply["error"]["code"] == "bad_request"
+            assert reply["error"]["message"] == (
+                f"request line exceeds {MAX_LINE_BYTES} bytes"
+            )
+            # ... and that reply was the connection's last.
+            assert await client.reader.read() == b""
+            await client.close()
+            # A line of exactly the limit is still a request.
+            fits = b'{"id": 2, "op": "health"}'
+            fits += b" " * (MAX_LINE_BYTES - len(fits)) + b"\n"
+            second = await Client.connect(server.port)
+            ok = await second.send_raw(fits)
+            assert ok["id"] == 2 and ok["ok"]
+            await second.close()
+            # Connections open before the oversize line are unaffected.
+            asked = await bystander.call(
+                id=3, op="ask", view="bird", pattern="fly(tweety)"
+            )
+            assert asked["ok"] and asked["result"]["holds"] is True
+            await bystander.close()
+        assert unhandled == []
+
+    run(scenario())
+
+
 def test_concurrent_connections_interleave():
     async def scenario():
         async with QueryServer(ServerEngine(make_kb()), port=0) as server:
