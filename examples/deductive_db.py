@@ -1,20 +1,21 @@
 #!/usr/bin/env python3
-"""The deductive-database side of Example 6: relations + Datalog.
+"""The deductive-database side of Example 6: relations + recursive rules.
 
 The paper's ancestor program defines ``parent`` "through a database
-relation".  This example loads an extensional database, evaluates the
-recursive IDB with the non-ground semi-naive engine (no Herbrand-
-universe grounding), cross-checks against the ground pipeline, and then
-wraps the same program in ``OV`` to get the ordered reading with its
-explicit closed world.
+relation".  This example loads an extensional database into a
+knowledge-base object, answers the recursive IDB goal-directed
+(``strategy="demand"``: a magic-sets rewrite, no grounding over the
+Herbrand universe), cross-checks those answers against the materialized
+least model, and then reads the rule with negation through ``OV`` — the
+ordered version of Section 3, whose closed-world component makes
+``-child(X)`` derivable.
 
 Run:  python examples/deductive_db.py
 """
 
-from repro import parse_rules
-from repro.classical.positive import minimal_model
-from repro.db import Database, DatalogEngine
-from repro.grounding import Grounder
+from repro import KnowledgeBase, Variable, parse_rules
+from repro.db import Database
+from repro.kb import evaluate_query
 from repro.reductions import ordered_version
 
 FAMILY = [
@@ -31,10 +32,19 @@ RULES = parse_rules(
     anc(X, Y) :- parent(X, Y).
     anc(X, Y) :- parent(X, Z), anc(Z, Y).
     siblings(X, Y) :- parent(P, X), parent(P, Y), X != Y.
-    patriarch(X) :- parent(X, Y), -child(X).
     child(X) :- parent(Y, X).
     """
 )
+
+# Negation in a seminegative program is the paper's closed world: a
+# patriarch is a parent who is *derivably* nobody's child.
+PATRIARCH = parse_rules("patriarch(X) :- parent(X, Y), -child(X).")
+
+X = Variable("X")
+
+
+def names(answers) -> list[str]:
+    return sorted({str(a.bindings[X]) for a in answers})
 
 
 def main() -> None:
@@ -46,40 +56,34 @@ def main() -> None:
     print("=" * 60)
     print(f"EDB: parent relation with {len(db.relation('parent'))} tuples")
 
-    engine = DatalogEngine(RULES, db)
+    kb = KnowledgeBase()
+    kb.define("family", RULES)
+    kb.tell_facts("family", db)
 
-    from repro import Variable
+    ancestors = kb.query("family", "anc(adam, X)", strategy="demand")
+    print("\nadam's descendants:", names(ancestors))
+    assert kb.ask("family", "anc(adam, kenan)", strategy="demand")
+    assert not kb.ask("family", "anc(kenan, adam)", strategy="demand")
 
-    X = Variable("X")
-    ancestors = engine.query("anc(adam, X)")
-    print("\nadam's descendants:", sorted(str(t[X]) for t in ancestors))
-    assert engine.holds("anc(adam, kenan)")
-    assert not engine.holds("anc(kenan, adam)")
-
-    siblings = engine.query("siblings(cain, X)")
-    print("cain's siblings:   ", sorted(str(t[X]) for t in siblings))
-
-    patriarchs = engine.query("patriarch(X)")
-    print("patriarchs:        ", sorted(str(t[X]) for t in patriarchs))
-    assert engine.holds("patriarch(adam)")
-    assert not engine.holds("patriarch(cain)")
-
-    # Differential check: the engine's fixpoint equals ground-then-close
-    # (for the positive fragment) on every atom.
-    positive = [r for r in RULES if r.is_positive and not r.guards()]
-    facts = db.facts()
-    ground = Grounder().ground_rules(facts + positive)
-    engine_pos = DatalogEngine(positive, db)
-    assert {a for a in engine_pos.atoms() if a.predicate in ("anc", "child", "parent")} == {
-        a for a in minimal_model(ground.rules) if a.predicate in ("anc", "child", "parent")
-    }
-    print("\nnon-ground engine == ground-then-close on the positive part ✓")
+    siblings = kb.query("family", "siblings(cain, X)", strategy="demand")
+    print("cain's siblings:   ", names(siblings))
 
     # The ordered reading: OV adds the explicit closed world, so
-    # non-ancestry is *derivably false*, not merely absent.
-    sem = ordered_version(facts + parse_rules(
-        "anc(X, Y) :- parent(X, Y). anc(X, Y) :- parent(X, Z), anc(Z, Y)."
-    )).semantics()
+    # non-membership is *derivably false*, not merely absent.
+    sem = ordered_version(db.facts() + RULES + PATRIARCH).semantics()
+    patriarchs = evaluate_query(sem, "patriarch(X)")
+    print("patriarchs:        ", names(patriarchs))
+    assert sem.holds("patriarch(adam)")
+    assert not sem.holds("patriarch(cain)")
+
+    # Differential check: goal-directed answers equal the answers read
+    # off the materialized least model, goal by goal.
+    for goal in ("anc(adam, X)", "anc(X, kenan)", "siblings(cain, X)", "child(X)"):
+        demand = kb.query("family", goal, strategy="demand")
+        materialized = evaluate_query(kb.view("family"), goal)
+        assert [str(a) for a in demand] == [str(a) for a in materialized], goal
+    print("\ndemand answers == materialized answers ✓")
+
     assert sem.holds("-anc(kenan, adam)")
     print("OV(C): -anc(kenan, adam) is explicitly derived (CWA component)")
     print("\nOK")

@@ -6,7 +6,7 @@ Usage:
     python scripts/check_server_read_latency.py BENCH.json --max-ratio 3
     python scripts/check_server_read_latency.py BENCH.json \
         --experiment server-trace --baseline untraced \
-        --contender traced --max-ratio 1.3
+        --contender traced --max-overhead-us 23
 
 Reads one experiment from a pytest-benchmark JSON payload
 (``benchmarks/bench_server.py``) and fails (exit 1) unless the p50 of
@@ -14,8 +14,14 @@ the *contender* strategy stays within ``--max-ratio`` of the *baseline*
 strategy's p50.  The defaults gate snapshot isolation: reads with a
 busy background writer (``busy``) must stay within 3x of reads with an
 idle writer (``idle``), because readers answer from the published
-snapshot and never wait on the write pipeline.  The same script gates
-tracing overhead (``server-trace``: ``traced`` vs ``untraced``).
+snapshot and never wait on the write pipeline.
+
+``--max-overhead-us`` gates the *difference* of the two p50s instead
+of their ratio.  It is how tracing is gated (``server-trace``:
+``traced`` minus ``untraced``): what tracing adds to a request is a
+constant — one context, one span, the annotations, the summary — so a
+ratio gate tightens every time the untraced read under it gets faster,
+without tracing having changed at all.
 
 The p50s come from ``extra_info`` (measured per request inside the
 benchmark) because the benchmark's own mean times the whole read loop —
@@ -60,6 +66,13 @@ def main(argv: list[str]) -> int:
         default=float(os.environ.get("SERVER_READ_MAX_RATIO", "3.0")),
         help="largest allowed contender-p50 / baseline-p50 ratio",
     )
+    parser.add_argument(
+        "--max-overhead-us",
+        type=float,
+        default=None,
+        help="gate contender-p50 minus baseline-p50 (microseconds) "
+        "instead of the ratio",
+    )
     args = parser.parse_args(argv[1:])
 
     with open(args.payload) as handle:
@@ -87,16 +100,25 @@ def main(argv: list[str]) -> int:
         return 1
 
     ratio = p50s[args.contender] / p50s[args.baseline]
-    ok = ratio <= args.max_ratio
+    overhead_us = (p50s[args.contender] - p50s[args.baseline]) * 1e6
     for strategy in (args.baseline, args.contender):
         print(
             f"{strategy}: p50={p50s[strategy] * 1e6:.1f}us "
             f"p95={p95s[strategy] * 1e6:.1f}us"
         )
-    print(
-        f"{args.contender}/{args.baseline} p50 ratio: {ratio:.2f} "
-        f"[gate <= {args.max_ratio}: {'ok' if ok else 'FAIL'}]"
-    )
+    if args.max_overhead_us is not None:
+        ok = overhead_us <= args.max_overhead_us
+        print(
+            f"{args.contender} - {args.baseline} p50 overhead: "
+            f"{overhead_us:.1f}us ({ratio:.2f}x) "
+            f"[gate <= {args.max_overhead_us}us: {'ok' if ok else 'FAIL'}]"
+        )
+    else:
+        ok = ratio <= args.max_ratio
+        print(
+            f"{args.contender}/{args.baseline} p50 ratio: {ratio:.2f} "
+            f"[gate <= {args.max_ratio}: {'ok' if ok else 'FAIL'}]"
+        )
     return 0 if ok else 1
 
 

@@ -38,11 +38,10 @@ bound is widened to ⊤ after :data:`WIDEN_AFTER` rounds, so every SCC
 converges after a bounded number of rounds.  Widenings are counted on
 the ``analysis.widenings.*`` counters.
 
-Consumers: the Datalog engine's join planner
-(:func:`repro.db.columnar.plan_join`), the magic-sets sips ordering, and
-the static analyzer (:mod:`repro.analysis.static`: ``type-clash``,
-``provably-empty``, ``dead-rule`` and the semantic ``function-growth``
-check).  The grounder is not one: its relevance grounding joins against
+Consumers: the magic-sets sips ordering and the demand engine's join
+orders (:mod:`repro.query`), and the static analyzer
+(:mod:`repro.analysis.static`: ``type-clash``, ``provably-empty``,
+``dead-rule`` and the semantic ``function-growth`` check).  The grounder is not one: its relevance grounding joins against
 the concrete possible-literal set (:mod:`repro.grounding.grounder`),
 which is exact where these domains are widened.  See
 ``docs/analysis.md`` ("Abstract domains").
@@ -669,7 +668,7 @@ def analyze_rules(
     edb: Iterable[object] = (),
 ) -> AbstractAnalysis:
     """Analyze a plain rule set (one component, optionally with EDB
-    relations — the Datalog engine's shape)."""
+    relations — the demand route's shape)."""
     obs = get_instrumentation()
     rules = tuple(rules)
     with obs.span("analysis.abstract", rules=len(rules)):

@@ -32,7 +32,6 @@ from .threevalued import (
     minimal_three_valued_models,
     three_valued_models,
 )
-from .topdown import DepthBoundReached, TabledEngine, sld_answers
 from .wellfounded import WellFoundedResult, well_founded
 
 __all__ = [
@@ -61,7 +60,4 @@ __all__ = [
     "perfect_model",
     "WellFoundedResult",
     "well_founded",
-    "DepthBoundReached",
-    "TabledEngine",
-    "sld_answers",
 ]

@@ -3,7 +3,8 @@
 * :mod:`repro.core.interpretation` — 3-valued interpretations.
 * :mod:`repro.core.statuses` — Definition 2 rule statuses.
 * :mod:`repro.core.transform` — the ``V_{P,C}`` transformation.
-* :mod:`repro.core.incremental` — semi-naive delta-driven fixpoints.
+* :mod:`repro.core.compiled` — the semi-naive kernel: one watch-list
+  index per view, delta-driven fixpoints over it.
 * :mod:`repro.core.maintenance` — assert/retract model maintenance.
 * :mod:`repro.core.models` — Definition 3 model checking.
 * :mod:`repro.core.assumptions` — assumption sets, enabled version.
@@ -12,7 +13,6 @@
 """
 
 from .assumptions import AssumptionAnalyzer, literal_closure
-from .incremental import RuleIndex, SemiNaiveFixpoint
 from .interpretation import Interpretation, TruthValue
 from .maintenance import (
     DeltaStats,
@@ -33,8 +33,6 @@ __all__ = [
     "StatusEvaluator",
     "StatusReport",
     "OrderedTransform",
-    "RuleIndex",
-    "SemiNaiveFixpoint",
     "MaintainedModel",
     "MaintenanceConfig",
     "DeltaStats",

@@ -11,17 +11,18 @@ deltas instead:
   python ``array('Q')`` fallback otherwise.  Selection is import-guarded
   and overridable (``REPRO_DENSE_BACKEND``, :func:`use_backend`).
 * :mod:`repro.core.compiled.index` — :class:`CompiledRuleIndex`: the
-  watch lists of :class:`~repro.core.incremental.RuleIndex` flattened to
-  CSR integer arrays over the grounding-time
+  literal→rule watch lists of one view, built in one pass from its
+  ground rules as CSR integer arrays over the grounding-time
   :class:`~repro.grounding.grounder.AtomTable` ids.
 * :mod:`repro.core.compiled.fixpoint` — :class:`DenseFixpoint`: the
   integer semi-naive kernel, plus :class:`DenseModelData`, the paired
   true/false bitsets of the computed least model that materialize
   literal objects lazily at the API boundary.
 
-The dense path is ``strategy="seminaive"``'s internal representation —
-:class:`~repro.core.incremental.SemiNaiveFixpoint` wraps it behind the
-unchanged public API.  See ``docs/performance.md``.
+The dense path *is* ``strategy="seminaive"``:
+:meth:`~repro.core.transform.OrderedTransform.least_fixpoint` drives
+the kernel and decodes literal objects only at the API boundary.  See
+``docs/performance.md``.
 """
 
 from .backend import available_backends, backend_name, use_backend

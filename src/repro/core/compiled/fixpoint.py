@@ -1,10 +1,44 @@
-"""The integer semi-naive fixpoint kernel.
+"""The integer semi-naive fixpoint kernel for ``V_{P,C}`` (Definition 4).
 
-:class:`DenseFixpoint` is the compiled counterpart of the object
-engine's delta loop: the same one-way counter flips (satisfied /
-blocked / live-overruler / live-defeater — see
-:mod:`repro.core.incremental` for the monotonicity argument), advanced
-over **integer deltas**.  A stage's delta is a list of literal ids;
+Naive iteration recomputes ``V(I)`` from scratch at every stage: it
+rebuilds a :class:`~repro.core.statuses.StatusSnapshot` and rescans
+every ground rule, so a fixpoint reached after ``k`` stages over ``n``
+rules costs ``O(k · n)`` status evaluations even when each stage only
+derives a literal or two.  :class:`DenseFixpoint` evaluates the same
+fixpoint delta-driven, in the style of semi-naive Datalog evaluation,
+adapted to the three extra moving parts of ordered programs: blocking,
+overruling and defeating.
+
+The key observation is Lemma 1 (monotonicity) specialised to the
+ascending chain ``∅ ⊆ V(∅) ⊆ V²(∅) ⊆ …``: along that chain every
+status flip is one-way.
+
+* ``B(r) ⊆ I`` (*applicable*) flips false → true only, so it can be
+  tracked by a per-rule **satisfied counter** incremented when a body
+  literal enters the interpretation;
+* *blocked* flips false → true only, triggered the first time the
+  complement of a body literal is derived;
+* *overruled* / *defeated* flip true → **false** only: a contradicting
+  rule stops being a threat exactly when it becomes blocked, so a
+  per-rule **live-contradictor counter** (decremented when a watched
+  contradictor becomes blocked) reaches zero precisely when the rule is
+  no longer overruled / defeated.
+
+Because every flip is one-way, a rule's "fires under ``I``" verdict is
+itself monotone along the chain, and only rules *watching* a literal of
+the current delta can change verdict.  Each stage therefore touches
+``O(|delta| · watchers)`` rules instead of all of them; the whole
+fixpoint does ``O(total watch-list traffic)`` work, which is the
+semi-naive bound.  The least model produced is literal-for-literal
+identical to naive iteration, stage boundaries included — enforced by
+``tests/properties/test_seminaive_differential.py`` and the
+differential CI job.
+
+The static watch lists are a
+:class:`~repro.core.compiled.index.CompiledRuleIndex` (built once per
+:class:`~repro.core.statuses.StatusEvaluator` and shared by every run —
+the solver re-enters the fixpoint once per search tree); this module
+holds the per-run counters.  A stage's delta is a list of literal ids;
 propagation walks CSR slices and bumps ``array``/``bytearray`` cells,
 so no literal object is hashed anywhere inside the loop.  The loop is
 resumable (:meth:`DenseFixpoint.advance`): incremental maintenance
@@ -15,7 +49,8 @@ The result of a cold run is a :class:`DenseModelData`: the derived
 literal ids plus the paired true/false bitsets of the least model.  Object
 :class:`~repro.core.interpretation.Interpretation` views are built from
 it lazily — a benchmark (or the solver) that re-runs the fixpoint
-without reading the model never pays the decode.
+without reading the model never pays the decode.  See
+``docs/performance.md``.
 """
 
 from __future__ import annotations

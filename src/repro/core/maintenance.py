@@ -53,7 +53,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
-from itertools import compress
+from itertools import chain, compress
 from typing import TYPE_CHECKING, Collection, Iterable, Sequence
 
 from ..grounding.grounder import GroundRule
@@ -171,13 +171,13 @@ class MaintainedModel:
         self.config = config
         self._order = evaluator.order
         self._base = frozenset(base)
-        compiled = evaluator.index.compiled
+        compiled = evaluator.index
         self._table = compiled.table
-        self._rules: list[GroundRule] = list(evaluator.index.rules)
+        self._rules: list[GroundRule] = list(compiled.rules)
         self._alive = bytearray(b"\x01") * compiled.n_rules
-        self._by_head: dict[int, list[int]] = {}
-        for i, h in enumerate(compiled.heads):
-            self._by_head.setdefault(h, []).append(i)
+        # Head literal id → ids of the told facts appended below; the
+        # compiled rules' heads are the index's own ``by_head``.
+        self._told_by_head: dict[int, list[int]] = {}
         # Every empty-body rule is a retractable fact: key → rule id,
         # told while ``_alive`` (else a tombstone).  One ground instance
         # stands for all told copies; counting them is the program's
@@ -292,6 +292,13 @@ class MaintainedModel:
         stages = self._fp.advance(candidates, 2 * len(self._base) + 2)
         return sum(map(len, stages))
 
+    def _rules_heading(self, h: int) -> Iterable[int]:
+        """Ids of every rule, compiled or told since, whose head is the
+        literal id ``h``."""
+        compiled = self._fp.index.by_head.get(h, ())
+        told = self._told_by_head.get(h)
+        return chain(compiled, told) if told else compiled
+
     def _set_threat(self, j: int, live: bool, pending: _Pending) -> int:
         """Rule ``j`` became (or stopped being) a live threat: shift the
         live counters of the rules it contradicts, un-firing the newly
@@ -377,7 +384,7 @@ class MaintainedModel:
         live_over = live_defeat = 0
         order = self._order
         extra = fp.contra_extra
-        for j in self._by_head.get(h ^ 1, ()):
+        for j in self._rules_heading(h ^ 1):
             other = self._rules[j].component
             # The existing rule as a threat to the new fact...
             if order.strictly_below(other, component):
@@ -394,7 +401,7 @@ class MaintainedModel:
                 extra.setdefault(i, []).append(j << 1)
         fp.live_overrulers.append(live_over)
         fp.live_defeaters.append(live_defeat)
-        self._by_head.setdefault(h, []).append(i)
+        self._told_by_head.setdefault(h, []).append(i)
         return i
 
     # ------------------------------------------------------------------
@@ -424,7 +431,7 @@ class MaintainedModel:
             deleted += 1
             # Un-fire every remaining deriver; the forward phase will
             # re-fire (and re-derive l) whatever is still supported.
-            for i in self._by_head.get(l, ()):
+            for i in self._rules_heading(l):
                 if fired[i]:
                     fired[i] = 0
                     candidates.add(i)
@@ -478,7 +485,7 @@ class MaintainedModel:
         fired_heads = set()
         for i, r in enumerate(self._rules):
             live_over = live_defeat = 0
-            for j in self._by_head.get(fp.heads[i] ^ 1, ()):
+            for j in self._rules_heading(fp.heads[i] ^ 1):
                 if fp.blocked[j]:  # tombstones included
                     continue
                 other = self._rules[j].component

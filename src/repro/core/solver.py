@@ -81,8 +81,8 @@ class ModelEnumerator:
         only over the atoms it leaves undefined.
 
         Computed through the enumerator's one transform, so every
-        fixpoint the search triggers shares the evaluator's semi-naive
-        :class:`~repro.core.incremental.RuleIndex` instead of
+        fixpoint the search triggers shares the evaluator's
+        :class:`~repro.core.compiled.index.CompiledRuleIndex` instead of
         rebuilding watch lists per call.
         """
         if self._least is None:

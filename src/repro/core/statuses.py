@@ -19,15 +19,13 @@ Definition-2 ``overruled`` and the stronger ``overruled_by_applied``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from ..grounding.grounder import AtomTable, GroundRule
 from ..lang.literals import Literal
 from ..lang.poset import PartialOrder
+from .compiled.index import CompiledRuleIndex
 from .interpretation import Interpretation
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from .incremental import RuleIndex
 
 __all__ = ["ComponentOrder", "StatusReport", "StatusEvaluator", "StatusSnapshot"]
 
@@ -101,10 +99,10 @@ class StatusEvaluator:
         self._rules = tuple(rules)
         self._order = order
         self._by_head: dict[Literal, list[GroundRule]] = {}
-        self._index: Optional["RuleIndex"] = None
+        self._index: Optional[CompiledRuleIndex] = None
         #: The grounding-time atom table, when the caller has one — the
-        #: compiled watch-list index reuses its dense ids instead of
-        #: re-interning every literal.
+        #: watch-list index reuses its dense ids instead of interning a
+        #: private table.
         self.atom_table = atom_table
         for r in self._rules:
             self._by_head.setdefault(r.head, []).append(r)
@@ -121,18 +119,18 @@ class StatusEvaluator:
         return tuple(self._by_head.get(head, ()))
 
     @property
-    def index(self) -> "RuleIndex":
+    def index(self) -> CompiledRuleIndex:
         """The semi-naive watch-list index over these rules.
 
         Built lazily on first use and cached for the evaluator's
         lifetime, so repeated fixpoints (the solver visits one per
-        search tree, the reductions one per reduced program) share a
-        single index.
+        search tree, the reductions one per reduced program) and the
+        view's maintained model share a single index.
         """
         if self._index is None:
-            from .incremental import RuleIndex
-
-            self._index = RuleIndex(self)
+            self._index = CompiledRuleIndex(
+                self._rules, self._order, self.atom_table
+            )
         return self._index
 
     # ------------------------------------------------------------------

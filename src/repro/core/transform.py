@@ -15,9 +15,9 @@ The fixpoint is computed by one of two interchangeable strategies
 (cross-checked literal-for-literal by the differential property suite
 and CI job):
 
-* ``"seminaive"`` (the default) — the delta-driven evaluation of
-  :mod:`repro.core.incremental`: each stage touches only the rules
-  watching a literal of the previous stage's delta;
+* ``"seminaive"`` (the default) — the delta-driven kernel of
+  :mod:`repro.core.compiled.fixpoint`: each stage touches only the
+  rules watching a literal of the previous stage's delta;
 * ``"naive"`` — iterate ``step`` from the empty interpretation,
   rebuilding a full :class:`~repro.core.statuses.StatusSnapshot` and
   rescanning every ground rule per stage.  Kept as the executable
@@ -36,7 +36,8 @@ from ..lang.errors import InconsistencyError
 from ..lang.literals import Literal, is_consistent
 from ..obs import Level, get_instrumentation
 from ..obs.instruments import NULL_SPAN
-from .incremental import SemiNaiveFixpoint
+from ..obs.trace import current_trace
+from .compiled.fixpoint import DenseFixpoint
 from .interpretation import Interpretation
 from .statuses import StatusEvaluator
 
@@ -221,32 +222,54 @@ class OrderedTransform:
         chosen = (
             self._strategy if strategy is None else validate_strategy(strategy)
         )
+        if chosen == "naive":
+            return self._naive_least_fixpoint(max_iterations)
+        bound = self._stage_bound(max_iterations)
+        run = DenseFixpoint(self._eval.index)
         obs = get_instrumentation()
-        if chosen == "seminaive":
-            run = SemiNaiveFixpoint(self._eval.index, self._base)
-            # span() hands back NULL_SPAN only when the registry is off
-            # AND no trace context is active — the true zero-cost path.
-            span = obs.span("fixpoint", rules=len(self._eval.rules), strategy=chosen)
-            if span is NULL_SPAN:
-                return run.run(max_iterations)
-            with span:
-                result = run.run(max_iterations)
-                obs.gauge("fixpoint.least_model_size", len(result.literals))
-                obs.event(
-                    "fixpoint.converged",
-                    Level.INFO,
-                    stages=len(run.stage_deltas),
-                    literals=len(result.literals),
+        # span() hands back NULL_SPAN only when the registry is off AND
+        # no trace context is active — the true zero-cost path.
+        span = obs.span("fixpoint", rules=len(self._eval.rules), strategy=chosen)
+        if span is NULL_SPAN:
+            data = run.run(bound)
+            return Interpretation.deferred(data.literals, self._base)
+        with span:
+            data = run.run(bound, obs if obs.enabled else None)
+            stage_ids = run.stage_ids
+            ctx = current_trace()
+            if ctx is not None:
+                # Cost attribution for request tracing / the slow-query
+                # log: everything here is already computed.
+                ctx.add_cost(
+                    fixpoint_stages=len(stage_ids),
+                    rules_fired=sum(run.fired),
+                    literals_derived=len(data),
+                    max_stage_delta=max(map(len, stage_ids), default=0),
                 )
-            return result
-        return self._naive_least_fixpoint(max_iterations)
+            result = Interpretation.deferred(data.literals, self._base)
+            obs.gauge("fixpoint.least_model_size", len(result.literals))
+            obs.event(
+                "fixpoint.converged",
+                Level.INFO,
+                stages=len(stage_ids),
+                literals=len(result.literals),
+            )
+        return result
+
+    def _stage_bound(self, max_iterations: Optional[int]) -> int:
+        """The iterates grow strictly inside ``2·|base|`` literals."""
+        return (
+            max_iterations
+            if max_iterations is not None
+            else 2 * len(self._base) + 2
+        )
 
     def _naive_least_fixpoint(
         self, max_iterations: Optional[int] = None
     ) -> Interpretation:
         """The ``"naive"`` strategy: repeated full applications of
         :meth:`step` — the differential oracle for the semi-naive path."""
-        bound = max_iterations if max_iterations is not None else 2 * len(self._base) + 2
+        bound = self._stage_bound(max_iterations)
         obs = get_instrumentation()
         if not obs.enabled:
             current = Interpretation((), self._base)

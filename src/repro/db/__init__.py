@@ -1,22 +1,17 @@
-"""The deductive-database substrate: relations, an extensional
-database, and a non-ground stratified semi-naive Datalog engine
-(Example 6's "parent is defined through a database relation")."""
+"""The deductive-database substrate: relations, an in-memory
+extensional database, and the disk-backed :class:`EdbStore` (Example 6's
+"parent is defined through a database relation").  Containers only —
+rules are evaluated over them by :mod:`repro.query` (goal-directed) or,
+once told to a knowledge base, by the ordered semantics itself."""
 
-from .columnar import ColumnarIndex, TermInterner, merge_join, shared_interner
 from .database import Database
 from .edb import EdbError, EdbStore
-from .engine import DatalogEngine
 from .relation import Relation, RelationError
 
 __all__ = [
     "Relation",
     "RelationError",
     "Database",
-    "DatalogEngine",
-    "ColumnarIndex",
-    "TermInterner",
-    "merge_join",
-    "shared_interner",
     "EdbError",
     "EdbStore",
 ]

@@ -4,11 +4,10 @@
 Fact bases larger than RAM are a supported scenario: an
 :class:`EdbStore` keeps every relation as an integer column table in a
 single SQLite file, with ground terms deduplicated through a ``terms``
-dictionary table — the on-disk analogue of the in-memory
-:class:`~repro.db.columnar.TermInterner`.  Reads come back as
-:class:`~repro.lang.terms.Term` objects that are *also* interned into
-the process-wide :func:`~repro.db.columnar.shared_interner`, so rows
-fetched from disk join seamlessly against in-memory columnar indexes.
+dictionary table — the file's own id space, next to the evaluator's
+:class:`~repro.grounding.grounder.AtomTable`.  Reads come back as
+:class:`~repro.lang.terms.Term` objects, decoded once per store and
+remembered by the store alone: nothing a store touches outlives it.
 
 The store is the data half of the demand-driven query path
 (``docs/query.md``): :meth:`fetch` pulls only the tuples a magic
@@ -34,7 +33,6 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence
 from ..lang.literals import Atom, Literal
 from ..lang.rules import Rule
 from ..lang.terms import Compound, Constant, Term
-from .columnar import TermInterner, shared_interner
 from .relation import Relation
 
 __all__ = ["EdbStore", "EdbError"]
@@ -90,17 +88,11 @@ class EdbStore:
             recorded in the file on creation, read back on open.
     """
 
-    def __init__(
-        self,
-        path: str,
-        object_name: Optional[str] = None,
-        interner: Optional[TermInterner] = None,
-    ) -> None:
+    def __init__(self, path: str, object_name: Optional[str] = None) -> None:
         self.path = path
         self._conn = sqlite3.connect(path, check_same_thread=False)
         self._conn.execute("PRAGMA journal_mode=WAL")
         self._conn.execute("PRAGMA synchronous=NORMAL")
-        self.interner = interner if interner is not None else shared_interner()
         #: tid -> decoded Term, and its inverse, filled lazily on reads.
         self._terms: dict[int, Term] = {}
         self._tids: dict[Term, int] = {}
@@ -177,7 +169,6 @@ class EdbStore:
             tid = row[0]
         self._tids[term] = tid
         self._terms[tid] = term
-        self.interner.intern(term)
         return tid
 
     def bulk_load(
@@ -288,9 +279,6 @@ class EdbStore:
             term = _decode_term(json.loads(row[0]))
             self._terms[tid] = term
             self._tids[term] = tid
-            # Key disk rows through the shared interner so fetched terms
-            # carry process-wide dense ids like any in-memory relation.
-            self.interner.intern(term)
         return term
 
     def fetch(
@@ -328,7 +316,6 @@ class EdbStore:
                 tid = row[0]
                 self._tids[term] = tid
                 self._terms[tid] = term
-                self.interner.intern(term)
             where.append(f"c{i} = ?")
             params.append(tid)
         sql = f"SELECT * FROM {_table(name)}"

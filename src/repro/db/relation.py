@@ -2,21 +2,17 @@
 
 Example 6 defines ``parent`` "through a database relation [U]"; this
 module supplies that substrate.  A :class:`Relation` is an immutable
-named set of equal-length tuples of ground terms, with the relational
-operations the Datalog engine needs (selection, projection, natural
-join via patterns, union, difference).
+named set of equal-length tuples of ground terms, with the usual
+set-level operations (selection, projection, union, difference).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Union
+from typing import Callable, Iterable, Iterator, Union
 
 from ..lang.errors import ReproError
 from ..lang.literals import Atom
 from ..lang.terms import Term, term_from_python
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from .columnar import ColumnarIndex
 
 __all__ = ["RelationError", "Relation"]
 
@@ -51,7 +47,7 @@ class Relation:
     2
     """
 
-    __slots__ = ("name", "arity", "_rows", "_columnar")
+    __slots__ = ("name", "arity", "_rows")
 
     def __init__(
         self,
@@ -68,7 +64,6 @@ class Relation:
         object.__setattr__(
             self, "_rows", frozenset(_coerce_row(r, arity) for r in rows)
         )
-        object.__setattr__(self, "_columnar", None)
 
     def __setattr__(self, key: str, value: object) -> None:
         raise AttributeError("Relation is immutable")
@@ -97,18 +92,6 @@ class Relation:
     def atoms(self) -> frozenset[Atom]:
         """The relation as a set of ground atoms ``name(row...)``."""
         return frozenset(Atom(self.name, row) for row in self._rows)
-
-    def columnar(self) -> "ColumnarIndex":
-        """The relation's columnar index (interned id columns + cached
-        sort orders), built lazily on first join and reused — the
-        relation is immutable, so the index never goes stale."""
-        index = self._columnar
-        if index is None:
-            from .columnar import ColumnarIndex
-
-            index = ColumnarIndex(self)
-            object.__setattr__(self, "_columnar", index)
-        return index
 
     # ------------------------------------------------------------------
     # Algebra
@@ -149,37 +132,6 @@ class Relation:
     def intersection(self, other: "Relation") -> "Relation":
         self._same_shape(other)
         return Relation(self.name, self.arity, self._rows & other._rows)
-
-    def join(
-        self, other: "Relation", positions: Iterable[tuple[int, int]]
-    ) -> "Relation":
-        """Equi-join on ``(my column, their column)`` pairs; the result
-        columns are mine followed by theirs (no deduplication of join
-        columns — project afterwards)."""
-        positions = tuple(positions)
-        if not positions:
-            # Degenerate cross product: no keys to merge on.
-            combined = [
-                row + match for row in self._rows for match in other._rows
-            ]
-            return Relation(self.name, self.arity + other.arity, combined)
-        # Sorted-merge over the columnar indexes: key columns are dense
-        # interned term ids, so the merge compares machine ints instead
-        # of hashing structured terms per probe.
-        from .columnar import merge_join
-
-        left, right = self.columnar(), other.columnar()
-        lrows, rrows = left.rows, right.rows
-        combined = [
-            lrows[i] + rrows[j]
-            for i, j in merge_join(
-                left,
-                right,
-                tuple(i for i, _ in positions),
-                tuple(j for _, j in positions),
-            )
-        ]
-        return Relation(self.name, self.arity + other.arity, combined)
 
     def with_rows(
         self, extra: Iterable[Iterable[Union[Term, str, int]]]

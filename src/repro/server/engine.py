@@ -85,10 +85,6 @@ class ServerConfig:
             benchmark baseline).
         default_deadline_ms: deadline applied to requests that do not
             carry their own ``deadline_ms``; None means unbounded.
-        refresh_hot_views: eagerly re-materialize, at publish time, the
-            views that were materialized in the previous snapshot and
-            affected by the batch — a hot view's read then never
-            computes or decodes a model, it only probes one.
         keep_history: record every published snapshot and the batch
             that produced it (``engine.history``) — the differential
             harness's oracle input.  Unbounded memory; tests only.
@@ -107,7 +103,6 @@ class ServerConfig:
     max_queue: int = 256
     max_batch: int = 64
     default_deadline_ms: Optional[float] = None
-    refresh_hot_views: bool = True
     keep_history: bool = False
     slow_ms: Optional[float] = None
     slow_log_size: int = 128
@@ -1066,35 +1061,38 @@ class ServerEngine:
             view: e for view, e in prev._explainers.items() if view not in affected
         }
         obs = get_instrumentation()
-        if self.config.refresh_hot_views:
-            for view in prev.models:
-                if view in affected and view in self.kb.objects:
-                    r0 = time.perf_counter()
-                    try:
-                        model = self.kb.view(view).least_model
-                        # A maintained model decodes its member set on
-                        # first read; do it here so a snapshot reader's
-                        # ground goal is one membership probe.  The
-                        # per-predicate index open goals use is *not*
-                        # built here: most versions never see an open
-                        # goal, and the model builds it on the first.
-                        len(model)
-                        models[view] = model
-                    except ReproError:
-                        # The view is now erroneous (e.g. inconsistent);
-                        # readers get the error lazily instead of the
-                        # publish failing the whole batch.
-                        models.pop(view, None)
-                    refresh = time.perf_counter() - r0
-                    hist = self._view_refresh.get(view)
-                    if hist is None:
-                        hist = Histogram(
-                            f"server.view.refresh.{view}", LATENCY_BUCKETS
-                        )
-                        self._view_refresh[view] = hist
-                    hist.observe(refresh)
-                    if obs.enabled:
-                        obs.observe("server.view.refresh", refresh)
+        # Hot views — materialized in the previous snapshot and affected
+        # by the batch — are re-materialized here, at publish time, so
+        # that their reads never compute or decode a model, only probe
+        # one.
+        for view in prev.models:
+            if view in affected and view in self.kb.objects:
+                r0 = time.perf_counter()
+                try:
+                    model = self.kb.view(view).least_model
+                    # A maintained model decodes its member set on
+                    # first read; do it here so a snapshot reader's
+                    # ground goal is one membership probe.  The
+                    # per-predicate index open goals use is *not*
+                    # built here: most versions never see an open
+                    # goal, and the model builds it on the first.
+                    len(model)
+                    models[view] = model
+                except ReproError:
+                    # The view is now erroneous (e.g. inconsistent);
+                    # readers get the error lazily instead of the
+                    # publish failing the whole batch.
+                    models.pop(view, None)
+                refresh = time.perf_counter() - r0
+                hist = self._view_refresh.get(view)
+                if hist is None:
+                    hist = Histogram(
+                        f"server.view.refresh.{view}", LATENCY_BUCKETS
+                    )
+                    self._view_refresh[view] = hist
+                hist.observe(refresh)
+                if obs.enabled:
+                    obs.observe("server.view.refresh", refresh)
         self._version = version
         snapshot = Snapshot(
             version,

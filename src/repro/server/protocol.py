@@ -102,6 +102,7 @@ __all__ = [
     "Request",
     "read_request_line",
     "oversize_line_response",
+    "decode_request",
     "parse_request",
     "request_id_of",
     "ok_response",
@@ -191,6 +192,29 @@ def _require_str(data: dict, key: str, op: str) -> str:
     return value
 
 
+def decode_request(raw: Union[str, bytes, dict]) -> dict:
+    """One request line (or an already-decoded value) as a JSON object
+    whose ``op``, when present, is a string — so callers may test it
+    against the op sets.
+
+    The one place bytes off a socket become a ``dict``: everything
+    ``json.loads`` can raise on them — malformed JSON, bytes that are
+    not UTF-8 (a :class:`ValueError` too), nesting past the recursion
+    limit — surfaces as :class:`ProtocolError`.
+    """
+    if isinstance(raw, (str, bytes)):
+        try:
+            raw = json.loads(raw)
+        except (ValueError, RecursionError) as error:
+            raise ProtocolError(f"invalid JSON: {error}") from error
+    if not isinstance(raw, dict):
+        raise ProtocolError("request must be a JSON object")
+    op = raw.get("op")
+    if op is not None and not isinstance(op, str):
+        raise ProtocolError(f"'op' must be a string, one of {sorted(OPS)}")
+    return raw
+
+
 def parse_request(
     raw: Union[str, bytes, dict], *, default_deadline_ms: Optional[float] = None
 ) -> Request:
@@ -200,15 +224,7 @@ def parse_request(
         ProtocolError: on malformed JSON, an unknown op, or a missing /
             ill-typed per-op field.
     """
-    if isinstance(raw, (str, bytes)):
-        try:
-            data = json.loads(raw)
-        except json.JSONDecodeError as error:
-            raise ProtocolError(f"invalid JSON: {error}") from error
-    else:
-        data = raw
-    if not isinstance(data, dict):
-        raise ProtocolError("request must be a JSON object")
+    data = decode_request(raw)
     op = data.get("op")
     if op not in OPS:
         raise ProtocolError(f"unknown op {op!r}; expected one of {sorted(OPS)}")
@@ -341,12 +357,9 @@ def request_id_of(raw: Union[str, bytes]) -> Any:
     """Best-effort ``id`` extraction from a possibly-malformed line, so
     error replies can still be correlated by the client."""
     try:
-        data = json.loads(raw)
-    except json.JSONDecodeError:
+        return decode_request(raw).get("id")
+    except ProtocolError:
         return None
-    if isinstance(data, dict):
-        return data.get("id")
-    return None
 
 
 def ok_response(

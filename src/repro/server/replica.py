@@ -541,18 +541,21 @@ class FleetServer:
     async def _route(self, line: bytes) -> dict | bytes:
         """One request line to one response line (dict = fleet-local)."""
         try:
-            data = json.loads(line)
-            op = data.get("op") if isinstance(data, dict) else None
-        except json.JSONDecodeError:
-            data, op = None, None
+            data = protocol.decode_request(line)
+        except protocol.ProtocolError as error:
+            # Refused here, like a backend would; the framing was fine,
+            # so the connection stays open.
+            return protocol.error_response(
+                None, protocol.BAD_REQUEST, str(error)
+            )
+        op = data.get("op")
+        request_id = data.get("id")
         if op == "shutdown":
             # Fleet-local: drain the proxy; backends are managed by
             # their own lifecycles (each accepts its own shutdown op).
             self.shutdown_requested.set()
-            request_id = data.get("id") if isinstance(data, dict) else None
             return protocol.ok_response(request_id, None, {"draining": True})
         if op == "subscribe":
-            request_id = data.get("id") if isinstance(data, dict) else None
             return protocol.error_response(
                 request_id,
                 protocol.BAD_REQUEST,
@@ -560,7 +563,7 @@ class FleetServer:
             )
         backend: Optional[Backend] = None
         if op in protocol.READ_OPS:
-            view = data.get("view") if isinstance(data, dict) else None
+            view = data.get("view")
             backend = self._pick_follower(
                 view if isinstance(view, str) else None
             )
@@ -579,7 +582,6 @@ class FleetServer:
                     return await self.leader.call(line)
                 except ConnectionError as fallback_error:
                     error = fallback_error
-            request_id = data.get("id") if isinstance(data, dict) else None
             return protocol.error_response(
                 request_id, protocol.INTERNAL, str(error)
             )

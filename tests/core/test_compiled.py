@@ -1,5 +1,5 @@
 """The compiled (dense-integer) evaluation path: atom interning, the
-bitset backends, and the CSR watch-list compilation.
+bitset backends, and the CSR watch-list index.
 
 The end-to-end guarantees (dense ≡ naive on random programs, backend
 bit-identity) live in ``tests/properties/test_dense_differential.py``;
@@ -9,6 +9,7 @@ this file covers the building blocks directly.
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
 
 from repro.core.compiled import (
     CompiledRuleIndex,
@@ -29,6 +30,12 @@ from repro.grounding.grounder import AtomTable
 from repro.lang.literals import Atom, Literal
 from repro.lang.terms import Constant
 from repro.workloads import paper
+
+from ..properties.strategies import ordered_programs
+from ..properties.test_seminaive_differential import (
+    PAPER_PROGRAMS,
+    WORKLOAD_PROGRAMS,
+)
 
 
 def atom(name: str, *args: str) -> Atom:
@@ -130,37 +137,80 @@ class TestBackends:
                 pass  # pragma: no cover - never reached
 
 
+def assert_index_is_definition_2(sem: OrderedSemantics) -> None:
+    """Every array of the view's index, against Definition 2 read off
+    the ground rules directly (O(rules²): small programs only)."""
+    ev = sem.evaluator
+    index, rules, order = ev.index, ev.rules, ev.order
+    table = index.table
+    assert index.rules == rules
+    assert index.n_rules == len(index) == len(rules)
+    assert list(index.heads) == [table.literal_id(r.head) for r in rules]
+    assert list(index.body_sizes) == [len(r.body) for r in rules]
+    assert list(index.source_facts) == [
+        i for i, r in enumerate(rules) if not r.body
+    ]
+    assert index.n_literals == 2 * len(table)
+    # Body / block watchers of literal l: exactly the rules with l /
+    # its complement in their body.
+    for l in range(index.n_literals):
+        lit = table.literal(l)
+        assert list(index.body_watchers(l)) == [
+            i for i, r in enumerate(rules) if lit in r.body
+        ]
+        assert list(index.block_watchers(l)) == [
+            i for i, r in enumerate(rules) if lit.complement() in r.body
+        ]
+        assert list(index.by_head.get(l, ())) == [
+            i for i, r in enumerate(rules) if r.head == lit
+        ]
+    # Rule j watches i as overruler / defeater iff H(j) = ¬H(i) and
+    # C(j) is strictly below / incomparable-or-equal to C(i).
+    live_over = [0] * len(rules)
+    live_defeat = [0] * len(rules)
+    for j, threat in enumerate(rules):
+        expected = []
+        for i, r in enumerate(rules):
+            if threat.head != r.head.complement():
+                continue
+            if order.strictly_below(threat.component, r.component):
+                expected.append(i << 1 | 1)
+                live_over[i] += 1
+            elif order.incomparable_or_equal(threat.component, r.component):
+                expected.append(i << 1)
+                live_defeat[i] += 1
+        s, e = index.contra_start[j], index.contra_start[j + 1]
+        assert list(index.contra_watchers[s:e]) == expected
+    assert list(index.init_live_overrulers) == live_over
+    assert list(index.init_live_defeaters) == live_defeat
+
+
 class TestCompiledRuleIndex:
     @pytest.fixture()
     def semantics(self):
         return OrderedSemantics(paper.figure1(), "c1")
 
-    def test_csr_matches_object_watch_lists(self, semantics):
-        index = semantics.evaluator.index
-        compiled = index.compiled
-        table = compiled.table
-        for lit, rule_ids in index.body_watch.items():
-            assert sorted(compiled.body_watchers(table.literal_id(lit))) == sorted(
-                rule_ids
-            )
-        for lit, rule_ids in index.block_watch.items():
-            assert sorted(compiled.block_watchers(table.literal_id(lit))) == sorted(
-                rule_ids
-            )
-        assert list(compiled.heads) == [
-            table.literal_id(r.head) for r in index.rules
-        ]
-        assert list(compiled.body_sizes) == list(index.body_sizes)
-        assert list(compiled.init_live_overrulers) == [
-            len(ids) for ids in index.overrulers
-        ]
-        assert list(compiled.init_live_defeaters) == [
-            len(ids) for ids in index.defeaters
-        ]
+    @pytest.mark.parametrize(
+        "program",
+        [p for _, p in PAPER_PROGRAMS + WORKLOAD_PROGRAMS],
+        ids=[n for n, _ in PAPER_PROGRAMS + WORKLOAD_PROGRAMS],
+    )
+    def test_index_is_definition_2(self, program):
+        for component in sorted(program.component_names):
+            assert_index_is_definition_2(OrderedSemantics(program, component))
+
+    @given(ordered_programs())
+    @settings(max_examples=60, deadline=None)
+    def test_index_is_definition_2_on_random_programs(self, program):
+        for component in sorted(program.component_names):
+            assert_index_is_definition_2(OrderedSemantics(program, component))
 
     def test_compiled_index_is_cached(self, semantics):
         index = semantics.evaluator.index
-        assert index.compiled is index.compiled
+        assert index is semantics.evaluator.index
+        # ``.compiled`` is the end-to-end harness's spelling of the same
+        # object, not a second compilation.
+        assert index.compiled is index
 
     def test_compiled_reuses_grounding_table(self, semantics):
         assert semantics.evaluator.index.compiled.table is (
@@ -168,11 +218,12 @@ class TestCompiledRuleIndex:
         )
 
     def test_compiles_without_a_table(self, semantics):
-        # A RuleIndex built from an evaluator with no atom table (e.g.
-        # constructed directly in tests) interns a private table.
-        compiled = CompiledRuleIndex(semantics.evaluator.index, None)
+        # An index built from rules with no atom table (e.g. an
+        # evaluator constructed directly in tests) interns a private one.
+        ev = semantics.evaluator
+        compiled = CompiledRuleIndex(ev.rules, ev.order)
         assert len(compiled.table) > 0
-        assert compiled.n_rules == len(semantics.evaluator.rules)
+        assert compiled.n_rules == len(ev.rules)
 
     def test_dense_fixpoint_matches_least_model(self, semantics):
         compiled = semantics.evaluator.index.compiled

@@ -1,13 +1,13 @@
-"""Unit tests for the semi-naive incremental engine
-(`repro.core.incremental`): index construction, delta propagation,
-counter soundness under overruling (Figure 1) and defeating (Figure 2),
-and strategy agreement on `is_fixpoint`/`is_prefixpoint`."""
+"""Unit tests for the semi-naive engine (`repro.core.compiled`): index
+construction, delta propagation, counter soundness under overruling
+(Figure 1) and defeating (Figure 2), and strategy agreement on
+`is_fixpoint`/`is_prefixpoint`."""
 
 import random
 
 import pytest
 
-from repro.core.incremental import RuleIndex, SemiNaiveFixpoint
+from repro.core.compiled import CompiledRuleIndex
 from repro.core.semantics import OrderedSemantics
 from repro.core.transform import (
     DEFAULT_STRATEGY,
@@ -18,7 +18,7 @@ from repro.lang.errors import InconsistencyError
 from repro.workloads.paper import figure1
 from repro.workloads.random_programs import random_ordered_program
 
-from ..conftest import semantics_of
+from ..conftest import dense_run, semantics_of
 
 
 def rule_named(evaluator, head, body=None):
@@ -33,29 +33,43 @@ def rule_named(evaluator, head, body=None):
     return matches[0]
 
 
+def threats(index, i, overruling):
+    """Ids of the rules that watch rule ``i`` as its potential
+    overrulers (or defeaters), read back from the contradiction CSR."""
+    return tuple(
+        j
+        for j in range(len(index))
+        for packed in index.contra_watchers[
+            index.contra_start[j] : index.contra_start[j + 1]
+        ]
+        if packed >> 1 == i and bool(packed & 1) == overruling
+    )
+
+
 class TestRuleIndex:
     def test_index_is_cached_on_the_evaluator(self, figure1_semantics):
         ev = figure1_semantics.evaluator
         assert ev.index is ev.index
-        assert isinstance(ev.index, RuleIndex)
+        assert isinstance(ev.index, CompiledRuleIndex)
         assert len(ev.index) == len(ev.rules)
 
     def test_body_watch_lists_every_body_occurrence(self, figure1_semantics):
         ev = figure1_semantics.evaluator
         index = ev.index
+        lit_id = index.table.literal_id
         for i, r in enumerate(ev.rules):
             for lit in r.body:
-                assert i in index.body_watch[lit]
+                assert i in index.body_watchers(lit_id(lit))
         # And nothing else: each watch entry really has the literal.
-        for lit, ids in index.body_watch.items():
-            for i in ids:
-                assert lit in ev.rules[i].body
+        for l in range(index.n_literals):
+            for i in index.body_watchers(l):
+                assert index.table.literal(l) in ev.rules[i].body
 
     def test_block_watch_is_the_complement_view(self, figure1_semantics):
         index = figure1_semantics.evaluator.index
-        for lit, ids in index.block_watch.items():
-            for i in ids:
-                assert lit.complement() in index.rules[i].body
+        for l in range(index.n_literals):
+            for i in index.block_watchers(l):
+                assert index.table.literal(l).complement() in index.rules[i].body
 
     def test_figure1_overruler_sets(self, figure1_semantics):
         ev = figure1_semantics.evaluator
@@ -64,26 +78,23 @@ class TestRuleIndex:
         fly_penguin = rule_named(ev, "fly(penguin)")
         neg_fly_penguin = rule_named(ev, "-fly(penguin)")
         # c1's -fly(penguin) rule overrules c2's fly(penguin) rule…
-        assert index.overrulers[ids[fly_penguin]] == (ids[neg_fly_penguin],)
+        assert threats(index, ids[fly_penguin], True) == (ids[neg_fly_penguin],)
         # …never the other way around, and neither defeats the other
         # (c1 < c2 are comparable).
-        assert index.overrulers[ids[neg_fly_penguin]] == ()
-        assert index.defeaters[ids[fly_penguin]] == ()
-        assert index.defeaters[ids[neg_fly_penguin]] == ()
+        assert threats(index, ids[neg_fly_penguin], True) == ()
+        assert threats(index, ids[fly_penguin], False) == ()
+        assert threats(index, ids[neg_fly_penguin], False) == ()
 
     def test_contradiction_watch_inverts_threat_sets(self, figure2_semantics):
+        # The initial live counts are the sizes of the threat sets the
+        # contradiction CSR inverts.
         index = figure2_semantics.evaluator.index
         for i in range(len(index)):
-            for j in index.overrulers[i]:
-                assert (i, True) in index.contradiction_watch[j]
-            for j in index.defeaters[i]:
-                assert (i, False) in index.contradiction_watch[j]
-        for j, watchers in enumerate(index.contradiction_watch):
-            for i, is_overruler in watchers:
-                threats = (
-                    index.overrulers[i] if is_overruler else index.defeaters[i]
-                )
-                assert j in threats
+            assert index.init_live_overrulers[i] == len(threats(index, i, True))
+            assert index.init_live_defeaters[i] == len(threats(index, i, False))
+        assert len(index.contra_watchers) == sum(
+            index.init_live_overrulers
+        ) + sum(index.init_live_defeaters)
 
     def test_figure2_mutual_defeat_sets(self, figure2_semantics):
         ev = figure2_semantics.evaluator
@@ -91,15 +102,14 @@ class TestRuleIndex:
         ids = {r: i for i, r in enumerate(ev.rules)}
         rich = rule_named(ev, "rich(mimmo)")
         neg_rich = rule_named(ev, "-rich(mimmo)")
-        assert index.defeaters[ids[rich]] == (ids[neg_rich],)
-        assert index.defeaters[ids[neg_rich]] == (ids[rich],)
+        assert threats(index, ids[rich], False) == (ids[neg_rich],)
+        assert threats(index, ids[neg_rich], False) == (ids[rich],)
 
 
 class TestDeltaPropagation:
     def test_figure1_stage_deltas_match_naive_iterates(self, figure1_semantics):
         sem = figure1_semantics
-        run = SemiNaiveFixpoint(sem.evaluator.index, sem.ground.base)
-        result = run.run()
+        _, result, stage_deltas = dense_run(sem)
         # Recompute the naive chain and diff consecutive iterates.
         current = sem.interpretation([])
         naive_deltas = []
@@ -109,7 +119,7 @@ class TestDeltaPropagation:
                 break
             naive_deltas.append(nxt.literals - current.literals)
             current = nxt
-        assert run.stage_deltas == naive_deltas
+        assert stage_deltas == naive_deltas
         assert result.literals == current.literals
 
     def test_deltas_are_disjoint_and_cover_the_least_model(self):
@@ -118,10 +128,9 @@ class TestDeltaPropagation:
             program = random_ordered_program(rng, n_atoms=5, n_rules=10)
             for name in program.component_names:
                 sem = OrderedSemantics(program, name, strategy="naive")
-                run = SemiNaiveFixpoint(sem.evaluator.index, sem.ground.base)
-                result = run.run()
+                _, result, stage_deltas = dense_run(sem)
                 seen = set()
-                for delta in run.stage_deltas:
+                for delta in stage_deltas:
                     assert delta, "stages must be productive"
                     assert not (delta & seen), "deltas must be disjoint"
                     seen |= delta
@@ -133,9 +142,8 @@ class TestDeltaPropagation:
         # blocks -fly(pigeon) <- ground_animal(pigeon), which frees
         # fly(pigeon) one stage later.
         sem = figure1_semantics
-        run = SemiNaiveFixpoint(sem.evaluator.index, sem.ground.base)
-        run.run()
-        deltas = [{str(l) for l in d} for d in run.stage_deltas]
+        _, _, stage_deltas = dense_run(sem)
+        deltas = [{str(l) for l in d} for d in stage_deltas]
         assert "-ground_animal(pigeon)" in deltas[1]
         assert deltas[2] == {"fly(pigeon)"}
 
@@ -145,8 +153,7 @@ class TestCounterSoundness:
         """After a run, every counter must agree with the Definition-2
         statuses evaluated directly against the least model."""
         ev = sem.evaluator
-        run = SemiNaiveFixpoint(ev.index, sem.ground.base)
-        lfp = run.run()
+        run, lfp, _ = dense_run(sem)
         for i, r in enumerate(ev.rules):
             assert run.satisfied[i] == sum(1 for l in r.body if l in lfp)
             assert run.blocked[i] == ev.blocked(r, lfp)
@@ -182,8 +189,7 @@ class TestCounterSoundness:
             program = random_ordered_program(rng, n_atoms=5, n_rules=12)
             name = sorted(program.component_names)[0]
             sem = OrderedSemantics(program, name)
-            run = SemiNaiveFixpoint(sem.evaluator.index, sem.ground.base)
-            run.run()
+            run, _, _ = dense_run(sem)
             assert all(c >= 0 for c in run.live_overrulers)
             assert all(c >= 0 for c in run.live_defeaters)
 
@@ -251,17 +257,17 @@ class TestStrategyWiring:
         # forced fire) cannot be built from the public API; instead
         # check the engine raises when driven past its bound.
         sem = semantics_of("component c { a. b :- a. c :- b. }", "c")
-        run = SemiNaiveFixpoint(sem.evaluator.index, sem.ground.base)
         with pytest.raises(InconsistencyError):
-            run.run(max_iterations=1)
+            dense_run(sem, max_iterations=1)
 
 
 class TestReuseAcrossRuns:
     def test_index_is_stateless_across_runs(self, figure1_semantics):
         sem = figure1_semantics
         index = sem.evaluator.index
-        first = SemiNaiveFixpoint(index, sem.ground.base).run()
-        second = SemiNaiveFixpoint(index, sem.ground.base).run()
+        _, first, _ = dense_run(sem)
+        _, second, _ = dense_run(sem)
+        assert sem.evaluator.index is index
         assert first.literals == second.literals
         assert first.literals == sem.least_model.literals
 

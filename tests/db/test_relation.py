@@ -61,13 +61,6 @@ class TestRelation:
         with pytest.raises(RelationError):
             parent.union(Relation("q", 1, [("a",)]))
 
-    def test_join(self, parent):
-        # Grandparent: parent ⋈ parent on (child = parent).
-        joined = parent.join(parent, [(1, 0)])
-        grandpairs = joined.project([0, 3])
-        assert ("adam", "enoch") in grandpairs
-        assert len(grandpairs) == 1
-
     def test_integers(self):
         r = Relation("score", 2, [("ana", 7), ("bob", 3)])
         high = r.select(lambda row: row[1].value > 5)

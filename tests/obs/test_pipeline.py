@@ -1,10 +1,6 @@
 """Integration: the engine emits the documented metrics end to end."""
 
-import pytest
-
 from repro.core.semantics import OrderedSemantics
-from repro.db.database import Database
-from repro.db.engine import DatalogEngine
 from repro.lang.parser import parse_rules
 from repro.obs import Level, RingBufferSink, get_instrumentation, instrumented
 from repro.reductions import extended_version, ordered_version, three_level_version
@@ -72,33 +68,6 @@ class TestSameAnswersEitherWay:
         with instrumented():
             observed = OrderedSemantics(figure2(), "c1").stable_models()
         assert [m.literals for m in plain] == [m.literals for m in observed]
-
-
-class TestDatalogEngine:
-    @pytest.fixture
-    def ancestor_engine(self):
-        db = Database()
-        db.insert("parent", ("adam", "cain"))
-        db.insert("parent", ("cain", "enoch"))
-        return DatalogEngine(
-            parse_rules(
-                """
-                anc(X, Y) :- parent(X, Y).
-                anc(X, Y) :- parent(X, Z), anc(Z, Y).
-                """
-            ),
-            db,
-        )
-
-    def test_engine_counters(self, ancestor_engine):
-        with instrumented() as obs:
-            assert ancestor_engine.holds("anc(adam, enoch)")
-            counters = obs.snapshot()["counters"]
-        assert counters["db.edb_rows"] == 2
-        assert counters["db.rows_derived"] == 3
-        assert counters["db.rule_firings"] >= 3
-        assert counters["db.index_hits"] >= 1
-        assert "db.evaluate" in obs.snapshot()["spans"]
 
 
 class TestReductions:

@@ -21,6 +21,8 @@ from repro.reductions import extended_version, ordered_version, three_level_vers
 from repro.workloads import classic, experts, hierarchies, paper
 from repro.workloads.random_programs import random_ordered_program
 
+from ..conftest import dense_run
+
 #: Number of seeded random programs swept (overridable from CI).
 N_RANDOM_PROGRAMS = int(os.environ.get("SEMINAIVE_DIFF_PROGRAMS", "200"))
 
@@ -127,15 +129,12 @@ def test_random_program_sweep_agrees():
 def test_stage_counts_agree_on_random_programs():
     # Stage boundaries (not just the limit) must coincide: the
     # semi-naive engine advances exactly when naive iteration does.
-    from repro.core.incremental import SemiNaiveFixpoint
-
     rng = random.Random(2026)
     for _ in range(40):
         program = random_ordered_program(rng, n_atoms=5, n_rules=10)
         for component in every_component(program):
             sem = OrderedSemantics(program, component, strategy="naive")
-            run = SemiNaiveFixpoint(sem.evaluator.index, sem.ground.base)
-            run.run()
+            _, _, stage_deltas = dense_run(sem)
             current = sem.interpretation([])
             naive_stages = 0
             while True:
@@ -144,4 +143,4 @@ def test_stage_counts_agree_on_random_programs():
                     break
                 naive_stages += 1
                 current = nxt
-            assert len(run.stage_deltas) == naive_stages
+            assert len(stage_deltas) == naive_stages

@@ -4,6 +4,8 @@ import json
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.server import protocol
 from repro.server.protocol import (
@@ -71,6 +73,36 @@ def test_parse_define_with_isa():
 def test_parse_rejections(payload, fragment):
     with pytest.raises(ProtocolError, match=fragment):
         parse_request(payload)
+
+
+#: Any JSON value, nested: what a peer can put where a string belongs.
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@given(
+    op=st.sampled_from(sorted(protocol.OPS)) | json_values,
+    fields=st.fixed_dictionaries(
+        {},
+        optional={
+            key: json_values
+            for key in ("id", "mode", "strategy", "view", "pattern", "trace")
+        },
+    ),
+)
+@settings(max_examples=300, deadline=None)
+def test_ill_typed_fields_raise_nothing_but_protocol_error(op, fields):
+    request = {"op": op, **fields}
+    for raw in (request, json.dumps(request)):
+        try:
+            parse_request(raw)
+        except ProtocolError:
+            pass
+    request_id_of(json.dumps(request))
 
 
 def test_deadline_expiry():

@@ -561,3 +561,43 @@ class TestFleet:
             assert unhandled == []
 
         run(scenario())
+
+    @pytest.mark.parametrize(
+        "frame",
+        [b'{"op": []}\n', b"\xff\xfe\n", b"[" * 60_000 + b"\n"],
+        ids=["unhashable-op", "not-utf8", "deep-nesting"],
+    )
+    def test_hostile_frame_is_refused_by_the_fleet_front_end(self, frame):
+        """A well-framed line that is not a request object (or whose
+        ``op`` cannot be looked up) used to kill the fleet's handler —
+        or be forwarded to a backend whose handler then died."""
+
+        async def scenario():
+            unhandled = []
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: unhandled.append(context)
+            )
+            async with QueryServer(ServerEngine(make_kb()), port=0) as leader:
+                backend = Backend("127.0.0.1", leader.port)
+                fleet = FleetServer(backend, [], port=0)
+                await fleet.start()
+                try:
+                    client = await Client.connect(fleet.port)
+                    client.writer.write(frame)
+                    await client.writer.drain()
+                    reply = await client.recv()
+                    assert reply["ok"] is False
+                    assert reply["error"]["code"] == "bad_request"
+                    # Refused at the front end, never forwarded ...
+                    assert backend.requests == 0
+                    # ... and the same connection is still routed.
+                    asked = await client.call(
+                        id=2, op="ask", view="bird", pattern="fly(tweety)"
+                    )
+                    assert asked["ok"] and asked["result"]["holds"] is True
+                    await client.close()
+                finally:
+                    await fleet.aclose()
+            assert unhandled == []
+
+        run(scenario())

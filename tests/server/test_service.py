@@ -3,6 +3,8 @@
 import asyncio
 import json
 
+import pytest
+
 from repro.kb.knowledge_base import KnowledgeBase
 from repro.server import QueryServer, ServerConfig, ServerEngine
 
@@ -152,6 +154,43 @@ def test_oversize_line_is_refused_without_killing_the_handler():
             )
             assert asked["ok"] and asked["result"]["holds"] is True
             await bystander.close()
+        assert unhandled == []
+
+    run(scenario())
+
+
+#: Well-framed lines whose *content* used to escape ``parse_request`` as
+#: something other than ``ProtocolError`` (TypeError from hashing a list,
+#: UnicodeDecodeError, RecursionError inside ``json.loads``).
+HOSTILE_FRAMES = {
+    "unhashable-op": b'{"op": []}\n',
+    "not-utf8": b"\xff\xfe\n",
+    "deep-nesting": b"[" * 60_000 + b"\n",
+}
+
+
+@pytest.mark.parametrize("frame", HOSTILE_FRAMES.values(), ids=HOSTILE_FRAMES)
+def test_hostile_frame_gets_bad_request_and_the_connection_survives(frame):
+    """Each frame used to kill the connection handler ("Unhandled
+    exception in client_connected_cb") and leave the peer with EOF."""
+
+    async def scenario():
+        unhandled = []
+        asyncio.get_running_loop().set_exception_handler(
+            lambda loop, context: unhandled.append(context)
+        )
+        async with QueryServer(ServerEngine(make_kb()), port=0) as server:
+            client = await Client.connect(server.port)
+            reply = await client.send_raw(frame)
+            assert reply is not None, "EOF instead of a reply"
+            assert reply["ok"] is False
+            assert reply["error"]["code"] == "bad_request"
+            # The framing was fine: the same connection keeps serving.
+            asked = await client.call(
+                id=1, op="ask", view="bird", pattern="fly(tweety)"
+            )
+            assert asked["id"] == 1 and asked["result"]["holds"] is True
+            await client.close()
         assert unhandled == []
 
     run(scenario())

@@ -22,6 +22,8 @@ from repro.workloads import (
 )
 from repro.workloads.paper import scaled_figure1, scaled_figure2
 
+from ..conftest import dense_run
+
 
 class TestOverrideChain:
     @pytest.mark.parametrize("depth", [0, 1, 2, 3, 4, 5])
@@ -55,14 +57,11 @@ class TestReleaseChain:
             assert sem.holds(f"-q({i})")
 
     def test_one_release_every_two_stages(self):
-        from repro.core.incremental import SemiNaiveFixpoint
-
         depth = 5
         sem = OrderedSemantics(release_chain(depth), "threats")
-        run = SemiNaiveFixpoint(sem.evaluator.index, sem.ground.base)
-        run.run()
-        assert len(run.stage_deltas) == 2 * depth + 1
-        assert all(len(delta) == 1 for delta in run.stage_deltas)
+        _, _, stage_deltas = dense_run(sem)
+        assert len(stage_deltas) == 2 * depth + 1
+        assert all(len(delta) == 1 for delta in stage_deltas)
 
     def test_zero_depth_rejected(self):
         with pytest.raises(ValueError):
