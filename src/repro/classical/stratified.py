@@ -24,8 +24,9 @@ from typing import (
     TypeVar,
 )
 
+from ..core.assumptions import literal_closure
 from ..grounding.grounder import GroundRule
-from ..lang.literals import Atom
+from ..lang.literals import Atom, Literal
 from ..lang.rules import Rule
 
 __all__ = [
@@ -259,37 +260,7 @@ def stratified_least_model(
     by_level: dict[int, list[GroundRule]] = {}
     for r in horn:
         by_level.setdefault(strata.get(r.head.predicate, 0), []).append(r)
-    atoms: set[Atom] = set()
+    derived: frozenset[Literal] = frozenset()
     for level in sorted(by_level):
-        _horn_closure(by_level[level], atoms)
-    return frozenset(atoms)
-
-
-def _horn_closure(rules: Sequence[GroundRule], atoms: set[Atom]) -> None:
-    """Extend ``atoms`` in place with the Horn closure of ``rules``.
-
-    Semi-naive: each not-yet-satisfied rule waits on its missing body
-    atoms; deriving an atom re-examines only the rules watching it.
-    """
-    waiting: dict[Atom, list[GroundRule]] = {}
-    frontier: list[Atom] = []
-
-    def derive(atom: Atom) -> None:
-        if atom not in atoms:
-            atoms.add(atom)
-            frontier.append(atom)
-
-    for r in rules:
-        missing = {l.atom for l in r.body if l.atom not in atoms}
-        if missing:
-            for atom in missing:
-                waiting.setdefault(atom, []).append(r)
-        else:
-            derive(r.head.atom)
-    while frontier:
-        atom = frontier.pop()
-        for r in waiting.get(atom, ()):
-            if r.head.atom not in atoms and all(
-                l.atom in atoms for l in r.body
-            ):
-                derive(r.head.atom)
+        derived = literal_closure(by_level[level], derived)
+    return frozenset(l.atom for l in derived)

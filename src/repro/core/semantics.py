@@ -43,9 +43,10 @@ from .transform import (
     AUTO_STRATEGY,
     CLASSICAL_STRATEGY,
     DEMAND_STRATEGY,
+    SEMANTICS_STRATEGIES,
     OrderedTransform,
     engine_strategy,
-    validate_semantics_strategy,
+    validate,
 )
 
 __all__ = ["OrderedSemantics"]
@@ -106,7 +107,7 @@ class OrderedSemantics:
         self.component = component
         self._grounding_options = grounding
         self._budget = budget
-        self.strategy = validate_semantics_strategy(strategy)
+        self.strategy = validate(strategy, SEMANTICS_STRATEGIES)
         self._engine_strategy = engine_strategy(self.strategy)
         self.maintenance = maintenance
         self._maintained: Optional[MaintainedModel] = None

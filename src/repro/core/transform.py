@@ -30,7 +30,7 @@ overrule or defeat one another, so at most one head survives).
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Sequence
 
 from ..lang.errors import InconsistencyError
 from ..lang.literals import Literal, is_consistent
@@ -51,6 +51,7 @@ __all__ = [
     "SEMANTICS_STRATEGIES",
     "READ_STRATEGIES",
     "engine_strategy",
+    "validate",
 ]
 
 #: Recognised fixpoint *engine* strategies (how ``V↑ω`` is iterated).
@@ -90,21 +91,17 @@ SEMANTICS_STRATEGIES = (
 READ_STRATEGIES = (AUTO_STRATEGY, DEMAND_STRATEGY)
 
 
-def validate_strategy(strategy: str) -> str:
-    if strategy not in STRATEGIES:
-        raise ValueError(
-            f"unknown fixpoint strategy {strategy!r}; "
-            f"expected one of {', '.join(STRATEGIES)}"
-        )
-    return strategy
-
-
-def validate_semantics_strategy(strategy: str) -> str:
-    if strategy not in SEMANTICS_STRATEGIES:
-        raise ValueError(
-            f"unknown fixpoint strategy {strategy!r}; "
-            f"expected one of {', '.join(SEMANTICS_STRATEGIES)}"
-        )
+def validate(
+    strategy: str,
+    allowed: Sequence[str],
+    error: type[Exception] = ValueError,
+    message: str = "unknown fixpoint strategy {!r}; expected one of {}",
+) -> str:
+    """The one check behind every strategy name the system accepts —
+    engine, semantics-level and per-read; ``message`` is formatted with
+    the offending name and the comma-joined allowed ones."""
+    if strategy not in allowed:
+        raise error(message.format(strategy, ", ".join(allowed)))
     return strategy
 
 
@@ -113,7 +110,7 @@ def engine_strategy(strategy: str) -> str:
     routing strategies fall back to the default engine for everything
     the classical backend does not cover (model enumeration, statuses,
     non-routable views)."""
-    validate_semantics_strategy(strategy)
+    validate(strategy, SEMANTICS_STRATEGIES)
     if strategy in (AUTO_STRATEGY, CLASSICAL_STRATEGY, DEMAND_STRATEGY):
         return DEFAULT_STRATEGY
     return strategy
@@ -137,7 +134,7 @@ class OrderedTransform:
     ) -> None:
         self._eval = evaluator
         self._base = frozenset(base)
-        self._strategy = validate_strategy(strategy)
+        self._strategy = validate(strategy, STRATEGIES)
 
     @property
     def evaluator(self) -> StatusEvaluator:
@@ -220,7 +217,7 @@ class OrderedTransform:
                 call only.
         """
         chosen = (
-            self._strategy if strategy is None else validate_strategy(strategy)
+            self._strategy if strategy is None else validate(strategy, STRATEGIES)
         )
         if chosen == "naive":
             return self._naive_least_fixpoint(max_iterations)

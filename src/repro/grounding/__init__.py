@@ -1,4 +1,6 @@
-"""Grounding: substitutions, Herbrand universe/base, rule instantiation."""
+"""Grounding: substitutions, Herbrand universe/base, the compiled join
+(:mod:`repro.grounding.joins`, shared with :mod:`repro.query`), rule
+instantiation."""
 
 from .grounder import AtomTable, Grounder, GroundingOptions, GroundProgram, GroundRule
 from .herbrand import HerbrandUniverse, herbrand_base, universe_of

@@ -23,19 +23,22 @@ least fixpoint of ``V_{P,C}``; every instance of every other rule is
 kept.  This *relevance grounding* is what
 :meth:`Grounder.ground_component_star` returns.
 
-**One instantiation procedure.**  A rule's variables are bound by
-joining a list of its body literals against the possible-literal
-relations (hash indexes on the bound argument positions); any variable
-still unbound then ranges over the Herbrand universe; comparison guards
-fire as soon as their variables are bound (variable-free guards once,
-before anything is enumerated), and identical instances within a
-component are emitted once.  Prune-safe rules that have variables join
-all their body literals; every other rule joins none, which is the
-Herbrand product ``|HU|^vars``.  The possible-literal relations are
-computed semi-naively (a worklist of new literals waking the rules that
-watch their predicate, or the exact literal for ground body literals)
-and only for the dependency cone of the joined rules, so a view without
-a prune-safe rule with variables pays nothing for them.
+**One instantiation procedure, on the shared join machine.**  A rule's
+variables are bound by joining a list of its body literals against the
+possible-literal relations (hash indexes on the bound argument
+positions); any variable still unbound then ranges over the Herbrand
+universe; comparison guards fire as soon as their variables are bound
+(variable-free guards once, before anything is enumerated), and
+identical instances within a component are emitted once.  Prune-safe
+rules that have variables join all their body literals; every other
+rule joins none, which is the Herbrand product ``|HU|^vars``.  The
+joins are compiled and run by :mod:`repro.grounding.joins`, the machine
+the demand engine runs on, driven twice: the possible-literal relations
+are its worklist run with no seed (new rows waking the rules that watch
+their predicate, or the exact literal for ground body literals), only
+for the dependency cone of the joined rules, so a view without a
+prune-safe rule with variables pays nothing for them; instantiation is
+the same steps with a sink that builds the instance from the slots.
 
 **Who must ask for the full instantiation.**  Relevance is *not* sound
 for Definition-3 model checking and enumeration (a never-applicable
@@ -53,20 +56,18 @@ always full.
 from __future__ import annotations
 
 import os
-from collections import deque
 from dataclasses import dataclass
 from itertools import compress
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from ..lang.builtins import Comparison
 from ..lang.errors import GroundingError
 from ..lang.literals import Atom, Literal
 from ..lang.program import Component, OrderedProgram
 from ..lang.rules import Rule
-from ..lang.terms import Compound, Term, Variable
+from ..lang.terms import Compound
 from ..obs import Level, get_instrumentation
 from .herbrand import HerbrandUniverse, herbrand_base, universe_of
-from .substitution import Substitution, _match_term
+from .joins import Join, JoinMachine, Scan, compile_join, row_builder
 
 __all__ = [
     "AtomTable",
@@ -295,74 +296,20 @@ Signed = tuple[str, int, bool]
 #: particular a sampling thread of the host process (a profiler, a
 #: heartbeat, ``benchmarks/e2e``'s speed probes) gets to run inside an
 #: evaluation that now takes less than that interval.  A third of a
-#: microsecond when nobody waits.
-_offer_interpreter_lock = getattr(os, "sched_yield", lambda: None)
+#: microsecond per yield when nobody waits.
+_yield = getattr(os, "sched_yield", lambda: None)
+
+
+def _offer_interpreter_lock() -> None:
+    # Twice: the first yield wakes the waiter, but this thread is back
+    # for the lock before the waiter is on the processor 1 time in 60
+    # (measured); the second finds it runnable (1 in 6,000).
+    _yield()
+    _yield()
 
 
 def _signed(literal: Literal) -> Signed:
     return (literal.atom.predicate, len(literal.atom.args), literal.positive)
-
-
-class _Relation:
-    """The possible ground atoms of one signed predicate, hash-indexed on
-    demand by bound argument positions."""
-
-    __slots__ = ("atoms", "members", "_indexes")
-
-    def __init__(self) -> None:
-        self.atoms: list[Atom] = []
-        self.members: set[Atom] = set()
-        self._indexes: dict[tuple[int, ...], dict[tuple[Term, ...], list[Atom]]] = {}
-
-    def add(self, atom: Atom) -> bool:
-        """Insert; False when the atom was already possible."""
-        if atom in self.members:
-            return False
-        self.members.add(atom)
-        self.atoms.append(atom)
-        for positions, index in self._indexes.items():
-            index.setdefault(tuple(atom.args[p] for p in positions), []).append(atom)
-        return True
-
-    def lookup(
-        self, positions: tuple[int, ...], key: tuple[Term, ...]
-    ) -> Sequence[Atom]:
-        """The atoms whose arguments at ``positions`` equal ``key``."""
-        if not positions:
-            return self.atoms
-        index = self._indexes.get(positions)
-        if index is None:
-            index = self._indexes[positions] = {}
-            for atom in self.atoms:
-                index.setdefault(tuple(atom.args[p] for p in positions), []).append(atom)
-        return index.get(key, ())
-
-
-class _Step(NamedTuple):
-    """One binding step of a rule's instantiation: a join of one body
-    literal against its possible relation, or (``relation`` None) the
-    range of ``variable`` over the Herbrand universe."""
-
-    relation: Optional[_Relation]
-    #: Argument positions already bound when the step runs, and what
-    #: they hold (a ground term, or the bound variable).
-    positions: tuple[int, ...]
-    key: tuple[Term, ...]
-    #: ``(pattern, position)`` for the arguments the step binds.
-    rest: tuple[tuple[Term, int], ...]
-    variable: Optional[Variable]
-    #: Guards whose last variable this step binds.
-    guards: tuple[Comparison, ...]
-
-
-class _Plan(NamedTuple):
-    #: Arguments of the body literal matched against the literal that
-    #: woke the rule (possible-set computation only).
-    seed: tuple[tuple[Term, int], ...]
-    #: Guards decidable before the first step (variable-free ones when
-    #: there is no seed): evaluated once, not at every leaf.
-    guards: tuple[Comparison, ...]
-    steps: tuple[_Step, ...]
 
 
 class Grounder:
@@ -377,9 +324,7 @@ class Grounder:
 
     def __init__(self, options: GroundingOptions = GroundingOptions()) -> None:
         self.options = options
-        # Per-ground-call tallies; plain unconditional int bumps are an
-        # order of magnitude cheaper than the work done per binding, and
-        # flushing to the registry happens once per grounding call.
+        # Per-ground-call tallies, flushed to the registry once per call.
         self._subs_tried = 0
         self._guard_pruned = 0
         self._deduped = 0
@@ -459,36 +404,49 @@ class Grounder:
         table: AtomTable,
         full: bool,
     ) -> tuple[GroundRule, ...]:
-        self._subs_tried = 0
-        self._guard_pruned = 0
         self._deduped = 0
         self._pruned_rules = 0
-        relations: dict[Signed, _Relation] = {}
+        machine = JoinMachine(universe.terms)
+        bounded = self._bounded(universe)
         joined: frozenset[Rule] = frozenset()
         if not full and universe.terms:
-            joined, relations = self._possible_literals(
-                [r for _, r in tagged_rules], universe
+            joined = self._possible_literals(
+                [r for _, r in tagged_rules], machine, bounded
             )
         produced: list[GroundRule] = []
         seen: set[GroundRule] = set()
+
+        def emit(instance: GroundRule) -> None:
+            if instance in seen:
+                self._deduped += 1
+                return
+            seen.add(instance)
+            produced.append(instance)
+            table.intern(instance.head.atom)
+            for lit in instance.body:
+                table.intern(lit.atom)
+            if len(produced) > self.options.instance_cap:
+                raise GroundingError(
+                    f"grounding exceeded instance cap {self.options.instance_cap}"
+                )
+
+        ground_rules = 0
         for component, r in tagged_rules:
-            joins = r.body_literals() if r in joined else ()
+            if r.is_ground:
+                ground_rules += 1
+                guards = r.guards()
+                if not guards or machine.holds(guards, (), ()):
+                    body = frozenset(r.body_literals())
+                    emit(GroundRule(r.head, body, component, origin=r))
+                continue
             before = len(produced) + self._deduped
-            for instance in self._instances(r, component, universe, joins, relations):
-                if instance in seen:
-                    self._deduped += 1
-                    continue
-                seen.add(instance)
-                produced.append(instance)
-                table.intern(instance.head.atom)
-                for lit in instance.body:
-                    table.intern(lit.atom)
-                if len(produced) > self.options.instance_cap:
-                    raise GroundingError(
-                        f"grounding exceeded instance cap {self.options.instance_cap}"
-                    )
-            if joins and len(produced) + self._deduped == before:
+            self._instantiate(r, component, r in joined, machine, bounded, emit)
+            if r in joined and len(produced) + self._deduped == before:
                 self._pruned_rules += 1
+        # One (empty) substitution per ground rule, one per candidate
+        # row or universe term offered to a join step.
+        self._subs_tried = ground_rules + machine.probes
+        self._guard_pruned = machine.guard_pruned
         return tuple(produced)
 
     def _flush_stats(
@@ -511,19 +469,59 @@ class Grounder:
         )
 
     # ------------------------------------------------------------------
-    # The possible-literal set
+    # The two drives of the join machine
     # ------------------------------------------------------------------
+    @staticmethod
+    def _compile(
+        r: Rule, joins: bool, machine: JoinMachine, trigger: Optional[int] = None
+    ) -> Join:
+        """The rule on the shared machine: its body literals joined
+        against the possible-literal relations when ``joins`` (smallest
+        relation first among the connected ones), every variable that
+        leaves unbound ranging over the universe."""
+        body = [Scan(_signed(l), l.args) for l in r.body_literals()] if joins else []
+        sizes = [len(machine.rows.get(scan.relation, ())) for scan in body]
+        return compile_join(
+            _signed(r.head),
+            r.head.args,
+            body,
+            r.guards(),
+            lambda i, _: sizes[i],
+            trigger,
+            sorted(r.variables(), key=str),
+        )
+
+    @staticmethod
+    def _bounded(universe: HerbrandUniverse) -> Callable[[Callable], Callable]:
+        """Wrap a sink so that it only sees bindings that keep every
+        variable inside the Herbrand universe: a row can carry a compound
+        one level deeper than ``max_depth`` allows (heads nest) and
+        matching may bind a variable to it.  A universe without compound
+        terms has no such rows and sinks stay as they are."""
+        if not any(isinstance(term, Compound) for term in universe.terms):
+            return lambda sink: sink
+
+        def bounded(sink: Callable) -> Callable:
+            def checked(join: Join, env: list) -> None:
+                if all(v in universe for v in env if isinstance(v, Compound)):
+                    sink(join, env)
+
+            return checked
+
+        return bounded
+
     def _possible_literals(
-        self, rules: Sequence[Rule], universe: HerbrandUniverse
-    ) -> tuple[frozenset[Rule], dict[Signed, _Relation]]:
+        self, rules: Sequence[Rule], machine: JoinMachine, bounded: Callable
+    ) -> frozenset[Rule]:
         """The rules relevance joins — prune-safe, with variables and
-        body literals — and the possible-literal relation of every signed
-        predicate in their dependency cone.
+        body literals — after filling ``machine`` with the
+        possible-literal relation of every signed predicate in their
+        dependency cone.
 
         The relations are the least fixpoint of the cone's rules read as
         a positive program over signed literals, computed semi-naively:
-        each new literal wakes the rules with a body literal watching it
-        and joins the rest of their bodies against everything possible so
+        each new row wakes the rules with a body literal watching it and
+        joins the rest of their bodies against everything possible so
         far.  Ground body literals watch the exact literal, not its
         predicate, so a ground chain costs one probe per rule rather
         than one per rule per link.
@@ -538,233 +536,74 @@ class Grounder:
             for r in headed
             if not r.is_ground and r.body_literals()
         )
-        relations: dict[Signed, _Relation] = {}
+        cone: set[Signed] = set()
         stack = [_signed(l) for r in joined for l in r.body_literals()]
         while stack:
             key = stack.pop()
-            if key not in relations:
-                relations[key] = _Relation()
+            if key not in cone:
+                cone.add(key)
                 stack.extend(
                     _signed(l) for r in by_head.get(key, ()) for l in r.body_literals()
                 )
 
-        # Who a new literal wakes: (rule, body index) pairs under the
-        # literal's signed predicate, or under the exact (atom, sign)
+        derive = bounded(machine.derive)
+        # Who a new row wakes: (rule, body index) pairs under the row's
+        # signed predicate, or under the exact (signed predicate, row)
         # for a ground body literal.
         watchers: dict[object, list[tuple[Rule, int]]] = {}
-        queue: deque[tuple[Signed, Atom]] = deque()
-
-        def possible(key: Signed, atom: Atom) -> None:
-            if relations[key].add(atom):
-                queue.append((key, atom))
-
-        def fire(r: Rule, plan: _Plan, woken_by: Optional[Atom]) -> None:
-            key = _signed(r.head)
-            heads = [
-                Substitution(bindings).apply_atom(r.head.atom)
-                for bindings in self._bindings(plan, universe, woken_by)
-            ]
-            for atom in heads:
-                possible(key, atom)
-
-        for key in relations:
+        for key in cone:
             for r in by_head.get(key, ()):
                 body = r.body_literals()
                 for i, l in enumerate(body):
-                    watch = (l.atom, l.positive) if l.is_ground else _signed(l)
+                    watch = (_signed(l), l.args) if l.is_ground else _signed(l)
                     watchers.setdefault(watch, []).append((r, i))
                 if not r.body and r.head.is_ground:
-                    possible(key, r.head.atom)
+                    machine.add(key, r.head.args)
                 elif not body:
-                    fire(r, self._plan(r, (), relations), None)
-        plans: dict[tuple[Rule, int], _Plan] = {}
-        while queue:
-            (predicate, arity, positive), atom = queue.popleft()
-            for watch in ((predicate, arity, positive), (atom, positive)):
+                    machine.fire(self._compile(r, True, machine), (), derive)
+        joins: dict[tuple[Rule, int], Join] = {}
+        worklist = machine.worklist
+        while worklist:
+            woken = worklist.popleft()
+            for watch in (woken[0], woken):
                 for r, i in watchers.get(watch, ()):
-                    plan = plans.get((r, i))
-                    if plan is None:
-                        body = r.body_literals()
-                        plan = plans[r, i] = self._plan(
-                            r, body[:i] + body[i + 1 :], relations, seed=body[i]
-                        )
-                    fire(r, plan, atom)
-        return joined, relations
+                    join = joins.get((r, i))
+                    if join is None:
+                        join = joins[r, i] = self._compile(r, True, machine, i)
+                    machine.fire(join, woken[1], derive)
+        return joined
 
-    # ------------------------------------------------------------------
-    # Instantiation
-    # ------------------------------------------------------------------
-    def _instances(
+    def _instantiate(
         self,
         r: Rule,
         component: str,
-        universe: HerbrandUniverse,
-        joins: Sequence[Literal],
-        relations: dict[Signed, _Relation],
-    ) -> Iterator[GroundRule]:
-        if r.is_ground:
-            self._subs_tried += 1
-            guards = r.guards() if r.body else ()
-            if not guards or self._guards_hold(guards, {}):
-                yield self._make_ground(r, _IDENTITY, component)
-            return
-        if not universe.terms:
-            # No ground terms exist: a rule with variables has no ground
-            # instances (the paper's HU is built from symbols in P).
-            return
-        plan = self._plan(r, joins, relations)
-        for bindings in self._bindings(plan, universe):
-            yield self._make_ground(r, Substitution(bindings), component)
+        joins: bool,
+        machine: JoinMachine,
+        bounded: Callable,
+        emit: Callable[[GroundRule], None],
+    ) -> None:
+        """Hand ``emit`` every instance of a rule with variables."""
+        join = self._compile(r, joins, machine)
+        positive = r.head.positive
+        predicate = r.head.predicate
+        # A ground body literal is its own instance; the others are
+        # built from the slots.
+        body_parts = [
+            l
+            if l.is_ground
+            else (l.predicate, l.positive, row_builder(l.args, join.slots))
+            for l in r.body_literals()
+        ]
 
-    @staticmethod
-    def _plan(
-        r: Rule,
-        joins: Sequence[Literal],
-        relations: dict[Signed, _Relation],
-        seed: Optional[Literal] = None,
-    ) -> _Plan:
-        """Order ``joins`` (smallest possible relation first, then the
-        smallest one sharing a bound variable — textual order on ties),
-        range the variables they leave unbound over the universe, and
-        file each guard under the step that binds its last variable."""
-        bound: set[Variable] = set(seed.variables()) if seed is not None else set()
-        pending = list(r.guards())
+        @bounded
+        def instance(join: Join, env: list) -> None:
+            body = [
+                part
+                if type(part) is Literal
+                else Literal(Atom(part[0], part[2](env)), part[1])
+                for part in body_parts
+            ]
+            head = Literal(Atom(predicate, join.head(env)), positive)
+            emit(GroundRule(head, frozenset(body), component, origin=r))
 
-        def due() -> tuple[Comparison, ...]:
-            ready = tuple(g for g in pending if g.variables() <= bound)
-            for g in ready:
-                pending.remove(g)
-            return ready
-
-        first = due()
-        steps: list[_Step] = []
-        remaining = list(joins)
-        while remaining:
-            literal = min(
-                remaining,
-                key=lambda l: (
-                    bool(bound) and bool(l.variables()) and not l.variables() & bound,
-                    len(relations[_signed(l)].atoms),
-                ),
-            )
-            remaining.remove(literal)
-            positions, key, rest = [], [], []
-            for p, arg in enumerate(literal.args):
-                if arg.is_ground or arg in bound:
-                    positions.append(p)
-                    key.append(arg)
-                else:
-                    rest.append((arg, p))
-            bound |= literal.variables()
-            steps.append(
-                _Step(
-                    relations[_signed(literal)],
-                    tuple(positions),
-                    tuple(key),
-                    tuple(rest),
-                    None,
-                    due(),
-                )
-            )
-        for v in sorted(r.variables() - bound, key=str):
-            bound.add(v)
-            steps.append(_Step(None, (), (), (), v, due()))
-        seed_args = tuple((arg, p) for p, arg in enumerate(seed.args)) if seed else ()
-        return _Plan(seed_args, first, tuple(steps))
-
-    def _bindings(
-        self,
-        plan: _Plan,
-        universe: HerbrandUniverse,
-        woken_by: Optional[Atom] = None,
-    ) -> Iterator[dict[Variable, Term]]:
-        """Every total assignment of the planned rule's variables that
-        passes its joins and guards.  The one dict is yielded each time,
-        mutated in place."""
-        bindings: dict[Variable, Term] = {}
-        if woken_by is not None:
-            self._subs_tried += 1
-            if not self._match(plan.seed, woken_by.args, bindings, universe):
-                return
-        if plan.guards and not self._guards_hold(plan.guards, bindings):
-            return
-        for _ in self._extend(plan.steps, 0, bindings, universe):
-            yield bindings
-
-    def _extend(
-        self,
-        steps: tuple[_Step, ...],
-        index: int,
-        bindings: dict[Variable, Term],
-        universe: HerbrandUniverse,
-    ) -> Iterator[None]:
-        if index == len(steps):
-            yield
-            return
-        step = steps[index]
-        guards = step.guards
-        if step.relation is None:
-            v = step.variable
-            for term in universe.terms:
-                self._subs_tried += 1
-                bindings[v] = term
-                if not guards or self._guards_hold(guards, bindings):
-                    yield from self._extend(steps, index + 1, bindings, universe)
-            del bindings[v]
-            return
-        mark = len(bindings)
-        key = tuple(bindings.get(k, k) for k in step.key)
-        for atom in step.relation.lookup(step.positions, key):
-            self._subs_tried += 1
-            if self._match(step.rest, atom.args, bindings, universe) and (
-                not guards or self._guards_hold(guards, bindings)
-            ):
-                yield from self._extend(steps, index + 1, bindings, universe)
-            while len(bindings) > mark:
-                bindings.popitem()
-
-    @staticmethod
-    def _match(
-        patterns: tuple[tuple[Term, int], ...],
-        args: tuple[Term, ...],
-        bindings: dict[Variable, Term],
-        universe: HerbrandUniverse,
-    ) -> bool:
-        """Match argument patterns against a possible atom's arguments,
-        extending ``bindings`` (the caller undoes a failed match).  A
-        variable may only take a term of the Herbrand universe — heads
-        can nest one level deeper than ``max_depth`` allows."""
-        for pattern, p in patterns:
-            mark = len(bindings)
-            if not _match_term(pattern, args[p], bindings):
-                return False
-            if len(bindings) > mark and isinstance(args[p], Compound):
-                for v in list(bindings)[mark:]:
-                    if bindings[v] not in universe:
-                        return False
-        return True
-
-    def _guards_hold(
-        self, guards: tuple[Comparison, ...], bindings: dict[Variable, Term]
-    ) -> bool:
-        """Evaluate guards; a guard that cannot be evaluated (symbolic
-        operand, division by zero) is false, so the instance is dropped
-        rather than the grounder crashing on e.g. ``penguin > 11``."""
-        for guard in guards:
-            try:
-                if guard.holds(bindings):
-                    continue
-            except GroundingError:
-                pass
-            self._guard_pruned += 1
-            return False
-        return True
-
-    @staticmethod
-    def _make_ground(r: Rule, theta: Substitution, component: str) -> GroundRule:
-        head = theta.apply_literal(r.head)
-        body = frozenset(theta.apply_literal(l) for l in r.body_literals())
-        return GroundRule(head, body, component, origin=r)
-
-
-_IDENTITY = Substitution()
+        machine.fire(join, (), instance)

@@ -40,7 +40,7 @@ from ..core.interpretation import Interpretation, TruthValue
 from ..core.maintenance import ASSERT, RETRACT, MaintenanceConfig
 from ..core.semantics import OrderedSemantics
 from ..core.solver import SearchBudget
-from ..core.transform import DEMAND_STRATEGY, READ_STRATEGIES
+from ..core.transform import DEMAND_STRATEGY, READ_STRATEGIES, validate
 from ..grounding.grounder import GroundingOptions
 from ..lang.errors import QueryError, SemanticsError
 from ..lang.literals import Literal
@@ -51,6 +51,11 @@ from ..lang.rules import Rule
 from .query import Answer, QueryMode, evaluate_query, goal, holds_in
 
 __all__ = ["KnowledgeBase"]
+
+#: Refusal of a read strategy outside ``READ_STRATEGIES``.
+_UNKNOWN_STRATEGY = "unknown query strategy {!r}; use one of " + ", ".join(
+    map(repr, READ_STRATEGIES)
+)
 
 #: Both spellings of the cautious mode a read may carry.
 _CAUTIOUS = (QueryMode.CAUTIOUS, QueryMode.CAUTIOUS.value)
@@ -496,11 +501,8 @@ class KnowledgeBase:
         not ask for them or the demand path declined (the caller then
         reads the materialized model)."""
         self._require(name)
-        if strategy is not None and strategy not in READ_STRATEGIES:
-            raise QueryError(
-                f"unknown query strategy {strategy!r}; "
-                f"use one of {', '.join(map(repr, READ_STRATEGIES))}"
-            )
+        if strategy is not None:
+            validate(strategy, READ_STRATEGIES, QueryError, _UNKNOWN_STRATEGY)
         pattern = goal(pattern)
         if strategy != DEMAND_STRATEGY and not self._auto_demand(name, pattern, mode):
             return pattern, None

@@ -50,6 +50,13 @@ __all__ = [
 #: Name of the implicit component for top-level rules.
 DEFAULT_COMPONENT = "main"
 
+#: Deepest nesting of a term (``f(g(...))``) or a parenthesised / negated
+#: arithmetic expression the parser accepts.  Source text arrives off the
+#: network; the parser, and later ``str`` / ``==`` / ``hash`` on the term,
+#: recurse once per level, so the bound stays well inside what they can
+#: walk at the default recursion limit.
+MAX_NESTING_DEPTH = 200
+
 _CMP_TOKENS = {
     TokenType.LT: "<",
     TokenType.LE: "<=",
@@ -64,6 +71,7 @@ class _Parser:
     def __init__(self, source: str) -> None:
         self._tokens = tokenize(source)
         self._index = 0
+        self._depth = 0
 
     # ------------------------------------------------------------------
     # Token plumbing
@@ -95,6 +103,18 @@ class _Parser:
                 token.column,
             )
         return self._advance()
+
+    def _nest(self, opener: Token) -> None:
+        """Enter one more level of nesting at ``opener``; the caller
+        leaves it by decrementing ``_depth`` (an error abandons the
+        parser, so nothing is unwound)."""
+        self._depth += 1
+        if self._depth > MAX_NESTING_DEPTH:
+            raise ParseError(
+                f"nesting deeper than {MAX_NESTING_DEPTH} levels",
+                opener.line,
+                opener.column,
+            )
 
     def _error(self, message: str) -> ParseError:
         token = self._peek()
@@ -221,10 +241,12 @@ class _Parser:
         if token.type is TokenType.IDENT:
             self._advance()
             if self._accept(TokenType.LPAREN):
+                self._nest(token)
                 args = [self.term()]
                 while self._accept(TokenType.COMMA):
                     args.append(self.term())
                 self._expect(TokenType.RPAREN, "to close the term argument list")
+                self._depth -= 1
                 return Compound(token.text, tuple(args))
             return Constant(token.text)
         raise self._error(f"expected a term, found {token.text!r}")
@@ -261,12 +283,14 @@ class _Parser:
                 return left
 
     def _unary(self) -> ArithExpr:
+        token = self._peek()
         if self._accept(TokenType.MINUS):
+            self._nest(token)
             inner = self._unary()
+            self._depth -= 1
             if isinstance(inner, Constant) and isinstance(inner.value, int):
                 return Constant(-inner.value)
             return BinaryOp("-", Constant(0), inner)
-        token = self._peek()
         if token.type is TokenType.INTEGER:
             self._advance()
             return Constant(int(token.text))
@@ -274,8 +298,10 @@ class _Parser:
             self._advance()
             return Variable(token.text)
         if self._accept(TokenType.LPAREN):
+            self._nest(token)
             inner = self._expr()
             self._expect(TokenType.RPAREN, "to close the expression")
+            self._depth -= 1
             return inner
         raise self._error(
             f"expected an arithmetic operand, found {token.text!r}"

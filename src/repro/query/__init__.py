@@ -6,8 +6,9 @@ The subsystem has four layers:
   told facts, disk-backed :class:`~repro.db.edb.EdbStore`, unions);
 * :mod:`repro.query.magic` — the magic-sets rewrite specialized to the
   ordered transform (cone, eligibility, sips, adornment);
-* :mod:`repro.query.engine` — delta-first join orders compiled per goal
-  shape, and their semi-naive evaluation with lazy EDB fetches;
+* :mod:`repro.query.engine` — delta-first joins compiled per goal
+  shape, and their semi-naive evaluation with lazy EDB fetches, on the
+  join machine shared with the grounder (:mod:`repro.grounding.joins`);
 * :mod:`repro.query.api` — :class:`CompiledDemand`, the demand route of
   one view compiled once per program value; :func:`demand_read`, the
   entry point the knowledge base, server and CLI route

@@ -16,9 +16,10 @@ subset is what this module rewrites:
    evaluation).  An ineligible cone falls back to materialization with
    a reason the caller turns into an obs counter and the
    ``demand-ineligible`` diagnostic.
-3. **Sips** — per rule, body literals are ordered greedily: prefer
-   literals connected to the already-bound variables, then the
-   smallest cardinality estimate from the abstract interpretation
+3. **Sips** — per rule, body literals are ordered by the one greedy
+   :func:`repro.grounding.joins.join_order`: literals connected to the
+   already-bound variables first, then — the cost this module passes —
+   the smallest cardinality estimate from the abstract interpretation
    (:func:`repro.analysis.abstract.analyze_rules` over the cone, with
    EDB relation sizes seeded from the fact sources).
 4. **Adorn + magic** — standard magic sets: each intensional predicate
@@ -38,6 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
+from ..grounding.joins import join_order
 from ..lang.builtins import Comparison
 from ..lang.literals import Literal
 from ..lang.rules import Rule
@@ -215,33 +217,13 @@ def cone_ineligibility(
     return None
 
 
-def _sips_order(
-    rule: Rule,
-    bound: set[Variable],
-    cardinality: Callable[[Literal], Optional[int]],
-) -> tuple[int, ...]:
-    """Sideways-information-passing order over the rule body: greedy,
-    connected-first, cheapest (smallest cardinality bound) next, textual
-    position as the deterministic tiebreak."""
-    literals = rule.body_literals()
-    remaining = list(range(len(literals)))
-    order: list[int] = []
-    seen_vars = set(bound)
-
-    def rank(i: int) -> tuple[bool, float, int]:
-        lit = literals[i]
-        variables = lit.variables()
-        connected = not variables or bool(variables & seen_vars)
-        card = cardinality(lit)
-        estimate = float("inf") if card is None else float(card)
-        return (not connected, estimate, i)
-
-    while remaining:
-        best = min(remaining, key=rank)
-        remaining.remove(best)
-        order.append(best)
-        seen_vars |= literals[best].variables()
-    return tuple(order)
+def _cardinality_cost(
+    literals: Sequence[Literal], cardinality: Callable[[Literal], Optional[int]]
+) -> Callable[[int, bool], float]:
+    """The sips cost handed to ``join_order``: the smallest cardinality
+    bound first, a literal without one last."""
+    estimates = [cardinality(lit) for lit in literals]
+    return lambda i, _: float("inf") if estimates[i] is None else estimates[i]
 
 
 def _adorn(args: Sequence[Term], bound: set[Variable]) -> str:
@@ -296,7 +278,12 @@ def build_plan(
                 if b == "b":
                     bound_vars |= arg.variables()
             literals = r.body_literals()
-            order = _sips_order(r, bound_vars, cardinality)
+            order = join_order(
+                [lit.variables() for lit in literals],
+                range(len(literals)),
+                bound_vars,
+                _cardinality_cost(literals, cardinality),
+            )
             magic_head = BodyAtom(
                 "magic", pred, ad, _bound_args(r.head.args, ad)
             )

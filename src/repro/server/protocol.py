@@ -79,7 +79,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Optional, Union
 
-from ..core.transform import READ_STRATEGIES
+from ..core.transform import READ_STRATEGIES, validate
 
 __all__ = [
     "OPS",
@@ -96,7 +96,6 @@ __all__ = [
     "NOT_LEADER",
     "INTERNAL",
     "MODES",
-    "STRATEGIES",
     "MAX_LINE_BYTES",
     "ProtocolError",
     "Request",
@@ -118,8 +117,9 @@ OPS = READ_OPS | WRITE_OPS | ADMIN_OPS | STREAM_OPS
 
 MODES = ("cautious", "skeptical", "credulous")
 
-#: Per-request read strategies (None = the server default, ``auto``).
-STRATEGIES = READ_STRATEGIES
+#: Refusal of a per-request read strategy outside ``READ_STRATEGIES``
+#: (None = the server default, ``auto``).
+_UNKNOWN_STRATEGY = f"unknown strategy {{!r}}; expected one of {READ_STRATEGIES}"
 
 BAD_REQUEST = "bad_request"
 SEMANTICS = "semantics"
@@ -158,7 +158,7 @@ class Request:
     mode: str = "cautious"
     rules: Optional[str] = None
     isa: tuple[str, ...] = ()
-    #: Read ops only: None (server default) or one of :data:`STRATEGIES`.
+    #: Read ops only: None (server default) or one of ``READ_STRATEGIES``.
     strategy: Optional[str] = None
     #: ``subscribe`` only: stream entries with version > this.
     from_version: int = 0
@@ -259,10 +259,8 @@ def parse_request(
         view = _require_str(data, "view", op)
         pattern = _require_str(data, "pattern", op)
         strategy = data.get("strategy")
-        if strategy is not None and strategy not in STRATEGIES:
-            raise ProtocolError(
-                f"unknown strategy {strategy!r}; expected one of {STRATEGIES}"
-            )
+        if strategy is not None:
+            validate(strategy, READ_STRATEGIES, ProtocolError, _UNKNOWN_STRATEGY)
     elif op in ("tell", "retract"):
         view = _require_str(data, "view", op)
         rules = _require_str(data, "rules", op)

@@ -7,6 +7,7 @@ from repro.lang.builtins import BinaryOp
 from repro.lang.errors import ParseError
 from repro.lang.literals import neg, pos
 from repro.lang.parser import (
+    MAX_NESTING_DEPTH,
     parse_literal,
     parse_program,
     parse_rule,
@@ -167,3 +168,36 @@ class TestPrograms:
         with pytest.raises(ParseError) as excinfo:
             parse_program("a :-\n:- b.")
         assert excinfo.value.line == 2
+
+
+class TestNestingBound:
+    """Source text comes off the network: a term the parser (or ``str`` /
+    ``==`` / ``hash`` afterwards) cannot walk is a ``ParseError`` with a
+    position, never a ``RecursionError``."""
+
+    @staticmethod
+    def nested(depth):
+        return "p(" + "f(" * depth + "a" + ")" * depth + ")"
+
+    def test_the_limit_parses_and_can_be_walked(self):
+        literal = parse_literal(self.nested(MAX_NESTING_DEPTH))
+        again = parse_literal(self.nested(MAX_NESTING_DEPTH))
+        assert literal == again and hash(literal) == hash(again)
+        assert str(literal) == self.nested(MAX_NESTING_DEPTH)
+
+    @pytest.mark.parametrize("depth", [MAX_NESTING_DEPTH + 1, 3000])
+    def test_one_past_the_limit_is_refused_with_a_position(self, depth):
+        for parse, source in (
+            (parse_literal, self.nested(depth)),
+            (parse_rules, "q.\n" + self.nested(depth) + "."),
+        ):
+            with pytest.raises(ParseError, match="nesting deeper than") as excinfo:
+                parse(source)
+            # The functor that opens level limit + 1.
+            assert excinfo.value.line == (2 if source.startswith("q.") else 1)
+            assert excinfo.value.column == len("p(") + 2 * MAX_NESTING_DEPTH + 1
+
+    def test_arithmetic_nesting_is_bounded_too(self):
+        for body in ("(" * 3000 + "1" + ")" * 3000, "-" * 3000 + "1"):
+            with pytest.raises(ParseError, match="nesting deeper than"):
+                parse_rules(f"q :- {body} < 2.")

@@ -90,6 +90,10 @@ def random_first_order_program(rng: random.Random) -> OrderedProgram:
         lines.append("lone(X) <- mark(X), ~q(X).")
     if rng.random() < 0.3:
         lines.append("some <- q(X).")
+    if rng.random() < 0.5:
+        # A variable repeated inside one body atom: the only shape the
+        # compiled join checks (rather than binds or probes by).
+        lines.append("loop(X) <- t(X, X).")
     return OrderedProgram.single(
         tuple(parse_rules("\n".join(lines))), name="main"
     )
@@ -110,6 +114,8 @@ def random_goals(rng: random.Random, program) -> list[str]:
         goals.append("lone(X)")
     if "p" in heads:
         goals.append(f"p(X, {a})")
+    if "loop" in heads:
+        goals.append("loop(X)")
     return goals
 
 

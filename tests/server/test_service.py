@@ -6,7 +6,7 @@ import json
 import pytest
 
 from repro.kb.knowledge_base import KnowledgeBase
-from repro.server import QueryServer, ServerConfig, ServerEngine
+from repro.server import QueryServer, ServerConfig, ServerEngine, parse_request
 
 
 def run(coro):
@@ -190,6 +190,53 @@ def test_hostile_frame_gets_bad_request_and_the_connection_survives(frame):
                 id=1, op="ask", view="bird", pattern="fly(tweety)"
             )
             assert asked["id"] == 1 and asked["result"]["holds"] is True
+            await client.close()
+        assert unhandled == []
+
+    run(scenario())
+
+
+#: A term nested far past the parser's bound, in 6 KB — well under
+#: ``MAX_LINE_BYTES``.  It used to raise ``RecursionError`` out of
+#: ``ServerEngine.handle`` on reads and come back as ``internal: writer
+#: failure`` on a tell.
+DEEP_TERM = "fly(" + "f(" * 3000 + "a" + ")" * 3000 + ")"
+DEEP_TERM_REQUESTS = {
+    "ask": {"op": "ask", "view": "bird", "pattern": DEEP_TERM},
+    "query": {"op": "query", "view": "bird", "pattern": DEEP_TERM},
+    "query-demand": {
+        "op": "query",
+        "view": "bird",
+        "pattern": DEEP_TERM,
+        "strategy": "demand",
+    },
+    "tell": {"op": "tell", "view": "bird", "rules": DEEP_TERM + "."},
+}
+
+
+@pytest.mark.parametrize(
+    "request_fields", DEEP_TERM_REQUESTS.values(), ids=DEEP_TERM_REQUESTS
+)
+def test_deep_term_gets_semantics_error_and_the_connection_survives(request_fields):
+    async def scenario():
+        unhandled = []
+        asyncio.get_running_loop().set_exception_handler(
+            lambda loop, context: unhandled.append(context)
+        )
+        engine = ServerEngine(make_kb())
+        async with QueryServer(engine, port=0) as server:
+            # An embedded caller gets a reply too, not the exception.
+            direct = await engine.handle(parse_request({"id": 0, **request_fields}))
+            assert direct["ok"] is False
+            client = await Client.connect(server.port)
+            reply = await client.call(id=1, **request_fields)
+            assert reply == {**direct, "id": 1}
+            assert reply["error"]["code"] == "semantics"
+            assert "nesting deeper than" in reply["error"]["message"]
+            asked = await client.call(
+                id=2, op="ask", view="bird", pattern="fly(tweety)"
+            )
+            assert asked["id"] == 2 and asked["result"]["holds"] is True
             await client.close()
         assert unhandled == []
 
