@@ -7,30 +7,41 @@ is a member are **undefined** (the paper's ``Ī``).  The truth values
 order ``F < U < T`` and the value of a conjunction is the minimum of the
 values of its literals (Section 3, following [P3]).
 
-Interpretations can be built two ways.  The eager constructor validates
-its members (ground, consistent, inside the base) — the right behaviour
-at API boundaries where the literals come from callers.  The
+Interpretations can be built three ways.  The eager constructor
+validates its members (ground, consistent, inside the base) — the right
+behaviour at API boundaries where the literals come from callers.  The
 :meth:`Interpretation.deferred` path instead wraps a thunk from a
 producer that *guarantees* those invariants (the dense fixpoint kernel
 derives ids that are consistent by construction) and materializes the
-member set only when something actually reads it; until then the object
-costs two attribute slots.
+member set only when something actually reads it.
+:meth:`Interpretation.over` is for a model that is *maintained*: the
+value is the kernel's per-literal-id membership flags read through its
+atom table, and it answers ``in``, ``len``, ``value`` and
+:meth:`Interpretation.relation` in that id space — a version of a
+served model is a copy of a byte string, and literal objects exist only
+for what a reader takes out.  Iterating, comparing or hashing such a
+value decodes it, once, like a thunk.
 
-Truth is membership, so a ground goal is one hash probe.  An *open*
-goal (``fly(X)``) can only match members of its own signed predicate;
-:meth:`Interpretation.relation` hands those out from an index the value
-builds for itself on the first such read.  The value is immutable, so
-the index can never go stale — a write produces a new interpretation,
-which indexes itself if and when an open goal reaches it.
+Truth is membership, so a ground goal is one probe.  An *open* goal
+(``fly(X)``) can only match members of its own signed predicate;
+:meth:`Interpretation.relation` hands those out, from an index the
+value builds for itself on the first such read or, in id space, from
+the atom table's (one per table, shared by every version) filtered by
+this version's flags.  The value is immutable, so neither goes stale.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import AbstractSet, Callable, Iterable, Iterator, Optional
+from functools import partial
+from typing import TYPE_CHECKING, AbstractSet, Callable, Iterable, Iterator, Optional
 
 from ..lang.errors import InconsistencyError
 from ..lang.literals import Atom, Literal
+from ..obs.trace import current_trace
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from ..grounding.grounder import AtomTable
 
 __all__ = ["TruthValue", "Interpretation"]
 
@@ -58,7 +69,7 @@ class Interpretation:
             a wider base is given).
     """
 
-    __slots__ = ("_literals", "_base", "_hash", "_thunk", "_relations")
+    __slots__ = ("_literals", "_base", "_hash", "_thunk", "_relations", "_table", "_flags")
 
     def __init__(
         self,
@@ -90,6 +101,8 @@ class Interpretation:
         object.__setattr__(self, "_hash", None)
         object.__setattr__(self, "_thunk", None)
         object.__setattr__(self, "_relations", None)
+        object.__setattr__(self, "_table", None)
+        object.__setattr__(self, "_flags", None)
 
     @classmethod
     def deferred(
@@ -113,6 +126,25 @@ class Interpretation:
         object.__setattr__(self, "_hash", None)
         object.__setattr__(self, "_thunk", thunk)
         object.__setattr__(self, "_relations", None)
+        object.__setattr__(self, "_table", None)
+        object.__setattr__(self, "_flags", None)
+        return self
+
+    @classmethod
+    def over(
+        cls, table: "AtomTable", flags: bytes, base: AbstractSet[Atom]
+    ) -> "Interpretation":
+        """The interpretation whose members are the literals of
+        ``table`` whose id is flagged (``flags[id] == 1``).
+
+        The producer is trusted as for :meth:`deferred`, and must hand
+        over flags nothing will write to again.  The table may keep
+        growing: an atom interned later has an id past the flags and is
+        not a member.
+        """
+        self = cls.deferred(partial(table.flagged_literals, flags), base)
+        object.__setattr__(self, "_table", table)
+        object.__setattr__(self, "_flags", flags)
         return self
 
     def __setattr__(self, key: str, value: object) -> None:
@@ -124,6 +156,10 @@ class Interpretation:
             members = frozenset(self._thunk())
             object.__setattr__(self, "_literals", members)
             object.__setattr__(self, "_thunk", None)
+            if self._flags is not None:  # left id space: tell the trace
+                ctx = current_trace()
+                if ctx is not None:
+                    ctx.add_cost(decoded_literals=len(members))
         return members
 
     # ------------------------------------------------------------------
@@ -138,13 +174,23 @@ class Interpretation:
         return self._base
 
     def __contains__(self, literal: object) -> bool:
-        return literal in self._members()
+        flags = self._flags
+        if flags is None:
+            return literal in self._members()
+        if not isinstance(literal, Literal):
+            return False
+        atom_id = self._table.id_of(literal.atom)
+        if atom_id is None:
+            return False
+        i = 2 * atom_id + (not literal.positive)
+        return i < len(flags) and flags[i] == 1
 
     def __iter__(self) -> Iterator[Literal]:
         return iter(self._members())
 
     def __len__(self) -> int:
-        return len(self._members())
+        flags = self._flags
+        return len(self._members()) if flags is None else flags.count(1)
 
     def relation(
         self, predicate: str, arity: int, positive: bool
@@ -155,9 +201,24 @@ class Interpretation:
         Members are bucketed on the first call (one pass) and a bucket
         is ordered on its first read; both are derived from the
         immutable member set, so like the lazy hash they are cached on
-        the value and play no part in equality.
+        the value and play no part in equality.  In id space a relation
+        is the table's ids of the predicate, in order, that are flagged.
         """
         relations = self._relations
+        key = (predicate, arity, positive)
+        flags = self._flags
+        if flags is not None:
+            if relations is None:
+                relations = {}
+                object.__setattr__(self, "_relations", relations)
+            bucket = relations.get(key)
+            if bucket is None:
+                table, n, sign = self._table, len(flags), 0 if positive else 1
+                ids = [i | sign for i in table.predicate_ids(predicate, arity)]
+                bucket = relations[key] = tuple(
+                    table.literal(i) for i in ids if i < n and flags[i]
+                )
+            return bucket
         if relations is None:
             relations = {}
             for l in self._members():
@@ -166,7 +227,6 @@ class Interpretation:
                     (atom.predicate, len(atom.args), l.positive), []
                 ).append(l)
             object.__setattr__(self, "_relations", relations)
-        key = (predicate, arity, positive)
         bucket = relations.get(key, ())
         if isinstance(bucket, list):
             bucket = relations[key] = tuple(sorted(bucket, key=str))
@@ -175,10 +235,9 @@ class Interpretation:
     def value(self, literal: Literal) -> TruthValue:
         """The value of a ground literal: T if a member, F if its
         complement is a member, U otherwise."""
-        members = self._members()
-        if literal in members:
+        if literal in self:
             return TruthValue.TRUE
-        if literal.complement() in members:
+        if literal.complement() in self:
             return TruthValue.FALSE
         return TruthValue.UNDEFINED
 

@@ -63,9 +63,9 @@ from ..lang.program import ASSERT, RETRACT
 from ..obs import get_instrumentation
 from ..obs.trace import current_trace
 from .compiled.fixpoint import DenseFixpoint
+from .interpretation import Interpretation
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from .interpretation import Interpretation
     from .statuses import StatusEvaluator
 
 __all__ = [
@@ -197,19 +197,15 @@ class MaintainedModel:
     # ------------------------------------------------------------------
     # Reads
     # ------------------------------------------------------------------
-    def interpretation(self) -> "Interpretation":
-        """The maintained least model as an immutable interpretation.
-
-        Decoded lazily, but from a copy of the membership flags taken
-        now: a published snapshot pins the returned object, so it must
-        not alias the live ``truth`` array that later deltas mutate.
+    def interpretation(self) -> Interpretation:
+        """The maintained least model as an immutable interpretation
+        read in id space (:meth:`Interpretation.over`): a copy of the
+        membership flags taken now.  A published snapshot pins the
+        returned value, so it must not alias the live ``truth`` array
+        that later deltas mutate.
         """
-        from .interpretation import Interpretation
-
-        flags = bytes(self._fp.truth)
-        table = self._table
-        return Interpretation.deferred(
-            lambda: table.flagged_literals(flags), self._base
+        return Interpretation.over(
+            self._table, bytes(self._fp.truth), self._base
         )
 
     def alive_rules(self) -> tuple[GroundRule, ...]:

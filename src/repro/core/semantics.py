@@ -18,12 +18,12 @@ from __future__ import annotations
 
 from dataclasses import replace
 from functools import cached_property
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from ..grounding.grounder import Grounder, GroundingOptions, GroundProgram
 from ..lang.errors import SemanticsError
 from ..lang.literals import Literal
-from ..lang.program import OrderedProgram
+from ..lang.program import FactUpdate, OrderedProgram
 from ..obs import get_instrumentation
 from ..obs.trace import current_trace
 from .assumptions import AssumptionAnalyzer
@@ -333,46 +333,43 @@ class OrderedSemantics:
     def apply_ops(
         self, ops: Iterable[tuple[str, str, Union[Literal, str]]]
     ) -> DeltaStats:
-        """Apply a batch of ``(kind, component, fact)`` mutations.
-
-        Moves :attr:`program` to its successor
-        (:meth:`OrderedProgram.update_facts`, which also says which ops
-        reach the engine and when only re-grounding can tell) and
-        repairs the cached least model through the delta engine when
-        possible; falls back to invalidation + recomputation otherwise
-        (maintenance disabled, ``strategy="classical"``, or an asserted
-        atom outside the grounded base).
-        """
+        """Apply a batch of ``(kind, component, fact)`` mutations: move
+        :attr:`program` to its successor
+        (:meth:`OrderedProgram.update_facts`) and repair the cached
+        least model (:meth:`apply_updates`)."""
         coerced = [(kind, comp, self._coerce(item)) for kind, comp, item in ops]
-        new_program, engine_ops, reground = self.program.update_facts(
-            coerced, self.component
-        )
-        # Every path below ends on ``new_program``.
+        return self.apply_updates([self.program.update_facts(coerced)])
+
+    def apply_updates(self, updates: Sequence[FactUpdate]) -> DeltaStats:
+        """Absorb consecutive fact updates of :attr:`program` (or of a
+        program equal to it on this view's ``C*``: a knowledge base
+        computes one update per write for every view that sees it).
+
+        Moves :attr:`program` to the last successor and repairs the
+        cached least model through the delta engine when possible
+        (:meth:`FactUpdate.seen_from` says which ops reach it and when
+        only re-grounding can tell); falls back to invalidation +
+        recomputation otherwise (maintenance disabled,
+        ``strategy="classical"``, or an asserted atom outside the
+        grounded base).
+        """
+        engine_ops, reground = FactUpdate.seen_from(updates, self.component)
         self.demand_routes.clear()
         obs = get_instrumentation()
         if obs.enabled:
-            obs.count("maintain.delta_facts", len(coerced))
-        n_assert = sum(1 for k, _, _ in coerced if k == ASSERT)
-        base_stats = DeltaStats(
-            asserted=n_assert, retracted=len(coerced) - n_assert
-        )
-        if not engine_ops and not reground:
-            # No visible ground-level change (facts outside C*, or
-            # duplicate copies absorbed): every cache stays valid.
-            self.program = new_program
-            return base_stats
-        have_model = (
-            self._maintained is not None or "least_model" in self.__dict__
-        )
-        use_engine = (
-            self.maintenance.enabled
-            and self.strategy != CLASSICAL_STRATEGY
-            and have_model
-            and not reground
-        )
+            obs.count("maintain.delta_facts", sum(len(u.ops) for u in updates))
         stats: Optional[DeltaStats] = None
         try:
-            if use_engine:
+            if not engine_ops and not reground:
+                # No visible ground-level change (facts outside C*, or
+                # duplicate copies absorbed): every cache stays valid.
+                stats = DeltaStats()
+            elif (
+                self.maintenance.enabled
+                and self.strategy != CLASSICAL_STRATEGY
+                and not reground
+                and (self._maintained is not None or "least_model" in self.__dict__)
+            ):
                 if self._maintained is None:
                     # A told fact can make an instance relevance dropped
                     # applicable, or flip a rule's prune-safety: seed the
@@ -383,7 +380,10 @@ class OrderedSemantics:
                     self._maintained = MaintainedModel(
                         self.full_evaluator, seed.base, self.maintenance
                     )
-                stats = self._maintained.apply(engine_ops)
+                applied = self._maintained.apply(engine_ops)
+                self._drop_caches()
+                self.__dict__["least_model"] = self._maintained.interpretation()
+                return applied
         except DeltaUnsupported:
             # e.g. an asserted atom outside the grounded base: the view
             # must be re-grounded from the mutated program.
@@ -394,15 +394,17 @@ class OrderedSemantics:
             self._invalidate_all()
             raise
         finally:
-            self.program = new_program
+            # The engine is seeded from the predecessor; every path
+            # ends on the last successor.
+            self.program = updates[-1].program
         if stats is None:
             self._invalidate_all()
-            base_stats.full_rebuild = True
+            stats = DeltaStats(full_rebuild=True)
             if obs.enabled:
                 obs.count("maintain.full_rebuilds")
-            return base_stats
-        self._drop_caches()
-        self.__dict__["least_model"] = self._maintained.interpretation()
+        told = [kind == ASSERT for update in updates for kind, _, _ in update.ops]
+        stats.asserted = sum(told)
+        stats.retracted = len(told) - stats.asserted
         return stats
 
     def _drop_caches(self) -> None:

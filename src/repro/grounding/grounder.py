@@ -89,15 +89,21 @@ class AtomTable:
     Ids are **stable**: the table is append-only, so an atom keeps its
     id across fact deltas for the lifetime of the table (maintenance
     reuses the grounding-time table rather than re-interning, and
-    interns a told atom no ground rule mentions at the end).
+    interns a told atom no ground rule mentions at the end), and every
+    version of a maintained model — its membership flags — is read
+    through the one per-predicate index (:meth:`predicate_ids`).
     """
 
-    __slots__ = ("_ids", "_atoms", "_literals")
+    __slots__ = ("_ids", "_atoms", "_literals", "_buckets", "_bucketed")
 
     def __init__(self, atoms: Iterable[Atom] = ()) -> None:
         self._ids: dict[Atom, int] = {}
         self._atoms: list[Atom] = []
         self._literals: list[Literal] = []
+        # (predicate, arity) -> positive literal ids in str order, over
+        # the first ``_bucketed`` atoms; caught up by predicate_ids.
+        self._buckets: dict[tuple[str, int], list[int]] = {}
+        self._bucketed = 0
         for atom in atoms:
             self.intern(atom)
 
@@ -130,6 +136,26 @@ class AtomTable:
     def flagged_literals(self, flags: Sequence[int]) -> Iterator[Literal]:
         """Decode per-literal-id membership flags to the set literals."""
         return compress(self._literals, flags)
+
+    def predicate_ids(self, predicate: str, arity: int) -> Sequence[int]:
+        """The positive literal ids of one predicate's interned atoms,
+        in ``str`` order (``id | 1`` is the negative literal, in the
+        same order) — the only ids an open goal over it can match.
+
+        Bucketed on the first call and extended, here, by the atoms
+        interned since: interning itself stays one dict probe.
+        """
+        atoms = self._atoms
+        if self._bucketed != len(atoms):
+            grown = set()
+            for i in range(self._bucketed, len(atoms)):
+                key = atoms[i].signature
+                self._buckets.setdefault(key, []).append(2 * i)
+                grown.add(key)
+            for key in grown:
+                self._buckets[key].sort(key=lambda i: str(atoms[i >> 1]))
+            self._bucketed = len(atoms)
+        return self._buckets.get((predicate, arity), ())
 
     def __len__(self) -> int:
         return len(self._atoms)

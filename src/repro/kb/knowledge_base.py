@@ -46,7 +46,7 @@ from ..lang.errors import QueryError, SemanticsError
 from ..lang.literals import Literal
 from ..lang.parser import parse_rules
 from ..obs import get_instrumentation
-from ..lang.program import Component, OrderedProgram
+from ..lang.program import Component, FactUpdate, OrderedProgram
 from ..lang.rules import Rule
 from .query import Answer, QueryMode, evaluate_query, goal, holds_in
 
@@ -56,6 +56,11 @@ __all__ = ["KnowledgeBase"]
 _UNKNOWN_STRATEGY = "unknown query strategy {!r}; use one of " + ", ".join(
     map(repr, READ_STRATEGIES)
 )
+
+#: Most fact updates queued for a cached view nobody reads; one more
+#: write drops the view and its next read evaluates cold (no dearer than
+#: replaying a queue that long, and the queue cannot grow for ever).
+MAX_PENDING_UPDATES = 256
 
 #: Both spellings of the cautious mode a read may carry.
 _CAUTIOUS = (QueryMode.CAUTIOUS, QueryMode.CAUTIOUS.value)
@@ -81,8 +86,10 @@ class KnowledgeBase:
             maintenance if maintenance is not None else MaintenanceConfig()
         )
         self._semantics_cache: dict[str, OrderedSemantics] = {}
-        #: Fact deltas queued per cached view, flushed on next read.
-        self._pending: dict[str, list[tuple[str, str, Literal]]] = {}
+        #: Fact updates queued per cached view (one per write, shared by
+        #: every view that sees the written object), absorbed on the
+        #: view's next read.
+        self._pending: dict[str, list[FactUpdate]] = {}
         #: Disk-backed extensional stores per object, as fact sources
         #: (read-only here; writes keep flowing through tell/retract +
         #: the delta engine).
@@ -371,13 +378,18 @@ class KnowledgeBase:
         """Move to the successor program and queue the fact deltas for
         every cached view that sees ``name``; views that cannot see the
         object stay cached *and* clean."""
-        ops = [(kind, name, r.head) for r in facts]
-        self._replace_program(self._program.update_facts(ops).program)
+        update = self._program.update_facts([(kind, name, r.head) for r in facts])
+        self._replace_program(update.program)
         if not self._maintenance.enabled:
             self._drop_views_seeing(name)
             return
         for view in self._seeing_views(name):
-            self._pending.setdefault(view, []).extend(ops)
+            queue = self._pending.setdefault(view, [])
+            if len(queue) < MAX_PENDING_UPDATES:
+                queue.append(update)
+            else:
+                # Nobody reads this view: stop queueing for it.
+                del self._semantics_cache[view], self._pending[view]
 
     # ------------------------------------------------------------------
     # Structure
@@ -441,9 +453,14 @@ class KnowledgeBase:
         pending = self._pending.pop(name, None)
         if pending:
             with get_instrumentation().span(
-                "kb.view.repair", view=name, ops=len(pending)
+                "kb.view.repair", view=name, ops=sum(len(u.ops) for u in pending)
             ):
-                cached.apply_ops(pending)
+                if self.edb_sources(name):
+                    # The view's program carries the stores' rows as
+                    # facts; only it can count copies against them.
+                    cached.apply_ops([op for u in pending for op in u.ops])
+                else:
+                    cached.apply_updates(pending)
         return cached
 
     def ask(

@@ -14,13 +14,14 @@ Both are immutable values.  A told or retracted ground fact yields a
 *successor* program (Section 5's versioning reading):
 :meth:`OrderedProgram.update_facts` is the one place that says what a
 batch of fact writes does to ``<C,<>`` — which copies it adds or
-removes, which of those change ``ground(C*)`` of a view, and when only
-re-grounding can tell.
+removes and which of those change a component's ground facts — and the
+:class:`FactUpdate` it returns says, per view, which of them change
+``ground(C*)`` and when only re-grounding can tell.
 """
 
 from __future__ import annotations
 
-from typing import Collection, Iterable, Iterator, Mapping, NamedTuple, Optional, Union
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .builtins import expr_leaf_terms
 from .errors import SemanticsError
@@ -230,23 +231,60 @@ class Component:
 
 
 class FactUpdate(NamedTuple):
-    """What a batch of ground-fact writes does to an ordered program.
+    """What a batch of ground-fact writes does to an ordered program,
+    said once for every view; each view that sees a written component
+    reads its own verdict off it (:meth:`seen_from`).
 
     Attributes:
         program: the successor ``<C',<>``.  Untouched components and the
             order are the predecessor's objects — a fact write never
             changes ``<``.
-        engine_ops: the writes that change the *deduplicated* ground
-            fact set of the view's ``C*`` (the grounder collapses
-            identical instances per component, so only a fact's first
-            copy in and last copy out count), in batch order.
-        reground: copy counting cannot tell what ``ground(C*)`` became;
-            the view must be re-grounded from :attr:`program`.
+        ops: the batch, as given.
+        changes: the writes that change the *deduplicated* ground fact
+            set of their component (the grounder collapses identical
+            instances per component, so only a fact's first copy in and
+            last copy out count), in batch order, as ``(kind, component,
+            fact, open_head)``.  ``open_head`` marks a last copy out of
+            a component that holds another possible source of the same
+            ground instance (a non-ground fact or guard-only rule with
+            that head).
+        dropped: ``(component, symbol)`` for every constant or function
+            symbol whose last occurrence left the component.
     """
 
     program: "OrderedProgram"
-    engine_ops: list[tuple[str, str, Literal]]
-    reground: bool
+    ops: Sequence[tuple[str, str, Literal]]
+    changes: list[tuple[str, str, Literal, bool]]
+    dropped: list[tuple[str, object]]
+
+    @staticmethod
+    def seen_from(
+        updates: Sequence["FactUpdate"], view: str
+    ) -> tuple[list[tuple[str, str, Literal]], bool]:
+        """What a run of consecutive updates does to ``ground(C*)`` of
+        one view: the engine ops (the changes in components it sees)
+        and whether the view must be re-grounded from the last
+        successor because copy counting cannot tell — a seen change is
+        an ``open_head`` one, or a symbol's last occurrence left the
+        view's ``C*`` (its Herbrand universe shrinks, so instances over
+        the symbol are no longer grounded, even if components the view
+        cannot see still mention it).
+        """
+        program = updates[-1].program
+        visible = program.order.upset(view)
+        engine_ops: list[tuple[str, str, Literal]] = []
+        reground = False
+        dropped: set[object] = set()
+        for update in updates:
+            for kind, name, lit, open_head in update.changes:
+                if name in visible:
+                    engine_ops.append((kind, name, lit))
+                    reground = reground or open_head
+            dropped.update(s for name, s in update.dropped if name in visible)
+        if dropped and not reground:
+            held = [program.component(n)._fact_ledger().symbols for n in visible]
+            reground = not all(any(s in symbols for symbols in held) for s in dropped)
+        return engine_ops, reground
 
 
 class OrderedProgram:
@@ -414,35 +452,21 @@ class OrderedProgram:
         return OrderedProgram(comps.values(), order)
 
     def update_facts(
-        self,
-        ops: Iterable[tuple[str, str, Literal]],
-        view: Optional[str] = None,
+        self, ops: Sequence[tuple[str, str, Literal]]
     ) -> FactUpdate:
         """Tell/retract a batch of ground facts, in order.
 
         Each op is ``(ASSERT | RETRACT, component, ground literal)``; a
         retraction removes the component's oldest copy of the fact.
-        ``engine_ops`` and ``reground`` are relative to ``view``'s
-        ``C*`` (with no view nothing is seen: no engine ops, no
-        verdict — the caller only wants the successor).  Re-grounding
-        is needed when the last copy of a fact leaves a component that
-        holds another possible source of the same ground instance (a
-        non-ground fact or guard-only rule with that head), and when a
-        retraction removes the last occurrence of a constant or function
-        symbol in the view's ``C*`` — the Herbrand universe of ``C*``
-        shrinks, so instances over that symbol are no longer grounded,
-        even if components the view cannot see still mention it.
 
         Raises:
             SemanticsError: unknown kind or component, non-ground fact,
                 or retracting a fact that was never told (the program is
                 a value: a failed batch changes nothing).
         """
-        visible: Collection[str] = () if view is None else self._order.upset(view)
         touched: dict[str, tuple[list[Rule], _FactLedger]] = {}
-        engine_ops: list[tuple[str, str, Literal]] = []
-        reground = False
-        dropped: set[object] = set()
+        changes: list[tuple[str, str, Literal, bool]] = []
+        dropped: list[tuple[str, object]] = []
         for kind, name, lit in ops:
             if kind not in (ASSERT, RETRACT):
                 raise SemanticsError(f"unknown delta op kind {kind!r}")
@@ -469,28 +493,21 @@ class OrderedProgram:
                     "fact was never told"
                 )
             copies = _bump(ledger.copies, lit, step)
-            seen = name in visible
             for symbol in _symbols_in(lit.args):
-                if not _bump(ledger.symbols, symbol, step) and seen:
-                    dropped.add(symbol)
-            if seen and copies == (kind == ASSERT):
+                if not _bump(ledger.symbols, symbol, step):
+                    dropped.append((name, symbol))
+            if copies == (kind == ASSERT):
                 # The first copy in (now 1) or the last copy out (now 0).
-                engine_ops.append((kind, name, lit))
-                if kind == RETRACT and (
+                open_head = kind == RETRACT and (
                     lit in ledger.open_heads
                     or (lit.positive, lit.atom.signature) in ledger.open_heads
-                ):
-                    reground = True
+                )
+                changes.append((kind, name, lit, open_head))
         comps = dict(self._components)
         for name, (rules, ledger) in touched.items():
             comps[name] = Component(name, rules, ledger)
-        if dropped and not reground:
-            reground = not all(
-                any(s in comps[name]._fact_ledger().symbols for name in visible)
-                for s in dropped
-            )
         successor = OrderedProgram(comps.values(), self._order)
-        return FactUpdate(successor, engine_ops, reground)
+        return FactUpdate(successor, ops, changes, dropped)
 
     def __eq__(self, other: object) -> bool:
         return (

@@ -1032,11 +1032,13 @@ class ServerEngine:
 
         Untouched views share the previous snapshot's materialized
         models (structural sharing); touched hot views are repaired
-        through the delta engine (``kb.view`` flushes the batch's
-        coalesced ops into one ``apply_ops`` call per view) and
-        re-materialized.
+        through the delta engine (``kb.view`` hands the batch's fact
+        updates to each view in one ``apply_updates`` call) and their
+        new model is pinned as it comes, in id space: publishing builds
+        no literal (cost key ``publish_decoded_literals`` counts them).
         """
         prev = self._snapshot
+        obs = get_instrumentation()
         affected: set[str] = set()
         for op in ops:
             if op["op"] == "define":
@@ -1045,7 +1047,8 @@ class ServerEngine:
                 affected.update(op["seers"])
         if self.wal is not None:
             try:
-                self.wal.append(version, ops)
+                with obs.span("wal.append"):
+                    self.wal.append(version, ops)
             except OSError:
                 # The KB has advanced past the durable log; admitting
                 # more writes would ack state a restart cannot rebuild.
@@ -1060,24 +1063,14 @@ class ServerEngine:
         explainers = {
             view: e for view, e in prev._explainers.items() if view not in affected
         }
-        obs = get_instrumentation()
         # Hot views — materialized in the previous snapshot and affected
-        # by the batch — are re-materialized here, at publish time, so
-        # that their reads never compute or decode a model, only probe
-        # one.
+        # by the batch — are repaired here, at publish time, so that
+        # their reads never compute a model, only probe one.
         for view in prev.models:
             if view in affected and view in self.kb.objects:
                 r0 = time.perf_counter()
                 try:
-                    model = self.kb.view(view).least_model
-                    # A maintained model decodes its member set on
-                    # first read; do it here so a snapshot reader's
-                    # ground goal is one membership probe.  The
-                    # per-predicate index open goals use is *not*
-                    # built here: most versions never see an open
-                    # goal, and the model builds it on the first.
-                    len(model)
-                    models[view] = model
+                    models[view] = self.kb.view(view).least_model
                 except ReproError:
                     # The view is now erroneous (e.g. inconsistent);
                     # readers get the error lazily instead of the
@@ -1108,7 +1101,12 @@ class ServerEngine:
         self._ops_applied += len(ops)
         if len(ops) > self._max_batch_seen:
             self._max_batch_seen = len(ops)
-        self._notify_subscribers(version, ops)
+        with obs.span("notify", subscribers=len(self._subscribers)):
+            self._notify_subscribers(version, ops)
+        ctx = current_trace()
+        if ctx is not None:  # what Interpretation._members reported here
+            decoded = ctx.costs.pop("decoded_literals", 0)
+            ctx.add_cost(publish_decoded_literals=decoded)
         if obs.enabled:
             obs.count("server.publishes")
             obs.observe("server.batch_size", len(ops))

@@ -16,6 +16,14 @@ The full-model scan those two replaced is kept *here* as the reference:
   never be stale: reads after every write of a warm maintained view
   equal cold evaluation, a pinned snapshot keeps answering from its own
   version, and the ``Interpretation`` value protocol does not see it.
+* **Id space vs decoded** — a maintained view publishes its model as
+  membership flags read through the atom table
+  (``Interpretation.over``).  On the same programs, after every step of
+  a random tell/retract trace, that value and the interpretation built
+  from its decoded literals are indistinguishable: ``in``, ``len``,
+  ``value``, ``relation`` contents *and order*, ``answers_in`` /
+  ``holds_in`` — all without building a member — then ``==``, ``hash``,
+  ``sorted`` and ``undefined_atoms``.
 * **Goal memo** — text is parsed once per distinct goal, errors are not
   remembered, and the memo stays inside its bound.
 
@@ -38,7 +46,7 @@ from repro.grounding.grounder import GroundingOptions
 from repro.grounding.substitution import match_atom
 from repro.kb import query as kbq
 from repro.kb.query import Answer, answers_in, evaluate_query, goal, holds_in
-from repro.lang.errors import ParseError
+from repro.lang.errors import InconsistencyError, ParseError, SemanticsError
 from repro.lang.literals import Atom, Literal
 from repro.lang.parser import parse_program
 from repro.lang.terms import Compound, Constant, Variable
@@ -52,6 +60,7 @@ from ..properties.test_abstract_differential import (
     WORKLOAD_PROGRAMS,
     random_first_order_program,
 )
+from ..properties.test_maintenance_differential import told_facts
 
 #: Random programs swept by this file's own lane (the acceptance floor).
 N_RANDOM_PROGRAMS = 100
@@ -200,12 +209,95 @@ def assert_reads_match_scan(
     return len(shapes)
 
 
-def check_views(program, rng, enumerate_models):
+#: Steps of the random tell/retract trace each view is maintained over.
+TRACE_LENGTH = 6
+
+LATE = Atom("zz_late", (Constant("a"),))
+
+
+def assert_id_space_matches_decoded(model: Interpretation, rng: random.Random) -> None:
+    """A flags-backed model against the object-backed interpretation of
+    the literals its flags decode to."""
+    table, flags = model._table, model._flags
+    decoded = Interpretation(
+        [table.literal(i) for i, flag in enumerate(flags) if flag], model.base
+    )
+    assert len(model) == len(decoded)
+    table.intern(LATE)  # the table outgrows the version: not a member
+    probes = [Literal(atom, sign) for atom in model.base for sign in (True, False)]
+    probes += [l.complement() for l in decoded]
+    probes += [Literal(LATE, True), Literal(LATE, False)]
+    probes += [goal("zz_never(a)"), goal("-zz_never(a)"), goal("zz_never(X)")]
+    for literal in probes:
+        assert (literal in model) == (literal in decoded), literal
+        assert model.value(literal) is decoded.value(literal), literal
+    for junk in ("p(a)", LATE, None, 7, ("p", "a")):
+        assert junk not in model and junk not in decoded
+    signatures = {a.signature for a in model.base} | {LATE.signature}
+    signatures |= {("zz_never", 1)} | {(p, n + 1) for p, n in signatures}
+    for predicate, arity in sorted(signatures):
+        for sign in (True, False):
+            got = model.relation(predicate, arity, sign)
+            assert got == decoded.relation(predicate, arity, sign)
+            assert model.relation(predicate, arity, sign) is got
+    for label, pattern in goal_shapes(rng, decoded).items():
+        assert answers_in(model, pattern) == answers_in(decoded, pattern), label
+        assert holds_in(model, pattern) == holds_in(decoded, pattern), label
+    assert model._literals is None  # every read so far stayed in id space
+    assert model == decoded and decoded == model
+    assert hash(model) == hash(decoded) and len({model, decoded}) == 1
+    assert sorted(model) == sorted(decoded)
+    assert model.undefined_atoms() == decoded.undefined_atoms()
+    assert model.literals == decoded.literals
+
+
+def assert_maintained_models_read_in_id_space(
+    program, component: str, rng: random.Random
+) -> int:
+    """Maintain one view over a random tell/retract trace; returns how
+    many of its versions were id-space values (all that the delta
+    engine produced, each checked)."""
+    semantics = OrderedSemantics(program, component, grounding=OPTIONS)
+    base = sorted(semantics.least_model.base, key=str)
+    told = told_facts(program)
     checked = 0
+    for _step in range(TRACE_LENGTH if base else 0):
+        if told and rng.random() < 0.45:
+            op = ("retract", *rng.choice(told))
+        else:
+            literal = Literal(rng.choice(base), rng.random() < 0.7)
+            op = ("assert", rng.choice(sorted(program.component_names)), literal)
+        try:
+            semantics.apply_ops([op])
+            model = semantics.least_model
+        except InconsistencyError:
+            break  # the mutated program has no least model
+        except SemanticsError:
+            continue  # retracted a copy an earlier step already took
+        (told.append if op[0] == "assert" else told.remove)(op[1:])
+        if model._flags is not None and model._literals is None:
+            # (a step that changes nothing visible keeps the version)
+            assert_id_space_matches_decoded(model, rng)
+            checked += 1
+    return checked
+
+
+def check_views(program, rng, enumerate_models):
+    checked = maintained = 0
     for component in sorted(program.component_names):
         semantics = OrderedSemantics(program, component, grounding=OPTIONS)
         modes = MODES if enumerate_models else ("cautious",)
         checked += assert_reads_match_scan(semantics, rng, modes)
+    # A trace whose every step forces a re-grounding (a retracted fact
+    # held a constant's last occurrence) maintains nothing: draw again.
+    for _round in range(4):
+        for component in sorted(program.component_names):
+            maintained += assert_maintained_models_read_in_id_space(
+                program, component, rng
+            )
+        if maintained:
+            break
+    assert maintained  # the delta engine absorbed some step of some view
     return checked
 
 
@@ -312,6 +404,16 @@ def test_random_program_sweep():
     assert sweep_random_programs(N_RANDOM_PROGRAMS, 0x1DE8) >= N_RANDOM_PROGRAMS
 
 
+def test_random_program_sweep_maintained_models_in_id_space():
+    rng = random.Random(0x1D5)
+    versions = 0
+    for _trial in range(N_RANDOM_PROGRAMS):
+        program = random_first_order_program(rng)
+        for component in sorted(program.component_names):
+            versions += assert_maintained_models_read_in_id_space(program, component, rng)
+    assert versions >= 2 * N_RANDOM_PROGRAMS
+
+
 def test_cautious_ask_stops_at_the_first_match():
     """``ask`` used to build, sort and discard every answer."""
     kb = build_session_kb(1, 64)
@@ -394,7 +496,7 @@ def test_pinned_snapshot_answers_from_its_own_version(index_built):
             )
             assert (await engine.handle(tell))["version"] == pinned.version + 1
             fresh = engine.snapshot.models["level0"]
-            # A hot view is decoded at publish, never indexed there.
+            # A hot view is neither decoded nor indexed at publish.
             assert fresh is not model and fresh._relations is None
             assert names(fresh, "member(X)") == ["member(e1)"]
             assert not holds_in(fresh, "-member(e1)")
@@ -426,6 +528,30 @@ def test_interpretation_value_protocol_ignores_the_index():
     assert indexed.without_literals(extra) == plain
     with pytest.raises(AttributeError):
         indexed._relations = None
+
+
+def test_id_space_versions_share_one_index_that_grows_with_the_table():
+    from repro.grounding.grounder import AtomTable
+
+    atoms = [goal(t).atom for t in ("p(b)", "q(a)", "p(d)", "p(c)")]
+    table = AtomTable(atoms[:3])
+    old = Interpretation.over(table, bytes([1, 0, 0, 1, 0, 0]), atoms[:3])
+    assert [str(l) for l in old.relation("p", 1, True)] == ["p(b)"]
+    assert [str(l) for l in old.relation("q", 1, False)] == ["-q(a)"]
+    index = table.predicate_ids("p", 1)
+    assert list(index) == [0, 4]
+    # A told atom grows the table; it sorts between the two it found.
+    table.intern(atoms[3])
+    new = Interpretation.over(table, bytes([1, 0, 0, 1, 1, 0, 0, 1]), atoms)
+    assert [str(l) for l in new.relation("p", 1, True)] == ["p(b)", "p(d)"]
+    assert [str(l) for l in new.relation("p", 1, False)] == ["-p(c)"]
+    assert table.predicate_ids("p", 1) is index and list(index) == [0, 6, 4]
+    # The version published before the atom existed does not see it.
+    assert goal("-p(c)") in new and goal("-p(c)") not in old
+    assert old.relation("p", 1, False) == ()
+    assert len(old) == 2 and len(new) == 4
+    assert old._literals is None and new._literals is None
+    assert old == Interpretation([goal("p(b)"), goal("-q(a)")], atoms[:3])
 
 
 def test_deferred_thunk_runs_once_however_the_model_is_read():

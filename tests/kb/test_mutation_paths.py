@@ -207,3 +207,63 @@ def test_fact_write_shares_everything_it_did_not_touch():
     kb.isa("reptile", "bird")
     assert kb.program().order is not before.order
     assert not before.order.less("reptile", "bird")
+
+
+def test_queue_of_a_view_nobody_reads_is_bounded():
+    # A view cached by one read and never read again (a server's
+    # skeptical / credulous read caches it without keeping it hot) used
+    # to collect every later write for ever and replay them all on its
+    # next read.
+    from repro.kb import knowledge_base
+
+    kb = bird_kb()
+    assert kb.query("penguin", "fly(X)", "skeptical") == []
+    stale = kb.view("penguin")
+    limit = knowledge_base.MAX_PENDING_UPDATES
+    for i in range(limit):
+        (kb.retract if i % 2 else kb.tell)("bird", "bird_of(wren).")
+        assert len(kb._pending["penguin"]) == i + 1
+    assert kb._semantics_cache["penguin"] is stale
+    kb.tell("bird", "bird_of(wren).")  # one more than replaying is worth
+    assert "penguin" not in kb._pending and "penguin" not in kb._semantics_cache
+    kb.tell("bird", "bird_of(robin).")  # nothing left to queue for
+    assert "penguin" not in kb._pending
+    # The next read evaluates cold, and right.
+    assert [str(a.literal) for a in kb.query("penguin", "fly(X)", "skeptical")] == [
+        "fly(robin)",
+        "fly(wren)",
+    ]
+    assert kb.view("penguin") is not stale
+    # A view that is read keeps its engine however long the stream.
+    warm = kb.view("penguin")
+    for i in range(2 * limit):
+        (kb.retract if i % 2 else kb.tell)("bird", "bird_of(tweety).")
+        assert kb.ask("penguin", "fly(tweety)") == (not i % 2)
+    assert kb.view("penguin") is warm
+
+
+def test_one_program_successor_per_write_however_many_views_see_it(monkeypatch):
+    from repro.lang.program import OrderedProgram
+
+    calls = []
+    real = OrderedProgram.update_facts
+
+    def counted(self, ops):
+        calls.append(len(ops))
+        return real(self, ops)
+
+    monkeypatch.setattr(OrderedProgram, "update_facts", counted)
+    kb = bird_kb()
+    kb.define("emperor", "-magic(X) :- penguin_of(X).", isa=["penguin"])
+    views = ("bird", "penguin", "emperor", "reptile")
+    for view in views:
+        kb.view(view).least_model
+    kb.tell("bird", "bird_of(robin). bird_of(wren).")
+    assert calls == [2]
+    for view in views[:3]:  # three views see ``bird``; each repairs
+        assert kb.ask(view, "fly(wren)")
+        assert kb.view(view).program is kb.program()
+    kb.retract("bird", "bird_of(wren).")
+    assert not kb.ask("emperor", "fly(wren)")
+    assert calls == [2, 1]
+    assert kb.view("reptile").program is not kb.program()  # saw nothing

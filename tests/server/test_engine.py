@@ -3,6 +3,8 @@ deadlines, stats/obs threading, graceful drain."""
 
 import asyncio
 
+import pytest
+
 from repro.kb.knowledge_base import KnowledgeBase
 from repro.obs import instrumented
 from repro.server import ServerConfig, ServerEngine, parse_request
@@ -345,3 +347,148 @@ def test_error_inside_batch_does_not_poison_rest():
             assert ask["result"]["count"] == 2
 
     run(scenario())
+
+
+def test_every_published_version_stays_what_it_was_when_published():
+    """A version is a copy of the engine's membership flags read through
+    indexes every version shares.  Keep every version a 200-write trace
+    publishes — on the leader and on a follower fed by ``apply_entry`` —
+    and only then hold each against naive ``V`` on that version's own
+    program: a version that aliased live state, or read a shared index
+    without its own flags, has drifted by then."""
+    import random
+
+    from repro.core.maintenance import MaintenanceConfig
+    from repro.core.semantics import OrderedSemantics
+    from repro.kb.query import answers_in
+    from repro.server import FollowerEngine
+    from repro.workloads import build_session_kb
+
+    depth, entities, n_writes = 3, 5, 200
+    views = [f"level{i}" for i in range(depth)]
+    goals = ["member(X)", "-member(X)", "flagged(X)", "-flagged(X)", "ok(X)", "ok(e1)"]
+    rng = random.Random(0x91E)
+
+    # (role, version, program, {view: model}); kept out here because
+    # asyncio.run reprs a task's result, which would decode every model.
+    kept = []
+
+    async def scenario():
+        leader = await started(kb=build_session_kb(depth, entities))
+        follower = await FollowerEngine(build_session_kb(depth, entities)).start()
+        stream = leader.add_subscriber()
+        told = []
+        for engine in (leader, follower):
+            for i, view in enumerate(views):
+                await engine.handle(req(id=i, op="query", view=view, pattern="member(X)"))
+        for i in range(n_writes):
+            if told and rng.random() < 0.45:
+                op, (view, rules) = "retract", told.pop(rng.randrange(len(told)))
+            else:
+                level = rng.randrange(depth)
+                kind = rng.choice(["enrolled", "sus"])
+                view = f"level{level}"
+                rules = f"{kind}_{level}(e{rng.randrange(entities)})."
+                op = "tell"
+                told.append((view, rules))
+            reply = await leader.handle(req(id=i, op=op, view=view, rules=rules))
+            assert reply["ok"], reply
+            entry = stream.queue.get_nowait()
+            assert follower.apply_entry(entry["version"], entry["ops"])
+            for role, engine in (("leader", leader), ("follower", follower)):
+                snap = engine.snapshot
+                assert snap.version == i + 1 and set(snap.models) == set(views)
+                if i % 3 == 0:  # some versions serve an open goal while current
+                    answers_in(snap.models[rng.choice(views)], "member(X)")
+                kept.append((role, snap.version, snap.program, dict(snap.models)))
+        await leader.aclose()
+        await follower.aclose()
+
+    run(scenario())
+    assert len(kept) == 2 * n_writes
+    oracle = {}
+
+    def naive(version, program, view):
+        if (version, view) not in oracle:
+            oracle[version, view] = OrderedSemantics(
+                program,
+                view,
+                strategy="naive",
+                maintenance=MaintenanceConfig(enabled=False),
+            ).least_model
+        return oracle[version, view]
+
+    # First in id space (nothing has decoded any version yet) ...
+    for role, version, program, models in kept:
+        for view, model in models.items():
+            want = naive(version, program, view)
+            where = f"{role} v{version} {view}"
+            for pattern in goals:
+                got = [str(a.literal) for a in answers_in(model, pattern)]
+                assert got == [str(a.literal) for a in answers_in(want, pattern)], (
+                    f"{where}: {pattern}"
+                )
+            assert len(model) == len(want), where
+            assert model._literals is None, where
+    # ... then member for member.
+    for role, version, program, models in kept:
+        for view, model in models.items():
+            assert model == naive(version, program, view), f"{role} v{version} {view}"
+
+
+@pytest.mark.parametrize("entities,literals", [(32, 448), (512, 7168)])
+def test_publishing_builds_no_literal_whatever_the_size_of_the_model(
+    monkeypatch, entities, literals
+):
+    """Counts, not clocks: a hundred writes with ground reads between
+    them decode no model (``AtomTable.flagged_literals`` is the only way
+    from flags to objects) at either size ``benchmarks/bench_server.py``
+    serves, and each write evaluates ``update_facts`` once however many
+    hot views see the written object."""
+    from repro.grounding.grounder import AtomTable
+    from repro.lang.program import OrderedProgram
+    from repro.workloads import session_program
+
+    depth, n_writes = 6, 100
+    calls = {"decode": 0, "update_facts": 0}
+
+    def spy(cls, name, key):
+        real = getattr(cls, name)
+
+        def counted(*args):
+            calls[key] += 1
+            return real(*args)
+
+        monkeypatch.setattr(cls, name, counted)
+
+    async def scenario():
+        kb = KnowledgeBase.from_program(session_program(depth, entities))
+        async with ServerEngine(kb) as engine:
+            for level in range(depth):
+                warm = await engine.handle(
+                    req(id=level, op="query", view=f"level{level}", pattern="known(e0)")
+                )
+                assert warm["ok"]
+            assert len(engine.snapshot.models["level0"]) == literals
+            spy(AtomTable, "flagged_literals", "decode")
+            spy(OrderedProgram, "update_facts", "update_facts")
+            for i in range(n_writes):
+                level, entity = i % depth, (7 * i) % entities
+                fact = f"enrolled_{level}(e{entity})."
+                told = await engine.handle(
+                    req(id=i, op="tell", view=f"level{level}", rules=fact)
+                )
+                assert told["ok"] and told["version"] == i + 1
+                for view in ("level0", f"level{level}"):
+                    ask = await engine.handle(
+                        req(id=i, op="ask", view=view, pattern=f"member(e{entity})")
+                    )
+                    assert ask["result"]["holds"] is True
+                    gone = await engine.handle(
+                        req(id=i, op="query", view=view, pattern=f"-member(e{entity})")
+                    )
+                    assert gone["result"]["count"] == 0
+            assert all(m._literals is None for m in engine.snapshot.models.values())
+
+    run(scenario())
+    assert calls == {"decode": 0, "update_facts": n_writes}

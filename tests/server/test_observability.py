@@ -8,6 +8,7 @@ from repro.kb.knowledge_base import KnowledgeBase
 from repro.lang.parser import parse_program
 from repro.obs import get_instrumentation, instrumented
 from repro.obs.trace import current_trace
+from repro.obs.trace import trace as trace_context
 from repro.server import ServerConfig, ServerEngine, parse_request
 
 
@@ -184,6 +185,39 @@ class TestTracedWrites:
                 assert publish["name"] == "publish"
                 repair_names = span_names(publish)
                 assert "kb.view.repair" in repair_names
+
+        run(scenario())
+
+    def test_publish_names_its_children_and_counts_its_decodes(self, tmp_path):
+        from repro.server.wal import Wal
+
+        async def scenario():
+            wal = Wal(str(tmp_path), fsync="never")
+            async with ServerEngine(make_kb(), wal=wal) as engine:
+                await roundtrip(
+                    engine, op="query", view="penguin", pattern="fly(X)", id=1
+                )
+                reply = await roundtrip(
+                    engine,
+                    op="tell",
+                    view="penguin",
+                    rules="penguin_of(tweety).",
+                    trace=True,
+                    id=2,
+                )
+                trace = reply["result"]["trace"]
+                publish = trace["spans"]["children"][-1]
+                # Nothing of a publish is left to its self time but the
+                # snapshot swap: the journal, each repair, the fan-out.
+                assert span_names(publish) == ["wal.append", "kb.view.repair", "notify"]
+                assert trace["costs"]["publish_decoded_literals"] == 0
+                assert "decoded_literals" not in trace["costs"]
+                # A reader that takes the members out pays for them, and
+                # its trace says so.
+                model = engine.snapshot.models["penguin"]
+                with trace_context("test") as ctx:
+                    assert len(model) == len(list(model))
+                assert ctx.costs == {"decoded_literals": len(model)}
 
         run(scenario())
 
