@@ -1,200 +1,12 @@
-"""Bitset backends for the dense evaluation path.
+"""What the frozen benchmark harness (``benchmarks/e2e``) still needs from
+here; delete with ROADMAP item 1(b), once it stops."""
 
-A 3-valued interpretation over ``n`` atoms is stored as **paired
-bitsets**: one bit-vector for the atoms that are true and one for the
-atoms that are false; an atom with neither bit set is undefined.  The
-words are 64-bit: numpy ``uint64`` arrays under the ``numpy`` backend
-(installed via the ``repro[fast]`` extra), stdlib ``array('Q')`` under
-the always-available ``python`` fallback.
-
-Backend selection is import-guarded — importing this module never
-requires numpy.  The active backend is chosen once at import time from
-the ``REPRO_DENSE_BACKEND`` environment variable (``auto`` | ``numpy``
-| ``python``, default ``auto``: numpy when importable) and can be
-overridden per-scope with :func:`use_backend` (tests use this to run
-the paper suites on the pure-python fallback even when numpy is
-present).
-
-Both backends implement the same small surface (:func:`make_words`,
-:func:`popcount`, :func:`set_indices`, :func:`indices`) and produce
-bit-identical results — enforced by the dense differential sweep in
-``tests/properties/test_dense_differential.py``.
-"""
-
-from __future__ import annotations
-
-import os
-from contextlib import contextmanager
-from typing import Iterable, Iterator, Optional, Sequence
-
-try:  # pragma: no cover - exercised via the numpy backend tests
-    import numpy as _np
-except ImportError:  # pragma: no cover - the numpy-less environment
-    _np = None
-
-__all__ = [
-    "available_backends",
-    "backend_name",
-    "use_backend",
-    "make_words",
-    "set_indices",
-    "popcount",
-    "indices",
-    "PairedBitsets",
-]
-
-_ENV_VAR = "REPRO_DENSE_BACKEND"
-
-
-def available_backends() -> tuple[str, ...]:
-    """The backends importable in this environment."""
-    return ("numpy", "python") if _np is not None else ("python",)
-
-
-def _resolve(requested: str) -> str:
-    if requested == "auto":
-        return "numpy" if _np is not None else "python"
-    if requested not in ("numpy", "python"):
-        raise ValueError(
-            f"unknown dense backend {requested!r}; "
-            "expected 'auto', 'numpy' or 'python'"
-        )
-    if requested == "numpy" and _np is None:
-        raise RuntimeError(
-            "the numpy dense backend was requested but numpy is not "
-            "installed; install the repro[fast] extra or use the "
-            "'python' backend"
-        )
-    return requested
-
-
-_active = _resolve(os.environ.get(_ENV_VAR, "auto"))
+# asyncio recv()s into fresh 256 KiB blocks, an mmap/munmap pair each until
+# a freed block this large raises glibc's thresholds.  The array-library
+# import deleted from here did that, by accident, for the harness's load
+# generator, whose read latency is the benchmark's (ROADMAP item 1(e)).
+bytearray(1 << 20)
 
 
 def backend_name() -> str:
-    """The active backend: ``"numpy"`` or ``"python"``."""
-    return _active
-
-
-@contextmanager
-def use_backend(name: str) -> Iterator[str]:
-    """Force a backend within a scope (mainly for tests and benchmarks).
-
-    >>> with use_backend("python") as active:
-    ...     assert active == "python"
-    """
-    global _active
-    previous = _active
-    _active = _resolve(name)
-    try:
-        yield _active
-    finally:
-        _active = previous
-
-
-# ----------------------------------------------------------------------
-# Word-array primitives.  The hot fixpoint kernel addresses single bits
-# through plain Python int arithmetic (word = i >> 6, mask = 1 << (i &
-# 63)) because per-element indexing is faster on stdlib arrays than on
-# numpy scalars; the numpy backend earns its keep on the *bulk* ops —
-# population counts and set-bit enumeration at the model boundary.
-# ----------------------------------------------------------------------
-
-
-def make_words(nbits: int, backend: Optional[str] = None):
-    """A zeroed word array covering ``nbits`` bits."""
-    nwords = (nbits + 63) >> 6
-    if (backend or _active) == "numpy":
-        return _np.zeros(nwords, dtype=_np.uint64)
-    from array import array
-
-    return array("Q", bytes(8 * nwords))
-
-
-def set_indices(words, bit_indices: Iterable[int]) -> None:
-    """Set the given bits (in place)."""
-    for i in bit_indices:
-        words[i >> 6] |= 1 << (i & 63)
-
-
-def popcount(words) -> int:
-    """The number of set bits."""
-    if _np is not None and isinstance(words, _np.ndarray):
-        if hasattr(_np, "bitwise_count"):  # numpy >= 2.0
-            return int(_np.bitwise_count(words).sum())
-        return int(
-            _np.unpackbits(words.view(_np.uint8)).sum()
-        )  # pragma: no cover - numpy < 2.0
-    return sum(int(w).bit_count() for w in words)
-
-
-def indices(words) -> Iterator[int]:
-    """The set bit positions, ascending."""
-    if _np is not None and isinstance(words, _np.ndarray):
-        bits = _np.unpackbits(words.view(_np.uint8), bitorder="little")
-        yield from (int(i) for i in _np.nonzero(bits)[0])
-        return
-    for wi, w in enumerate(words):
-        w = int(w)
-        base = wi << 6
-        while w:
-            low = w & -w
-            yield base + low.bit_length() - 1
-            w ^= low
-
-
-class PairedBitsets:
-    """A 3-valued interpretation over dense atom ids as two bit-vectors.
-
-    ``true_words[a]``/``false_words[a]`` record atoms that are true /
-    false; neither bit set means undefined (the paper's ``Ī``).  The
-    pair is the compiled engine's model representation — object
-    :class:`~repro.core.interpretation.Interpretation` views are only
-    materialized from it lazily at the API boundary.
-    """
-
-    __slots__ = ("n_atoms", "true_words", "false_words")
-
-    def __init__(self, n_atoms: int, backend: Optional[str] = None) -> None:
-        self.n_atoms = n_atoms
-        self.true_words = make_words(n_atoms, backend)
-        self.false_words = make_words(n_atoms, backend)
-
-    @classmethod
-    def from_literal_ids(
-        cls,
-        literal_ids: Sequence[int],
-        n_atoms: int,
-        backend: Optional[str] = None,
-    ) -> "PairedBitsets":
-        """Build from literal ids (``atom_id * 2 + negated``)."""
-        pair = cls(n_atoms, backend)
-        set_indices(pair.true_words, (i >> 1 for i in literal_ids if not i & 1))
-        set_indices(pair.false_words, (i >> 1 for i in literal_ids if i & 1))
-        return pair
-
-    def is_true(self, atom_id: int) -> bool:
-        return bool(self.true_words[atom_id >> 6] & (1 << (atom_id & 63)))
-
-    def is_false(self, atom_id: int) -> bool:
-        return bool(self.false_words[atom_id >> 6] & (1 << (atom_id & 63)))
-
-    def true_count(self) -> int:
-        return popcount(self.true_words)
-
-    def false_count(self) -> int:
-        return popcount(self.false_words)
-
-    def __len__(self) -> int:
-        return self.true_count() + self.false_count()
-
-    def literal_ids(self) -> Iterator[int]:
-        """Member literal ids, positives then negatives, ascending."""
-        yield from (a << 1 for a in indices(self.true_words))
-        yield from ((a << 1) | 1 for a in indices(self.false_words))
-
-    def __repr__(self) -> str:  # pragma: no cover - convenience
-        return (
-            f"PairedBitsets({self.true_count()}T/{self.false_count()}F "
-            f"over {self.n_atoms} atoms)"
-        )
+    return "python"

@@ -45,64 +45,50 @@ resumable (:meth:`DenseFixpoint.advance`): incremental maintenance
 keeps the arrays alive across fact deltas and re-enters it after its
 deletion cascade, so there is one forward engine, not two.
 
-The result of a cold run is a :class:`DenseModelData`: the derived
-literal ids plus the paired true/false bitsets of the least model.  Object
-:class:`~repro.core.interpretation.Interpretation` views are built from
-it lazily — a benchmark (or the solver) that re-runs the fixpoint
-without reading the model never pays the decode.  See
-``docs/performance.md``.
+The model is the ``truth`` flags.  :meth:`DenseFixpoint.interpretation`
+reads a copy of them through the atom table
+(:meth:`~repro.core.interpretation.Interpretation.over`), the same for a
+cold run and for a maintained one: a ground read is an id probe, and
+literal objects exist only for what a reader takes out.  A cold
+:meth:`DenseFixpoint.run` also returns the derived ids in derivation
+order (:class:`DenseModelData`).  See ``docs/performance.md``.
 """
 
 from __future__ import annotations
 
 from array import array
 from itertools import chain
-from typing import Collection, Iterable
+from typing import AbstractSet, Collection, Iterable
 
 from ...lang.errors import InconsistencyError
-from ...lang.literals import Literal
-from .backend import PairedBitsets, backend_name
+from ...lang.literals import Atom, Literal
+from ..interpretation import Interpretation
 from .index import CompiledRuleIndex
 
 __all__ = ["DenseFixpoint", "DenseModelData"]
 
 
 class DenseModelData:
-    """The computed least model in dense form.
+    """What a cold :meth:`DenseFixpoint.run` derived.
 
     Attributes:
         table: the atom table that decodes the ids.
         literal_ids: the derived literal ids, in derivation order.
-        bits: the model as paired true/false bitsets over atom ids.
-        backend: the bitset backend the run used.
     """
 
-    __slots__ = ("table", "literal_ids", "bits", "backend")
+    __slots__ = ("table", "literal_ids")
 
     def __init__(self, table, literal_ids: array) -> None:
         self.table = table
         self.literal_ids = literal_ids
-        self.backend = backend_name()
-        self.bits = PairedBitsets.from_literal_ids(
-            literal_ids, len(table), self.backend
-        )
 
     def __len__(self) -> int:
         return len(self.literal_ids)
 
     def literals(self) -> tuple[Literal, ...]:
-        """Decode to literal objects (the lazy-view thunk)."""
+        """Decode to literal objects, in derivation order."""
         decode = self.table.literal
         return tuple(decode(i) for i in self.literal_ids)
-
-    def value_of_atom_id(self, atom_id: int) -> int:
-        """3-valued lookup: 2 true, 0 false, 1 undefined (the
-        :class:`~repro.core.interpretation.TruthValue` encoding)."""
-        if self.bits.is_true(atom_id):
-            return 2
-        if self.bits.is_false(atom_id):
-            return 0
-        return 1
 
 
 class DenseFixpoint:
@@ -174,6 +160,14 @@ class DenseFixpoint:
                     self.live_overrulers[packed >> 1] += 1
                 else:
                     self.live_defeaters[packed >> 1] += 1
+
+    def interpretation(self, base: AbstractSet[Atom]) -> Interpretation:
+        """The current model as an immutable interpretation over ``base``,
+        read in id space: a copy of the membership flags taken now.  A
+        published snapshot pins the returned value, so it must not alias
+        the ``truth`` array that later deltas mutate.
+        """
+        return Interpretation.over(self._index.table, bytes(self.truth), base)
 
     def watchers(self, j: int) -> Iterable[int]:
         """Packed ``(watcher << 1) | is_overruler`` entries of the rules

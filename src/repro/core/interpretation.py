@@ -11,16 +11,16 @@ Interpretations can be built three ways.  The eager constructor
 validates its members (ground, consistent, inside the base) — the right
 behaviour at API boundaries where the literals come from callers.  The
 :meth:`Interpretation.deferred` path instead wraps a thunk from a
-producer that *guarantees* those invariants (the dense fixpoint kernel
-derives ids that are consistent by construction) and materializes the
-member set only when something actually reads it.
-:meth:`Interpretation.over` is for a model that is *maintained*: the
-value is the kernel's per-literal-id membership flags read through its
-atom table, and it answers ``in``, ``len``, ``value`` and
-:meth:`Interpretation.relation` in that id space — a version of a
-served model is a copy of a byte string, and literal objects exist only
-for what a reader takes out.  Iterating, comparing or hashing such a
-value decodes it, once, like a thunk.
+producer that *guarantees* those invariants and materializes the member
+set only when something actually reads it.
+:meth:`Interpretation.over` is what the dense fixpoint kernel's models
+are, cold and maintained alike (it derives ids that are consistent by
+construction): the value is the kernel's per-literal-id membership
+flags read through its atom table, and it answers ``in``, ``len``,
+``value`` and :meth:`Interpretation.relation` in that id space — a
+least model, or a version of a served one, is a copy of a byte string,
+and literal objects exist only for what a reader takes out.  Iterating,
+comparing or hashing such a value decodes it, once, like a thunk.
 
 Truth is membership, so a ground goal is one probe.  An *open* goal
 (``fly(X)``) can only match members of its own signed predicate;

@@ -198,15 +198,9 @@ class MaintainedModel:
     # Reads
     # ------------------------------------------------------------------
     def interpretation(self) -> Interpretation:
-        """The maintained least model as an immutable interpretation
-        read in id space (:meth:`Interpretation.over`): a copy of the
-        membership flags taken now.  A published snapshot pins the
-        returned value, so it must not alias the live ``truth`` array
-        that later deltas mutate.
-        """
-        return Interpretation.over(
-            self._table, bytes(self._fp.truth), self._base
-        )
+        """The maintained least model as of now
+        (:meth:`DenseFixpoint.interpretation`)."""
+        return self._fp.interpretation(self._base)
 
     def alive_rules(self) -> tuple[GroundRule, ...]:
         """The current ground rule multiset (original order, asserted

@@ -17,7 +17,10 @@ and CI job):
 
 * ``"seminaive"`` (the default) — the delta-driven kernel of
   :mod:`repro.core.compiled.fixpoint`: each stage touches only the
-  rules watching a literal of the previous stage's delta;
+  rules watching a literal of the previous stage's delta, and the model
+  returned is the kernel's membership flags read in id space
+  (:meth:`~repro.core.compiled.fixpoint.DenseFixpoint.interpretation`),
+  the same kind of value a maintained model publishes;
 * ``"naive"`` — iterate ``step`` from the empty interpretation,
   rebuilding a full :class:`~repro.core.statuses.StatusSnapshot` and
   rescanning every ground rule per stage.  Kept as the executable
@@ -228,8 +231,8 @@ class OrderedTransform:
         # no trace context is active — the true zero-cost path.
         span = obs.span("fixpoint", rules=len(self._eval.rules), strategy=chosen)
         if span is NULL_SPAN:
-            data = run.run(bound)
-            return Interpretation.deferred(data.literals, self._base)
+            run.run(bound)
+            return run.interpretation(self._base)
         with span:
             data = run.run(bound, obs if obs.enabled else None)
             stage_ids = run.stage_ids
@@ -243,13 +246,13 @@ class OrderedTransform:
                     literals_derived=len(data),
                     max_stage_delta=max(map(len, stage_ids), default=0),
                 )
-            result = Interpretation.deferred(data.literals, self._base)
-            obs.gauge("fixpoint.least_model_size", len(result.literals))
+            result = run.interpretation(self._base)
+            obs.gauge("fixpoint.least_model_size", len(data))
             obs.event(
                 "fixpoint.converged",
                 Level.INFO,
                 stages=len(stage_ids),
-                literals=len(result.literals),
+                literals=len(data),
             )
         return result
 

@@ -151,10 +151,12 @@ def _scan(source: str) -> Iterator[Token]:
             index += 1
             column += 1
             continue
-        # Numbers
-        if ch.isdigit():
+        # Numbers: ASCII digits only.  str.isdigit() also accepts
+        # characters int() refuses ("²") or reads as another numeral
+        # ("٣"); those fall through to the error below.
+        if "0" <= ch <= "9":
             start = index
-            while index < length and source[index].isdigit():
+            while index < length and "0" <= source[index] <= "9":
                 index += 1
             text = source[start:index]
             yield make(TokenType.INTEGER, text)

@@ -880,8 +880,9 @@ class ServerEngine:
 
         Runs synchronously (no awaits): readers and other writers never
         observe a half-applied batch.  Each request in the batch is
-        applied independently — a rejected mutation turns into an error
-        reply without poisoning the rest of the batch.
+        applied independently — a rejected mutation, or one that fails
+        in any other way, turns into an error reply to that request
+        without poisoning the rest of the batch.
         """
         t0 = time.perf_counter()
         now = time.monotonic()
@@ -925,14 +926,17 @@ class ServerEngine:
                             self._apply_one(request)
                 else:
                     self._apply_one(request)
-            except ReproError as error:
+            except Exception as error:
+                # Not ReproError alone: one request's failure is its
+                # own, and letting it out of the loop would skip the
+                # journal and the publish for the writes of this batch
+                # the KB has already taken.
+                if isinstance(error, ReproError):
+                    code, message = protocol.SEMANTICS, str(error)
+                else:
+                    code, message = protocol.INTERNAL, f"unhandled failure: {error!r}"
                 errors.append(
-                    (
-                        item,
-                        self._error(
-                            request, protocol.SEMANTICS, str(error), self._version
-                        ),
-                    )
+                    (item, self._error(request, code, message, self._version))
                 )
             else:
                 applied.append(item)

@@ -1,30 +1,22 @@
-"""The compiled (dense-integer) evaluation path: atom interning, the
-bitset backends, and the CSR watch-list index.
+"""The compiled (dense-integer) evaluation path: atom interning and
+the CSR watch-list index.
 
-The end-to-end guarantees (dense ≡ naive on random programs, backend
-bit-identity) live in ``tests/properties/test_dense_differential.py``;
-this file covers the building blocks directly.
+The end-to-end guarantee (dense ≡ naive on random programs) lives in
+``tests/properties/test_seminaive_differential.py``; this file covers
+the building blocks directly.
 """
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 
-from repro.core.compiled import (
-    CompiledRuleIndex,
-    DenseFixpoint,
-    available_backends,
-    backend_name,
-    use_backend,
-)
-from repro.core.compiled.backend import (
-    PairedBitsets,
-    indices,
-    make_words,
-    popcount,
-    set_indices,
-)
+from repro.core.compiled import CompiledRuleIndex, DenseFixpoint, DenseModelData
 from repro.core.semantics import OrderedSemantics
 from repro.grounding.grounder import AtomTable
 from repro.lang.literals import Atom, Literal
@@ -99,42 +91,6 @@ class TestAtomTable:
         sem.apply_delta(assertions=[("c2", "bird(penguin)")])
         assert sem.ground.atom_table is table
         assert table.id_of(penguin) == before
-
-
-class TestBackends:
-    def test_available_backends_always_include_python(self):
-        assert "python" in available_backends()
-
-    @pytest.mark.parametrize("backend", available_backends())
-    def test_word_primitives_roundtrip(self, backend):
-        bits = [0, 1, 63, 64, 65, 127, 130]
-        words = make_words(131, backend)
-        set_indices(words, bits)
-        assert popcount(words) == len(bits)
-        assert list(indices(words)) == bits
-
-    @pytest.mark.parametrize("backend", available_backends())
-    def test_paired_bitsets_split_polarity(self, backend):
-        literal_ids = [0, 3, 4]  # atom 0 true, atom 1 false, atom 2 true
-        pair = PairedBitsets.from_literal_ids(literal_ids, 3, backend)
-        assert pair.is_true(0) and not pair.is_false(0)
-        assert pair.is_false(1) and not pair.is_true(1)
-        assert pair.is_true(2)
-        assert pair.true_count() == 2 and pair.false_count() == 1
-        assert len(pair) == 3
-        assert sorted(pair.literal_ids()) == [0, 3, 4]
-
-    def test_use_backend_scopes_and_restores(self):
-        original = backend_name()
-        with use_backend("python") as active:
-            assert active == "python"
-            assert backend_name() == "python"
-        assert backend_name() == original
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            with use_backend("fortran"):
-                pass  # pragma: no cover - never reached
 
 
 def assert_index_is_definition_2(sem: OrderedSemantics) -> None:
@@ -229,26 +185,30 @@ class TestCompiledRuleIndex:
         compiled = semantics.evaluator.index.compiled
         data = DenseFixpoint(compiled).run(bound=100)
         assert frozenset(data.literals()) == semantics.least_model.literals
+        # The run's record is the derived ids and their decoder; the
+        # model's dense form is the kernel's flags, nothing kept here.
+        assert DenseModelData.__slots__ == ("table", "literal_ids")
+        assert len(data) == len(semantics.least_model)
 
 
-PAPER_FIGURES = [
-    ("figure1", paper.figure1(), "c1"),
-    ("figure2", paper.figure2(), "c1"),
-    ("figure3", paper.figure3(["inflation(12)."]), "c1"),
-]
-
-
-@pytest.mark.parametrize(
-    "program, component",
-    [(p, c) for _, p, c in PAPER_FIGURES],
-    ids=[n for n, _, _ in PAPER_FIGURES],
-)
-def test_pure_python_backend_reproduces_paper_figures(program, component):
-    """The numpy-less fallback must agree with naive iteration on the
-    paper's figures — the tier-1 guarantee behind ``repro[fast]`` being
-    a truly optional extra."""
-    with use_backend("python"):
-        semi = OrderedSemantics(program, component, strategy="seminaive")
-        dense_model = semi.least_model.literals
-    naive = OrderedSemantics(program, component, strategy="naive")
-    assert dense_model == naive.least_model.literals
+def test_importing_the_package_leaves_numpy_out():
+    """No layer needs numpy: a process that serves and queries never
+    pays for importing it, installed or not."""
+    src = Path(__file__).resolve().parents[2] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src), *filter(None, [env.get("PYTHONPATH")])]
+    )
+    done = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import repro.server, repro.query, sys; "
+            "assert 'numpy' not in sys.modules",
+        ],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr

@@ -16,9 +16,10 @@ The full-model scan those two replaced is kept *here* as the reference:
   never be stale: reads after every write of a warm maintained view
   equal cold evaluation, a pinned snapshot keeps answering from its own
   version, and the ``Interpretation`` value protocol does not see it.
-* **Id space vs decoded** — a maintained view publishes its model as
+* **Id space vs decoded** — a kernel model, cold or maintained, is the
   membership flags read through the atom table
-  (``Interpretation.over``).  On the same programs, after every step of
+  (``Interpretation.over``).  On the same programs, for the cold least
+  model of every view and after every step of
   a random tell/retract trace, that value and the interpretation built
   from its decoded literals are indistinguishable: ``in``, ``len``,
   ``value``, ``relation`` contents *and order*, ``answers_in`` /
@@ -50,6 +51,7 @@ from repro.lang.errors import InconsistencyError, ParseError, SemanticsError
 from repro.lang.literals import Atom, Literal
 from repro.lang.parser import parse_program
 from repro.lang.terms import Compound, Constant, Variable
+from repro.obs.trace import trace as trace_context
 from repro.server import ServerEngine, parse_request
 from repro.workloads import build_session_kb, session_ops
 
@@ -282,12 +284,33 @@ def assert_maintained_models_read_in_id_space(
     return checked
 
 
+def assert_cold_model_reads_in_id_space(
+    program, component: str, rng: random.Random
+) -> None:
+    """The least model of a cold kernel run is the same kind of value as
+    a maintained version: computing it and asking it ground goals, under
+    a trace, decodes nothing."""
+    semantics = OrderedSemantics(
+        program, component, grounding=OPTIONS, strategy="seminaive"
+    )
+    with trace_context("cold") as ctx:
+        cold = semantics.least_model
+        for atom in sorted(cold.base, key=str):
+            for literal in (Literal(atom, True), Literal(atom, False)):
+                held = evaluate_query(semantics, literal, "cautious")
+                assert [a.literal for a in held] == [literal] * (literal in cold)
+    assert "decoded_literals" not in ctx.costs
+    assert cold._flags is not None and cold._literals is None
+    assert_id_space_matches_decoded(cold, rng)
+
+
 def check_views(program, rng, enumerate_models):
     checked = maintained = 0
     for component in sorted(program.component_names):
         semantics = OrderedSemantics(program, component, grounding=OPTIONS)
         modes = MODES if enumerate_models else ("cautious",)
         checked += assert_reads_match_scan(semantics, rng, modes)
+        assert_cold_model_reads_in_id_space(program, component, rng)
     # A trace whose every step forces a re-grounding (a retracted fact
     # held a constant's last occurrence) maintains nothing: draw again.
     for _round in range(4):

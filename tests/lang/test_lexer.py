@@ -96,3 +96,22 @@ class TestCommentsAndPositions:
         with pytest.raises(LexerError) as excinfo:
             tokenize("a @ b")
         assert excinfo.value.column == 3
+
+    @pytest.mark.parametrize(
+        "source, char, line, column",
+        [
+            ("p(²).", "²", 1, 3),  # int() refuses it
+            ("q.\np(1, ①).", "①", 2, 6),
+            ("p(٣).", "٣", 1, 3),  # int() reads it as 3
+            ("p(a).\n  p(１２).", "１", 2, 5),  # ... and this as 12
+            ("p(1²).", "²", 1, 4),  # an integer ends at its last ASCII digit
+        ],
+    )
+    def test_an_integer_is_ascii_digits_only(self, source, char, line, column):
+        with pytest.raises(LexerError) as excinfo:
+            tokenize(source)
+        error = excinfo.value
+        assert str(error) == (
+            f"unexpected character {char!r} at line {line}, column {column}"
+        )
+        assert (error.line, error.column) == (line, column)

@@ -8,7 +8,9 @@ import pytest
 from repro.kb.knowledge_base import KnowledgeBase
 from repro.obs import instrumented
 from repro.server import ServerConfig, ServerEngine, parse_request
+from repro.serialize import kb_signature
 from repro.server import protocol
+from repro.server.wal import Wal, read_journal
 
 
 def run(coro):
@@ -345,6 +347,73 @@ def test_error_inside_batch_does_not_poison_rest():
                 req(id="r", op="query", view="penguin", pattern="penguin_of(X)")
             )
             assert ask["result"]["count"] == 2
+
+    run(scenario())
+
+
+def test_unhandled_failure_inside_batch_is_that_requests_alone(tmp_path, monkeypatch):
+    """A write that dies of something other than a ``ReproError`` is
+    answered ``internal``; the writes coalesced around it are applied,
+    journalled and published — the KB never runs ahead of the log."""
+    wal = Wal(str(tmp_path), fsync="never", checkpoint_every=None)
+    kb, _ = wal.recover()
+    kb_tell = kb.tell
+
+    def tell(view, rules):
+        if "poison" in rules:
+            raise ValueError("boom")
+        return kb_tell(view, rules)
+
+    monkeypatch.setattr(kb, "tell", tell)
+
+    async def scenario():
+        config = ServerConfig(max_batch=8)
+        async with ServerEngine(kb, config, wal=wal) as engine:
+            await engine.handle(req(id="d", op="define", view="v", rules="q(1)."))
+            replies = await asyncio.gather(
+                *(
+                    engine.handle(req(id=rules, op="tell", view="v", rules=rules))
+                    for rules in ("q(2).", "poison(0).", "q(3).")
+                )
+            )
+            by_id = {r["id"]: r for r in replies}
+            assert by_id["q(2)."]["ok"] and by_id["q(3)."]["ok"]
+            assert by_id["q(2)."]["version"] == by_id["q(3)."]["version"] == 2
+            error = by_id["poison(0)."]["error"]
+            assert error["code"] == protocol.INTERNAL and "boom" in error["message"]
+            assert engine.version == 2
+            ask = await engine.handle(req(id="r", op="query", view="v", pattern="q(X)"))
+            assert ask["version"] == 2 and ask["result"]["count"] == 3
+
+    run(scenario())
+    records, _ = read_journal(str(tmp_path))
+    assert [(r.version, [o["rules"] for o in r.ops]) for r in records] == [
+        (1, ["q(1)."]),
+        (2, ["q(2).", "q(3)."]),
+    ]
+    again = Wal(str(tmp_path), fsync="never")
+    recovered, version = again.recover()
+    again.close()
+    assert version == 2
+    assert kb_signature(recovered) == kb_signature(kb)
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        dict(op="query", pattern="p(²)"),
+        dict(op="ask", pattern="p(²)"),
+        dict(op="tell", rules="p(²)."),
+    ],
+    ids=lambda fields: fields["op"],
+)
+def test_a_digit_the_language_lacks_is_a_semantics_error(fields):
+    async def scenario():
+        async with ServerEngine(make_kb()) as engine:
+            reply = await engine.handle(req(id=1, view="bird", **fields))
+            assert reply["error"]["code"] == protocol.SEMANTICS
+            assert "unexpected character '²'" in reply["error"]["message"]
+            assert engine.version == 0
 
     run(scenario())
 
