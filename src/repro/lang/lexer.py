@@ -10,17 +10,23 @@ The token stream feeds the recursive-descent parser in
 * ``-`` doubles as classical negation (before an atom) and arithmetic
   minus — the parser disambiguates; ``~`` is an unambiguous negation
   alternative.
+
+One compiled pattern does the scanning: each match skips blanks and
+comments, then captures one token (or nothing, at the end of the text).
+:func:`scan` keeps the result as two parallel lists — kinds and texts —
+and works out a line and column only when an error needs one.
 """
 
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass
-from typing import Iterator
+from itertools import islice
 
 from .errors import LexerError
 
-__all__ = ["TokenType", "Token", "tokenize"]
+__all__ = ["TokenType", "Token", "tokenize", "scan", "position"]
 
 
 class TokenType(enum.Enum):
@@ -59,7 +65,26 @@ class Token:
         return f"{self.type.name}({self.text!r})@{self.line}:{self.column}"
 
 
-_SINGLE = {
+# Blanks and comments, then one token: an operator, ASCII digits, a word
+# or any other single character (refused below).  The token is optional,
+# so the skip never backtracks into a comment; the one match without a
+# token is the end of the text.  ``\w`` is exactly ``str.isalnum()`` or
+# ``_``, the old scanner's identifier continuation.
+_TOKEN = re.compile(
+    r"(?:[ \t\r\n]+|%[^\n]*)*"
+    r"(:-|<-|<=|>=|!=|[-(){},.+*/~=<>]|[0-9]+|\w+|.)?",
+    re.DOTALL,
+)
+
+_KINDS = {
+    ":-": TokenType.IF,
+    "<-": TokenType.IF,
+    "<=": TokenType.LE,
+    ">=": TokenType.GE,
+    "!=": TokenType.NE,
+    "<": TokenType.LT,
+    ">": TokenType.GT,
+    "-": TokenType.MINUS,
     "(": TokenType.LPAREN,
     ")": TokenType.RPAREN,
     "{": TokenType.LBRACE,
@@ -71,110 +96,80 @@ _SINGLE = {
     "/": TokenType.SLASH,
     "~": TokenType.TILDE,
     "=": TokenType.EQ,
+    "": TokenType.EOF,
 }
 
 
-def tokenize(source: str) -> list[Token]:
-    """Turn source text into a token list ending with an EOF token.
+def scan(source: str) -> tuple[list[TokenType], list[str]]:
+    """The kinds and texts of ``source``'s tokens, in two parallel lists
+    that end with (at least one) ``EOF`` of text ``""``.
 
     Raises:
         LexerError: on any character outside the language.
     """
-    return list(_scan(source))
+    texts = _TOKEN.findall(source)
+    kinds: list[TokenType] = []
+    append = kinds.append
+    kind_of = _KINDS.copy()  # learns each word's kind on first sight
+    get = kind_of.get
+    for text in texts:
+        kind = get(text)
+        if kind is None:
+            first = text[0]
+            if "0" <= first <= "9":
+                kind = TokenType.INTEGER
+            elif first.isalpha() or first == "_":
+                upper = first.isupper() or first == "_"
+                kind = TokenType.VARIABLE if upper else TokenType.IDENT
+            else:
+                # An operator-less character, or a word that does not
+                # start with a letter: ``²``, ``½`` and ``٣`` are word
+                # characters but neither letters nor ASCII digits.
+                raise LexerError(
+                    f"unexpected character {first!r}",
+                    *position(source, len(kinds)),
+                )
+            kind_of[text] = kind
+        append(kind)
+    return kinds, texts
 
 
-def _scan(source: str) -> Iterator[Token]:
-    line = 1
-    column = 1
-    index = 0
-    length = len(source)
+def position(source: str, index: int) -> tuple[int, int]:
+    """The 1-based line and column of token ``index`` of :func:`scan`.
 
-    def make(ttype: TokenType, text: str) -> Token:
-        return Token(ttype, text, line, column)
+    The pattern is walked again to that token, so only the error path
+    pays for positions.
+    """
+    match = next(islice(_TOKEN.finditer(source), index, None))
+    return _line_column(source, match.start(1))
 
-    while index < length:
-        ch = source[index]
-        # Whitespace
-        if ch == "\n":
-            index += 1
-            line += 1
-            column = 1
-            continue
-        if ch in " \t\r":
-            index += 1
-            column += 1
-            continue
-        # Comments
-        if ch == "%":
-            while index < length and source[index] != "\n":
-                index += 1
-            continue
-        # Multi-character operators
-        two = source[index : index + 2]
-        if two == ":-" or two == "<-":
-            yield make(TokenType.IF, two)
-            index += 2
-            column += 2
-            continue
-        if two == "<=":
-            yield make(TokenType.LE, two)
-            index += 2
-            column += 2
-            continue
-        if two == ">=":
-            yield make(TokenType.GE, two)
-            index += 2
-            column += 2
-            continue
-        if two == "!=":
-            yield make(TokenType.NE, two)
-            index += 2
-            column += 2
-            continue
-        if ch == "<":
-            yield make(TokenType.LT, ch)
-            index += 1
-            column += 1
-            continue
-        if ch == ">":
-            yield make(TokenType.GT, ch)
-            index += 1
-            column += 1
-            continue
-        if ch == "-":
-            yield make(TokenType.MINUS, ch)
-            index += 1
-            column += 1
-            continue
-        if ch in _SINGLE:
-            yield make(_SINGLE[ch], ch)
-            index += 1
-            column += 1
-            continue
-        # Numbers: ASCII digits only.  str.isdigit() also accepts
-        # characters int() refuses ("²") or reads as another numeral
-        # ("٣"); those fall through to the error below.
-        if "0" <= ch <= "9":
-            start = index
-            while index < length and "0" <= source[index] <= "9":
-                index += 1
-            text = source[start:index]
-            yield make(TokenType.INTEGER, text)
-            column += index - start
-            continue
-        # Identifiers and variables
-        if ch.isalpha() or ch == "_":
-            start = index
-            while index < length and (source[index].isalnum() or source[index] == "_"):
-                index += 1
-            text = source[start:index]
-            ttype = (
-                TokenType.VARIABLE
-                if text[0].isupper() or text[0] == "_"
-                else TokenType.IDENT
-            )
-            yield make(ttype, text)
-            column += index - start
-            continue
-        raise LexerError(f"unexpected character {ch!r}", line, column)
-    yield Token(TokenType.EOF, "", line, column)
+
+def _line_column(source: str, offset: int) -> tuple[int, int]:
+    """Line and column of ``offset`` (-1: the end of the text).  A comment
+    never advances the column, so the end of a text whose last line holds
+    a comment is reported at its ``%``."""
+    if offset < 0:
+        offset = len(source)
+    line_start = source.rfind("\n", 0, offset) + 1
+    comment = source.find("%", line_start, offset)
+    if comment >= 0:
+        offset = comment
+    return source.count("\n", 0, line_start) + 1, offset - line_start + 1
+
+
+def tokenize(source: str) -> list[Token]:
+    """Turn source text into a :class:`Token` list ending with one EOF
+    token.  The parser reads :func:`scan`'s lists instead; this view is
+    for tools and tests.
+
+    Raises:
+        LexerError: on any character outside the language.
+    """
+    kinds, _ = scan(source)
+    tokens: list[Token] = []
+    for kind, match in zip(kinds, _TOKEN.finditer(source)):
+        line, column = _line_column(source, match.start(1))
+        tokens.append(Token(kind, match[1] or "", line, column))
+        if kind is TokenType.EOF:
+            break
+    return tokens

@@ -19,6 +19,8 @@ Grammar (EBNF, ``%`` comments handled by the lexer)::
     mul         ::= unary (("*" | "/") unary)*
     unary       ::= "-" unary | INTEGER | VARIABLE | "(" expr ")"
 
+``component`` / ``order`` are keywords only where a rule head cannot go
+on — in a valid program, before a name — and predicate names elsewhere.
 Rules outside any ``component`` block belong to the implicit component
 ``main``.  An ``order`` chain ``order c1 < c2 < c3.`` declares both
 pairs.  ``-``/``~`` before an atom is the paper's classical negation; in
@@ -28,11 +30,11 @@ attempting an expression and backtracking to a literal).
 
 from __future__ import annotations
 
-from typing import Optional
+import sys
 
 from .builtins import ArithExpr, BinaryOp, Comparison
 from .errors import ParseError
-from .lexer import Token, TokenType, tokenize
+from .lexer import TokenType, position, scan
 from .literals import Atom, Literal
 from .program import Component, OrderedProgram
 from .rules import BodyItem, Rule
@@ -57,81 +59,83 @@ DEFAULT_COMPONENT = "main"
 #: walk at the default recursion limit.
 MAX_NESTING_DEPTH = 200
 
-_CMP_TOKENS = {
-    TokenType.LT: "<",
-    TokenType.LE: "<=",
-    TokenType.GT: ">",
-    TokenType.GE: ">=",
-    TokenType.EQ: "=",
-    TokenType.NE: "!=",
-}
+IDENT = TokenType.IDENT
+VARIABLE = TokenType.VARIABLE
+INTEGER = TokenType.INTEGER
+LPAREN = TokenType.LPAREN
+RPAREN = TokenType.RPAREN
+COMMA = TokenType.COMMA
+DOT = TokenType.DOT
+IF = TokenType.IF
+MINUS = TokenType.MINUS
+TILDE = TokenType.TILDE
+EOF = TokenType.EOF
+
+_COMPARISONS = frozenset(
+    (TokenType.LT, TokenType.LE, TokenType.GT, TokenType.GE, TokenType.EQ, TokenType.NE)
+)
+#: What may follow the name in a rule head; before anything else a
+#: top-level ``component`` / ``order`` opens a declaration.
+_AFTER_HEAD_NAME = frozenset((LPAREN, DOT, IF))
 
 
 class _Parser:
+    """Reads :func:`scan`'s parallel ``kinds`` / ``texts`` lists at
+    ``self.i``; the trailing ``EOF`` is never consumed, so looking one
+    token past any other token stays in range."""
+
     def __init__(self, source: str) -> None:
-        self._tokens = tokenize(source)
-        self._index = 0
-        self._depth = 0
+        self.source = source
+        self.kinds, self.texts = scan(source)
+        self.i = 0
+        self.depth = 0
 
-    # ------------------------------------------------------------------
-    # Token plumbing
-    # ------------------------------------------------------------------
-    def _peek(self, offset: int = 0) -> Token:
-        i = min(self._index + offset, len(self._tokens) - 1)
-        return self._tokens[i]
+    def _error(self, message: str, index: int = -1) -> ParseError:
+        """A :class:`ParseError` at token ``index`` (default: the current
+        one)."""
+        line, column = position(self.source, self.i if index < 0 else index)
+        return ParseError(message, line, column)
 
-    def _advance(self) -> Token:
-        token = self._tokens[self._index]
-        if token.type is not TokenType.EOF:
-            self._index += 1
-        return token
-
-    def _check(self, ttype: TokenType) -> bool:
-        return self._peek().type is ttype
-
-    def _accept(self, ttype: TokenType) -> Optional[Token]:
-        if self._check(ttype):
-            return self._advance()
-        return None
-
-    def _expect(self, ttype: TokenType, context: str) -> Token:
-        token = self._peek()
-        if token.type is not ttype:
-            raise ParseError(
-                f"expected {ttype.value!r} {context}, found {token.text!r}",
-                token.line,
-                token.column,
+    def _expect(self, kind: TokenType, context: str) -> str:
+        i = self.i
+        if self.kinds[i] is not kind:
+            raise self._error(
+                f"expected {kind.value!r} {context}, found {self.texts[i]!r}"
             )
-        return self._advance()
+        self.i = i + 1
+        return self.texts[i]
 
-    def _nest(self, opener: Token) -> None:
-        """Enter one more level of nesting at ``opener``; the caller
-        leaves it by decrementing ``_depth`` (an error abandons the
+    def _nest(self, opener: int) -> None:
+        """Enter one more level of nesting at token ``opener``; the caller
+        leaves it by decrementing ``depth`` (an error abandons the
         parser, so nothing is unwound)."""
-        self._depth += 1
-        if self._depth > MAX_NESTING_DEPTH:
-            raise ParseError(
-                f"nesting deeper than {MAX_NESTING_DEPTH} levels",
-                opener.line,
-                opener.column,
-            )
+        self.depth += 1
+        if self.depth > MAX_NESTING_DEPTH:
+            raise self._error(f"nesting deeper than {MAX_NESTING_DEPTH} levels", opener)
 
-    def _error(self, message: str) -> ParseError:
-        token = self._peek()
-        return ParseError(message, token.line, token.column)
+    def _integer(self, index: int) -> int:
+        try:
+            return int(self.texts[index])
+        except ValueError:  # longer than int() reads from text
+            raise self._error(
+                f"integer literal longer than {sys.get_int_max_str_digits()} digits",
+                index,
+            ) from None
 
     # ------------------------------------------------------------------
     # Program structure
     # ------------------------------------------------------------------
     def program(self) -> OrderedProgram:
+        kinds, texts = self.kinds, self.texts
         components: dict[str, list[Rule]] = {}
         order: list[tuple[str, str]] = []
-        while not self._check(TokenType.EOF):
-            token = self._peek()
-            if token.type is TokenType.IDENT and token.text == "component":
+        while kinds[self.i] is not EOF:
+            i = self.i
+            keyword = texts[i] if kinds[i + 1] not in _AFTER_HEAD_NAME else ""
+            if keyword == "component":
                 name, rules = self._component()
                 components.setdefault(name, []).extend(rules)
-            elif token.type is TokenType.IDENT and token.text == "order":
+            elif keyword == "order":
                 order.extend(self._order_decl())
             else:
                 components.setdefault(DEFAULT_COMPONENT, []).append(self.rule())
@@ -143,180 +147,179 @@ class _Parser:
         return OrderedProgram(comps, order)
 
     def _component(self) -> tuple[str, list[Rule]]:
-        self._advance()  # 'component'
-        name_token = self._expect(TokenType.IDENT, "as component name")
+        self.i += 1  # 'component'
+        name = self._expect(IDENT, "as component name")
         self._expect(TokenType.LBRACE, "to open the component body")
+        kinds = self.kinds
         rules: list[Rule] = []
-        while not self._check(TokenType.RBRACE):
-            if self._check(TokenType.EOF):
+        while kinds[self.i] is not TokenType.RBRACE:
+            if kinds[self.i] is EOF:
                 raise self._error("unterminated component body")
             rules.append(self.rule())
-        self._advance()  # '}'
-        return name_token.text, rules
+        self.i += 1  # '}'
+        return name, rules
 
     def _order_decl(self) -> list[tuple[str, str]]:
-        self._advance()  # 'order'
-        names = [self._expect(TokenType.IDENT, "as component name in order").text]
-        while self._accept(TokenType.LT):
-            names.append(
-                self._expect(TokenType.IDENT, "as component name in order").text
-            )
+        self.i += 1  # 'order'
+        names = [self._expect(IDENT, "as component name in order")]
+        while self.kinds[self.i] is TokenType.LT:
+            self.i += 1
+            names.append(self._expect(IDENT, "as component name in order"))
         if len(names) < 2:
             raise self._error("order declaration needs at least two components")
-        self._expect(TokenType.DOT, "to end the order declaration")
-        return [(names[i], names[i + 1]) for i in range(len(names) - 1)]
+        self._expect(DOT, "to end the order declaration")
+        return list(zip(names, names[1:]))
 
     # ------------------------------------------------------------------
     # Rules
     # ------------------------------------------------------------------
     def rule(self) -> Rule:
+        kinds = self.kinds
         head = self.literal()
         body: list[BodyItem] = []
-        if self._accept(TokenType.IF):
+        if kinds[self.i] is IF:
+            self.i += 1
             body.append(self.body_item())
-            while self._accept(TokenType.COMMA):
+            while kinds[self.i] is COMMA:
+                self.i += 1
                 body.append(self.body_item())
-        self._expect(TokenType.DOT, "to end the rule")
+        self._expect(DOT, "to end the rule")
         return Rule(head, tuple(body))
 
     def body_item(self) -> BodyItem:
         # Unambiguous literal starts: negation sign, or an identifier that
         # is not followed by an arithmetic/comparison continuation.
-        token = self._peek()
-        if token.type in (TokenType.MINUS, TokenType.TILDE):
-            nxt = self._peek(1)
-            if nxt.type is TokenType.IDENT:
-                return self.literal()
-            # '-3 < X' style guard
-            return self._comparison()
-        if token.type is TokenType.IDENT:
+        kinds, i = self.kinds, self.i
+        kind = kinds[i]
+        if kind is IDENT or (kind is MINUS or kind is TILDE) and kinds[i + 1] is IDENT:
             return self.literal()
-        if token.type in (TokenType.VARIABLE, TokenType.INTEGER, TokenType.LPAREN):
+        if kind in (MINUS, TILDE, VARIABLE, INTEGER, LPAREN):  # '-3 < X' style guard
             return self._comparison()
-        raise self._error(f"cannot start a body item with {token.text!r}")
+        raise self._error(f"cannot start a body item with {self.texts[i]!r}")
 
     def _comparison(self) -> Comparison:
         left = self._expr()
-        op_token = self._peek()
-        op = _CMP_TOKENS.get(op_token.type)
-        if op is None:
+        i = self.i
+        if self.kinds[i] not in _COMPARISONS:
             raise self._error(
-                f"expected a comparison operator after expression, found {op_token.text!r}"
+                f"expected a comparison operator after expression, found {self.texts[i]!r}"
             )
-        self._advance()
-        right = self._expr()
-        return Comparison(op, left, right)
+        self.i = i + 1
+        return Comparison(self.texts[i], left, self._expr())
 
     # ------------------------------------------------------------------
     # Literals, atoms, terms
     # ------------------------------------------------------------------
     def literal(self) -> Literal:
-        positive = True
-        if self._accept(TokenType.MINUS) or self._accept(TokenType.TILDE):
-            positive = False
+        kind = self.kinds[self.i]
+        positive = kind is not MINUS and kind is not TILDE
+        if not positive:
+            self.i += 1
         return Literal(self.atom(), positive)
 
     def atom(self) -> Atom:
-        name = self._expect(TokenType.IDENT, "as predicate symbol")
-        args: list[Term] = []
-        if self._accept(TokenType.LPAREN):
+        kinds = self.kinds
+        name = self._expect(IDENT, "as predicate symbol")
+        if kinds[self.i] is not LPAREN:
+            return Atom(name, ())
+        self.i += 1
+        args = [self.term()]
+        while kinds[self.i] is COMMA:
+            self.i += 1
             args.append(self.term())
-            while self._accept(TokenType.COMMA):
-                args.append(self.term())
-            self._expect(TokenType.RPAREN, "to close the argument list")
-        return Atom(name.text, tuple(args))
+        self._expect(RPAREN, "to close the argument list")
+        return Atom(name, tuple(args))
 
     def term(self) -> Term:
-        token = self._peek()
-        if token.type is TokenType.VARIABLE:
-            self._advance()
-            return Variable(token.text)
-        if token.type is TokenType.INTEGER:
-            self._advance()
-            return Constant(int(token.text))
-        if token.type is TokenType.MINUS and self._peek(1).type is TokenType.INTEGER:
-            self._advance()
-            value = self._advance()
-            return Constant(-int(value.text))
-        if token.type is TokenType.IDENT:
-            self._advance()
-            if self._accept(TokenType.LPAREN):
-                self._nest(token)
-                args = [self.term()]
-                while self._accept(TokenType.COMMA):
-                    args.append(self.term())
-                self._expect(TokenType.RPAREN, "to close the term argument list")
-                self._depth -= 1
-                return Compound(token.text, tuple(args))
-            return Constant(token.text)
-        raise self._error(f"expected a term, found {token.text!r}")
+        kinds, i = self.kinds, self.i
+        kind = kinds[i]
+        if kind is VARIABLE:
+            self.i = i + 1
+            return Variable(self.texts[i])
+        if kind is INTEGER:
+            self.i = i + 1
+            return Constant(self._integer(i))
+        if kind is MINUS and kinds[i + 1] is INTEGER:
+            self.i = i + 2
+            return Constant(-self._integer(i + 1))
+        if kind is IDENT:
+            if kinds[i + 1] is not LPAREN:
+                self.i = i + 1
+                return Constant(self.texts[i])
+            self.i = i + 2
+            self._nest(i)
+            args = [self.term()]
+            while kinds[self.i] is COMMA:
+                self.i += 1
+                args.append(self.term())
+            self._expect(RPAREN, "to close the term argument list")
+            self.depth -= 1
+            return Compound(self.texts[i], tuple(args))
+        raise self._error(f"expected a term, found {self.texts[i]!r}")
 
     # ------------------------------------------------------------------
     # Arithmetic expressions
     # ------------------------------------------------------------------
     def _expr(self) -> ArithExpr:
+        kinds = self.kinds
         left = self._mul()
         while True:
-            if self._accept(TokenType.PLUS):
-                left = BinaryOp("+", left, self._mul())
-            elif self._check(TokenType.MINUS) and not self._minus_starts_literal():
-                self._advance()
-                left = BinaryOp("-", left, self._mul())
+            kind = kinds[self.i]
+            # In expression position a '-' followed by an identifier would
+            # be a negated literal of the *next* body item; that is a parse
+            # error here and will be reported by the caller, so treat it as
+            # ending the expression.
+            if kind is TokenType.PLUS or kind is MINUS and kinds[self.i + 1] is not IDENT:
+                self.i += 1
+                left = BinaryOp(kind.value, left, self._mul())
             else:
                 return left
 
-    def _minus_starts_literal(self) -> bool:
-        """In expression position a '-' followed by an identifier would be
-        a negated literal of the *next* body item; that is a parse error
-        here and will be reported by the caller, so treat it as ending
-        the expression."""
-        return self._peek(1).type is TokenType.IDENT
-
     def _mul(self) -> ArithExpr:
+        kinds = self.kinds
         left = self._unary()
         while True:
-            if self._accept(TokenType.STAR):
-                left = BinaryOp("*", left, self._unary())
-            elif self._accept(TokenType.SLASH):
-                left = BinaryOp("/", left, self._unary())
+            kind = kinds[self.i]
+            if kind is TokenType.STAR or kind is TokenType.SLASH:
+                self.i += 1
+                left = BinaryOp(kind.value, left, self._unary())
             else:
                 return left
 
     def _unary(self) -> ArithExpr:
-        token = self._peek()
-        if self._accept(TokenType.MINUS):
-            self._nest(token)
+        i = self.i
+        kind = self.kinds[i]
+        if kind is MINUS:
+            self.i = i + 1
+            self._nest(i)
             inner = self._unary()
-            self._depth -= 1
+            self.depth -= 1
             if isinstance(inner, Constant) and isinstance(inner.value, int):
                 return Constant(-inner.value)
             return BinaryOp("-", Constant(0), inner)
-        if token.type is TokenType.INTEGER:
-            self._advance()
-            return Constant(int(token.text))
-        if token.type is TokenType.VARIABLE:
-            self._advance()
-            return Variable(token.text)
-        if self._accept(TokenType.LPAREN):
-            self._nest(token)
+        if kind is INTEGER:
+            self.i = i + 1
+            return Constant(self._integer(i))
+        if kind is VARIABLE:
+            self.i = i + 1
+            return Variable(self.texts[i])
+        if kind is LPAREN:
+            self.i = i + 1
+            self._nest(i)
             inner = self._expr()
-            self._expect(TokenType.RPAREN, "to close the expression")
-            self._depth -= 1
+            self._expect(RPAREN, "to close the expression")
+            self.depth -= 1
             return inner
-        raise self._error(
-            f"expected an arithmetic operand, found {token.text!r}"
-        )
+        raise self._error(f"expected an arithmetic operand, found {self.texts[i]!r}")
 
     # ------------------------------------------------------------------
     # End-of-input helpers for the standalone entry points
     # ------------------------------------------------------------------
     def expect_eof(self, what: str) -> None:
-        token = self._peek()
-        if token.type is not TokenType.EOF:
-            raise ParseError(
-                f"unexpected trailing input after {what}: {token.text!r}",
-                token.line,
-                token.column,
+        i = self.i
+        if self.kinds[i] is not EOF:
+            raise self._error(
+                f"unexpected trailing input after {what}: {self.texts[i]!r}"
             )
 
 
@@ -332,7 +335,7 @@ def parse_rules(source: str) -> list[Rule]:
     """Parse a bare sequence of rules (no component syntax)."""
     parser = _Parser(source)
     rules: list[Rule] = []
-    while not parser._check(TokenType.EOF):
+    while parser.kinds[parser.i] is not EOF:
         rules.append(parser.rule())
     return rules
 

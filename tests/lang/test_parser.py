@@ -1,6 +1,8 @@
 """Unit tests for the parser: rules, guards, components, orders and the
 negation/minus ambiguity."""
 
+import sys
+
 import pytest
 
 from repro.lang.builtins import BinaryOp
@@ -168,6 +170,66 @@ class TestPrograms:
         with pytest.raises(ParseError) as excinfo:
             parse_program("a :-\n:- b.")
         assert excinfo.value.line == 2
+
+    @pytest.mark.parametrize(
+        "source",
+        ["order(a).", "order.", "component.", "component(x) :- p."],
+    )
+    def test_keywords_are_predicate_names_unless_a_name_follows(self, source):
+        """``parse_rules`` (every ``tell``) and a component body read
+        these as rules; so does the top level."""
+        program = parse_program(source)
+        assert program.component_names == {"main"}
+        assert program.component("main").rules == tuple(parse_rules(source))
+        block = parse_program(f"component c {{ {source} }}")
+        assert block.component("c").rules == tuple(parse_rules(source))
+
+    def test_keywords_still_open_declarations_before_a_name(self):
+        program = parse_program("order(a). component c { order. } order c < main.")
+        assert program.order.less("c", "main")
+        assert [str(r) for r in program.component("c").rules] == ["order."]
+        assert [str(r) for r in program.component("main").rules] == ["order(a)."]
+
+
+needs_digit_limit = pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    reason="this interpreter reads integers of any length",
+)
+
+
+@needs_digit_limit
+class TestIntegerDigitLimit:
+    """``int()`` refuses a decimal string past ``sys.get_int_max_str_digits()``
+    digits; the parser reports that as a ``ParseError`` at the literal."""
+
+    @staticmethod
+    def digits():
+        return "9" * (sys.get_int_max_str_digits() + 100)
+
+    @pytest.mark.parametrize(
+        "parse, template, line, column",
+        [
+            (parse_literal, "p({})", 1, 3),
+            (parse_literal, "p(a, -{})", 1, 7),
+            (parse_term, "{}", 1, 1),
+            (parse_rules, "q.\np :- X = {}.", 2, 10),
+            (parse_program, "component c {{\n  p :- X > 1 + {}.\n}}", 2, 16),
+            (parse_program, "p({}).", 1, 3),
+        ],
+    )
+    def test_a_literal_past_the_limit_is_a_parse_error(self, parse, template, line, column):
+        with pytest.raises(ParseError) as excinfo:
+            parse(template.format(self.digits()))
+        error = excinfo.value
+        limit = sys.get_int_max_str_digits()
+        assert str(error) == (
+            f"integer literal longer than {limit} digits at line {line}, column {column}"
+        )
+        assert (error.line, error.column) == (line, column)
+
+    def test_the_limit_itself_parses(self):
+        limit = sys.get_int_max_str_digits()
+        assert parse_term("9" * limit) == Constant(int("9" * limit))
 
 
 class TestNestingBound:

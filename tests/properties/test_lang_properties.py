@@ -1,5 +1,7 @@
 """Property-based tests of the language layer: parser/printer round
-trips, substitution laws, unification, and partial-order laws."""
+trips (over guards with nested arithmetic, the keywords as predicate
+names, and bare top-level rules), substitution laws, unification, and
+partial-order laws."""
 
 import string
 
@@ -7,10 +9,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.grounding.substitution import Substitution, match, unify
+from repro.lang.builtins import BinaryOp, Comparison
 from repro.lang.literals import Atom, Literal
-from repro.lang.parser import parse_program, parse_rule
+from repro.lang.parser import DEFAULT_COMPONENT, parse_program, parse_rule
 from repro.lang.poset import PartialOrder
-from repro.lang.printer import render_program
+from repro.lang.printer import render_component, render_program
 from repro.lang.program import Component, OrderedProgram
 from repro.lang.rules import Rule
 from repro.lang.terms import Compound, Constant, Term, Variable
@@ -38,32 +41,82 @@ terms = st.recursive(
     max_leaves=5,
 )
 
+#: ``order`` and ``component`` are predicate names wherever no component
+#: name follows them.
+predicate_names = st.one_of(
+    constant_names, st.sampled_from(["order", "component", "p", "fly"])
+)
 atoms = st.builds(
     lambda p, args: Atom(p, tuple(args)),
-    constant_names,
+    predicate_names,
     st.lists(terms, max_size=2),
 )
 literals = st.builds(Literal, atoms, st.booleans())
+
+#: Guard expressions: nested ``+ - * /`` (parenthesised when nested)
+#: over variables and integers, negative ones included.
+expressions = st.recursive(
+    st.one_of(
+        st.builds(Constant, st.integers(-50, 50)),
+        st.builds(Variable, variable_names),
+    ),
+    lambda children: st.builds(BinaryOp, st.sampled_from("+-*/"), children, children),
+    max_leaves=6,
+)
+comparisons = st.builds(
+    Comparison, st.sampled_from(["<", "<=", ">", ">=", "=", "!="]), expressions, expressions
+)
 rules = st.builds(
     lambda head, body: Rule(head, tuple(body)),
     literals,
-    st.lists(literals, max_size=3),
+    st.lists(st.one_of(literals, comparisons), max_size=3),
 )
 
 
 @st.composite
-def programs(draw):
-    n = draw(st.integers(1, 3))
+def programs(draw, main=False):
+    """Components ``c0``.. (and ``main``, with at least one rule) under a
+    random order."""
+    names = [f"c{i}" for i in range(draw(st.integers(1, 3)))]
+    if main:
+        names.insert(draw(st.integers(0, len(names))), DEFAULT_COMPONENT)
     comps = []
-    for i in range(n):
-        comp_rules = draw(st.lists(rules, max_size=4))
-        comps.append(Component(f"c{i}", comp_rules))
+    for name in names:
+        comp_rules = draw(st.lists(rules, min_size=int(name == DEFAULT_COMPONENT), max_size=4))
+        comps.append(Component(name, comp_rules))
     pairs = []
-    for i in range(n):
-        for j in range(i + 1, n):
+    for i, low in enumerate(names):
+        for high in names[i + 1 :]:
             if draw(st.booleans()):
-                pairs.append((f"c{i}", f"c{j}"))
+                pairs.append((low, high))
     return OrderedProgram(comps, pairs)
+
+
+def render_main_at_top_level(program):
+    """Like ``render_program``, but ``main``'s rules are bare top-level
+    rules rather than a ``component main { ... }`` block."""
+    parts = [
+        "\n".join(str(r) for r in program.component(name).rules)
+        if name == DEFAULT_COMPONENT
+        else render_component(program.component(name))
+        for name in program.order.topological()
+    ]
+    parts += [f"order {low} < {high}." for low, high in sorted(program.order.covering_pairs())]
+    return "\n\n".join(parts) + "\n"
+
+
+#: Guard expression text as a person writes it: unary minus on anything
+#: (``-X``, ``--3``, ``-(X + 1)``) and redundant parentheses, which the
+#: printer never produces.
+expression_texts = st.recursive(
+    st.one_of(st.integers(-50, 50).map(str), variable_names),
+    lambda children: st.one_of(
+        st.tuples(children, st.sampled_from("+-*/"), children).map(" ".join),
+        children.map("({})".format),
+        children.map("-{}".format),
+    ),
+    max_leaves=6,
+)
 
 
 # ----------------------------------------------------------------------
@@ -80,6 +133,19 @@ def test_rule_parse_render_round_trip(r):
 @given(programs())
 def test_program_parse_render_round_trip(program):
     assert parse_program(render_program(program)) == program
+
+
+@SETTINGS
+@given(programs(main=True))
+def test_top_level_rules_round_trip(program):
+    assert parse_program(render_main_at_top_level(program)) == program
+
+
+@SETTINGS
+@given(expression_texts, st.sampled_from(["<", "<=", ">", ">=", "=", "!="]), expression_texts)
+def test_written_guards_parse_render_round_trip(left, op, right):
+    r = parse_rule(f"t :- p(X, Y, Z, W), {left} {op} {right}.")
+    assert parse_rule(str(r)) == r
 
 
 # ----------------------------------------------------------------------

@@ -2,6 +2,7 @@
 deadlines, stats/obs threading, graceful drain."""
 
 import asyncio
+import sys
 
 import pytest
 
@@ -413,6 +414,28 @@ def test_a_digit_the_language_lacks_is_a_semantics_error(fields):
             reply = await engine.handle(req(id=1, view="bird", **fields))
             assert reply["error"]["code"] == protocol.SEMANTICS
             assert "unexpected character '²'" in reply["error"]["message"]
+            assert engine.version == 0
+
+    run(scenario())
+
+
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    reason="this interpreter reads integers of any length",
+)
+@pytest.mark.parametrize("op", ["query", "ask", "tell"])
+def test_an_integer_past_the_digit_limit_is_a_semantics_error(op):
+    """4,400 digits fit in a frame; ``int()`` refuses them.  That is the
+    request's error, not an unhandled failure."""
+    digits = "9" * (sys.get_int_max_str_digits() + 100)
+    fields = dict(rules=f"p({digits}).") if op == "tell" else dict(pattern=f"p({digits})")
+
+    async def scenario():
+        async with ServerEngine(make_kb()) as engine:
+            reply = await engine.handle(req(id=1, op=op, view="bird", **fields))
+            assert reply["error"]["code"] == protocol.SEMANTICS
+            limit = sys.get_int_max_str_digits()
+            assert f"integer literal longer than {limit} digits" in reply["error"]["message"]
             assert engine.version == 0
 
     run(scenario())
