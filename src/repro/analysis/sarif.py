@@ -40,7 +40,7 @@ _RULE_DESCRIPTIONS = {
     "unreachable-component": "No other component's view sees this component.",
     "potential-defeat": "Contradicting rules in unordered components can defeat each other.",
     "function-growth": "A recursive rule grows term depth without an inferred bound.",
-    "stratification": "The view's classification and routing eligibility.",
+    "stratification": "The view's classification and whether it is a stratified Horn view.",
     "type-clash": "A call-site argument lies outside the predicate's inferred values.",
     "provably-empty": "A predicate with rules is underivable in every view.",
     "dead-rule": "A rule body is statically unsatisfiable in every view.",

@@ -17,11 +17,12 @@ authoring mistakes only surface as runtime failures or silently
   :class:`StaticReport` of :class:`Diagnostic` records.
 * :func:`classify_view` labels each component view as ``positive``,
   ``stratified``, ``locally-stratified`` or ``unstratified`` (Section 4's
-  negative-program reduction); the first two labels make a
-  single-component seminegative view *routable* to the classical
-  stratified backend (see :func:`repro.classical.stratified_least_model`
-  and the ``strategy`` parameter of
-  :class:`repro.core.semantics.OrderedSemantics`).
+  negative-program reduction); under the first two labels a
+  single-component seminegative view is *routable*: its least model is
+  the stratified Horn closure
+  (:func:`repro.classical.stratified.stratified_least_model`), which is
+  what the demand route of :mod:`repro.query` needs and what
+  ``olp check`` reports.
 
 A contradiction only violates stratification when the order does *not*
 resolve it: Figure 1's ``fly``/``¬fly`` clash between comparable
@@ -355,10 +356,9 @@ class ViewClassification:
 
     @property
     def routable(self) -> bool:
-        """True when the view can be routed to the classical stratified
-        backend: a single-component seminegative view that is positive
-        or stratified (no contradictions, no overruling/defeating, so
-        the ordered least model is the stratified Horn least model)."""
+        """True when the view's least model is the stratified Horn
+        closure: a single-component seminegative view that is positive
+        or stratified (no contradictions, no overruling/defeating)."""
         return self.single_component and self.seminegative and (
             self.classification in ("positive", "stratified")
         )
@@ -450,7 +450,8 @@ def _is_locally_stratified(
 
 
 def classify_view(program: OrderedProgram, component: str) -> ViewClassification:
-    """Classify the view ``C*`` of ``component`` for routing purposes."""
+    """Classify the view ``C*`` of ``component`` (demand eligibility and
+    the ``stratification`` diagnostic)."""
     visible = program.visible_components(component)
     tagged = tuple(
         (comp.name, r) for comp in visible for r in comp.rules
@@ -898,9 +899,9 @@ def _check_stratification(program: OrderedProgram) -> tuple[
         info = classify_view(program, name)
         views[name] = info
         if info.routable:
-            note = "routable to the classical stratified backend"
+            note = "its least model is the stratified Horn closure"
         else:
-            note = f"not routable ({info.ineligibility})"
+            note = f"not a stratified Horn view ({info.ineligibility})"
         out.append(
             Diagnostic(
                 code="stratification",

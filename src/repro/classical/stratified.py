@@ -245,10 +245,13 @@ def stratified_least_model(
     literal is ever derivable.  Rules carrying a negative body literal
     therefore never fire, and the least model is the Horn least fixpoint
     of the remaining positive rules, evaluated stratum by stratum with
-    each stratum seeded by the ones below.  This is what makes routing
-    from `OrderedSemantics` sound: for a single-component seminegative
-    view there are no contradictions, hence no overruling or defeating,
-    and ``V_{P,C}`` degenerates to the Horn consequence operator.
+    each stratum seeded by the ones below.
+
+    A classical *reference*, the way :func:`repro.classical.positive.
+    minimal_model` is one: for a single-component seminegative view
+    there are no contradictions, hence no overruling or defeating, and
+    ``V_{P,C}`` degenerates to the Horn consequence operator, so the
+    ordered least model of such a view must equal this closure.
 
     Raises:
         ValueError: when the non-ground program is not stratified.

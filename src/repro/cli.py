@@ -87,9 +87,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--strategy",
         choices=list(SEMANTICS_STRATEGIES),
         default=AUTO_STRATEGY,
-        help="fixpoint strategy: 'auto' routes stratified views to the "
-        "classical backend, 'classical' requires routing, "
-        "'seminaive'/'naive' force the ordered engine",
+        help="fixpoint strategy: 'auto'/'demand'/'seminaive' run the "
+        "semi-naive kernel, 'naive' the reference iteration of V",
     )
 
     query = sub.add_parser("query", help="answer a literal pattern")

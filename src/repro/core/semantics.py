@@ -25,7 +25,6 @@ from ..lang.errors import SemanticsError
 from ..lang.literals import Literal
 from ..lang.program import FactUpdate, OrderedProgram
 from ..obs import get_instrumentation
-from ..obs.trace import current_trace
 from .assumptions import AssumptionAnalyzer
 from .interpretation import Interpretation, TruthValue
 from .maintenance import (
@@ -41,8 +40,6 @@ from .solver import ModelEnumerator, SearchBudget
 from .statuses import ComponentOrder, StatusEvaluator, StatusReport
 from .transform import (
     AUTO_STRATEGY,
-    CLASSICAL_STRATEGY,
-    DEMAND_STRATEGY,
     SEMANTICS_STRATEGIES,
     OrderedTransform,
     engine_strategy,
@@ -61,15 +58,12 @@ class OrderedSemantics:
         grounding: grounder options (depth bounds etc.).
         budget: search budget for the enumeration methods.
         strategy: fixpoint evaluation strategy — ``"auto"`` (default:
-            route single-component stratified seminegative views to the
-            classical stratified backend, otherwise run the semi-naive
-            engine), ``"classical"`` (require routing; raises
-            :class:`SemanticsError` on ineligible views), or the engine
-            escape hatches ``"seminaive"`` / ``"naive"`` which disable
-            routing entirely.  ``"demand"`` answers queries
-            goal-directed through the magic-sets rewrite where sound
-            (``docs/query.md``) and otherwise behaves like ``"auto"``.
-            See ``docs/analysis.md`` and ``docs/evaluation.md``.
+            the semi-naive kernel), ``"demand"`` (answers queries
+            goal-directed through the magic-sets rewrite where sound,
+            ``docs/query.md``, and otherwise behaves like ``"auto"``), or
+            the engine names ``"seminaive"`` / ``"naive"``.  Every view's
+            least model is ``V↑ω`` on the chosen engine; see
+            ``docs/evaluation.md``.
     """
 
     #: cached_property names cleared on every program mutation.
@@ -82,7 +76,6 @@ class OrderedSemantics:
         "checker",
         "assumptions",
         "enumerator",
-        "routing",
         "least_model",
     )
 
@@ -215,76 +208,19 @@ class OrderedSemantics:
         return parse_literal(literal)
 
     # ------------------------------------------------------------------
-    # Stratification routing (docs/analysis.md)
-    # ------------------------------------------------------------------
-    @cached_property
-    def routing(self):
-        """The :class:`~repro.analysis.static.ViewClassification` that
-        justifies routing this view to the classical stratified backend,
-        or None when the least model runs on the ordered engine.
-
-        Raises:
-            SemanticsError: under ``strategy="classical"`` when the view
-                is not eligible.
-        """
-        if self.strategy not in (
-            AUTO_STRATEGY,
-            CLASSICAL_STRATEGY,
-            DEMAND_STRATEGY,
-        ):
-            return None
-        from ..analysis.static import classify_view
-
-        info = classify_view(self.program, self.component)
-        if info.routable:
-            return info
-        if self.strategy == CLASSICAL_STRATEGY:
-            raise SemanticsError(
-                f"component {self.component!r} cannot be routed to the "
-                f"classical stratified backend: {info.ineligibility}"
-            )
-        return None
-
-    def _routed_least_model(self) -> Interpretation:
-        """Least model of a routable view via the classical stratified
-        backend.  Sound because a single-component seminegative view has
-        no contradictions (hence no overruling/defeating) and negative
-        body literals are never derivable, so ``V_{P,C}`` degenerates to
-        the stratified Horn consequence operator."""
-        from ..classical.stratified import stratified_least_model
-
-        rules = tuple(
-            r
-            for comp in self.program.visible_components(self.component)
-            for r in comp.rules
-        )
-        atoms = stratified_least_model(rules, self.ground.rules)
-        ctx = current_trace()
-        if ctx is not None:
-            ctx.add_cost(literals_derived=len(atoms), stratified_routed=1)
-        return Interpretation(
-            tuple(Literal(a, True) for a in atoms), self.ground.base
-        )
-
-    # ------------------------------------------------------------------
     # The least model and entailment
     # ------------------------------------------------------------------
     @cached_property
     def least_model(self) -> Interpretation:
         """``V↑ω(∅)`` — the least (assumption-free) model; Theorem 1(b).
 
-        Computed by the classical stratified backend when the view is
-        routable (see :attr:`routing`), by the configured fixpoint
-        engine otherwise.
+        Computed by the configured fixpoint engine for every view: a
+        single-component stratified one is just the case where no rule
+        is ever overruled or defeated.
         """
-        obs = get_instrumentation()
-        routed = self.routing is not None
-        with obs.span(
-            "semantics.least_model", component=self.component, routed=routed
+        with get_instrumentation().span(
+            "semantics.least_model", component=self.component
         ):
-            if routed:
-                obs.count("semantics.route.stratified")
-                return self._routed_least_model()
             return self.transform.least_fixpoint()
 
     def value(self, literal: Union[Literal, str]) -> TruthValue:
@@ -349,9 +285,8 @@ class OrderedSemantics:
         cached least model through the delta engine when possible
         (:meth:`FactUpdate.seen_from` says which ops reach it and when
         only re-grounding can tell); falls back to invalidation +
-        recomputation otherwise (maintenance disabled,
-        ``strategy="classical"``, or an asserted atom outside the
-        grounded base).
+        recomputation otherwise (maintenance disabled, or an asserted
+        atom outside the grounded base).
         """
         engine_ops, reground = FactUpdate.seen_from(updates, self.component)
         self.demand_routes.clear()
@@ -366,7 +301,6 @@ class OrderedSemantics:
                 stats = DeltaStats()
             elif (
                 self.maintenance.enabled
-                and self.strategy != CLASSICAL_STRATEGY
                 and not reground
                 and (self._maintained is not None or "least_model" in self.__dict__)
             ):

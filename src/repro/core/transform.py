@@ -26,6 +26,10 @@ and CI job):
   rescanning every ground rule per stage.  Kept as the executable
   reading of Definition 4 and as the differential-testing oracle.
 
+The semantics-level names ``"auto"`` and ``"demand"`` run the default
+engine: every least model is ``V↑ω`` on one of these two, whatever
+class of program the view belongs to.
+
 Consistency of every iterate is asserted under both strategies
 (consistency is an invariant: two applicable contradicting rules always
 overrule or defeat one another, so at most one head survives).
@@ -49,7 +53,6 @@ __all__ = [
     "STRATEGIES",
     "DEFAULT_STRATEGY",
     "AUTO_STRATEGY",
-    "CLASSICAL_STRATEGY",
     "DEMAND_STRATEGY",
     "SEMANTICS_STRATEGIES",
     "READ_STRATEGIES",
@@ -63,15 +66,8 @@ STRATEGIES = ("naive", "seminaive")
 #: Engine strategy used when none is requested explicitly.
 DEFAULT_STRATEGY = "seminaive"
 
-#: Semantics-level strategy: route single-component stratified views to
-#: the classical backend when eligible, else fall back to the default
-#: engine.  See ``repro.analysis.static.classify_view``.
+#: Semantics-level strategy: the default engine.
 AUTO_STRATEGY = "auto"
-
-#: Semantics-level strategy: *require* classical routing (raises when
-#: the view is not eligible).  The differential-testing counterpart of
-#: ``"auto"``.
-CLASSICAL_STRATEGY = "classical"
 
 #: Semantics-level strategy: answer queries goal-directed through the
 #: magic-sets rewrite (``repro.query``) where sound, falling back to
@@ -79,14 +75,8 @@ CLASSICAL_STRATEGY = "classical"
 #: like ``"auto"``.  See ``docs/query.md``.
 DEMAND_STRATEGY = "demand"
 
-#: Everything ``OrderedSemantics(strategy=...)`` accepts.  The engine
-#: strategies double as escape hatches that disable routing.
-SEMANTICS_STRATEGIES = (
-    AUTO_STRATEGY,
-    CLASSICAL_STRATEGY,
-    DEMAND_STRATEGY,
-    *STRATEGIES,
-)
+#: Everything ``OrderedSemantics(strategy=...)`` accepts.
+SEMANTICS_STRATEGIES = (AUTO_STRATEGY, DEMAND_STRATEGY, *STRATEGIES)
 
 #: The read strategies a query may name (``KnowledgeBase.query`` and the
 #: server protocol's per-request ``strategy`` field validate against
@@ -109,12 +99,10 @@ def validate(
 
 
 def engine_strategy(strategy: str) -> str:
-    """The engine strategy backing a semantics-level strategy: the
-    routing strategies fall back to the default engine for everything
-    the classical backend does not cover (model enumeration, statuses,
-    non-routable views)."""
+    """The engine strategy backing a semantics-level strategy:
+    ``"auto"`` and ``"demand"`` run the default engine."""
     validate(strategy, SEMANTICS_STRATEGIES)
-    if strategy in (AUTO_STRATEGY, CLASSICAL_STRATEGY, DEMAND_STRATEGY):
+    if strategy in (AUTO_STRATEGY, DEMAND_STRATEGY):
         return DEFAULT_STRATEGY
     return strategy
 

@@ -442,14 +442,16 @@ class Grounder:
         produced: list[GroundRule] = []
         seen: set[GroundRule] = set()
 
-        def emit(instance: GroundRule) -> None:
+        # Atom ids follow the textual ``body``: the instance's frozenset
+        # iterates in an order that depends on the hash seed.
+        def emit(instance: GroundRule, body: Sequence[Literal]) -> None:
             if instance in seen:
                 self._deduped += 1
                 return
             seen.add(instance)
             produced.append(instance)
             table.intern(instance.head.atom)
-            for lit in instance.body:
+            for lit in body:
                 table.intern(lit.atom)
             if len(produced) > self.options.instance_cap:
                 raise GroundingError(
@@ -462,8 +464,8 @@ class Grounder:
                 ground_rules += 1
                 guards = r.guards()
                 if not guards or machine.holds(guards, (), ()):
-                    body = frozenset(r.body_literals())
-                    emit(GroundRule(r.head, body, component, origin=r))
+                    body = r.body_literals()
+                    emit(GroundRule(r.head, frozenset(body), component, origin=r), body)
                 continue
             before = len(produced) + self._deduped
             self._instantiate(r, component, r in joined, machine, bounded, emit)
@@ -606,9 +608,10 @@ class Grounder:
         joins: bool,
         machine: JoinMachine,
         bounded: Callable,
-        emit: Callable[[GroundRule], None],
+        emit: Callable[[GroundRule, Sequence[Literal]], None],
     ) -> None:
-        """Hand ``emit`` every instance of a rule with variables."""
+        """Hand ``emit`` every instance of a rule with variables, with
+        its body in textual order."""
         join = self._compile(r, joins, machine)
         positive = r.head.positive
         predicate = r.head.predicate
@@ -630,6 +633,6 @@ class Grounder:
                 for part in body_parts
             ]
             head = Literal(Atom(predicate, join.head(env)), positive)
-            emit(GroundRule(head, frozenset(body), component, origin=r))
+            emit(GroundRule(head, frozenset(body), component, origin=r), body)
 
         machine.fire(join, (), instance)

@@ -167,8 +167,19 @@ def tokenize(source: str) -> list[Token]:
     """
     kinds, _ = scan(source)
     tokens: list[Token] = []
+    # The line count and line start run along the walk: only a match's
+    # own blanks and comments can hold a newline or a ``%``.
+    line, line_start = 1, 0
     for kind, match in zip(kinds, _TOKEN.finditer(source)):
-        line, column = _line_column(source, match.start(1))
+        skip, offset = match.start(), match.start(1)
+        if offset < 0:
+            offset = len(source)
+        newlines = source.count("\n", skip, offset)
+        if newlines:
+            line += newlines
+            line_start = source.rfind("\n", skip, offset) + 1
+        comment = source.find("%", max(skip, line_start), offset)
+        column = (offset if comment < 0 else comment) - line_start + 1
         tokens.append(Token(kind, match[1] or "", line, column))
         if kind is TokenType.EOF:
             break

@@ -70,8 +70,8 @@ class ReducedProgram:
         """An :class:`OrderedSemantics` view at the designated component.
 
         The ``strategy`` is forwarded to the semantics, so the OV/EV/3V
-        reductions inherit stratification routing plus semi-naive
-        evaluation (and its shared rule index) by default.
+        reductions inherit semi-naive evaluation (and its shared rule
+        index) by default.
         """
         return OrderedSemantics(
             self.program,

@@ -351,7 +351,8 @@ def random_stratified_program(
     component_name: str = "main",
 ) -> OrderedProgram:
     """A random *stratified seminegative* single-component program —
-    eligible for the classical-backend routing of ``OrderedSemantics``.
+    a view whose least model is the stratified Horn closure
+    (:func:`repro.classical.stratified.stratified_least_model`).
 
     Stratified by construction: atom ``p_i`` lives on stratum ``i``;
     positive body atoms are drawn from ``p_0 .. p_i`` and negative body

@@ -1,17 +1,24 @@
-"""Unit tests for stratification and the perfect model."""
+"""Unit tests for stratification, the perfect model and the least-model reference."""
+
+import random
 
 import pytest
 
+from repro.analysis.static import classify_view
 from repro.classical.stratified import (
     dependency_graph,
     is_stratified,
     perfect_model,
     stratification,
+    stratified_least_model,
 )
+from repro.core.semantics import OrderedSemantics
 from repro.grounding.grounder import Grounder
-from repro.lang.literals import Atom
-from repro.lang.parser import parse_rules
+from repro.lang.literals import Atom, Literal
+from repro.lang.parser import parse_program, parse_rules
 from repro.workloads.classic import even_odd
+from repro.workloads.paper import figure3
+from repro.workloads.random_programs import random_stratified_program
 
 
 class TestDependencyGraph:
@@ -88,3 +95,42 @@ class TestPerfectModel:
         g = Grounder().ground_rules(rules)
         pm = perfect_model(rules, g.rules)
         assert is_gl_stable(g.rules, pm)
+
+
+HORN_ANCESTOR = """component c { parent(a, b). parent(b, c). parent(c, d).
+  anc(X, Y) :- parent(X, Y). anc(X, Z) :- parent(X, Y), anc(Y, Z). }"""
+
+DEEPER = dict(n_atoms=9, n_rules=18, max_body=4, neg_body_prob=0.5)
+
+#: Single-component stratified seminegative views: 200 random programs,
+#: 20 deeper ones, a first-order Horn program and Figure 3's positive
+#: expert view.
+REFERENCE_VIEWS = [
+    *(
+        pytest.param(random_stratified_program(random.Random(s)), "main", id=f"random-{s}")
+        for s in range(200)
+    ),
+    *(
+        pytest.param(
+            random_stratified_program(random.Random(50_000 + s), **DEEPER),
+            "main",
+            id=f"deeper-{s}",
+        )
+        for s in range(0, 200, 10)
+    ),
+    pytest.param(parse_program(HORN_ANCESTOR), "c", id="horn-ancestor"),
+    pytest.param(figure3(["inflation(19).", "loan_rate(16)."]), "c2", id="figure3-c2"),
+]
+
+
+@pytest.mark.parametrize("program, component", REFERENCE_VIEWS)
+def test_kernel_matches_stratified_reference(program, component):
+    """The stratified Horn closure, naive ``V`` and the kernel agree."""
+    assert classify_view(program, component).routable
+    default = OrderedSemantics(program, component)
+    naive = OrderedSemantics(program, component, strategy="naive")
+    rules = [r for comp in program.visible_components(component) for r in comp.rules]
+    atoms = stratified_least_model(rules, default.ground.rules)
+    reference = frozenset(Literal(a, True) for a in atoms)
+    assert naive.least_model.literals == reference
+    assert default.least_model.literals == reference

@@ -232,19 +232,19 @@ def test_apply_delta_retract_never_told_raises_and_preserves_state():
     assert model_of(sem) == before
 
 
-def test_apply_delta_classical_strategy_recomputes():
+def test_duplicate_copies_absorbed_with_maintenance_disabled():
     program = parse_program("component only { p(a). q(X) :- p(X). }")
-    sem = OrderedSemantics(program, "only", strategy="classical")
+    sem = OrderedSemantics(program, "only", maintenance=MaintenanceConfig(enabled=False))
     assert "q(a)" in model_of(sem)
     stats = sem.apply_delta(assertions=["p(a)"])
     # Duplicate program copy: the ground program is unchanged, so no
-    # recomputation happens even under the classical strategy.
+    # recomputation happens even without the delta engine.
     assert not stats.full_rebuild
     stats = sem.apply_delta(retractions=["p(a)"])
     assert not stats.full_rebuild  # the duplicate absorbs the retract
     assert "q(a)" in model_of(sem)
     stats = sem.apply_delta(retractions=["p(a)"])
-    assert stats.full_rebuild  # classical never uses the delta engine
+    assert stats.full_rebuild  # the delta engine is off
     assert model_of(sem) == set()
 
 

@@ -1,12 +1,19 @@
 """Unit tests for the OrderedSemantics facade."""
 
+import random
+
 import pytest
 
+from repro.analysis.static import classify_view
 from repro.core.interpretation import TruthValue
 from repro.core.semantics import OrderedSemantics
 from repro.lang.errors import SemanticsError
 from repro.lang.literals import pos
-from repro.workloads.paper import figure1
+from repro.obs import instrumented
+from repro.obs.trace import trace
+from repro.reductions import ordered_version
+from repro.workloads.paper import example6_ancestor, figure1
+from repro.workloads.random_programs import random_stratified_program
 
 
 class TestConstruction:
@@ -16,6 +23,44 @@ class TestConstruction:
 
     def test_ground_cached(self, figure1_semantics):
         assert figure1_semantics.ground is figure1_semantics.ground
+
+
+class TestStrategy:
+    def test_classical_strategy_rejected(self):
+        with pytest.raises(ValueError, match="unknown fixpoint strategy 'classical'"):
+            OrderedSemantics(figure1(), "c1", strategy="classical")
+
+    def test_stratified_view_runs_on_the_kernel(self):
+        program = random_stratified_program(random.Random(3))
+        assert classify_view(program, "main").routable
+        with instrumented() as obs, trace("test") as ctx:
+            _ = OrderedSemantics(program, "main").least_model
+            counters = obs.snapshot()["counters"]
+        assert "semantics.route.stratified" not in counters
+        assert ctx.costs["fixpoint_stages"] >= 1
+        assert "stratified_routed" not in ctx.costs
+
+    def test_unknown_strategy_rejected(self):
+        with pytest.raises(ValueError, match="unknown fixpoint strategy"):
+            OrderedSemantics(figure1(), "c1", strategy="bogus")
+
+    def test_auto_keeps_seminaive_transform(self):
+        sem = OrderedSemantics(random_stratified_program(random.Random(2)), "main")
+        assert sem.strategy == "auto"
+        assert sem.transform.strategy == "seminaive"
+
+    def test_multi_component_view_answers_figure1(self):
+        assert not classify_view(figure1(), "c1").routable
+        sem = OrderedSemantics(figure1(), "c1")
+        assert sem.holds("-fly(penguin)")
+        assert sem.holds("fly(pigeon)")
+
+    def test_ancestor_program_strategies_agree(self):
+        program = ordered_version(example6_ancestor()).program
+        expected = OrderedSemantics(program, "c", strategy="naive").least_model
+        for strategy in ("auto", "seminaive"):
+            model = OrderedSemantics(program, "c", strategy=strategy).least_model
+            assert model.literals == expected.literals
 
 
 class TestEntailment:

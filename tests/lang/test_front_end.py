@@ -68,6 +68,15 @@ def test_scanner_matches_the_reference_scanner(source):
     assert stream(tokenize, source) == stream(reference_tokenize, source)
 
 
+#: 20k lines of comments, rules with trailing comments and indented
+#: facts, every third one ended by CRLF, then a comment with no newline:
+#: line and column must be carried along, not counted from the start.
+LINE_SHAPES = ("% note {i}", "p{i}(X) :- q(X, {i}), -r(X). % why", "  f{i}(a).", "f{i}.")
+LARGE_TEXT = "".join(
+    LINE_SHAPES[i % 4].format(i=i) + ("\r\n" if i % 3 == 0 else "\n") for i in range(20_000)
+) + "% the end, no newline"
+
+
 @pytest.mark.parametrize(
     "source",
     [
@@ -81,6 +90,7 @@ def test_scanner_matches_the_reference_scanner(source):
         "",
         "%",
         "\n\n   % only a comment",
+        pytest.param(LARGE_TEXT, id="large-text"),
     ],
 )
 def test_the_known_traps(source):

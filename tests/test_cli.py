@@ -246,19 +246,14 @@ class TestStrategyFlag:
         ) == 0
         assert "fly(pigeon)" in capsys.readouterr().out
 
-    def test_run_with_classical_on_ineligible_view_errors(
-        self, figure1_file, capsys
-    ):
-        assert main(
-            ["run", figure1_file, "-c", "c1", "--strategy", "classical"]
-        ) == 2
-        assert "cannot be routed" in capsys.readouterr().err
-
-    def test_run_with_classical_on_eligible_view(self, tmp_path, capsys):
-        path = tmp_path / "horn.olp"
-        path.write_text("component c { a. b :- a. }")
-        assert main(["run", str(path), "--strategy", "classical"]) == 0
-        assert "b" in capsys.readouterr().out
+    @pytest.mark.parametrize("view", ["eligible", "ineligible"])
+    def test_classical_strategy_rejected_by_argparse(self, view, figure1_file, tmp_path, capsys):
+        horn = tmp_path / "horn.olp"
+        horn.write_text("component c { a. b :- a. }")
+        args = [str(horn)] if view == "eligible" else [figure1_file, "-c", "c1"]
+        with pytest.raises(SystemExit):
+            main(["run", *args, "--strategy", "classical"])
+        assert "invalid choice: 'classical'" in capsys.readouterr().err
 
     def test_unknown_strategy_rejected(self, figure1_file):
         with pytest.raises(SystemExit):
