@@ -1,9 +1,14 @@
 """Substrate benchmark: grounding throughput.
 
 Not a figure of the paper, but the substrate every experiment runs on.
-Measures full instantiation (the only sound strategy for ordered
-programs — non-blocked defeaters forbid relevance pruning; see
-DESIGN.md) across universe sizes, rule arities and guard pruning."""
+Measures the grounder across universe sizes, rule arities and guard
+pruning: ``Grounder.ground_rules`` (a classical program, always the
+full instantiation) for the first four, and the default relevance
+grounding of ``C*`` (``ground_component_star``, which drops only
+instances of prune-safe rules that cannot apply; see
+docs/performance.md) for the taxonomy.  Both emit integer instances
+over an atom table; ``len(ground.rules)`` decodes nothing, while the
+component check below decodes the rules once."""
 
 import pytest
 

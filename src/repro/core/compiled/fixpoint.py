@@ -87,8 +87,7 @@ class DenseModelData:
 
     def literals(self) -> tuple[Literal, ...]:
         """Decode to literal objects, in derivation order."""
-        decode = self.table.literal
-        return tuple(decode(i) for i in self.literal_ids)
+        return tuple(map(self.table.literal, self.literal_ids))
 
 
 class DenseFixpoint:

@@ -1,10 +1,10 @@
 """The literal→rule watch lists of one grounded view, as integer arrays.
 
-Built in one pass straight from the ground rules, the component order
-and the :class:`~repro.grounding.grounder.AtomTable`: no literal-keyed
-intermediate exists, so the only hashing of literal objects is the
-table lookup that turns each head and body literal into its id.  The
-fixpoint kernel then advances with array indexing only, over CSR
+Built straight from the grounder's integer instances
+(:class:`~repro.grounding.grounder.GroundRules`), so no literal object
+is built or hashed on the way; rule objects from anywhere else (a
+hand-built program, a reduction, a test) are encoded into those arrays
+first.  The fixpoint kernel advances with array indexing only, over CSR
 (compressed sparse row) arrays on the literal-id axis:
 
 * ``body_watch_start/body_watch_rules`` — literal id → rule ids with
@@ -27,9 +27,11 @@ the same view share one compilation.
 from __future__ import annotations
 
 from array import array
+from itertools import accumulate, chain, repeat
+from operator import sub
 from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
 
-from ...grounding.grounder import AtomTable, GroundRule
+from ...grounding.grounder import AtomTable, GroundRule, GroundRules
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..statuses import ComponentOrder
@@ -37,36 +39,37 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 __all__ = ["CompiledRuleIndex"]
 
 
-def _zeros(n: int) -> array:
-    return array("l", bytes(array("l").itemsize * n))
-
-
-def _csr(buckets: dict[int, list[int]], n_keys: int) -> tuple[array, array]:
-    """Pack id-keyed buckets into (start offsets, concatenated items)."""
-    start = _zeros(n_keys + 1)
-    for key, items in buckets.items():
-        start[key + 1] = len(items)
-    for k in range(n_keys):
-        start[k + 1] += start[k]
-    flat = _zeros(start[n_keys])
-    for key, items in buckets.items():
-        c = start[key]
-        flat[c : c + len(items)] = array("l", items)
-    return start, flat
+def _csr(keys: Sequence[int], items: Sequence[int], n_keys: int) -> tuple[array, array]:
+    """Counting-sort ``items`` by their ``keys``, stably: (start
+    offsets, concatenated items)."""
+    counts = [0] * (n_keys + 1)
+    for key in keys:
+        counts[key + 1] += 1
+    start = list(accumulate(counts))
+    fill = start[:-1]
+    flat = [0] * len(keys)
+    for key, item in zip(keys, items):
+        at = fill[key]
+        flat[at] = item
+        fill[key] = at + 1
+    return array("l", start), array("l", flat)
 
 
 class CompiledRuleIndex:
     """One grounded view's watch lists as dense integer arrays.
 
     Attributes:
-        rules: the ground rules, positionally identified — every array
-            below speaks in rule *ids* (indices here).
+        rules: the ground rules as ids, positionally identified — every
+            array below speaks in rule *ids* (indices here).
         table: the atom table addressing every literal id below (the
             grounding-time one when given, else a private one).
         n_rules / n_literals: array dimensions (``n_literals`` covers
             every atom interned in the table at compile time).
         heads: per-rule head literal id.
         body_sizes: per-rule body length (satisfied-counter target).
+        components: per-rule component name (the paper's ``C(r)``).
+        body_start / body_ids: per-rule body literal ids, as a CSR on
+            the rule axis.
         by_head: head literal id → ids of the rules with that head, in
             rule order (who derives a literal; whom a new fact with the
             complementary head contradicts).
@@ -82,6 +85,9 @@ class CompiledRuleIndex:
         "n_literals",
         "heads",
         "body_sizes",
+        "components",
+        "body_start",
+        "body_ids",
         "by_head",
         "body_watch_start",
         "body_watch_rules",
@@ -100,50 +106,50 @@ class CompiledRuleIndex:
         order: "ComponentOrder",
         table: Optional[AtomTable] = None,
     ) -> None:
-        self.table = table = table if table is not None else AtomTable()
-        self.rules = rules = tuple(rules)
-        self.n_rules = n = len(rules)
-        literal_id = table.literal_id
-        self.heads = heads = array("l", [literal_id(r.head) for r in rules])
-        self.body_sizes = array("l", [len(r.body) for r in rules])
+        if not isinstance(rules, GroundRules) or table not in (None, rules.table):
+            rules = GroundRules.encode(rules, AtomTable() if table is None else table)
+        self.rules = rules
+        self.table = rules.table
+        self.heads = heads = rules.heads
+        self.components = components = rules.components
+        self.body_start = start = rules.body_start
+        self.body_ids = body_ids = rules.body_ids
+        self.n_rules = n = len(heads)
+        self.body_sizes = sizes = array("l", map(sub, start[1:], start))
 
         by_head: dict[int, list[int]] = {}
-        body_buckets: dict[int, list[int]] = {}
-        block_buckets: dict[int, list[int]] = {}
-        for i, r in enumerate(rules):
-            by_head.setdefault(heads[i], []).append(i)
-            for lit in r.body:
-                b = literal_id(lit)
-                body_buckets.setdefault(b, []).append(i)
-                block_buckets.setdefault(b ^ 1, []).append(i)
+        for i, h in enumerate(heads):
+            by_head.setdefault(h, []).append(i)
         self.by_head: Mapping[int, Sequence[int]] = by_head
-        self.n_literals = n_lits = 2 * len(table)
-        self.body_watch_start, self.body_watch_rules = _csr(body_buckets, n_lits)
+        self.n_literals = n_lits = 2 * len(self.table)
+        owners = list(chain.from_iterable(map(repeat, range(n), sizes)))
+        self.body_watch_start, self.body_watch_rules = _csr(body_ids, owners, n_lits)
         self.block_watch_start, self.block_watch_rules = _csr(
-            block_buckets, n_lits
+            [b ^ 1 for b in body_ids], owners, n_lits
         )
 
-        contra_buckets: dict[int, list[int]] = {}
-        live_over = _zeros(n)
-        live_defeat = _zeros(n)
-        strictly_below = order.strictly_below
-        incomparable_or_equal = order.incomparable_or_equal
-        for i, r in enumerate(rules):
-            component = r.component
-            for j in by_head.get(heads[i] ^ 1, ()):
-                other = rules[j].component
-                if strictly_below(other, component):
-                    contra_buckets.setdefault(j, []).append(i << 1 | 1)
-                    live_over[i] += 1
-                elif incomparable_or_equal(other, component):
-                    contra_buckets.setdefault(j, []).append(i << 1)
-                    live_defeat[i] += 1
-        self.contra_start, self.contra_watchers = _csr(contra_buckets, n)
+        # A rule of component a heading ¬H(r), r of component b: 1
+        # overruler, 0 defeater, None neither; asked once per pair met.
+        below, beside = order.strictly_below, order.incomparable_or_equal
+        threat: dict[tuple[str, str], Optional[int]] = {}
+        threatened: list[int] = []
+        watchers: list[int] = []
+        live_over = array("l", bytes(array("l").itemsize * n))
+        live_defeat = array("l", live_over)
+        for i, h in enumerate(heads):
+            for j in by_head.get(h ^ 1, ()):
+                pair = (components[j], components[i])
+                if pair not in threat:
+                    threat[pair] = 1 if below(*pair) else 0 if beside(*pair) else None
+                kind = threat[pair]
+                if kind is not None:
+                    threatened.append(j)
+                    watchers.append(i << 1 | kind)
+                    (live_over if kind else live_defeat)[i] += 1
+        self.contra_start, self.contra_watchers = _csr(threatened, watchers, n)
         self.init_live_overrulers = live_over
         self.init_live_defeaters = live_defeat
-        self.source_facts = array(
-            "l", [i for i, size in enumerate(self.body_sizes) if size == 0]
-        )
+        self.source_facts = array("l", [i for i, size in enumerate(sizes) if size == 0])
 
     def __len__(self) -> int:
         return self.n_rules

@@ -173,20 +173,20 @@ class MaintainedModel:
         self._base = frozenset(base)
         compiled = evaluator.index
         self._table = compiled.table
-        self._rules: list[GroundRule] = list(compiled.rules)
+        # Per-rule component: the index's, then one per told fact.
+        self._components: list[str] = list(compiled.components)
         self._alive = bytearray(b"\x01") * compiled.n_rules
         # Head literal id → ids of the told facts appended below; the
         # compiled rules' heads are the index's own ``by_head``.
         self._told_by_head: dict[int, list[int]] = {}
-        # Every empty-body rule is a retractable fact: key → rule id,
-        # told while ``_alive`` (else a tombstone).  One ground instance
-        # stands for all told copies; counting them is the program's
-        # job (``OrderedProgram.update_facts`` forwards only the first
-        # copy's assertion and the last copy's retraction).
-        self._fact_ids: dict[tuple[str, Literal], int] = {}
-        for i in compiled.source_facts:
-            r = self._rules[i]
-            self._fact_ids[(r.component, r.head)] = i
+        # Every empty-body rule is a retractable fact: (component, head
+        # id) → rule id, told while ``_alive`` (else a tombstone).  One
+        # ground instance stands for all told copies; counting them is
+        # the program's job (``OrderedProgram.update_facts`` forwards
+        # only the first copy's assertion and the last copy's retraction).
+        self._fact_ids: dict[tuple[str, int], int] = {
+            (self._components[i], compiled.heads[i]): i for i in compiled.source_facts
+        }
         # The counter state is a kernel's arrays; heads/body_sizes are
         # per-model copies because told facts get appended to them.
         self._fp = fp = DenseFixpoint(compiled)
@@ -205,7 +205,14 @@ class MaintainedModel:
     def alive_rules(self) -> tuple[GroundRule, ...]:
         """The current ground rule multiset (original order, asserted
         facts appended, retracted facts omitted)."""
-        return tuple(compress(self._rules, self._alive))
+        return tuple(compress(self._decoded(), self._alive))
+
+    def _decoded(self) -> list[GroundRule]:
+        """Every rule id's rule, tombstones included, decoded now."""
+        fp, literal = self._fp, self._table.literal
+        told = range(fp.index.n_rules, len(fp.heads))
+        facts = [GroundRule(literal(fp.heads[i]), frozenset(), self._components[i]) for i in told]
+        return [*fp.index.rules.objects(), *facts]
 
     def alive_count(self) -> int:
         return self._alive.count(1)
@@ -319,13 +326,13 @@ class MaintainedModel:
         sight) or retract it (leaving the tombstone).  Telling a fact
         that is already live — a further copy, or an instance some other
         source rule grounds to — changes nothing."""
-        key = (component, literal)
+        atom_id = self._table.id_of(literal.atom)
+        key = (component, -1 if atom_id is None else 2 * atom_id + literal.negative)
         i = self._fact_ids.get(key)
         if told:
             if i is None:
-                i = self._fact_ids[key] = self._append_tombstone(
-                    component, literal
-                )
+                i = self._append_tombstone(component, literal)
+                self._fact_ids[component, self._fp.heads[i]] = i
             elif self._alive[i]:
                 return
         elif i is None or not self._alive[i]:
@@ -364,7 +371,7 @@ class MaintainedModel:
             # interned just now, past the compiled literal-id range.
             fp.truth.extend(bytes((h | 1) + 1 - len(fp.truth)))
         i = len(fp.heads)
-        self._rules.append(GroundRule(literal, frozenset(), component))
+        self._components.append(component)
         self._alive.append(0)
         fp.heads.append(h)
         fp.body_sizes.append(0)
@@ -375,7 +382,7 @@ class MaintainedModel:
         order = self._order
         extra = fp.contra_extra
         for j in self._rules_heading(h ^ 1):
-            other = self._rules[j].component
+            other = self._components[j]
             # The existing rule as a threat to the new fact...
             if order.strictly_below(other, component):
                 extra.setdefault(j, []).append(i << 1 | 1)
@@ -454,10 +461,10 @@ class MaintainedModel:
         # Re-establish blockage that genuinely survived the deletion:
         # the surviving interpretation is contained in the new least
         # model, so a surviving blocker proves the rule stays blocked.
-        lit_id = self._table.literal_id
+        start, body_ids = index.body_start, index.body_ids
         for j in recheck_blocked:
             reevals += 1
-            if any(truth[lit_id(b) ^ 1] for b in self._rules[j].body):
+            if any(truth[b ^ 1] for b in body_ids[start[j] : start[j + 1]]):
                 fp.blocked[j] = 1
                 self._set_threat(j, False, pending)
         return deleted, reevals
@@ -471,14 +478,15 @@ class MaintainedModel:
         O(rules²) — test/debug use only.
         """
         fp = self._fp
+        rules = self._decoded()
         derived = self.interpretation().literals
         fired_heads = set()
-        for i, r in enumerate(self._rules):
+        for i, r in enumerate(rules):
             live_over = live_defeat = 0
             for j in self._rules_heading(fp.heads[i] ^ 1):
                 if fp.blocked[j]:  # tombstones included
                     continue
-                other = self._rules[j].component
+                other = rules[j].component
                 if self._order.strictly_below(other, r.component):
                     live_over += 1
                 elif self._order.incomparable_or_equal(other, r.component):

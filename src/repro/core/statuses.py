@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
-from ..grounding.grounder import AtomTable, GroundRule
+from ..grounding.grounder import AtomTable, GroundRule, GroundRules
 from ..lang.literals import Literal
 from ..lang.poset import PartialOrder
 from .compiled.index import CompiledRuleIndex
@@ -88,6 +88,7 @@ class StatusEvaluator:
     The evaluator indexes rules by head literal so that the "does a
     contradicting rule exist below / beside me" queries are a lookup over
     the (usually short) list of rules with the complementary head.
+    The grounder's rules stay ids until such a query first decodes them.
     """
 
     def __init__(
@@ -96,26 +97,29 @@ class StatusEvaluator:
         order: ComponentOrder,
         atom_table: Optional["AtomTable"] = None,
     ) -> None:
-        self._rules = tuple(rules)
+        self._rules = rules if isinstance(rules, GroundRules) else tuple(rules)
         self._order = order
-        self._by_head: dict[Literal, list[GroundRule]] = {}
+        self._by_head: Optional[dict[Literal, list[GroundRule]]] = None
         self._index: Optional[CompiledRuleIndex] = None
         #: The grounding-time atom table, when the caller has one — the
         #: watch-list index reuses its dense ids instead of interning a
         #: private table.
         self.atom_table = atom_table
-        for r in self._rules:
-            self._by_head.setdefault(r.head, []).append(r)
 
     @property
     def rules(self) -> tuple[GroundRule, ...]:
-        return self._rules
+        rules = self._rules
+        return rules.objects() if isinstance(rules, GroundRules) else rules
 
     @property
     def order(self) -> ComponentOrder:
         return self._order
 
     def rules_with_head(self, head: Literal) -> tuple[GroundRule, ...]:
+        if self._by_head is None:
+            self._by_head = {}
+            for r in self.rules:
+                self._by_head.setdefault(r.head, []).append(r)
         return tuple(self._by_head.get(head, ()))
 
     @property
@@ -209,7 +213,7 @@ class StatusEvaluator:
         )
 
     def reports(self, interp: Interpretation) -> Iterator[StatusReport]:
-        for r in self._rules:
+        for r in self.rules:
             yield self.report(r, interp)
 
 

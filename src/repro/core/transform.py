@@ -217,7 +217,7 @@ class OrderedTransform:
         obs = get_instrumentation()
         # span() hands back NULL_SPAN only when the registry is off AND
         # no trace context is active — the true zero-cost path.
-        span = obs.span("fixpoint", rules=len(self._eval.rules), strategy=chosen)
+        span = obs.span("fixpoint", rules=run.index.n_rules, strategy=chosen)
         if span is NULL_SPAN:
             run.run(bound)
             return run.interpretation(self._base)

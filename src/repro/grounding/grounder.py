@@ -38,7 +38,8 @@ are its worklist run with no seed (new rows waking the rules that watch
 their predicate, or the exact literal for ground body literals), only
 for the dependency cone of the joined rules, so a view without a
 prune-safe rule with variables pays nothing for them; instantiation is
-the same steps with a sink that builds the instance from the slots.
+the same steps with a sink that interns the slots straight into integer
+instances (:class:`GroundRules`), decoded to rule objects on demand.
 
 **Who must ask for the full instantiation.**  Relevance is *not* sound
 for Definition-3 model checking and enumeration (a never-applicable
@@ -56,15 +57,17 @@ always full.
 from __future__ import annotations
 
 import os
+from array import array
+from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
-from itertools import compress
+from itertools import accumulate, chain, compress
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from ..lang.errors import GroundingError
 from ..lang.literals import Atom, Literal
 from ..lang.program import Component, OrderedProgram
 from ..lang.rules import Rule
-from ..lang.terms import Compound
+from ..lang.terms import Compound, Term
 from ..obs import Level, get_instrumentation
 from .herbrand import HerbrandUniverse, herbrand_base, universe_of
 from .joins import Join, JoinMachine, Scan, compile_join, row_builder
@@ -72,6 +75,7 @@ from .joins import Join, JoinMachine, Scan, compile_join, row_builder
 __all__ = [
     "AtomTable",
     "GroundRule",
+    "GroundRules",
     "GroundProgram",
     "GroundingOptions",
     "Grounder",
@@ -85,6 +89,9 @@ class AtomTable:
     integers: every ground atom seen at grounding time receives a small
     id, and a literal is addressed as ``atom_id * 2`` (positive) or
     ``atom_id * 2 + 1`` (negative), so complementation is ``id ^ 1``.
+    Keyed by ``(predicate, args)``, so the grounder interns straight
+    from the terms it bound (:meth:`intern_key`); :meth:`atom` and
+    :meth:`literal` build an id's object on first request.
 
     Ids are **stable**: the table is append-only, so an atom keeps its
     id across fact deltas for the lifetime of the table (maintenance
@@ -94,81 +101,94 @@ class AtomTable:
     through the one per-predicate index (:meth:`predicate_ids`).
     """
 
-    __slots__ = ("_ids", "_atoms", "_literals", "_buckets", "_bucketed")
+    __slots__ = ("_ids", "_keys", "_atoms", "_literals", "_buckets", "_bucketed", "_unsorted")
 
     def __init__(self, atoms: Iterable[Atom] = ()) -> None:
-        self._ids: dict[Atom, int] = {}
-        self._atoms: list[Atom] = []
-        self._literals: list[Literal] = []
-        # (predicate, arity) -> positive literal ids in str order, over
-        # the first ``_bucketed`` atoms; caught up by predicate_ids.
+        self._ids: dict[tuple[str, tuple[Term, ...]], int] = {}
+        self._keys: list[tuple[str, tuple[Term, ...]]] = []
+        self._atoms: dict[int, Atom] = {}
+        self._literals: dict[int, Literal] = {}
+        # (predicate, arity) -> positive literal ids, over the first
+        # ``_bucketed`` atoms; caught up, and a grown bucket put back in
+        # ``str`` order when read, by predicate_ids.
         self._buckets: dict[tuple[str, int], list[int]] = {}
         self._bucketed = 0
+        self._unsorted: set[tuple[str, int]] = set()
         for atom in atoms:
             self.intern(atom)
 
-    def intern(self, atom: Atom) -> int:
-        """The atom's id, allocating the next dense id on first sight."""
-        i = self._ids.get(atom)
+    def intern_key(self, key: tuple[str, tuple[Term, ...]]) -> int:
+        """The id of the atom ``(predicate, args)``, allocating the next
+        dense id on first sight."""
+        i = self._ids.get(key)
         if i is None:
-            i = len(self._atoms)
-            self._ids[atom] = i
-            self._atoms.append(atom)
-            self._literals.append(Literal(atom, True))
-            self._literals.append(Literal(atom, False))
+            i = self._ids[key] = len(self._keys)
+            self._keys.append(key)
         return i
+
+    def intern(self, atom: Atom) -> int:
+        return self.intern_key((atom.predicate, atom.args))
 
     def id_of(self, atom: Atom) -> Optional[int]:
         """The atom's id, or None when it was never interned."""
-        return self._ids.get(atom)
+        return self._ids.get((atom.predicate, atom.args))
 
     def atom(self, atom_id: int) -> Atom:
-        return self._atoms[atom_id]
+        atom = self._atoms.get(atom_id)
+        if atom is None:
+            atom = self._atoms[atom_id] = Atom.ground(*self._keys[atom_id])
+        return atom
 
     def literal_id(self, literal: Literal) -> int:
         """Intern the literal's atom and return the literal's dense id."""
         return self.intern(literal.atom) * 2 + (0 if literal.positive else 1)
 
     def literal(self, literal_id: int) -> Literal:
-        """Decode a literal id back to the (cached) literal object."""
-        return self._literals[literal_id]
+        """Decode a literal id to its (cached) literal object."""
+        literal = self._literals.get(literal_id)
+        if literal is None:
+            atom = self.atom(literal_id >> 1)
+            literal = self._literals[literal_id] = Literal(atom, not literal_id & 1)
+        return literal
 
     def flagged_literals(self, flags: Sequence[int]) -> Iterator[Literal]:
         """Decode per-literal-id membership flags to the set literals."""
-        return compress(self._literals, flags)
+        return map(self.literal, compress(range(len(flags)), flags))
 
     def predicate_ids(self, predicate: str, arity: int) -> Sequence[int]:
         """The positive literal ids of one predicate's interned atoms,
         in ``str`` order (``id | 1`` is the negative literal, in the
         same order) — the only ids an open goal over it can match.
 
-        Bucketed on the first call and extended, here, by the atoms
-        interned since: interning itself stays one dict probe.
+        Bucketed from the keys on the first call and extended, here, by
+        the atoms interned since: interning itself stays one dict probe.
         """
-        atoms = self._atoms
-        if self._bucketed != len(atoms):
-            grown = set()
-            for i in range(self._bucketed, len(atoms)):
-                key = atoms[i].signature
-                self._buckets.setdefault(key, []).append(2 * i)
-                grown.add(key)
-            for key in grown:
-                self._buckets[key].sort(key=lambda i: str(atoms[i >> 1]))
-            self._bucketed = len(atoms)
-        return self._buckets.get((predicate, arity), ())
+        keys = self._keys
+        if self._bucketed != len(keys):
+            for i in range(self._bucketed, len(keys)):
+                signature = (keys[i][0], len(keys[i][1]))
+                self._buckets.setdefault(signature, []).append(2 * i)
+                self._unsorted.add(signature)
+            self._bucketed = len(keys)
+        signature = (predicate, arity)
+        bucket = self._buckets.get(signature, ())
+        if signature in self._unsorted:
+            self._unsorted.discard(signature)
+            bucket.sort(key=lambda i: str(self.atom(i >> 1)))
+        return bucket
 
     def __len__(self) -> int:
-        return len(self._atoms)
+        return len(self._keys)
 
     def __contains__(self, atom: object) -> bool:
-        return atom in self._ids
+        return isinstance(atom, Atom) and (atom.predicate, atom.args) in self._ids
 
     def atoms(self) -> tuple[Atom, ...]:
         """All interned atoms, in id order."""
-        return tuple(self._atoms)
+        return tuple(map(self.atom, range(len(self._keys))))
 
     def __repr__(self) -> str:  # pragma: no cover - convenience
-        return f"AtomTable({len(self._atoms)} atoms)"
+        return f"AtomTable({len(self._keys)} atoms)"
 
 
 class GroundRule:
@@ -247,9 +267,59 @@ class GroundRule:
         return f"GroundRule({self})"
 
 
+@dataclass(eq=False)
+class GroundRules(SequenceABC):
+    """Ground rule instances as integer arrays over an atom table, as
+    the grounder emits them: rule ``i`` is ``origins[i]``'s instance in
+    ``components[i]``, with head literal id ``heads[i]`` and body ids
+    ``body_ids[body_start[i]:body_start[i + 1]]`` (each once, in textual
+    order).  As a sequence, the :class:`GroundRule` objects, decoded on
+    first access."""
+
+    table: AtomTable
+    components: list[str]
+    origins: list[Optional[Rule]]
+    heads: array
+    body_start: array
+    body_ids: array
+    _objects: Optional[tuple[GroundRule, ...]] = None
+
+    @classmethod
+    def encode(cls, rules: Iterable[GroundRule], table: AtomTable) -> "GroundRules":
+        """Rule objects (a hand-built program, a reduction, a test) as
+        ids over ``table``, which interns the atoms it lacks."""
+        rules = tuple(rules)
+        heads = array("l", [table.literal_id(r.head) for r in rules])
+        bodies = [[table.literal_id(l) for l in r.body] for r in rules]
+        start = array("l", accumulate(map(len, bodies), initial=0))
+        ids = array("l", chain.from_iterable(bodies))
+        components, origins = [r.component for r in rules], [r.origin for r in rules]
+        return cls(table, components, origins, heads, start, ids, rules)
+
+    def objects(self) -> tuple[GroundRule, ...]:
+        """The rules as :class:`GroundRule` objects, decoded once."""
+        if self._objects is None:
+            literal, start, ids = self.table.literal, self.body_start, self.body_ids
+            self._objects = tuple(
+                GroundRule(literal(h), frozenset(map(literal, ids[start[i] : start[i + 1]])), c, o)
+                for i, (h, c, o) in enumerate(zip(self.heads, self.components, self.origins))
+            )
+        return self._objects
+
+    def __len__(self) -> int:
+        return len(self.heads)
+
+    def __getitem__(self, i):
+        return self.objects()[i]
+
+    def __iter__(self) -> Iterator[GroundRule]:
+        return iter(self.objects())
+
+
 @dataclass(frozen=True)
 class GroundProgram:
-    """The result of grounding: rules plus the Herbrand base they live in.
+    """The result of grounding: rules — from the grounder a
+    :class:`GroundRules`, decoded on first read — plus the Herbrand base.
 
     ``base`` is the set of ground *atoms* (the paper's ``B_P``);
     interpretations are consistent subsets of ``base ∪ ¬base``.
@@ -260,7 +330,7 @@ class GroundProgram:
     dense index then interns on demand.
     """
 
-    rules: tuple[GroundRule, ...]
+    rules: Sequence[GroundRule]
     base: frozenset[Atom]
     universe: HerbrandUniverse
     atom_table: Optional[AtomTable] = None
@@ -280,12 +350,6 @@ class GroundProgram:
         for r in self.rules:
             found |= r.atoms()
         return frozenset(found)
-
-    def restricted_base(self) -> frozenset[Atom]:
-        """The base restricted to atoms mentioned by rules — a sound
-        optimisation for enumeration: atoms never mentioned can only be
-        undefined in any assumption-free model."""
-        return self.atoms_in_rules()
 
 
 @dataclass(frozen=True)
@@ -378,13 +442,12 @@ class Grounder:
             visible = program.visible_rules(component)
             star = Component("_star", tuple(r for _, r in visible))
             universe = universe_of(star, max_depth=self.options.max_depth)
-            table = AtomTable()
-            rules = self._ground_tagged(visible, universe, table, full)
-            base = self._base_for(star, universe, rules)
+            rules = self._ground_tagged(visible, universe, full)
+            base = self._base_for(star, universe, rules.table)
         _offer_interpreter_lock()
         if obs.enabled:
             self._flush_stats(obs, len(visible), rules, base)
-        return GroundProgram(rules, base, universe, table, self._pruned_rules)
+        return GroundProgram(rules, base, universe, rules.table, self._pruned_rules)
 
     def ground_rules(
         self,
@@ -400,36 +463,28 @@ class Grounder:
             if universe is None:
                 universe = universe_of(comp, max_depth=self.options.max_depth)
             tagged = tuple((component, r) for r in comp.rules)
-            table = AtomTable()
-            ground = self._ground_tagged(tagged, universe, table, full=True)
-            base = self._base_for(comp, universe, ground)
+            ground = self._ground_tagged(tagged, universe, full=True)
+            base = self._base_for(comp, universe, ground.table)
         if obs.enabled:
             self._flush_stats(obs, len(tagged), ground, base)
-        return GroundProgram(ground, base, universe, table)
+        return GroundProgram(ground, base, universe, ground.table)
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
     def _base_for(
-        self,
-        source: Component,
-        universe: HerbrandUniverse,
-        rules: tuple[GroundRule, ...],
+        self, source: Component, universe: HerbrandUniverse, table: AtomTable
     ) -> frozenset[Atom]:
         if self.options.full_base:
-            return herbrand_base(source, universe=universe)
-        found: set[Atom] = set()
-        for r in rules:
-            found |= r.atoms()
-        return frozenset(found)
+            return herbrand_base(source, universe=universe, cap=self.options.instance_cap)
+        return frozenset(table.atoms())  # exactly the atoms the rules mention
 
     def _ground_tagged(
         self,
         tagged_rules: Sequence[tuple[str, Rule]],
         universe: HerbrandUniverse,
-        table: AtomTable,
         full: bool,
-    ) -> tuple[GroundRule, ...]:
+    ) -> GroundRules:
         self._deduped = 0
         self._pruned_rules = 0
         machine = JoinMachine(universe.terms)
@@ -439,24 +494,28 @@ class Grounder:
             joined = self._possible_literals(
                 [r for _, r in tagged_rules], machine, bounded
             )
-        produced: list[GroundRule] = []
-        seen: set[GroundRule] = set()
+        out = GroundRules(AtomTable(), [], [], array("l"), array("l", [0]), array("l"))
+        table, heads, body_ids = out.table, out.heads, out.body_ids
+        seen: set[tuple[str, int, frozenset[int]]] = set()
+        cap = self.options.instance_cap
 
-        # Atom ids follow the textual ``body``: the instance's frozenset
-        # iterates in an order that depends on the hash seed.
-        def emit(instance: GroundRule, body: Sequence[Literal]) -> None:
+        # The caller interns the head, then the body in textual order,
+        # so atom ids do not depend on the hash seed.
+        def emit(component: str, origin: Rule, head: int, body: list[int]) -> None:
+            key = frozenset(body)
+            instance = (component, head, key)
             if instance in seen:
                 self._deduped += 1
                 return
             seen.add(instance)
-            produced.append(instance)
-            table.intern(instance.head.atom)
-            for lit in body:
-                table.intern(lit.atom)
-            if len(produced) > self.options.instance_cap:
-                raise GroundingError(
-                    f"grounding exceeded instance cap {self.options.instance_cap}"
-                )
+            out.components.append(component)
+            out.origins.append(origin)
+            heads.append(head)
+            # Each body literal once, where it first occurs.
+            body_ids.extend(body if len(key) == len(body) else dict.fromkeys(body))
+            out.body_start.append(len(body_ids))
+            if len(heads) > cap:
+                raise GroundingError(f"grounding exceeded instance cap {cap}")
 
         ground_rules = 0
         for component, r in tagged_rules:
@@ -464,18 +523,19 @@ class Grounder:
                 ground_rules += 1
                 guards = r.guards()
                 if not guards or machine.holds(guards, (), ()):
-                    body = r.body_literals()
-                    emit(GroundRule(r.head, frozenset(body), component, origin=r), body)
+                    head = table.literal_id(r.head)
+                    body = [table.literal_id(l) for l in r.body_literals()]
+                    emit(component, r, head, body)
                 continue
-            before = len(produced) + self._deduped
-            self._instantiate(r, component, r in joined, machine, bounded, emit)
-            if r in joined and len(produced) + self._deduped == before:
+            before = len(heads) + self._deduped
+            self._instantiate(r, component, r in joined, machine, bounded, table, emit)
+            if r in joined and len(heads) + self._deduped == before:
                 self._pruned_rules += 1
         # One (empty) substitution per ground rule, one per candidate
         # row or universe term offered to a join step.
         self._subs_tried = ground_rules + machine.probes
         self._guard_pruned = machine.guard_pruned
-        return tuple(produced)
+        return out
 
     def _flush_stats(
         self, obs, source_rules: int, ground: Sequence[GroundRule], base
@@ -608,31 +668,28 @@ class Grounder:
         joins: bool,
         machine: JoinMachine,
         bounded: Callable,
-        emit: Callable[[GroundRule, Sequence[Literal]], None],
+        table: AtomTable,
+        emit: Callable[[str, Rule, int, list[int]], None],
     ) -> None:
-        """Hand ``emit`` every instance of a rule with variables, with
-        its body in textual order."""
+        """Hand ``emit`` every instance of a rule with variables as ids,
+        interning its head and then its body in textual order."""
         join = self._compile(r, joins, machine)
-        positive = r.head.positive
-        predicate = r.head.predicate
-        # A ground body literal is its own instance; the others are
-        # built from the slots.
+        intern = table.intern_key
+        predicate, negative = r.head.predicate, r.head.negative
+        # A ground body literal's arguments are a constant row; the
+        # others are built from the slots.
         body_parts = [
-            l
-            if l.is_ground
-            else (l.predicate, l.positive, row_builder(l.args, join.slots))
+            (l.predicate, l.args if l.is_ground else row_builder(l.args, join.slots), l.negative)
             for l in r.body_literals()
         ]
 
         @bounded
         def instance(join: Join, env: list) -> None:
+            head = intern((predicate, join.head(env))) * 2 + negative
             body = [
-                part
-                if type(part) is Literal
-                else Literal(Atom(part[0], part[2](env)), part[1])
-                for part in body_parts
+                intern((p, args if type(args) is tuple else args(env))) * 2 + sign
+                for p, args, sign in body_parts
             ]
-            head = Literal(Atom(predicate, join.head(env)), positive)
-            emit(GroundRule(head, frozenset(body), component, origin=r), body)
+            emit(component, r, head, body)
 
         machine.fire(join, (), instance)

@@ -114,16 +114,24 @@ def herbrand_base(
     program: Union[OrderedProgram, Component, Iterable],
     universe: Optional[HerbrandUniverse] = None,
     max_depth: Optional[int] = None,
+    cap: Optional[int] = None,
 ) -> frozenset[Atom]:
     """The Herbrand base: every ground atom over the program's predicates
     with arguments drawn from the universe.
 
     Propositional atoms (arity 0) are included regardless of the
-    universe.
+    universe.  A base of more than ``cap`` atoms raises
+    :class:`GroundingError` before one atom of it is built.
     """
     if universe is None:
         universe = universe_of(program, max_depth=max_depth)
     signatures = _signatures_of(program)
+    size = sum(len(universe) ** arity for _, arity in signatures)
+    if cap is not None and size > cap:
+        predicate, arity = max(signatures, key=lambda sig: sig[1])
+        raise GroundingError(
+            f"Herbrand base of {size} atoms exceeds cap {cap} ({predicate}/{arity})"
+        )
     atoms: set[Atom] = set()
     for predicate, arity in signatures:
         if arity == 0:
@@ -136,11 +144,13 @@ def herbrand_base(
 
 def _symbols_of(
     program: Union[OrderedProgram, Component, Iterable],
-) -> tuple[frozenset[Constant], frozenset[tuple[str, int]]]:
-    if isinstance(program, (OrderedProgram, Component)):
-        return program.constants(), program.function_symbols()
-    comp = Component("_tmp", program)
-    return comp.constants(), comp.function_symbols()
+) -> tuple[set[Constant], set[tuple[str, int]]]:
+    """The constants and function symbols, in one walk of the terms."""
+    if not isinstance(program, (OrderedProgram, Component)):
+        program = Component("_tmp", program)
+    symbols = set(program.symbols())
+    constants = {s for s in symbols if isinstance(s, Constant)}
+    return constants, symbols - constants  # the rest are (functor, arity)
 
 
 def _signatures_of(

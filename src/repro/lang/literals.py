@@ -54,6 +54,16 @@ class Atom:
         object.__setattr__(self, "_hash", hash(("atom", predicate, args)))
         object.__setattr__(self, "_ground", all(a.is_ground for a in args))
 
+    @classmethod
+    def ground(cls, predicate: str, args: tuple[Term, ...]) -> "Atom":
+        """An atom table's key as an atom: ``args`` is checked already."""
+        self = object.__new__(cls)
+        _set_predicate(self, predicate)
+        _set_args(self, args)
+        _set_atom_hash(self, hash(("atom", predicate, args)))
+        _set_ground(self, True)
+        return self
+
     def __setattr__(self, key: str, value: object) -> None:
         raise AttributeError("Atom is immutable")
 
@@ -170,6 +180,12 @@ class Literal:
 
     def __repr__(self) -> str:  # pragma: no cover - convenience
         return f"Literal({self})"
+
+
+# Slot setters without ``object.__setattr__``'s lookup: decoding runs these per atom.
+_set_predicate, _set_args, _set_atom_hash, _set_ground = (
+    getattr(Atom, slot).__set__ for slot in Atom.__slots__
+)
 
 
 def pos(predicate: str, *args: Union[Term, str, int]) -> Literal:

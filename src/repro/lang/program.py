@@ -166,17 +166,18 @@ class Component:
                 sigs.add(item.signature)
         return frozenset(sigs)
 
+    def symbols(self) -> Iterator[object]:
+        """Every occurrence of a constant or ``(functor, arity)`` in the
+        component's rules, guards included (:func:`_symbols_in`)."""
+        return _symbols_in(self._all_terms())
+
     def constants(self) -> frozenset[Constant]:
         """All constants occurring in the component's rules."""
-        return frozenset(
-            s for s in _symbols_in(self._all_terms()) if isinstance(s, Constant)
-        )
+        return frozenset(s for s in self.symbols() if isinstance(s, Constant))
 
     def function_symbols(self) -> frozenset[tuple[str, int]]:
         """All ``(functor, arity)`` pairs occurring in the component."""
-        return frozenset(
-            s for s in _symbols_in(self._all_terms()) if isinstance(s, tuple)
-        )
+        return frozenset(s for s in self.symbols() if isinstance(s, tuple))
 
     def _all_terms(self) -> Iterator[Term]:
         for r in self.rules:
@@ -412,17 +413,16 @@ class OrderedProgram:
             sigs |= comp.predicate_signatures()
         return sigs
 
-    def constants(self) -> frozenset[Constant]:
-        found: frozenset[Constant] = frozenset()
+    def symbols(self) -> Iterator[object]:
+        """:meth:`Component.symbols` over every component."""
         for comp in self._components.values():
-            found |= comp.constants()
-        return found
+            yield from comp.symbols()
+
+    def constants(self) -> frozenset[Constant]:
+        return frozenset(s for s in self.symbols() if isinstance(s, Constant))
 
     def function_symbols(self) -> frozenset[tuple[str, int]]:
-        found: frozenset[tuple[str, int]] = frozenset()
-        for comp in self._components.values():
-            found |= comp.function_symbols()
-        return found
+        return frozenset(s for s in self.symbols() if isinstance(s, tuple))
 
     def rule_count(self) -> int:
         return sum(len(c) for c in self._components.values())

@@ -99,7 +99,7 @@ def assert_index_is_definition_2(sem: OrderedSemantics) -> None:
     ev = sem.evaluator
     index, rules, order = ev.index, ev.rules, ev.order
     table = index.table
-    assert index.rules == rules
+    assert index.rules.objects() == rules
     assert index.n_rules == len(index) == len(rules)
     assert list(index.heads) == [table.literal_id(r.head) for r in rules]
     assert list(index.body_sizes) == [len(r.body) for r in rules]

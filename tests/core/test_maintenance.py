@@ -305,11 +305,11 @@ def test_reasserting_a_retracted_fact_revives_its_tombstone():
     op = ("c1", parse_literal("ground_animal(pigeon)"))
     engine.apply([(ASSERT, *op)])
     engine.apply([(RETRACT, *op)])
-    n_rules = len(engine._rules)  # tombstones included
+    n_rules = len(engine._components)  # one per rule, tombstones included
     for _ in range(1000):
         engine.apply([(ASSERT, *op)])
         engine.apply([(RETRACT, *op)])
-    assert len(engine._rules) == n_rules
+    assert len(engine._components) == n_rules
     assert engine.alive_count() == len(sem.ground.rules)
     assert engine.interpretation().literals == initial
     engine.audit()

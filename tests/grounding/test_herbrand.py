@@ -2,10 +2,11 @@
 
 import pytest
 
+from repro.core.semantics import OrderedSemantics
 from repro.grounding.herbrand import herbrand_base, universe_of
 from repro.lang.errors import GroundingError
 from repro.lang.literals import Atom
-from repro.lang.parser import parse_rules
+from repro.lang.parser import parse_program, parse_rules
 from repro.lang.terms import Constant
 from repro.workloads.paper import figure1
 
@@ -82,3 +83,23 @@ class TestBase:
         universe = universe_of(parse_rules("q(a). q(b)."))
         base = herbrand_base(rules, universe=universe)
         assert len(base) == 2
+
+    def test_oversized_base_is_refused_before_it_is_built(self, monkeypatch):
+        # 40 constants and a 6-ary predicate: 40^6 ≈ 4.1e9 atoms.  The
+        # cold read fails on the instance cap instead of building them.
+        constants = " ".join(f"c(k{i})." for i in range(40))
+        program = parse_program(f"{constants} p(k0, k1, k2, k3, k4, k5).")
+        built = 0
+        init = Atom.__init__
+
+        def counted(self, *args, **kwargs):
+            nonlocal built
+            built += 1
+            if built > 100_000:
+                raise RuntimeError("the base is being built")
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Atom, "__init__", counted)
+        with pytest.raises(GroundingError, match=r"4096000040 atoms exceeds cap .* \(p/6\)"):
+            OrderedSemantics(program, "main").least_model
+        assert built < 100_000
