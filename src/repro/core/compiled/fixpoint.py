@@ -112,6 +112,8 @@ class DenseFixpoint:
         live_overrulers / live_defeaters: per-rule live-threat counts.
         fired: per-rule fired flags (``bytearray``).
         truth: per-literal-id membership flags of the growing model.
+        support: per-literal-id rule id that set its ``truth`` flag (the
+            literal's provenance; meaningful where ``truth`` is set).
         stage_ids: literal ids first derived at each stage of :meth:`run`.
     """
 
@@ -126,6 +128,7 @@ class DenseFixpoint:
         "live_defeaters",
         "fired",
         "truth",
+        "support",
         "stage_ids",
     )
 
@@ -153,6 +156,7 @@ class DenseFixpoint:
         self.live_defeaters = array("l", index.init_live_defeaters) + pad
         self.fired = bytearray(n)
         self.truth = bytearray(2 * len(index.table))
+        self.support = array("l", bytes(array("l").itemsize * len(self.truth)))
         for entries in self.contra_extra.values():
             for packed in entries:
                 if packed & 1:
@@ -217,6 +221,7 @@ class DenseFixpoint:
         live_defeat = self.live_defeaters
         fired = self.fired
         truth = self.truth
+        support = self.support
 
         queued = bytearray(len(heads))
         stage_ids: list[list[int]] = []
@@ -251,6 +256,7 @@ class DenseFixpoint:
                         "order is broken"
                     )
                 truth[h] = 1
+                support[h] = i
                 new_ids.append(h)
             if not new_ids:
                 break

@@ -369,7 +369,9 @@ class MaintainedModel:
         if h >= len(fp.truth):
             # In the base but mentioned by no ground rule: the atom was
             # interned just now, past the compiled literal-id range.
-            fp.truth.extend(bytes((h | 1) + 1 - len(fp.truth)))
+            grown = bytes((h | 1) + 1 - len(fp.truth))
+            fp.truth.extend(grown)
+            fp.support.extend(grown)
         i = len(fp.heads)
         self._components.append(component)
         self._alive.append(0)

@@ -2,8 +2,9 @@
 
 The ``V_{P,C}`` fixpoint has a natural notion of proof: a literal enters
 at the first stage where some rule for it is applicable and neither
-overruled nor defeated.  Recording that rule per literal yields a
-well-founded derivation tree (premise stages strictly decrease).
+overruled nor defeated.  The dense kernel records that rule per literal
+as it fires it (``DenseFixpoint.support``), which yields a well-founded
+derivation tree (premise stages strictly decrease).
 
 For literals *outside* the least model the explainer reports, per rule
 with that head, exactly which Definition-2 condition failed: an unmet
@@ -16,9 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
+from ..core.compiled.fixpoint import DenseFixpoint
 from ..core.interpretation import Interpretation, TruthValue
 from ..core.semantics import OrderedSemantics
 from ..grounding.grounder import GroundRule
+from ..lang.errors import SemanticsError
 from ..lang.literals import Literal
 from ..lang.parser import parse_literal
 
@@ -36,9 +39,12 @@ class Derivation:
     premises: tuple["Derivation", ...]
 
     def render(self, indent: str = "") -> str:
-        lines = [f"{indent}{self.literal}  [stage {self.stage}]  via  {self.rule}"]
-        for premise in self.premises:
-            lines.append(premise.render(indent + "  "))
+        lines = []
+        stack = [(self, indent)]
+        while stack:
+            node, pad = stack.pop()
+            lines.append(f"{pad}{node.literal}  [stage {node.stage}]  via  {node.rule}")
+            stack += ((premise, pad + "  ") for premise in reversed(node.premises))
         return "\n".join(lines)
 
     def __str__(self) -> str:
@@ -96,47 +102,34 @@ class NonDerivation:
 
 
 class Explainer:
-    """Builds derivations against a component's least model."""
+    """Builds derivations against a component's least model: one kernel
+    run over the view's cached index records each literal's rule and
+    stage, and :meth:`why` decodes only the tree it returns."""
 
     def __init__(self, semantics: OrderedSemantics) -> None:
         self._sem = semantics
-        self._support: dict[Literal, tuple[GroundRule, int]] = {}
-        self._replay_fixpoint()
-
-    # ------------------------------------------------------------------
-    # Fixpoint replay
-    # ------------------------------------------------------------------
-    def _replay_fixpoint(self) -> None:
-        """Re-run the V iteration, recording the first supporting rule
-        and stage for every derived literal."""
-        sem = self._sem
-        ev = sem.evaluator
-        current = Interpretation((), sem.ground.base)
-        stage = 0
-        while True:
-            stage += 1
-            nxt = sem.transform.step(current)
-            new_literals = nxt.literals - current.literals
-            if not new_literals:
-                break
-            for literal in new_literals:
-                for r in ev.rules_with_head(literal):
-                    if (
-                        ev.applicable(r, current)
-                        and not ev.overruled(r, current)
-                        and not ev.defeated(r, current)
-                    ):
-                        self._support[literal] = (r, stage)
-                        break
-            current = nxt
+        self._index = index = semantics.evaluator.index
+        run = DenseFixpoint(index)
+        run.run(2 * len(semantics.ground.base) + 2)
+        self._support = run.support
+        #: literal id -> the stage that derived it (the model's ids).
+        self._stage = {h: k for k, ids in enumerate(run.stage_ids, 1) for h in ids}
 
     # ------------------------------------------------------------------
     # Public API
     # ------------------------------------------------------------------
     def _coerce(self, literal: Union[Literal, str]) -> Literal:
         if isinstance(literal, str):
-            return parse_literal(literal)
+            literal = parse_literal(literal)
+        if not literal.is_ground:
+            raise SemanticsError(f"only ground literals can be explained, not {literal}")
         return literal
+
+    def _derived_id(self, literal: Literal) -> Optional[int]:
+        """The literal's id when the least model holds it, else None."""
+        atom_id = self._index.table.id_of(literal.atom)
+        h = None if atom_id is None else 2 * atom_id + literal.negative
+        return h if h in self._stage else None
 
     def why(self, literal: Union[Literal, str]) -> Derivation:
         """The derivation tree of a literal of the least model.
@@ -144,20 +137,39 @@ class Explainer:
         Raises:
             ValueError: if the literal is not in the least model (use
                 :meth:`why_not`).
+            SemanticsError: if the literal is not ground.
         """
         literal = self._coerce(literal)
-        if literal not in self._support:
-            raise ValueError(
-                f"{literal} is not in the least model; use why_not()"
-            )
-        return self._build(literal)
+        h = self._derived_id(literal)
+        if h is None:
+            raise ValueError(f"{literal} is not in the least model; use why_not()")
+        return self._build(h)
 
-    def _build(self, literal: Literal) -> Derivation:
-        rule, stage = self._support[literal]
-        premises = tuple(
-            self._build(body_literal) for body_literal in sorted(rule.body)
-        )
-        return Derivation(literal, rule, stage, premises)
+    def _build(self, root: int) -> Derivation:
+        """The derivation of literal id ``root``, built bottom-up with an
+        explicit stack (a chain of ``V`` stages can be any depth); each
+        literal id's node is built once, so shared premises share it."""
+        index, support, stage = self._index, self._support, self._stage
+        literal, start, body_ids = index.table.literal, index.body_start, index.body_ids
+        components, origins = index.components, index.rules.origins
+        built: dict[int, Derivation] = {}
+        stack = [root]
+        while stack:
+            h = stack[-1]
+            if h in built:
+                stack.pop()
+                continue
+            i = support[h]
+            body = body_ids[start[i] : start[i + 1]]
+            pending = [b for b in body if b not in built]
+            if pending:
+                stack += pending
+                continue
+            stack.pop()
+            premises = tuple(built[b] for b in sorted(body, key=literal))
+            rule = GroundRule(literal(h), frozenset(map(literal, body)), components[i], origins[i])
+            built[h] = Derivation(literal(h), rule, stage[h], premises)
+        return built[root]
 
     def why_not(self, literal: Union[Literal, str]) -> NonDerivation:
         """Per-rule failure analysis for a literal outside the least
@@ -168,15 +180,12 @@ class Explainer:
         value = model.value(literal)
         if value is TruthValue.TRUE:
             raise ValueError(f"{literal} holds; use why()")
-        complement = None
-        if value is TruthValue.FALSE:
-            complement = self.why(literal.complement())
-        failures = []
+        complement = self.why(literal.complement()) if value is TruthValue.FALSE else None
         # Every instance, not just the ones the least model needed: a
         # rule that never fired is exactly what is being asked about.
-        for r in sem.full_evaluator.rules_with_head(literal):
-            failures.append(self._diagnose(r, model))
-        return NonDerivation(literal, value, tuple(failures), complement)
+        heading = sem.full_evaluator.rules_with_head(literal)
+        failures = tuple(self._diagnose(r, model) for r in heading)
+        return NonDerivation(literal, value, failures, complement)
 
     def _diagnose(self, r: GroundRule, model: Interpretation) -> RuleFailure:
         ev = self._sem.full_evaluator
@@ -201,6 +210,6 @@ class Explainer:
     def explain(self, literal: Union[Literal, str]) -> str:
         """A human-readable explanation, whichever way it goes."""
         literal = self._coerce(literal)
-        if self._sem.least_model.value(literal) is TruthValue.TRUE:
+        if self._derived_id(literal) is not None:
             return self.why(literal).render()
         return self.why_not(literal).render()

@@ -131,7 +131,6 @@ class Snapshot:
         "_budget",
         "models",
         "_sems",
-        "_explainers",
         "demand_routes",
     )
 
@@ -143,7 +142,6 @@ class Snapshot:
         budget: SearchBudget,
         models: Optional[dict[str, Interpretation]] = None,
         sems: Optional[dict[str, OrderedSemantics]] = None,
-        explainers: Optional[dict[str, Explainer]] = None,
     ) -> None:
         self.version = version
         self.program = program
@@ -152,9 +150,6 @@ class Snapshot:
         self._budget = budget
         self.models: dict[str, Interpretation] = models if models is not None else {}
         self._sems: dict[str, OrderedSemantics] = sems if sems is not None else {}
-        self._explainers: dict[str, Explainer] = (
-            explainers if explainers is not None else {}
-        )
         #: view -> demand route compiled from :attr:`program`
         #: (docs/query.md); lives and dies with this version.
         self.demand_routes: dict = {}
@@ -185,15 +180,6 @@ class Snapshot:
             interp = self.semantics(view).least_model
             self.models[view] = interp
         return interp
-
-    def explainer(self, view: str, sem: OrderedSemantics) -> Explainer:
-        """The derivation explainer for one view at this version,
-        built once (it replays the fixpoint) and pinned."""
-        exp = self._explainers.get(view)
-        if exp is None:
-            exp = Explainer(sem)
-            self._explainers[view] = exp
-        return exp
 
 
 def _latency_dict(hist: Histogram) -> dict:
@@ -538,13 +524,12 @@ class ServerEngine:
             ctx.annotate(route="materialized")
         sem = self._semantics_at(snap, view)
         self._model_at(snap, view)  # force the least model first
-        explainer = snap.explainer(view, sem)
         value = sem.value(pattern)
         return {
             "literal": pattern,
             "value": value.name.lower(),
             "derived": value is TruthValue.TRUE,
-            "explanation": explainer.explain(pattern),
+            "explanation": Explainer(sem).explain(pattern),
         }
 
     def _model_at(self, snap: Snapshot, view: str) -> Interpretation:
@@ -1064,9 +1049,6 @@ class ServerEngine:
         sems = {
             view: s for view, s in prev._sems.items() if view not in affected
         }
-        explainers = {
-            view: e for view, e in prev._explainers.items() if view not in affected
-        }
         # Hot views — materialized in the previous snapshot and affected
         # by the batch — are repaired here, at publish time, so that
         # their reads never compute a model, only probe one.
@@ -1098,7 +1080,6 @@ class ServerEngine:
             self.kb.budget,
             models,
             sems,
-            explainers,
         )
         self._snapshot = snapshot
         self._batches += 1

@@ -5,6 +5,8 @@ import pytest
 from repro.core.interpretation import TruthValue
 from repro.core.semantics import OrderedSemantics
 from repro.explain.trace import Explainer
+from repro.lang.errors import SemanticsError
+from repro.workloads import release_chain
 from repro.workloads.paper import figure1, figure2, figure3
 
 from ..conftest import semantics_of
@@ -51,6 +53,31 @@ class TestWhy:
         text = f1_explainer.why("fly(pigeon)").render()
         assert "[stage 3]" in text
         assert "bird(pigeon)" in text
+
+    def test_shared_premise_is_one_node(self):
+        explainer = Explainer(semantics_of("component c { a. b :- a. d :- a, b. }", "c"))
+        a, b = explainer.why("d").premises
+        assert str(a.literal) == "a" and str(b.literal) == "b"
+        assert b.premises[0] is a
+
+    def test_deep_derivation_builds_and_renders(self):
+        # Stage 2049 (each level waits a stage for its overruler to be
+        # blocked) through a chain of 1025 nodes, deeper than the
+        # interpreter's recursion limit.  (No ``==`` on the tree: the
+        # dataclass equality recurses.)
+        sem = OrderedSemantics(release_chain(1024), "threats")
+        derivation = Explainer(sem).why("p(1024)")
+        assert derivation.stage == 2049
+        depth, node = 1, derivation
+        while node.premises:
+            (node,) = node.premises
+            depth += 1
+        assert depth == 1025
+        assert str(node.literal) == "p(0)" and node.stage == 1
+        lines = derivation.render().splitlines()
+        assert len(lines) == 1025
+        assert lines[0].startswith("p(1024)  [stage 2049]")
+        assert lines[-1].startswith(" " * 2048 + "p(0)  [stage 1]")
 
 
 class TestWhyNot:
@@ -207,6 +234,11 @@ class TestExplain:
     def test_explain_dispatches(self, f1_explainer):
         assert "via" in f1_explainer.explain("fly(pigeon)")
         assert "overruled" in f1_explainer.explain("fly(penguin)")
+
+    @pytest.mark.parametrize("method", ["why", "why_not", "explain"])
+    def test_non_ground_literal_is_rejected(self, f1_explainer, method):
+        with pytest.raises(SemanticsError, match="ground"):
+            getattr(f1_explainer, method)("fly(X)")
 
     def test_every_least_model_literal_has_support(self, f1_explainer):
         sem = OrderedSemantics(figure1(), "c1")

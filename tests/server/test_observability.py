@@ -600,6 +600,37 @@ class TestExplainOp:
 
         run(scenario())
 
+    def test_explain_non_ground_pattern_is_semantics_error(self):
+        async def scenario():
+            async with ServerEngine(make_kb()) as engine:
+                reply = await engine.handle(
+                    req(op="explain", view="bird", pattern="fly(X)", id=1)
+                )
+                assert not reply["ok"]
+                assert reply["error"]["code"] == "semantics"
+                assert "ground" in reply["error"]["message"]
+
+        run(scenario())
+
+    def test_explain_deep_derivation(self):
+        # p(1024) is derived at stage 2049 through a 1025-node chain:
+        # deeper than the interpreter's recursion limit.
+        from repro.workloads import release_chain
+
+        kb = KnowledgeBase.from_program(release_chain(1024))
+
+        async def scenario():
+            async with ServerEngine(kb) as engine:
+                reply = await roundtrip(
+                    engine, op="explain", view="threats", pattern="p(1024)", id=1
+                )
+                result = reply["result"]
+                assert result["derived"] is True
+                assert "p(1024)  [stage 2049]" in result["explanation"]
+                assert "p(0)  [stage 1]" in result["explanation"]
+
+        run(scenario())
+
 
 @pytest.mark.parametrize(
     "example,literal,derived,needle",
