@@ -20,10 +20,14 @@ stopped" line).  Exits non-zero on the first surprise.
 A second phase smokes the replication topology from
 ``docs/replication.md``: a leader with ``--wal`` journals writes and
 is drained, a restarted leader recovers the journaled version from
-disk, a ``--follow`` follower catches up over ``subscribe`` from that
-cold journal and then tracks a live write, its ``/metrics`` sidecar
-exposes ``repro_replica_lag_versions``, and both processes drain
-cleanly.
+disk (booted with ``-v``, so the event registry is on: its
+``/metrics`` must still carry each series once), a ``--follow``
+follower catches up over ``subscribe`` from that cold journal and then
+tracks a live write, its ``/metrics`` sidecar exposes
+``repro_replica_lag_versions``, an ``olp serve --fleet`` front end
+routes one write to the leader and one read to the follower, and the
+fleet, the leader (with the follower still subscribed) and the follower
+each drain cleanly while an idle client connection is open to it.
 
 A third phase smokes goal-directed answering (``docs/query.md``): a
 server booted with ``--edb`` over a disk-backed forest answers a
@@ -48,6 +52,7 @@ HOST = "127.0.0.1"
 BANNER = re.compile(r"olp serve: listening on ([\d.]+):(\d+)")
 METRICS_BANNER = re.compile(r"olp serve: metrics on ([\d.]+):(\d+)")
 RECOVERED_BANNER = re.compile(r"olp serve: recovered version (\d+) from")
+FLEET_BANNER = re.compile(r"olp serve: fleet listening on ([\d.]+):(\d+)")
 
 
 def fail(message: str):
@@ -277,8 +282,33 @@ def read_banners(server: subprocess.Popen, *patterns: re.Pattern) -> list:
     return [found[p] for p in patterns]
 
 
-def drain(server: subprocess.Popen, session: Session, banner: str) -> None:
-    """Request shutdown, then verify exit 0 and the drain banner."""
+def scrape(port: int) -> str:
+    with urllib.request.urlopen(f"http://{HOST}:{port}/metrics", timeout=10) as response:
+        return response.read().decode()
+
+
+def duplicate_series(exposition: str) -> list[str]:
+    """Samples whose (name, labels) appear more than once."""
+    seen: set[str] = set()
+    duplicates = []
+    for line in exposition.splitlines():
+        if line and not line.startswith("#"):
+            series = line.rsplit(" ", 1)[0]
+            if series in seen:
+                duplicates.append(series)
+            seen.add(series)
+    return duplicates
+
+
+def drain(
+    server: subprocess.Popen,
+    session: Session,
+    banner: str,
+    idle: Session | None = None,
+) -> None:
+    """Request shutdown, then verify exit 0 and the drain banner.  An
+    ``idle`` connection, open and silent throughout, must not keep the
+    server from exiting."""
     bye = session.expect_ok(id="drain", op="shutdown")
     if bye["result"]["draining"] is not True:
         fail(f"shutdown not acknowledged: {bye!r}")
@@ -293,6 +323,8 @@ def drain(server: subprocess.Popen, session: Session, banner: str) -> None:
         fail(f"server exited {code}: {tail!r}")
     if banner not in tail:
         fail(f"no {banner!r} banner in {tail!r}")
+    if idle is not None:
+        idle.close()
 
 
 def replication_smoke() -> None:
@@ -304,7 +336,7 @@ def replication_smoke() -> None:
     env = dict(os.environ)
     env.setdefault("PYTHONPATH", "src")
     wal_dir = tempfile.mkdtemp(prefix="olp-smoke-wal-")
-    leader = follower = None
+    leader = follower = fleet = None
     try:
         # First incarnation: journal a few versions, then drain.
         leader = spawn_serve(env, "--wal", wal_dir)
@@ -330,10 +362,13 @@ def replication_smoke() -> None:
         drain(leader, session, "drained and stopped")
         print(f"smoke: leader journaled version {journaled} and drained")
 
-        # Second incarnation recovers the journal; a follower catches
-        # up from it over subscribe (nothing is in leader memory yet).
-        leader = spawn_serve(env, "--wal", wal_dir)
-        recovered, banner = read_banners(leader, RECOVERED_BANNER, BANNER)
+        # Second incarnation recovers the journal (with the event
+        # registry on); a follower catches up from it over subscribe
+        # (nothing is in leader memory yet).
+        leader = spawn_serve(env, "-v", "--metrics-port", "0", "--wal", wal_dir)
+        recovered, banner, leader_metrics = read_banners(
+            leader, RECOVERED_BANNER, BANNER, METRICS_BANNER
+        )
         if int(recovered.group(1)) != journaled:
             fail(f"recovered {recovered.group(1)}, journaled {journaled}")
         leader_port = int(banner.group(2))
@@ -374,10 +409,7 @@ def replication_smoke() -> None:
         if rejected.get("ok") or rejected["error"]["code"] != "not_leader":
             fail(f"follower accepted a write: {rejected!r}")
 
-        with urllib.request.urlopen(
-            f"http://{HOST}:{int(metrics.group(2))}/metrics", timeout=10
-        ) as response:
-            exposition = response.read().decode()
+        exposition = scrape(int(metrics.group(2)))
         for needle in (
             "repro_replica_lag_versions",
             "repro_replica_entries_total",
@@ -386,13 +418,59 @@ def replication_smoke() -> None:
                 fail(f"follower /metrics missing {needle!r}")
         print("smoke: follower /metrics exposes replication lag")
 
-        drain(follower, follower_session, "follower drained and stopped")
-        follower = None
-        drain(leader, leader_session, "drained and stopped")
+        # Each serving fact is recorded once, registry on or off.
+        leader_exposition = scrape(int(leader_metrics.group(2)))
+        for name, text in (("leader", leader_exposition), ("follower", exposition)):
+            if duplicates := duplicate_series(text):
+                fail(f"{name} /metrics repeats series {duplicates!r}")
+        print(
+            f"smoke: leader -v /metrics serves {len(leader_exposition.splitlines())} "
+            "lines, no series repeated"
+        )
+
+        # The fleet front end: writes to the leader, reads to the follower.
+        follower_port = int(banner.group(2))
+        fleet = spawn_serve(
+            env, "--fleet", "--leader", f"{HOST}:{leader_port}",
+            "--follower", f"{HOST}:{follower_port}",
+        )
+        (fleet_banner,) = read_banners(fleet, FLEET_BANNER)
+        fleet_port = int(fleet_banner.group(2))
+        fleet_session = Session(fleet_port)
+        fleet_session.expect_ok(
+            id="fw", op="tell", view="penguin", rules="penguin_of(routed)."
+        )
+        deadline = time.monotonic() + 20
+        while time.monotonic() < deadline:
+            reply = fleet_session.expect_ok(
+                id="fr", op="ask", view="penguin", pattern="-fly(routed)"
+            )
+            if reply["result"]["holds"]:
+                break
+            time.sleep(0.05)
+        else:
+            fail("a write routed through the fleet never became readable")
+        print("smoke: fleet routed a write to the leader and a read to the follower")
+
+        # Drains with an idle connection (one answered request, then
+        # silence) open to each process; the leader drains while the
+        # follower is still subscribed to it.
+        idle = {}
+        for port in (fleet_port, leader_port, follower_port):
+            idle[port] = Session(port)
+            idle[port].expect_ok(id="idle", op="health")
+        drain(fleet, fleet_session, "fleet drained after", idle[fleet_port])
+        fleet = None
+        drain(leader, leader_session, "drained and stopped", idle[leader_port])
         leader = None
-        print("smoke: replication topology drained cleanly")
+        drain(
+            follower, follower_session, "follower drained and stopped",
+            idle[follower_port],
+        )
+        follower = None
+        print("smoke: fleet, leader and follower drained cleanly")
     finally:
-        for proc in (leader, follower):
+        for proc in (leader, follower, fleet):
             if proc is not None and proc.poll() is None:
                 proc.kill()
                 proc.wait()

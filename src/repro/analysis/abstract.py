@@ -625,12 +625,6 @@ class AbstractAnalysis:
         """Can the rule's body ever hold in a least model?"""
         return self._env_for(r) is None
 
-    def depth_bounded(self, literal: Literal) -> bool:
-        """True when every argument sort of the literal's signed
-        predicate converged to a finite term-depth bound — recursion
-        through it cannot grow terms past that depth."""
-        return self.literal_fact(literal).depth_bound() is not None
-
     def to_dict(self) -> dict[str, object]:
         return {
             "universe_terms": None if self.universe is None else len(self.universe.terms),

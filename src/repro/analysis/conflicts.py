@@ -47,10 +47,6 @@ class Conflict:
     first: GroundRule
     second: GroundRule
 
-    @property
-    def atom_str(self) -> str:
-        return str(self.first.head.atom)
-
     def __str__(self) -> str:
         arrow = "overrules" if self.kind is ConflictKind.OVERRULE else "defeats"
         return f"{self.first}  {arrow}  {self.second}"

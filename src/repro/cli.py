@@ -649,8 +649,6 @@ def _cmd_repl(args: argparse.Namespace) -> int:  # pragma: no cover - interactiv
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    import asyncio
-
     from .kb.knowledge_base import KnowledgeBase
     from .server import ServerConfig, run_server
 
@@ -673,14 +671,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             followers = [parse_backend(spec) for spec in (args.follower or [])]
         except ValueError as error:
             raise ReproError(str(error)) from error
-        try:
-            asyncio.run(
-                run_fleet(leader, followers, host=args.host, port=args.port)
-            )
-        except KeyboardInterrupt:  # pragma: no cover - interactive
-            print("olp serve: interrupted", file=sys.stderr)
-            return 130
-        return 0
+        return _serve_until_interrupted(
+            run_fleet(leader, followers, host=args.host, port=args.port)
+        )
 
     if args.follow is not None:
         from .server import run_follower
@@ -696,22 +689,17 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             if args.views is not None
             else None
         )
-        try:
-            asyncio.run(
-                run_follower(
-                    leader_host,
-                    leader_port,
-                    host=args.host,
-                    port=args.port,
-                    config=config,
-                    views=views,
-                    metrics_port=args.metrics_port,
-                )
+        return _serve_until_interrupted(
+            run_follower(
+                leader_host,
+                leader_port,
+                host=args.host,
+                port=args.port,
+                config=config,
+                views=views,
+                metrics_port=args.metrics_port,
             )
-        except KeyboardInterrupt:  # pragma: no cover - interactive
-            print("olp serve: interrupted", file=sys.stderr)
-            return 130
-        return 0
+        )
 
     if args.file is not None and args.restore is not None:
         raise ReproError("pass an .olp file or --restore, not both")
@@ -775,18 +763,25 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             f"({store.total_facts()} facts, {len(list(store.names()))} relations)",
             flush=True,
         )
-    try:
-        asyncio.run(
-            run_server(
-                kb,
-                host=args.host,
-                port=args.port,
-                config=config,
-                metrics_port=args.metrics_port,
-                wal=wal,
-                initial_version=initial_version,
-            )
+    return _serve_until_interrupted(
+        run_server(
+            kb,
+            host=args.host,
+            port=args.port,
+            config=config,
+            metrics_port=args.metrics_port,
+            wal=wal,
+            initial_version=initial_version,
         )
+    )
+
+
+def _serve_until_interrupted(role) -> int:
+    """Run one ``olp serve`` role to its drain; Ctrl-C exits 130."""
+    import asyncio
+
+    try:
+        asyncio.run(role)
     except KeyboardInterrupt:  # pragma: no cover - interactive
         print("olp serve: interrupted", file=sys.stderr)
         return 130

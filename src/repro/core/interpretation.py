@@ -311,9 +311,6 @@ class Interpretation:
     # ------------------------------------------------------------------
     # Set-like comparisons (on literal sets; the base does not compare)
     # ------------------------------------------------------------------
-    def issubset(self, other: "Interpretation") -> bool:
-        return self._members() <= other._members()
-
     def __le__(self, other: "Interpretation") -> bool:
         return self._members() <= other._members()
 

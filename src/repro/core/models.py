@@ -20,7 +20,7 @@ constructs such an extension.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Optional
 
 from ..lang.literals import Literal
 from .interpretation import Interpretation
@@ -104,12 +104,6 @@ class ModelChecker:
     # ------------------------------------------------------------------
     def is_total_model(self, interp: Interpretation) -> bool:
         return interp.is_total and self.is_model(interp)
-
-    def extension_candidates(self, interp: Interpretation) -> Iterator[Literal]:
-        """Literals over undefined atoms, in deterministic order."""
-        for atom in sorted(interp.undefined_atoms(), key=str):
-            yield Literal(atom, True)
-            yield Literal(atom, False)
 
     def is_exhaustive(self, interp: Interpretation) -> bool:
         """No proper superset is a model (Definition 5b).

@@ -140,12 +140,6 @@ class Substitution:
         """The substitution restricted to the given variables."""
         return Substitution({v: t for v, t in self._mapping.items() if v in variables})
 
-    def is_ground_for(self, variables: frozenset[Variable]) -> bool:
-        """True when every listed variable is bound to a ground term."""
-        return all(
-            v in self._mapping and self._mapping[v].is_ground for v in variables
-        )
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Substitution) and other._mapping == self._mapping
 

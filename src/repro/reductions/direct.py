@@ -67,16 +67,6 @@ __all__ = [
 _ENUM_LIMIT_ATOMS = 12
 
 
-def _negative_rules_by_head(
-    rules: Iterable[GroundRule],
-) -> dict[Literal, list[GroundRule]]:
-    index: dict[Literal, list[GroundRule]] = {}
-    for r in rules:
-        if not r.head.positive:
-            index.setdefault(r.head, []).append(r)
-    return index
-
-
 def has_exception(
     rules: Iterable[GroundRule],
     r: GroundRule,

@@ -209,6 +209,18 @@ class _WriteItem:
         self.trace = trace
 
 
+def _op_dict(request: Request) -> dict:
+    """One write request as the op :meth:`KnowledgeBase.apply_op`
+    replays — the leader applies it through the same path as WAL
+    recovery and followers."""
+    return {
+        "op": request.op,
+        "view": request.view,
+        "rules": request.rules or "",
+        "isa": list(request.isa),
+    }
+
+
 _SENTINEL = object()
 
 #: Pushed into a subscriber's queue when the engine drains: the stream
@@ -349,10 +361,6 @@ class ServerEngine:
     async def handle(self, request: Request) -> dict:
         """Execute one validated request; returns the response payload."""
         self._requests[request.op] = self._requests.get(request.op, 0) + 1
-        obs = get_instrumentation()
-        if obs.enabled:
-            obs.count("server.requests")
-            obs.count(f"server.requests.{request.op}")
         if request.op == "health":
             return self._health(request)
         if request.op == "stats":
@@ -399,9 +407,6 @@ class ServerEngine:
         **extra: Any,
     ) -> dict:
         self._errors[code] = self._errors.get(code, 0) + 1
-        obs = get_instrumentation()
-        if obs.enabled:
-            obs.count(f"server.errors.{code}")
         return protocol.error_response(request.id, code, message, version, **extra)
 
     # ------------------------------------------------------------------
@@ -440,11 +445,6 @@ class ServerEngine:
             )
         elapsed = time.perf_counter() - t0
         self._read_latency.observe(elapsed)
-        obs = get_instrumentation()
-        if obs.enabled:
-            obs.observe("server.latency.read", elapsed)
-            obs.observe("server.snapshot_age", snap.age(now))
-            obs.gauge("server.snapshot.age_ms", snap.age(now) * 1000.0)
         if ctx is not None:
             ctx.annotate(version=snap.version)
             ctx.close()
@@ -779,16 +779,13 @@ class ServerEngine:
                 "cost": dict(ctx.costs),
             }
         )
-        obs = get_instrumentation()
-        if obs.enabled:
-            obs.count("server.slow_queries")
-            obs.event(
-                "server.slow_query",
-                op=request.op,
-                view=request.view,
-                elapsed_ms=elapsed_ms,
-                trace_id=ctx.trace_id,
-            )
+        get_instrumentation().event(
+            "server.slow_query",
+            op=request.op,
+            view=request.view,
+            elapsed_ms=elapsed_ms,
+            trace_id=ctx.trace_id,
+        )
 
     # ------------------------------------------------------------------
     # Write path (single-writer pipeline)
@@ -871,7 +868,6 @@ class ServerEngine:
         """
         t0 = time.perf_counter()
         now = time.monotonic()
-        obs = get_instrumentation()
         applied: list[_WriteItem] = []
         errors: list[tuple[_WriteItem, dict]] = []
         for item in batch:
@@ -881,8 +877,6 @@ class ServerEngine:
             # requests still show up in the wait distribution.
             wait_s = max(0.0, now - request.arrived_at)
             self._queue_wait.observe(wait_s * 1000.0)
-            if obs.enabled:
-                obs.observe("server.queue.wait_ms", wait_s * 1000.0)
             if item.trace is not None:
                 item.trace.record("queue.wait", wait_s, batch_size=len(batch))
                 item.trace.record(
@@ -908,9 +902,9 @@ class ServerEngine:
                         with get_instrumentation().span(
                             "apply", op=request.op, view=request.view or ""
                         ):
-                            self._apply_one(request)
+                            self.kb.apply_op(_op_dict(request))
                 else:
-                    self._apply_one(request)
+                    self.kb.apply_op(_op_dict(request))
             except Exception as error:
                 # Not ReproError alone: one request's failure is its
                 # own, and letting it out of the loop would skip the
@@ -944,8 +938,6 @@ class ServerEngine:
         elapsed = time.perf_counter() - t0
         self._write_latency.observe(elapsed)
         version = self._version
-        if obs.enabled:
-            obs.observe("server.latency.write", elapsed)
         for item in applied:
             result: dict[str, Any] = {"applied": item.request.op}
             if item.trace is not None:
@@ -976,36 +968,15 @@ class ServerEngine:
             if not item.future.done():
                 item.future.set_result(payload)
 
-    def _apply_one(self, request: Request) -> None:
-        view = request.view
-        assert view is not None  # parse_request guarantees per-op fields
-        if request.op == "tell":
-            assert request.rules is not None
-            self.kb.tell(view, request.rules)
-        elif request.op == "retract":
-            assert request.rules is not None
-            self.kb.retract(view, request.rules)
-        else:
-            # ``rules`` is optional for define: an empty object is legal.
-            self.kb.define(view, request.rules or (), isa=request.isa)
-
-    def _op_dict(self, request: Request) -> dict:
-        """The journal/stream form of one applied write: the protocol
-        fields plus the ``seers`` downset at publish time (the views
-        this op can change — the replication filter's sole input)."""
-        view = request.view
-        assert view is not None
-        return {
-            "op": request.op,
-            "view": view,
-            "rules": request.rules or "",
-            "isa": list(request.isa),
-            "seers": sorted(self.kb.seers(view)),
-        }
-
     def _publish(self, applied: list[Request]) -> None:
-        """Atomically publish the next snapshot version."""
-        ops = [self._op_dict(request) for request in applied]
+        """Atomically publish the next snapshot version.
+
+        Each journal/stream op carries the ``seers`` downset at publish
+        time (the views it can change — the replication filter's sole
+        input)."""
+        ops = [_op_dict(request) for request in applied]
+        for op in ops:
+            op["seers"] = sorted(self.kb.seers(op["view"]))
         snapshot = self._publish_ops(ops, self._version + 1)
         if self.config.keep_history:
             self.history.append((snapshot, list(applied)))
@@ -1070,8 +1041,6 @@ class ServerEngine:
                     )
                     self._view_refresh[view] = hist
                 hist.observe(refresh)
-                if obs.enabled:
-                    obs.observe("server.view.refresh", refresh)
         self._version = version
         snapshot = Snapshot(
             version,
@@ -1093,11 +1062,7 @@ class ServerEngine:
             decoded = ctx.costs.pop("decoded_literals", 0)
             ctx.add_cost(publish_decoded_literals=decoded)
         if obs.enabled:
-            obs.count("server.publishes")
             obs.observe("server.batch_size", len(ops))
-            obs.gauge("server.version", version)
-            obs.observe("server.snapshot_age", prev.age())
-            obs.gauge("server.snapshot.age_ms", prev.age() * 1000.0)
             obs.event(
                 "server.publish",
                 version=version,
@@ -1125,10 +1090,6 @@ class ServerEngine:
         )
         self._subscribers.append(sub)
         self._subscribers_total += 1
-        obs = get_instrumentation()
-        if obs.enabled:
-            obs.count("replica.subscribes")
-            obs.gauge("replica.subscribers", len(self._subscribers))
         return sub
 
     def remove_subscriber(self, sub: Subscriber) -> None:
@@ -1136,9 +1097,6 @@ class ServerEngine:
             self._subscribers.remove(sub)
         except ValueError:
             pass
-        obs = get_instrumentation()
-        if obs.enabled:
-            obs.gauge("replica.subscribers", len(self._subscribers))
 
     def close_subscribers(self) -> None:
         """End every live stream cleanly (server drain)."""
@@ -1168,9 +1126,6 @@ class ServerEngine:
             except asyncio.QueueFull:
                 sub.lagging = True
                 self._subscribers_lagged += 1
-                obs = get_instrumentation()
-                if obs.enabled:
-                    obs.count("replica.subscriber_lagged")
 
     def catch_up(
         self,

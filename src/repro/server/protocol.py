@@ -80,6 +80,7 @@ from dataclasses import dataclass, field
 from typing import Any, Optional, Union
 
 from ..core.transform import READ_STRATEGIES, validate
+from ..kb.query import QueryMode
 
 __all__ = [
     "OPS",
@@ -115,7 +116,8 @@ ADMIN_OPS = frozenset({"stats", "health", "metrics", "slow", "shutdown"})
 STREAM_OPS = frozenset({"subscribe"})
 OPS = READ_OPS | WRITE_OPS | ADMIN_OPS | STREAM_OPS
 
-MODES = ("cautious", "skeptical", "credulous")
+#: Read modes, in :class:`~repro.kb.query.QueryMode` order.
+MODES = tuple(mode.value for mode in QueryMode)
 
 #: Refusal of a per-request read strategy outside ``READ_STRATEGIES``
 #: (None = the server default, ``auto``).

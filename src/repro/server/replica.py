@@ -43,6 +43,7 @@ from ..serialize import kb_from_dict
 from . import protocol
 from .engine import ServerConfig, ServerEngine, Snapshot
 from .protocol import Request
+from .service import MetricsSidecar, QueryServer, ServingShell, run_shell
 
 __all__ = [
     "Backend",
@@ -97,9 +98,6 @@ class FollowerEngine(ServerEngine):
     def note_leader(self, leader_version: int) -> None:
         if leader_version > self.leader_version:
             self.leader_version = leader_version
-        obs = get_instrumentation()
-        if obs.enabled:
-            obs.gauge("replica.lag_versions", self.lag_versions)
 
     def apply_entry(
         self, version: int, ops: list[dict], leader_version: Optional[int] = None
@@ -127,12 +125,6 @@ class FollowerEngine(ServerEngine):
         self.entries_applied += 1
         self.ops_replicated += len(ops)
         self.last_entry_at = time.monotonic()
-        obs = get_instrumentation()
-        if obs.enabled:
-            obs.count("replica.entries")
-            obs.count("replica.ops", len(ops))
-            obs.gauge("replica.applied_version", version)
-            obs.gauge("replica.lag_versions", self.lag_versions)
         return True
 
     def reset_for_resync(self) -> None:
@@ -163,11 +155,7 @@ class FollowerEngine(ServerEngine):
         )
         self.note_leader(version)
         self.snapshots_loaded += 1
-        obs = get_instrumentation()
-        if obs.enabled:
-            obs.count("replica.snapshots")
-            obs.gauge("replica.applied_version", version)
-        obs.event("replica.snapshot_loaded", version=version)
+        get_instrumentation().event("replica.snapshot_loaded", version=version)
 
     # -- observability -------------------------------------------------
     def stats(self) -> dict:
@@ -324,8 +312,6 @@ async def tail_leader(
         if engine.draining or engine.shutdown_requested.is_set():
             return
         engine.reconnects += 1
-        if obs.enabled:
-            obs.count("replica.reconnects")
         if outcome == "lagging":
             delay = backoff_s  # the leader is alive; rejoin at once
         else:
@@ -351,42 +337,28 @@ async def run_follower(
 ) -> None:
     """``olp serve --follow host:port``: serve snapshot-isolated reads
     that track a leader's version stream."""
-    from .service import MetricsSidecar, QueryServer
-
     engine = FollowerEngine(
         None, config, leader=f"{leader_host}:{leader_port}", views=views
     )
     server = QueryServer(engine, host, port)
-    sidecar: Optional[MetricsSidecar] = None
-    await server.start()
-    if metrics_port is not None:
-        sidecar = MetricsSidecar(engine, host, metrics_port)
-        await sidecar.start()
-    tail = asyncio.ensure_future(
-        tail_leader(engine, leader_host, leader_port)
-    )
-    if ready is not None:
-        ready.set()
-    print(
-        f"olp serve: following {leader_host}:{leader_port}"
-        + (f" views={','.join(views)}" if views else ""),
-        flush=True,
-    )
-    print(f"olp serve: listening on {server.host}:{server.port}", flush=True)
-    if sidecar is not None:
-        print(f"olp serve: metrics on {sidecar.host}:{sidecar.port}", flush=True)
-    try:
-        await server.serve_until_shutdown()
-    finally:
-        tail.cancel()
-        await asyncio.gather(tail, return_exceptions=True)
-        if sidecar is not None:
-            await sidecar.aclose()
-        await server.aclose()
-    print(
-        f"olp serve: follower drained and stopped at version {engine.version} "
-        f"(lag {engine.lag_versions})",
-        flush=True,
+    await run_shell(
+        server,
+        lambda: [
+            f"olp serve: following {leader_host}:{leader_port}"
+            + (f" views={','.join(views)}" if views else ""),
+            f"olp serve: listening on {server.host}:{server.port}",
+        ],
+        lambda: (
+            f"olp serve: follower drained and stopped at version "
+            f"{engine.version} (lag {engine.lag_versions})"
+        ),
+        ready=ready,
+        sidecar=(
+            MetricsSidecar(engine, host, metrics_port)
+            if metrics_port is not None
+            else None
+        ),
+        companion=lambda: tail_leader(engine, leader_host, leader_port),
     )
 
 
@@ -479,7 +451,7 @@ def parse_backend(spec: str) -> Backend:
     return Backend(host, int(port), views)
 
 
-class FleetServer:
+class FleetServer(ServingShell):
     """``olp serve --fleet``: route reads across followers, writes and
     admin to the leader, replies forwarded verbatim (clients see
     follower versions on reads — snapshot isolation at whatever version
@@ -492,40 +464,14 @@ class FleetServer:
         host: str = "127.0.0.1",
         port: int = 0,
     ) -> None:
+        super().__init__(host, port, asyncio.Event())
         self.leader = leader
         self.followers = list(followers)
-        self.host = host
-        self.port = port
         self.routed_reads = 0
         self.routed_writes = 0
-        self.shutdown_requested = asyncio.Event()
         self._rr = 0
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._closed = False
 
-    async def start(self) -> "FleetServer":
-        self._server = await asyncio.start_server(
-            self._handle_connection,
-            self.host,
-            self.port,
-            limit=protocol.MAX_LINE_BYTES,
-        )
-        sockets = self._server.sockets or ()
-        if sockets:
-            self.port = sockets[0].getsockname()[1]
-        return self
-
-    async def serve_until_shutdown(self) -> None:
-        await self.shutdown_requested.wait()
-        await self.aclose()
-
-    async def aclose(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
+    async def _close_role(self) -> None:
         for backend in [self.leader, *self.followers]:
             await backend.aclose()
 
@@ -538,15 +484,16 @@ class FleetServer:
         self._rr += 1
         return eligible[self._rr % len(eligible)]
 
-    async def _route(self, line: bytes) -> dict | bytes:
-        """One request line to one response line (dict = fleet-local)."""
+    async def _reply(self, line: bytes, writer: asyncio.StreamWriter) -> bytes:
+        """Route one request line; a backend's reply line is forwarded
+        as it came."""
         try:
             data = protocol.decode_request(line)
         except protocol.ProtocolError as error:
             # Refused here, like a backend would; the framing was fine,
             # so the connection stays open.
-            return protocol.error_response(
-                None, protocol.BAD_REQUEST, str(error)
+            return protocol.encode(
+                protocol.error_response(None, protocol.BAD_REQUEST, str(error))
             )
         op = data.get("op")
         request_id = data.get("id")
@@ -554,12 +501,16 @@ class FleetServer:
             # Fleet-local: drain the proxy; backends are managed by
             # their own lifecycles (each accepts its own shutdown op).
             self.shutdown_requested.set()
-            return protocol.ok_response(request_id, None, {"draining": True})
+            return protocol.encode(
+                protocol.ok_response(request_id, None, {"draining": True})
+            )
         if op == "subscribe":
-            return protocol.error_response(
-                request_id,
-                protocol.BAD_REQUEST,
-                f"subscribe directly to the leader at {self.leader.address}",
+            return protocol.encode(
+                protocol.error_response(
+                    request_id,
+                    protocol.BAD_REQUEST,
+                    f"subscribe directly to the leader at {self.leader.address}",
+                )
             )
         backend: Optional[Backend] = None
         if op in protocol.READ_OPS:
@@ -582,45 +533,9 @@ class FleetServer:
                     return await self.leader.call(line)
                 except ConnectionError as fallback_error:
                     error = fallback_error
-            return protocol.error_response(
-                request_id, protocol.INTERNAL, str(error)
+            return protocol.encode(
+                protocol.error_response(request_id, protocol.INTERNAL, str(error))
             )
-
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        try:
-            while True:
-                try:
-                    line = await protocol.read_request_line(reader)
-                except ConnectionResetError:
-                    break
-                if line is None:
-                    # Refused here, like a backend would; the reply is
-                    # this connection's last.
-                    reply = protocol.oversize_line_response()
-                elif not line:
-                    break
-                elif not line.strip():
-                    continue
-                else:
-                    reply = await self._route(line)
-                payload = (
-                    protocol.encode(reply) if isinstance(reply, dict) else reply
-                )
-                try:
-                    writer.write(payload)
-                    await writer.drain()
-                except (ConnectionResetError, BrokenPipeError):
-                    break
-                if line is None or self.shutdown_requested.is_set():
-                    break
-        finally:
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError, OSError):
-                pass
 
 
 async def run_fleet(
@@ -633,20 +548,15 @@ async def run_fleet(
     """``olp serve --fleet``: one front address over a leader and its
     followers."""
     fleet = FleetServer(leader, followers, host, port)
-    await fleet.start()
-    if ready is not None:
-        ready.set()
-    print(
-        f"olp serve: fleet listening on {fleet.host}:{fleet.port} "
-        f"(leader {leader.address}, {len(fleet.followers)} followers)",
-        flush=True,
-    )
-    try:
-        await fleet.serve_until_shutdown()
-    finally:
-        await fleet.aclose()
-    print(
-        f"olp serve: fleet drained after {fleet.routed_reads} reads / "
-        f"{fleet.routed_writes} writes",
-        flush=True,
+    await run_shell(
+        fleet,
+        lambda: [
+            f"olp serve: fleet listening on {fleet.host}:{fleet.port} "
+            f"(leader {leader.address}, {len(fleet.followers)} followers)"
+        ],
+        lambda: (
+            f"olp serve: fleet drained after {fleet.routed_reads} reads / "
+            f"{fleet.routed_writes} writes"
+        ),
+        ready=ready,
     )

@@ -1,13 +1,17 @@
 """The asyncio TCP front end of the query server.
 
-One :class:`QueryServer` wraps a :class:`~repro.server.engine.ServerEngine`
-behind ``asyncio.start_server``.  Each connection is an independent
+:class:`ServingShell` is the listener every ``olp serve`` role shares:
+one NDJSON connection loop, one lifecycle and drain, and (through
+:func:`run_shell`) one bootstrap.  :class:`QueryServer` plugs a
+:class:`~repro.server.engine.ServerEngine` (leader or follower) into
+it; the fleet tier (:class:`~repro.server.replica.FleetServer`) plugs
+in its router.  Each connection is an independent
 newline-delimited-JSON session: requests are answered in order per
 connection, while connections interleave freely (reads are lock-free
 against published snapshots; writes serialize through the engine's
 single-writer pipeline).
 
-Shutdown is graceful: a ``shutdown`` request (or :meth:`QueryServer.aclose`)
+Shutdown is graceful: a ``shutdown`` request (or :meth:`ServingShell.aclose`)
 stops the listener, lets in-flight connection handlers finish their
 current request with a ``shutting_down`` reply for anything newly
 admitted, drains the write queue, and publishes what was in flight
@@ -17,8 +21,7 @@ before the process exits.
 from __future__ import annotations
 
 import asyncio
-import contextlib
-from typing import Optional
+from typing import Awaitable, Callable, Optional, Sequence
 
 from ..obs import get_instrumentation
 from ..obs.exposition import CONTENT_TYPE
@@ -26,7 +29,7 @@ from . import protocol
 from .engine import ServerConfig, ServerEngine
 from .protocol import ProtocolError
 
-__all__ = ["MetricsSidecar", "QueryServer", "run_server"]
+__all__ = ["MetricsSidecar", "QueryServer", "ServingShell", "run_server", "run_shell"]
 
 
 class MetricsSidecar:
@@ -107,24 +110,33 @@ class MetricsSidecar:
                 pass
 
 
-class QueryServer:
-    """NDJSON-over-TCP front end for a :class:`ServerEngine`."""
+class ServingShell:
+    """One NDJSON-over-TCP listener and its lifecycle: the part every
+    ``olp serve`` role (leader, follower, fleet) shares.
+
+    The connection loop frames requests (:func:`protocol.read_request_line`),
+    refuses an oversize line as the connection's last reply, skips blank
+    lines and writes one reply per request; a role only answers a line
+    (:meth:`_reply`).  The drain stops accepting, ends live streams,
+    gives open connections :data:`DRAIN_TIMEOUT_S` to finish, cancels
+    the rest, and only then waits for the listener and closes the role.
+    """
+
+    #: How long a drain waits for open connections before cancelling
+    #: them — an idle client that never hangs up cannot stall it.
+    DRAIN_TIMEOUT_S = 5.0
 
     def __init__(
-        self,
-        engine: ServerEngine,
-        host: str = "127.0.0.1",
-        port: int = 0,
+        self, host: str, port: int, shutdown_requested: asyncio.Event
     ) -> None:
-        self.engine = engine
         self.host = host
         self.port = port
+        self.shutdown_requested = shutdown_requested
         self._server: Optional[asyncio.AbstractServer] = None
         self._connections: set[asyncio.Task] = set()
         self._closed = False
 
-    async def start(self) -> "QueryServer":
-        await self.engine.start()
+    async def start(self):
         self._server = await asyncio.start_server(
             self._handle_connection,
             self.host,
@@ -139,47 +151,58 @@ class QueryServer:
         )
         return self
 
-    async def __aenter__(self) -> "QueryServer":
+    async def __aenter__(self):
         return await self.start()
 
     async def __aexit__(self, *exc_info) -> None:
         await self.aclose()
 
     async def serve_until_shutdown(self) -> None:
-        """Serve until a client sends ``shutdown`` (or the engine's
-        shutdown event is set programmatically), then drain and stop."""
-        await self.engine.shutdown_requested.wait()
+        """Serve until a client sends ``shutdown`` (or the shutdown
+        event is set programmatically), then drain and stop."""
+        await self.shutdown_requested.wait()
         await self.aclose()
 
     async def aclose(self) -> None:
-        """Graceful drain: stop accepting, finish open connections,
-        drain the write pipeline."""
+        """Graceful drain: stop accepting, end live streams, finish (or
+        after :data:`DRAIN_TIMEOUT_S` cancel) open connections, then
+        close the role."""
         if self._closed:
             return
         self._closed = True
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
-        # End live subscribe streams before waiting on connections —
-        # a stream blocks on its entry queue, not on readline, so only
-        # the end sentinel lets its handler finish cleanly.
-        self.engine.close_subscribers()
+        # A stream blocks on its entry queue, not on a read, so only its
+        # end sentinel lets the connection finish cleanly.
+        self._end_streams()
         if self._connections:
-            # Connections normally close themselves after their last
-            # reply; cap the wait so an idle client that never hangs up
-            # cannot stall the drain forever.
-            done, pending = await asyncio.wait(
-                set(self._connections), timeout=5.0
+            _done, pending = await asyncio.wait(
+                set(self._connections), timeout=self.DRAIN_TIMEOUT_S
             )
             for task in pending:
                 task.cancel()
             if pending:
                 await asyncio.gather(*pending, return_exceptions=True)
-        await self.engine.aclose()
+        # Only now: from Python 3.12.1 wait_closed() also waits for
+        # every open connection.
+        if self._server is not None:
+            await self._server.wait_closed()
+        await self._close_role()
 
-    # ------------------------------------------------------------------
-    # Connection handling
-    # ------------------------------------------------------------------
+    # -- the role ------------------------------------------------------
+    def _end_streams(self) -> None:
+        """End every connection that streams rather than answers."""
+
+    async def _close_role(self) -> None:
+        """Stop what serves the requests (after the last connection)."""
+
+    async def _reply(
+        self, line: bytes, writer: asyncio.StreamWriter
+    ) -> Optional[bytes]:
+        """The encoded reply to one non-blank request line, or None when
+        the line took the connection over (a ``subscribe`` stream)."""
+        raise NotImplementedError
+
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
@@ -193,32 +216,26 @@ class QueryServer:
                 except ConnectionResetError:
                     break
                 if line is None:
-                    # The refusal is this connection's last reply.
-                    refusal = protocol.oversize_line_response()
-                    with contextlib.suppress(ConnectionResetError, BrokenPipeError):
-                        writer.write(protocol.encode(refusal))
-                        await writer.drain()
+                    reply: Optional[bytes] = protocol.encode(
+                        protocol.oversize_line_response()
+                    )
+                elif not line:
                     break
-                if not line:
-                    break
-                if not line.strip():
+                elif not line.strip():
                     continue
-                if b"subscribe" in line:
-                    # Cheap pre-filter; the parse decides for real.  A
-                    # subscribe dedicates the rest of the connection to
-                    # the stream (one writer task, ordered entries).
-                    handled = await self._maybe_subscribe(line, writer)
-                    if handled:
+                else:
+                    reply = await self._reply(line, writer)
+                    if reply is None:
                         break
-                payload = await self._respond(line)
                 try:
-                    writer.write(protocol.encode(payload))
+                    writer.write(reply)
                     await writer.drain()
                 except (ConnectionResetError, BrokenPipeError):
                     break
-                # Once a drain has been requested the current reply is
-                # the connection's last; closing lets aclose proceed.
-                if self.engine.shutdown_requested.is_set():
+                # A refusal is the connection's last reply, and so is
+                # any reply once a drain was requested (closing lets
+                # aclose proceed).
+                if line is None or self.shutdown_requested.is_set():
                     break
         finally:
             if task is not None:
@@ -228,6 +245,57 @@ class QueryServer:
                 await writer.wait_closed()
             except (ConnectionResetError, BrokenPipeError, OSError):
                 pass
+
+
+class QueryServer(ServingShell):
+    """NDJSON-over-TCP front end for a :class:`ServerEngine` (leader or
+    follower)."""
+
+    def __init__(
+        self,
+        engine: ServerEngine,
+        host: str = "127.0.0.1",
+        port: int = 0,
+    ) -> None:
+        super().__init__(host, port, engine.shutdown_requested)
+        self.engine = engine
+
+    async def start(self) -> "QueryServer":
+        await self.engine.start()
+        return await super().start()
+
+    def _end_streams(self) -> None:
+        self.engine.close_subscribers()
+
+    async def _close_role(self) -> None:
+        await self.engine.aclose()
+
+    async def _reply(
+        self, line: bytes, writer: asyncio.StreamWriter
+    ) -> Optional[bytes]:
+        # Cheap pre-filter; the parse decides for real.  A subscribe
+        # dedicates the rest of the connection to the stream (one
+        # writer task, ordered entries).
+        if b"subscribe" in line and await self._maybe_subscribe(line, writer):
+            return None
+        try:
+            request = protocol.parse_request(
+                line,
+                default_deadline_ms=self.engine.config.default_deadline_ms,
+            )
+        except ProtocolError as error:
+            return protocol.encode(
+                protocol.error_response(
+                    protocol.request_id_of(line), protocol.BAD_REQUEST, str(error)
+                )
+            )
+        try:
+            payload = await self.engine.handle(request)
+        except Exception as error:  # defensive: a reply beats a hang
+            payload = protocol.error_response(
+                request.id, protocol.INTERNAL, f"unhandled failure: {error!r}"
+            )
+        return protocol.encode(payload)
 
     async def _maybe_subscribe(
         self, line: bytes, writer: asyncio.StreamWriter
@@ -242,7 +310,7 @@ class QueryServer:
         try:
             request = protocol.parse_request(line)
         except ProtocolError:
-            return False  # let _respond produce the error reply
+            return False  # let _reply produce the error reply
         if request.op != "subscribe":
             return False
         try:
@@ -264,13 +332,17 @@ class QueryServer:
         ``lagging`` or ``end`` line.
         """
         engine = self.engine
+
+        def frame(version: int, result: dict) -> None:
+            writer.write(
+                protocol.encode(protocol.ok_response(request.id, version, result))
+            )
+
         if engine.draining:
             writer.write(
                 protocol.encode(
                     protocol.error_response(
-                        request.id,
-                        protocol.SHUTTING_DOWN,
-                        "server is draining",
+                        request.id, protocol.SHUTTING_DOWN, "server is draining"
                     )
                 )
             )
@@ -285,75 +357,42 @@ class QueryServer:
                 request.from_version, request.views
             )
             applied = request.from_version
-            writer.write(
-                protocol.encode(
-                    protocol.ok_response(
-                        request.id,
-                        current,
-                        {
-                            "type": "subscribed",
-                            "mode": kind,
-                            "from_version": request.from_version,
-                            "leader_version": current,
-                        },
-                    )
-                )
+            frame(
+                current,
+                {
+                    "type": "subscribed",
+                    "mode": kind,
+                    "from_version": request.from_version,
+                    "leader_version": current,
+                },
             )
             if kind == "snapshot":
-                writer.write(
-                    protocol.encode(
-                        protocol.ok_response(
-                            request.id,
-                            current,
-                            {
-                                "type": "snapshot",
-                                "kb": payload,
-                                "leader_version": current,
-                            },
-                        )
-                    )
+                frame(
+                    current,
+                    {"type": "snapshot", "kb": payload, "leader_version": current},
                 )
                 applied = current
             else:
                 for entry in payload:
-                    writer.write(
-                        protocol.encode(
-                            protocol.ok_response(
-                                request.id,
-                                entry["version"],
-                                {
-                                    "type": "entry",
-                                    "ops": entry["ops"],
-                                    "leader_version": current,
-                                },
-                            )
-                        )
+                    frame(
+                        entry["version"],
+                        {
+                            "type": "entry",
+                            "ops": entry["ops"],
+                            "leader_version": current,
+                        },
                     )
                     applied = entry["version"]
             await writer.drain()
             while True:
                 if sub.lagging and sub.queue.empty():
-                    writer.write(
-                        protocol.encode(
-                            protocol.ok_response(
-                                request.id,
-                                engine.version,
-                                {"type": "lagging"},
-                            )
-                        )
-                    )
+                    frame(engine.version, {"type": "lagging"})
                     await writer.drain()
                     return
                 entry = await sub.queue.get()
                 if entry is None:  # STREAM_END: the server is draining
-                    writer.write(
-                        protocol.encode(
-                            protocol.ok_response(
-                                request.id,
-                                engine.version,
-                                {"type": "end", "reason": "shutting_down"},
-                            )
-                        )
+                    frame(
+                        engine.version, {"type": "end", "reason": "shutting_down"}
                     )
                     await writer.drain()
                     return
@@ -361,39 +400,56 @@ class QueryServer:
                     continue  # already delivered by catch-up
                 sub.delivered += 1
                 applied = entry["version"]
-                writer.write(
-                    protocol.encode(
-                        protocol.ok_response(
-                            request.id,
-                            entry["version"],
-                            {
-                                "type": "entry",
-                                "ops": entry["ops"],
-                                "leader_version": engine.version,
-                            },
-                        )
-                    )
+                frame(
+                    entry["version"],
+                    {
+                        "type": "entry",
+                        "ops": entry["ops"],
+                        "leader_version": engine.version,
+                    },
                 )
                 await writer.drain()
         finally:
             engine.remove_subscriber(sub)
 
-    async def _respond(self, line: bytes) -> dict:
-        try:
-            request = protocol.parse_request(
-                line,
-                default_deadline_ms=self.engine.config.default_deadline_ms,
-            )
-        except ProtocolError as error:
-            return protocol.error_response(
-                protocol.request_id_of(line), protocol.BAD_REQUEST, str(error)
-            )
-        try:
-            return await self.engine.handle(request)
-        except Exception as error:  # defensive: a reply beats a hang
-            return protocol.error_response(
-                request.id, protocol.INTERNAL, f"unhandled failure: {error!r}"
-            )
+
+async def run_shell(
+    shell: ServingShell,
+    banner: Callable[[], Sequence[str]],
+    farewell: Callable[[], str],
+    *,
+    ready: Optional[asyncio.Event] = None,
+    sidecar: Optional[MetricsSidecar] = None,
+    companion: Optional[Callable[[], Awaitable[None]]] = None,
+) -> None:
+    """The one bootstrap of every ``olp serve`` role.
+
+    Binds ``shell``, starts the optional metrics ``sidecar`` and
+    ``companion`` task (a follower's tail), sets ``ready`` (test
+    harnesses use it to know when to connect), prints the ``banner``
+    lines and the sidecar's, serves until shutdown, drains, and prints
+    the ``farewell`` line.
+    """
+    await shell.start()
+    if sidecar is not None:
+        await sidecar.start()
+    task = asyncio.ensure_future(companion()) if companion is not None else None
+    if ready is not None:
+        ready.set()
+    for line in banner():
+        print(line, flush=True)
+    if sidecar is not None:
+        print(f"olp serve: metrics on {sidecar.host}:{sidecar.port}", flush=True)
+    try:
+        await shell.serve_until_shutdown()
+    finally:
+        if task is not None:
+            task.cancel()
+            await asyncio.gather(task, return_exceptions=True)
+        if sidecar is not None:
+            await sidecar.aclose()
+        await shell.aclose()
+    print(farewell(), flush=True)
 
 
 async def run_server(
@@ -408,34 +464,22 @@ async def run_server(
 ) -> None:
     """Serve one knowledge base until a client requests shutdown.
 
-    The CLI entry point (``olp serve``).  ``ready`` (if given) is set
-    once the listener is bound — test harnesses use it to know when to
-    connect.  ``metrics_port`` (if given; 0 picks a free port) starts a
-    :class:`MetricsSidecar` on the same host.  ``wal`` (a
-    :class:`~repro.server.wal.Wal`) makes every published version
-    durable; ``initial_version`` is the recovered version the engine
-    resumes counting from.
+    The CLI entry point (``olp serve``).  ``metrics_port`` (if given; 0
+    picks a free port) starts a :class:`MetricsSidecar` on the same
+    host.  ``wal`` (a :class:`~repro.server.wal.Wal`) makes every
+    published version durable; ``initial_version`` is the recovered
+    version the engine resumes counting from.
     """
     engine = ServerEngine(kb, config, wal=wal, initial_version=initial_version)
     server = QueryServer(engine, host, port)
-    sidecar: Optional[MetricsSidecar] = None
-    await server.start()
-    if metrics_port is not None:
-        sidecar = MetricsSidecar(engine, host, metrics_port)
-        await sidecar.start()
-    if ready is not None:
-        ready.set()
-    print(f"olp serve: listening on {server.host}:{server.port}", flush=True)
-    if sidecar is not None:
-        print(
-            f"olp serve: metrics on {sidecar.host}:{sidecar.port}", flush=True
-        )
-    try:
-        await server.serve_until_shutdown()
-    finally:
-        if sidecar is not None:
-            await sidecar.aclose()
-        await server.aclose()
-    print(
-        f"olp serve: drained and stopped at version {engine.version}", flush=True
+    await run_shell(
+        server,
+        lambda: [f"olp serve: listening on {server.host}:{server.port}"],
+        lambda: f"olp serve: drained and stopped at version {engine.version}",
+        ready=ready,
+        sidecar=(
+            MetricsSidecar(engine, host, metrics_port)
+            if metrics_port is not None
+            else None
+        ),
     )

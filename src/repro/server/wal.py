@@ -52,7 +52,7 @@ import os
 import re
 import time
 import zlib
-from typing import Any, Callable, Iterator, Optional
+from typing import Any, Callable, Optional
 
 from ..lang.errors import ReproError
 from ..obs import get_instrumentation
@@ -104,9 +104,6 @@ class WalRecord:
 
     version: int
     ops: tuple[dict, ...]
-
-    def to_payload(self) -> dict[str, Any]:
-        return {"v": self.version, "ops": list(self.ops)}
 
 
 def encode_record(version: int, ops: list[dict]) -> bytes:
@@ -394,10 +391,6 @@ class WalWriter:
         self._segment_size += len(record)
         self.appends += 1
         self.bytes_written += len(record)
-        obs = get_instrumentation()
-        if obs.enabled:
-            obs.count("wal.appends")
-            obs.count("wal.bytes", len(record))
         self._fail("append.done")
         return len(record)
 
@@ -413,9 +406,6 @@ class WalWriter:
         self._last_fsync = now
         self._pending_sync = False
         self.fsyncs += 1
-        obs = get_instrumentation()
-        if obs.enabled:
-            obs.count("wal.fsyncs")
 
     def _seal(self) -> None:
         if self._handle is None:
@@ -491,7 +481,6 @@ class Wal:
         """
         from ..kb.knowledge_base import KnowledgeBase
 
-        obs = get_instrumentation()
         checkpoint_version, kb = latest_checkpoint(self.directory)
         if checkpoint_version == 0 and kb is not None:
             self.seeded_at_zero = True
@@ -507,9 +496,7 @@ class Wal:
         version = records[-1].version if records else checkpoint_version
         self.replayed = len(records)
         self.recovered_version = version
-        if obs.enabled:
-            obs.count("wal.replayed", len(records))
-        obs.event(
+        get_instrumentation().event(
             "wal.recover",
             checkpoint=checkpoint_version,
             replayed=len(records),
@@ -541,11 +528,7 @@ class Wal:
         self.checkpoint_version = version
         self.checkpoints += 1
         self._truncate(version)
-        obs = get_instrumentation()
-        if obs.enabled:
-            obs.count("wal.checkpoints")
-            obs.gauge("wal.checkpoint_version", version)
-        obs.event("wal.checkpoint", version=version)
+        get_instrumentation().event("wal.checkpoint", version=version)
 
     def _truncate(self, version: int) -> None:
         """Delete sealed segments wholly covered by the checkpoint and
@@ -610,9 +593,3 @@ class Wal:
     def _fail(self, stage: str, **extra) -> None:
         if self.failpoint is not None:
             self.failpoint(stage, **extra)
-
-
-def iter_ops(records: list[WalRecord]) -> Iterator[dict]:
-    """Flatten records to their ops (oracle replays in tests)."""
-    for record in records:
-        yield from record.ops

@@ -309,16 +309,21 @@ def test_stats_and_obs_threading():
                 assert stats["writes"]["ops"] == 1
                 assert stats["latency"]["read"]["count"] == 1
                 assert stats["latency"]["write"]["count"] == 1
+                text = engine.exposition()
             snapshot = obs.snapshot()
-        counters = snapshot["counters"]
-        assert counters["server.requests"] == 2
-        assert counters["server.requests.query"] == 1
-        assert counters["server.requests.tell"] == 1
-        assert counters["server.publishes"] == 1
+        # Serving facts are recorded once, in the always-on instruments
+        # (``stats`` and the exposition read them); the registry keeps
+        # only what has no always-on twin, such as the batch sizes.
+        assert sum(stats["requests"].values()) == 2
+        assert 'repro_server_requests_total{op="query"} 1' in text
+        assert 'repro_server_requests_total{op="tell"} 1' in text
+        assert "repro_server_batches_total 1" in text
         assert snapshot["histograms"]["server.batch_size"]["count"] == 1
-        assert snapshot["histograms"]["server.latency.read"]["count"] == 1
-        assert snapshot["histograms"]["server.snapshot_age"]["count"] >= 1
-        assert snapshot["gauges"]["server.version"] == 1
+        assert "repro_server_read_latency_seconds_count 1" in text
+        assert stats["snapshot_age_s"] >= 0
+        assert "repro_server_snapshot_age_seconds " in text
+        assert stats["version"] == 1
+        assert "repro_server_version 1" in text
 
     run(scenario())
 
