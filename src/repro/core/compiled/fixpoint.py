@@ -115,6 +115,10 @@ class DenseFixpoint:
         support: per-literal-id rule id that set its ``truth`` flag (the
             literal's provenance; meaningful where ``truth`` is set).
         stage_ids: literal ids first derived at each stage of :meth:`run`.
+        touched / applied / overruled / defeated: run totals of
+            :meth:`advance` — candidates examined, and how many of them
+            were found applied (fired), overruled or defeated
+            (Definition 2), summed over every stage.
     """
 
     __slots__ = (
@@ -130,6 +134,10 @@ class DenseFixpoint:
         "truth",
         "support",
         "stage_ids",
+        "touched",
+        "applied",
+        "overruled",
+        "defeated",
     )
 
     def __init__(self, index: CompiledRuleIndex) -> None:
@@ -138,6 +146,7 @@ class DenseFixpoint:
         self.body_sizes = index.body_sizes
         self.contra_extra: dict[int, list[int]] = {}
         self.stage_ids: list[list[int]] = []
+        self.touched = self.applied = self.overruled = self.defeated = 0
         self.reset()
 
     @property
@@ -183,23 +192,18 @@ class DenseFixpoint:
         compiled = index.contra_watchers[start[j] : start[j + 1]]
         return chain(compiled, extra) if extra else compiled
 
-    def run(self, bound: int, obs=None) -> DenseModelData:
-        """Advance to the fixpoint; ``bound`` caps the stage count.
-
-        ``obs`` is an enabled instrumentation facade or None; the
-        disabled path costs nothing per stage.
-        """
-        self.stage_ids += self.advance(self._index.source_facts, bound, obs)
+    def run(self, bound: int) -> DenseModelData:
+        """Advance to the fixpoint; ``bound`` caps the stage count."""
+        self.stage_ids += self.advance(self._index.source_facts, bound)
         derived = array("l")
         for ids in self.stage_ids:
             derived.extend(ids)
         return DenseModelData(self._index.table, derived)
 
-    def advance(
-        self, candidates: Collection[int], bound: int, obs=None
-    ) -> list[list[int]]:
+    def advance(self, candidates: Collection[int], bound: int) -> list[list[int]]:
         """Resume the iteration on the current arrays from the given
-        candidate rule ids; returns the literal ids derived per stage.
+        candidate rule ids; returns the literal ids derived per stage
+        and adds to the run totals.
 
         The only code that moves the counters *forward*: cold runs,
         maintenance rederive and rebuilds all come through here.
@@ -225,9 +229,10 @@ class DenseFixpoint:
 
         queued = bytearray(len(heads))
         stage_ids: list[list[int]] = []
+        touched = applied = overruled = defeated = 0
         while candidates:
+            touched += len(candidates)
             new_ids: list[int] = []
-            applied = overruled = defeated = 0
             for i in candidates:
                 queued[i] = 0
                 if fired[i] or blocked[i]:
@@ -266,11 +271,6 @@ class DenseFixpoint:
                     "bound; this indicates non-monotone behaviour (a bug)"
                 )
             stage_ids.append(new_ids)
-            if obs is not None:
-                self._flush_stage(
-                    obs, len(stage_ids), len(candidates), applied, overruled,
-                    defeated, len(new_ids),
-                )
             # Propagate the integer delta: advance satisfied counters,
             # flip blocked flags, release threatened watchers.  The
             # touched rules are the next stage's candidates (the queued
@@ -301,22 +301,8 @@ class DenseFixpoint:
                                 queued[i] = 1
                                 next_candidates.append(i)
             candidates = next_candidates
+        self.touched += touched
+        self.applied += applied
+        self.overruled += overruled
+        self.defeated += defeated
         return stage_ids
-
-    @staticmethod
-    def _flush_stage(
-        obs, stage, touched, applied, overruled, defeated, derived
-    ) -> None:
-        from ...obs import Level
-
-        obs.count("fixpoint.stages")
-        obs.count("fixpoint.rules_touched", touched)
-        obs.count("fixpoint.rules_applied", applied)
-        obs.count("fixpoint.rules_overruled", overruled)
-        obs.count("fixpoint.rules_defeated", defeated)
-        obs.count("fixpoint.literals_derived", derived)
-        obs.observe("fixpoint.stage_literals", derived)
-        obs.observe("fixpoint.delta_size", derived)
-        obs.event(
-            "fixpoint.stage", Level.DEBUG, stage=stage, new_literals=derived
-        )

@@ -38,7 +38,7 @@ from typing import TYPE_CHECKING, AbstractSet, Callable, Iterable, Iterator, Opt
 
 from ..lang.errors import InconsistencyError
 from ..lang.literals import Atom, Literal
-from ..obs.trace import current_trace
+from ..obs import record_costs
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..grounding.grounder import AtomTable
@@ -156,10 +156,8 @@ class Interpretation:
             members = frozenset(self._thunk())
             object.__setattr__(self, "_literals", members)
             object.__setattr__(self, "_thunk", None)
-            if self._flags is not None:  # left id space: tell the trace
-                ctx = current_trace()
-                if ctx is not None:
-                    ctx.add_cost(decoded_literals=len(members))
+            if self._flags is not None:  # left id space: record it
+                record_costs(decoded_literals=len(members))
         return members
 
     # ------------------------------------------------------------------

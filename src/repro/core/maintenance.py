@@ -60,8 +60,6 @@ from ..grounding.grounder import GroundRule
 from ..lang.errors import SemanticsError
 from ..lang.literals import Atom, Literal
 from ..lang.program import ASSERT, RETRACT
-from ..obs import get_instrumentation
-from ..obs.trace import current_trace
 from .compiled.fixpoint import DenseFixpoint
 from .interpretation import Interpretation
 
@@ -230,7 +228,6 @@ class MaintainedModel:
             SemanticsError: retracting a fact that is not present.
             DeltaUnsupported: an asserted atom is outside the base.
         """
-        obs = get_instrumentation()
         stats = DeltaStats()
         pending = _Pending()
         for kind, component, literal in ops:
@@ -247,25 +244,6 @@ class MaintainedModel:
         except _FrontierExceeded:
             self.rebuild()
             stats.full_rebuild = True
-            if obs.enabled:
-                obs.count("maintain.full_rebuilds")
-        if obs.enabled:
-            # maintain.delta_facts is counted by the caller
-            # (OrderedSemantics.apply_ops) so fallback paths that never
-            # reach the engine are included too.
-            obs.count("maintain.rules_reevaluated", stats.rules_reevaluated)
-            obs.count("maintain.literals_deleted", stats.deleted)
-            obs.count("maintain.literals_rederived", stats.rederived)
-        ctx = current_trace()
-        if ctx is not None:
-            ctx.add_cost(
-                delta_asserted=stats.asserted,
-                delta_retracted=stats.retracted,
-                rules_reevaluated=stats.rules_reevaluated,
-                literals_deleted=stats.deleted,
-                literals_rederived=stats.rederived,
-                full_rebuilds=int(stats.full_rebuild),
-            )
         return stats
 
     def rebuild(self) -> None:

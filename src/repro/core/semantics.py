@@ -24,7 +24,7 @@ from ..grounding.grounder import Grounder, GroundingOptions, GroundProgram
 from ..lang.errors import SemanticsError
 from ..lang.literals import Literal
 from ..lang.program import FactUpdate, OrderedProgram
-from ..obs import get_instrumentation
+from ..obs import get_instrumentation, record_costs
 from .assumptions import AssumptionAnalyzer
 from .interpretation import Interpretation, TruthValue
 from .maintenance import (
@@ -290,18 +290,12 @@ class OrderedSemantics:
         """
         engine_ops, reground = FactUpdate.seen_from(updates, self.component)
         self.demand_routes.clear()
-        obs = get_instrumentation()
-        if obs.enabled:
-            obs.count("maintain.delta_facts", sum(len(u.ops) for u in updates))
         stats: Optional[DeltaStats] = None
         try:
-            if not engine_ops and not reground:
-                # No visible ground-level change (facts outside C*, or
-                # duplicate copies absorbed): every cache stays valid.
-                stats = DeltaStats()
-            elif (
-                self.maintenance.enabled
+            if (
+                engine_ops
                 and not reground
+                and self.maintenance.enabled
                 and (self._maintained is not None or "least_model" in self.__dict__)
             ):
                 if self._maintained is None:
@@ -314,10 +308,9 @@ class OrderedSemantics:
                     self._maintained = MaintainedModel(
                         self.full_evaluator, seed.base, self.maintenance
                     )
-                applied = self._maintained.apply(engine_ops)
+                stats = self._maintained.apply(engine_ops)
                 self._drop_caches()
                 self.__dict__["least_model"] = self._maintained.interpretation()
-                return applied
         except DeltaUnsupported:
             # e.g. an asserted atom outside the grounded base: the view
             # must be re-grounded from the mutated program.
@@ -332,13 +325,26 @@ class OrderedSemantics:
             # ends on the last successor.
             self.program = updates[-1].program
         if stats is None:
-            self._invalidate_all()
-            stats = DeltaStats(full_rebuild=True)
-            if obs.enabled:
-                obs.count("maintain.full_rebuilds")
-        told = [kind == ASSERT for update in updates for kind, _, _ in update.ops]
-        stats.asserted = sum(told)
-        stats.retracted = len(told) - stats.asserted
+            # Without a visible ground-level change (facts outside C*,
+            # or duplicate copies absorbed) every cache stays valid.
+            rebuilt = bool(engine_ops or reground)
+            if rebuilt:
+                self._invalidate_all()
+            told = [kind == ASSERT for update in updates for kind, _, _ in update.ops]
+            stats = DeltaStats(
+                asserted=sum(told),
+                retracted=len(told) - sum(told),
+                full_rebuild=rebuilt,
+            )
+        record_costs(
+            delta_facts=sum(len(update.ops) for update in updates),
+            delta_asserted=stats.asserted,
+            delta_retracted=stats.retracted,
+            rules_reevaluated=stats.rules_reevaluated,
+            literals_deleted=stats.deleted,
+            literals_rederived=stats.rederived,
+            full_rebuilds=int(stats.full_rebuild),
+        )
         return stats
 
     def _drop_caches(self) -> None:

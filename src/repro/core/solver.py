@@ -6,9 +6,9 @@ the enumerator is an explicit-budget backtracking search rather than a
 polynomial pretender:
 
 * :meth:`ModelEnumerator.models` — all Definition-3 models, by
-  generate-and-test: :meth:`ModelEnumerator._expand` branches three
-  ways (true / false / undefined) over every base atom with no pruning
-  at all, and each of the ``3^|base|`` leaves is built as an
+  generate-and-test: the search branches three ways (undefined / true /
+  false) over every atom the least model leaves undefined, with no
+  pruning at all, and each of the ``3^n`` leaves is built as an
   interpretation and handed to :class:`~repro.core.models.ModelChecker`
   (eight atoms are 6,561 leaves).  A search that propagates condition
   (a) over the decided atoms and cuts violating branches is not
@@ -21,19 +21,23 @@ polynomial pretender:
 * :meth:`ModelEnumerator.stable_models` — the maximal assumption-free
   models (Definition 9).
 
-Budgets are enforced up front (estimated leaf count) and during the
-search (visited leaves); exceeding either raises
+Both are one depth-first search (:meth:`ModelEnumerator._search`) over
+different choice lists, which records its leaves, models, branches and
+backtracks once per search.  Budgets are enforced up front (estimated
+leaf count) and during the search (visited leaves); exceeding either
+raises
 :class:`~repro.lang.errors.SearchBudgetExceeded`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from math import prod
+from typing import Callable, Iterator, Optional
 
 from ..lang.errors import SearchBudgetExceeded
 from ..lang.literals import Atom, Literal
-from ..obs import Level, get_instrumentation
+from ..obs import Level, get_instrumentation, record_costs
 from .assumptions import AssumptionAnalyzer
 from .interpretation import Interpretation
 from .models import ModelChecker
@@ -99,15 +103,6 @@ class ModelEnumerator:
         self._check_estimate(3 ** len(atoms))
         yield from self._expand(atoms, 0, [])
 
-    def candidate_models(self) -> Iterator[Interpretation]:
-        """Every interpretation that *could* be a model: by Theorem 1(b)
-        all models contain the least model, so its literals are fixed
-        and only the atoms it leaves undefined are branched 3-ways."""
-        least = self._least_model()
-        atoms = sorted(least.undefined_atoms(), key=str)
-        self._check_estimate(3 ** len(atoms))
-        yield from self._expand(atoms, 0, list(least.literals))
-
     def _expand(
         self, atoms: list[Atom], index: int, chosen: list[Literal]
     ) -> Iterator[Interpretation]:
@@ -126,26 +121,14 @@ class ModelEnumerator:
     # Models (Definition 3)
     # ------------------------------------------------------------------
     def models(self, limit: Optional[int] = None) -> list[Interpretation]:
-        """All models for ``P`` in ``C`` (optionally at most ``limit``)."""
-        obs = get_instrumentation()
-        found: list[Interpretation] = []
-        visited = 0
-        try:
-            with obs.span("search.models"):
-                for interp in self.candidate_models():
-                    visited += 1
-                    if visited > self._budget.max_visited:
-                        raise self._budget_exhausted(
-                            "model enumeration", visited - 1
-                        )
-                    if self._checker.is_model(interp):
-                        found.append(interp)
-                        if limit is not None and len(found) >= limit:
-                            break
-        finally:
-            obs.count("search.leaves_visited", visited)
-            obs.count("search.models_found", len(found))
-        return found
+        """All models for ``P`` in ``C`` (optionally at most ``limit``).
+        By Theorem 1(b) every model contains the least model, so only
+        the atoms it leaves undefined are branched, 3 ways."""
+        atoms = sorted(self._least_model().undefined_atoms(), key=str)
+        choices = [(a, [None, Literal(a, True), Literal(a, False)]) for a in atoms]
+        return self._search(
+            "search.models", "model enumeration", choices, self._checker.is_model, limit
+        )
 
     def total_models(self) -> list[Interpretation]:
         return [m for m in self.models() if m.is_total]
@@ -207,11 +190,28 @@ class ModelEnumerator:
         self, limit: Optional[int] = None
     ) -> list[Interpretation]:
         """All assumption-free models (Definition 7)."""
+        checker, analyzer = self._checker, self._analyzer
+        return self._search(
+            "search.af_models",
+            "AF-model search",
+            self._head_choices(),
+            lambda i: checker.is_model(i) and analyzer.is_assumption_free(i),
+            limit,
+        )
+
+    def _search(
+        self,
+        span: str,
+        what: str,
+        choices: list[tuple[Atom, list[Optional[Literal]]]],
+        accept: Callable[[Interpretation], bool],
+        limit: Optional[int],
+    ) -> list[Interpretation]:
+        """Depth-first over ``choices`` — per atom, the literals to try,
+        ``None`` leaving it undefined — on top of the least model; every
+        leaf ``accept`` takes is a model found."""
         obs = get_instrumentation()
-        choices = self._head_choices()
-        estimate = 1
-        for _, options in choices:
-            estimate *= len(options)
+        estimate = prod(len(options) for _, options in choices)
         self._check_estimate(estimate)
         if obs.enabled:
             obs.gauge("search.branch_atoms", len(choices))
@@ -227,11 +227,9 @@ class ModelEnumerator:
             if index == len(choices):
                 visited += 1
                 if visited > self._budget.max_visited:
-                    raise self._budget_exhausted("AF-model search", visited - 1)
+                    raise self._budget_exhausted(what, visited - 1)
                 interp = Interpretation(chosen, self._base)
-                if self._checker.is_model(interp) and self._analyzer.is_assumption_free(
-                    interp
-                ):
+                if accept(interp):
                     found.append(interp)
                     if limit is not None and len(found) >= limit:
                         return True
@@ -250,13 +248,15 @@ class ModelEnumerator:
             return False
 
         try:
-            with obs.span("search.af_models"):
+            with obs.span(span):
                 recurse(0, seed)
         finally:
-            obs.count("search.branches", branches)
-            obs.count("search.backtracks", backtracks)
-            obs.count("search.leaves_visited", visited)
-            obs.count("search.models_found", len(found))
+            record_costs(
+                leaves_visited=visited,
+                models_found=len(found),
+                search_branches=branches,
+                search_backtracks=backtracks,
+            )
         return found
 
     def stable_models(self) -> list[Interpretation]:

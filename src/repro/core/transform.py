@@ -41,9 +41,7 @@ from typing import Optional, Sequence
 
 from ..lang.errors import InconsistencyError
 from ..lang.literals import Literal, is_consistent
-from ..obs import Level, get_instrumentation
-from ..obs.instruments import NULL_SPAN
-from ..obs.trace import current_trace
+from ..obs import Level, get_instrumentation, record_costs
 from .compiled.fixpoint import DenseFixpoint
 from .interpretation import Interpretation
 from .statuses import StatusEvaluator
@@ -139,15 +137,12 @@ class OrderedTransform:
         """One application of ``V`` to an interpretation."""
         derived: set[Literal] = set()
         snapshot = self._eval.snapshot(interp)
-        if get_instrumentation().enabled:
-            self._instrumented_scan(snapshot, derived)
-        else:
-            for r in self._eval.rules:
-                if not snapshot.applicable(r):
-                    continue
-                if snapshot.overruled(r) or snapshot.defeated(r):
-                    continue
-                derived.add(r.head)
+        for r in self._eval.rules:
+            if not snapshot.applicable(r):
+                continue
+            if snapshot.overruled(r) or snapshot.defeated(r):
+                continue
+            derived.add(r.head)
         if not is_consistent(derived):
             conflict = next(
                 l for l in derived if l.complement() in derived
@@ -157,39 +152,6 @@ class OrderedTransform:
                 "the input interpretation was inconsistent or the order is broken"
             )
         return Interpretation(derived, self._base)
-
-    def _instrumented_scan(self, snapshot, derived: set[Literal]) -> None:
-        """The ``step`` rule scan with a Definition-2 status breakdown.
-
-        Kept separate from the plain loop so that disabled
-        instrumentation costs exactly one ``enabled`` check per step.
-        Note ``overruled``/``defeated`` are both evaluated here (no
-        short-circuit), which is what the breakdown requires.
-        """
-        obs = get_instrumentation()
-        blocked = overruled = defeated = applied = inert = 0
-        for r in self._eval.rules:
-            if not snapshot.applicable(r):
-                if snapshot.blocked(r):
-                    blocked += 1
-                else:
-                    inert += 1
-                continue
-            r_overruled = snapshot.overruled(r)
-            r_defeated = snapshot.defeated(r)
-            if r_overruled:
-                overruled += 1
-            if r_defeated:
-                defeated += 1
-            if not r_overruled and not r_defeated:
-                derived.add(r.head)
-                applied += 1
-        obs.count("fixpoint.rules_scanned", len(self._eval.rules))
-        obs.count("fixpoint.rules_applied", applied)
-        obs.count("fixpoint.rules_blocked", blocked)
-        obs.count("fixpoint.rules_overruled", overruled)
-        obs.count("fixpoint.rules_defeated", defeated)
-        obs.count("fixpoint.rules_inert", inert)
 
     def least_fixpoint(
         self,
@@ -210,86 +172,43 @@ class OrderedTransform:
         chosen = (
             self._strategy if strategy is None else validate(strategy, STRATEGIES)
         )
-        if chosen == "naive":
-            return self._naive_least_fixpoint(max_iterations)
-        bound = self._stage_bound(max_iterations)
-        run = DenseFixpoint(self._eval.index)
+        bound = 2 * len(self._base) + 2 if max_iterations is None else max_iterations
         obs = get_instrumentation()
-        # span() hands back NULL_SPAN only when the registry is off AND
-        # no trace context is active — the true zero-cost path.
-        span = obs.span("fixpoint", rules=run.index.n_rules, strategy=chosen)
-        if span is NULL_SPAN:
+        if chosen == "naive":
+            rules = len(self._eval.rules)
+            with obs.span("fixpoint", rules=rules, strategy=chosen):
+                model, stages = self._naive_least_fixpoint(bound)
+                # Every application of V scans every rule; the last one
+                # finds the fixpoint.
+                record_costs(rules_scanned=rules * (len(stages) + 1))
+                _record_stages(stages)
+            return model
+        run = DenseFixpoint(self._eval.index)
+        with obs.span("fixpoint", rules=run.index.n_rules, strategy=chosen):
             run.run(bound)
-            return run.interpretation(self._base)
-        with span:
-            data = run.run(bound, obs if obs.enabled else None)
-            stage_ids = run.stage_ids
-            ctx = current_trace()
-            if ctx is not None:
-                # Cost attribution for request tracing / the slow-query
-                # log: everything here is already computed.
-                ctx.add_cost(
-                    fixpoint_stages=len(stage_ids),
-                    rules_fired=sum(run.fired),
-                    literals_derived=len(data),
-                    max_stage_delta=max(map(len, stage_ids), default=0),
-                )
-            result = run.interpretation(self._base)
-            obs.gauge("fixpoint.least_model_size", len(data))
-            obs.event(
-                "fixpoint.converged",
-                Level.INFO,
-                stages=len(stage_ids),
-                literals=len(data),
+            record_costs(
+                rules_touched=run.touched,
+                rules_fired=run.applied,
+                rules_overruled=run.overruled,
+                rules_defeated=run.defeated,
             )
-        return result
-
-    def _stage_bound(self, max_iterations: Optional[int]) -> int:
-        """The iterates grow strictly inside ``2·|base|`` literals."""
-        return (
-            max_iterations
-            if max_iterations is not None
-            else 2 * len(self._base) + 2
-        )
+            _record_stages(list(map(len, run.stage_ids)))
+        return run.interpretation(self._base)
 
     def _naive_least_fixpoint(
-        self, max_iterations: Optional[int] = None
-    ) -> Interpretation:
+        self, bound: int
+    ) -> tuple[Interpretation, list[int]]:
         """The ``"naive"`` strategy: repeated full applications of
-        :meth:`step` — the differential oracle for the semi-naive path."""
-        bound = self._stage_bound(max_iterations)
-        obs = get_instrumentation()
-        if not obs.enabled:
-            current = Interpretation((), self._base)
-            for _ in range(bound + 1):
-                nxt = self.step(current)
-                if nxt.literals == current.literals:
-                    return current
-                current = nxt
-        else:
-            with obs.span(
-                "fixpoint", rules=len(self._eval.rules), strategy="naive"
-            ):
-                current = Interpretation((), self._base)
-                for stage in range(1, bound + 2):
-                    nxt = self.step(current)
-                    new = len(nxt.literals - current.literals)
-                    if nxt.literals == current.literals:
-                        obs.gauge("fixpoint.least_model_size", len(current.literals))
-                        obs.event(
-                            "fixpoint.converged",
-                            Level.INFO,
-                            stages=stage - 1,
-                            literals=len(current.literals),
-                        )
-                        return current
-                    obs.count("fixpoint.stages")
-                    obs.count("fixpoint.literals_derived", new)
-                    obs.observe("fixpoint.stage_literals", new)
-                    obs.event(
-                        "fixpoint.stage", Level.DEBUG, stage=stage, new_literals=new
-                    )
-                    current = nxt
+        :meth:`step` — the differential oracle for the semi-naive path.
+        Returns the fixpoint and the literals each stage added."""
+        current = Interpretation((), self._base)
+        stages: list[int] = []
+        for _ in range(bound + 1):
+            nxt = self.step(current)
+            if nxt.literals == current.literals:
+                return current, stages
+            stages.append(len(nxt.literals) - len(current.literals))
+            current = nxt
         raise InconsistencyError(
             "V failed to reach a fixpoint within the iteration bound; "
             "this indicates non-monotone behaviour (a bug)"
@@ -309,3 +228,18 @@ class OrderedTransform:
         fixpoint inside every model).  Used as a solver prune.
         """
         return self.step(interp).literals <= interp.literals
+
+
+def _record_stages(stages: list[int]) -> None:
+    """Record what either strategy's ``V↑ω(∅)`` derived, given the
+    literals each stage added; with the registry enabled, also the
+    per-stage histogram and events."""
+    literals = sum(stages)
+    record_costs(fixpoint_stages=len(stages), literals_derived=literals)
+    obs = get_instrumentation()
+    if obs.enabled:
+        for stage, new in enumerate(stages, 1):
+            obs.observe("fixpoint.stage_literals", new)
+            obs.event("fixpoint.stage", Level.DEBUG, stage=stage, new_literals=new)
+        obs.gauge("fixpoint.least_model_size", literals)
+        obs.event("fixpoint.converged", Level.INFO, stages=len(stages), literals=literals)

@@ -68,7 +68,7 @@ from ..lang.literals import Atom, Literal
 from ..lang.program import Component, OrderedProgram
 from ..lang.rules import Rule
 from ..lang.terms import Compound, Term
-from ..obs import Level, get_instrumentation
+from ..obs import Level, get_instrumentation, record_costs
 from .herbrand import HerbrandUniverse, herbrand_base, universe_of
 from .joins import Join, JoinMachine, Scan, compile_join, row_builder
 
@@ -414,7 +414,7 @@ class Grounder:
 
     def __init__(self, options: GroundingOptions = GroundingOptions()) -> None:
         self.options = options
-        # Per-ground-call tallies, flushed to the registry once per call.
+        # Per-ground-call tallies, recorded once per call.
         self._subs_tried = 0
         self._guard_pruned = 0
         self._deduped = 0
@@ -437,17 +437,11 @@ class Grounder:
         of ``ground(C*)``, for consumers that look at more than the
         least model (module docstring).
         """
-        obs = get_instrumentation()
-        with obs.span("ground", component=component):
-            visible = program.visible_rules(component)
-            star = Component("_star", tuple(r for _, r in visible))
-            universe = universe_of(star, max_depth=self.options.max_depth)
-            rules = self._ground_tagged(visible, universe, full)
-            base = self._base_for(star, universe, rules.table)
+        visible = program.visible_rules(component)
+        star = Component("_star", tuple(r for _, r in visible))
+        ground = self._ground(component, star, visible, None, full)
         _offer_interpreter_lock()
-        if obs.enabled:
-            self._flush_stats(obs, len(visible), rules, base)
-        return GroundProgram(rules, base, universe, rules.table, self._pruned_rules)
+        return ground
 
     def ground_rules(
         self,
@@ -457,21 +451,49 @@ class Grounder:
     ) -> GroundProgram:
         """Ground a plain rule set (a classical program) as one
         component, in full."""
-        obs = get_instrumentation()
-        with obs.span("ground", component=component):
-            comp = Component(component, rules)
-            if universe is None:
-                universe = universe_of(comp, max_depth=self.options.max_depth)
-            tagged = tuple((component, r) for r in comp.rules)
-            ground = self._ground_tagged(tagged, universe, full=True)
-            base = self._base_for(comp, universe, ground.table)
-        if obs.enabled:
-            self._flush_stats(obs, len(tagged), ground, base)
-        return GroundProgram(ground, base, universe, ground.table)
+        comp = Component(component, rules)
+        tagged = tuple((component, r) for r in comp.rules)
+        return self._ground(component, comp, tagged, universe, True)
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
+    def _ground(
+        self,
+        component: str,
+        source: Component,
+        tagged: Sequence[tuple[str, Rule]],
+        universe: Optional[HerbrandUniverse],
+        full: bool,
+    ) -> GroundProgram:
+        """Ground ``tagged``, the rules of ``source``, under one
+        ``ground`` span, and record what it cost."""
+        obs = get_instrumentation()
+        with obs.span("ground", component=component):
+            if universe is None:
+                universe = universe_of(source, max_depth=self.options.max_depth)
+            rules = self._ground_tagged(tagged, universe, full)
+            base = self._base_for(source, universe, rules.table)
+        record_costs(
+            ground_source_rules=len(tagged),
+            ground_substitutions_tried=self._subs_tried,
+            ground_guard_pruned=self._guard_pruned,
+            ground_instances_kept=len(rules),
+            ground_instances_deduped=self._deduped,
+            ground_pruned_rules=self._pruned_rules,
+        )
+        if obs.enabled:
+            obs.gauge("ground.base_atoms", len(base))
+            obs.event(
+                "ground.done",
+                Level.INFO,
+                source_rules=len(tagged),
+                instances=len(rules),
+                base_atoms=len(base),
+                substitutions=self._subs_tried,
+            )
+        return GroundProgram(rules, base, universe, rules.table, self._pruned_rules)
+
     def _base_for(
         self, source: Component, universe: HerbrandUniverse, table: AtomTable
     ) -> frozenset[Atom]:
@@ -536,25 +558,6 @@ class Grounder:
         self._subs_tried = ground_rules + machine.probes
         self._guard_pruned = machine.guard_pruned
         return out
-
-    def _flush_stats(
-        self, obs, source_rules: int, ground: Sequence[GroundRule], base
-    ) -> None:
-        obs.count("ground.source_rules", source_rules)
-        obs.count("ground.substitutions_tried", self._subs_tried)
-        obs.count("ground.guard_pruned", self._guard_pruned)
-        obs.count("ground.instances_kept", len(ground))
-        obs.count("ground.instances_deduped", self._deduped)
-        obs.count("grounding.pruned_rules", self._pruned_rules)
-        obs.gauge("ground.base_atoms", len(base))
-        obs.event(
-            "ground.done",
-            Level.INFO,
-            source_rules=source_rules,
-            instances=len(ground),
-            base_atoms=len(base),
-            substitutions=self._subs_tried,
-        )
 
     # ------------------------------------------------------------------
     # The two drives of the join machine

@@ -32,6 +32,7 @@ from ..grounding.substitution import Substitution, match_atom
 from ..lang.errors import QueryError
 from ..lang.literals import Literal
 from ..lang.parser import parse_literal
+from ..obs import record_costs
 from ..obs.trace import current_trace
 
 __all__ = [
@@ -193,10 +194,10 @@ def _matches(
     """The members of a model a pattern matches, with the bindings, in
     ``str(literal)`` order.
 
-    Tells the active trace (if any) how the model was read: root field
-    ``read.probe`` and cost keys ``read_candidates`` / ``read_answers``
-    — deposited when the iterator is exhausted or closed, so a caller
-    that stops early is charged for what it looked at.
+    Records how the model was read — cost keys ``read_candidates`` /
+    ``read_answers``, and root field ``read.probe`` of the active trace
+    — when the iterator is exhausted or closed, so a caller that stops
+    early is charged for what it looked at.
     """
     atom = pattern.atom
     tried = found = 0
@@ -217,7 +218,7 @@ def _matches(
                     found += 1
                     yield literal, bindings
     finally:
+        record_costs(read_candidates=tried, read_answers=found)
         ctx = current_trace()
         if ctx is not None:
             ctx.annotate(route="materialized", **{"read.probe": probe})
-            ctx.add_cost(read_candidates=tried, read_answers=found)

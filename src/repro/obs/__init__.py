@@ -17,12 +17,17 @@ Enable it explicitly::
         sem.least_model
         print(obs.snapshot()["counters"]["fixpoint.stages"])
 
+Engine phases report their work once, through :func:`record_costs`:
+the active trace's cost digest and the registry's counters read the
+same record (:mod:`repro.obs.costs`).
+
 Events flow to pluggable sinks (:class:`RingBufferSink`,
 :class:`TextSink`, :class:`JsonLinesSink`), each with its own minimum
 :class:`Level`.  ``docs/observability.md`` lists the metric names and
 the event schema.
 """
 
+from .costs import COST_COUNTERS, record_costs
 from .events import Event, JsonLinesSink, Level, RingBufferSink, Sink, TextSink
 from .exposition import CONTENT_TYPE, PrometheusWriter, render_registry, write_registry
 from .instruments import DEFAULT_BUCKETS, Counter, Gauge, Histogram, Span, SpanStats
@@ -56,4 +61,6 @@ __all__ = [
     "get_instrumentation",
     "instrumented",
     "render_report",
+    "COST_COUNTERS",
+    "record_costs",
 ]

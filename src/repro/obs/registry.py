@@ -5,7 +5,11 @@ histograms, span statistics and event sinks.  Library code reaches the
 shared instance through :func:`get_instrumentation` and guards every
 record with ``obs.enabled`` (or relies on ``count``/``event``/``span``
 short-circuiting), so a disabled registry costs a single attribute
-check on the hot paths.
+check on the hot paths.  Engine costs do not call ``count`` themselves:
+:func:`~repro.obs.costs.record_costs` folds each phase's cost record into
+the counter :data:`~repro.obs.costs.COST_COUNTERS` names for its key, so
+every engine counter has one recording site and reads what the trace
+digest reads.
 
 Tests and the CLI use :func:`instrumented` to enable the registry for a
 scoped region and restore the previous state afterwards.

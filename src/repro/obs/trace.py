@@ -13,10 +13,12 @@ a :class:`SpanNode` to the context's span tree — with the registry
 the zero-cost path (one attribute check plus one contextvar read).
 
 Besides timed spans, a context accumulates a flat *cost digest*
-(:meth:`TraceContext.add_cost`): the fixpoint and maintenance engines
-deposit semantic work counters (rules fired, literals derived/deleted,
-frontier sizes) so a slow request can be attributed to the rules that
-made it slow, not just to wall-clock phases.  ``docs/observability.md``
+(:meth:`TraceContext.add_cost`).  Engine phases fill it through
+:func:`~repro.obs.costs.record_costs`, the same record the registry
+folds into counters, with the work they did (instances grounded, rules
+fired, literals derived/deleted, leaves visited, rows fetched), so a
+slow request can be attributed to the rules that made it slow, not just
+to wall-clock phases.  ``docs/observability.md``
 documents the wire schema of :meth:`TraceContext.summary`.
 """
 

@@ -31,8 +31,7 @@ from typing import Callable, Collection, Optional, Sequence
 
 from ..grounding.joins import Join, JoinMachine, Scan, compile_join
 from ..lang.terms import Term, Variable
-from ..obs import get_instrumentation
-from ..obs.trace import current_trace
+from ..obs import get_instrumentation, record_costs
 from .magic import BodyAtom, DemandRule, MagicPlan
 from .sources import FactSource, Row
 
@@ -149,17 +148,11 @@ class DemandEngine(JoinMachine):
                 for join in joins.triggers.get(key, ()):
                     if fire(join, row, derive):
                         self.firings += 1
-        rows_derived = sum(map(len, self.rows.values()))
-        if obs.enabled:
-            obs.count("query.demand.rows", rows_derived)
-            obs.count("query.demand.fetched", self.rows_fetched)
-        ctx = current_trace()
-        if ctx is not None:
-            ctx.add_cost(
-                demand_rows=rows_derived,
-                demand_fetched=self.rows_fetched,
-                demand_firings=self.firings,
-            )
+        record_costs(
+            demand_rows=sum(map(len, self.rows.values())),
+            demand_fetched=self.rows_fetched,
+            demand_firings=self.firings,
+        )
         return self.rows.get(plan.answer_key, ())
 
     def fetch(

@@ -935,6 +935,11 @@ class ServerEngine:
             else:
                 self._publish([item.request for item in applied])
             pub_elapsed = time.perf_counter() - pub_t0
+            if pub_ctx is not None:
+                # What Interpretation._members recorded during the
+                # publish, under the publish's own key (expected 0).
+                costs = pub_ctx.costs
+                costs["publish_decoded_literals"] = costs.pop("decoded_literals", 0)
         elapsed = time.perf_counter() - t0
         self._write_latency.observe(elapsed)
         version = self._version
@@ -1057,10 +1062,6 @@ class ServerEngine:
             self._max_batch_seen = len(ops)
         with obs.span("notify", subscribers=len(self._subscribers)):
             self._notify_subscribers(version, ops)
-        ctx = current_trace()
-        if ctx is not None:  # what Interpretation._members reported here
-            decoded = ctx.costs.pop("decoded_literals", 0)
-            ctx.add_cost(publish_decoded_literals=decoded)
         if obs.enabled:
             obs.observe("server.batch_size", len(ops))
             obs.event(

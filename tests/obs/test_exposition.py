@@ -92,7 +92,7 @@ class TestRegistryDump:
         obs = Instrumentation(enabled=True)
         obs.count("fixpoint.stages", 4)
         obs.gauge("server.version", 7)
-        obs.observe("fixpoint.delta_size", 3)
+        obs.observe("fixpoint.stage_literals", 3)
         with obs.span("run"):
             with obs.span("fixpoint"):
                 pass
@@ -102,7 +102,7 @@ class TestRegistryDump:
         text = render_registry(self.make_registry())
         assert "repro_fixpoint_stages_total 4" in text
         assert "repro_server_version 7" in text
-        assert "repro_fixpoint_delta_size_count 1" in text
+        assert "repro_fixpoint_stage_literals_count 1" in text
         assert 'repro_span_duration_seconds_count{path="run"} 1' in text
         assert 'path="run.fixpoint"' in text
 
