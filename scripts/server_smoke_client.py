@@ -33,8 +33,9 @@ A third phase smokes goal-directed answering (``docs/query.md``): a
 server booted with ``--edb`` over a disk-backed forest answers a
 traced ``strategy="demand"`` point query whose span tree shows demand
 grounding (``query.demand``) and *no* materialization
-(``semantics.least_model`` / ``ground``), and a ``tell`` through the
-delta pipeline is visible to the next demand read.
+(``semantics.least_model`` / ``ground``), an unforced ground ``ask``
+takes the same route, and a ``tell`` through the delta pipeline is
+visible to the next demand read.
 """
 
 from __future__ import annotations
@@ -532,6 +533,24 @@ def demand_smoke() -> None:
             f"smoke: demand point query over {facts}-fact EDB "
             f"answered {len(answers)} tuples, spans={','.join(spans)}"
         )
+
+        # An unforced cautious ground read over a view with a store
+        # attached takes the demand route too (the one ``auto`` rule
+        # the library and the wire share), never materializing the store.
+        owned = session.expect_ok(
+            id=5, op="ask", view="main", pattern="owns(p17, n17_3)", trace=True,
+        )
+        if not owned["result"]["holds"]:
+            fail(f"ownership of a stored node not derived: {owned!r}")
+        trace = owned["result"]["trace"]
+        route = trace["spans"]["fields"].get("route")
+        if route != "demand":
+            fail(f"unforced ground ask took route {route!r}: {trace!r}")
+        spans = span_names(trace["spans"])
+        materializers = {"semantics.least_model", "ground"} & set(spans)
+        if materializers:
+            fail(f"unforced ground ask materialized the model: {spans!r}")
+        print("smoke: unforced ground ask over the EDB answered by demand")
 
         # Writes keep flowing through the delta pipeline and are
         # unioned with the store on the next demand read.

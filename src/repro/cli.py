@@ -40,7 +40,7 @@ from typing import Optional, Sequence
 from .analysis.conflicts import conflict_summary
 from .analysis.stats import program_stats
 from .core.semantics import OrderedSemantics
-from .core.transform import AUTO_STRATEGY, SEMANTICS_STRATEGIES
+from .core.transform import DEFAULT_STRATEGY, STRATEGIES
 from .kb.query import evaluate_query
 from .lang.errors import ReproError
 from .lang.parser import parse_program
@@ -85,10 +85,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--strategy",
-        choices=list(SEMANTICS_STRATEGIES),
-        default=AUTO_STRATEGY,
-        help="fixpoint strategy: 'auto'/'demand'/'seminaive' run the "
-        "semi-naive kernel, 'naive' the reference iteration of V",
+        choices=list(STRATEGIES),
+        default=DEFAULT_STRATEGY,
+        help="fixpoint engine: 'seminaive' (default) the semi-naive "
+        "kernel, 'naive' the reference iteration of V",
     )
 
     query = sub.add_parser("query", help="answer a literal pattern")
@@ -439,7 +439,7 @@ def _semantics(args: argparse.Namespace) -> OrderedSemantics:
         program,
         component,
         grounding=GroundingOptions(max_depth=args.max_depth),
-        strategy=getattr(args, "strategy", AUTO_STRATEGY),
+        strategy=getattr(args, "strategy", DEFAULT_STRATEGY),
     )
 
 

@@ -4,7 +4,10 @@
 ``C*`` once, and exposes every notion of Sections 2: statuses, the
 ``V_{P,C}`` transformation and the least model, Definition-3 model
 checking, assumption analysis, and model / AF-model / stable-model
-enumeration.
+enumeration.  It answers whole-model questions; a *read* (a query
+pattern under a mode) is routed between the materialized model and the
+goal-directed demand rewrite by
+:meth:`repro.kb.knowledge_base.KnowledgeBase.read`, not here.
 
 >>> from repro.workloads.paper import figure1
 >>> sem = OrderedSemantics(figure1(), "c1")
@@ -38,13 +41,7 @@ from .maintenance import (
 from .models import ModelChecker
 from .solver import ModelEnumerator, SearchBudget
 from .statuses import ComponentOrder, StatusEvaluator, StatusReport
-from .transform import (
-    AUTO_STRATEGY,
-    SEMANTICS_STRATEGIES,
-    OrderedTransform,
-    engine_strategy,
-    validate,
-)
+from .transform import DEFAULT_STRATEGY, STRATEGIES, OrderedTransform, validate
 
 __all__ = ["OrderedSemantics"]
 
@@ -57,13 +54,9 @@ class OrderedSemantics:
         component: the component ``C`` whose point of view is taken.
         grounding: grounder options (depth bounds etc.).
         budget: search budget for the enumeration methods.
-        strategy: fixpoint evaluation strategy — ``"auto"`` (default:
-            the semi-naive kernel), ``"demand"`` (answers queries
-            goal-directed through the magic-sets rewrite where sound,
-            ``docs/query.md``, and otherwise behaves like ``"auto"``), or
-            the engine names ``"seminaive"`` / ``"naive"``.  Every view's
-            least model is ``V↑ω`` on the chosen engine; see
-            ``docs/evaluation.md``.
+        strategy: fixpoint engine — ``"seminaive"`` (default) or
+            ``"naive"``.  Every view's least model is ``V↑ω`` on the
+            chosen engine; see ``docs/evaluation.md``.
     """
 
     #: cached_property names cleared on every program mutation.
@@ -85,7 +78,7 @@ class OrderedSemantics:
         component: str,
         grounding: Optional[GroundingOptions] = None,
         budget: Optional[SearchBudget] = None,
-        strategy: str = AUTO_STRATEGY,
+        strategy: str = DEFAULT_STRATEGY,
         maintenance: Optional[MaintenanceConfig] = None,
     ) -> None:
         if component not in program:
@@ -100,15 +93,11 @@ class OrderedSemantics:
         self.component = component
         self._grounding_options = grounding
         self._budget = budget
-        self.strategy = validate(strategy, SEMANTICS_STRATEGIES)
-        self._engine_strategy = engine_strategy(self.strategy)
+        self.strategy = validate(strategy, STRATEGIES)
         self.maintenance = maintenance
         self._maintained: Optional[MaintainedModel] = None
         #: The grounding ``_maintained`` was built from.
         self._seed_ground: Optional[GroundProgram] = None
-        #: component -> demand route compiled from :attr:`program`
-        #: (``strategy="demand"``, docs/query.md); dropped with it.
-        self.demand_routes: dict = {}
 
     # ------------------------------------------------------------------
     # Grounding and shared machinery (built lazily, cached)
@@ -170,7 +159,7 @@ class OrderedSemantics:
     @cached_property
     def transform(self) -> OrderedTransform:
         return OrderedTransform(
-            self.evaluator, self.ground.base, strategy=self._engine_strategy
+            self.evaluator, self.ground.base, strategy=self.strategy
         )
 
     @cached_property
@@ -187,7 +176,7 @@ class OrderedSemantics:
             self.full_evaluator,
             self.full_ground.base,
             self._budget,
-            strategy=self._engine_strategy,
+            strategy=self.strategy,
         )
 
     # ------------------------------------------------------------------
@@ -289,7 +278,6 @@ class OrderedSemantics:
         atom outside the grounded base).
         """
         engine_ops, reground = FactUpdate.seen_from(updates, self.component)
-        self.demand_routes.clear()
         stats: Optional[DeltaStats] = None
         try:
             if (

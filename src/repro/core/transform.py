@@ -26,9 +26,10 @@ and CI job):
   rescanning every ground rule per stage.  Kept as the executable
   reading of Definition 4 and as the differential-testing oracle.
 
-The semantics-level names ``"auto"`` and ``"demand"`` run the default
-engine: every least model is ``V↑ω`` on one of these two, whatever
-class of program the view belongs to.
+Every least model is ``V↑ω`` on one of these two, whatever class of
+program the view belongs to.  How a *read* is answered (the
+materialized model or the goal-directed demand rewrite) is not an
+engine choice: see :meth:`repro.kb.knowledge_base.KnowledgeBase.read`.
 
 Consistency of every iterate is asserted under both strategies
 (consistency is an invariant: two applicable contradicting rules always
@@ -50,11 +51,6 @@ __all__ = [
     "OrderedTransform",
     "STRATEGIES",
     "DEFAULT_STRATEGY",
-    "AUTO_STRATEGY",
-    "DEMAND_STRATEGY",
-    "SEMANTICS_STRATEGIES",
-    "READ_STRATEGIES",
-    "engine_strategy",
     "validate",
 ]
 
@@ -64,23 +60,6 @@ STRATEGIES = ("naive", "seminaive")
 #: Engine strategy used when none is requested explicitly.
 DEFAULT_STRATEGY = "seminaive"
 
-#: Semantics-level strategy: the default engine.
-AUTO_STRATEGY = "auto"
-
-#: Semantics-level strategy: answer queries goal-directed through the
-#: magic-sets rewrite (``repro.query``) where sound, falling back to
-#: materialization otherwise.  For whole-model operations it behaves
-#: like ``"auto"``.  See ``docs/query.md``.
-DEMAND_STRATEGY = "demand"
-
-#: Everything ``OrderedSemantics(strategy=...)`` accepts.
-SEMANTICS_STRATEGIES = (AUTO_STRATEGY, DEMAND_STRATEGY, *STRATEGIES)
-
-#: The read strategies a query may name (``KnowledgeBase.query`` and the
-#: server protocol's per-request ``strategy`` field validate against
-#: this one tuple).
-READ_STRATEGIES = (AUTO_STRATEGY, DEMAND_STRATEGY)
-
 
 def validate(
     strategy: str,
@@ -89,19 +68,11 @@ def validate(
     message: str = "unknown fixpoint strategy {!r}; expected one of {}",
 ) -> str:
     """The one check behind every strategy name the system accepts —
-    engine, semantics-level and per-read; ``message`` is formatted with
-    the offending name and the comma-joined allowed ones."""
+    engine (:data:`STRATEGIES`) and per-read
+    (:data:`repro.kb.query.READ_STRATEGIES`); ``message`` is formatted
+    with the offending name and the comma-joined allowed ones."""
     if strategy not in allowed:
         raise error(message.format(strategy, ", ".join(allowed)))
-    return strategy
-
-
-def engine_strategy(strategy: str) -> str:
-    """The engine strategy backing a semantics-level strategy:
-    ``"auto"`` and ``"demand"`` run the default engine."""
-    validate(strategy, SEMANTICS_STRATEGIES)
-    if strategy in (AUTO_STRATEGY, DEMAND_STRATEGY):
-        return DEFAULT_STRATEGY
     return strategy
 
 

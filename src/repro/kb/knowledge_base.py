@@ -40,30 +40,31 @@ from ..core.interpretation import Interpretation, TruthValue
 from ..core.maintenance import ASSERT, RETRACT, MaintenanceConfig
 from ..core.semantics import OrderedSemantics
 from ..core.solver import SearchBudget
-from ..core.transform import DEMAND_STRATEGY, READ_STRATEGIES, validate
 from ..grounding.grounder import GroundingOptions
-from ..lang.errors import QueryError, SemanticsError
+from ..lang.errors import SemanticsError
 from ..lang.literals import Literal
 from ..lang.parser import parse_rules
 from ..obs import get_instrumentation
 from ..lang.program import Component, FactUpdate, OrderedProgram
 from ..lang.rules import Rule
-from .query import Answer, QueryMode, evaluate_query, goal, holds_in
+from .query import (
+    DEMAND_STRATEGY,
+    Answer,
+    QueryMode,
+    answers_in,
+    evaluate_query,
+    goal,
+    holds_in,
+    query_mode,
+    read_strategy,
+)
 
 __all__ = ["KnowledgeBase"]
-
-#: Refusal of a read strategy outside ``READ_STRATEGIES``.
-_UNKNOWN_STRATEGY = "unknown query strategy {!r}; use one of " + ", ".join(
-    map(repr, READ_STRATEGIES)
-)
 
 #: Most fact updates queued for a cached view nobody reads; one more
 #: write drops the view and its next read evaluates cold (no dearer than
 #: replaying a queue that long, and the queue cannot grow for ever).
 MAX_PENDING_UPDATES = 256
-
-#: Both spellings of the cautious mode a read may carry.
-_CAUTIOUS = (QueryMode.CAUTIOUS, QueryMode.CAUTIOUS.value)
 
 
 class KnowledgeBase:
@@ -343,6 +344,13 @@ class KnowledgeBase:
         self._semantics_cache.clear()
         self._pending.clear()
 
+    def rewind(self, program: OrderedProgram) -> None:
+        """Move back to an earlier program value of this knowledge base
+        — a write its owner could not make durable must not reach
+        readers.  O(1) plus dropping every cached view."""
+        self._replace_program(program)
+        self._invalidate()
+
     # ------------------------------------------------------------------
     # Fine-grained invalidation (docs/maintenance.md)
     # ------------------------------------------------------------------
@@ -471,14 +479,8 @@ class KnowledgeBase:
         strategy: Optional[str] = None,
     ) -> bool:
         """Is a literal (pattern) entailed from an object's point of
-        view?  A cautious ask answered from the materialized model stops
-        at the first match instead of building every answer."""
-        pattern, answers = self._demand_first(name, literal, mode, strategy)
-        if answers is not None:
-            return bool(answers)
-        if mode in _CAUTIOUS:
-            return holds_in(self.least_model(name), pattern)
-        return bool(evaluate_query(self.view(name), pattern, mode))
+        view?  :meth:`read` stopping at the first match."""
+        return self.read(name, literal, mode, strategy, first=True)
 
     def value(self, name: str, literal: Union[Literal, str]) -> TruthValue:
         """Truth value in the object's least model."""
@@ -491,62 +493,67 @@ class KnowledgeBase:
         mode: Union[QueryMode, str] = QueryMode.CAUTIOUS,
         strategy: Optional[str] = None,
     ) -> list[Answer]:
-        """All bindings of a literal pattern entailed at an object.
+        """All bindings of a literal pattern entailed at an object
+        (:meth:`read`)."""
+        return self.read(name, pattern, mode, strategy)
 
-        ``strategy`` selects the read path: ``"demand"`` answers
-        goal-directed through the magic-sets rewrite where sound (and
-        silently falls back to materialization where not);
-        ``"auto"``/None additionally requires a cautious ground point
-        query with no warm materialized view (or an attached EDB) before
-        trying the demand path.  Answers are identical either way —
-        see ``docs/query.md``.
-        """
-        pattern, answers = self._demand_first(name, pattern, mode, strategy)
-        if answers is not None:
-            return answers
-        return evaluate_query(self.view(name), pattern, mode)
-
-    def _demand_first(
+    def read(
         self,
         name: str,
         pattern: Union[Literal, str],
-        mode: Union[QueryMode, str],
-        strategy: Optional[str],
-    ) -> tuple[Literal, Optional[list[Answer]]]:
-        """Validate a read and offer it to the demand path: the goal,
-        and its goal-directed answers — or None when the strategy does
-        not ask for them or the demand path declined (the caller then
-        reads the materialized model)."""
-        self._require(name)
+        mode: Union[QueryMode, str] = QueryMode.CAUTIOUS,
+        strategy: Optional[str] = None,
+        *,
+        first: bool = False,
+        pinned: Optional[dict[str, Interpretation]] = None,
+    ) -> Union[list[Answer], bool]:
+        """The one read path: :meth:`query`, :meth:`ask` and the
+        server's ``query``/``ask`` (leader and follower) all answer here.
+
+        1. ``mode`` and ``strategy`` (one of ``READ_STRATEGIES``, None
+           meaning ``"auto"``) are validated.
+        2. The read is offered to the demand route when ``strategy`` is
+           ``"demand"``, or when it is unforced, cautious and ground and
+           materialization would not be — or stay — free: the view has
+           no warm model, or it sees an attached store.
+        3. The route is this knowledge base's, compiled once per held
+           program value (docs/query.md).
+        4. Otherwise — or when the demand route declines — the
+           materialized least model answers a cautious read and the
+           stable models any other.
+
+        Answers are identical on either route.  ``first`` returns
+        whether there is an answer, stopping at the first match of a
+        model.  ``pinned`` is a ``view -> least model`` map the caller
+        publishes (a server snapshot's): a cautious read answers from
+        it and pins the model it had to materialize.
+        """
+        mode = query_mode(mode)
         if strategy is not None:
-            validate(strategy, READ_STRATEGIES, QueryError, _UNKNOWN_STRATEGY)
-        pattern = goal(pattern)
-        if strategy != DEMAND_STRATEGY and not self._auto_demand(name, pattern, mode):
-            return pattern, None
-        from ..query import demand_read
+            read_strategy(strategy)
+        sources = self.edb_sources(name) if self._edb else ()
+        if strategy == DEMAND_STRATEGY or (
+            (sources or name not in self._semantics_cache)
+            and mode is QueryMode.CAUTIOUS
+            and goal(pattern).is_ground
+        ):
+            from ..query import demand_read
 
-        return pattern, demand_read(
-            self._demand_routes,
-            self._program,
-            name,
-            pattern,
-            mode.value if isinstance(mode, QueryMode) else str(mode),
-            self.edb_sources(name),
-        )
-
-    def _auto_demand(
-        self, name: str, pattern: Literal, mode: Union[QueryMode, str]
-    ) -> bool:
-        """Should an unforced query try the demand path first?  Yes for
-        cautious ground point queries when materialization would not be
-        (or stay) free: the view is cold, or an EDB store is attached."""
-        if mode not in _CAUTIOUS:
-            return False
-        if not pattern.is_ground:
-            return False
-        if any(obj in self._edb for obj in self.scope(name)):
-            return True
-        return name not in self._semantics_cache
+            self._require(name)  # the model path checks it in view()
+            answers = demand_read(
+                self._demand_routes, self._program, name, pattern, mode.value, sources
+            )
+            if answers is not None:
+                return bool(answers) if first else answers
+        if mode is not QueryMode.CAUTIOUS:
+            answers = evaluate_query(self.view(name), pattern, mode)
+            return bool(answers) if first else answers
+        model = pinned.get(name) if pinned is not None else None
+        if model is None:
+            model = self.least_model(name)
+            if pinned is not None:
+                pinned[name] = model
+        return holds_in(model, pattern) if first else answers_in(model, pattern)
 
     def least_model(self, name: str) -> Interpretation:
         return self.view(name).least_model

@@ -15,6 +15,11 @@ A model answers a pattern the way Section 2 defines truth — by
 membership (:func:`_matches`): a ground pattern is one probe of the
 member set, a non-ground one is matched against the members of its own
 signed predicate only.  No read walks the whole model.
+
+Which route answers a read — the materialized model here, or the
+goal-directed demand rewrite of :mod:`repro.query` — is decided in one
+place, :meth:`repro.kb.knowledge_base.KnowledgeBase.read`, under one of
+the :data:`READ_STRATEGIES`.
 """
 
 from __future__ import annotations
@@ -23,11 +28,11 @@ import enum
 from contextlib import closing
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Generator, Sequence, Union
+from typing import Generator, Optional, Union
 
 from ..core.interpretation import Interpretation
 from ..core.semantics import OrderedSemantics
-from ..core.transform import DEMAND_STRATEGY
+from ..core.transform import validate
 from ..grounding.substitution import Substitution, match_atom
 from ..lang.errors import QueryError
 from ..lang.literals import Literal
@@ -37,6 +42,11 @@ from ..obs.trace import current_trace
 
 __all__ = [
     "QueryMode",
+    "AUTO_STRATEGY",
+    "DEMAND_STRATEGY",
+    "READ_STRATEGIES",
+    "query_mode",
+    "read_strategy",
     "Answer",
     "goal",
     "evaluate_query",
@@ -62,6 +72,50 @@ class QueryMode(enum.Enum):
     CAUTIOUS = "cautious"
     SKEPTICAL = "skeptical"
     CREDULOUS = "credulous"
+
+
+#: Read strategy: demand first for an unforced cautious ground read of a
+#: view with no warm model or with an attached store, else materialize
+#: (the default; docs/query.md).
+AUTO_STRATEGY = "auto"
+
+#: Read strategy: offer every read to the demand route first.
+DEMAND_STRATEGY = "demand"
+
+#: The read strategies a query may name (``KnowledgeBase.read`` and the
+#: server protocol's per-request ``strategy`` field validate against
+#: this one tuple).
+READ_STRATEGIES = (AUTO_STRATEGY, DEMAND_STRATEGY)
+
+#: Each read mode, keyed by itself and by its name.
+_MODES = {key: mode for mode in QueryMode for key in (mode, mode.value)}
+
+
+def query_mode(mode: Union[QueryMode, str]) -> QueryMode:
+    """A read mode from its enum member or its name; anything else
+    raises :class:`~repro.lang.errors.QueryError`."""
+    try:
+        return _MODES[mode]
+    except (KeyError, TypeError):
+        raise QueryError(
+            f"unknown query mode {mode!r}; "
+            f"use one of {[m.value for m in QueryMode]}"
+        ) from None
+
+
+def read_strategy(
+    strategy: Optional[str], error: type[Exception] = QueryError
+) -> Optional[str]:
+    """A read strategy as given (None means ``"auto"``); a name outside
+    :data:`READ_STRATEGIES` raises ``error``."""
+    if strategy is not None:
+        validate(
+            strategy,
+            READ_STRATEGIES,
+            error,
+            "unknown read strategy {!r}; expected one of {}",
+        )
+    return strategy
 
 
 @dataclass(frozen=True)
@@ -134,41 +188,16 @@ def evaluate_query(
     semantics: OrderedSemantics,
     pattern: Union[Literal, str],
     mode: Union[QueryMode, str] = QueryMode.CAUTIOUS,
-    sources: Sequence = (),
 ) -> list[Answer]:
-    """All answers to a literal pattern under the given mode.
+    """All answers to a literal pattern under the given mode, from the
+    models of one view.
 
     For cautious mode, answers are matches in the least model.  For
     skeptical mode, matches true in *every* stable model; for credulous
     mode, matches true in *some* stable model.
-
-    Under ``strategy="demand"``, cautious queries are answered
-    goal-directed through :func:`repro.query.demand_answers` (with
-    ``sources`` as extra extensional fact sources) whenever the view is
-    eligible; anything else falls back to the materialized path below.
     """
     pattern = goal(pattern)
-    if isinstance(mode, str):
-        try:
-            mode = QueryMode(mode)
-        except ValueError:
-            raise QueryError(
-                f"unknown query mode {mode!r}; "
-                f"use one of {[m.value for m in QueryMode]}"
-            ) from None
-    if semantics.strategy == DEMAND_STRATEGY:
-        from ..query import demand_read  # deferred: repro.query imports us
-
-        answers = demand_read(
-            semantics.demand_routes,
-            semantics.program,
-            semantics.component,
-            pattern,
-            mode.value,
-            tuple(sources),
-        )
-        if answers is not None:
-            return answers
+    mode = query_mode(mode)
     models = _entailed_sets(semantics, mode)
     candidates = _matches(models[0], pattern)
     answers = []

@@ -11,9 +11,10 @@ The subsystem has four layers:
   join machine shared with the grounder (:mod:`repro.grounding.joins`);
 * :mod:`repro.query.api` — :class:`CompiledDemand`, the demand route of
   one view compiled once per program value; :func:`demand_read`, the
-  entry point the knowledge base, server and CLI route
-  ``strategy="demand"`` through; :func:`demand_answers`, its
-  compile-then-ask-once form.
+  entry point the one read path
+  (:meth:`~repro.kb.knowledge_base.KnowledgeBase.read`, shared by the
+  library and the server) routes demand reads through;
+  :func:`demand_answers`, its compile-then-ask-once form.
 """
 
 from .api import (

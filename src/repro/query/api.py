@@ -1,12 +1,13 @@
 """The public demand-evaluation entry points.
 
 A :class:`CompiledDemand` is the demand route of one view, compiled once
-from an immutable program value; :func:`demand_read` is how a holder of
-such a value (a server snapshot, a knowledge base, an
-:class:`~repro.core.semantics.OrderedSemantics`) keeps and asks it, and
-:func:`demand_answers` is the compile-then-ask-once form.  All three
-answer a literal pattern against one view of an ordered program
-*without materializing the least model*, when sound:
+from an immutable program value; :func:`demand_read` is how the holder
+of such a value — the knowledge base, whose read path
+(:meth:`~repro.kb.knowledge_base.KnowledgeBase.read`) the library and
+the server share — keeps and asks it, and :func:`demand_answers` is the
+compile-then-ask-once form.  All three answer a literal pattern against
+one view of an ordered program *without materializing the least model*,
+when sound:
 
 * the view must be seminegative and positive-or-stratified
   (:func:`~repro.analysis.static.classify_view`; single-component is
@@ -343,12 +344,13 @@ def demand_read(
     mode: str = "cautious",
     sources: Sequence[FactSource] = (),
 ) -> Optional[list[Answer]]:
-    """Goal-directed answers for a holder of a program value, or None
+    """Goal-directed answers for the holder of a program value, or None
     when the demand path declined (the caller then materializes).
 
-    ``routes`` is the holder's ``view -> CompiledDemand`` map: the
-    view's route is reused while it is valid for ``program`` and
-    ``sources`` and replaced the moment it is not.  The active trace,
+    ``routes`` is the holder's ``view -> CompiledDemand`` map (the
+    knowledge base's, the only one): the view's route is reused while
+    it is valid for ``program`` and ``sources`` and replaced the moment
+    it is not.  The active trace,
     if any, is told which route answered and why.
     """
     compiled = routes.get(component)

@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 
 from ..core.semantics import OrderedSemantics
 from ..core.solver import SearchBudget
-from ..core.transform import AUTO_STRATEGY
+from ..core.transform import DEFAULT_STRATEGY
 from ..grounding.grounder import GroundingOptions
 from ..lang.literals import Atom, Literal
 from ..lang.program import Component, OrderedProgram
@@ -65,7 +65,7 @@ class ReducedProgram:
         self,
         grounding: GroundingOptions = GroundingOptions(),
         budget: SearchBudget = SearchBudget(),
-        strategy: str = AUTO_STRATEGY,
+        strategy: str = DEFAULT_STRATEGY,
     ) -> OrderedSemantics:
         """An :class:`OrderedSemantics` view at the designated component.
 

@@ -10,10 +10,11 @@ Concurrency model (``docs/server.md``):
   an immutable program plus materialized least models
   (:class:`~repro.core.interpretation.Interpretation` instances, which
   are immutable) for the views the batch touched and structural sharing
-  of every untouched view's model from the previous snapshot.  Readers
-  capture ``engine.snapshot`` once and answer from it without ever
-  waiting on the writer — a reader that is pre-empted by a publish
-  keeps answering at its captured version (snapshot isolation).
+  of every untouched view's model from the previous snapshot.  A read
+  captures ``engine.snapshot`` and answers from it synchronously,
+  through the knowledge base's one read path
+  (:meth:`~repro.kb.knowledge_base.KnowledgeBase.read`), without ever
+  waiting on the writer (snapshot isolation).
 * Writes are admitted into a bounded :class:`asyncio.Queue`; a full
   queue sheds the request with an ``overloaded`` error instead of
   building unbounded backlog.  The writer coalesces everything queued
@@ -38,13 +39,8 @@ from dataclasses import dataclass
 from typing import Any, Optional
 
 from ..core.interpretation import Interpretation, TruthValue
-from ..core.maintenance import MaintenanceConfig
-from ..core.semantics import OrderedSemantics
-from ..core.solver import SearchBudget
 from ..explain.trace import Explainer
-from ..grounding.grounder import GroundingOptions
 from ..kb.knowledge_base import KnowledgeBase
-from ..kb.query import answers_in, evaluate_query, holds_in
 from ..lang.errors import ReproError
 from ..lang.program import OrderedProgram
 from ..obs import get_instrumentation
@@ -114,72 +110,31 @@ class Snapshot:
 
     Readers answer cautious queries from :attr:`models` (materialized
     least models).  A view missing from the map is materialized on
-    first read — from the writer's incrementally-maintained view when
-    this snapshot is still current, from :attr:`program` otherwise —
-    and pinned, so every later read at this version is a lookup.
+    first read through the writer's knowledge base and pinned, so every
+    later read at this version is a lookup: a read runs between two
+    awaits, so the snapshot it captures is always the one just
+    published from the knowledge base's current program value.
 
     :attr:`program` is the knowledge base's own program value at this
     version, held by reference: consecutive snapshots share the order
     and every component the batch did not touch.
     """
 
-    __slots__ = (
-        "version",
-        "program",
-        "published_at",
-        "_grounding",
-        "_budget",
-        "models",
-        "_sems",
-        "demand_routes",
-    )
+    __slots__ = ("version", "program", "published_at", "models")
 
     def __init__(
         self,
         version: int,
         program: OrderedProgram,
-        grounding: GroundingOptions,
-        budget: SearchBudget,
         models: Optional[dict[str, Interpretation]] = None,
-        sems: Optional[dict[str, OrderedSemantics]] = None,
     ) -> None:
         self.version = version
         self.program = program
         self.published_at = time.monotonic()
-        self._grounding = grounding
-        self._budget = budget
         self.models: dict[str, Interpretation] = models if models is not None else {}
-        self._sems: dict[str, OrderedSemantics] = sems if sems is not None else {}
-        #: view -> demand route compiled from :attr:`program`
-        #: (docs/query.md); lives and dies with this version.
-        self.demand_routes: dict = {}
 
     def age(self, now: Optional[float] = None) -> float:
         return (now if now is not None else time.monotonic()) - self.published_at
-
-    def semantics(self, view: str) -> OrderedSemantics:
-        """Snapshot-local semantics of one view, built from the
-        immutable program (never the writer's mutable state)."""
-        sem = self._sems.get(view)
-        if sem is None:
-            sem = OrderedSemantics(
-                self.program,
-                view,
-                grounding=self._grounding,
-                budget=self._budget,
-                maintenance=MaintenanceConfig(enabled=False),
-            )
-            self._sems[view] = sem
-        return sem
-
-    def materialize(self, view: str) -> Interpretation:
-        """The least model of one view at this version (computed from
-        the snapshot program on first call, then pinned)."""
-        interp = self.models.get(view)
-        if interp is None:
-            interp = self.semantics(view).least_model
-            self.models[view] = interp
-        return interp
 
 
 def _latency_dict(hist: Histogram) -> dict:
@@ -278,9 +233,7 @@ class ServerEngine:
         self.shutdown_requested = asyncio.Event()
         self.history: list[tuple[Snapshot, list[Request]]] = []
         self._version = initial_version
-        self._snapshot = Snapshot(
-            initial_version, self.kb.program(), self.kb.grounding, self.kb.budget
-        )
+        self._snapshot = Snapshot(initial_version, self.kb.program())
         self._subscribers: list[Subscriber] = []
         self._subscribers_total = 0
         self._subscribers_lagged = 0
@@ -466,55 +419,27 @@ class ServerEngine:
         ):
             if request.op == "explain":
                 return self._explain(snap, view, pattern)
-            answers = None
-            if request.strategy == "demand":
-                answers = self._demand_read(snap, view, pattern, request.mode)
-            if answers is not None:
-                pass
-            elif request.mode == "cautious":
-                interp = self._model_at(snap, view)
-                if request.op == "ask":
-                    return {"holds": holds_in(interp, pattern)}
-                answers = answers_in(interp, pattern)
-            else:
-                sem = self._semantics_at(snap, view)
-                answers = evaluate_query(sem, pattern, request.mode)
-        if request.op == "ask":
-            return {"holds": bool(answers)}
+            found = self.kb.read(
+                view,
+                pattern,
+                request.mode,
+                request.strategy,
+                first=request.op == "ask",
+                pinned=snap.models,
+            )
+            if request.op == "ask":
+                return {"holds": found}
         return {
             "answers": [
                 {
                     "literal": str(a.literal),
                     "bindings": {str(v): str(t) for v, t in a.bindings.items()},
                 }
-                for a in answers
+                for a in found
             ],
-            "count": len(answers),
+            "count": len(found),
             "mode": request.mode,
         }
-
-    def _demand_read(
-        self, snap: Snapshot, view: str, pattern: str, mode: str
-    ) -> Optional[list]:
-        """Goal-directed answers against a captured snapshot, or None
-        when the demand path declined (the caller then falls back to
-        the materialized read path).
-
-        The snapshot program is rules-only; attached EDB stores are
-        read-only for the server's lifetime, so consulting the writer
-        KB's stores is safe at any snapshot version.  This read never
-        warms :attr:`Snapshot.models` — not materializing is the point.
-        """
-        from ..query import demand_read
-
-        return demand_read(
-            snap.demand_routes,
-            snap.program,
-            view,
-            pattern,
-            mode,
-            self.kb.edb_sources(view),
-        )
 
     def _explain(self, snap: Snapshot, view: str, pattern: str) -> dict[str, Any]:
         """The ``explain`` op: derivation (or failure analysis) of one
@@ -522,8 +447,8 @@ class ServerEngine:
         ctx = current_trace()
         if ctx is not None:
             ctx.annotate(route="materialized")
-        sem = self._semantics_at(snap, view)
-        self._model_at(snap, view)  # force the least model first
+        sem = self.kb.view(view)
+        snap.models.setdefault(view, sem.least_model)
         value = sem.value(pattern)
         return {
             "literal": pattern,
@@ -531,24 +456,6 @@ class ServerEngine:
             "derived": value is TruthValue.TRUE,
             "explanation": Explainer(sem).explain(pattern),
         }
-
-    def _model_at(self, snap: Snapshot, view: str) -> Interpretation:
-        interp = snap.models.get(view)
-        if interp is not None:
-            return interp
-        if snap is self._snapshot:
-            # Latest snapshot: warm the view through the writer KB so
-            # it joins the incremental maintenance set, then pin the
-            # (immutable) model into the snapshot.
-            interp = self.kb.view(view).least_model
-            snap.models[view] = interp
-            return interp
-        return snap.materialize(view)
-
-    def _semantics_at(self, snap: Snapshot, view: str) -> OrderedSemantics:
-        if snap is self._snapshot:
-            return self.kb.view(view)
-        return snap.semantics(view)
 
     def _health(self, request: Request) -> dict:
         return protocol.ok_response(
@@ -1015,15 +922,15 @@ class ServerEngine:
                 with obs.span("wal.append"):
                     self.wal.append(version, ops)
             except OSError:
-                # The KB has advanced past the durable log; admitting
-                # more writes would ack state a restart cannot rebuild.
+                # The KB has advanced past the durable log: put it back
+                # on the published value so no reader sees the refused
+                # writes, and refuse more — a restart could not rebuild
+                # what they would ack.
                 self._wal_broken = True
+                self.kb.rewind(prev.program)
                 raise
         models = {
             view: m for view, m in prev.models.items() if view not in affected
-        }
-        sems = {
-            view: s for view, s in prev._sems.items() if view not in affected
         }
         # Hot views — materialized in the previous snapshot and affected
         # by the batch — are repaired here, at publish time, so that
@@ -1047,14 +954,7 @@ class ServerEngine:
                     self._view_refresh[view] = hist
                 hist.observe(refresh)
         self._version = version
-        snapshot = Snapshot(
-            version,
-            self.kb.program(),
-            self.kb.grounding,
-            self.kb.budget,
-            models,
-            sems,
-        )
+        snapshot = Snapshot(version, self.kb.program(), models)
         self._snapshot = snapshot
         self._batches += 1
         self._ops_applied += len(ops)

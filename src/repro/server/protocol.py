@@ -79,8 +79,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Optional, Union
 
-from ..core.transform import READ_STRATEGIES, validate
-from ..kb.query import QueryMode
+from ..kb.query import QueryMode, read_strategy
 
 __all__ = [
     "OPS",
@@ -118,10 +117,6 @@ OPS = READ_OPS | WRITE_OPS | ADMIN_OPS | STREAM_OPS
 
 #: Read modes, in :class:`~repro.kb.query.QueryMode` order.
 MODES = tuple(mode.value for mode in QueryMode)
-
-#: Refusal of a per-request read strategy outside ``READ_STRATEGIES``
-#: (None = the server default, ``auto``).
-_UNKNOWN_STRATEGY = f"unknown strategy {{!r}}; expected one of {READ_STRATEGIES}"
 
 BAD_REQUEST = "bad_request"
 SEMANTICS = "semantics"
@@ -260,9 +255,7 @@ def parse_request(
     elif op in READ_OPS:
         view = _require_str(data, "view", op)
         pattern = _require_str(data, "pattern", op)
-        strategy = data.get("strategy")
-        if strategy is not None:
-            validate(strategy, READ_STRATEGIES, ProtocolError, _UNKNOWN_STRATEGY)
+        strategy = read_strategy(data.get("strategy"), ProtocolError)
     elif op in ("tell", "retract"):
         view = _require_str(data, "view", op)
         rules = _require_str(data, "rules", op)

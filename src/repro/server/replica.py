@@ -138,9 +138,7 @@ class FollowerEngine(ServerEngine):
 
         self.kb = KnowledgeBase()
         self._version = 0
-        self._snapshot = Snapshot(
-            0, self.kb.program(), self.kb.grounding, self.kb.budget
-        )
+        self._snapshot = Snapshot(0, self.kb.program())
         self.resets += 1
         get_instrumentation().event("replica.reset", resets=self.resets)
 
@@ -150,9 +148,7 @@ class FollowerEngine(ServerEngine):
         be arbitrarily far behind)."""
         self.kb = kb_from_dict(kb_dict)
         self._version = version
-        self._snapshot = Snapshot(
-            version, self.kb.program(), self.kb.grounding, self.kb.budget
-        )
+        self._snapshot = Snapshot(version, self.kb.program())
         self.note_leader(version)
         self.snapshots_loaded += 1
         get_instrumentation().event("replica.snapshot_loaded", version=version)

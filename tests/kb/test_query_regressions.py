@@ -15,6 +15,7 @@ import pytest
 from repro.kb.knowledge_base import KnowledgeBase
 from repro.kb.query import QueryMode, answers_in
 from repro.lang.errors import QueryError
+from repro.obs import instrumented
 
 PROGRAM = """
 edge(a, a). edge(a, b). edge(b, b). edge(b, c). edge(c, a).
@@ -98,3 +99,12 @@ class TestStrategyValidation:
         # not the per-query read path.
         with pytest.raises(QueryError):
             kb.query("m", "ok", strategy="seminaive")
+
+    def test_invalid_mode_is_refused_before_routing(self, kb):
+        # Validated once, before the demand route is asked: a refused
+        # read leaves no demand counter behind.
+        with instrumented() as obs:
+            with pytest.raises(QueryError):
+                kb.query("m", "path(a, X)", mode="bogus", strategy="demand")
+            counters = obs.snapshot()["counters"]
+        assert not [name for name in counters if name.startswith("query.demand.")]

@@ -13,14 +13,21 @@ sweep (the acceptance floor is 200 random programs).
 
 from __future__ import annotations
 
+import asyncio
 import os
 import random
 
 from repro.core.semantics import OrderedSemantics
+from repro.db.edb import EdbStore
+from repro.kb.knowledge_base import KnowledgeBase
 from repro.kb.query import answers_in
+from repro.lang.errors import ReproError
 from repro.lang.parser import parse_literal, parse_rules
 from repro.lang.program import OrderedProgram
+from repro.obs.trace import trace
 from repro.query import CompiledDemand, demand_answers
+from repro.server import ServerEngine, parse_request
+from repro.workloads.point_query import load_forest_edb
 from repro.workloads.random_programs import random_stratified_program
 
 from ..kb.test_indexed_reads import (
@@ -197,10 +204,63 @@ class TestCompiledReuse:
                     assert shape(result.answers) == expected, goal
 
 
+#: Every (op, mode, strategy) a read may carry; None is the unforced
+#: read each front end defaults.
+READS = [
+    (op, mode, strategy)
+    for op in ("query", "ask")
+    for mode in ("cautious", "skeptical", "credulous")
+    for strategy in (None, "auto", "demand")
+]
+
+
+def _route(fields: dict) -> tuple:
+    return fields.get("route"), fields.get("demand.fallback")
+
+
+def library_read(kb, view, goal, op, mode, strategy):
+    """``KnowledgeBase.query``/``ask`` as the wire would encode it, with
+    the route the traced read took."""
+    with trace("library") as ctx:
+        try:
+            if op == "ask":
+                result = {"holds": kb.ask(view, goal, mode, strategy)}
+            else:
+                answers = kb.query(view, goal, mode, strategy)
+                result = {
+                    "answers": [
+                        {
+                            "literal": str(a.literal),
+                            "bindings": {
+                                str(v): str(t) for v, t in a.bindings.items()
+                            },
+                        }
+                        for a in answers
+                    ],
+                    "count": len(answers),
+                    "mode": mode,
+                }
+        except ReproError:
+            return "error", None
+    return result, _route(ctx.root.fields)
+
+
+def wire_read(loop, engine, view, goal, op, mode, strategy):
+    """The same read through ``ServerEngine.handle``."""
+    fields = {"id": 1, "op": op, "view": view, "pattern": goal, "mode": mode}
+    if strategy is not None:
+        fields["strategy"] = strategy
+    fields["trace"] = True
+    reply = loop.run_until_complete(engine.handle(parse_request(fields)))
+    if not reply["ok"]:
+        return "error", None
+    result = dict(reply["result"])
+    spans = result.pop("trace")["spans"]
+    return result, _route(spans["fields"])
+
+
 class TestKnowledgeBaseParity:
     def test_kb_query_strategies_agree(self):
-        from repro.kb.knowledge_base import KnowledgeBase
-
         for seed in range(0, N_PROGRAMS, 10):
             rng = random.Random(20_000 + seed)
             program = random_first_order_program(rng)
@@ -209,3 +269,65 @@ class TestKnowledgeBaseParity:
                 demand = kb.query("main", goal, strategy="demand")
                 materialized = kb.query("main", goal, strategy="auto")
                 assert shape(demand) == shape(materialized)
+
+    def test_library_and_wire_read_alike(self, tmp_path):
+        """One read, two front ends: ``KnowledgeBase.query``/``ask`` and
+        ``ServerEngine.handle`` (over its own knowledge base of the same
+        program) return the same answer by the same route — ``route``
+        and ``demand.fallback`` of the traced read — for every op, mode
+        and strategy, on a cold view and on a warm one."""
+        cases = []
+        # Every fourth program of the parity sweep above (skeptical and
+        # credulous reads enumerate stable models, on both front ends,
+        # cold and warm): its four open goals plus the drawn ground ones.
+        for seed in range(0, N_PROGRAMS, 40):
+            rng = random.Random(20_000 + seed)
+            program = random_first_order_program(rng)
+            goals = random_goals(rng, program)
+            ground = [g for g in goals[4:] if "X" not in g and "Y" not in g]
+            cases.append((program, None, goals[:4] + ground))
+        store = EdbStore(str(tmp_path / "forest.edb"), object_name="main")
+        forest = load_forest_edb(store, 2, depth=2)
+        cases.append(
+            (
+                forest,
+                store,
+                ["owns(p1, n1_2)", "owns(p0, X)", "ancestor(n0_0, n0_1)",
+                 "ancestor(n1_0, X)", "ancestor(n1_1, n0_2)"],
+            )
+        )
+        loop = asyncio.new_event_loop()
+
+        def fresh_pair(program, attached):
+            kbs = []
+            for _ in range(2):
+                kb = KnowledgeBase.from_program(program)
+                if attached is not None:
+                    kb.attach_edb("main", attached)
+                kbs.append(kb)
+            return kbs[0], ServerEngine(kbs[1])
+
+        routes = set()
+        try:
+            for program, attached, goals in cases:
+                warm_kb, warm_engine = fresh_pair(program, attached)
+                warm_kb.least_model("main")
+                warm_engine.kb.least_model("main")
+                for goal in goals:
+                    for read in READS:
+                        cold_kb, cold_engine = fresh_pair(program, attached)
+                        for kb, engine in (
+                            (cold_kb, cold_engine),
+                            (warm_kb, warm_engine),
+                        ):
+                            library = library_read(kb, "main", goal, *read)
+                            wire = wire_read(loop, engine, "main", goal, *read)
+                            assert wire == library, (goal, read)
+                            routes.add(library[1])
+        finally:
+            loop.close()
+            store.close()
+        # The sweep reaches both routes and a counted fallback.
+        assert ("demand", None) in routes
+        assert ("materialized", None) in routes
+        assert ("materialized", "mode") in routes

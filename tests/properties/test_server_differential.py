@@ -23,6 +23,7 @@ import asyncio
 import os
 import random
 
+from repro.core.semantics import OrderedSemantics
 from repro.kb.query import answers_in
 from repro.serialize import interpretation_to_dict
 from repro.server import ServerConfig, ServerEngine
@@ -121,7 +122,10 @@ def run_trace(seed: int) -> None:
             f"seed {seed}: program diverges at version {version}"
         )
         for view in views:
-            served = interpretation_to_dict(snapshot.materialize(view))
+            model = snapshot.models.get(view)
+            if model is None:
+                model = OrderedSemantics(snapshot.program, view).least_model
+            served = interpretation_to_dict(model)
             serial = interpretation_to_dict(oracle.view(view).least_model)
             assert served == serial, (
                 f"seed {seed}: view {view} diverges at version {version}"

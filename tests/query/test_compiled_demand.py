@@ -6,21 +6,18 @@ it many times; the route must be reused while the program value and the
 fact sources' schema stand, and replaced the moment either moves.
 """
 
-import asyncio
-
 import pytest
 
 import repro.query.api as api
 from repro.core.semantics import OrderedSemantics
 from repro.db.edb import EdbStore
 from repro.kb.knowledge_base import KnowledgeBase
-from repro.kb.query import answers_in, evaluate_query
+from repro.kb.query import answers_in
 from repro.lang.parser import parse_rules
 from repro.lang.program import OrderedProgram
 from repro.lang.terms import Constant
 from repro.obs import instrumented
 from repro.query import CompiledDemand, MemoryFactSource, demand_answers
-from repro.server import ServerEngine, parse_request
 from repro.workloads.point_query import (
     FOREST_RULES,
     forest_program,
@@ -109,22 +106,6 @@ class TestPlanReuse:
         assert counters["query.demand.plan.hit"] == 2
         assert counters["query.demand.fallback.function-growth"] == 3
 
-    def test_semantics_holds_one_route(self):
-        program = forest_program(2, depth=DEPTH)
-        sem = OrderedSemantics(program, "main", strategy="demand")
-        expected = literals(
-            answers_in(OrderedSemantics(program, "main").least_model, "ancestor(n1_0, X)")
-        )
-        assert literals(evaluate_query(sem, "ancestor(n1_0, X)")) == expected
-        route = sem.demand_routes["main"]
-        assert literals(evaluate_query(sem, "ancestor(n1_0, X)")) == expected
-        assert sem.demand_routes["main"] is route
-        sem.apply_delta(assertions=["parent(n1_6, extra)"])
-        assert not sem.demand_routes
-        assert "ancestor(n1_0, extra)" in literals(
-            evaluate_query(sem, "ancestor(n1_0, X)")
-        )
-
 
 class TestStaleness:
     def test_tell_and_retract_reach_the_next_query(self, forest_kb):
@@ -188,35 +169,6 @@ class TestStaleness:
         assert not compiled.valid_for(forest_program(1, depth=DEPTH), (extra,))
         extra.add(parse_rules("owner(zed, n0_0).")[0].head.atom)
         assert not compiled.valid_for(program, (extra,))
-
-
-class TestSnapshotPinning:
-    def test_old_version_keeps_answering_from_its_program(self):
-        async def scenario():
-            kb = KnowledgeBase.from_program(forest_program(2, depth=DEPTH))
-            async with ServerEngine(kb) as engine:
-                goal = "ancestor(n0_0, X)"
-                old = engine.snapshot
-                before = literals(engine._demand_read(old, "main", goal, "cautious"))
-                route = old.demand_routes["main"]
-                reply = await engine.handle(
-                    parse_request(
-                        {
-                            "id": 1,
-                            "op": "tell",
-                            "view": "main",
-                            "rules": f"parent(n0_{LEAF}, late).",
-                        }
-                    )
-                )
-                assert reply["ok"] and engine.snapshot is not old
-                after = engine._demand_read(engine.snapshot, "main", goal, "cautious")
-                assert "ancestor(n0_0, late)" in literals(after)
-                again = engine._demand_read(old, "main", goal, "cautious")
-                assert literals(again) == before
-                assert old.demand_routes["main"] is route
-
-        asyncio.run(scenario())
 
 
 class CountingSource(MemoryFactSource):

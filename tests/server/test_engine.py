@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from repro.core.semantics import OrderedSemantics
 from repro.kb.knowledge_base import KnowledgeBase
 from repro.obs import instrumented
 from repro.server import ServerConfig, ServerEngine, parse_request
@@ -148,8 +149,8 @@ def test_snapshot_isolation_reader_at_old_version():
                 req(id="w", op="tell", view="penguin", rules="penguin_of(opus).")
             )
             assert engine.snapshot is not old
-            # The old snapshot still answers at its own version.
-            stale = old.materialize("penguin")
+            # The old snapshot's program still means what it meant.
+            stale = OrderedSemantics(old.program, "penguin").least_model
             from repro.kb.query import answers_in
 
             assert not answers_in(stale, "penguin_of(X)")
@@ -402,6 +403,37 @@ def test_unhandled_failure_inside_batch_is_that_requests_alone(tmp_path, monkeyp
     again.close()
     assert version == 2
     assert kb_signature(recovered) == kb_signature(kb)
+
+
+class FailingWal:
+    """A journal whose every append fails, as on a full disk."""
+
+    def append(self, version, ops):
+        raise OSError("no space left on device")
+
+    def close(self):
+        pass
+
+
+def test_a_write_the_journal_refused_never_reaches_readers():
+    """The WAL append fails after the KB has taken the batch: the write
+    is refused, and a later read of a view nobody had warmed answers
+    from the published version, not from the refused write."""
+    kb = KnowledgeBase()
+    kb.define("b", "y(1).")
+
+    async def scenario():
+        async with ServerEngine(kb, wal=FailingWal()) as engine:
+            told = await engine.handle(req(id=1, op="tell", view="b", rules="y(2)."))
+            assert not told["ok"] and told["error"]["code"] == protocol.INTERNAL
+            reply = await engine.handle(
+                req(id=2, op="query", view="b", pattern="y(X)")
+            )
+            assert reply["ok"] and reply["version"] == 0
+            assert [a["literal"] for a in reply["result"]["answers"]] == ["y(1)"]
+            assert engine.kb.program() is engine.snapshot.program
+
+    run(scenario())
 
 
 @pytest.mark.parametrize(

@@ -259,6 +259,12 @@ class TestStrategyFlag:
         with pytest.raises(SystemExit):
             main(["run", figure1_file, "--strategy", "bogus"])
 
+    @pytest.mark.parametrize("strategy", ["auto", "demand"])
+    def test_read_strategies_are_not_engines(self, strategy, figure1_file, capsys):
+        with pytest.raises(SystemExit):
+            main(["run", figure1_file, "--strategy", strategy])
+        assert f"invalid choice: '{strategy}'" in capsys.readouterr().err
+
 
 class TestMetrics:
     def test_run_metrics_report(self, figure1_file, capsys):
