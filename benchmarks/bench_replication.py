@@ -18,7 +18,8 @@ Two experiments, both gated by
   ``replay`` applies entries through
   :meth:`~repro.server.replica.FollowerEngine.apply_entry` — the KB's
   incremental delta engine repairs the hot view per entry — vs
-  strategy ``cold``, a maintenance-disabled KB that recomputes the
+  strategy ``cold``, a KB that drops its cached views after every
+  applied entry (``kb.rewind(kb.program())``) and so recomputes the
   probed view from scratch at every version (what a non-incremental
   follower would pay to serve reads while catching up).  The gate
   requires replay ≥ **5x** faster at the largest size (``--baseline
@@ -33,7 +34,6 @@ import itertools
 
 import pytest
 
-from repro.core.maintenance import MaintenanceConfig
 from repro.kb.knowledge_base import KnowledgeBase
 from repro.server import ServerConfig, ServerEngine, parse_request
 from repro.server.replica import FollowerEngine
@@ -186,11 +186,12 @@ def test_catchup_replay(benchmark, size, depth, n_entities, n_ops, mode):
         return yes
 
     def run_cold():
-        kb = KnowledgeBase(maintenance=MaintenanceConfig(enabled=False))
+        kb = KnowledgeBase()
         yes = 0
         for ops in entries:
             for op in ops:
                 kb.apply_op(op)
+            kb.rewind(kb.program())  # drop every cached view
             if "level0" in kb.objects:
                 yes += bool(kb.ask("level0", "member(e0)"))
         return yes

@@ -14,12 +14,7 @@
 
 from .assumptions import AssumptionAnalyzer, literal_closure
 from .interpretation import Interpretation, TruthValue
-from .maintenance import (
-    DeltaStats,
-    DeltaUnsupported,
-    MaintainedModel,
-    MaintenanceConfig,
-)
+from .maintenance import DeltaStats, DeltaUnsupported, MaintainedModel
 from .models import ModelChecker
 from .semantics import OrderedSemantics
 from .solver import ModelEnumerator, SearchBudget
@@ -34,7 +29,6 @@ __all__ = [
     "StatusReport",
     "OrderedTransform",
     "MaintainedModel",
-    "MaintenanceConfig",
     "DeltaStats",
     "DeltaUnsupported",
     "STRATEGIES",

@@ -42,18 +42,17 @@ The differential property suite
 (``tests/properties/test_maintenance_differential.py``) enforces
 bit-identical agreement with from-scratch recomputation.
 
-When a mutation dirties more of the program than the configured
-*status frontier* allows (:attr:`MaintenanceConfig.frontier_threshold`),
-the engine abandons the cascade and rebuilds the model from the empty
-interpretation over the current rule multiset — still without
-re-grounding anything.
+When a mutation dirties more of the program than the *status
+frontier* allows (:data:`FRONTIER_THRESHOLD`), the engine abandons the
+cascade and rebuilds the model from the empty interpretation over the
+current rule multiset — still without re-grounding anything.
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
-from itertools import chain, compress
+from itertools import chain
 from typing import TYPE_CHECKING, Collection, Iterable, Sequence
 
 from ..grounding.grounder import GroundRule
@@ -67,7 +66,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .statuses import StatusEvaluator
 
 __all__ = [
-    "MaintenanceConfig",
+    "FRONTIER_THRESHOLD",
     "DeltaStats",
     "DeltaOp",
     "DeltaUnsupported",
@@ -87,23 +86,10 @@ class DeltaUnsupported(SemanticsError):
     recomputation."""
 
 
-@dataclass(frozen=True)
-class MaintenanceConfig:
-    """Knobs for the incremental maintenance engine.
-
-    Attributes:
-        enabled: when False, every mutation invalidates and the next
-            read recomputes from scratch (the pre-maintenance
-            behaviour; used as the benchmark baseline).
-        frontier_threshold: fraction of the (alive) ground rules that a
-            single delta's status frontier may touch before the engine
-            gives up on the cascade and rebuilds the model from ∅ over
-            the current rules.  1.0 effectively disables the fallback;
-            0.0 forces a rebuild on every delta.
-    """
-
-    enabled: bool = True
-    frontier_threshold: float = 0.5
+#: Fraction of the (alive) ground rules that one delta's status
+#: frontier may touch before the engine gives up on the cascade and
+#: rebuilds the model from ∅ over the current rules.
+FRONTIER_THRESHOLD = 0.5
 
 
 @dataclass
@@ -160,13 +146,7 @@ class MaintainedModel:
     not grow the arrays.
     """
 
-    def __init__(
-        self,
-        evaluator: "StatusEvaluator",
-        base: Iterable[Atom],
-        config: MaintenanceConfig = MaintenanceConfig(),
-    ) -> None:
-        self.config = config
+    def __init__(self, evaluator: "StatusEvaluator", base: Iterable[Atom]) -> None:
         self._order = evaluator.order
         self._base = frozenset(base)
         compiled = evaluator.index
@@ -199,18 +179,6 @@ class MaintainedModel:
         """The maintained least model as of now
         (:meth:`DenseFixpoint.interpretation`)."""
         return self._fp.interpretation(self._base)
-
-    def alive_rules(self) -> tuple[GroundRule, ...]:
-        """The current ground rule multiset (original order, asserted
-        facts appended, retracted facts omitted)."""
-        return tuple(compress(self._decoded(), self._alive))
-
-    def _decoded(self) -> list[GroundRule]:
-        """Every rule id's rule, tombstones included, decoded now."""
-        fp, literal = self._fp, self._table.literal
-        told = range(fp.index.n_rules, len(fp.heads))
-        facts = [GroundRule(literal(fp.heads[i]), frozenset(), self._components[i]) for i in told]
-        return [*fp.index.rules.objects(), *facts]
 
     def alive_count(self) -> int:
         return self._alive.count(1)
@@ -250,7 +218,7 @@ class MaintainedModel:
         """Recompute the model from ∅ over the current rule multiset.
 
         No re-grounding happens — this is the engine-level fallback for
-        deltas whose status frontier exceeds the configured threshold.
+        deltas whose status frontier exceeds :data:`FRONTIER_THRESHOLD`.
         """
         fp = self._fp
         fp.reset()
@@ -387,7 +355,7 @@ class MaintainedModel:
     def _cascade(self, pending: _Pending) -> tuple[int, int]:
         """Overcount-delete everything whose derivation might have
         depended on the mutated facts; returns (deleted, reevals)."""
-        threshold = self.config.frontier_threshold
+        threshold = FRONTIER_THRESHOLD
         cap = max(4, int(threshold * max(1, self.alive_count())))
         fp = self._fp
         index = fp.index
@@ -457,8 +425,10 @@ class MaintainedModel:
 
         O(rules²) — test/debug use only.
         """
-        fp = self._fp
-        rules = self._decoded()
+        fp, literal = self._fp, self._table.literal
+        told = range(fp.index.n_rules, len(fp.heads))
+        facts = (GroundRule(literal(fp.heads[i]), frozenset(), self._components[i]) for i in told)
+        rules = [*fp.index.rules.objects(), *facts]
         derived = self.interpretation().literals
         fired_heads = set()
         for i, r in enumerate(rules):

@@ -19,7 +19,6 @@ True
 
 from __future__ import annotations
 
-from dataclasses import replace
 from functools import cached_property
 from typing import Iterable, Optional, Sequence, Union
 
@@ -30,14 +29,7 @@ from ..lang.program import FactUpdate, OrderedProgram
 from ..obs import get_instrumentation, record_costs
 from .assumptions import AssumptionAnalyzer
 from .interpretation import Interpretation, TruthValue
-from .maintenance import (
-    ASSERT,
-    RETRACT,
-    DeltaStats,
-    DeltaUnsupported,
-    MaintainedModel,
-    MaintenanceConfig,
-)
+from .maintenance import ASSERT, RETRACT, DeltaStats, DeltaUnsupported, MaintainedModel
 from .models import ModelChecker
 from .solver import ModelEnumerator, SearchBudget
 from .statuses import ComponentOrder, StatusEvaluator, StatusReport
@@ -79,7 +71,6 @@ class OrderedSemantics:
         grounding: Optional[GroundingOptions] = None,
         budget: Optional[SearchBudget] = None,
         strategy: str = DEFAULT_STRATEGY,
-        maintenance: Optional[MaintenanceConfig] = None,
     ) -> None:
         if component not in program:
             raise SemanticsError(f"no component named {component!r}")
@@ -87,17 +78,13 @@ class OrderedSemantics:
             grounding = GroundingOptions()
         if budget is None:
             budget = SearchBudget()
-        if maintenance is None:
-            maintenance = MaintenanceConfig()
         self.program = program
         self.component = component
         self._grounding_options = grounding
         self._budget = budget
         self.strategy = validate(strategy, STRATEGIES)
-        self.maintenance = maintenance
+        #: The delta engine: the only state a cold view lacks.
         self._maintained: Optional[MaintainedModel] = None
-        #: The grounding ``_maintained`` was built from.
-        self._seed_ground: Optional[GroundProgram] = None
 
     # ------------------------------------------------------------------
     # Grounding and shared machinery (built lazily, cached)
@@ -109,15 +96,10 @@ class OrderedSemantics:
         :mod:`repro.grounding.grounder`).  Sound for the least model
         only — whoever looks at more reads :attr:`full_ground`.
 
-        A maintained view never re-grounds: after a delta this is the
-        full seed grounding (same base, universe and id-stable atom
-        table) over the engine's current rule multiset, derived on
-        first read.
+        A maintained view's is the cold view's too: a write keeps only
+        :attr:`least_model`, and this is recomputed from :attr:`program`
+        on first read.
         """
-        if self._maintained is not None and self._seed_ground is not None:
-            return replace(
-                self._seed_ground, rules=self._maintained.alive_rules()
-            )
         return Grounder(self._grounding_options).ground_component_star(
             self.program, self.component
         )
@@ -132,8 +114,6 @@ class OrderedSemantics:
         interpretations are models), and so must the delta engine (a
         told fact can make any instance applicable).
         """
-        if self._maintained is not None:
-            return self.ground
         return Grounder(self._grounding_options).ground_component_star(
             self.program, self.component, full=True
         )
@@ -145,8 +125,6 @@ class OrderedSemantics:
     @cached_property
     def full_evaluator(self) -> StatusEvaluator:
         """Status evaluator over :attr:`full_ground`."""
-        if self._maintained is not None:
-            return self.evaluator
         return self._evaluator_over(self.full_ground)
 
     def _evaluator_over(self, ground: GroundProgram) -> StatusEvaluator:
@@ -241,8 +219,8 @@ class OrderedSemantics:
         ``(component, literal)`` pair; bare literals go to ``component``
         (default: this view's component).  Retractions remove one told
         copy of the fact and raise :class:`SemanticsError` when the fact
-        is not present.  See :class:`~repro.core.maintenance.MaintenanceConfig`
-        for the fallback behaviour.
+        is not present.  See :meth:`apply_updates` for the fallback
+        behaviour.
         """
         default = component if component is not None else self.component
         ops: list[tuple[str, str, Union[Literal, str]]] = []
@@ -274,27 +252,25 @@ class OrderedSemantics:
         cached least model through the delta engine when possible
         (:meth:`FactUpdate.seen_from` says which ops reach it and when
         only re-grounding can tell); falls back to invalidation +
-        recomputation otherwise (maintenance disabled, or an asserted
-        atom outside the grounded base).
+        recomputation otherwise (no least model computed yet, or an
+        asserted atom outside the grounded base).  Only the model is
+        kept: every other cached property is recomputed from the new
+        :attr:`program` on first read, as a cold view would.
         """
         engine_ops, reground = FactUpdate.seen_from(updates, self.component)
         stats: Optional[DeltaStats] = None
         try:
-            if (
-                engine_ops
-                and not reground
-                and self.maintenance.enabled
-                and (self._maintained is not None or "least_model" in self.__dict__)
-            ):
+            # A maintained view always holds its model; a cold one may
+            # have none yet, and then there is nothing to repair.
+            if engine_ops and not reground and "least_model" in self.__dict__:
                 if self._maintained is None:
                     # A told fact can make an instance relevance dropped
                     # applicable, or flip a rule's prune-safety: seed the
                     # engine from the full grounding, once.  The relevance
                     # caches go first so the two never coexist.
                     self._drop_caches()
-                    seed = self._seed_ground = self.full_ground
                     self._maintained = MaintainedModel(
-                        self.full_evaluator, seed.base, self.maintenance
+                        self.full_evaluator, self.full_ground.base
                     )
                 stats = self._maintained.apply(engine_ops)
                 self._drop_caches()
@@ -340,7 +316,7 @@ class OrderedSemantics:
             self.__dict__.pop(name, None)
 
     def _invalidate_all(self) -> None:
-        self._maintained = self._seed_ground = None
+        self._maintained = None
         self._drop_caches()
 
     # ------------------------------------------------------------------

@@ -45,10 +45,12 @@ instances (:class:`GroundRules`), decoded to rule objects on demand.
 for Definition-3 model checking and enumeration (a never-applicable
 rule still constrains which total interpretations are models), for
 assumption analysis, for diagnostics that report on every instance, or
-once a told fact may make a dropped instance applicable or flip a
-rule's prune-safety.  Those consumers state the requirement:
-``ground_component_star(program, view, full=True)`` joins nothing
-(:attr:`repro.core.semantics.OrderedSemantics.full_ground`).
+for the delta engine's seed (a told fact may make a dropped instance
+applicable or flip a rule's prune-safety).  Those consumers state the
+requirement: ``ground_component_star(program, view, full=True)`` joins
+nothing (:attr:`repro.core.semantics.OrderedSemantics.full_ground`).
+Either way the ground program's ``base`` is the whole Herbrand base of
+``C*``.
 :meth:`Grounder.ground_rules` grounds a *classical* program, whose
 consumers read negative body literals as negation as failure, and is
 always full.
@@ -344,13 +346,6 @@ class GroundProgram:
     def __iter__(self) -> Iterator[GroundRule]:
         return iter(self.rules)
 
-    def atoms_in_rules(self) -> frozenset[Atom]:
-        """Atoms actually mentioned by some rule (⊆ base)."""
-        found: set[Atom] = set()
-        for r in self.rules:
-            found |= r.atoms()
-        return frozenset(found)
-
 
 @dataclass(frozen=True)
 class GroundingOptions:
@@ -365,15 +360,10 @@ class GroundingOptions:
             has function symbols).
         instance_cap: abort with :class:`GroundingError` after this many
             instances — an explicit failure beats an apparent hang.
-        full_base: when True (default) the ground program's ``base`` is
-            the full Herbrand base; when False it is restricted to atoms
-            mentioned by ground rules (sufficient for least/AF/stable
-            model computation, smaller for enumeration).
     """
 
     max_depth: Optional[int] = None
     instance_cap: int = 5_000_000
-    full_base: bool = True
 
 
 #: A signed predicate: ``(symbol, arity, positive)``.
@@ -473,7 +463,7 @@ class Grounder:
             if universe is None:
                 universe = universe_of(source, max_depth=self.options.max_depth)
             rules = self._ground_tagged(tagged, universe, full)
-            base = self._base_for(source, universe, rules.table)
+            base = herbrand_base(source, universe=universe, cap=self.options.instance_cap)
         record_costs(
             ground_source_rules=len(tagged),
             ground_substitutions_tried=self._subs_tried,
@@ -493,13 +483,6 @@ class Grounder:
                 substitutions=self._subs_tried,
             )
         return GroundProgram(rules, base, universe, rules.table, self._pruned_rules)
-
-    def _base_for(
-        self, source: Component, universe: HerbrandUniverse, table: AtomTable
-    ) -> frozenset[Atom]:
-        if self.options.full_base:
-            return herbrand_base(source, universe=universe, cap=self.options.instance_cap)
-        return frozenset(table.atoms())  # exactly the atoms the rules mention
 
     def _ground_tagged(
         self,

@@ -37,7 +37,7 @@ from __future__ import annotations
 from typing import Iterable, Optional, Sequence, Union
 
 from ..core.interpretation import Interpretation, TruthValue
-from ..core.maintenance import ASSERT, RETRACT, MaintenanceConfig
+from ..core.maintenance import ASSERT, RETRACT
 from ..core.semantics import OrderedSemantics
 from ..core.solver import SearchBudget
 from ..grounding.grounder import GroundingOptions
@@ -78,14 +78,10 @@ class KnowledgeBase:
         self,
         grounding: Optional[GroundingOptions] = None,
         budget: Optional[SearchBudget] = None,
-        maintenance: Optional[MaintenanceConfig] = None,
     ) -> None:
         self._program = OrderedProgram(())
         self._grounding = grounding if grounding is not None else GroundingOptions()
         self._budget = budget if budget is not None else SearchBudget()
-        self._maintenance = (
-            maintenance if maintenance is not None else MaintenanceConfig()
-        )
         self._semantics_cache: dict[str, OrderedSemantics] = {}
         #: Fact updates queued per cached view (one per write, shared by
         #: every view that sees the written object), absorbed on the
@@ -105,7 +101,6 @@ class KnowledgeBase:
         program: OrderedProgram,
         grounding: Optional[GroundingOptions] = None,
         budget: Optional[SearchBudget] = None,
-        maintenance: Optional[MaintenanceConfig] = None,
     ) -> "KnowledgeBase":
         """A mutable knowledge base over an existing ordered program.
 
@@ -113,7 +108,7 @@ class KnowledgeBase:
         the isa hierarchy, verbatim (no implicit ``_defaults`` linking),
         so ``kb.program()`` round-trips to an order-equivalent program.
         """
-        kb = cls(grounding=grounding, budget=budget, maintenance=maintenance)
+        kb = cls(grounding=grounding, budget=budget)
         kb._replace_program(program)
         return kb
 
@@ -127,10 +122,6 @@ class KnowledgeBase:
     @property
     def budget(self) -> SearchBudget:
         return self._budget
-
-    @property
-    def maintenance(self) -> MaintenanceConfig:
-        return self._maintenance
 
     # ------------------------------------------------------------------
     # Mutation
@@ -388,9 +379,6 @@ class KnowledgeBase:
         object stay cached *and* clean."""
         update = self._program.update_facts([(kind, name, r.head) for r in facts])
         self._replace_program(update.program)
-        if not self._maintenance.enabled:
-            self._drop_views_seeing(name)
-            return
         for view in self._seeing_views(name):
             queue = self._pending.setdefault(view, [])
             if len(queue) < MAX_PENDING_UPDATES:
@@ -454,7 +442,6 @@ class KnowledgeBase:
                 name,
                 grounding=self._grounding,
                 budget=self._budget,
-                maintenance=self._maintenance,
             )
             self._semantics_cache[name] = cached
             return cached

@@ -49,6 +49,13 @@ def _symbols_in(terms: Iterable[Term]) -> Iterator[object]:
                 yield sub.functor, sub.arity
 
 
+def _predicate_key(literal: Literal) -> tuple[str, int, str]:
+    """A literal's predicate as a :class:`_FactLedger` symbol (the
+    Herbrand base is built from the predicates); never equal to a
+    function symbol's ``(functor, arity)``."""
+    return (*literal.signature, "predicate")
+
+
 def _bump(counter: dict, key: object, step: int) -> int:
     """Shift one count, dropping the entry at zero; returns the count."""
     count = counter.get(key, 0) + step
@@ -66,8 +73,9 @@ class _FactLedger(NamedTuple):
 
     Attributes:
         copies: told copies of each ground fact.
-        symbols: occurrences of each constant and function symbol over
-            all rules (:func:`_symbols_in`).
+        symbols: occurrences of each constant and function symbol
+            (:func:`_symbols_in`) and of each predicate
+            (:func:`_predicate_key`) over all rules.
         open_heads: heads that may ground to a told fact's instance from
             another source — the ground head of a guard-only rule, or
             ``(positive, signature)`` of a non-ground bodyless rule.
@@ -95,6 +103,9 @@ class _FactLedger(NamedTuple):
         symbols: dict[object, int] = {}
         for symbol in _symbols_in(comp._all_terms()):
             _bump(symbols, symbol, 1)
+        for r in comp.rules:
+            for item in (r.head, *r.body_literals()):
+                _bump(symbols, _predicate_key(item), 1)
         return cls(copies, symbols, frozenset(open_heads))
 
 
@@ -249,8 +260,8 @@ class FactUpdate(NamedTuple):
             a component that holds another possible source of the same
             ground instance (a non-ground fact or guard-only rule with
             that head).
-        dropped: ``(component, symbol)`` for every constant or function
-            symbol whose last occurrence left the component.
+        dropped: ``(component, symbol)`` for every constant, function
+            symbol or predicate whose last occurrence left the component.
     """
 
     program: "OrderedProgram"
@@ -267,9 +278,9 @@ class FactUpdate(NamedTuple):
         and whether the view must be re-grounded from the last
         successor because copy counting cannot tell — a seen change is
         an ``open_head`` one, or a symbol's last occurrence left the
-        view's ``C*`` (its Herbrand universe shrinks, so instances over
-        the symbol are no longer grounded, even if components the view
-        cannot see still mention it).
+        view's ``C*`` (its Herbrand universe or base shrinks, so atoms
+        over the symbol are no longer grounded, even if components the
+        view cannot see still mention it).
         """
         program = updates[-1].program
         visible = program.order.upset(view)
@@ -493,7 +504,7 @@ class OrderedProgram:
                     "fact was never told"
                 )
             copies = _bump(ledger.copies, lit, step)
-            for symbol in _symbols_in(lit.args):
+            for symbol in (*_symbols_in(lit.args), _predicate_key(lit)):
                 if not _bump(ledger.symbols, symbol, step):
                     dropped.append((name, symbol))
             if copies == (kind == ASSERT):

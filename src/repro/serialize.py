@@ -267,14 +267,12 @@ def kb_to_dict(kb: "KnowledgeBase") -> dict[str, Any]:
         "config": {
             "grounding": dataclasses.asdict(kb.grounding),
             "budget": dataclasses.asdict(kb.budget),
-            "maintenance": dataclasses.asdict(kb.maintenance),
         },
     }
 
 
 def kb_from_dict(data: dict[str, Any]) -> "KnowledgeBase":
     """Rebuild a knowledge base from its :func:`kb_to_dict` payload."""
-    from .core.maintenance import MaintenanceConfig
     from .core.solver import SearchBudget
     from .grounding.grounder import GroundingOptions
     from .kb.knowledge_base import KnowledgeBase
@@ -292,19 +290,19 @@ def kb_from_dict(data: dict[str, Any]) -> "KnowledgeBase":
         ]
         order = [(low, high) for low, high in data.get("order", [])]
         grounding_config = dict(config.get("grounding", {}))
-        # Dumps and WAL checkpoints written while relevance grounding
-        # was opt-in carry this knob; either value now means the default.
+        # Dumps and WAL checkpoints written before these knobs were
+        # removed carry them (and a "maintenance" section beside
+        # "grounding"); any value now means today's behaviour.
         grounding_config.pop("domain_pruning", None)
+        grounding_config.pop("full_base", None)
         grounding = GroundingOptions(**grounding_config)
         budget = SearchBudget(**config.get("budget", {}))
-        maintenance = MaintenanceConfig(**config.get("maintenance", {}))
     except (KeyError, TypeError, ValueError) as error:
         raise SerializationError(f"bad knowledge-base payload: {error}") from error
     return KnowledgeBase.from_program(
         OrderedProgram(components, order),
         grounding=grounding,
         budget=budget,
-        maintenance=maintenance,
     )
 
 

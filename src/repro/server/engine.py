@@ -81,9 +81,6 @@ class ServerConfig:
             benchmark baseline).
         default_deadline_ms: deadline applied to requests that do not
             carry their own ``deadline_ms``; None means unbounded.
-        keep_history: record every published snapshot and the batch
-            that produced it (``engine.history``) — the differential
-            harness's oracle input.  Unbounded memory; tests only.
         slow_ms: requests at or above this many milliseconds are
             recorded (request, span tree, engine cost digest) in the
             slow-query ring buffer served by the ``slow`` op.  None
@@ -99,7 +96,6 @@ class ServerConfig:
     max_queue: int = 256
     max_batch: int = 64
     default_deadline_ms: Optional[float] = None
-    keep_history: bool = False
     slow_ms: Optional[float] = None
     slow_log_size: int = 128
     subscriber_queue: int = 256
@@ -231,7 +227,6 @@ class ServerEngine:
         self.wal = wal
         self.started_at = time.monotonic()
         self.shutdown_requested = asyncio.Event()
-        self.history: list[tuple[Snapshot, list[Request]]] = []
         self._version = initial_version
         self._snapshot = Snapshot(initial_version, self.kb.program())
         self._subscribers: list[Subscriber] = []
@@ -261,8 +256,6 @@ class ServerEngine:
         self._slow: deque[dict] = deque(maxlen=self.config.slow_log_size)
         self._slow_total = 0
         self._slow_max_ms = 0.0
-        if self.config.keep_history:
-            self.history.append((self._snapshot, []))
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -889,9 +882,7 @@ class ServerEngine:
         ops = [_op_dict(request) for request in applied]
         for op in ops:
             op["seers"] = sorted(self.kb.seers(op["view"]))
-        snapshot = self._publish_ops(ops, self._version + 1)
-        if self.config.keep_history:
-            self.history.append((snapshot, list(applied)))
+        self._publish_ops(ops, self._version + 1)
 
     def _publish_ops(self, ops: list[dict], version: int) -> Snapshot:
         """Publish one version from already-applied journal-shaped ops.

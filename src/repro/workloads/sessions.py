@@ -23,7 +23,8 @@ shape for the incremental-maintenance engine (docs/maintenance.md):
 * :func:`build_session_kb` / :func:`run_session` — a ready-to-drive
   :class:`~repro.kb.knowledge_base.KnowledgeBase` and the driver used
   by ``benchmarks/bench_incremental_maintenance.py`` to compare the
-  delta path against rebuild-from-scratch.
+  delta path against a cold recompute after each write (the benchmark
+  drops every cached view with ``kb.rewind(kb.program())``).
 
 Every entity constant is pre-declared at the root via ``known`` facts,
 so session tells stay inside the grounded Herbrand base and the delta
@@ -102,18 +103,9 @@ def interactive_session(depth: int = 6, n_entities: int = 8) -> OrderedProgram:
     return session_program(depth, n_entities)
 
 
-def build_session_kb(
-    depth: int, n_entities: int, maintenance: bool = True
-) -> KnowledgeBase:
-    """The same hierarchy as a mutable knowledge base.
-
-    ``maintenance=False`` disables the delta engine so every mutation
-    invalidates and every ask recomputes — the rebuild-from-scratch
-    baseline the benchmark compares against.
-    """
-    from ..core.maintenance import MaintenanceConfig
-
-    kb = KnowledgeBase(maintenance=MaintenanceConfig(enabled=maintenance))
+def build_session_kb(depth: int, n_entities: int) -> KnowledgeBase:
+    """The same hierarchy as a mutable knowledge base."""
+    kb = KnowledgeBase()
     kb.define("root", _root_rules(depth, n_entities))
     below = "root"
     for level in reversed(range(depth)):

@@ -36,6 +36,23 @@ def dense_run(
     return run, Interpretation(data.literals(), sem.ground.base), stage_deltas
 
 
+def record_history(engine):
+    """Record every snapshot ``engine`` publishes with the write batch
+    that produced it, as ``engine.history`` (the differential suites'
+    oracle input), starting with the version it holds now.  Wraps the
+    leader's publish step; returns the engine."""
+    history = [(engine.snapshot, [])]
+    publish = engine._publish
+
+    def recording(applied):
+        publish(applied)
+        history.append((engine.snapshot, list(applied)))
+
+    engine._publish = recording
+    engine.history = history
+    return engine
+
+
 @pytest.fixture
 def figure1_semantics():
     from repro.workloads.paper import figure1

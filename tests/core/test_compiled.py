@@ -80,16 +80,16 @@ class TestAtomTable:
         # The engine's table is the full seed grounding's, built on the
         # first maintained write.
         sem.apply_delta(assertions=[("c1", "ground_animal(pigeon)")])
-        table = sem.ground.atom_table
+        table = sem._maintained._table
         penguin = atom("bird", "penguin")
         before = table.id_of(penguin)
         sem.apply_delta(retractions=[("c2", "bird(penguin)")])
-        # The maintained ground view keeps the same (append-only) table:
-        # no atom is re-interned, no id moves.
-        assert sem.ground.atom_table is table
+        # The engine keeps the same (append-only) table: no atom is
+        # re-interned, no id moves.
+        assert sem._maintained._table is table
         assert table.id_of(penguin) == before
         sem.apply_delta(assertions=[("c2", "bird(penguin)")])
-        assert sem.ground.atom_table is table
+        assert sem._maintained._table is table
         assert table.id_of(penguin) == before
 
 

@@ -12,18 +12,20 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.maintenance import (
-    ASSERT,
-    RETRACT,
-    MaintainedModel,
-    MaintenanceConfig,
-)
+from repro.core import maintenance
+from repro.core.maintenance import ASSERT, RETRACT, MaintainedModel
 from repro.core.semantics import OrderedSemantics
 from repro.grounding.grounder import GroundingOptions
 from repro.lang.errors import SemanticsError
 from repro.lang.parser import parse_literal, parse_program
 from repro.obs import instrumented
 from repro.workloads import paper
+
+
+@pytest.fixture
+def lenient(monkeypatch):
+    """No frontier fallback: the cascade runs however far it spreads."""
+    monkeypatch.setattr(maintenance, "FRONTIER_THRESHOLD", 1.0)
 
 
 def model_of(sem):
@@ -42,23 +44,19 @@ def fresh_model(sem):
 # ----------------------------------------------------------------------
 # Engine-level behaviour
 # ----------------------------------------------------------------------
-def figure1_engine(threshold=1.0):
+def figure1_engine():
     sem = OrderedSemantics(paper.figure1(), "c1", strategy="seminaive")
-    engine = MaintainedModel(
-        sem.evaluator,
-        sem.ground.base,
-        MaintenanceConfig(frontier_threshold=threshold),
-    )
+    engine = MaintainedModel(sem.evaluator, sem.ground.base)
     return sem, engine
 
 
-def test_initial_model_matches_least_model():
+def test_initial_model_matches_least_model(lenient):
     sem, engine = figure1_engine()
     assert engine.interpretation().literals == sem.least_model.literals
     engine.audit()
 
 
-def test_assert_feeds_delta_without_restart():
+def test_assert_feeds_delta_without_restart(lenient):
     sem, engine = figure1_engine()
     lit = parse_literal("ground_animal(pigeon)")
     stats = engine.apply([(ASSERT, "c1", lit)])
@@ -85,12 +83,10 @@ def tweety_program():
     )
 
 
-def test_retraction_unoverrules_the_general_default():
+def test_retraction_unoverrules_the_general_default(lenient):
     # Figure 1 shape: retracting penguin-ness restores the bird defaults.
     sem = OrderedSemantics(tweety_program(), "specific", strategy="seminaive")
-    engine = MaintainedModel(
-        sem.evaluator, sem.ground.base, MaintenanceConfig(frontier_threshold=1.0)
-    )
+    engine = MaintainedModel(sem.evaluator, sem.ground.base)
     assert "-fly(tweety)" in {str(l) for l in engine.interpretation().literals}
     stats = engine.apply([(RETRACT, "specific", parse_literal("penguin_of(tweety)"))])
     assert not stats.full_rebuild
@@ -125,7 +121,7 @@ def test_retraction_undefeats_incomparable_rival():
     engine.audit()
 
 
-def test_engine_holds_one_instance_per_fact():
+def test_engine_holds_one_instance_per_fact(lenient):
     # Told copies are counted by OrderedProgram.update_facts, which only
     # forwards the first copy in and the last copy out; the engine itself
     # keeps a liveness flag, so telling a live fact again is a no-op.
@@ -142,25 +138,24 @@ def test_engine_holds_one_instance_per_fact():
     engine.audit()
 
 
-def test_retract_missing_fact_raises():
+def test_retract_missing_fact_raises(lenient):
     sem, engine = figure1_engine()
     with pytest.raises(SemanticsError, match="no such told fact"):
         engine.apply([(RETRACT, "c1", parse_literal("bird(penguin)"))])
 
 
-def test_frontier_threshold_forces_rebuild_with_identical_model():
+def test_frontier_threshold_forces_rebuild_with_identical_model(monkeypatch):
     # The tweety retraction cascades through more rules than the
     # default 0.5 threshold allows on this tiny program (the cap floors
     # at 4 touched rules), so the strict engine falls back to a full
     # recomputation while the lenient one stays incremental — and both
     # land on the same model.
     sem = OrderedSemantics(tweety_program(), "specific", strategy="seminaive")
-    strict = MaintainedModel(sem.evaluator, sem.ground.base, MaintenanceConfig())
-    lenient = MaintainedModel(
-        sem.evaluator, sem.ground.base, MaintenanceConfig(frontier_threshold=1.0)
-    )
+    strict = MaintainedModel(sem.evaluator, sem.ground.base)
+    lenient = MaintainedModel(sem.evaluator, sem.ground.base)
     op = [(RETRACT, "specific", parse_literal("penguin_of(tweety)"))]
     strict_stats = strict.apply(list(op))
+    monkeypatch.setattr(maintenance, "FRONTIER_THRESHOLD", 1.0)
     lenient_stats = lenient.apply(list(op))
     assert strict_stats.full_rebuild
     assert not lenient_stats.full_rebuild
@@ -169,7 +164,7 @@ def test_frontier_threshold_forces_rebuild_with_identical_model():
     lenient.audit()
 
 
-def test_batched_ops_single_cascade():
+def test_batched_ops_single_cascade(lenient):
     sem, engine = figure1_engine()
     stats = engine.apply(
         [
@@ -232,30 +227,41 @@ def test_apply_delta_retract_never_told_raises_and_preserves_state():
     assert model_of(sem) == before
 
 
-def test_duplicate_copies_absorbed_with_maintenance_disabled():
-    program = parse_program("component only { p(a). q(X) :- p(X). }")
-    sem = OrderedSemantics(program, "only", maintenance=MaintenanceConfig(enabled=False))
+def test_duplicate_copies_are_counted_before_the_engine():
+    # r(a) keeps a in the universe once p(a) goes, so the last
+    # retraction is an engine op rather than a re-grounding.
+    program = parse_program("component only { p(a). q(X) :- p(X). r(a). }")
+    sem = OrderedSemantics(program, "only")
     assert "q(a)" in model_of(sem)
-    stats = sem.apply_delta(assertions=["p(a)"])
-    # Duplicate program copy: the ground program is unchanged, so no
-    # recomputation happens even without the delta engine.
-    assert not stats.full_rebuild
-    stats = sem.apply_delta(retractions=["p(a)"])
-    assert not stats.full_rebuild  # the duplicate absorbs the retract
-    assert "q(a)" in model_of(sem)
-    stats = sem.apply_delta(retractions=["p(a)"])
-    assert stats.full_rebuild  # the delta engine is off
-    assert model_of(sem) == set()
+    with instrumented() as obs:
+        stats = sem.apply_delta(assertions=["p(a)"])
+        # Duplicate program copy: the ground program is unchanged, so
+        # the engine is not even seeded.
+        assert not stats.full_rebuild and sem._maintained is None
+        stats = sem.apply_delta(retractions=["p(a)"])
+        assert not stats.full_rebuild  # the duplicate absorbs the retract
+        assert sem._maintained is None and "q(a)" in model_of(sem)
+        stats = sem.apply_delta(retractions=["p(a)"])
+        counters = obs.snapshot()["counters"]
+    assert not stats.full_rebuild and sem._maintained is not None
+    assert counters["maintain.delta_facts"] == 3
+    assert counters.get("maintain.full_rebuilds", 0) == 0
+    assert model_of(sem) == {"r(a)"} == fresh_model(sem)
 
 
-def test_maintenance_disabled_always_recomputes():
-    sem = OrderedSemantics(
-        paper.figure1(), "c1", maintenance=MaintenanceConfig(enabled=False)
-    )
+def test_a_maintained_view_keeps_only_its_model():
+    sem = OrderedSemantics(paper.figure1(), "c1")
     sem.least_model
     stats = sem.apply_delta(retractions=[("c2", "bird(penguin)")])
-    assert stats.full_rebuild
-    assert model_of(sem) == fresh_model(sem)
+    assert not stats.full_rebuild and sem._maintained is not None
+    # Nothing but the model survives the write; every other property
+    # is the cold view's, grounded from the mutated program.
+    assert set(sem.__dict__) & set(OrderedSemantics._CACHED) == {"least_model"}
+    cold = OrderedSemantics(sem.program, "c1")
+    assert sem.least_model == cold.least_model
+    assert list(sem.ground.rules) == list(cold.ground.rules)
+    assert list(sem.full_ground.rules) == list(cold.full_ground.rules)
+    assert sem.describe() == cold.describe()
 
 
 def test_obs_counters_flow():
@@ -299,7 +305,7 @@ def test_retracting_a_symbols_last_visible_occurrence_regrounds(term, options):
 # ----------------------------------------------------------------------
 # Edges of the dense state: tombstones, pinned reads, late-interned atoms
 # ----------------------------------------------------------------------
-def test_reasserting_a_retracted_fact_revives_its_tombstone():
+def test_reasserting_a_retracted_fact_revives_its_tombstone(lenient):
     sem, engine = figure1_engine()
     initial = engine.interpretation().literals
     op = ("c1", parse_literal("ground_animal(pigeon)"))
@@ -315,11 +321,9 @@ def test_reasserting_a_retracted_fact_revives_its_tombstone():
     engine.audit()
 
 
-def test_interpretation_is_a_snapshot_not_a_view_of_live_state():
+def test_interpretation_is_a_snapshot_not_a_view_of_live_state(lenient):
     sem = OrderedSemantics(tweety_program(), "specific", strategy="seminaive")
-    engine = MaintainedModel(
-        sem.evaluator, sem.ground.base, MaintenanceConfig(frontier_threshold=1.0)
-    )
+    engine = MaintainedModel(sem.evaluator, sem.ground.base)
     expected = sem.least_model.literals
     before = engine.interpretation()  # deliberately not read yet
     engine.apply([(RETRACT, "specific", parse_literal("penguin_of(tweety)"))])

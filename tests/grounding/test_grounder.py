@@ -120,10 +120,20 @@ class TestComponentStar:
         ground = Grounder().ground_component_star(figure1(), "c1")
         assert len(ground.base) == 6
 
-    def test_restricted_base_option(self):
-        options = GroundingOptions(full_base=False)
-        ground = Grounder(options).ground_component_star(figure1(), "c1")
-        assert ground.base == ground.atoms_in_rules()
+    def test_legacy_restricted_base_payload_restores_the_full_base(self):
+        # Dumps written while the base could be restricted to the atoms
+        # the rules mention carry ``full_base``; they restore to today's
+        # options, whose base is always the full Herbrand base.
+        import json
+
+        from repro.kb import KnowledgeBase
+        from repro.serialize import dumps_kb, loads_kb
+
+        payload = json.loads(dumps_kb(KnowledgeBase.from_program(figure1())))
+        payload["config"]["grounding"]["full_base"] = False
+        restored = loads_kb(json.dumps(payload))
+        assert restored.grounding == GroundingOptions()
+        assert len(restored.view("c1").ground.base) == 6
 
 
 class TestCapsAndErrors:

@@ -2,15 +2,13 @@
 config objects (a module-level ``GroundingOptions()`` default would
 leak mutations from one KB into every other), and serialization must
 round-trip *every* engine-config field — a restored KB silently losing
-a tuning knob (e.g. ``GroundingOptions.full_base``) would serve with
-different performance and a different Herbrand base after every
-``--restore``.  A knob that was *removed* must keep loading: dumps and
+a tuning knob (e.g. ``GroundingOptions.max_depth``) would serve with
+a different Herbrand universe after every ``--restore``.  A knob that was *removed* must keep loading: dumps and
 WAL checkpoints written before the removal still carry its key."""
 
 import dataclasses
 import json
 
-from repro.core.maintenance import MaintenanceConfig
 from repro.core.semantics import OrderedSemantics
 from repro.core.solver import SearchBudget
 from repro.grounding.grounder import GroundingOptions
@@ -24,7 +22,6 @@ class TestPerInstanceDefaults:
         a, b = KnowledgeBase(), KnowledgeBase()
         assert a.grounding is not b.grounding
         assert a.budget is not b.budget
-        assert a.maintenance is not b.maintenance
 
     def test_configs_are_frozen(self):
         # Immutability is the second line of defence: even if instances
@@ -37,7 +34,6 @@ class TestPerInstanceDefaults:
         for config, field in [
             (kb.grounding, "instance_cap"),
             (kb.budget, "max_visited"),
-            (kb.maintenance, "enabled"),
         ]:
             try:
                 setattr(config, field, getattr(config, field))
@@ -46,7 +42,6 @@ class TestPerInstanceDefaults:
             raise AssertionError(f"{type(config).__name__} is mutable")
         assert kb.grounding == GroundingOptions()
         assert kb.budget == SearchBudget()
-        assert kb.maintenance == MaintenanceConfig()
 
     def test_explicit_configs_still_honoured(self):
         grounding = GroundingOptions(instance_cap=99)
@@ -70,10 +65,8 @@ class TestConfigRoundTrip:
             grounding=GroundingOptions(
                 max_depth=7,
                 instance_cap=12345,
-                full_base=False,
             ),
             budget=SearchBudget(max_leaves=11, max_visited=222),
-            maintenance=MaintenanceConfig(enabled=False, frontier_threshold=9),
         )
         kb.define("bird", "flies(X) <- bird(X). bird(tweety).")
         kb.define("penguin", "-flies(X) <- penguin(X).", isa=["bird"])
@@ -84,7 +77,7 @@ class TestConfigRoundTrip:
         restored = loads_kb(dumps_kb(kb))
         # Field-by-field so a *new* config knob that is forgotten by
         # kb_to_dict fails here by name, not as an opaque inequality.
-        for attr in ("grounding", "budget", "maintenance"):
+        for attr in ("grounding", "budget"):
             original, recovered = getattr(kb, attr), getattr(restored, attr)
             for field in dataclasses.fields(original):
                 assert getattr(recovered, field.name) == getattr(
@@ -93,18 +86,28 @@ class TestConfigRoundTrip:
             assert recovered == original
 
     def test_legacy_domain_pruning_key_is_ignored(self):
-        # Written by a build where relevance grounding was an opt-in
-        # GroundingOptions field: both values restore to today's options
-        # (format version unchanged) instead of "bad knowledge-base
-        # payload".
+        # Written by builds where relevance grounding was an opt-in
+        # GroundingOptions field, the Herbrand base could be restricted
+        # (full_base) and a maintenance section could switch the delta
+        # engine off: every value restores to today's options (format
+        # version unchanged) instead of "bad knowledge-base payload".
         kb = self._non_default_kb()
+        kb.tell("penguin", "penguin(tweety).")
         for domain_pruning in (False, True):
             payload = json.loads(dumps_kb(kb))
             payload["config"]["grounding"]["domain_pruning"] = domain_pruning
+            payload["config"]["grounding"]["full_base"] = False
+            payload["config"]["maintenance"] = {
+                "enabled": False,
+                "frontier_threshold": 9,
+            }
             restored = loads_kb(json.dumps(payload))
             assert restored.grounding == kb.grounding
             assert kb_signature(restored) == kb_signature(kb)
             assert restored.ask("bird", "flies(tweety)")
+            for view in ("bird", "penguin"):
+                assert restored.least_model(view) == kb.least_model(view)
+            assert restored.ask("penguin", "-flies(tweety)")
 
     def test_signature_is_stable_across_round_trip(self):
         kb = self._non_default_kb()
@@ -114,6 +117,6 @@ class TestConfigRoundTrip:
     def test_signature_sees_config_changes(self):
         base = KnowledgeBase()
         tuned = KnowledgeBase(
-            grounding=GroundingOptions(full_base=False)
+            grounding=GroundingOptions(instance_cap=99)
         )
         assert kb_signature(base) != kb_signature(tuned)

@@ -41,7 +41,6 @@ import random
 import pytest
 
 from repro.core.interpretation import Interpretation
-from repro.core.maintenance import MaintenanceConfig
 from repro.core.semantics import OrderedSemantics
 from repro.grounding.grounder import GroundingOptions
 from repro.grounding.substitution import match_atom
@@ -485,12 +484,7 @@ def test_reads_on_a_warm_maintained_view_equal_cold_evaluation():
         getattr(kb, kind)(obj, payload)
         writes += 1
         for view in views:
-            cold = OrderedSemantics(
-                kb.program(),
-                view,
-                strategy="naive",
-                maintenance=MaintenanceConfig(enabled=False),
-            ).least_model
+            cold = OrderedSemantics(kb.program(), view, strategy="naive").least_model
             for pattern in goals:
                 expected = scan_answers_in(cold, goal(pattern))
                 assert kb.query(view, pattern) == expected, (writes, view, pattern)

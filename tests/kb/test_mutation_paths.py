@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.maintenance import MaintenanceConfig
 from repro.kb import KnowledgeBase
 from repro.lang.errors import SemanticsError
 from repro.obs import instrumented
@@ -157,14 +156,18 @@ def test_fact_deltas_flow_through_engine_not_rebuilds():
     assert counters.get("maintain.rules_reevaluated", 0) >= 1
 
 
-def test_maintenance_disabled_falls_back_to_drops():
-    kb = bird_kb(maintenance=MaintenanceConfig(enabled=False))
+def test_rewind_to_the_held_value_reads_cold():
+    # The maintenance benchmarks' cold baseline: rewinding to the value
+    # just written drops every cached view, and the next read evaluates
+    # that value from scratch instead of repairing a model.
+    kb = bird_kb()
+    kb.ask("penguin", "fly(robin)")
     penguin_view = kb.view("penguin")
-    reptile_view = kb.view("reptile")
     kb.tell("bird", "bird_of(robin).")
+    kb.rewind(kb.program())
     assert kb.ask("penguin", "fly(robin)")
     assert kb.view("penguin") is not penguin_view  # dropped, not repaired
-    assert kb.view("reptile") is reptile_view  # still untouched
+    assert kb.view("penguin")._maintained is None
 
 
 def test_pending_deltas_flush_in_one_batch_on_next_read():

@@ -77,7 +77,8 @@ def test_maintained_view_derivations_are_well_founded_and_genuine(program, data)
     # A knowledge-base view read after a short random tell/retract
     # trace: its least model comes out of the delta engine, and the
     # explainer must still give well-founded trees whose support rules
-    # are applied and unthreatened in that model.
+    # are applied and unthreatened in that model — and say exactly what
+    # it says on a cold view of the same program value.
     names = sorted(program.component_names)
     kb = KnowledgeBase.from_program(program)
     view = data.draw(st.sampled_from(names))
@@ -117,3 +118,10 @@ def test_maintained_view_derivations_are_well_founded_and_genuine(program, data)
             for premise in node.premises:
                 assert premise.stage < node.stage
                 stack.append(premise)
+    cold = OrderedSemantics(sem.program, view)
+    cold_explainer = Explainer(cold)
+    for atom in sorted(sem.ground.base, key=str):
+        for literal in (Literal(atom, True), Literal(atom, False)):
+            assert explainer.explain(literal) == cold_explainer.explain(literal)
+    assert [str(r) for r in sem.statuses()] == [str(r) for r in cold.statuses()]
+    assert sem.describe() == cold.describe()

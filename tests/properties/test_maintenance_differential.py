@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import os
 import random
+from collections import Counter
 
 import pytest
 
-from repro.core.maintenance import MaintenanceConfig
+from repro.core import maintenance
 from repro.core.semantics import OrderedSemantics
 from repro.lang.errors import InconsistencyError, SemanticsError
 from repro.lang.literals import Literal
@@ -114,7 +115,7 @@ def test_retract_reassert_every_told_fact(program):
 # ----------------------------------------------------------------------
 # Random mutation traces
 # ----------------------------------------------------------------------
-def run_random_trace(rng, trial):
+def run_random_trace(rng, trial, monkeypatch):
     program = random_ordered_program(
         rng,
         n_atoms=rng.randint(2, 6),
@@ -128,13 +129,10 @@ def run_random_trace(rng, trial):
     view = sorted(program.component_names)[0]
     # Exercise the frontier fallback too: a third of the traces run
     # with a tiny threshold so the cascade cap regularly trips.
-    sem = OrderedSemantics(
-        program,
-        view,
-        maintenance=MaintenanceConfig(
-            frontier_threshold=rng.choice([1.0, 0.5, 0.0])
-        ),
+    monkeypatch.setattr(
+        maintenance, "FRONTIER_THRESHOLD", rng.choice([1.0, 0.5, 0.0])
     )
+    sem = OrderedSemantics(program, view)
     try:
         sem.least_model
     except InconsistencyError:
@@ -185,11 +183,11 @@ def run_random_trace(rng, trial):
     return checked
 
 
-def test_random_mutation_traces_agree():
+def test_random_mutation_traces_agree(monkeypatch):
     rng = random.Random(0x5EED)
     checked = 0
     for trial in range(MAINTENANCE_TRACES):
-        checked += run_random_trace(rng, trial)
+        checked += run_random_trace(rng, trial, monkeypatch)
     # Most traces survive several steps; make sure the sweep actually
     # exercised the engine rather than skipping everything.
     assert checked >= MAINTENANCE_TRACES * 2
@@ -241,10 +239,16 @@ def test_invisible_objects_do_not_pin_a_views_universe():
 def test_session_delta_and_rebuild_answer_identically():
     depth, entities, n_ops = 4, 6, 60
     ops = sessions.session_ops(depth, entities, n_ops)
-    delta_kb = sessions.build_session_kb(depth, entities, maintenance=True)
-    rebuild_kb = sessions.build_session_kb(depth, entities, maintenance=False)
+    delta_kb = sessions.build_session_kb(depth, entities)
+    rebuild_kb = sessions.build_session_kb(depth, entities)
     delta_counts = sessions.run_session(delta_kb, ops)
-    rebuild_counts = sessions.run_session(rebuild_kb, ops)
+    # The rebuild baseline: every cached view is dropped after each
+    # write, so every ask recomputes the current program cold.
+    rebuild_counts = Counter()
+    for op in ops:
+        rebuild_counts.update(sessions.run_session(rebuild_kb, [op]))
+        if op[0] != "ask":
+            rebuild_kb.rewind(rebuild_kb.program())
     assert delta_counts == rebuild_counts
     # The maintained views also answer per-literal identically at the end.
     for level in ("level0", f"level{depth - 1}", "root"):

@@ -30,6 +30,8 @@ from repro.server import QueryServer, ServerConfig, ServerEngine
 from repro.server.replica import FollowerEngine, tail_leader
 from repro.workloads.clients import build_server_kb, client_traces, replay_traces
 
+from ..conftest import record_history
+
 TRACES = int(os.environ.get("REPLICATION_TRACES", "2"))
 DEPTH = 3
 ENTITIES = 5
@@ -119,9 +121,11 @@ def run_trace(seed: int) -> None:
     filter_views = ("level0",)
 
     async def scenario():
-        leader_engine = ServerEngine(
-            build_server_kb(DEPTH, ENTITIES),
-            ServerConfig(keep_history=True, max_batch=rng.choice([1, 4, 16])),
+        leader_engine = record_history(
+            ServerEngine(
+                build_server_kb(DEPTH, ENTITIES),
+                ServerConfig(max_batch=rng.choice([1, 4, 16])),
+            )
         )
         full = FollowerEngine()
         filtered = FollowerEngine(views=filter_views)

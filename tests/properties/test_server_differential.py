@@ -29,6 +29,8 @@ from repro.serialize import interpretation_to_dict
 from repro.server import ServerConfig, ServerEngine
 from repro.workloads.clients import build_server_kb, client_traces, replay_traces
 
+from ..conftest import record_history
+
 TRACES = int(os.environ.get("SERVER_TRACES", "25"))
 #: Upper bounds of the per-seed randomized scale; the nightly soak
 #: raises both to stress bigger batches and longer interleavings.
@@ -77,10 +79,10 @@ def run_trace(seed: int) -> None:
         ops_per_client=ops,
         seed=seed,
     )
-    config = ServerConfig(max_batch=max_batch, keep_history=True)
+    config = ServerConfig(max_batch=max_batch)
 
     async def scenario():
-        engine = ServerEngine(build_server_kb(DEPTH, ENTITIES), config)
+        engine = record_history(ServerEngine(build_server_kb(DEPTH, ENTITIES), config))
         async with engine:
             results = await replay_traces(
                 engine, traces, seed=seed, yield_probability=rng.random()
@@ -158,9 +160,8 @@ def test_single_trace_is_deterministic():
         )
 
         async def scenario():
-            engine = ServerEngine(
-                build_server_kb(DEPTH, ENTITIES),
-                ServerConfig(max_batch=8, keep_history=True),
+            engine = record_history(
+                ServerEngine(build_server_kb(DEPTH, ENTITIES), ServerConfig(max_batch=8))
             )
             async with engine:
                 await replay_traces(engine, traces, seed=seed)

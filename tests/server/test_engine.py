@@ -14,6 +14,8 @@ from repro.serialize import kb_signature
 from repro.server import protocol
 from repro.server.wal import Wal, read_journal
 
+from ..conftest import record_history
+
 
 def run(coro):
     return asyncio.run(coro)
@@ -106,8 +108,8 @@ def test_define_creates_view_and_semantics_error_reply():
 
 def test_batch_coalescing_publishes_once():
     async def scenario():
-        config = ServerConfig(max_batch=16, keep_history=True)
-        async with ServerEngine(make_kb(), config) as engine:
+        config = ServerConfig(max_batch=16)
+        async with record_history(ServerEngine(make_kb(), config)) as engine:
             writes = [
                 engine.handle(
                     req(id=i, op="tell", view="penguin", rules=f"penguin_of(p{i}).")
@@ -487,7 +489,6 @@ def test_every_published_version_stays_what_it_was_when_published():
     without its own flags, has drifted by then."""
     import random
 
-    from repro.core.maintenance import MaintenanceConfig
     from repro.core.semantics import OrderedSemantics
     from repro.kb.query import answers_in
     from repro.server import FollowerEngine
@@ -540,10 +541,7 @@ def test_every_published_version_stays_what_it_was_when_published():
     def naive(version, program, view):
         if (version, view) not in oracle:
             oracle[version, view] = OrderedSemantics(
-                program,
-                view,
-                strategy="naive",
-                maintenance=MaintenanceConfig(enabled=False),
+                program, view, strategy="naive"
             ).least_model
         return oracle[version, view]
 
@@ -621,3 +619,57 @@ def test_publishing_builds_no_literal_whatever_the_size_of_the_model(
 
     run(scenario())
     assert calls == {"decode": 0, "update_facts": n_writes}
+
+
+def test_the_serve_path_grounds_each_view_once_for_its_seed():
+    """A warm session deployment serves a seeded query/ask/tell/retract
+    mix without grounding anything but the one seed grounding each
+    view's first write performs: a maintained view keeps its model, and
+    nothing on the serve path reads the grounding a cold view would
+    recompute."""
+    import random
+
+    from repro.workloads import session_program
+
+    depth, entities, n_requests = 8, 64, 240
+    views = ["root"] + [f"level{i}" for i in range(depth)]
+    rng = random.Random(0x5EED)
+
+    async def scenario():
+        kb = KnowledgeBase.from_program(session_program(depth, entities))
+        async with ServerEngine(kb) as engine:
+            for i, view in enumerate(views):
+                warm = await engine.handle(req(id=i, op="query", view=view, pattern="ok(X)"))
+                assert warm["ok"]
+            told = []
+            with instrumented() as obs:
+                for i in range(n_requests):
+                    roll = rng.random()
+                    entity = f"e{rng.randrange(entities)}"
+                    if roll < 0.3:
+                        level = rng.randrange(depth)
+                        kind = rng.choice(["enrolled", "sus"])
+                        view, rules = f"level{level}", f"{kind}_{level}({entity})."
+                        told.append((view, rules))
+                        request = req(id=i, op="tell", view=view, rules=rules)
+                    elif roll < 0.45 and told:
+                        view, rules = told.pop(rng.randrange(len(told)))
+                        request = req(id=i, op="retract", view=view, rules=rules)
+                    else:
+                        op = rng.choice(["query", "ask"])
+                        pattern = rng.choice(["member(X)", "-flagged(X)", f"ok({entity})"])
+                        request = req(id=i, op=op, view=rng.choice(views), pattern=pattern)
+                    reply = await engine.handle(request)
+                    assert reply["ok"], reply
+                spans = obs.snapshot()["spans"]
+            grounds = sum(
+                stats["count"]
+                for path, stats in spans.items()
+                if path == "ground" or path.endswith(".ground")
+            )
+            maintained = [v for v in views if engine.kb.view(v)._maintained is not None]
+            return grounds, maintained
+
+    grounds, maintained = run(scenario())
+    assert maintained == views[1:]  # no write reaches the root's view
+    assert grounds == len(maintained)

@@ -57,7 +57,7 @@ class Client:
 
 def test_scripted_session_and_graceful_shutdown():
     async def scenario():
-        engine = ServerEngine(make_kb(), ServerConfig(keep_history=True))
+        engine = ServerEngine(make_kb(), ServerConfig())
         async with QueryServer(engine, port=0) as server:
             client = await Client.connect(server.port)
             health = await client.call(id=1, op="health")

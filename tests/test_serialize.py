@@ -117,7 +117,6 @@ class TestLiteralAndInterpretation:
 
 class TestKnowledgeBaseRoundTrip:
     def _kb(self):
-        from repro.core.maintenance import MaintenanceConfig
         from repro.core.solver import SearchBudget
         from repro.grounding.grounder import GroundingOptions
         from repro.kb.knowledge_base import KnowledgeBase
@@ -125,7 +124,6 @@ class TestKnowledgeBaseRoundTrip:
         kb = KnowledgeBase(
             grounding=GroundingOptions(instance_cap=12345),
             budget=SearchBudget(max_visited=777),
-            maintenance=MaintenanceConfig(enabled=False),
         )
         kb.define("bird", "fly(X) :- bird_of(X).\nbird_of(tweety).")
         kb.define(
@@ -144,7 +142,6 @@ class TestKnowledgeBaseRoundTrip:
         assert restored.program() == kb.program()
         assert restored.grounding.instance_cap == 12345
         assert restored.budget.max_visited == 777
-        assert restored.maintenance.enabled is False
         # Restored instance answers identically.
         assert restored.view("penguin").holds("-fly(opus)")
         assert restored.view("bird").holds("fly(tweety)")
