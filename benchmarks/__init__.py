@@ -1,6 +1,6 @@
-"""Benchmark suite: one module per experiment of DESIGN.md's index.
+"""The benchmark package: ``benchmarks/e2e``, the end-to-end and
+per-layer harness that ``BENCHMARK.json`` declares.
 
-Run with ``pytest benchmarks/ --benchmark-only``.  Every benchmark also
-asserts the paper's qualitative shape, so the suite doubles as an
-end-to-end reproduction run.
+Clocks live only there.  The paper's shapes and the engine's work
+counts are asserted by the tier-1 tests under ``tests/``.
 """

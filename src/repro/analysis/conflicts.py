@@ -10,8 +10,7 @@ order exactly as Definition 2 does:
   or incomparable.
 
 The conflict graph explains a program's non-monotone structure before
-any interpretation is chosen; the CLI's ``explain`` output and the
-hierarchy benchmarks use it.
+any interpretation is chosen; the CLI's ``explain`` output uses it.
 """
 
 from __future__ import annotations

@@ -118,7 +118,7 @@ def release_chain(depth: int) -> OrderedProgram:
     Naive iteration rescans all ``3·depth + 1`` ground rules at each of
     those stages (``O(depth²)`` work); the semi-naive engine touches
     each watch list O(1) times (``O(depth)``), which is what
-    ``benchmarks/bench_fixpoint_scaling.py`` measures.
+    ``tests/core/test_transform.py::TestDenseKernelWork`` counts.
     """
     if depth < 1:
         raise ValueError("depth must be positive")

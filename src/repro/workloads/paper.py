@@ -3,8 +3,8 @@
 Figures 1–3 and the programs of Examples 2–9 are encoded exactly as
 printed (Section 2's ``P1 .. P5``, Section 3's Examples 6–7, Section 4's
 Examples 8–9).  The integration tests in ``tests/paper`` assert the
-outcomes the paper states for each of them, and the figure benchmarks
-regenerate them at scale.
+outcomes the paper states for each of them, at the printed size and at
+scale.
 """
 
 from __future__ import annotations
@@ -246,7 +246,7 @@ def example9_colored(
 
 
 # ----------------------------------------------------------------------
-# Scaled variants for the figure benchmarks
+# Scaled variants of the figures
 # ----------------------------------------------------------------------
 
 def scaled_figure1(n_birds: int, n_penguins: int) -> OrderedProgram:

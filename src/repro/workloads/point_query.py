@@ -11,7 +11,7 @@ speedup grows linearly with ``n_trees``.  A deep chain would *not*
 show this: transitive closure from a chain node is inherently
 quadratic in the suffix, whichever strategy runs it.
 
-``forest_program`` builds the in-memory program (benchmarks);
+``forest_program`` builds the in-memory program;
 ``load_forest_edb`` bulk-loads the same facts into a disk-backed
 :class:`~repro.db.edb.EdbStore` and returns the rules-only program
 (the ``olp serve --edb`` / 10M-fact path).

@@ -21,10 +21,10 @@ shape for the incremental-maintenance engine (docs/maintenance.md):
 * :func:`session_ops` — a deterministic, seeded stream of
   tell/ask/retract operations against the bottom view.
 * :func:`build_session_kb` / :func:`run_session` — a ready-to-drive
-  :class:`~repro.kb.knowledge_base.KnowledgeBase` and the driver used
-  by ``benchmarks/bench_incremental_maintenance.py`` to compare the
-  delta path against a cold recompute after each write (the benchmark
-  drops every cached view with ``kb.rewind(kb.program())``).
+  :class:`~repro.kb.knowledge_base.KnowledgeBase` and the driver
+  ``tests/core/test_maintenance.py`` uses to count the delta path's
+  work against a cold recompute after each write (the test drops
+  every cached view with ``kb.rewind(kb.program())``).
 
 Every entity constant is pre-declared at the root via ``known`` facts,
 so session tells stay inside the grounded Herbrand base and the delta
@@ -150,8 +150,8 @@ def session_ops(
 
 def run_session(kb: KnowledgeBase, ops: Sequence[SessionOp]) -> dict[str, int]:
     """Drive a knowledge base through a session; returns op counts plus
-    the number of positive answers (a cheap checksum the benchmark uses
-    to assert delta and rebuild modes agree)."""
+    the number of positive answers (a cheap checksum that delta and
+    rebuild modes agree)."""
     counts = {"tell": 0, "retract": 0, "ask": 0, "yes": 0}
     for kind, obj, payload in ops:
         if kind == "tell":

@@ -1,5 +1,8 @@
 """Unit tests for the well-founded semantics (alternating fixpoint)."""
 
+import pytest
+
+from repro.classical.stable import is_gl_stable
 from repro.classical.wellfounded import well_founded
 from repro.grounding.grounder import Grounder
 from repro.lang.literals import Atom
@@ -67,6 +70,15 @@ class TestWinMove:
         wf = well_founded(g.rules, g.base)
         undefined = {str(a) for a in wf.undefined_atoms if a.predicate == "win"}
         assert undefined == {"win(m0)", "win(m1)"}
+
+    @pytest.mark.parametrize("chain", [8, 16, 32])
+    def test_half_the_chain_wins_and_the_model_is_stable(self, chain):
+        g = Grounder().ground_rules(win_move(chain))
+        wf = well_founded(g.rules, g.base)
+        assert wf.is_total
+        assert sum(1 for a in wf.true_atoms if a.predicate == "win") == chain // 2
+        # A total well-founded model is the unique GL stable model.
+        assert is_gl_stable(g.rules, wf.true_atoms)
 
 
 class TestRelationToStable:

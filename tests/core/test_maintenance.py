@@ -18,8 +18,8 @@ from repro.core.semantics import OrderedSemantics
 from repro.grounding.grounder import GroundingOptions
 from repro.lang.errors import SemanticsError
 from repro.lang.parser import parse_literal, parse_program
-from repro.obs import instrumented
-from repro.workloads import paper
+from repro.obs import instrumented, trace
+from repro.workloads import build_session_kb, paper, run_session, session_ops
 
 
 @pytest.fixture
@@ -371,3 +371,32 @@ def test_told_atom_outside_the_compiled_table_stays_on_the_delta_path():
         assert model_of(sem) == fresh_model(sem)
         sem._maintained.audit()
     assert sem.ground.atom_table.literal_id(outside) >= n_literals
+
+
+# ----------------------------------------------------------------------
+# What maintenance saves, in counts
+# ----------------------------------------------------------------------
+def session_work(rebuild_after_writes: bool):
+    """Drive the ``interactive_session`` stream through a knowledge
+    base; with ``rebuild_after_writes`` every write drops the cached
+    views (``kb.rewind``), so each later ask recomputes from ∅.
+    Returns the positive-answer count and the stream's cost digest."""
+    depth, entities, n_ops = 4, 8, 40
+    kb = build_session_kb(depth, entities)
+    kb.ask("level0", "member(e0)")  # the bottom view is hot
+    yes = 0
+    with trace("session") as ctx:
+        for op in session_ops(depth, entities, n_ops):
+            yes += run_session(kb, [op])["yes"]
+            if rebuild_after_writes and op[0] != "ask":
+                kb.rewind(kb.program())
+    return yes, ctx.costs
+
+
+def test_maintained_session_does_a_fifth_of_the_work_of_rebuilding():
+    yes, delta = session_work(rebuild_after_writes=False)
+    same, rebuilt = session_work(rebuild_after_writes=True)
+    assert yes == same
+    work = delta.get("rules_reevaluated", 0) + delta.get("rules_touched", 0)
+    assert 5 * work <= rebuilt["rules_touched"], (delta, rebuilt)
+    assert delta["full_rebuilds"] == 0 and delta["delta_facts"] > 0

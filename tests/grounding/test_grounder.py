@@ -7,6 +7,7 @@ from repro.grounding.grounder import Grounder, GroundingOptions, GroundRule
 from repro.lang.errors import GroundingError
 from repro.lang.literals import neg, pos
 from repro.lang.parser import parse_rules
+from repro.obs import trace
 from repro.workloads.paper import figure1, figure3
 
 
@@ -66,6 +67,16 @@ class TestGuards:
         # Universe is {12, 5, 11}; only X=12 satisfies X > 11.
         assert len(t_rules) == 1
         assert t_rules[0].body == frozenset({pos("p", 12)})
+
+    @pytest.mark.parametrize("n", [10, 20, 40])
+    def test_guard_drops_pairs_during_enumeration(self, n):
+        # Only X > Y survives; every X <= Y pair is dropped while the
+        # join enumerates, never materialised.
+        source = "".join(f"v({i}). " for i in range(n)) + "gt(X, Y) :- v(X), v(Y), X > Y."
+        with trace("ground") as ctx:
+            ground = Grounder().ground_rules(parse_rules(source))
+        assert len(ground.rules) == n + n * (n - 1) // 2
+        assert ctx.costs["ground_guard_pruned"] == n * (n + 1) // 2
 
     def test_guards_removed_from_ground_body(self):
         ground = Grounder().ground_rules(parse_rules("t :- p(X), X > 11. p(12)."))

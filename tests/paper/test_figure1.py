@@ -68,7 +68,10 @@ class TestPaperClaims:
 
 
 class TestScaled:
-    @pytest.mark.parametrize("n_birds,n_penguins", [(4, 1), (8, 3), (12, 6)])
+    @pytest.mark.parametrize(
+        "n_birds,n_penguins",
+        [(4, 1), (8, 3), (12, 6), (5, 2), (10, 4), (20, 8), (40, 16)],
+    )
     def test_exactly_non_penguins_fly(self, n_birds, n_penguins):
         sem = OrderedSemantics(scaled_figure1(n_birds, n_penguins), "c1")
         for i in range(n_birds):
@@ -76,6 +79,7 @@ class TestScaled:
                 assert sem.holds(f"-fly(b{i})")
             else:
                 assert sem.holds(f"fly(b{i})")
+        assert sem.least_model.is_total
 
     def test_least_model_total_at_scale(self):
         sem = OrderedSemantics(scaled_figure1(10, 4), "c1")

@@ -25,6 +25,7 @@ def c1():
 
 class TestPaperClaims:
     def test_everything_defeated(self, c1):
+        assert len(c1.least_model) == 0
         assert c1.undefined("rich(mimmo)")
         assert c1.undefined("poor(mimmo)")
         assert c1.undefined("free_ticket(mimmo)")
@@ -73,12 +74,16 @@ class TestPaperClaims:
 
 
 class TestScaled:
-    @pytest.mark.parametrize("n_people,n_contested", [(5, 2), (10, 4)])
+    @pytest.mark.parametrize(
+        "n_people,n_contested",
+        [(5, 2), (10, 4), (6, 2), (12, 4), (24, 8), (48, 16)],
+    )
     def test_only_uncontested_get_tickets(self, n_people, n_contested):
         sem = OrderedSemantics(scaled_figure2(n_people, n_contested), "c1")
         for i in range(n_people):
             if i < n_contested:
                 assert sem.undefined(f"free_ticket(p{i})")
+                assert sem.undefined(f"rich(p{i})")
                 assert sem.undefined(f"poor(p{i})")
             else:
                 assert sem.holds(f"free_ticket(p{i})")

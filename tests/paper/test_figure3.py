@@ -11,6 +11,7 @@ scenarios walked through in the introduction:
    by the rule of Expert3 ... take_loan is inferred at myself level".
 """
 
+import pytest
 
 from repro.core.interpretation import TruthValue
 from repro.core.semantics import OrderedSemantics
@@ -99,27 +100,32 @@ class TestStatuses:
         assert all(ev.defeated(r, model) for r in applicable_conflicting)
 
 
+def expected_take_loan(inflation: int, rate: int) -> TruthValue:
+    """The formal Definition-2 semantics (see
+    test_neg_take_loan_is_never_derivable): take_loan is TRUE when
+    Expert3 fires, or when Expert2 fires with no constant above 14 in
+    the universe (which would create a non-blocked defeating Expert4
+    instance); -take_loan is never derivable; everything else is
+    undefined."""
+    expert3 = inflation > rate + 2
+    expert2_undefeated = inflation > 11 and inflation <= 14 and rate <= 14
+    return TruthValue.TRUE if expert3 or expert2_undefeated else TruthValue.UNDEFINED
+
+
+def assert_surface(inflations, rates):
+    scenarios = {f"i{i}_r{r}": (i, r) for i in inflations for r in rates}
+    programs = scaled_figure3(scenarios)
+    for name, (inflation, rate) in scenarios.items():
+        value = OrderedSemantics(programs[name], "c1").value("take_loan")
+        assert value is expected_take_loan(inflation, rate), (name, value)
+
+
 class TestScaledSweep:
     def test_decision_surface(self):
-        scenarios = {
-            f"i{i}_r{r}": (i, r)
-            for i in (10, 12, 15, 19, 25)
-            for r in (10, 14, 16, 20)
-        }
-        programs = scaled_figure3(scenarios)
-        for name, (inflation, rate) in scenarios.items():
-            sem = OrderedSemantics(programs[name], "c1")
-            value = sem.value("take_loan")
-            # The formal Definition-2 semantics (see
-            # test_neg_take_loan_is_never_derivable): take_loan is TRUE
-            # when Expert3 fires, or when Expert2 fires with no
-            # constant above 14 in the universe (which would create a
-            # non-blocked defeating Expert4 instance); -take_loan is
-            # never derivable; everything else is undefined.
-            expert3 = inflation > rate + 2
-            expert2_undefeated = inflation > 11 and inflation <= 14 and rate <= 14
-            if expert3 or expert2_undefeated:
-                expected = TruthValue.TRUE
-            else:
-                expected = TruthValue.UNDEFINED
-            assert value is expected, (name, value, expected)
+        assert_surface((10, 12, 15, 19, 25), (10, 14, 16, 20))
+
+    @pytest.mark.parametrize("grid", [3, 5, 7])
+    def test_decision_surface_grid(self, grid):
+        # Inflation and loan rate both sweep 10, 12, ..., 10 + 2(grid-1).
+        steps = [10 + 2 * i for i in range(grid)]
+        assert_surface(steps, steps)

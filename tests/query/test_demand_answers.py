@@ -8,12 +8,14 @@ from repro.lang.parser import parse_rules
 from repro.lang.program import OrderedProgram
 from repro.lang.literals import Atom
 from repro.lang.terms import Constant
+from repro.obs import trace
 from repro.query import (
     MemoryFactSource,
     UnionFactSource,
     demand_answers,
     demand_ineligibility,
 )
+from repro.workloads import forest_program
 
 
 def program(text: str) -> OrderedProgram:
@@ -157,3 +159,34 @@ class TestSources:
         assert list(union.fetch("edge", [None, None])) == [row]
         assert union.count("edge") == 2  # upper bound, not exact
         assert union.arity("edge") == 2
+
+
+class TestDemandWork:
+    """A point query's demand run does work proportional to the one
+    tree it touches; materializing the view grounds the whole forest."""
+
+    DEPTH = 3
+    GOAL = "ancestor(n0_0, X)"
+
+    def costs(self, route, n_trees):
+        forest = forest_program(n_trees, depth=self.DEPTH)
+        with trace("point query") as ctx:
+            if route == "demand":
+                result = demand_answers(forest, "main", self.GOAL)
+                assert result.used, result.reason
+                # The demand route neither grounds nor runs V.
+                spans = {span.name for span in ctx.root.children}
+                assert "query.demand" in spans and not spans & {"ground", "fixpoint"}
+                answers = result.answers
+            else:
+                answers = answers_in(OrderedSemantics(forest, "main").least_model, self.GOAL)
+        # Every proper descendant of the root.
+        assert len(answers) == 2**self.DEPTH - 2
+        return ctx.costs
+
+    def test_demand_work_does_not_grow_with_the_forest(self):
+        demand = [self.costs("demand", n) for n in (2, 8, 32)]
+        assert demand[0] == demand[1] == demand[2]
+        assert demand[0]["demand_fetched"] > 0
+        grounded = [self.costs("materialize", n)["ground_substitutions_tried"] for n in (2, 8)]
+        assert grounded[1] >= 4 * grounded[0]

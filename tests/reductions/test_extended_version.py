@@ -34,7 +34,12 @@ class TestProposition5Anchors:
         assert not sem.assumptions.is_assumption_free(m)
 
     def test_stable_models_agree_between_ov_and_ev(self):
-        for source in ("a :- -b. b :- -a.", "p :- -p.", "a. b :- a, -c."):
+        for source in (
+            "a :- -b. b :- -a.",
+            "p :- -p.",
+            "a. b :- a, -c.",
+            "move(m0, m1). move(m1, m0). win(X) :- move(X, Y), -win(Y).",
+        ):
             rules = parse_rules(source)
             ov_stable = {
                 m.literals for m in ordered_version(rules).semantics().stable_models()

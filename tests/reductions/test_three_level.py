@@ -1,5 +1,7 @@
 """Unit tests for 3V(C) — Section 4's exception semantics."""
 
+import pytest
+
 from repro.lang.parser import parse_rules
 from repro.reductions.three_level import three_level_version
 from repro.workloads.paper import example8_birds, example9_colored
@@ -61,6 +63,20 @@ class TestExample9:
         for m in models:
             colored = [l for l in m if l.positive and l.predicate == "colored"]
             assert len(colored) == 1
+
+    @pytest.mark.parametrize("n_colors", [2, 3, 4])
+    def test_one_stable_model_per_colour_left_uncoloured(self, n_colors):
+        # Any uncoloured colour is a witness forcing every other colour
+        # to be coloured: one stable model per colour, each leaving
+        # exactly that one uncoloured (the paper's "select exactly one"
+        # gloss only for n = 2).
+        colors = tuple(f"c{i}" for i in range(n_colors))
+        sem = three_level_version(example9_colored(colors=colors, ugly=())).semantics()
+        models = sem.stable_models()
+        assert len(models) == n_colors
+        for m in models:
+            uncolored = [l for l in m if not l.positive and l.predicate == "colored"]
+            assert len(uncolored) == 1
 
     def test_ugly_color_never_selected(self):
         sem = three_level_version(example9_colored()).semantics()

@@ -13,6 +13,7 @@ from repro.server import ServerConfig, ServerEngine, parse_request
 from repro.serialize import kb_signature
 from repro.server import protocol
 from repro.server.wal import Wal, read_journal
+from repro.workloads import build_session_kb, session_program
 
 from ..conftest import record_history
 
@@ -492,7 +493,6 @@ def test_every_published_version_stays_what_it_was_when_published():
     from repro.core.semantics import OrderedSemantics
     from repro.kb.query import answers_in
     from repro.server import FollowerEngine
-    from repro.workloads import build_session_kb
 
     depth, entities, n_writes = 3, 5, 200
     views = [f"level{i}" for i in range(depth)]
@@ -569,12 +569,11 @@ def test_publishing_builds_no_literal_whatever_the_size_of_the_model(
 ):
     """Counts, not clocks: a hundred writes with ground reads between
     them decode no model (``AtomTable.flagged_literals`` is the only way
-    from flags to objects) at either size ``benchmarks/bench_server.py``
-    serves, and each write evaluates ``update_facts`` once however many
-    hot views see the written object."""
+    from flags to objects) at 32 or at 512 entities, and each write
+    evaluates ``update_facts`` once however many hot views see the
+    written object."""
     from repro.grounding.grounder import AtomTable
     from repro.lang.program import OrderedProgram
-    from repro.workloads import session_program
 
     depth, n_writes = 6, 100
     calls = {"decode": 0, "update_facts": 0}
@@ -629,8 +628,6 @@ def test_the_serve_path_grounds_each_view_once_for_its_seed():
     recompute."""
     import random
 
-    from repro.workloads import session_program
-
     depth, entities, n_requests = 8, 64, 240
     views = ["root"] + [f"level{i}" for i in range(depth)]
     rng = random.Random(0x5EED)
@@ -673,3 +670,112 @@ def test_the_serve_path_grounds_each_view_once_for_its_seed():
     grounds, maintained = run(scenario())
     assert maintained == views[1:]  # no write reaches the root's view
     assert grounds == len(maintained)
+
+
+def test_a_read_looks_at_the_same_candidates_whatever_the_size_of_the_model():
+    """Counts, not clocks: a ground goal is one membership probe and an
+    open goal walks only its own relation, so neither looks at more of
+    the model at 512 entities (7,168 literals) than at 32 (448)."""
+
+    async def candidates(entities):
+        kb = KnowledgeBase.from_program(session_program(6, entities))
+        looked = {}
+        async with ServerEngine(kb) as engine:
+            # No entity is enrolled: every -member(e<j>) holds and
+            # member is an empty relation.
+            for pattern, count in (("-member(e7)", 1), ("member(X)", 0)):
+                pinned = await engine.handle(req(id=0, op="query", view="level0", pattern=pattern))
+                assert pinned["result"]["count"] == count
+                reply = await engine.handle(
+                    req(id=1, op="query", view="level0", pattern=pattern, trace=True)
+                )
+                looked[pattern] = reply["result"]["trace"]["costs"]["read_candidates"]
+        return looked
+
+    assert run(candidates(32)) == run(candidates(512)) == {"-member(e7)": 1, "member(X)": 0}
+
+
+def span_names(tree: dict):
+    yield tree["name"]
+    for child in tree.get("children", ()):
+        yield from span_names(child)
+
+
+def test_reads_during_a_write_stream_ground_and_evaluate_nothing():
+    """Snapshot isolation in counts: while a client streams writes,
+    every read answers from a published snapshot.  Its trace holds no
+    grounding and no fixpoint, and its digest only the read's own
+    costs."""
+    depth, entities, n_reads = 4, 8, 50
+
+    async def scenario():
+        async with ServerEngine(build_session_kb(depth, entities)) as engine:
+            await engine.handle(req(id="warm", op="ask", view="level0", pattern="known(e0)"))
+            writing = True
+
+            async def stream_writes():
+                i = 0
+                while writing:
+                    level = i % depth
+                    rules = f"enrolled_{level}(e{i % entities})."
+                    told = await engine.handle(req(id=i, op="tell", view=f"level{level}", rules=rules))
+                    assert told["ok"]
+                    i += 1
+
+            writer = asyncio.ensure_future(stream_writes())
+            versions = set()
+            for i in range(n_reads):
+                await asyncio.sleep(0)  # let the writer interleave
+                # ``known(e0)`` is a root fact: it holds at every version.
+                reply = await engine.handle(
+                    req(id=f"r{i}", op="ask", view="level0", pattern="known(e0)", trace=True)
+                )
+                assert reply["result"]["holds"] is True
+                trace = reply["result"]["trace"]
+                names = set(span_names(trace["spans"]))
+                assert not names & {"ground", "fixpoint"}, names
+                assert set(trace["costs"]) <= {"read_candidates", "read_answers"}
+                versions.add(reply["version"])
+            writing = False
+            await writer
+            return versions
+
+    assert len(run(scenario())) > 1  # the reads saw the writer move
+
+
+def test_a_durable_batch_costs_one_append_one_fsync_and_one_repair(tmp_path):
+    """Coalescing in counts: concurrent tells publish ⌈ops / max_batch⌉
+    versions, and each version is one journal append, one fsync and one
+    repair of the hot view, however many tells it holds."""
+    depth, entities, n_ops, max_batch = 4, 8, 64, 16
+    config = ServerConfig(max_queue=n_ops + 8, max_batch=max_batch)
+
+    async def scenario():
+        wal = Wal(str(tmp_path), fsync="always")
+        async with ServerEngine(build_session_kb(depth, entities), config, wal=wal) as engine:
+            # level0 sees every level: each tell reaches this hot view.
+            await engine.handle(req(id="warm", op="ask", view="level0", pattern="known(e0)"))
+            with instrumented() as obs:
+                replies = await asyncio.gather(
+                    *(
+                        engine.handle(
+                            req(
+                                id=i,
+                                op="tell",
+                                view=f"level{i % depth}",
+                                rules=f"enrolled_{i % depth}(e{i % entities}).",
+                            )
+                        )
+                        for i in range(n_ops)
+                    )
+                )
+                repairs = obs.snapshot()["spans"]["kb.view.repair"]["count"]
+            assert all(reply["ok"] for reply in replies)
+            return engine.stats(), repairs
+
+    stats, repairs = run(scenario())
+    # Every request is queued before the writer wakes: full batches.
+    versions = n_ops // max_batch
+    assert stats["version"] == stats["writes"]["batches"] == versions
+    assert stats["wal"]["fsyncs"] == stats["wal"]["appends"] == versions
+    assert repairs == versions

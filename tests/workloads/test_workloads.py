@@ -96,6 +96,7 @@ class TestTaxonomy:
         for i in range(2, 6):
             assert sem.holds(f"-swims(s{i})")
         assert all(sem.holds(f"moves(s{i})") for i in range(6))
+        assert sem.least_model.is_total
 
     def test_validation(self):
         with pytest.raises(ValueError):
