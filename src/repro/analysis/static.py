@@ -43,7 +43,6 @@ from ..classical.stratified import (
     stratification,
     strongly_connected_components,
 )
-from ..lang.literals import Literal
 from ..lang.poset import PartialOrder
 from ..lang.program import OrderedProgram
 from ..lang.rules import Rule

@@ -31,7 +31,7 @@ the current delta can change verdict.  Each stage therefore touches
 fixpoint does ``O(total watch-list traffic)`` work, which is the
 semi-naive bound.  The least model produced is literal-for-literal
 identical to naive iteration, stage boundaries included — enforced by
-``tests/properties/test_seminaive_differential.py`` and the
+the kernel column of the oracle matrix (``tests/oracle``) and the
 differential CI job.
 
 The static watch lists are a

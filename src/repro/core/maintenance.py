@@ -38,9 +38,9 @@ of the literals that left the model, so the surviving interpretation
 ``S`` is contained in the new least fixpoint; ``V`` is monotone along
 the chain from ``S`` (Lemma 1), so resuming the semi-naive iteration
 from ``S`` converges to exactly ``V↑ω(∅)`` of the mutated program.
-The differential property suite
-(``tests/properties/test_maintenance_differential.py``) enforces
-bit-identical agreement with from-scratch recomputation.
+The maintained column of the oracle matrix (``tests/oracle``) enforces
+bit-identical agreement with naive ``V`` over the full instantiation of
+the mutated program.
 
 When a mutation dirties more of the program than the *status
 frontier* allows (:data:`FRONTIER_THRESHOLD`), the engine abandons the

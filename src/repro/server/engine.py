@@ -23,11 +23,10 @@ Concurrency model (``docs/server.md``):
   reach ``OrderedSemantics.apply_ops`` as one coalesced op list per
   affected view — and bumps the published version once per batch.
 
-The differential property suite
-(``tests/properties/test_server_differential.py``) replays randomized
-concurrent client traces and asserts the published snapshots and query
-answers are bit-identical to a serialized oracle replaying the same
-batches on a plain knowledge base.
+The serving column of the oracle matrix (``tests/oracle/serving.py``)
+replays randomized concurrent client traces and asserts the published
+snapshots and query answers are bit-identical to a serialized oracle
+replaying the same batches on a plain knowledge base.
 """
 
 from __future__ import annotations

@@ -12,6 +12,8 @@ from repro.core.semantics import OrderedSemantics
 from repro.lang.literals import Literal
 from repro.lang.parser import parse_program
 
+from .oracle import scale  # noqa: F401  (an unknown ORACLE_SCALE fails collection)
+
 
 def semantics_of(source: str, component: str) -> OrderedSemantics:
     """Build an :class:`OrderedSemantics` directly from ``.olp`` source."""

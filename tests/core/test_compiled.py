@@ -23,11 +23,8 @@ from repro.lang.literals import Atom, Literal
 from repro.lang.terms import Constant
 from repro.workloads import paper
 
+from ..oracle.rows import NAMED
 from ..properties.strategies import ordered_programs
-from ..properties.test_seminaive_differential import (
-    PAPER_PROGRAMS,
-    WORKLOAD_PROGRAMS,
-)
 
 
 def atom(name: str, *args: str) -> Atom:
@@ -146,14 +143,10 @@ class TestCompiledRuleIndex:
     def semantics(self):
         return OrderedSemantics(paper.figure1(), "c1")
 
-    @pytest.mark.parametrize(
-        "program",
-        [p for _, p in PAPER_PROGRAMS + WORKLOAD_PROGRAMS],
-        ids=[n for n, _ in PAPER_PROGRAMS + WORKLOAD_PROGRAMS],
-    )
-    def test_index_is_definition_2(self, program):
-        for component in sorted(program.component_names):
-            assert_index_is_definition_2(OrderedSemantics(program, component))
+    @pytest.mark.parametrize("row", NAMED, ids=str)
+    def test_index_is_definition_2(self, row):
+        for component in row.views:
+            assert_index_is_definition_2(OrderedSemantics(row.program, component))
 
     @given(ordered_programs())
     @settings(max_examples=60, deadline=None)

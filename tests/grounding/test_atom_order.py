@@ -7,23 +7,21 @@ import subprocess
 import sys
 from pathlib import Path
 
-SCRIPT = """
+#: Rows of the oracle matrix's table whose atom tables are compared.
+ROWS = ["figure1", "figure2", "figure3_empty", "forest", "session_2x8", "release_chain_64"]
+
+SCRIPT = f"""
 import json
 from repro.core.semantics import OrderedSemantics
-from repro.workloads import hierarchies, paper, point_query, sessions
+from tests.oracle.rows import NAMED
 
-out = {}
-for name, program in [
-    ("figure1", paper.figure1()), ("figure2", paper.figure2()),
-    ("figure3", paper.figure3()), ("forest", point_query.forest_program(2, 3)),
-    ("session", sessions.session_program(2, 8)),
-    ("release_chain", hierarchies.release_chain(16)),
-]:
-    for component in sorted(program.component_names):
-        sem = OrderedSemantics(program, component)
+out = {{}}
+for row in (row for row in NAMED if row.label in {ROWS!r}):
+    for component in row.views:
+        sem = OrderedSemantics(row.program, component)
         for kind, evaluator in (("ground", sem.evaluator), ("full", sem.full_evaluator)):
             index = evaluator.index
-            out[f"{name}/{component}/{kind}"] = [
+            out[f"{{row}}/{{component}}/{{kind}}"] = [
                 list(map(str, index.table.atoms())), list(index.heads)
             ]
 print(json.dumps(out))
@@ -31,9 +29,10 @@ print(json.dumps(out))
 
 
 def tables_under(seed: str) -> dict:
-    src = str(Path(__file__).resolve().parents[2] / "src")
+    root = Path(__file__).resolve().parents[2]
     env = dict(os.environ, PYTHONHASHSEED=seed)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    paths = [str(root / "src"), str(root), env.get("PYTHONPATH")]
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, paths))
     done = subprocess.run(
         [sys.executable, "-c", SCRIPT], env=env, capture_output=True, text=True, timeout=300
     )

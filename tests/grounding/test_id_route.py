@@ -9,9 +9,11 @@
   sources (``benchmarks/e2e``, seed 7) and of figures 1-3 under
   relevance and full grounding, as object-level grounding produced
   them before instances became ids.
-* **Two routes agree** — the index built from the grounder's ids equals
-  the one built by encoding the decoded rules, and the kernel's model
-  over it equals naive ``V`` over the decoded rules.
+* **Two routes agree** — the grounder-ids column of the oracle matrix
+  (``tests/oracle/columns.py``): under relevance and full grounding,
+  the index built from the grounder's ids equals the one built by
+  encoding the decoded rules, and the kernel over either equals naive
+  ``V`` over the full instantiation.
 """
 
 from __future__ import annotations
@@ -22,34 +24,19 @@ import random
 
 import pytest
 
-from repro.core.compiled import CompiledRuleIndex, DenseFixpoint
+from repro.core.compiled import CompiledRuleIndex
 from repro.core.semantics import OrderedSemantics
-from repro.core.statuses import ComponentOrder, StatusEvaluator
-from repro.core.transform import OrderedTransform
-from repro.grounding.grounder import Grounder, GroundRule, GroundRules
+from repro.grounding.grounder import GroundRule
 from repro.lang.literals import Literal
 from repro.lang.parser import parse_program
 from repro.lang.printer import render_program
 from repro.lang.program import Component, OrderedProgram
 from repro.workloads import forest_program, release_chain, session_program
 from repro.workloads.paper import figure1, figure2, figure3, scaled_figure2
-from repro.workloads.random_programs import random_ordered_program
 
-from ..properties.test_seminaive_differential import PAPER_PROGRAMS, WORKLOAD_PROGRAMS
-
-ARRAYS = (
-    "heads",
-    "body_sizes",
-    "body_watch_start",
-    "body_watch_rules",
-    "block_watch_start",
-    "block_watch_rules",
-    "contra_start",
-    "contra_watchers",
-    "init_live_overrulers",
-    "init_live_defeaters",
-    "source_facts",
-)
+from ..oracle import columns
+from ..oracle.columns import ARRAYS
+from ..oracle.rows import NAMED, family
 
 
 # ----------------------------------------------------------------------
@@ -248,46 +235,16 @@ def test_golden_index_arrays():
 
 
 # ----------------------------------------------------------------------
-# (c) Ids and decoded objects: one index, one model
+# (c) Ids and decoded objects: the grounder-ids column
 # ----------------------------------------------------------------------
-def assert_routes_agree(program: OrderedProgram, component: str) -> None:
-    order = ComponentOrder(program.order)
-    for full in (False, True):
-        ground = Grounder().ground_component_star(program, component, full=full)
-        assert isinstance(ground.rules, GroundRules)
-        by_ids = CompiledRuleIndex(ground.rules, order, ground.atom_table)
-        decoded = list(ground.rules)
-        by_objects = CompiledRuleIndex(decoded, order, ground.atom_table)
-        assert by_objects.rules is not ground.rules
-        for name in (*ARRAYS, "components"):
-            assert list(getattr(by_ids, name)) == list(getattr(by_objects, name)), name
-        assert by_ids.by_head == by_objects.by_head
-        assert by_ids.n_literals == by_objects.n_literals
-        for index in (by_ids, by_objects):
-            start, ids = index.body_start, index.body_ids
-            assert [sorted(ids[start[i] : start[i + 1]]) for i in range(index.n_rules)] == [
-                sorted(map(ground.atom_table.literal_id, r.body)) for r in decoded
-            ]
-        run = DenseFixpoint(by_ids)
-        run.run(2 * len(ground.base) + 2)
-        naive = OrderedTransform(
-            StatusEvaluator(decoded, order), ground.base, strategy="naive"
-        ).least_fixpoint()
-        assert run.interpretation(ground.base).literals == naive.literals
-
-
 def test_routes_agree_on_random_programs():
-    for seed in range(200):
-        program = random_ordered_program(random.Random(seed))
-        for component in sorted(program.component_names):
-            assert_routes_agree(program, component)
+    assert columns.sweep(columns.grounder_ids, "ordered") >= len(family("ordered"))
 
 
-@pytest.mark.parametrize(
-    "program",
-    [p for _, p in PAPER_PROGRAMS + WORKLOAD_PROGRAMS],
-    ids=[n for n, _ in PAPER_PROGRAMS + WORKLOAD_PROGRAMS],
-)
-def test_routes_agree_on_paper_and_workload_programs(program):
-    for component in sorted(program.component_names):
-        assert_routes_agree(program, component)
+@pytest.mark.parametrize("row", NAMED, ids=str)
+def test_routes_agree_on_paper_and_workload_programs(row):
+    assert columns.grounder_ids(row)
+
+
+def test_routes_agree_on_random_stratified_programs():
+    assert columns.sweep(columns.grounder_ids, "stratified") >= len(family("stratified"))

@@ -9,13 +9,13 @@ serialized oracle replay of the surviving journal.**
   :class:`SimulatedCrash` at randomized points — before the append, a
   torn partial record, after the write but before the fsync, mid- and
   post-checkpoint, and during recovery replay itself (a double crash).
-  ``CRASH_POINTS`` scales the number of randomized kill points (the CI
-  replication lane runs 50+, the nightly more).
+  ``ORACLE_SCALE`` sets the number of randomized kill points
+  (``tests/oracle/scale.py``).
 * The subprocess lane boots real ``olp serve --wal`` processes over
   TCP and ``kill -9``\\ s them at a random moment mid-workload, then
   restarts and checks the recovered version and answers against an
-  oracle rebuilt from the surviving journal.  ``CRASH_KILLS`` scales
-  it (slow: each iteration boots two server processes).
+  oracle rebuilt from the surviving journal.  ``ORACLE_SCALE`` sets
+  the number of kills too (slow: each boots two server processes).
 
 Bit-identity is :func:`repro.serialize.kb_signature` equality — the
 same predicate the config round-trip and replication differential
@@ -37,10 +37,9 @@ from repro.kb.query import answers_in
 from repro.serialize import kb_signature
 from repro.server.wal import SimulatedCrash, Wal, latest_checkpoint, read_journal
 
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+from ..oracle.scale import size
 
-CRASH_POINTS = int(os.environ.get("CRASH_POINTS", "25"))
-CRASH_KILLS = int(os.environ.get("CRASH_KILLS", "2"))
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 #: Every stage the writer and checkpointer can die at.  ``append.torn``
 #: additionally flushes a *prefix* of the record first — the classic
@@ -170,7 +169,7 @@ def run_crash_point(seed: int, directory: str) -> None:
 
 
 def test_randomized_failpoint_crashes(tmp_path):
-    for seed in range(CRASH_POINTS):
+    for seed in range(size("crash_points")):
         directory = tmp_path / f"crash-{seed}"
         directory.mkdir()
         run_crash_point(seed, str(directory))
@@ -346,7 +345,7 @@ def run_kill9(seed: int, wal_dir) -> None:
 
 @pytest.mark.slow
 def test_kill9_recovers_acked_writes(tmp_path):
-    for seed in range(CRASH_KILLS):
+    for seed in range(size("crash_kills")):
         wal_dir = tmp_path / f"kill-{seed}"
         wal_dir.mkdir()
         run_kill9(seed, wal_dir)

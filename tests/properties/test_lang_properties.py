@@ -16,7 +16,7 @@ from repro.lang.poset import PartialOrder
 from repro.lang.printer import render_component, render_program
 from repro.lang.program import Component, OrderedProgram
 from repro.lang.rules import Rule
-from repro.lang.terms import Compound, Constant, Term, Variable
+from repro.lang.terms import Compound, Constant, Variable
 
 SETTINGS = settings(max_examples=60, deadline=None)
 

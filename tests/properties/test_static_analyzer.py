@@ -5,10 +5,9 @@ Every injected defect must be reported with the matching code (no
 false negatives), and the warning-clean twin must produce no
 warning-or-worse diagnostics (no false positives on clean programs).
 
-Set ``STATIC_ORACLE_PROGRAMS`` to change the sweep size.
+``ORACLE_SCALE`` sets the sweep size (``tests/oracle/scale.py``).
 """
 
-import os
 import random
 
 import pytest
@@ -21,7 +20,9 @@ from repro.workloads.random_programs import (
     seeded_defect_program,
 )
 
-N_ORACLE_PROGRAMS = int(os.environ.get("STATIC_ORACLE_PROGRAMS", "60"))
+from ..oracle.scale import size
+
+N_ORACLE_PROGRAMS = size("static")
 
 
 def assert_defects_reported(sp):

@@ -1,7 +1,5 @@
 """Unit tests for the demand evaluation entry point and fact sources."""
 
-import pytest
-
 from repro.core.semantics import OrderedSemantics
 from repro.kb.query import answers_in
 from repro.lang.parser import parse_rules

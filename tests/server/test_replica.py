@@ -15,7 +15,6 @@ from repro.server import (
     FollowerEngine,
     QueryServer,
     ReplicationError,
-    ServerConfig,
     ServerEngine,
     parse_backend,
 )
