@@ -1,24 +1,24 @@
 """Unit tests for stratification, the perfect model and the least-model reference."""
 
 import random
+from functools import partial
 
 import pytest
 
-from repro.analysis.static import classify_view
 from repro.classical.stratified import (
     dependency_graph,
     is_stratified,
     perfect_model,
     stratification,
-    stratified_least_model,
 )
-from repro.core.semantics import OrderedSemantics
 from repro.grounding.grounder import Grounder
-from repro.lang.literals import Atom, Literal
+from repro.lang.literals import Atom
 from repro.lang.parser import parse_program, parse_rules
 from repro.workloads.classic import even_odd
-from repro.workloads.paper import figure3
 from repro.workloads.random_programs import random_stratified_program
+
+from ..oracle import columns
+from ..oracle.rows import PAPER, Row, family
 
 
 class TestDependencyGraph:
@@ -102,35 +102,31 @@ HORN_ANCESTOR = """component c { parent(a, b). parent(b, c). parent(c, d).
 
 DEEPER = dict(n_atoms=9, n_rules=18, max_body=4, neg_body_prob=0.5)
 
-#: Single-component stratified seminegative views: 200 random programs,
-#: 20 deeper ones, a first-order Horn program and Figure 3's positive
-#: expert view.
-REFERENCE_VIEWS = [
-    *(
-        pytest.param(random_stratified_program(random.Random(s)), "main", id=f"random-{s}")
-        for s in range(200)
-    ),
+#: Stratified seminegative views: the oracle matrix's first 200
+#: stratified rows, 20 deeper random programs, a first-order Horn
+#: program and Figure 3's positive expert view.
+REFERENCE_ROWS = [
+    *(pytest.param(row, id=f"random-{s}") for s, row in enumerate(family("stratified")[:200])),
     *(
         pytest.param(
-            random_stratified_program(random.Random(50_000 + s), **DEEPER),
-            "main",
+            Row(
+                f"deeper-{s}",
+                partial(random_stratified_program, **DEEPER),
+                (random.Random(50_000 + s),),
+            ),
             id=f"deeper-{s}",
         )
         for s in range(0, 200, 10)
     ),
-    pytest.param(parse_program(HORN_ANCESTOR), "c", id="horn-ancestor"),
-    pytest.param(figure3(["inflation(19).", "loan_rate(16)."]), "c2", id="figure3-c2"),
+    pytest.param(Row("horn-ancestor", parse_program, (HORN_ANCESTOR,)), id="horn-ancestor"),
+    pytest.param(next(r for r in PAPER if r.label == "figure3_overrule"), id="figure3-c2"),
 ]
 
 
-@pytest.mark.parametrize("program, component", REFERENCE_VIEWS)
-def test_kernel_matches_stratified_reference(program, component):
-    """The stratified Horn closure, naive ``V`` and the kernel agree."""
-    assert classify_view(program, component).routable
-    default = OrderedSemantics(program, component)
-    naive = OrderedSemantics(program, component, strategy="naive")
-    rules = [r for comp in program.visible_components(component) for r in comp.rules]
-    atoms = stratified_least_model(rules, default.ground.rules)
-    reference = frozenset(Literal(a, True) for a in atoms)
-    assert naive.least_model.literals == reference
-    assert default.least_model.literals == reference
+@pytest.mark.parametrize("row", REFERENCE_ROWS)
+def test_kernel_matches_stratified_reference(row):
+    """The stratified Horn closure, naive ``V`` and the kernel agree: the
+    stratified and kernel columns of the oracle matrix on every view the
+    analyzer routes."""
+    assert columns.stratified(row)
+    assert columns.kernel(row)

@@ -43,7 +43,7 @@ def enumerable(row: Row, expected: Oracle) -> bool:
     """Whether Definition 3/7/9 model sets are enumerated on this view."""
     if row.models is not None:
         return row.models
-    return len(expected.ground.base) <= ENUMERATION_BASE
+    return len(expected.model.base) <= ENUMERATION_BASE
 
 
 def told_facts(program) -> list[tuple[str, Literal]]:
@@ -115,12 +115,13 @@ def relevance(row: Row) -> int:
         expected = oracle.of(row, view)
         where = f"{row}/{view}"
         sem = semantics(row.program, view)
-        assert instances(sem.ground) <= instances(expected.ground), where
-        assert sem.ground.base == expected.ground.base, where
+        full = expected.instantiate()
+        assert instances(sem.ground) <= instances(full), where
+        assert sem.ground.base == full.base, where
         if not enumerable(row, expected):
             continue
-        assert instances(sem.full_ground) == instances(expected.ground), where
-        by_hand = expected.enumerator
+        assert instances(sem.full_ground) == instances(full), where
+        by_hand = expected.enumerator(full)
         assert model_set(sem.models()) == model_set(by_hand.models()), where
         assert model_set(sem.assumption_free_models()) == model_set(
             by_hand.assumption_free_models()
@@ -138,7 +139,7 @@ def stratified(row: Row) -> int:
             continue
         expected = oracle.of(row, view)
         rules = [r for c in row.program.visible_components(view) for r in c.rules]
-        atoms = stratified_least_model(rules, expected.ground.rules)
+        atoms = stratified_least_model(rules, expected.instantiate().rules)
         assert frozenset(Literal(a, True) for a in atoms) == expected.literals, (
             f"{row}/{view}: stratified closure diverges"
         )
@@ -184,7 +185,7 @@ def provenance(row: Row) -> int:
     for view in row.views:
         expected = oracle.of(row, view)
         explainer = Explainer(semantics(row.program, view))
-        ev = expected.evaluator
+        ev = expected.evaluator()
         seen: set[Literal] = set()
         for root in sorted(expected.literals):
             stack = [explainer.why(root)]
@@ -285,7 +286,7 @@ def retract_reassert(row: Row) -> int:
             expected = oracle.of(row, view)
         except InconsistencyError:
             continue  # the view itself is inconsistent; nothing to maintain
-        if len(expected.ground.rules) > MAINTAINED_RULES:
+        if expected.n_rules > MAINTAINED_RULES:
             continue
         sem = semantics(row.program, view)
         assert_maintained(sem, expected.literals, f"{row}/{view}")
@@ -390,23 +391,33 @@ def demand(row: Row) -> tuple[int, int]:
     through one compiled route (a row set, index, worklist, fetch memo
     or counter surviving a run would show as a wrong answer), answers
     bit-identically to the oracle's materialized model — literals,
-    bindings and order — wherever the demand route serves.  Returns
-    (served, asked)."""
+    bindings and order — wherever the demand route serves.  The
+    compiled route serves exactly the goals the fresh one does.
+    Returns (served, asked) over the fresh asks."""
     served = asked = 0
     rng = random.Random(f"demand/{row}")
     for view in row.views:
         expected = oracle.of(row, view)
         goals = list(row.goals) or open_goals(expected.model)
-        want = {str(g): shape(answers_in(expected.model, g)) for g in goals}
-        fresh = [(g, demand_answers(row.program, view, g)) for g in goals]
+        fresh = {}
+        for pattern in goals:
+            result = demand_answers(row.program, view, pattern)
+            want = shape(answers_in(expected.model, pattern))
+            if result.used:
+                assert shape(result.answers) == want, f"{row}/{view}: {pattern}"
+                served += 1
+            asked += 1
+            fresh[str(pattern)] = (result.used, want)
         reused = goals * 2
         rng.shuffle(reused)
         compiled = CompiledDemand(row.program, view)
-        for pattern, result in fresh + [(g, compiled.ask(g)) for g in reused]:
-            asked += 1
-            if result.used:
-                assert shape(result.answers) == want[str(pattern)], f"{row}/{view}: {pattern}"
-                served += 1
+        for pattern in reused:
+            result = compiled.ask(pattern)
+            used, want = fresh[str(pattern)]
+            where = f"{row}/{view}: compiled {pattern}"
+            assert result.used == used, where
+            if used:
+                assert shape(result.answers) == want, where
     return served, asked
 
 

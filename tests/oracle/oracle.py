@@ -31,15 +31,18 @@ class Oracle:
     """``V↑k(∅)`` for every stage ``k`` of one view, over its full
     instantiation.
 
-    Only the stages outlive the iteration: the ground program and its
-    evaluator are built again on first use, so that the full
-    instantiations of a random family, most of whose columns read only
-    the model, are not all held for the rest of the session."""
+    Only the stages, the instance count and (once asked for) the stable
+    models outlive the iteration.  :func:`of` keeps every oracle for the
+    session, so a column that reads the ground program itself — the
+    instances, the evaluator, the enumerator — builds it again with
+    :meth:`instantiate` and drops it when its cell is done."""
 
     def __init__(self, program, view: str, options=OPTIONS) -> None:
         self.program, self.view, self.options = program, view, options
-        ground = self._instantiate()
-        transform = OrderedTransform(self._evaluator(ground), ground.base, strategy="naive")
+        ground = self.instantiate()
+        #: How many rule instances the full instantiation has.
+        self.n_rules = len(ground.rules)
+        transform = OrderedTransform(self.evaluator(ground), ground.base, strategy="naive")
         current = Interpretation((), ground.base)
         #: ``stages[k]`` is ``V↑k(∅)``; the last one is the least model.
         self.stages = [current]
@@ -50,21 +53,19 @@ class Oracle:
             self.stages.append(nxt)
             current = nxt
 
-    def _instantiate(self):
+    def instantiate(self):
+        """The view's full instantiation, built afresh."""
         grounder = Grounder(self.options)
         return grounder.ground_component_star(self.program, self.view, full=True)
 
-    def _evaluator(self, ground) -> StatusEvaluator:
+    def evaluator(self, ground=None) -> StatusEvaluator:
+        ground = self.instantiate() if ground is None else ground
         order = ComponentOrder(self.program.order)
         return StatusEvaluator(ground.rules, order, atom_table=ground.atom_table)
 
-    @cached_property
-    def ground(self):
-        return self._instantiate()
-
-    @cached_property
-    def evaluator(self) -> StatusEvaluator:
-        return self._evaluator(self.ground)
+    def enumerator(self, ground=None) -> ModelEnumerator:
+        ground = self.instantiate() if ground is None else ground
+        return ModelEnumerator(self.evaluator(ground), ground.base)
 
     @property
     def model(self) -> Interpretation:
@@ -79,12 +80,8 @@ class Oracle:
         return next(k for k, s in enumerate(self.stages) if literal in s)
 
     @cached_property
-    def enumerator(self) -> ModelEnumerator:
-        return ModelEnumerator(self.evaluator, self.ground.base)
-
-    @cached_property
     def stable_models(self) -> list[Interpretation]:
-        return self.enumerator.stable_models()
+        return self.enumerator().stable_models()
 
 
 #: Process-wide so that columns in different test modules share it: a
@@ -125,12 +122,8 @@ def replay(history, kb):
         yield snapshot, batch
 
 
-def read(kb, payload: dict) -> dict:
-    """A cautious query/ask reply, as the wire encodes it, over the
-    serialized knowledge base."""
-    answers = answers_in(kb.view(payload["view"]).least_model, payload["pattern"])
-    if payload["op"] == "ask":
-        return {"holds": bool(answers)}
+def encode(answers, mode: str = "cautious") -> dict:
+    """A query reply's result, as the wire encodes it."""
     return {
         "answers": [
             {
@@ -140,5 +133,14 @@ def read(kb, payload: dict) -> dict:
             for a in answers
         ],
         "count": len(answers),
-        "mode": "cautious",
+        "mode": mode,
     }
+
+
+def read(kb, payload: dict) -> dict:
+    """A cautious query/ask reply, as the wire encodes it, over the
+    serialized knowledge base."""
+    answers = answers_in(kb.view(payload["view"]).least_model, payload["pattern"])
+    if payload["op"] == "ask":
+        return {"holds": bool(answers)}
+    return encode(answers)

@@ -88,20 +88,7 @@ def library_read(kb, view, goal, op, mode, strategy):
             if op == "ask":
                 result = {"holds": kb.ask(view, goal, mode, strategy)}
             else:
-                answers = kb.query(view, goal, mode, strategy)
-                result = {
-                    "answers": [
-                        {
-                            "literal": str(a.literal),
-                            "bindings": {
-                                str(v): str(t) for v, t in a.bindings.items()
-                            },
-                        }
-                        for a in answers
-                    ],
-                    "count": len(answers),
-                    "mode": mode,
-                }
+                result = oracle.encode(kb.query(view, goal, mode, strategy), mode)
         except ReproError:
             return "error", None
     return result, _route(ctx.root.fields)

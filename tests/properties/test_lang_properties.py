@@ -3,94 +3,18 @@ trips (over guards with nested arithmetic, the keywords as predicate
 names, and bare top-level rules), substitution laws, unification, and
 partial-order laws."""
 
-import string
-
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.grounding.substitution import Substitution, match, unify
-from repro.lang.builtins import BinaryOp, Comparison
-from repro.lang.literals import Atom, Literal
 from repro.lang.parser import DEFAULT_COMPONENT, parse_program, parse_rule
 from repro.lang.poset import PartialOrder
 from repro.lang.printer import render_component, render_program
-from repro.lang.program import Component, OrderedProgram
-from repro.lang.rules import Rule
-from repro.lang.terms import Compound, Constant, Variable
+from repro.lang.terms import Variable
+
+from .strategies import fo_programs, fo_rules, terms, variable_names
 
 SETTINGS = settings(max_examples=60, deadline=None)
-
-# ----------------------------------------------------------------------
-# Term strategies (first-order, for parse round trips and unification)
-# ----------------------------------------------------------------------
-
-constant_names = st.text(string.ascii_lowercase, min_size=1, max_size=4)
-variable_names = st.sampled_from(["X", "Y", "Z", "W"])
-
-terms = st.recursive(
-    st.one_of(
-        st.builds(Constant, constant_names),
-        st.builds(Constant, st.integers(-50, 50)),
-        st.builds(Variable, variable_names),
-    ),
-    lambda children: st.builds(
-        lambda f, args: Compound(f, tuple(args)),
-        constant_names,
-        st.lists(children, min_size=1, max_size=2),
-    ),
-    max_leaves=5,
-)
-
-#: ``order`` and ``component`` are predicate names wherever no component
-#: name follows them.
-predicate_names = st.one_of(
-    constant_names, st.sampled_from(["order", "component", "p", "fly"])
-)
-atoms = st.builds(
-    lambda p, args: Atom(p, tuple(args)),
-    predicate_names,
-    st.lists(terms, max_size=2),
-)
-literals = st.builds(Literal, atoms, st.booleans())
-
-#: Guard expressions: nested ``+ - * /`` (parenthesised when nested)
-#: over variables and integers, negative ones included.
-expressions = st.recursive(
-    st.one_of(
-        st.builds(Constant, st.integers(-50, 50)),
-        st.builds(Variable, variable_names),
-    ),
-    lambda children: st.builds(BinaryOp, st.sampled_from("+-*/"), children, children),
-    max_leaves=6,
-)
-comparisons = st.builds(
-    Comparison, st.sampled_from(["<", "<=", ">", ">=", "=", "!="]), expressions, expressions
-)
-rules = st.builds(
-    lambda head, body: Rule(head, tuple(body)),
-    literals,
-    st.lists(st.one_of(literals, comparisons), max_size=3),
-)
-
-
-@st.composite
-def programs(draw, main=False):
-    """Components ``c0``.. (and ``main``, with at least one rule) under a
-    random order."""
-    names = [f"c{i}" for i in range(draw(st.integers(1, 3)))]
-    if main:
-        names.insert(draw(st.integers(0, len(names))), DEFAULT_COMPONENT)
-    comps = []
-    for name in names:
-        comp_rules = draw(st.lists(rules, min_size=int(name == DEFAULT_COMPONENT), max_size=4))
-        comps.append(Component(name, comp_rules))
-    pairs = []
-    for i, low in enumerate(names):
-        for high in names[i + 1 :]:
-            if draw(st.booleans()):
-                pairs.append((low, high))
-    return OrderedProgram(comps, pairs)
-
 
 def render_main_at_top_level(program):
     """Like ``render_program``, but ``main``'s rules are bare top-level
@@ -124,19 +48,19 @@ expression_texts = st.recursive(
 # ----------------------------------------------------------------------
 
 @SETTINGS
-@given(rules)
+@given(fo_rules)
 def test_rule_parse_render_round_trip(r):
     assert parse_rule(str(r)) == r
 
 
 @SETTINGS
-@given(programs())
+@given(fo_programs())
 def test_program_parse_render_round_trip(program):
     assert parse_program(render_program(program)) == program
 
 
 @SETTINGS
-@given(programs(main=True))
+@given(fo_programs(main=True))
 def test_top_level_rules_round_trip(program):
     assert parse_program(render_main_at_top_level(program)) == program
 

@@ -26,6 +26,12 @@ def test_random_program_sweep_agrees():
     assert columns.sweep(columns.kernel, "ordered") >= len(family("ordered"))
 
 
+def test_random_first_order_sweep_agrees():
+    # The first-order family is where relevance grounding prunes
+    # instances (test_abstract_differential.py counts how often).
+    assert columns.sweep(columns.kernel, "first_order") >= len(family("first_order"))
+
+
 def test_stage_counts_agree_on_random_programs():
     # The stratified family: the stage-for-stage check is part of every
     # kernel cell.

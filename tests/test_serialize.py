@@ -23,7 +23,7 @@ from repro.serialize import (
 from repro.lang.parser import parse_rule, parse_term
 from repro.workloads.paper import figure1, figure2, figure3
 
-from .properties.test_lang_properties import programs, rules, terms
+from .properties.strategies import fo_programs, fo_rules, terms
 
 
 class TestTermRoundTrip:
@@ -59,7 +59,7 @@ class TestRuleRoundTrip:
         assert rule_from_dict(rule_to_dict(r)) == r
 
     @settings(max_examples=50, deadline=None)
-    @given(rules)
+    @given(fo_rules)
     def test_property(self, r):
         assert rule_from_dict(rule_to_dict(r)) == r
 
@@ -75,7 +75,7 @@ class TestProgramRoundTrip:
         assert loads_program(dumps_program(program)) == program
 
     @settings(max_examples=30, deadline=None)
-    @given(programs())
+    @given(fo_programs())
     def test_property(self, program):
         assert program_from_dict(program_to_dict(program)) == program
 
