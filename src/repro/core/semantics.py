@@ -29,7 +29,7 @@ from ..lang.program import FactUpdate, OrderedProgram
 from ..obs import get_instrumentation, record_costs
 from .assumptions import AssumptionAnalyzer
 from .interpretation import Interpretation, TruthValue
-from .maintenance import ASSERT, RETRACT, DeltaStats, DeltaUnsupported, MaintainedModel
+from .maintenance import ASSERT, DeltaStats, DeltaUnsupported, MaintainedModel
 from .models import ModelChecker
 from .solver import ModelEnumerator, SearchBudget
 from .statuses import ComponentOrder, StatusEvaluator, StatusReport
@@ -62,6 +62,7 @@ class OrderedSemantics:
         "assumptions",
         "enumerator",
         "least_model",
+        "_stable",
     )
 
     def __init__(
@@ -207,32 +208,6 @@ class OrderedSemantics:
     # ------------------------------------------------------------------
     # Incremental maintenance (docs/maintenance.md)
     # ------------------------------------------------------------------
-    def apply_delta(
-        self,
-        assertions: Iterable[Union[Literal, str, tuple[str, Union[Literal, str]]]] = (),
-        retractions: Iterable[Union[Literal, str, tuple[str, Union[Literal, str]]]] = (),
-        component: Optional[str] = None,
-    ) -> DeltaStats:
-        """Assert/retract ground facts, maintaining the computed model.
-
-        Each item is a ground fact literal (or its surface syntax), or a
-        ``(component, literal)`` pair; bare literals go to ``component``
-        (default: this view's component).  Retractions remove one told
-        copy of the fact and raise :class:`SemanticsError` when the fact
-        is not present.  See :meth:`apply_updates` for the fallback
-        behaviour.
-        """
-        default = component if component is not None else self.component
-        ops: list[tuple[str, str, Union[Literal, str]]] = []
-        for kind, items in ((ASSERT, assertions), (RETRACT, retractions)):
-            for item in items:
-                if isinstance(item, tuple):
-                    comp, lit = item
-                    ops.append((kind, comp, lit))
-                else:
-                    ops.append((kind, default, item))
-        return self.apply_ops(ops)
-
     def apply_ops(
         self, ops: Iterable[tuple[str, str, Union[Literal, str]]]
     ) -> DeltaStats:
@@ -343,13 +318,11 @@ class OrderedSemantics:
 
     def is_stable_model(self, interp: Interpretation) -> bool:
         """Stable = assumption-free and not properly contained in another
-        assumption-free model (Definition 9)."""
+        assumption-free model (Definition 9), so in no stable model:
+        every AF model lies under a maximal one (the base is finite)."""
         if not self.is_assumption_free_model(interp):
             return False
-        return all(
-            interp.literals == other.literals or not (interp.literals < other.literals)
-            for other in self.assumption_free_models()
-        )
+        return not any(interp.literals < other.literals for other in self._stable)
 
     def models(self, limit: Optional[int] = None) -> list[Interpretation]:
         with get_instrumentation().span("semantics.models"):
@@ -370,8 +343,14 @@ class OrderedSemantics:
             return self.enumerator.assumption_free_models(limit=limit)
 
     def stable_models(self) -> list[Interpretation]:
+        """The stable models, searched once per view value: a write
+        drops them with every other cache.  The list is the caller's."""
+        return list(self._stable)
+
+    @cached_property
+    def _stable(self) -> tuple[Interpretation, ...]:
         with get_instrumentation().span("semantics.stable_models"):
-            return self.enumerator.stable_models()
+            return tuple(self.enumerator.stable_models())
 
     # ------------------------------------------------------------------
     # Consequence relations over the stable models

@@ -8,11 +8,10 @@ polynomial pretender:
 * :meth:`ModelEnumerator.models` — all Definition-3 models, by
   generate-and-test: the search branches three ways (undefined / true /
   false) over every atom the least model leaves undefined, with no
-  pruning at all, and each of the ``3^n`` leaves is built as an
-  interpretation and handed to :class:`~repro.core.models.ModelChecker`
-  (eight atoms are 6,561 leaves).  A search that propagates condition
-  (a) over the decided atoms and cuts violating branches is not
-  implemented (ROADMAP item 2).
+  pruning at all, and checks every one of the ``3^n`` leaves (eight
+  atoms are 6,561 leaves).  A search that propagates condition (a) over
+  the decided atoms and cuts violating branches is not implemented
+  (ROADMAP item 2).
 * :meth:`ModelEnumerator.assumption_free_models` — branches only over
   *head* atoms: by Theorem 1(a) every literal of an assumption-free
   model is the head of an applied rule, so atoms that head no rule are
@@ -21,31 +20,46 @@ polynomial pretender:
 * :meth:`ModelEnumerator.stable_models` — the maximal assumption-free
   models (Definition 9).
 
-Both are one depth-first search (:meth:`ModelEnumerator._search`) over
-different choice lists, which records its leaves, models, branches and
-backtracks once per search.  Budgets are enforced up front (estimated
-leaf count) and during the search (visited leaves); exceeding either
-raises
+All are one depth-first search (:meth:`ModelEnumerator._search`) over
+different choice lists, in the id space of the evaluator's
+:class:`~repro.core.compiled.index.CompiledRuleIndex`.  A leaf is a
+``truth`` bytearray over literal ids, seeded with the least model.  Per
+rule the search keeps how many body literals are true and how many body
+complements are true: deciding a literal bumps them through the body
+and block watch lists, and backtracking undoes that.  Definition 3 is
+read off those counters, the flags and each rule's overrulers and
+threats (the contra lists, inverted); a model is assumption-free when
+``T↑ω`` of its enabled version, closed over ids, is the leaf itself
+(Theorem 1(a)).  So no literal or interpretation is built per leaf:
+the leaves taken are flag strings, decoded once through
+:meth:`~repro.core.interpretation.Interpretation.over`.
+:class:`~repro.core.models.ModelChecker` and
+:class:`~repro.core.assumptions.AssumptionAnalyzer` stay the object
+readings of Definitions 3 and 7 that the oracle matrix
+(``tests/oracle``) holds this search to.
+
+The search records its leaves, models, branches and backtracks once.
+Budgets are enforced up front (estimated leaf count) and during the
+search (visited leaves); exceeding either raises
 :class:`~repro.lang.errors.SearchBudgetExceeded`.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from math import prod
-from typing import Callable, Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from ..lang.errors import SearchBudgetExceeded
 from ..lang.literals import Atom, Literal
 from ..obs import Level, get_instrumentation, record_costs
-from .assumptions import AssumptionAnalyzer
+from .compiled.index import CompiledRuleIndex
 from .interpretation import Interpretation
-from .models import ModelChecker
 from .statuses import StatusEvaluator
 from .transform import DEFAULT_STRATEGY, OrderedTransform
 
 __all__ = ["SearchBudget", "ModelEnumerator"]
-
 
 @dataclass(frozen=True)
 class SearchBudget:
@@ -61,6 +75,41 @@ class SearchBudget:
     max_visited: int = 5_000_000
 
 
+def _closure(index: CompiledRuleIndex, rules: Iterable[int], n_flags: int) -> bytearray:
+    """``T↑ω(∅)`` over the given rule ids, literals taken atomically
+    (Definition 8, Lemma 2): the flags of the literal ids derived."""
+    heads, sizes = index.heads, index.body_sizes
+    start, watching = index.body_watch_start, index.body_watch_rules
+    derived = bytearray(n_flags)
+    left: dict[int, int] = {}
+    frontier: list[int] = []
+    for i in rules:
+        if sizes[i]:
+            left[i] = sizes[i]
+        elif not derived[heads[i]]:
+            derived[heads[i]] = 1
+            frontier.append(heads[i])
+    while frontier:
+        lit = frontier.pop()
+        for i in watching[start[lit] : start[lit + 1]]:
+            if i in left:
+                left[i] -= 1
+                if not left[i] and not derived[heads[i]]:
+                    derived[heads[i]] = 1
+                    frontier.append(heads[i])
+    return derived
+
+
+def _maximal(leaves: list[bytes]) -> list[bytes]:
+    """The leaves whose literal set no other leaf strictly contains."""
+    sets = [int.from_bytes(flags, "little") for flags in leaves]
+    return [
+        flags
+        for flags, s in zip(leaves, sets)
+        if not any(s & other == s and s != other for other in sets)
+    ]
+
+
 class ModelEnumerator:
     """Backtracking enumeration over a fixed evaluator/base."""
 
@@ -73,8 +122,6 @@ class ModelEnumerator:
     ) -> None:
         self._eval = evaluator
         self._base = frozenset(base)
-        self._checker = ModelChecker(evaluator, self._base)
-        self._analyzer = AssumptionAnalyzer(evaluator, self._base)
         self._budget = budget
         self._transform = OrderedTransform(evaluator, self._base, strategy=strategy)
         self._least: Optional[Interpretation] = None
@@ -84,10 +131,8 @@ class ModelEnumerator:
         so its literals can be fixed up-front and the search branches
         only over the atoms it leaves undefined.
 
-        Computed through the enumerator's one transform, so every
-        fixpoint the search triggers shares the evaluator's
-        :class:`~repro.core.compiled.index.CompiledRuleIndex` instead of
-        rebuilding watch lists per call.
+        Computed through the enumerator's one transform, over the index
+        the search runs on.
         """
         if self._least is None:
             self._least = self._transform.least_fixpoint()
@@ -124,29 +169,28 @@ class ModelEnumerator:
         """All models for ``P`` in ``C`` (optionally at most ``limit``).
         By Theorem 1(b) every model contains the least model, so only
         the atoms it leaves undefined are branched, 3 ways."""
+        return self._decode(self._model_leaves(limit))
+
+    def _model_leaves(self, limit: Optional[int]) -> list[bytes]:
+        # A base atom no ground rule mentions (relevance grounding drops
+        # instances) is interned after the compiled range: no watch list
+        # reaches it, and the leaf still decodes through the table.
+        table = self._eval.index.table
         atoms = sorted(self._least_model().undefined_atoms(), key=str)
-        choices = [(a, [None, Literal(a, True), Literal(a, False)]) for a in atoms]
-        return self._search(
-            "search.models", "model enumeration", choices, self._checker.is_model, limit
-        )
+        choices = [(None, 2 * a, 2 * a + 1) for a in map(table.intern, atoms)]
+        return self._search("search.models", "model enumeration", choices, False, limit)
 
     def total_models(self) -> list[Interpretation]:
         return [m for m in self.models() if m.is_total]
 
     def exhaustive_models(self) -> list[Interpretation]:
         """Models with no proper model superset (Definition 5b)."""
-        all_models = self.models()
-        literal_sets = [m.literals for m in all_models]
-        result = []
-        for m in all_models:
-            if not any(m.literals < other for other in literal_sets):
-                result.append(m)
-        return result
+        return self._decode(_maximal(self._model_leaves(None)))
 
     # ------------------------------------------------------------------
     # Assumption-free and stable models
     # ------------------------------------------------------------------
-    def _head_choices(self) -> list[tuple[Atom, list[Optional[Literal]]]]:
+    def _head_choices(self) -> list[tuple[Optional[int], ...]]:
         """Per-atom decision lists for AF-model search.
 
         Three sound restrictions compose:
@@ -161,95 +205,181 @@ class ModelEnumerator:
           rules, which is contained in ``T↑ω`` of all rules, so
           literals outside that closure can never be T-supported.
         """
-        from .assumptions import literal_closure
-
-        undecided = self._least_model().undefined_atoms()
-        possible = literal_closure(self._eval.rules)
-        positive_heads: set[Atom] = set()
-        negative_heads: set[Atom] = set()
-        for r in self._eval.rules:
-            if r.head.atom not in undecided:
-                continue
-            if r.head not in possible:
-                continue
-            if r.head.positive:
-                positive_heads.add(r.head.atom)
-            else:
-                negative_heads.add(r.head.atom)
-        choices = []
-        for atom in sorted(positive_heads | negative_heads, key=str):
-            options: list[Optional[Literal]] = [None]
-            if atom in positive_heads:
-                options.append(Literal(atom, True))
-            if atom in negative_heads:
-                options.append(Literal(atom, False))
-            choices.append((atom, options))
-        return choices
+        index = self._eval.index
+        defined = {lit >> 1 for lit in self._least_ids()}
+        possible = _closure(index, range(index.n_rules), index.n_literals)
+        heads = {h for h in index.heads if possible[h] and h >> 1 not in defined}
+        atom = index.table.atom
+        return [
+            (None, *(lit for lit in (2 * a, 2 * a + 1) if lit in heads))
+            for a in sorted({h >> 1 for h in heads}, key=lambda a: str(atom(a)))
+        ]
 
     def assumption_free_models(
         self, limit: Optional[int] = None
     ) -> list[Interpretation]:
         """All assumption-free models (Definition 7)."""
-        checker, analyzer = self._checker, self._analyzer
+        return self._decode(self._af_leaves(limit))
+
+    def _af_leaves(self, limit: Optional[int]) -> list[bytes]:
         return self._search(
-            "search.af_models",
-            "AF-model search",
-            self._head_choices(),
-            lambda i: checker.is_model(i) and analyzer.is_assumption_free(i),
-            limit,
+            "search.af_models", "AF-model search", self._head_choices(), True, limit
         )
+
+    def stable_models(self) -> list[Interpretation]:
+        """Maximal assumption-free models (Definition 9)."""
+        return self._decode(_maximal(self._af_leaves(None)))
+
+    def least_model_check(self, candidate: Interpretation) -> bool:
+        """True when ``candidate`` is contained in every model —
+        a direct (exponential) verification of Theorem 1(b)."""
+        return all(candidate.literals <= m.literals for m in self.models())
+
+    # ------------------------------------------------------------------
+    # The search, in id space
+    # ------------------------------------------------------------------
+    def _least_ids(self) -> list[int]:
+        """The least model's literal ids."""
+        table = self._eval.index.table
+        return [table.literal_id(literal) for literal in self._least_model()]
+
+    def _decode(self, leaves: list[bytes]) -> list[Interpretation]:
+        table = self._eval.index.table
+        return [Interpretation.over(table, flags, self._base) for flags in leaves]
 
     def _search(
         self,
         span: str,
         what: str,
-        choices: list[tuple[Atom, list[Optional[Literal]]]],
-        accept: Callable[[Interpretation], bool],
+        choices: list[tuple[Optional[int], ...]],
+        assumption_free: bool,
         limit: Optional[int],
-    ) -> list[Interpretation]:
-        """Depth-first over ``choices`` — per atom, the literals to try,
-        ``None`` leaving it undefined — on top of the least model; every
-        leaf ``accept`` takes is a model found."""
+    ) -> list[bytes]:
+        """Depth-first over ``choices`` — per atom, the literal ids to
+        try, ``None`` leaving it undefined — on top of the least model;
+        every leaf that is a model (and, with ``assumption_free``, an AF
+        one) is returned as its literal-id flags."""
         obs = get_instrumentation()
-        estimate = prod(len(options) for _, options in choices)
+        estimate = prod(map(len, choices))
         self._check_estimate(estimate)
         if obs.enabled:
             obs.gauge("search.branch_atoms", len(choices))
             obs.gauge("search.estimated_leaves", estimate)
-        found: list[Interpretation] = []
-        visited = 0
-        branches = 0
-        backtracks = 0
-        seed = list(self._least_model().literals)
 
-        def recurse(index: int, chosen: list[Literal]) -> bool:
+        index = self._eval.index
+        n, n_compiled = index.n_rules, index.n_literals
+        heads, sizes = index.heads, index.body_sizes
+        bw_start, bw_rules = index.body_watch_start, index.body_watch_rules
+        blw_start, blw_rules = index.block_watch_start, index.block_watch_rules
+        # The contra lists inverted: rule i's overrulers (Definition 3a
+        # asks for an applied one) and all its threats (Definition 2's
+        # overruled or defeated: one of them not blocked).
+        overrulers: list[list[int]] = [[] for _ in range(n)]
+        threats: list[list[int]] = [[] for _ in range(n)]
+        c_start, c_watchers = index.contra_start, index.contra_watchers
+        for j in range(n):
+            for packed in c_watchers[c_start[j] : c_start[j + 1]]:
+                threats[packed >> 1].append(j)
+                if packed & 1:
+                    overrulers[packed >> 1].append(j)
+        # Per rule: body literals true, and body complements true (the
+        # rule is blocked while that is positive).
+        truth = bytearray(2 * len(index.table))
+        sat = [0] * n
+        blk = [0] * n
+
+        def watchers(lit: int) -> tuple[array, array]:
+            """The rules with ``lit`` in their body, and those it blocks."""
+            if lit >= n_compiled:
+                return array("l"), array("l")
+            return (
+                bw_rules[bw_start[lit] : bw_start[lit + 1]],
+                blw_rules[blw_start[lit] : blw_start[lit + 1]],
+            )
+
+        for lit in self._least_ids():
+            truth[lit] = 1
+            body, block = watchers(lit)
+            for i in body:
+                sat[i] += 1
+            for i in block:
+                blk[i] += 1
+        watch = {lit: watchers(lit) for options in choices for lit in options if lit is not None}
+
+        def is_model() -> bool:
+            """Definition 3 at the current leaf."""
+            for i in range(n):
+                h = heads[i]
+                if truth[h ^ 1]:
+                    # (a): H(i)'s complement holds, so i is blocked or
+                    # overruled by an applied (here: applicable) rule.
+                    if not blk[i]:
+                        for j in overrulers[i]:
+                            if sat[j] == sizes[j]:
+                                break
+                        else:
+                            return False
+                elif not truth[h] and sat[i] == sizes[i]:
+                    # (b): applicable over an undefined atom, so some
+                    # threat is not blocked.
+                    for j in threats[i]:
+                        if not blk[j]:
+                            break
+                    else:
+                        return False
+            return True
+
+        def is_assumption_free() -> bool:
+            """Theorem 1(a): ``T↑ω`` of the enabled version — the applied
+            rules whose every threat is blocked (see
+            :meth:`AssumptionAnalyzer.enabled_version`) — is the leaf."""
+            enabled = (
+                i
+                for i in range(n)
+                if truth[heads[i]] and sat[i] == sizes[i] and all(blk[j] for j in threats[i])
+            )
+            return _closure(index, enabled, len(truth)) == truth
+
+        found: list[bytes] = []
+        visited = branches = backtracks = 0
+        depth, max_visited = len(choices), self._budget.max_visited
+
+        def recurse(k: int) -> bool:
             nonlocal visited, branches, backtracks
-            if index == len(choices):
+            if k == depth:
                 visited += 1
-                if visited > self._budget.max_visited:
+                if visited > max_visited:
                     raise self._budget_exhausted(what, visited - 1)
-                interp = Interpretation(chosen, self._base)
-                if accept(interp):
-                    found.append(interp)
+                if is_model() and (not assumption_free or is_assumption_free()):
+                    found.append(bytes(truth))
                     if limit is not None and len(found) >= limit:
                         return True
                 return False
-            for option in choices[index][1]:
+            for lit in choices[k]:
                 branches += 1
-                if option is None:
-                    if recurse(index + 1, chosen):
+                if lit is None:
+                    if recurse(k + 1):
                         return True
-                else:
-                    chosen.append(option)
-                    if recurse(index + 1, chosen):
-                        return True
-                    chosen.pop()
-                    backtracks += 1
+                    continue
+                body, block = watch[lit]
+                truth[lit] = 1
+                for i in body:
+                    sat[i] += 1
+                for i in block:
+                    blk[i] += 1
+                if recurse(k + 1):
+                    return True
+                truth[lit] = 0
+                for i in body:
+                    sat[i] -= 1
+                for i in block:
+                    blk[i] -= 1
+                backtracks += 1
             return False
 
         try:
             with obs.span(span):
-                recurse(0, seed)
+                recurse(0)
         finally:
             record_costs(
                 leaves_visited=visited,
@@ -258,21 +388,6 @@ class ModelEnumerator:
                 search_backtracks=backtracks,
             )
         return found
-
-    def stable_models(self) -> list[Interpretation]:
-        """Maximal assumption-free models (Definition 9)."""
-        af_models = self.assumption_free_models()
-        literal_sets = [m.literals for m in af_models]
-        return [
-            m
-            for m in af_models
-            if not any(m.literals < other for other in literal_sets)
-        ]
-
-    def least_model_check(self, candidate: Interpretation) -> bool:
-        """True when ``candidate`` is contained in every model —
-        a direct (exponential) verification of Theorem 1(b)."""
-        return all(candidate.literals <= m.literals for m in self.models())
 
     # ------------------------------------------------------------------
     # Budget plumbing

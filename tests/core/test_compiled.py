@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from repro.core.compiled import CompiledRuleIndex, DenseFixpoint, DenseModelData
 from repro.core.semantics import OrderedSemantics
 from repro.grounding.grounder import AtomTable
+from repro.lang.program import ASSERT, RETRACT
 from repro.lang.literals import Atom, Literal
 from repro.lang.terms import Constant
 from repro.workloads import paper
@@ -76,16 +77,16 @@ class TestAtomTable:
         _ = sem.least_model
         # The engine's table is the full seed grounding's, built on the
         # first maintained write.
-        sem.apply_delta(assertions=[("c1", "ground_animal(pigeon)")])
+        sem.apply_ops([(ASSERT, "c1", "ground_animal(pigeon)")])
         table = sem._maintained._table
         penguin = atom("bird", "penguin")
         before = table.id_of(penguin)
-        sem.apply_delta(retractions=[("c2", "bird(penguin)")])
+        sem.apply_ops([(RETRACT, "c2", "bird(penguin)")])
         # The engine keeps the same (append-only) table: no atom is
         # re-interned, no id moves.
         assert sem._maintained._table is table
         assert table.id_of(penguin) == before
-        sem.apply_delta(assertions=[("c2", "bird(penguin)")])
+        sem.apply_ops([(ASSERT, "c2", "bird(penguin)")])
         assert sem._maintained._table is table
         assert table.id_of(penguin) == before
 

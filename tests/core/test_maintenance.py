@@ -179,16 +179,16 @@ def test_batched_ops_single_cascade(lenient):
 
 
 # ----------------------------------------------------------------------
-# OrderedSemantics.apply_delta threading
+# OrderedSemantics.apply_ops threading
 # ----------------------------------------------------------------------
 def test_apply_delta_maintains_least_model_and_program():
     sem = OrderedSemantics(paper.figure1(), "c1")
     before = model_of(sem)
-    stats = sem.apply_delta(retractions=[("c2", "bird(penguin)")])
+    stats = sem.apply_ops([(RETRACT, "c2", "bird(penguin)")])
     assert not stats.full_rebuild
     assert model_of(sem) == fresh_model(sem)
     assert model_of(sem) != before
-    sem.apply_delta(assertions=[("c2", "bird(penguin)")])
+    sem.apply_ops([(ASSERT, "c2", "bird(penguin)")])
     assert model_of(sem) == before
     # The mutated program round-trips through the maintained ground
     # program: statuses and enumeration still work.
@@ -199,7 +199,7 @@ def test_apply_delta_maintains_least_model_and_program():
 def test_apply_delta_out_of_base_assertion_falls_back():
     sem = OrderedSemantics(paper.figure1(), "c1")
     sem.least_model
-    stats = sem.apply_delta(assertions=[("c2", "bird(ostrich)")])
+    stats = sem.apply_ops([(ASSERT, "c2", "bird(ostrich)")])
     assert stats.full_rebuild  # new constant: the view must re-ground
     assert "fly(ostrich)" in model_of(sem)
     assert model_of(sem) == fresh_model(sem)
@@ -208,13 +208,13 @@ def test_apply_delta_out_of_base_assertion_falls_back():
 def test_apply_delta_duplicate_fact_is_invisible_to_the_engine():
     sem = OrderedSemantics(paper.figure1(), "c1")
     before = model_of(sem)
-    stats = sem.apply_delta(assertions=[("c2", "bird(penguin)")])
+    stats = sem.apply_ops([(ASSERT, "c2", "bird(penguin)")])
     assert not stats.full_rebuild
     assert model_of(sem) == before
     # One retraction drops the duplicate only.
-    sem.apply_delta(retractions=[("c2", "bird(penguin)")])
+    sem.apply_ops([(RETRACT, "c2", "bird(penguin)")])
     assert model_of(sem) == before
-    sem.apply_delta(retractions=[("c2", "bird(penguin)")])
+    sem.apply_ops([(RETRACT, "c2", "bird(penguin)")])
     assert "bird(penguin)" not in model_of(sem)
     assert model_of(sem) == fresh_model(sem)
 
@@ -223,7 +223,7 @@ def test_apply_delta_retract_never_told_raises_and_preserves_state():
     sem = OrderedSemantics(paper.figure1(), "c1")
     before = model_of(sem)
     with pytest.raises(SemanticsError, match="never told"):
-        sem.apply_delta(retractions=["bird(penguin)"])  # wrong component
+        sem.apply_ops([(RETRACT, sem.component, "bird(penguin)")])  # wrong component
     assert model_of(sem) == before
 
 
@@ -234,14 +234,14 @@ def test_duplicate_copies_are_counted_before_the_engine():
     sem = OrderedSemantics(program, "only")
     assert "q(a)" in model_of(sem)
     with instrumented() as obs:
-        stats = sem.apply_delta(assertions=["p(a)"])
+        stats = sem.apply_ops([(ASSERT, sem.component, "p(a)")])
         # Duplicate program copy: the ground program is unchanged, so
         # the engine is not even seeded.
         assert not stats.full_rebuild and sem._maintained is None
-        stats = sem.apply_delta(retractions=["p(a)"])
+        stats = sem.apply_ops([(RETRACT, sem.component, "p(a)")])
         assert not stats.full_rebuild  # the duplicate absorbs the retract
         assert sem._maintained is None and "q(a)" in model_of(sem)
-        stats = sem.apply_delta(retractions=["p(a)"])
+        stats = sem.apply_ops([(RETRACT, sem.component, "p(a)")])
         counters = obs.snapshot()["counters"]
     assert not stats.full_rebuild and sem._maintained is not None
     assert counters["maintain.delta_facts"] == 3
@@ -252,7 +252,7 @@ def test_duplicate_copies_are_counted_before_the_engine():
 def test_a_maintained_view_keeps_only_its_model():
     sem = OrderedSemantics(paper.figure1(), "c1")
     sem.least_model
-    stats = sem.apply_delta(retractions=[("c2", "bird(penguin)")])
+    stats = sem.apply_ops([(RETRACT, "c2", "bird(penguin)")])
     assert not stats.full_rebuild and sem._maintained is not None
     # Nothing but the model survives the write; every other property
     # is the cold view's, grounded from the mutated program.
@@ -268,8 +268,8 @@ def test_obs_counters_flow():
     with instrumented() as obs:
         sem = OrderedSemantics(paper.figure1(), "c1")
         sem.least_model
-        sem.apply_delta(retractions=[("c2", "bird(penguin)")])
-        sem.apply_delta(assertions=[("c2", "bird(ostrich)")])  # fallback
+        sem.apply_ops([(RETRACT, "c2", "bird(penguin)")])
+        sem.apply_ops([(ASSERT, "c2", "bird(ostrich)")])  # fallback
         sem.least_model
         counters = obs.snapshot()["counters"]
     assert counters["maintain.delta_facts"] == 2
@@ -334,10 +334,10 @@ def test_interpretation_is_a_snapshot_not_a_view_of_live_state(lenient):
 def test_pinned_least_model_survives_apply_delta():
     sem = OrderedSemantics(paper.figure1(), "c1")
     expected = model_of(sem)
-    sem.apply_delta(retractions=[("c2", "bird(penguin)")])
-    sem.apply_delta(assertions=[("c2", "bird(penguin)")])
+    sem.apply_ops([(RETRACT, "c2", "bird(penguin)")])
+    sem.apply_ops([(ASSERT, "c2", "bird(penguin)")])
     pinned = sem.least_model  # a maintained, still undecoded model
-    sem.apply_delta(retractions=[("c2", "bird(penguin)")])
+    sem.apply_ops([(RETRACT, "c2", "bird(penguin)")])
     assert model_of(sem) != expected
     assert {str(l) for l in pinned.literals} == expected
 

@@ -1,11 +1,17 @@
 """Unit tests for model enumeration (models / AF / stable) and budgets
 — anchored on Example 5 of the paper."""
 
+import functools
+
 import pytest
 
+from repro.core.interpretation import Interpretation
 from repro.core.semantics import OrderedSemantics
 from repro.core.solver import SearchBudget
 from repro.lang.errors import SearchBudgetExceeded
+from repro.lang.literals import Literal
+from repro.obs.trace import trace
+from repro.workloads import diamond
 from repro.workloads.paper import example3, example5, figure2
 
 from ..conftest import semantics_of
@@ -134,3 +140,44 @@ class TestHeadRestriction:
         sem = OrderedSemantics(example3(), "c")
         assert sem.enumerator.least_model_check(sem.least_model)
         assert not sem.enumerator.least_model_check(sem.interpretation(["b"]))
+
+
+class TestIdSpaceSearch:
+    """The search decides Definitions 3 and 7 on the compiled index's
+    counters: no literal and no interpretation is built per leaf."""
+
+    @staticmethod
+    def built(n: int, monkeypatch) -> tuple[int, int, int]:
+        """``(Literal, Interpretation, models)`` built by ``sem.models()``
+        on a cold ``diamond(n)`` view (``3**n`` leaves)."""
+        sem = OrderedSemantics(diamond(n), "bottom")
+        counts = {Literal: 0, Interpretation: 0}
+
+        def counted(cls, make):
+            @functools.wraps(make)
+            def wrapper(*args, **kwargs):
+                counts[cls] += 1
+                return make(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(Literal, "__init__", counted(Literal, Literal.__init__))
+        # Every interpretation is made by the constructor or by deferred.
+        init = counted(Interpretation, Interpretation.__init__)
+        deferred = counted(Interpretation, Interpretation.deferred.__func__)
+        monkeypatch.setattr(Interpretation, "__init__", init)
+        monkeypatch.setattr(Interpretation, "deferred", classmethod(deferred))
+        with trace("models") as ctx:
+            models = sem.models()
+        monkeypatch.undo()
+        assert ctx.costs["leaves_visited"] == 3**n
+        return counts[Literal], counts[Interpretation], len(models)
+
+    def test_no_literal_or_interpretation_per_leaf(self, monkeypatch):
+        small = self.built(4, monkeypatch)
+        large = self.built(8, monkeypatch)
+        # Literals: the least model's, decoded once, never one per leaf.
+        assert large[0] <= 2 * small[0] < 3**4
+        # Interpretations: the least model and each model returned.
+        for _, interpretations, models in (small, large):
+            assert interpretations == models + 1

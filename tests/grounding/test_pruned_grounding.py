@@ -11,7 +11,7 @@ from repro.core.transform import OrderedTransform
 from repro.grounding.grounder import Grounder, GroundingOptions
 from repro.lang.errors import GroundingError
 from repro.lang.parser import parse_program, parse_rules
-from repro.lang.program import OrderedProgram
+from repro.lang.program import ASSERT, RETRACT, OrderedProgram
 from repro.obs import instrumented
 from repro.workloads import forest_program, release_chain, session_program
 from repro.workloads.classic import ancestor_chain, sparse_pairs
@@ -271,9 +271,9 @@ class TestColdThenWritten:
 
         grounded = rebuilt = 0
         for told in (True, False, True):
-            delta = {"assertions" if told else "retractions": ["enrolled_0(e3)"]}
+            kind = ASSERT if told else RETRACT
             with instrumented() as obs:
-                sem.apply_delta(**delta)
+                sem.apply_ops([(kind, sem.component, "enrolled_0(e3)")])
                 model = sem.least_model
                 counters = obs.snapshot()["counters"]
             grounded += "ground.source_rules" in counters
@@ -295,6 +295,6 @@ class TestColdThenWritten:
         assert sem.holds("r(a)")
         # -p(b) in the lower component makes p contradicted: p(X) :- q(X)
         # is no longer prune-safe, yet nothing is re-ground.
-        sem.apply_delta(assertions=["-p(b)", "-p(a)"])
+        sem.apply_ops([(ASSERT, sem.component, "-p(b)"), (ASSERT, sem.component, "-p(a)")])
         assert sem.least_model.literals == naive_over_full(sem.program, "low").literals
         assert sem.holds("-p(a)") and not sem.holds("r(a)")

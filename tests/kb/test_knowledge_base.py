@@ -3,10 +3,12 @@
 import pytest
 
 from repro.core.interpretation import TruthValue
+from repro.core.semantics import OrderedSemantics
 from repro.kb.knowledge_base import KnowledgeBase
 from repro.lang.errors import OrderError, SemanticsError
 from repro.lang.rules import fact
 from repro.lang.literals import pos
+from repro.obs.trace import trace
 
 
 @pytest.fixture
@@ -157,3 +159,19 @@ class TestQueryModes:
     def test_stable_models_access(self, choice_kb):
         stable = choice_kb.stable_models("me")
         assert len(stable) == 2
+
+    def test_a_warm_view_searches_its_stable_models_once(self, choice_kb):
+        choice_kb.ask("me", "c")
+        with trace("alone") as alone:
+            OrderedSemantics(choice_kb.program(), "me").stable_models()
+        with trace("reads") as reads:
+            assert all(choice_kb.ask("me", "c", mode="skeptical") for _ in range(5))
+        assert reads.costs["leaves_visited"] == alone.costs["leaves_visited"] > 0
+        # The caller's list is a copy of what the view keeps.
+        choice_kb.view("me").stable_models().clear()
+        assert len(choice_kb.stable_models("me")) == 2
+        # A write drops the kept models: the next read searches again.
+        choice_kb.tell("me", "c.")
+        with trace("after a tell") as after:
+            assert choice_kb.ask("me", "c", mode="skeptical")
+        assert after.costs["leaves_visited"] == alone.costs["leaves_visited"]

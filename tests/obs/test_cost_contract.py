@@ -19,6 +19,7 @@ import pytest
 from repro.core.semantics import OrderedSemantics
 from repro.kb import KnowledgeBase
 from repro.kb.query import answers_in
+from repro.lang.program import ASSERT
 from repro.obs import COST_COUNTERS, instrumented
 from repro.obs.trace import trace
 from repro.workloads import diamond, forest_program, release_chain, session_program
@@ -116,7 +117,7 @@ def fallback_tell():
     sem = OrderedSemantics(figure1(), "c1")
     sem.least_model
     # ostrich is outside the grounded base: only re-grounding can tell.
-    return lambda: sem.apply_delta(assertions=[("c2", "bird(ostrich)")])
+    return lambda: sem.apply_ops([(ASSERT, "c2", "bird(ostrich)")])
 
 
 def demand_read():

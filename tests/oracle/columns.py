@@ -101,16 +101,11 @@ def instances(ground) -> set:
     return {(r.component, r.head, r.body) for r in ground.rules}
 
 
-def model_set(models) -> set:
-    return {frozenset(m.literals) for m in models}
-
-
 def relevance(row: Row) -> int:
     """Relevance grounding keeps a subset of the full instances over the
-    same base; where enumerable, the facade's models, assumption-free
-    models and stable models equal those enumerated by hand from the
-    full instantiation (never-applicable rules still constrain total
-    models)."""
+    same base; where enumerable, the facade's full grounding, which its
+    model search runs over (never-applicable rules still constrain
+    total models), is the full instantiation."""
     for view in row.views:
         expected = oracle.of(row, view)
         where = f"{row}/{view}"
@@ -118,16 +113,43 @@ def relevance(row: Row) -> int:
         full = expected.instantiate()
         assert instances(sem.ground) <= instances(full), where
         assert sem.ground.base == full.base, where
+        if enumerable(row, expected):
+            assert instances(sem.full_ground) == instances(full), where
+    return len(row.views)
+
+
+def searched(enumerate_models) -> tuple[list, tuple[int, int, int]]:
+    """What one facade enumeration returns, and its recorded tree."""
+    with trace_context("search") as ctx:
+        found = enumerate_models()
+    shape = tuple(ctx.costs[k] for k in ("leaves_visited", "search_branches", "search_backtracks"))
+    return found, shape
+
+
+def search(row: Row) -> int:
+    """Where enumerable, the facade's models, assumption-free models and
+    stable models are the oracle's generate-and-test lists, in the same
+    order over the same base, and its search visits the same leaves,
+    branches and backtracks.  Returns how many views it checked."""
+    checked = 0
+    for view in row.views:
+        expected = oracle.of(row, view)
         if not enumerable(row, expected):
             continue
-        assert instances(sem.full_ground) == instances(full), where
-        by_hand = expected.enumerator(full)
-        assert model_set(sem.models()) == model_set(by_hand.models()), where
-        assert model_set(sem.assumption_free_models()) == model_set(
-            by_hand.assumption_free_models()
-        ), where
-        assert model_set(sem.stable_models()) == model_set(expected.stable_models), where
-    return len(row.views)
+        where = f"{row}/{view}"
+        sem = semantics(row.program, view)
+        cells = (
+            (sem.models, expected.model_search.found, expected.model_search),
+            (sem.assumption_free_models, expected.af_search.found, expected.af_search),
+            (sem.stable_models, expected.stable_models, expected.af_search),
+        )
+        for mine, want, tree in cells:
+            found, shape = searched(mine)
+            assert [m.literals for m in found] == [m.literals for m in want], where
+            assert all(m.base == expected.model.base for m in found), where
+            assert shape == (tree.leaves, tree.branches, tree.backtracks), where
+        checked += 1
+    return checked
 
 
 def stratified(row: Row) -> int:

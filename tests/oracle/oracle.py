@@ -5,8 +5,14 @@ sets enumerated over the same ground program.
 It is built by hand — :class:`StatusEvaluator` plus
 :class:`OrderedTransform` with ``strategy="naive"`` over
 ``ground_component_star(..., full=True)`` — so no
-:class:`OrderedSemantics` decides what it reads.  :func:`of` computes
-it once per (row, view) and every column shares the result.
+:class:`OrderedSemantics` decides what it reads.  The model sets are
+generate-and-test over objects: every leaf over the atoms the naive
+least model leaves undefined (Theorem 1b) is an
+:class:`Interpretation`, judged by :class:`ModelChecker` (Definition 3)
+and :class:`AssumptionAnalyzer` (Definition 7), never by the
+:class:`~repro.core.solver.ModelEnumerator` the search column tests.
+:func:`of` computes the oracle once per (row, view) and every column
+shares the result.
 
 The serving column's oracle is the serialized replay at the bottom:
 the leader's recorded batches re-executed one op at a time through
@@ -15,27 +21,68 @@ the leader's recorded batches re-executed one op at a time through
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate, product
+from math import prod
+from operator import mul
 
+from repro.core.assumptions import AssumptionAnalyzer, literal_closure
 from repro.core.interpretation import Interpretation
-from repro.core.solver import ModelEnumerator
+from repro.core.models import ModelChecker
 from repro.core.statuses import ComponentOrder, StatusEvaluator
 from repro.core.transform import OrderedTransform
 from repro.grounding.grounder import Grounder
 from repro.kb.query import answers_in
+from repro.lang.literals import Literal
 
 from .rows import OPTIONS, Row
+
+
+@dataclass(frozen=True)
+class Search:
+    """What one generate-and-test found, and the shape of its tree: a
+    depth-first search over the same choice lists visits ``leaves``,
+    tries ``branches`` options and undoes ``backtracks`` decisions."""
+
+    found: tuple[Interpretation, ...]
+    leaves: int
+    branches: int
+    backtracks: int
+
+
+def generate_and_test(least, base, choices, accept) -> Search:
+    """Every leaf of ``choices`` — per atom, the literals to try,
+    ``None`` leaving it undefined — on top of ``least``, in depth-first
+    order (the first atom varies slowest); ``accept`` judges each."""
+    found = tuple(
+        leaf
+        for picked in product(*choices)
+        for leaf in [Interpretation(least | {l for l in picked if l is not None}, base)]
+        if accept(leaf)
+    )
+    # Level k of the tree has prod(widths[:k]) nodes; each tries all
+    # its options and undoes every one that decided a literal.
+    widths = list(map(len, choices))
+    above = [1, *accumulate(widths, mul)][:-1]
+    decided = [sum(l is not None for l in options) for options in choices]
+    return Search(
+        found,
+        prod(widths),
+        sum(n * w for n, w in zip(above, widths)),
+        sum(n * d for n, d in zip(above, decided)),
+    )
 
 
 class Oracle:
     """``V↑k(∅)`` for every stage ``k`` of one view, over its full
     instantiation.
 
-    Only the stages, the instance count and (once asked for) the stable
-    models outlive the iteration.  :func:`of` keeps every oracle for the
-    session, so a column that reads the ground program itself — the
-    instances, the evaluator, the enumerator — builds it again with
-    :meth:`instantiate` and drops it when its cell is done."""
+    Only the stages, the instance count and (once asked for) the model
+    searches outlive the iteration.  :func:`of` keeps every oracle for
+    the session, so a column that reads the ground program itself — the
+    instances, the evaluator — builds it again with :meth:`instantiate`
+    and drops it when its cell is done."""
 
     def __init__(self, program, view: str, options=OPTIONS) -> None:
         self.program, self.view, self.options = program, view, options
@@ -63,9 +110,40 @@ class Oracle:
         order = ComponentOrder(self.program.order)
         return StatusEvaluator(ground.rules, order, atom_table=ground.atom_table)
 
-    def enumerator(self, ground=None) -> ModelEnumerator:
-        ground = self.instantiate() if ground is None else ground
-        return ModelEnumerator(self.evaluator(ground), ground.base)
+    @cached_property
+    def model_search(self) -> Search:
+        """Definition 3: every leaf branched three ways (undefined, true,
+        false) over the atoms the least model leaves undefined."""
+        ground = self.instantiate()
+        checker = ModelChecker(self.evaluator(ground), ground.base)
+        choices = [
+            (None, Literal(atom, True), Literal(atom, False))
+            for atom in sorted(self.model.undefined_atoms(), key=str)
+        ]
+        return generate_and_test(self.literals, ground.base, choices, checker.is_model)
+
+    @cached_property
+    def af_search(self) -> Search:
+        """Definition 7, over the head choices: an undefined atom is
+        branched only on a sign some rule heads and the literal closure
+        of all rules contains (Theorem 1a)."""
+        ground = self.instantiate()
+        evaluator = self.evaluator(ground)
+        checker = ModelChecker(evaluator, ground.base)
+        analyzer = AssumptionAnalyzer(evaluator, ground.base)
+        undefined = self.model.undefined_atoms()
+        possible = literal_closure(evaluator.rules)
+        heads = {r.head for r in evaluator.rules if r.head in possible}
+        choices = [
+            (None, *(l for l in (Literal(atom, True), Literal(atom, False)) if l in heads))
+            for atom in sorted({h.atom for h in heads} & undefined, key=str)
+        ]
+        return generate_and_test(
+            self.literals,
+            ground.base,
+            choices,
+            lambda leaf: checker.is_model(leaf) and analyzer.is_assumption_free(leaf),
+        )
 
     @property
     def model(self) -> Interpretation:
@@ -81,7 +159,9 @@ class Oracle:
 
     @cached_property
     def stable_models(self) -> list[Interpretation]:
-        return self.enumerator().stable_models()
+        """Definition 9: the maximal assumption-free models."""
+        found = self.af_search.found
+        return [m for m in found if not any(m.literals < other.literals for other in found)]
 
 
 #: Process-wide so that columns in different test modules share it: a

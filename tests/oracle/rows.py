@@ -292,10 +292,7 @@ def family(name: str) -> tuple[Row, ...]:
     (propositional stratified), ``first_order`` (first-order ordered)
     or ``fo_stratified`` (first-order stratified, with goals)."""
     make = {
-        # No column enumerates this family's model sets: reads on it
-        # are cautious (skeptical and credulous ones re-enumerate the
-        # stable models per read).
-        "ordered": _sequential("ordered", 0x5EED, draw_ordered, models=False),
+        "ordered": _sequential("ordered", 0x5EED, draw_ordered),
         "first_order": _sequential("first_order", 0xAB57, draw_first_order),
         "stratified": _stratified_row,
         "fo_stratified": _fo_stratified_row,

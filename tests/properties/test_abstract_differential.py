@@ -3,9 +3,10 @@ matrix (``tests/oracle``).
 
 * **Relevance** — relevance grounding keeps a subset of the full
   instances over the same base, and where the view is enumerable the
-  facade's Definition 3 models, assumption-free models and stable
-  models equal those enumerated by hand from the full instantiation
-  (never-applicable rules still constrain total models).
+  facade's full grounding, which its model search runs over
+  (never-applicable rules still constrain total models), is the full
+  instantiation.  The model lists themselves are the search column's
+  (test_search_differential.py).
 * **Stratified** — where the analyzer routes a view, the classical
   stratified closure is the oracle's least model.
 * **Fact soundness** — every signed predicate the abstract

@@ -1,0 +1,31 @@
+"""The search column of the oracle matrix (``tests/oracle``): on every
+enumerable view of every row, the facade's Definition 3 models,
+assumption-free models and stable models are the oracle's object-level
+generate-and-test lists, in the same order, and the facade's search
+tree has the same leaves, branches and backtracks."""
+
+from __future__ import annotations
+
+import pytest
+
+from ..oracle import columns
+from ..oracle.rows import PAPER, WORKLOADS, family
+
+#: The random families with views small enough to enumerate (every
+#: ``fo_stratified`` base has dozens of atoms).
+FAMILIES = ("ordered", "stratified", "first_order")
+
+
+@pytest.mark.parametrize("row", PAPER, ids=str)
+def test_paper_programs(row):
+    columns.search(row)
+
+
+@pytest.mark.parametrize("row", WORKLOADS, ids=str)
+def test_workload_generators(row):
+    columns.search(row)
+
+
+@pytest.mark.parametrize("name", FAMILIES)
+def test_random_family_sweep(name):
+    assert columns.sweep(columns.search, name) >= len(family(name))
