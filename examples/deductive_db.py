@@ -2,7 +2,7 @@
 """The deductive-database side of Example 6: relations + recursive rules.
 
 The paper's ancestor program defines ``parent`` "through a database
-relation".  This example loads an extensional database into a
+relation".  This example tells the extensional facts to a
 knowledge-base object, answers the recursive IDB goal-directed
 (``strategy="demand"``: a magic-sets rewrite, no grounding over the
 Herbrand universe), cross-checks those answers against the materialized
@@ -14,7 +14,6 @@ Run:  python examples/deductive_db.py
 """
 
 from repro import KnowledgeBase, Variable, parse_rules
-from repro.db import Database
 from repro.kb import evaluate_query
 from repro.reductions import ordered_version
 
@@ -26,6 +25,9 @@ FAMILY = [
     ("seth", "enos"),
     ("enos", "kenan"),
 ]
+
+#: The extensional ``parent`` relation as ground facts.
+FACTS = parse_rules(" ".join(f"parent({a}, {b})." for a, b in FAMILY))
 
 RULES = parse_rules(
     """
@@ -48,17 +50,13 @@ def names(answers) -> list[str]:
 
 
 def main() -> None:
-    db = Database()
-    for pair in FAMILY:
-        db.insert("parent", pair)
-
     print("Deductive database (Example 6 of the paper)")
     print("=" * 60)
-    print(f"EDB: parent relation with {len(db.relation('parent'))} tuples")
+    print(f"EDB: parent relation with {len(FACTS)} tuples")
 
     kb = KnowledgeBase()
     kb.define("family", RULES)
-    kb.tell_facts("family", db)
+    kb.tell("family", FACTS)
 
     ancestors = kb.query("family", "anc(adam, X)", strategy="demand")
     print("\nadam's descendants:", names(ancestors))
@@ -70,7 +68,7 @@ def main() -> None:
 
     # The ordered reading: OV adds the explicit closed world, so
     # non-membership is *derivably false*, not merely absent.
-    sem = ordered_version(db.facts() + RULES + PATRIARCH).semantics()
+    sem = ordered_version(FACTS + RULES + PATRIARCH).semantics()
     patriarchs = evaluate_query(sem, "patriarch(X)")
     print("patriarchs:        ", names(patriarchs))
     assert sem.holds("patriarch(adam)")

@@ -41,7 +41,8 @@ from .analysis.conflicts import conflict_summary
 from .analysis.stats import program_stats
 from .core.semantics import OrderedSemantics
 from .core.transform import DEFAULT_STRATEGY, STRATEGIES
-from .kb.query import evaluate_query
+from .grounding.grounder import GroundingOptions
+from .kb.knowledge_base import KnowledgeBase
 from .lang.errors import ReproError
 from .lang.parser import parse_program
 from .lang.program import OrderedProgram
@@ -430,17 +431,19 @@ def _pick_component(program: OrderedProgram, requested: Optional[str]) -> str:
     )
 
 
-def _semantics(args: argparse.Namespace) -> OrderedSemantics:
-    from .grounding.grounder import GroundingOptions
-
+def _session(args: argparse.Namespace) -> tuple[KnowledgeBase, str]:
+    """The file as a knowledge base, and the component to read it at."""
     program = _load(args.file)
     component = _pick_component(program, args.component)
-    return OrderedSemantics(
-        program,
-        component,
-        grounding=GroundingOptions(max_depth=args.max_depth),
-        strategy=getattr(args, "strategy", DEFAULT_STRATEGY),
+    kb = KnowledgeBase.from_program(
+        program, grounding=GroundingOptions(max_depth=args.max_depth)
     )
+    return kb, component
+
+
+def _semantics(args: argparse.Namespace) -> OrderedSemantics:
+    kb, component = _session(args)
+    return kb.view(component)
 
 
 def _print_metrics(args: argparse.Namespace) -> None:
@@ -451,7 +454,10 @@ def _print_metrics(args: argparse.Namespace) -> None:
 def _cmd_run(args: argparse.Namespace) -> int:
     sem = _semantics(args)
     if args.semantics == "least":
-        models = [sem.least_model]
+        if args.strategy == DEFAULT_STRATEGY:
+            models = [sem.least_model]
+        else:
+            models = [sem.transform.least_fixpoint(strategy=args.strategy)]
     else:
         chooser = {
             "stable": sem.stable_models,
@@ -491,8 +497,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
-    sem = _semantics(args)
-    answers = evaluate_query(sem, args.query, args.mode)
+    kb, component = _session(args)
+    answers = kb.query(component, args.query, args.mode)
     if not answers:
         print("no")
         _print_metrics(args)
@@ -509,11 +515,9 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         with obs.span("parse"):
             program = _load(args.file)
         component = _pick_component(program, args.component)
-        from .grounding.grounder import GroundingOptions
-
-        sem = OrderedSemantics(
-            program, component, grounding=GroundingOptions(max_depth=args.max_depth)
-        )
+        sem = KnowledgeBase.from_program(
+            program, grounding=GroundingOptions(max_depth=args.max_depth)
+        ).view(component)
         _ = sem.ground  # grounding phase (span "ground")
         model = sem.least_model  # fixpoint phase
         counts = {"least": len(model.literals)}
@@ -580,7 +584,6 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 def _cmd_lint(args: argparse.Namespace) -> int:
     from .analysis.lint import lint_program
-    from .grounding.grounder import GroundingOptions
 
     program = _load(args.file)
     findings = lint_program(
@@ -642,14 +645,26 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
-def _cmd_repl(args: argparse.Namespace) -> int:  # pragma: no cover - interactive
+def _cmd_repl(args: argparse.Namespace) -> int:
     from .repl import run
 
     return run(args.file)
 
 
+def _seed_kb(args: argparse.Namespace) -> KnowledgeBase:
+    """The knowledge base ``olp serve`` starts from: the ``--restore``
+    dump, the .olp file, or an empty one."""
+    if args.restore is not None:
+        from .serialize import loads_kb
+
+        with open(args.restore) as handle:
+            return loads_kb(handle.read())
+    if args.file is not None:
+        return KnowledgeBase.from_program(_load(args.file))
+    return KnowledgeBase()
+
+
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from .kb.knowledge_base import KnowledgeBase
     from .server import ServerConfig, run_server
 
     config = ServerConfig(
@@ -728,23 +743,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                     "drop the .olp/--restore seed or point --wal elsewhere"
                 )
             # Seed a fresh WAL directory from the given program/dump.
-            if args.restore is not None:
-                from .serialize import loads_kb
-
-                with open(args.restore) as handle:
-                    kb = loads_kb(handle.read())
-            else:
-                kb = KnowledgeBase.from_program(_load(args.file))
+            kb = _seed_kb(args)
             wal.checkpoint(kb, 0)
-    elif args.restore is not None:
-        from .serialize import loads_kb
-
-        with open(args.restore) as handle:
-            kb = loads_kb(handle.read())
-    elif args.file is not None:
-        kb = KnowledgeBase.from_program(_load(args.file))
     else:
-        kb = KnowledgeBase()
+        kb = _seed_kb(args)
     if args.edb is not None:
         from .db.edb import EdbStore
 

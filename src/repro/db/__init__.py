@@ -1,17 +1,10 @@
-"""The deductive-database substrate: relations, an in-memory
-extensional database, and the disk-backed :class:`EdbStore` (Example 6's
-"parent is defined through a database relation").  Containers only —
-rules are evaluated over them by :mod:`repro.query` (goal-directed) or,
-once told to a knowledge base, by the ordered semantics itself."""
+"""The deductive-database substrate: the disk-backed :class:`EdbStore`
+(Example 6's "parent is defined through a database relation").  A
+container only — rules are evaluated over it by :mod:`repro.query`
+(goal-directed) or, once attached to a knowledge base, by the ordered
+semantics itself.  In-memory facts are told to a
+:class:`~repro.kb.KnowledgeBase` object directly."""
 
-from .database import Database
 from .edb import EdbError, EdbStore
-from .relation import Relation, RelationError
 
-__all__ = [
-    "Relation",
-    "RelationError",
-    "Database",
-    "EdbError",
-    "EdbStore",
-]
+__all__ = ["EdbError", "EdbStore"]

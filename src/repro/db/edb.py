@@ -1,5 +1,4 @@
-"""Disk-backed EDB storage: a SQLite column store behind the
-:class:`~repro.db.relation.Relation` interface.
+"""Disk-backed EDB storage: a SQLite column store of ground relations.
 
 Fact bases larger than RAM are a supported scenario: an
 :class:`EdbStore` keeps every relation as an integer column table in a
@@ -13,9 +12,8 @@ The store is the data half of the demand-driven query path
 (``docs/query.md``): :meth:`fetch` pulls only the tuples a magic
 predicate asks for (a ``WHERE`` over the bound columns, answered from
 per-column indexes), so a point query over a multi-million-fact EDB
-never scans the fact base.  :meth:`relation` materializes a full
-in-memory :class:`Relation` for code that needs the classical
-interface, and is deliberately documented as expensive.
+never scans the fact base.  :meth:`facts` is the full scan that
+materialization needs, and is deliberately documented as expensive.
 
 Attach a store to a knowledge base with
 :meth:`repro.kb.KnowledgeBase.attach_edb`, or to a server with
@@ -33,7 +31,6 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence
 from ..lang.literals import Atom, Literal
 from ..lang.rules import Rule
 from ..lang.terms import Compound, Constant, Term
-from .relation import Relation
 
 __all__ = ["EdbStore", "EdbError"]
 
@@ -231,15 +228,6 @@ class EdbStore:
         self._counts.pop(name, None)
         return inserted
 
-    def load_database(self, database) -> int:
-        """Load every relation of an in-memory
-        :class:`~repro.db.database.Database`."""
-        total = 0
-        for name in database.names():
-            rel = database.relation(name)
-            total += self.bulk_load(rel.name, rel.arity, rel.rows)
-        return total
-
     # ------------------------------------------------------------------
     # Reading
     # ------------------------------------------------------------------
@@ -337,21 +325,9 @@ class EdbStore:
         ).fetchall()
         return [tuple(self._term(tid) for tid in row) for row in rows]
 
-    def relation(self, name: str) -> Relation:
-        """The full relation materialized in memory.
-
-        **Expensive**: reads every row off disk.  Exists for
-        compatibility with the classical :class:`Relation` interface;
-        the demand path never calls it.
-        """
-        arity = self._arities.get(name)
-        if arity is None:
-            raise EdbError(f"no relation named {name!r} in {self.path}")
-        return Relation(name, arity, list(self.fetch(name, (None,) * arity)))
-
     def facts(self) -> Iterator[Rule]:
         """Every stored tuple as a ground fact rule, relation by
-        relation — the shape :meth:`KnowledgeBase.tell_facts` expects.
+        relation — the shape :meth:`KnowledgeBase.tell` takes.
         **Expensive** for large stores (full scan); materialization-time
         only."""
         for name in self.names():

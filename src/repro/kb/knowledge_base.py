@@ -171,12 +171,6 @@ class KnowledgeBase:
         # rules: structural for exactly those views.
         self._drop_views_seeing(child)
 
-    def tell_facts(self, name: str, database) -> None:
-        """Load an extensional :class:`repro.db.Database` into an object
-        as ground facts (Example 6's "parent is defined through a
-        database relation")."""
-        self.tell(name, database.facts())
-
     def attach_edb(self, name: str, store) -> None:
         """Attach a disk-backed :class:`~repro.db.edb.EdbStore` to an
         object as its extensional fact base.

@@ -1,9 +1,9 @@
 """An interactive shell for ordered logic programs.
 
-Launched by ``olp repl [FILE]``.  The session holds the current
-(immutable) program and a *focus* component; every mutation moves to a
-successor program, and all but ground-fact writes invalidate the cached
-semantics.
+Launched by ``olp repl [FILE]``.  The session is one
+:class:`~repro.kb.KnowledgeBase` plus a *focus* object: every command
+is a knowledge-base call, so the REPL reads and writes exactly as the
+library and the server do (``docs/maintenance.md``, ``docs/query.md``).
 
 Commands::
 
@@ -36,12 +36,11 @@ from .analysis.hasse import render_hasse
 from .analysis.lint import lint_program
 from .core.semantics import OrderedSemantics
 from .explain.trace import Explainer
-from .kb.query import evaluate_query
+from .kb.knowledge_base import KnowledgeBase
 from .lang.errors import ReproError
 from .lang.parser import parse_program, parse_rule
 from .lang.printer import render_program
-from .lang.program import ASSERT, RETRACT, Component, OrderedProgram
-from .lang.rules import Rule
+from .lang.program import OrderedProgram
 
 __all__ = ["ReplSession"]
 
@@ -50,11 +49,9 @@ class ReplSession:
     """The REPL's state machine: one command string in, output out."""
 
     def __init__(self, program: Optional[OrderedProgram] = None) -> None:
-        self._program = OrderedProgram.single((), "main")
-        self._focus = "main"
-        self._semantics: Optional[OrderedSemantics] = None
-        if program is not None:
-            self._adopt(program)
+        if program is None:
+            program = OrderedProgram.single((), "main")
+        self._adopt(program)
         self._commands: dict[str, Callable[[str], str]] = {
             "load": self._cmd_load,
             "focus": self._cmd_focus,
@@ -75,24 +72,21 @@ class ReplSession:
         }
 
     # ------------------------------------------------------------------
-    # Program state
+    # Session state: one knowledge base and a focus object
     # ------------------------------------------------------------------
     def _adopt(self, program: OrderedProgram) -> None:
-        self._program = program
+        self._kb = KnowledgeBase.from_program(program)
         self._focus = min(program.order.minimal_elements(), default="main")
-        self._semantics = None
 
     def program(self) -> OrderedProgram:
-        return self._program
+        return self._kb.program()
 
     @property
     def focus(self) -> str:
         return self._focus
 
     def semantics(self) -> OrderedSemantics:
-        if self._semantics is None:
-            self._semantics = OrderedSemantics(self.program(), self._focus)
-        return self._semantics
+        return self._kb.view(self._focus)
 
     # ------------------------------------------------------------------
     # Dispatch
@@ -113,101 +107,76 @@ class ReplSession:
             if line.endswith("."):
                 return self._cmd_assert(line)
             return f"unknown command {word!r}; try 'help'"
-        except ReproError as error:
-            return f"error: {error}"
-        except ValueError as error:
+        except (ReproError, ValueError, OSError) as error:
             return f"error: {error}"
 
     # ------------------------------------------------------------------
     # Commands
     # ------------------------------------------------------------------
-    def _invalidate(self) -> None:
-        self._semantics = None
-
     def _cmd_load(self, arg: str) -> str:
         with open(arg) as handle:
             self._adopt(parse_program(handle.read()))
-        return (
-            f"loaded {len(self._program)} component(s); focus = {self._focus}"
-        )
+        return f"loaded {len(self.program())} component(s); focus = {self._focus}"
 
     def _cmd_focus(self, arg: str) -> str:
-        if arg not in self._program:
-            self._program = self._program.with_component(Component(arg))
+        if arg not in self._kb.objects:
+            self._kb.define(arg)
         self._focus = arg
-        self._invalidate()
         return f"focus = {arg}"
 
     def _split_target(self, arg: str) -> tuple[str, str]:
         target = self._focus
         word, _, rest = arg.partition(" ")
-        if word in self._program and rest.strip().endswith("."):
+        if word in self._kb.objects and rest.strip().endswith("."):
             target, arg = word, rest.strip()
         return target, arg
 
     def _cmd_assert(self, arg: str) -> str:
         target, arg = self._split_target(arg)
         r = parse_rule(arg)
-        if r.is_fact and r.is_ground:
-            self._write_fact(ASSERT, target, r)
-        else:
-            self._program = self._program.with_component(
-                self._program.component(target).extend([r])
-            )
-            self._invalidate()
+        self._kb.tell(target, [r])
         return f"[{target}] {r}"
-
-    def _write_fact(self, kind: str, target: str, r: Rule) -> None:
-        """Ground facts repair the cached model through the delta engine
-        instead of recomputing the view from scratch."""
-        ops = [(kind, target, r.head)]
-        if self._semantics is not None:
-            self._semantics.apply_ops(ops)
-            self._program = self._semantics.program
-        else:
-            self._program = self._program.update_facts(ops).program
 
     def _cmd_retract(self, arg: str) -> str:
         target, arg = self._split_target(arg)
         if not arg:
             return "usage: retract [COMPONENT] FACT."
         r = parse_rule(arg)
-        if not (r.is_fact and r.is_ground):
-            return f"error: only ground facts can be retracted, not {r}"
-        self._write_fact(RETRACT, target, r)
+        self._kb.retract(target, [r])
         return f"[{target}] retracted {r}"
 
     def _cmd_order(self, arg: str) -> str:
         parts = [p.strip() for p in arg.split("<")]
         if len(parts) < 2 or not all(parts):
             return "usage: order A < B [< C ...]"
-        program = self._program
-        for name in parts:
-            if name not in program:
-                program = program.with_component(Component(name))
-        for low, high in zip(parts, parts[1:], strict=False):
-            program = program.with_component(program.component(low), below=[high])
-        self._program = program  # only once the whole chain is acyclic
-        self._invalidate()
+        before = self._kb.program()
+        try:
+            for name in parts:
+                if name not in self._kb.objects:
+                    self._kb.define(name)
+            for low, high in zip(parts, parts[1:], strict=False):
+                self._kb.isa(low, high)
+        except ReproError:
+            self._kb.rewind(before)  # the whole chain, or nothing
+            raise
         return " < ".join(parts)
 
     def _cmd_model(self, arg: str) -> str:
-        sem = self.semantics()
-        model = sem.least_model
-        lines = [f"least model of {sem.component}: {model}"]
+        model = self._kb.least_model(self._focus)
+        lines = [f"least model of {self._focus}: {model}"]
         undefined = sorted(map(str, model.undefined_atoms()))
         if undefined:
             lines.append(f"undefined: {', '.join(undefined)}")
         return "\n".join(lines)
 
     def _cmd_stable(self, arg: str) -> str:
-        models = self.semantics().stable_models()
+        models = self._kb.stable_models(self._focus)
         lines = [f"{len(models)} stable model(s):"]
         lines += [f"  [{i}] {m}" for i, m in enumerate(models)]
         return "\n".join(lines)
 
     def _cmd_value(self, arg: str) -> str:
-        return str(self.semantics().value(arg))
+        return str(self._kb.value(self._focus, arg))
 
     def _cmd_query(self, arg: str) -> str:
         parts = arg.split()
@@ -215,7 +184,7 @@ class ReplSession:
         if parts and parts[-1] in ("cautious", "skeptical", "credulous"):
             mode = parts[-1]
             arg = " ".join(parts[:-1])
-        answers = evaluate_query(self.semantics(), arg, mode)
+        answers = self._kb.query(self._focus, arg, mode)
         if not answers:
             return "no"
         return "\n".join(str(a.literal) for a in answers)
@@ -253,7 +222,7 @@ class ReplSession:
         )
 
 
-def run(path: Optional[str] = None) -> int:  # pragma: no cover - interactive
+def run(path: Optional[str] = None) -> int:
     """The interactive loop used by ``olp repl``."""
     session = ReplSession()
     if path:

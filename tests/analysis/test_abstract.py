@@ -3,6 +3,8 @@ intervals, widening, and the consumer-facing rule restrictions)."""
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.analysis.abstract import (
@@ -256,9 +258,9 @@ class TestWholeProgram:
 
 class TestEdbSeeding:
     def test_relations_seed_sorts_and_cards(self):
-        from repro.db.relation import Relation
-
-        rel = Relation("edge", 2, [("a", "b"), ("b", "c")])
+        # A base relation is any object with name / arity / rows.
+        a, b, c = Constant("a"), Constant("b"), Constant("c")
+        rel = SimpleNamespace(name="edge", arity=2, rows=[(a, b), (b, c)])
         analysis = analyze_rules(
             parse_rules("path(X, Y) :- edge(X, Y)."), edb=[rel]
         )

@@ -87,32 +87,6 @@ class TestInheritanceAndOverriding:
         assert tweety_kb.ask("penguin", "fly(piper)")
 
 
-class TestDatabaseBridge:
-    def test_tell_facts_loads_relations(self):
-        from repro.db import Database
-
-        db = Database()
-        db.insert("parent", ("adam", "cain"))
-        db.insert("parent", ("cain", "enoch"))
-        kb = KnowledgeBase()
-        kb.define(
-            "family",
-            """
-            anc(X, Y) :- parent(X, Y).
-            anc(X, Y) :- parent(X, Z), anc(Z, Y).
-            """,
-        )
-        kb.tell_facts("family", db)
-        assert kb.ask("family", "anc(adam, enoch)")
-
-    def test_tell_facts_requires_object(self):
-        from repro.db import Database
-
-        kb = KnowledgeBase()
-        with pytest.raises(SemanticsError):
-            kb.tell_facts("nope", Database())
-
-
 class TestVersioning:
     def test_derive_creates_overriding_version(self, tweety_kb):
         tweety_kb.derive("penguin_v2", "penguin", "fly(X) :- penguin_of(X), rocket(X).")

@@ -13,6 +13,11 @@ leader's recorded batches replayed one op at a time through
   (:func:`~repro.serialize.kb_signature`) without a reset, and every
   read either served equals the oracle's answer at the version stamped
   on its reply.
+* **REPL** (:func:`repl`): the leader's client traces, interleaved into
+  one serial stream and typed as REPL lines (``focus``, ``assert V
+  fact.``, ``retract V fact.``, ``query PATTERN cautious``), give the
+  oracle's reply at every step, and the session ends on the oracle's
+  program.
 """
 
 from __future__ import annotations
@@ -22,6 +27,9 @@ import json
 import random
 
 from repro.core.semantics import OrderedSemantics
+from repro.lang.errors import SemanticsError
+from repro.lang.parser import parse_rule
+from repro.repl import ReplSession
 from repro.serialize import interpretation_to_dict, kb_signature
 from repro.server import QueryServer, ServerConfig, ServerEngine
 from repro.server.replica import FollowerEngine, tail_leader
@@ -110,6 +118,52 @@ def leader(seed: int) -> None:
     # Every version with an ok write or read reply exists in history.
     assert set(applied) <= recorded
     assert not reads, f"{where}: replies at unrecorded versions {sorted(reads)}"
+
+
+# ----------------------------------------------------------------------
+# REPL
+# ----------------------------------------------------------------------
+def serialize(traces, rng: random.Random) -> list[dict]:
+    """The clients' traces interleaved at random into one stream, each
+    client's own order kept."""
+    pending = [list(reversed(trace)) for trace in traces]
+    stream = []
+    while any(pending):
+        stream.append(rng.choice([p for p in pending if p]).pop())
+    return stream
+
+
+def repl(seed: int) -> None:
+    rng = random.Random(seed)
+    traces = client_traces(
+        depth=DEPTH,
+        n_entities=ENTITIES,
+        n_clients=rng.randint(2, size("server_clients")),
+        ops_per_client=rng.randint(10, size("server_ops")),
+        seed=seed,
+    )
+    session = ReplSession(build_server_kb(DEPTH, ENTITIES).program())
+    serial = build_server_kb(DEPTH, ENTITIES)
+    for step, payload in enumerate(serialize(traces, rng)):
+        where = f"seed {seed}, step {step} ({payload['id']})"
+        view = payload["view"]
+        if payload["op"] in ("query", "ask"):
+            if session.focus != view:
+                assert session.execute(f"focus {view}") == f"focus = {view}", where
+            got = session.execute(f"query {payload['pattern']} cautious")
+            want = oracle.read(serial, {**payload, "op": "query"})["answers"]
+            assert got == ("\n".join(a["literal"] for a in want) or "no"), where
+            continue
+        command = "assert" if payload["op"] == "tell" else "retract"
+        got = session.execute(f"{command} {view} {payload['rules']}")
+        try:
+            serial.apply_op(payload)
+        except SemanticsError:
+            assert got.startswith("error:"), where
+            continue
+        done = "retracted " if command == "retract" else ""
+        assert got == f"[{view}] {done}{parse_rule(payload['rules'])}", where
+    assert session.program() == serial.program(), f"seed {seed}: program diverges"
 
 
 # ----------------------------------------------------------------------

@@ -6,7 +6,9 @@ Randomized concurrent client traces run against a live
 snapshot with the batch that produced it; the serialized oracle replays
 exactly those batches through ``KnowledgeBase.apply_op`` and every
 version's program, view models, read replies and write attribution
-must match it.  ``ORACLE_SCALE`` sets the number of traces and their
+must match it.  The REPL column types the same traces, serialized, as
+REPL lines and checks every reply against the same oracle.
+``ORACLE_SCALE`` sets the number of traces and their
 upper bounds of clients and ops.
 """
 
@@ -23,6 +25,11 @@ from ..oracle.scale import size
 def test_concurrent_traces_match_serialized_oracle():
     for seed in range(size("server_traces")):
         serving.leader(seed)
+
+
+def test_repl_replay_matches_serialized_oracle():
+    for seed in range(size("server_traces")):
+        serving.repl(seed)
 
 
 def test_single_trace_is_deterministic():

@@ -391,3 +391,24 @@ class TestExplainAndStats:
     def test_stats(self, figure1_file, capsys):
         assert main(["stats", figure1_file]) == 0
         assert "2 components" in capsys.readouterr().out
+
+
+class TestLibraryRoute:
+    """``olp query`` reads through ``KnowledgeBase.read``: a ground
+    cautious goal on a cold file is offered to the demand route first."""
+
+    def test_figure1_falls_back_with_a_reason(self, figure1_file, capsys):
+        assert main(
+            ["query", figure1_file, "-c", "c1", "-q", "fly(pigeon)", "--metrics"]
+        ) == 0
+        out = capsys.readouterr().out
+        assert "fly(pigeon)" in out
+        assert "query.demand.fallback." in out
+
+    def test_stratified_file_is_served_on_demand(self, tmp_path, capsys):
+        horn = tmp_path / "horn.olp"
+        horn.write_text("component c { a. b :- a. }")
+        assert main(["query", str(horn), "-q", "b", "--metrics"]) == 0
+        out = capsys.readouterr().out
+        assert "query.demand.served" in out
+        assert "semantics.least_model" not in out

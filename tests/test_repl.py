@@ -1,5 +1,10 @@
 """Unit tests for the REPL session (driven headlessly)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.repl import ReplSession
@@ -158,3 +163,73 @@ class TestSessionMechanics:
         assert session.execute("value fly(dodo)") == "U"
         session.execute("bird(dodo).")
         assert session.execute("value fly(dodo)") == "T"
+
+
+class TestBadPaths:
+    def test_missing_file_is_an_error_line(self, session):
+        out = session.execute("load /nonexistent.olp")
+        assert out.startswith("error:")
+        assert "/nonexistent.olp" in out
+        # The session keeps its program and focus.
+        assert session.focus == "c1"
+        assert session.program() == figure1()
+
+    def test_unwritable_save_is_an_error_line(self, session):
+        out = session.execute("save /no/such/dir/x.olp")
+        assert out.startswith("error:")
+
+
+class TestOrderAtomicity:
+    def test_cyclic_chain_leaves_the_program_unchanged(self, session):
+        before = session.execute("model")
+        out = session.execute("order new < c2 < c1")
+        assert out.startswith("error:")
+        assert "creates a cycle" in out
+        assert sorted(session.program().component_names) == ["c1", "c2"]
+        assert session.program() == figure1()
+        assert session.execute("model") == before
+
+    def test_acyclic_chain_defines_and_orders(self, session):
+        assert session.execute("order c0 < new < c1") == "c0 < new < c1"
+        order = session.program().order
+        assert order.less("c0", "new") and order.less("new", "c1")
+        assert order.less("c0", "c2")
+
+
+class TestKnowledgeBaseReads:
+    def test_ground_query_on_a_cold_focus_is_offered_to_demand(self, session):
+        from repro.obs import get_instrumentation, instrumented
+
+        with instrumented():
+            assert session.execute("query fly(pigeon)") == "fly(pigeon)"
+            counters = get_instrumentation().snapshot()["counters"]
+        assert any(name.startswith("query.demand.") for name in counters)
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_interactive_loop_over_a_pipe():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])]
+    )
+    done = subprocess.run(
+        [sys.executable, "-m", "repro", "repl", "examples/figure1.olp"],
+        input="model\nquery fly(X)\nload /nonexistent.olp\nquit\n",
+        cwd=ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[0] == "loaded 2 component(s); focus = c1"
+    assert any("least model of c1:" in line for line in lines)
+    assert any(line.endswith("fly(pigeon)") for line in lines)
+    assert any(
+        "error: [Errno 2] No such file or directory: '/nonexistent.olp'" in line
+        for line in lines
+    )
+    assert done.stderr == ""
