@@ -18,6 +18,7 @@ __all__ = [
     "require_positive",
     "require_seminegative",
     "base_of",
+    "maximal",
     "total_interpretation",
     "atoms_of_total",
 ]
@@ -44,6 +45,14 @@ def base_of(rules: Iterable[GroundRule]) -> frozenset[Atom]:
     for r in rules:
         atoms |= r.atoms()
     return frozenset(atoms)
+
+
+def maximal(interps: Iterable[Interpretation]) -> list[Interpretation]:
+    """The interpretations whose literal set no other one strictly
+    contains, in their given order."""
+    interps = list(interps)
+    sets = [i.literals for i in interps]
+    return [i for i in interps if not any(i.literals < other for other in sets)]
 
 
 def total_interpretation(

@@ -20,7 +20,7 @@ from typing import AbstractSet, Iterable, Optional
 from ..core.interpretation import Interpretation, TruthValue
 from ..grounding.grounder import GroundRule
 from ..lang.literals import Atom
-from .common import base_of, require_seminegative, total_interpretation
+from .common import base_of, maximal, require_seminegative, total_interpretation
 from .positive import minimal_model
 from .threevalued import is_three_valued_model, three_valued_models
 
@@ -133,13 +133,7 @@ def stable_models(
     base: Optional[AbstractSet[Atom]] = None,
 ) -> list[Interpretation]:
     """Maximal founded models ([SZ]'s 3-valued stable models)."""
-    founded = founded_models(rules, base)
-    literal_sets = [m.literals for m in founded]
-    return [
-        m
-        for m in founded
-        if not any(m.literals < other for other in literal_sets)
-    ]
+    return maximal(founded_models(rules, base))
 
 
 # ----------------------------------------------------------------------

@@ -12,12 +12,12 @@ every exhaustive 3-valued model of a seminegative program is total
 
 from __future__ import annotations
 
-from typing import AbstractSet, Iterable, Iterator, Optional
+from typing import AbstractSet, Iterable, Optional
 
 from ..core.interpretation import Interpretation, TruthValue
+from ..core.solver import SearchBudget, interpretations
 from ..grounding.grounder import GroundRule
-from ..lang.errors import SearchBudgetExceeded
-from ..lang.literals import Atom, Literal
+from ..lang.literals import Atom
 from .common import base_of, require_seminegative
 
 __all__ = [
@@ -26,8 +26,8 @@ __all__ = [
     "minimal_three_valued_models",
 ]
 
-#: Refuse brute-force enumeration beyond this base size (3^n candidates).
-_ENUM_LIMIT_ATOMS = 14
+#: Refuse brute-force enumeration beyond 14 atoms (3^14 candidates).
+_BUDGET = SearchBudget(max_leaves=3**14)
 
 
 def is_three_valued_model(
@@ -43,33 +43,6 @@ def is_three_valued_model(
     return True
 
 
-def _interpretations(
-    base: frozenset[Atom],
-) -> Iterator[Interpretation]:
-    atoms = sorted(base, key=str)
-    if len(atoms) > _ENUM_LIMIT_ATOMS:
-        raise SearchBudgetExceeded(
-            f"3-valued enumeration over {len(atoms)} atoms "
-            f"(limit {_ENUM_LIMIT_ATOMS}) would be 3^n",
-            estimate=3 ** len(atoms),
-            budget=3 ** _ENUM_LIMIT_ATOMS,
-        )
-
-    def expand(index: int, chosen: list[Literal]) -> Iterator[Interpretation]:
-        if index == len(atoms):
-            yield Interpretation(chosen, base)
-            return
-        atom = atoms[index]
-        yield from expand(index + 1, chosen)
-        chosen.append(Literal(atom, True))
-        yield from expand(index + 1, chosen)
-        chosen[-1] = Literal(atom, False)
-        yield from expand(index + 1, chosen)
-        chosen.pop()
-
-    yield from expand(0, [])
-
-
 def three_valued_models(
     rules: Iterable[GroundRule],
     base: Optional[AbstractSet[Atom]] = None,
@@ -80,7 +53,7 @@ def three_valued_models(
     full_base = frozenset(base) if base is not None else base_of(rules)
     return [
         interp
-        for interp in _interpretations(full_base)
+        for interp in interpretations(full_base, _BUDGET)
         if is_three_valued_model(rules, interp)
     ]
 

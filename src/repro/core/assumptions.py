@@ -156,7 +156,8 @@ class AssumptionAnalyzer:
         of ``{a., -a :- -a.}`` at ``{-a}``).  Reading the enabled
         version as the applied rules that are *neither overruled nor
         defeated* makes Theorem 1(a) hold — verified against the
-        independent Definition-6 route by the property tests.
+        independent Definition-6 route by the oracle matrix's Theorem
+        1(a) column.
         """
         snapshot = self._eval.snapshot(interp)
         return tuple(

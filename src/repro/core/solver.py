@@ -41,25 +41,29 @@ readings of Definitions 3 and 7 that the oracle matrix
 The search records its leaves, models, branches and backtracks once.
 Budgets are enforced up front (estimated leaf count) and during the
 search (visited leaves); exceeding either raises
-:class:`~repro.lang.errors.SearchBudgetExceeded`.
+:class:`~repro.lang.errors.SearchBudgetExceeded`.  :func:`interpretations`
+is the one unpruned 3^n generator: the classical 3-valued and direct
+(Definition 11) model sets filter it, under the same up-front refusal.
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
+from itertools import product
 from math import prod
 from typing import Iterable, Iterator, Optional
 
 from ..lang.errors import SearchBudgetExceeded
-from ..lang.literals import Atom, Literal
+from ..lang.literals import Literal
 from ..obs import Level, get_instrumentation, record_costs
 from .compiled.index import CompiledRuleIndex
 from .interpretation import Interpretation
 from .statuses import StatusEvaluator
 from .transform import DEFAULT_STRATEGY, OrderedTransform
 
-__all__ = ["SearchBudget", "ModelEnumerator"]
+__all__ = ["SearchBudget", "ModelEnumerator", "interpretations"]
+
 
 @dataclass(frozen=True)
 class SearchBudget:
@@ -73,6 +77,40 @@ class SearchBudget:
 
     max_leaves: int = 50_000_000
     max_visited: int = 5_000_000
+
+
+def interpretations(base, budget: SearchBudget = SearchBudget()) -> Iterator[Interpretation]:
+    """Every interpretation over ``base``, 3^n of them: each atom, in
+    ``str`` order with the first varying slowest, undefined, true, then
+    false.  Refused up front (:func:`_check_estimate`) when 3^n is over
+    ``budget.max_leaves``; for exhaustive checks on small programs."""
+    base = frozenset(base)
+    atoms = sorted(base, key=str)
+    _check_estimate(3 ** len(atoms), budget)
+    choices = [(None, Literal(atom, True), Literal(atom, False)) for atom in atoms]
+    for picked in product(*choices):
+        yield Interpretation([l for l in picked if l is not None], base)
+
+
+def _check_estimate(estimate: int, budget: SearchBudget) -> None:
+    """Refuse a search of about ``estimate`` leaves over
+    ``budget.max_leaves``: counted, logged and raised."""
+    if estimate > budget.max_leaves:
+        obs = get_instrumentation()
+        obs.count("search.budget_refusals")
+        obs.event(
+            "search.budget_refused",
+            Level.WARN,
+            estimate=estimate,
+            max_leaves=budget.max_leaves,
+        )
+        raise SearchBudgetExceeded(
+            f"search tree has about {estimate} leaves, over the budget "
+            f"of {budget.max_leaves}; raise SearchBudget.max_leaves "
+            "if you really want this",
+            estimate=estimate,
+            budget=budget.max_leaves,
+        )
 
 
 def _closure(index: CompiledRuleIndex, rules: Iterable[int], n_flags: int) -> bytearray:
@@ -144,23 +182,7 @@ class ModelEnumerator:
     def interpretations(self) -> Iterator[Interpretation]:
         """Every interpretation over the base (3^n of them) — intended
         for exhaustive property checks on small programs."""
-        atoms = sorted(self._base, key=str)
-        self._check_estimate(3 ** len(atoms))
-        yield from self._expand(atoms, 0, [])
-
-    def _expand(
-        self, atoms: list[Atom], index: int, chosen: list[Literal]
-    ) -> Iterator[Interpretation]:
-        if index == len(atoms):
-            yield Interpretation(chosen, self._base)
-            return
-        atom = atoms[index]
-        yield from self._expand(atoms, index + 1, chosen)
-        chosen.append(Literal(atom, True))
-        yield from self._expand(atoms, index + 1, chosen)
-        chosen[-1] = Literal(atom, False)
-        yield from self._expand(atoms, index + 1, chosen)
-        chosen.pop()
+        return interpretations(self._base, self._budget)
 
     # ------------------------------------------------------------------
     # Models (Definition 3)
@@ -230,11 +252,6 @@ class ModelEnumerator:
         """Maximal assumption-free models (Definition 9)."""
         return self._decode(_maximal(self._af_leaves(None)))
 
-    def least_model_check(self, candidate: Interpretation) -> bool:
-        """True when ``candidate`` is contained in every model —
-        a direct (exponential) verification of Theorem 1(b)."""
-        return all(candidate.literals <= m.literals for m in self.models())
-
     # ------------------------------------------------------------------
     # The search, in id space
     # ------------------------------------------------------------------
@@ -261,7 +278,7 @@ class ModelEnumerator:
         one) is returned as its literal-id flags."""
         obs = get_instrumentation()
         estimate = prod(map(len, choices))
-        self._check_estimate(estimate)
+        _check_estimate(estimate, self._budget)
         if obs.enabled:
             obs.gauge("search.branch_atoms", len(choices))
             obs.gauge("search.estimated_leaves", estimate)
@@ -392,24 +409,6 @@ class ModelEnumerator:
     # ------------------------------------------------------------------
     # Budget plumbing
     # ------------------------------------------------------------------
-    def _check_estimate(self, estimate: int) -> None:
-        if estimate > self._budget.max_leaves:
-            obs = get_instrumentation()
-            obs.count("search.budget_refusals")
-            obs.event(
-                "search.budget_refused",
-                Level.WARN,
-                estimate=estimate,
-                max_leaves=self._budget.max_leaves,
-            )
-            raise SearchBudgetExceeded(
-                f"search tree has about {estimate} leaves, over the budget "
-                f"of {self._budget.max_leaves}; raise SearchBudget.max_leaves "
-                "if you really want this",
-                estimate=estimate,
-                budget=self._budget.max_leaves,
-            )
-
     def _budget_exhausted(self, what: str, visited: int) -> SearchBudgetExceeded:
         """Build the mid-search budget failure, reporting how far the
         search got (the ``visited`` count at the moment of failure)."""

@@ -19,8 +19,9 @@ model (the non-blocked self-referential exception overrules the fact in
 assumption sets cannot see *negative* self-supporting exceptions
 (``{a.  -a <- -a.}`` at ``{-a}``).  The OCR of the exception clause is
 garbled at exactly this point, so we reconstruct the definition that is
-equivalent to Definition 10 — the property tests verify the equivalence
-on random negative programs — and ship it as the default:
+equivalent to Definition 10 — the oracle matrix's Theorem 2 column
+checks the equivalence on seeded random negative programs — and ship it
+as the default:
 
 **Models.**  For each rule ``r`` with ``value(H(r)) < value(B(r))``, one
 of:
@@ -45,11 +46,12 @@ applicable negative rule with head ``¬A`` drawing no body support from
 
 from __future__ import annotations
 
-from typing import AbstractSet, Iterable, Iterator, Optional
+from typing import AbstractSet, Iterable, Optional
 
+from ..classical.common import base_of, maximal
 from ..core.interpretation import Interpretation, TruthValue
+from ..core.solver import SearchBudget, interpretations
 from ..grounding.grounder import GroundRule
-from ..lang.errors import SearchBudgetExceeded
 from ..lang.literals import Atom, Literal
 
 __all__ = [
@@ -63,8 +65,8 @@ __all__ = [
     "direct_stable_models",
 ]
 
-#: Brute-force enumeration guard (3^n interpretations).
-_ENUM_LIMIT_ATOMS = 12
+#: Refuse brute-force enumeration beyond 12 atoms (3^12 candidates).
+_BUDGET = SearchBudget(max_leaves=3**12)
 
 
 def has_exception(
@@ -182,40 +184,15 @@ def is_direct_assumption_free(
     return not direct_greatest_assumption_set(rules, interp)
 
 
-def _interpretations(base: frozenset[Atom]) -> Iterator[Interpretation]:
-    atoms = sorted(base, key=str)
-    if len(atoms) > _ENUM_LIMIT_ATOMS:
-        raise SearchBudgetExceeded(
-            f"direct-semantics enumeration over {len(atoms)} atoms "
-            f"(limit {_ENUM_LIMIT_ATOMS})",
-            estimate=3 ** len(atoms),
-            budget=3 ** _ENUM_LIMIT_ATOMS,
-        )
-
-    def expand(index: int, chosen: list[Literal]) -> Iterator[Interpretation]:
-        if index == len(atoms):
-            yield Interpretation(chosen, base)
-            return
-        atom = atoms[index]
-        yield from expand(index + 1, chosen)
-        chosen.append(Literal(atom, True))
-        yield from expand(index + 1, chosen)
-        chosen[-1] = Literal(atom, False)
-        yield from expand(index + 1, chosen)
-        chosen.pop()
-
-    yield from expand(0, [])
-
-
 def direct_models(
     rules: Iterable[GroundRule], base: Optional[AbstractSet[Atom]] = None
 ) -> list[Interpretation]:
     """All (reconstructed) Definition-11 models over the base."""
     rules = tuple(rules)
-    full_base = frozenset(base) if base is not None else _mentioned(rules)
+    full_base = frozenset(base) if base is not None else base_of(rules)
     return [
         interp
-        for interp in _interpretations(full_base)
+        for interp in interpretations(full_base, _BUDGET)
         if is_direct_model(rules, interp)
     ]
 
@@ -225,10 +202,10 @@ def direct_assumption_free_models(
 ) -> list[Interpretation]:
     """All (reconstructed) Definition-11 assumption-free models."""
     rules = tuple(rules)
-    full_base = frozenset(base) if base is not None else _mentioned(rules)
+    full_base = frozenset(base) if base is not None else base_of(rules)
     return [
         interp
-        for interp in _interpretations(full_base)
+        for interp in interpretations(full_base, _BUDGET)
         if is_direct_model(rules, interp)
         and is_direct_assumption_free(rules, interp)
     ]
@@ -238,17 +215,5 @@ def direct_stable_models(
     rules: Iterable[GroundRule], base: Optional[AbstractSet[Atom]] = None
 ) -> list[Interpretation]:
     """Definition 11(c): maximal assumption-free models."""
-    af_models = direct_assumption_free_models(rules, base)
-    literal_sets = [m.literals for m in af_models]
-    return [
-        m
-        for m in af_models
-        if not any(m.literals < other for other in literal_sets)
-    ]
+    return maximal(direct_assumption_free_models(rules, base))
 
-
-def _mentioned(rules: Iterable[GroundRule]) -> frozenset[Atom]:
-    atoms: set[Atom] = set()
-    for r in rules:
-        atoms |= r.atoms()
-    return frozenset(atoms)

@@ -9,8 +9,8 @@ non-ground rule ``¬p(X1, ..., Xn)`` per predicate symbol, so the size of
 remark after the definition).
 
 Propositions 3–4 and Corollary 1 relate the models of ``OV(C)`` in ``C``
-to the 3-valued / founded / stable models of ``C``; the property tests
-verify all of them.
+to the 3-valued / founded / stable models of ``C``; the oracle matrix's
+claims columns check all of them.
 """
 
 from __future__ import annotations

@@ -12,8 +12,8 @@ The meaning of the negative program ``C`` is the meaning of ``3V(C)``
 in ``C−`` (Definition 10); Example 9's "pick one non-ugly colour"
 program shows the exception reading in action.  Theorem 2 states this is
 equivalent to the direct Definition 11 implemented in
-:mod:`repro.reductions.direct` — the property tests verify the
-equivalence on random negative programs.
+:mod:`repro.reductions.direct` — the oracle matrix's Theorem 2 column
+checks the equivalence on seeded random negative programs.
 """
 
 from __future__ import annotations

@@ -5,12 +5,17 @@ import functools
 
 import pytest
 
+from repro.classical.threevalued import three_valued_models
 from repro.core.interpretation import Interpretation
 from repro.core.semantics import OrderedSemantics
 from repro.core.solver import SearchBudget
+from repro.grounding.grounder import Grounder
 from repro.lang.errors import SearchBudgetExceeded
 from repro.lang.literals import Literal
+from repro.lang.parser import parse_rules
+from repro.obs import instrumented
 from repro.obs.trace import trace
+from repro.reductions.direct import direct_assumption_free_models, direct_models
 from repro.workloads import diamond
 from repro.workloads.paper import example3, example5, figure2
 
@@ -129,17 +134,43 @@ class TestLimitsAndBudgets:
         assert error.visited is None
 
 
+def facts(n: int):
+    """``p0. .. p(n-1).``, grounded: its rules and base."""
+    g = Grounder().ground_rules(parse_rules(" ".join(f"p{i}." for i in range(n))))
+    return g.rules, g.base
+
+
+def example3_enumerator(max_leaves: int):
+    return OrderedSemantics(example3(), "c", budget=SearchBudget(max_leaves)).enumerator
+
+
+#: Every caller of the 3^n enumerator, over a base one atom past its
+#: bound: (the call, the estimate it refuses, the bound).
+REFUSALS = {
+    "enumerator": (lambda: example3_enumerator(8).interpretations(), 3**2, 8),
+    "three_valued_models": (lambda: three_valued_models(*facts(15)), 3**15, 3**14),
+    "direct_models": (lambda: direct_models(*facts(13)), 3**13, 3**12),
+    "direct_af_models": (lambda: direct_assumption_free_models(*facts(13)), 3**13, 3**12),
+}
+
+
+@pytest.mark.parametrize("caller", sorted(REFUSALS))
+def test_every_enumerator_refuses_through_one_path(caller):
+    call, estimate, bound = REFUSALS[caller]
+    with instrumented() as obs:
+        with pytest.raises(SearchBudgetExceeded) as exc_info:
+            list(call())
+        assert obs.snapshot()["counters"]["search.budget_refusals"] == 1
+    error = exc_info.value
+    assert (error.estimate, error.budget, error.visited) == (estimate, bound, None)
+
+
 class TestHeadRestriction:
     def test_non_head_atoms_stay_undefined_in_af_models(self):
         # q heads no rule: it cannot be true or false in an AF model.
         sem = semantics_of("component c { a :- q. }", "c")
         for m in sem.assumption_free_models():
             assert all(l.predicate != "q" for l in m)
-
-    def test_least_model_check(self):
-        sem = OrderedSemantics(example3(), "c")
-        assert sem.enumerator.least_model_check(sem.least_model)
-        assert not sem.enumerator.least_model_check(sem.interpretation(["b"]))
 
 
 class TestIdSpaceSearch:

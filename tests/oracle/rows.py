@@ -2,12 +2,12 @@
 
 A row is a ``(generator, arguments)`` pair, optionally passed through a
 reduction (OV, EV, 3V) or wrapped as a one-component program, and built
-on first use.  Named rows are the paper's figures and examples
+on first use; :func:`reduced` builds a reduction row's siblings over
+its source rules.  Named rows are the paper's figures and examples
 (:data:`PAPER`) and the workload generators (:data:`WORKLOADS`); the
-four seeded random program families are built by :func:`family`, sized
-by ``ORACLE_SCALE`` (:mod:`.scale`).  The fifth family, the serving
-column's client traces, is drawn per seed by :mod:`.serving` from
-``workloads.clients``.
+seeded random program families are built by :func:`family`, sized by
+``ORACLE_SCALE`` (:mod:`.scale`).  The serving column's client traces
+are drawn per seed by :mod:`.serving` from ``workloads.clients``.
 
 A row's label is its pytest id.  ``models`` says whether Definition
 3/7/9 model sets are enumerated on it: ``None`` (every random row)
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from typing import Callable, Optional
 
 from repro.grounding.grounder import GroundingOptions
@@ -30,9 +30,14 @@ from repro.lang.program import Component, OrderedProgram
 from repro.lang.rules import Rule
 from repro.lang.terms import Constant, Variable
 from repro.reductions import extended_version, ordered_version, three_level_version
+from repro.reductions.ordered_version import PROGRAM_COMPONENT
+from repro.reductions.three_level import NEGATIVE_COMPONENT
 from repro.workloads import classic, experts, hierarchies, paper, point_query, sessions
 from repro.workloads.random_programs import (
+    random_negative_rules,
     random_ordered_program,
+    random_rules,
+    random_seminegative_rules,
     random_stratified_program,
 )
 
@@ -46,11 +51,22 @@ OPTIONS = GroundingOptions(max_depth=3)
 ENUMERATION_BASE = 8
 
 
-def _program_of(reduction):
-    return lambda rules: reduction(rules).program
+@dataclass(frozen=True)
+class Reduction:
+    """A reduction as a row's ``via``: the ordered program it builds
+    from the source rules ``C``, and the view whose meaning is ``C``'s."""
+
+    name: str
+    reduce: Callable
+    view: str
+
+    def __call__(self, rules) -> OrderedProgram:
+        return self.reduce(rules).program
 
 
-OV, EV, TV = map(_program_of, (ordered_version, extended_version, three_level_version))
+OV = Reduction("ov", ordered_version, PROGRAM_COMPONENT)
+EV = Reduction("ev", extended_version, PROGRAM_COMPONENT)
+TV = Reduction("3v", three_level_version, NEGATIVE_COMPONENT)
 SINGLE = OrderedProgram.single
 
 
@@ -65,15 +81,15 @@ class Row:
     #: ``fo_stratified`` families draw their own).
     goals: tuple[str, ...] = ()
 
-    def __post_init__(self) -> None:
-        self._program: Optional[OrderedProgram] = None
+    @cached_property
+    def source(self):
+        """What the generator built: the program, or the rules ``via``
+        turns into one."""
+        return self.generator(*self.args)
 
-    @property
+    @cached_property
     def program(self) -> OrderedProgram:
-        if self._program is None:
-            built = self.generator(*self.args)
-            self._program = built if self.via is None else self.via(built)
-        return self._program
+        return self.source if self.via is None else self.via(self.source)
 
     @property
     def views(self) -> list[str]:
@@ -148,6 +164,18 @@ WORKLOADS = [
 ]
 
 NAMED = PAPER + WORKLOADS
+
+#: The named rows built by a reduction, with the source rules kept.
+REDUCED = [row for row in NAMED if isinstance(row.via, Reduction)]
+
+
+@cache
+def reduced(row: Row, via: Reduction) -> Row:
+    """``row``'s source rules through ``via``: the row itself, or a
+    sibling labelled ``{row}/{via.name}`` with an oracle of its own."""
+    if row.via is via:
+        return row
+    return Row(f"{row}/{via.name}", lambda: row.source, via=via)
 
 
 # ----------------------------------------------------------------------
@@ -285,16 +313,43 @@ def _sequential(name: str, seed: int, draw: Callable, **fields) -> Callable[[int
     return row
 
 
+def draw_classical(kind: str) -> Callable[[random.Random], list[Rule]]:
+    """The classical families' one parameter draw: ground rules over at
+    most five atoms, positive, seminegative or negative by construction."""
+
+    def draw(rng: random.Random) -> list[Rule]:
+        shape = dict(n_atoms=rng.randint(1, 5), n_rules=rng.randint(1, 7), max_body=2)
+        if kind == "positive":
+            return random_rules(rng, **shape, neg_head_prob=0.0, neg_body_prob=0.0)
+        if kind == "seminegative":
+            return random_seminegative_rules(rng, **shape, neg_body_prob=rng.uniform(0.2, 0.6))
+        return random_negative_rules(rng, **shape, neg_head_prob=rng.uniform(0.2, 0.6))
+
+    return draw
+
+
+#: The classical families: each row is its source ``C`` through the
+#: first reduction, and the claims read the rest as :func:`reduced`
+#: siblings.
+CLASSICAL = {"positive": (OV, EV), "seminegative": (OV, EV), "negative": (TV,)}
+
+
 @cache
 def family(name: str) -> tuple[Row, ...]:
     """The seeded random family ``name`` at this ``ORACLE_SCALE``:
     ``ordered`` (propositional ordered programs), ``stratified``
-    (propositional stratified), ``first_order`` (first-order ordered)
-    or ``fo_stratified`` (first-order stratified, with goals)."""
+    (propositional stratified), ``first_order`` (first-order ordered),
+    ``fo_stratified`` (first-order stratified, with goals), or one of
+    the classical :data:`CLASSICAL` families of ground rules."""
     make = {
         "ordered": _sequential("ordered", 0x5EED, draw_ordered),
         "first_order": _sequential("first_order", 0xAB57, draw_first_order),
         "stratified": _stratified_row,
         "fo_stratified": _fo_stratified_row,
+        "positive": _sequential("positive", 0x9051, draw_classical("positive"), via=OV),
+        "seminegative": _sequential(
+            "seminegative", 0x5E41, draw_classical("seminegative"), via=OV
+        ),
+        "negative": _sequential("negative", 0x4E6A, draw_classical("negative"), via=TV),
     }[name]
     return tuple(make(i) for i in range(size(name)))

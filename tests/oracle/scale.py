@@ -21,6 +21,10 @@ SIZES = {
     "stratified": (200, 400, 800),
     "first_order": (200, 400, 800),
     "fo_stratified": (200, 400, 800),
+    # Seeded classical rule sets (the claims columns).
+    "positive": (60, 200, 400),
+    "seminegative": (60, 200, 400),
+    "negative": (60, 200, 400),
     # Serving client traces: traces, and the per-trace upper bounds of
     # clients and ops per client.
     "server_traces": (25, 200, 400),

@@ -1,5 +1,7 @@
 """Property-based tests around Definitions 3 and 5 and Proposition 2:
-model structure, exhaustive extensions, and solver consistency."""
+model structure, exhaustive extensions, and solver consistency.  The
+flattening statement of Example 2 is the ``flattening`` claims column
+of the oracle matrix (``tests/oracle/test_claims.py``)."""
 
 from hypothesis import given, settings
 
@@ -75,21 +77,3 @@ def test_least_model_statuses_are_coherent(program):
                 ev.overruled(r, lm) or ev.defeated(r, lm)
             ):
                 assert r.head in lm
-
-
-@SETTINGS
-@given(ordered_programs())
-def test_flattening_preserves_interpretation_space(program):
-    # A single-component merge has the same Herbrand base for any
-    # component whose upset covers all rules.
-    from repro.lang.program import OrderedProgram
-
-    merged_rules = [
-        r for comp in program.components() for r in comp.rules
-    ]
-    flat = OrderedProgram.single(merged_rules, name="flat")
-    flat_sem = OrderedSemantics(flat, "flat")
-    for name in program.order.minimal_elements():
-        sem = OrderedSemantics(program, name)
-        if len(program.visible_rules(name)) == len(merged_rules):
-            assert sem.ground.base == flat_sem.ground.base

@@ -1,10 +1,12 @@
 """Property tests for the smaller assertions the paper states in
-passing (Section 2's background facts about classical programs)."""
+passing (Section 2's background facts about classical programs).  The
+positive-program statement is the ``positive_least`` claims column of
+the oracle matrix (``tests/oracle/test_claims.py``), over rows that are
+positive by construction."""
 
 from hypothesis import given, settings
 
 from repro.classical.common import total_interpretation
-from repro.classical.positive import minimal_model
 from repro.classical.threevalued import is_three_valued_model
 from repro.grounding.grounder import Grounder
 from repro.lang.program import Component
@@ -14,7 +16,6 @@ from .strategies import ground_rules
 SETTINGS = settings(max_examples=40, deadline=None)
 
 seminegative = ground_rules(min_rules=1, max_rules=6, seminegative=True)
-positive_only = ground_rules(min_rules=1, max_rules=6, seminegative=True)
 
 
 def ground(rules):
@@ -29,27 +30,6 @@ def test_total_model_exists_for_seminegative_programs(rules):
     g = ground(rules)
     everything_true = total_interpretation(g.base, g.base)
     assert is_three_valued_model(g.rules, everything_true)
-
-
-@SETTINGS
-@given(positive_only)
-def test_minimal_model_of_positive_program_is_least(rules):
-    # "the minimal total model of a positive program is unique and
-    # represents the meaning of it".
-    positive = [r for r in rules if all(l.positive for l in r.body_literals())]
-    if not positive:
-        return
-    g = ground(positive)
-    least = minimal_model(g.rules)
-    # Least: contained in the true-set of every total 2-valued model.
-    atoms = sorted(g.base, key=str)
-    for mask in range(1 << len(atoms)):
-        true_atoms = frozenset(
-            a for bit, a in enumerate(atoms) if mask & (1 << bit)
-        )
-        interp = total_interpretation(true_atoms, g.base)
-        if is_three_valued_model(g.rules, interp):
-            assert least <= true_atoms
 
 
 @SETTINGS

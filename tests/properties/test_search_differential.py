@@ -9,7 +9,7 @@ from __future__ import annotations
 import pytest
 
 from ..oracle import columns
-from ..oracle.rows import PAPER, WORKLOADS, family
+from ..oracle.rows import CLASSICAL, PAPER, WORKLOADS, family, reduced
 
 #: The random families with views small enough to enumerate (every
 #: ``fo_stratified`` base has dozens of atoms).
@@ -26,6 +26,9 @@ def test_workload_generators(row):
     columns.search(row)
 
 
-@pytest.mark.parametrize("name", FAMILIES)
+@pytest.mark.parametrize("name", FAMILIES + tuple(CLASSICAL))
 def test_random_family_sweep(name):
-    assert columns.sweep(columns.search, name) >= len(family(name))
+    # A classical source program through every reduction its claims read.
+    vias = CLASSICAL.get(name, (None,))
+    rows = [reduced(row, via) if via else row for row in family(name) for via in vias]
+    assert sum(map(columns.search, rows)) >= len(rows)

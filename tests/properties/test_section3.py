@@ -1,13 +1,14 @@
-"""Property-based verification of Section 3: Propositions 3–5 and
-Corollary 1, relating the models of ``OV(C)`` / ``EV(C)`` in ``C`` to
-the classical 3-valued / founded / stable models of a seminegative
-program ``C``."""
+"""Property-based verification of Section 3: Proposition 5(b–d) and the
+well-founded model, relating the models of ``OV(C)`` / ``EV(C)`` in
+``C`` to the classical founded / stable models of a seminegative
+program ``C``.  Propositions 3, 4 and 5(a), Corollary 1 and the total
+[SZ]-stable = [GL]-stable statement are claims columns of the oracle
+matrix (``tests/oracle/test_claims.py``), which also checks every
+statement here on the seeded ``seminegative`` rows."""
 
 from hypothesis import given, settings
 
-from repro.classical.stable import founded_models, gl_stable_models
 from repro.classical.stable import stable_models as sz_stable_models
-from repro.classical.threevalued import is_three_valued_model, three_valued_models
 from repro.classical.wellfounded import well_founded
 from repro.grounding.grounder import Grounder
 from repro.reductions.extended_version import extended_version
@@ -32,43 +33,6 @@ def classical_and_ev(rules):
     sem = extended_version(rules).semantics()
     assert sem.ground.base == ground.base
     return ground, sem
-
-
-@SETTINGS
-@given(seminegative)
-def test_proposition3_ov_models_are_three_valued_models(rules):
-    ground, sem = classical_and_ov(rules)
-    for m in sem.models():
-        assert is_three_valued_model(ground.rules, m)
-
-
-@SETTINGS
-@given(seminegative)
-def test_proposition4_af_ov_iff_founded(rules):
-    ground, sem = classical_and_ov(rules)
-    af_ov = {m.literals for m in sem.assumption_free_models()}
-    founded = {m.literals for m in founded_models(ground.rules, ground.base)}
-    assert af_ov == founded
-
-
-@SETTINGS
-@given(seminegative)
-def test_corollary1_stable_models_coincide(rules):
-    ground, sem = classical_and_ov(rules)
-    via_ov = {m.literals for m in sem.stable_models()}
-    via_sz = {m.literals for m in sz_stable_models(ground.rules, ground.base)}
-    assert via_ov == via_sz
-
-
-@SETTINGS
-@given(seminegative)
-def test_proposition5a_ev_models_are_exactly_three_valued_models(rules):
-    ground, sem = classical_and_ev(rules)
-    via_ev = {m.literals for m in sem.models()}
-    via_3v = {
-        m.literals for m in three_valued_models(ground.rules, ground.base)
-    }
-    assert via_ev == via_3v
 
 
 @SETTINGS
@@ -99,21 +63,6 @@ def test_proposition5d_stable_models_coincide(rules):
     assert {m.literals for m in ov.stable_models()} == {
         m.literals for m in ev.stable_models()
     }
-
-
-@SETTINGS
-@given(seminegative)
-def test_total_sz_stable_are_exactly_gl_stable(rules):
-    # The paper: "if M is total then M is stable also according to the
-    # definition of [GL1]".
-    ground = Grounder().ground_rules(rules)
-    sz_total = {
-        m.literals
-        for m in sz_stable_models(ground.rules, ground.base)
-        if m.is_total
-    }
-    gl = {m.literals for m in gl_stable_models(ground.rules, ground.base)}
-    assert sz_total == gl
 
 
 @SETTINGS

@@ -1,6 +1,6 @@
 """Unit tests for the Definition-11 direct semantics of negative
-programs (Example 8 anchors; the Theorem-2 equivalence is property
-tested in tests/properties/test_theorem2.py)."""
+programs (Example 8 anchors; the Theorem-2 equivalence is the oracle
+matrix's claims column ``theorem2``, tests/oracle/test_claims.py)."""
 
 from repro.core.interpretation import Interpretation
 from repro.grounding.grounder import Grounder
