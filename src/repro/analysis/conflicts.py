@@ -1,8 +1,10 @@
 """Conflict analysis: where can overruling and defeating happen?
 
 For a grounded component view, every pair of rules with complementary
-heads is a potential conflict; its *kind* is decided by the component
-order exactly as Definition 2 does:
+heads is a potential conflict; its *kind* is the one Definition 2
+gives it, read off the threat lists of the view's
+:class:`~repro.core.compiled.index.CompiledRuleIndex` (where
+:meth:`~repro.core.statuses.ComponentOrder.threat` decided it):
 
 * the lower rule can **overrule** the upper one when their components
   are strictly ordered;
@@ -19,10 +21,10 @@ import enum
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
+from ..core.compiled.index import CompiledRuleIndex
 from ..core.semantics import OrderedSemantics
 from ..core.statuses import ComponentOrder
 from ..grounding.grounder import GroundRule
-from ..lang.literals import Literal
 
 __all__ = ["ConflictKind", "Conflict", "find_conflicts", "conflict_summary"]
 
@@ -59,28 +61,24 @@ def find_conflicts(
     Emits each OVERRULE pair once (winner first) and each DEFEAT pair
     once (deterministic order).
     """
-    by_head: dict[Literal, list[GroundRule]] = {}
-    for r in rules:
-        by_head.setdefault(r.head, []).append(r)
-    seen_defeats: set[tuple[GroundRule, GroundRule]] = set()
-    for head, with_head in sorted(by_head.items(), key=lambda kv: str(kv[0])):
-        opponents = by_head.get(head.complement(), ())
-        for mine in with_head:
-            for theirs in opponents:
-                if order.strictly_below(mine.component, theirs.component):
-                    yield Conflict(ConflictKind.OVERRULE, mine, theirs)
-                elif order.incomparable_or_equal(mine.component, theirs.component):
-                    key = tuple(sorted((mine, theirs), key=str))
-                    if key not in seen_defeats:
-                        seen_defeats.add(key)
-                        yield Conflict(ConflictKind.DEFEAT, key[0], key[1])
+    return _conflicts(CompiledRuleIndex(rules, order))
+
+
+def _conflicts(index: CompiledRuleIndex) -> Iterator[Conflict]:
+    """The conflicts of ``index``'s rules, threatened rule by rule."""
+    rule = index.rules.rule
+    for i in range(index.n_rules):
+        for j, overrules in index.threats_of(i):
+            if overrules:
+                yield Conflict(ConflictKind.OVERRULE, rule(j), rule(i))
+            elif j < i:  # defeat is mutual: i is j's defeater too
+                yield Conflict(ConflictKind.DEFEAT, *sorted((rule(j), rule(i)), key=str))
 
 
 def conflict_summary(semantics: OrderedSemantics) -> dict[str, int]:
-    """Counts of each conflict kind for a component view."""
+    """Counts of each conflict kind for a component view, over its full
+    instantiation's cached index."""
     counts = {kind.value: 0 for kind in ConflictKind}
-    for conflict in find_conflicts(
-        semantics.full_ground.rules, semantics.full_evaluator.order
-    ):
+    for conflict in _conflicts(semantics.full_evaluator.index):
         counts[conflict.kind.value] += 1
     return counts

@@ -19,6 +19,9 @@ model may still contain a non-derivable blocker):
 * ``missing-closure`` — the usual fix: the body literals of the
   offending contradictor whose complements no rule derives (adding a
   closure rule for one of them unblocks the conclusion).
+
+The suppressing pairs are the threat lists of the view's compiled
+index, so the linter reads Definition 2 exactly as the kernel runs it.
 """
 
 from __future__ import annotations
@@ -69,56 +72,36 @@ class LintWarning:
         return text
 
 
-def _never_blockable(
-    r: GroundRule, head_literals: frozenset[Literal]
-) -> tuple[bool, tuple[Literal, ...]]:
-    """A non-fact rule can never be blocked iff no body literal's
-    complement is the head of any rule.  Returns the flag plus the body
-    literals involved (for the fix hint).
-
-    Facts are excluded on purpose: a contradicting *fact* in a lower or
-    incomparable component is a deliberate assertion (Figure 1 overrides
-    the ``-ground_animal`` default with the ``ground_animal(penguin)``
-    fact; Figure 2's experts assert contradicting facts) — the lint
-    targets rules whose *conditional* exception suppresses a conclusion
-    even though the condition is closure-less and can never be settled.
-    """
-    if r.is_fact:
-        return False, ()
-    blockers = tuple(
-        l for l in sorted(r.body) if l.complement() in head_literals
-    )
-    if blockers:
-        return False, ()
-    return True, tuple(sorted(r.body))
-
-
 def lint_component(semantics: OrderedSemantics) -> Iterator[LintWarning]:
-    """All findings for one component view."""
-    # Every instance: "no rule derives it" is a claim about ground(C*).
-    ev = semantics.full_evaluator
-    head_literals = frozenset(r.head for r in semantics.full_ground.rules)
-    for r in semantics.full_ground.rules:
-        for other in ev.contradictors(r):
-            never, body = _never_blockable(other, head_literals)
-            if not never:
+    """All findings for one component view, read off its full
+    instantiation's cached index (every instance: "no rule derives it"
+    is a claim about ``ground(C*)``).
+
+    A witness is a threat that can never be blocked: a non-fact rule
+    none of whose body literals' complements heads any rule.  Facts are
+    excluded on purpose: a contradicting *fact* in a lower or
+    incomparable component is a deliberate assertion (Figure 1
+    overrides the ``-ground_animal`` default with the
+    ``ground_animal(penguin)`` fact; Figure 2's experts assert
+    contradicting facts) — the lint targets rules whose *conditional*
+    exception suppresses a conclusion even though the condition is
+    closure-less and can never be settled.
+    """
+    index = semantics.full_evaluator.index
+    literal, start, body_ids = index.table.literal, index.body_start, index.body_ids
+    rule = index.rules.rule
+    for i in range(index.n_rules):
+        for j, overrules in index.threats_of(i):
+            body = body_ids[start[j] : start[j + 1]]
+            if not body or any(b ^ 1 in index.by_head for b in body):
                 continue
-            if ev.order.strictly_below(other.component, r.component):
-                yield LintWarning(
-                    "permanently-overruled",
-                    semantics.component,
-                    r,
-                    other,
-                    body,
-                )
-            elif ev.order.incomparable_or_equal(other.component, r.component):
-                yield LintWarning(
-                    "permanently-defeated",
-                    semantics.component,
-                    r,
-                    other,
-                    body,
-                )
+            yield LintWarning(
+                "permanently-overruled" if overrules else "permanently-defeated",
+                semantics.component,
+                rule(i),
+                rule(j),
+                tuple(sorted(map(literal, body))),
+            )
 
 
 def lint_program(

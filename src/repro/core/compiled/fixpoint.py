@@ -147,31 +147,20 @@ class DenseFixpoint:
         self.contra_extra: dict[int, list[int]] = {}
         self.stage_ids: list[list[int]] = []
         self.touched = self.applied = self.overruled = self.defeated = 0
-        self.reset()
+        # The empty interpretation: nothing derived or blocked, every
+        # potential threat live.
+        n = index.n_rules
+        self.satisfied = array("l", bytes(array("l").itemsize * n))
+        self.blocked = bytearray(n)
+        self.live_overrulers = array("l", index.init_live_overrulers)
+        self.live_defeaters = array("l", index.init_live_defeaters)
+        self.fired = bytearray(n)
+        self.truth = bytearray(2 * len(index.table))
+        self.support = array("l", bytes(array("l").itemsize * len(self.truth)))
 
     @property
     def index(self) -> CompiledRuleIndex:
         return self._index
-
-    def reset(self) -> None:
-        """Fresh counters for the empty interpretation: nothing derived
-        or blocked, every potential threat live."""
-        index = self._index
-        n = len(self.heads)
-        pad = array("l", bytes(array("l").itemsize * (n - index.n_rules)))
-        self.satisfied = array("l", bytes(array("l").itemsize * n))
-        self.blocked = bytearray(n)
-        self.live_overrulers = array("l", index.init_live_overrulers) + pad
-        self.live_defeaters = array("l", index.init_live_defeaters) + pad
-        self.fired = bytearray(n)
-        self.truth = bytearray(2 * len(index.table))
-        self.support = array("l", bytes(array("l").itemsize * len(self.truth)))
-        for entries in self.contra_extra.values():
-            for packed in entries:
-                if packed & 1:
-                    self.live_overrulers[packed >> 1] += 1
-                else:
-                    self.live_defeaters[packed >> 1] += 1
 
     def interpretation(self, base: AbstractSet[Atom]) -> Interpretation:
         """The current model as an immutable interpretation over ``base``,
@@ -205,8 +194,8 @@ class DenseFixpoint:
         candidate rule ids; returns the literal ids derived per stage
         and adds to the run totals.
 
-        The only code that moves the counters *forward*: cold runs,
-        maintenance rederive and rebuilds all come through here.
+        The only code that moves the counters *forward*: cold runs and
+        maintenance rederive both come through here.
         """
         index = self._index
         n_compiled = index.n_literals

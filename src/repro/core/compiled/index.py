@@ -16,7 +16,14 @@ first.  The fixpoint kernel advances with array indexing only, over CSR
   ``(watcher << 1) | is_overruler`` entries: rules whose live-threat
   counter drops when ``j`` becomes blocked.  Rule ``j`` watches ``i``
   as overruler / defeater exactly when ``H(j) = ¬H(i)`` and ``C(j)`` is
-  strictly below / incomparable-or-equal to ``C(i)`` (Definition 2).
+  strictly below / incomparable-or-equal to ``C(i)`` (Definition 2);
+* ``threat_start/threats`` — the same pairs on the rule axis: rule id
+  ``i`` → packed ``(j << 1) | is_overruler`` entries, ``j`` ascending,
+  for the readers that ask who threatens a rule (the model search,
+  ``why_not``, conflicts and lint).
+
+:meth:`~repro.core.statuses.ComponentOrder.threat` decides each pair's
+kind, once per component pair.
 
 The index is immutable and cached on its
 :class:`~repro.core.statuses.StatusEvaluator`, so repeated fixpoint
@@ -28,8 +35,8 @@ from __future__ import annotations
 
 from array import array
 from itertools import accumulate, chain, repeat
-from operator import sub
-from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
+from operator import add, sub
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Optional, Sequence
 
 from ...grounding.grounder import AtomTable, GroundRule, GroundRules
 
@@ -73,6 +80,8 @@ class CompiledRuleIndex:
         by_head: head literal id → ids of the rules with that head, in
             rule order (who derives a literal; whom a new fact with the
             complementary head contradicts).
+        threat_start / threats: per-rule packed ``(j << 1) |
+            is_overruler`` threats, as a CSR on the rule axis.
         init_live_overrulers / init_live_defeaters: per-rule initial
             live-threat counts (every potential threat starts live).
         source_facts: ids of empty-body rules — stage-1 candidates.
@@ -95,6 +104,8 @@ class CompiledRuleIndex:
         "block_watch_rules",
         "contra_start",
         "contra_watchers",
+        "threat_start",
+        "threats",
         "init_live_overrulers",
         "init_live_defeaters",
         "source_facts",
@@ -128,24 +139,24 @@ class CompiledRuleIndex:
             [b ^ 1 for b in body_ids], owners, n_lits
         )
 
-        # A rule of component a heading ¬H(r), r of component b: 1
-        # overruler, 0 defeater, None neither; asked once per pair met.
-        below, beside = order.strictly_below, order.incomparable_or_equal
-        threat: dict[tuple[str, str], Optional[int]] = {}
+        # Rule i's threats, i-major, and the same pairs as j's watchers.
+        threat = order.threat
+        threats: list[int] = []
         threatened: list[int] = []
         watchers: list[int] = []
         live_over = array("l", bytes(array("l").itemsize * n))
         live_defeat = array("l", live_over)
         for i, h in enumerate(heads):
             for j in by_head.get(h ^ 1, ()):
-                pair = (components[j], components[i])
-                if pair not in threat:
-                    threat[pair] = 1 if below(*pair) else 0 if beside(*pair) else None
-                kind = threat[pair]
+                kind = threat(components[j], components[i])
                 if kind is not None:
+                    threats.append(j << 1 | kind)
                     threatened.append(j)
                     watchers.append(i << 1 | kind)
                     (live_over if kind else live_defeat)[i] += 1
+        counts = map(add, live_over, live_defeat)
+        self.threat_start = array("l", accumulate(counts, initial=0))
+        self.threats = array("l", threats)
         self.contra_start, self.contra_watchers = _csr(threatened, watchers, n)
         self.init_live_overrulers = live_over
         self.init_live_defeaters = live_defeat
@@ -160,6 +171,11 @@ class CompiledRuleIndex:
         end-to-end harness (``benchmarks/e2e``) spells
         ``evaluator.index``."""
         return self
+
+    def threats_of(self, i: int) -> Iterator[tuple[int, int]]:
+        """Rule ``i``'s threats as ``(j, is_overruler)``, ``j`` ascending."""
+        for packed in self.threats[self.threat_start[i] : self.threat_start[i + 1]]:
+            yield packed >> 1, packed & 1
 
     def body_watchers(self, literal_id: int) -> array:
         """Rule ids watching the literal in their bodies (tests/debug)."""

@@ -31,8 +31,10 @@ blocked / live-overruler / live-defeater / fired / truth arrays of a
 :class:`~repro.core.compiled.fixpoint.DenseFixpoint` over the view's
 compiled CSR watch lists, kept alive across mutations.  This module
 only moves them *backwards* (the deletion cascade); every forward step
-— the initial build, rederivation, the rebuild fallback — is the
-kernel's own stage loop resumed from the touched rules.  Soundness of
+— the initial build and rederivation — is the kernel's own stage loop
+resumed from the touched rules.  A told fact's threats are decided by
+:meth:`~repro.core.statuses.ComponentOrder.threat`, the decision the
+index compiled the other rules' threats with.  Soundness of
 rederive-from-survivors: the overcounting cascade deletes a superset
 of the literals that left the model, so the surviving interpretation
 ``S`` is contained in the new least fixpoint; ``V`` is monotone along
@@ -40,12 +42,8 @@ the chain from ``S`` (Lemma 1), so resuming the semi-naive iteration
 from ``S`` converges to exactly ``V↑ω(∅)`` of the mutated program.
 The maintained column of the oracle matrix (``tests/oracle``) enforces
 bit-identical agreement with naive ``V`` over the full instantiation of
-the mutated program.
-
-When a mutation dirties more of the program than the *status
-frontier* allows (:data:`FRONTIER_THRESHOLD`), the engine abandons the
-cascade and rebuilds the model from the empty interpretation over the
-current rule multiset — still without re-grounding anything.
+the mutated program.  Delete-rederive is the only repair: however far a
+cascade spreads, it runs to the end.
 """
 
 from __future__ import annotations
@@ -66,7 +64,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .statuses import StatusEvaluator
 
 __all__ = [
-    "FRONTIER_THRESHOLD",
     "DeltaStats",
     "DeltaOp",
     "DeltaUnsupported",
@@ -86,12 +83,6 @@ class DeltaUnsupported(SemanticsError):
     recomputation."""
 
 
-#: Fraction of the (alive) ground rules that one delta's status
-#: frontier may touch before the engine gives up on the cascade and
-#: rebuilds the model from ∅ over the current rules.
-FRONTIER_THRESHOLD = 0.5
-
-
 @dataclass
 class DeltaStats:
     """What one :meth:`MaintainedModel.apply` call did.
@@ -104,8 +95,9 @@ class DeltaStats:
             includes cascade survivors that were re-established.
         rules_reevaluated: rule-status updates performed (the *status
             frontier* of the delta).
-        full_rebuild: the delta exceeded the frontier threshold (or was
-            otherwise unsupported) and the model was recomputed from ∅.
+        full_rebuild: the view could not absorb the delta (an asserted
+            atom outside its grounded base, say) and was re-grounded —
+            set by :meth:`OrderedSemantics.apply_updates`, never here.
     """
 
     asserted: int = 0
@@ -114,10 +106,6 @@ class DeltaStats:
     rederived: int = 0
     rules_reevaluated: int = 0
     full_rebuild: bool = False
-
-
-class _FrontierExceeded(Exception):
-    """Internal: the cascade dirtied more than the threshold allows."""
 
 
 @dataclass
@@ -206,29 +194,9 @@ class MaintainedModel:
             else:
                 raise ValueError(f"unknown delta op kind {kind!r}")
             self._tell(kind == ASSERT, component, literal, pending)
-        try:
-            stats.deleted, stats.rules_reevaluated = self._cascade(pending)
-            stats.rederived = self._advance(pending.candidates)
-        except _FrontierExceeded:
-            self.rebuild()
-            stats.full_rebuild = True
+        stats.deleted, stats.rules_reevaluated = self._cascade(pending)
+        stats.rederived = self._advance(pending.candidates)
         return stats
-
-    def rebuild(self) -> None:
-        """Recompute the model from ∅ over the current rule multiset.
-
-        No re-grounding happens — this is the engine-level fallback for
-        deltas whose status frontier exceeds :data:`FRONTIER_THRESHOLD`.
-        """
-        fp = self._fp
-        fp.reset()
-        released = _Pending()
-        for i in self._fact_ids.values():
-            if not self._alive[i]:
-                fp.blocked[i] = 1
-                self._set_threat(i, False, released)
-        told = range(fp.index.n_rules, len(fp.heads))
-        self._advance([*fp.index.source_facts, *told])
 
     def _advance(self, candidates: Collection[int]) -> int:
         """Resume the kernel's stage loop; returns literals derived."""
@@ -326,26 +294,22 @@ class MaintainedModel:
         fp.satisfied.append(0)
         fp.blocked.append(1)
         fp.fired.append(0)
-        live_over = live_defeat = 0
-        order = self._order
-        extra = fp.contra_extra
+        live = [0, 0]  # live defeaters, live overrulers
+        threat, extra = self._order.threat, fp.contra_extra
         for j in self._rules_heading(h ^ 1):
             other = self._components[j]
             # The existing rule as a threat to the new fact...
-            if order.strictly_below(other, component):
-                extra.setdefault(j, []).append(i << 1 | 1)
-                live_over += not fp.blocked[j]
-            elif order.incomparable_or_equal(other, component):
-                extra.setdefault(j, []).append(i << 1)
-                live_defeat += not fp.blocked[j]
+            kind = threat(other, component)
+            if kind is not None:
+                extra.setdefault(j, []).append(i << 1 | kind)
+                live[kind] += not fp.blocked[j]
             # ... and the new fact as a threat to the existing rule
             # (counted when the tombstone is revived).
-            if order.strictly_below(component, other):
-                extra.setdefault(i, []).append(j << 1 | 1)
-            elif order.incomparable_or_equal(component, other):
-                extra.setdefault(i, []).append(j << 1)
-        fp.live_overrulers.append(live_over)
-        fp.live_defeaters.append(live_defeat)
+            kind = threat(component, other)
+            if kind is not None:
+                extra.setdefault(i, []).append(j << 1 | kind)
+        fp.live_defeaters.append(live[0])
+        fp.live_overrulers.append(live[1])
         self._told_by_head.setdefault(h, []).append(i)
         return i
 
@@ -355,8 +319,6 @@ class MaintainedModel:
     def _cascade(self, pending: _Pending) -> tuple[int, int]:
         """Overcount-delete everything whose derivation might have
         depended on the mutated facts; returns (deleted, reevals)."""
-        threshold = FRONTIER_THRESHOLD
-        cap = max(4, int(threshold * max(1, self.alive_count())))
         fp = self._fp
         index = fp.index
         bw_start = index.body_watch_start
@@ -404,8 +366,6 @@ class MaintainedModel:
                         recheck_blocked.append(j)
                         candidates.add(j)
                         reevals += 1 + self._set_threat(j, True, pending)
-            if threshold < 1.0 and deleted + reevals > cap:
-                raise _FrontierExceeded
         # Re-establish blockage that genuinely survived the deletion:
         # the surviving interpretation is contained in the new least
         # model, so a surviving blocker proves the rule stays blocked.
@@ -425,24 +385,21 @@ class MaintainedModel:
 
         O(rules²) — test/debug use only.
         """
-        fp, literal = self._fp, self._table.literal
-        told = range(fp.index.n_rules, len(fp.heads))
-        facts = (GroundRule(literal(fp.heads[i]), frozenset(), self._components[i]) for i in told)
-        rules = [*fp.index.rules.objects(), *facts]
+        fp, literal, rule = self._fp, self._table.literal, self._fp.index.rules.rule
         derived = self.interpretation().literals
         fired_heads = set()
-        for i, r in enumerate(rules):
-            live_over = live_defeat = 0
+        for i, component in enumerate(self._components):
+            if i < fp.index.n_rules:
+                r = rule(i)
+            else:  # a told fact
+                r = GroundRule(literal(fp.heads[i]), frozenset(), component)
+            live = [0, 0]  # live defeaters, live overrulers
             for j in self._rules_heading(fp.heads[i] ^ 1):
-                if fp.blocked[j]:  # tombstones included
-                    continue
-                other = rules[j].component
-                if self._order.strictly_below(other, r.component):
-                    live_over += 1
-                elif self._order.incomparable_or_equal(other, r.component):
-                    live_defeat += 1
-            assert fp.live_overrulers[i] == live_over, (i, str(r))
-            assert fp.live_defeaters[i] == live_defeat, (i, str(r))
+                kind = self._order.threat(self._components[j], component)
+                if kind is not None and not fp.blocked[j]:  # tombstones included
+                    live[kind] += 1
+            assert fp.live_defeaters[i] == live[0], (i, str(r))
+            assert fp.live_overrulers[i] == live[1], (i, str(r))
             if not self._alive[i]:
                 assert fp.blocked[i] and not fp.fired[i], (i, str(r))
                 continue
@@ -450,12 +407,7 @@ class MaintainedModel:
             assert fp.satisfied[i] == satisfied, (i, str(r))
             blocked = any(b.complement() in derived for b in r.body)
             assert fp.blocked[i] == blocked, (i, str(r))
-            fires = (
-                satisfied == len(r.body)
-                and not blocked
-                and not live_over
-                and not live_defeat
-            )
+            fires = satisfied == len(r.body) and not blocked and not any(live)
             assert fp.fired[i] == fires, (i, str(r))
             if fires:
                 fired_heads.add(r.head)

@@ -28,8 +28,8 @@ rule the search keeps how many body literals are true and how many body
 complements are true: deciding a literal bumps them through the body
 and block watch lists, and backtracking undoes that.  Definition 3 is
 read off those counters, the flags and each rule's overrulers and
-threats (the contra lists, inverted); a model is assumption-free when
-``T↑ω`` of its enabled version, closed over ids, is the leaf itself
+threats (the index's rule-axis threat lists); a model is assumption-free
+when ``T↑ω`` of its enabled version, closed over ids, is the leaf itself
 (Theorem 1(a)).  So no literal or interpretation is built per leaf:
 the leaves taken are flag strings, decoded once through
 :meth:`~repro.core.interpretation.Interpretation.over`.
@@ -288,17 +288,14 @@ class ModelEnumerator:
         heads, sizes = index.heads, index.body_sizes
         bw_start, bw_rules = index.body_watch_start, index.body_watch_rules
         blw_start, blw_rules = index.block_watch_start, index.block_watch_rules
-        # The contra lists inverted: rule i's overrulers (Definition 3a
-        # asks for an applied one) and all its threats (Definition 2's
-        # overruled or defeated: one of them not blocked).
-        overrulers: list[list[int]] = [[] for _ in range(n)]
-        threats: list[list[int]] = [[] for _ in range(n)]
-        c_start, c_watchers = index.contra_start, index.contra_watchers
-        for j in range(n):
-            for packed in c_watchers[c_start[j] : c_start[j + 1]]:
-                threats[packed >> 1].append(j)
-                if packed & 1:
-                    overrulers[packed >> 1].append(j)
+        # Rule i's overrulers (Definition 3a asks for an applied one) and
+        # all its threats (Definition 2's overruled or defeated: one of
+        # them not blocked), unpacked from the index's threat lists.
+        t_start, packed = index.threat_start, index.threats
+        threats = [[p >> 1 for p in packed[t_start[i] : t_start[i + 1]]] for i in range(n)]
+        overrulers = [
+            [p >> 1 for p in packed[t_start[i] : t_start[i + 1]] if p & 1] for i in range(n)
+        ]
         # Per rule: body literals true, and body complements true (the
         # rule is blocked while that is positive).
         truth = bytearray(2 * len(index.table))

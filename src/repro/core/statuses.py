@@ -39,10 +39,11 @@ class ComponentOrder:
     (mutual defeat).
     """
 
-    __slots__ = ("_poset",)
+    __slots__ = ("_poset", "_threats")
 
     def __init__(self, poset: PartialOrder) -> None:
         self._poset = poset
+        self._threats: dict[tuple[str, str], Optional[int]] = {}
 
     def strictly_below(self, a: str, b: str) -> bool:
         """``a < b``: a is more specific than b."""
@@ -51,6 +52,15 @@ class ComponentOrder:
     def incomparable_or_equal(self, a: str, b: str) -> bool:
         """The defeat condition of Definition 2: ``a <> b`` or ``a = b``."""
         return a == b or self._poset.incomparable(a, b)
+
+    def threat(self, a: str, b: str) -> Optional[int]:
+        """Definition 2's split, decided once per pair: a rule of
+        component ``a`` heading ``¬H(r)`` overrules (1), defeats (0) or
+        does not threaten (None) a rule ``r`` of component ``b``."""
+        if (a, b) not in self._threats:
+            below = self.strictly_below(a, b)
+            self._threats[a, b] = 1 if below else 0 if self.incomparable_or_equal(a, b) else None
+        return self._threats[a, b]
 
 
 @dataclass(frozen=True)

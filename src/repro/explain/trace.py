@@ -9,7 +9,11 @@ derivation tree (premise stages strictly decrease).
 For literals *outside* the least model the explainer reports, per rule
 with that head, exactly which Definition-2 condition failed: an unmet
 body literal, a blocking literal, the overruling rule, or the defeating
-rule.
+rule.  It reads them off the compiled index of the view's full
+instantiation (the one the model search runs on): the heading rules
+through ``by_head``, bodies through ``body_ids``, overrulers and
+defeaters through the index's threat lists, so only the rules and
+witnesses it reports are decoded.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from ..core.compiled.fixpoint import DenseFixpoint
+from ..core.compiled.index import CompiledRuleIndex
 from ..core.interpretation import Interpretation, TruthValue
 from ..core.semantics import OrderedSemantics
 from ..grounding.grounder import GroundRule
@@ -151,7 +156,6 @@ class Explainer:
         literal id's node is built once, so shared premises share it."""
         index, support, stage = self._index, self._support, self._stage
         literal, start, body_ids = index.table.literal, index.body_start, index.body_ids
-        components, origins = index.components, index.rules.origins
         built: dict[int, Derivation] = {}
         stack = [root]
         while stack:
@@ -167,45 +171,25 @@ class Explainer:
                 continue
             stack.pop()
             premises = tuple(built[b] for b in sorted(body, key=literal))
-            rule = GroundRule(literal(h), frozenset(map(literal, body)), components[i], origins[i])
-            built[h] = Derivation(literal(h), rule, stage[h], premises)
+            built[h] = Derivation(literal(h), index.rules.rule(i), stage[h], premises)
         return built[root]
 
     def why_not(self, literal: Union[Literal, str]) -> NonDerivation:
         """Per-rule failure analysis for a literal outside the least
         model."""
         literal = self._coerce(literal)
-        sem = self._sem
-        model = sem.least_model
+        model = self._sem.least_model
         value = model.value(literal)
         if value is TruthValue.TRUE:
             raise ValueError(f"{literal} holds; use why()")
         complement = self.why(literal.complement()) if value is TruthValue.FALSE else None
         # Every instance, not just the ones the least model needed: a
         # rule that never fired is exactly what is being asked about.
-        heading = sem.full_evaluator.rules_with_head(literal)
-        failures = tuple(self._diagnose(r, model) for r in heading)
+        index = self._sem.full_evaluator.index
+        atom_id = index.table.id_of(literal.atom)
+        heading = () if atom_id is None else index.by_head.get(2 * atom_id + literal.negative, ())
+        failures = tuple(_diagnose(index, i, model) for i in heading)
         return NonDerivation(literal, value, failures, complement)
-
-    def _diagnose(self, r: GroundRule, model: Interpretation) -> RuleFailure:
-        ev = self._sem.full_evaluator
-        for body_literal in sorted(r.body):
-            if body_literal.complement() in model:
-                return RuleFailure(r, "blocked", body_literal.complement())
-        for other in ev.contradictors(r):
-            if ev.order.strictly_below(
-                other.component, r.component
-            ) and not ev.blocked(other, model):
-                return RuleFailure(r, "overruled", other)
-        for other in ev.contradictors(r):
-            if ev.order.incomparable_or_equal(
-                other.component, r.component
-            ) and not ev.blocked(other, model):
-                return RuleFailure(r, "defeated", other)
-        for body_literal in sorted(r.body):
-            if body_literal not in model:
-                return RuleFailure(r, "unmet-body", body_literal)
-        return RuleFailure(r, "not fired (no failing condition found)", None)
 
     def explain(self, literal: Union[Literal, str]) -> str:
         """A human-readable explanation, whichever way it goes."""
@@ -213,3 +197,28 @@ class Explainer:
         if self._derived_id(literal) is not None:
             return self.why(literal).render()
         return self.why_not(literal).render()
+
+
+def _diagnose(index: CompiledRuleIndex, i: int, model: Interpretation) -> RuleFailure:
+    """The first Definition-2 condition that keeps rule ``i`` of
+    ``index`` from firing in ``model``: a blocking body literal, a
+    non-blocked overruler, a non-blocked defeater, else an unmet body
+    literal (bodies in literal order, threats in rule order)."""
+    literal, start, body_ids = index.table.literal, index.body_start, index.body_ids
+
+    def body(k: int) -> list[Literal]:
+        return sorted(map(literal, body_ids[start[k] : start[k + 1]]))
+
+    rule, mine = index.rules.rule, body(i)
+    for b in mine:
+        if b.complement() in model:
+            return RuleFailure(rule(i), "blocked", b.complement())
+    threats = list(index.threats_of(i))
+    for kind, reason in ((1, "overruled"), (0, "defeated")):
+        for j, overrules in threats:
+            if overrules == kind and not any(b.complement() in model for b in body(j)):
+                return RuleFailure(rule(i), reason, rule(j))
+    for b in mine:
+        if b not in model:
+            return RuleFailure(rule(i), "unmet-body", b)
+    return RuleFailure(rule(i), "not fired (no failing condition found)", None)

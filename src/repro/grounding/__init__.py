@@ -4,14 +4,11 @@ instantiation."""
 
 from .grounder import AtomTable, Grounder, GroundingOptions, GroundProgram, GroundRule
 from .herbrand import HerbrandUniverse, herbrand_base, universe_of
-from .substitution import Substitution, match, match_atom, unify, unify_atoms
+from .substitution import Substitution, match_atom
 
 __all__ = [
     "Substitution",
-    "match",
     "match_atom",
-    "unify",
-    "unify_atoms",
     "HerbrandUniverse",
     "herbrand_base",
     "universe_of",

@@ -298,14 +298,19 @@ class GroundRules(SequenceABC):
         components, origins = [r.component for r in rules], [r.origin for r in rules]
         return cls(table, components, origins, heads, start, ids, rules)
 
+    def rule(self, i: int) -> GroundRule:
+        """Rule ``i`` as a :class:`GroundRule`: decoded alone, unless
+        :meth:`objects` already decoded every rule."""
+        if self._objects is not None:
+            return self._objects[i]
+        literal, start, ids = self.table.literal, self.body_start, self.body_ids
+        body = frozenset(map(literal, ids[start[i] : start[i + 1]]))
+        return GroundRule(literal(self.heads[i]), body, self.components[i], self.origins[i])
+
     def objects(self) -> tuple[GroundRule, ...]:
         """The rules as :class:`GroundRule` objects, decoded once."""
         if self._objects is None:
-            literal, start, ids = self.table.literal, self.body_start, self.body_ids
-            self._objects = tuple(
-                GroundRule(literal(h), frozenset(map(literal, ids[start[i] : start[i + 1]])), c, o)
-                for i, (h, c, o) in enumerate(zip(self.heads, self.components, self.origins))
-            )
+            self._objects = tuple(map(self.rule, range(len(self.heads))))
         return self._objects
 
     def __len__(self) -> int:

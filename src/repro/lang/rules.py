@@ -108,14 +108,6 @@ class Rule:
             result |= item.variables()
         return result
 
-    def rename(self, suffix: str) -> "Rule":
-        """A copy of the rule with every variable renamed by appending
-        ``suffix`` — used to standardise rules apart."""
-        from ..grounding.substitution import Substitution
-
-        mapping = {v: Variable(v.name + suffix) for v in self.variables()}
-        return Substitution(mapping).apply_rule(self)
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Rule)

@@ -1,8 +1,8 @@
 """Unit tests for the incremental maintenance engine
 (:mod:`repro.core.maintenance`) and its :class:`OrderedSemantics`
 threading — assertion deltas, retraction delete-rederive, the ordered
-status dance (un-overruling / un-defeating), refcounts, the frontier
-fallback, and the obs counters.
+status dance (un-overruling / un-defeating), refcounts and the obs
+counters.
 
 The exhaustive bit-identical comparison against from-scratch
 recomputation lives in ``tests/properties/test_maintenance_differential.py``.
@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import maintenance
 from repro.core.maintenance import ASSERT, RETRACT, MaintainedModel
 from repro.core.semantics import OrderedSemantics
 from repro.grounding.grounder import GroundingOptions
@@ -20,12 +19,6 @@ from repro.lang.errors import SemanticsError
 from repro.lang.parser import parse_literal, parse_program
 from repro.obs import instrumented, trace
 from repro.workloads import build_session_kb, paper, run_session, session_ops
-
-
-@pytest.fixture
-def lenient(monkeypatch):
-    """No frontier fallback: the cascade runs however far it spreads."""
-    monkeypatch.setattr(maintenance, "FRONTIER_THRESHOLD", 1.0)
 
 
 def model_of(sem):
@@ -50,13 +43,13 @@ def figure1_engine():
     return sem, engine
 
 
-def test_initial_model_matches_least_model(lenient):
+def test_initial_model_matches_least_model():
     sem, engine = figure1_engine()
     assert engine.interpretation().literals == sem.least_model.literals
     engine.audit()
 
 
-def test_assert_feeds_delta_without_restart(lenient):
+def test_assert_feeds_delta_without_restart():
     sem, engine = figure1_engine()
     lit = parse_literal("ground_animal(pigeon)")
     stats = engine.apply([(ASSERT, "c1", lit)])
@@ -83,7 +76,7 @@ def tweety_program():
     )
 
 
-def test_retraction_unoverrules_the_general_default(lenient):
+def test_retraction_unoverrules_the_general_default():
     # Figure 1 shape: retracting penguin-ness restores the bird defaults.
     sem = OrderedSemantics(tweety_program(), "specific", strategy="seminaive")
     engine = MaintainedModel(sem.evaluator, sem.ground.base)
@@ -121,7 +114,7 @@ def test_retraction_undefeats_incomparable_rival():
     engine.audit()
 
 
-def test_engine_holds_one_instance_per_fact(lenient):
+def test_engine_holds_one_instance_per_fact():
     # Told copies are counted by OrderedProgram.update_facts, which only
     # forwards the first copy in and the last copy out; the engine itself
     # keeps a liveness flag, so telling a live fact again is a no-op.
@@ -138,33 +131,13 @@ def test_engine_holds_one_instance_per_fact(lenient):
     engine.audit()
 
 
-def test_retract_missing_fact_raises(lenient):
+def test_retract_missing_fact_raises():
     sem, engine = figure1_engine()
     with pytest.raises(SemanticsError, match="no such told fact"):
         engine.apply([(RETRACT, "c1", parse_literal("bird(penguin)"))])
 
 
-def test_frontier_threshold_forces_rebuild_with_identical_model(monkeypatch):
-    # The tweety retraction cascades through more rules than the
-    # default 0.5 threshold allows on this tiny program (the cap floors
-    # at 4 touched rules), so the strict engine falls back to a full
-    # recomputation while the lenient one stays incremental — and both
-    # land on the same model.
-    sem = OrderedSemantics(tweety_program(), "specific", strategy="seminaive")
-    strict = MaintainedModel(sem.evaluator, sem.ground.base)
-    lenient = MaintainedModel(sem.evaluator, sem.ground.base)
-    op = [(RETRACT, "specific", parse_literal("penguin_of(tweety)"))]
-    strict_stats = strict.apply(list(op))
-    monkeypatch.setattr(maintenance, "FRONTIER_THRESHOLD", 1.0)
-    lenient_stats = lenient.apply(list(op))
-    assert strict_stats.full_rebuild
-    assert not lenient_stats.full_rebuild
-    assert strict.interpretation().literals == lenient.interpretation().literals
-    strict.audit()
-    lenient.audit()
-
-
-def test_batched_ops_single_cascade(lenient):
+def test_batched_ops_single_cascade():
     sem, engine = figure1_engine()
     stats = engine.apply(
         [
@@ -305,7 +278,7 @@ def test_retracting_a_symbols_last_visible_occurrence_regrounds(term, options):
 # ----------------------------------------------------------------------
 # Edges of the dense state: tombstones, pinned reads, late-interned atoms
 # ----------------------------------------------------------------------
-def test_reasserting_a_retracted_fact_revives_its_tombstone(lenient):
+def test_reasserting_a_retracted_fact_revives_its_tombstone():
     sem, engine = figure1_engine()
     initial = engine.interpretation().literals
     op = ("c1", parse_literal("ground_animal(pigeon)"))
@@ -321,7 +294,7 @@ def test_reasserting_a_retracted_fact_revives_its_tombstone(lenient):
     engine.audit()
 
 
-def test_interpretation_is_a_snapshot_not_a_view_of_live_state(lenient):
+def test_interpretation_is_a_snapshot_not_a_view_of_live_state():
     sem = OrderedSemantics(tweety_program(), "specific", strategy="seminaive")
     engine = MaintainedModel(sem.evaluator, sem.ground.base)
     expected = sem.least_model.literals

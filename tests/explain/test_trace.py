@@ -100,6 +100,31 @@ class TestWhyNot:
         assert "ancestor(n0_0, n1_3)" in witnesses
         assert "owner(p0, n1_0)" in witnesses
 
+    def test_decodes_only_the_rules_and_witnesses_it_reports(self, monkeypatch):
+        # forest(3,3)'s full instantiation has 28,245 rules; why_not reads
+        # them as ids and builds a GroundRule only for what it reports.
+        from repro.grounding.grounder import GroundRule
+        from repro.workloads import forest_program
+
+        sem = OrderedSemantics(forest_program(3, 3), "main")
+        sem.full_evaluator.index  # compiled from the grounder's ids
+        built = 0
+        init = GroundRule.__init__
+
+        def counted(self, *args, **kwargs):
+            nonlocal built
+            built += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(GroundRule, "__init__", counted)
+        report = Explainer(sem).why_not("owns(p0, n1_3)")
+        monkeypatch.undo()
+        reported = len(report.failures) + sum(
+            isinstance(f.witness, GroundRule) for f in report.failures
+        )
+        assert report.failures and len(sem.full_ground.rules) == 28_245
+        assert built <= reported
+
     def test_false_literal_points_at_complement(self, f1_explainer):
         report = f1_explainer.why_not("fly(penguin)")
         assert report.value is TruthValue.FALSE

@@ -35,7 +35,7 @@ from repro.workloads import forest_program, release_chain, session_program
 from repro.workloads.paper import figure1, figure2, figure3, scaled_figure2
 
 from ..oracle import columns
-from ..oracle.columns import ARRAYS
+from ..oracle.columns import WATCH_ARRAYS
 from ..oracle.rows import NAMED, family
 
 
@@ -87,7 +87,7 @@ def shuffled(name: str, program: OrderedProgram, seed: int = 7) -> OrderedProgra
 
 
 def digests(index: CompiledRuleIndex) -> tuple[str, ...]:
-    texts = [",".join(map(str, getattr(index, name))) for name in ARRAYS]
+    texts = [",".join(map(str, getattr(index, name))) for name in WATCH_ARRAYS]
     texts.append("\n".join(map(str, index.table.atoms())))
     return tuple(hashlib.sha256(text.encode()).hexdigest()[:16] for text in texts)
 
@@ -227,7 +227,7 @@ def test_golden_index_arrays():
         got = digests(index)
         seen[name] = [
             label
-            for label, want, have in zip((*ARRAYS, "atoms"), GOLDEN[name], got)
+            for label, want, have in zip((*WATCH_ARRAYS, "atoms"), GOLDEN[name], got)
             if want != have
         ]
     assert seen.keys() == GOLDEN.keys()

@@ -1,16 +1,10 @@
-"""Unit tests for substitutions, matching and unification."""
+"""Unit tests for substitutions (an answer's bindings) and matching."""
 
 import pytest
 
-from repro.grounding.substitution import (
-    Substitution,
-    match,
-    match_atom,
-    unify,
-    unify_atoms,
-)
-from repro.lang.literals import Atom, neg
-from repro.lang.parser import parse_rule, parse_term
+from repro.grounding.substitution import Substitution, match_atom
+from repro.lang.literals import Atom
+from repro.lang.parser import parse_term
 from repro.lang.terms import Constant, Variable
 
 
@@ -18,56 +12,13 @@ X, Y, Z = Variable("X"), Variable("Y"), Variable("Z")
 a, b = Constant("a"), Constant("b")
 
 
+def p(*args) -> Atom:
+    return Atom("p", args)
+
+
 class TestSubstitution:
-    def test_apply_variable(self):
-        theta = Substitution({X: a})
-        assert theta.apply_term(X) == a
-        assert theta.apply_term(Y) == Y
-
-    def test_apply_compound(self):
-        theta = Substitution({X: a})
-        assert theta.apply_term(parse_term("f(X, b)")) == parse_term("f(a, b)")
-
-    def test_simultaneous_not_iterated(self):
-        theta = Substitution({X: Y, Y: a})
-        assert theta.apply_term(X) == Y
-
     def test_identity_bindings_dropped(self):
         assert len(Substitution({X: X})) == 0
-
-    def test_apply_literal_sign_preserved(self):
-        theta = Substitution({X: a})
-        assert theta.apply_literal(neg("p", X)) == neg("p", "a")
-
-    def test_apply_rule(self):
-        theta = Substitution({X: a})
-        r = parse_rule("fly(X) :- bird(X).")
-        assert theta.apply_rule(r) == parse_rule("fly(a) :- bird(a).")
-
-    def test_apply_rule_with_guard(self):
-        theta = Substitution({X: Constant(12)})
-        r = parse_rule("t :- p(X), X > 11.")
-        ground = theta.apply_rule(r)
-        (guard,) = ground.guards()
-        assert guard.left == Constant(12)
-
-    def test_bind_conflicting_rejected(self):
-        theta = Substitution({X: a})
-        with pytest.raises(ValueError):
-            theta.bind(X, b)
-
-    def test_bind_same_ok(self):
-        theta = Substitution({X: a}).bind(X, a)
-        assert theta[X] == a
-
-    def test_compose(self):
-        theta = Substitution({X: Y})
-        sigma = Substitution({Y: a})
-        assert theta.compose(sigma).apply_term(X) == a
-
-    def test_restrict(self):
-        theta = Substitution({X: a, Y: b})
-        assert set(theta.restrict(frozenset({X}))) == {X}
 
     def test_non_variable_key_rejected(self):
         with pytest.raises(TypeError):
@@ -76,7 +27,7 @@ class TestSubstitution:
 
 class TestMatch:
     def test_variable_matches_anything(self):
-        theta = match(X, parse_term("f(a)"))
+        theta = match_atom(p(X), p(parse_term("f(a)")))
         assert theta[X] == parse_term("f(a)")
 
     def test_consistent_repeat_variable(self):
@@ -84,41 +35,16 @@ class TestMatch:
         assert match_atom(Atom("p", (X, X)), Atom("p", (a, b))) is None
 
     def test_constant_mismatch(self):
-        assert match(a, b) is None
+        assert match_atom(p(a), p(b)) is None
 
     def test_functor_mismatch(self):
-        assert match(parse_term("f(X)"), parse_term("g(a)")) is None
+        assert match_atom(p(parse_term("f(X)")), p(parse_term("g(a)"))) is None
 
     def test_seeded(self):
         seed = Substitution({X: a})
-        assert match(X, b, seed) is None
-        assert match(X, a, seed) is not None
+        assert match_atom(p(X), p(b), seed) is None
+        assert match_atom(p(X), p(a), seed) is not None
 
     def test_target_variables_are_inert(self):
-        # match() is one-sided: a variable in the target is a constant.
-        assert match(a, Y) is None
-
-
-class TestUnify:
-    def test_symmetric_success(self):
-        theta = unify(parse_term("f(X, b)"), parse_term("f(a, Y)"))
-        assert theta.apply_term(parse_term("f(X, b)")) == parse_term("f(a, b)")
-
-    def test_variable_to_variable(self):
-        theta = unify(X, Y)
-        assert theta is not None
-
-    def test_occurs_check(self):
-        assert unify(X, parse_term("f(X)")) is None
-
-    def test_deep_unification(self):
-        theta = unify(parse_term("f(g(X), X)"), parse_term("f(Y, a)"))
-        assert theta.apply_term(Y) == parse_term("g(a)")
-
-    def test_unify_atoms(self):
-        theta = unify_atoms(Atom("p", (X,)), Atom("p", (a,)))
-        assert theta[X] == a
-        assert unify_atoms(Atom("p", (X,)), Atom("q", (a,))) is None
-
-    def test_mismatch(self):
-        assert unify(parse_term("f(a)"), parse_term("f(b)")) is None
+        # Matching is one-sided: a variable in the target is a constant.
+        assert match_atom(p(a), p(Y)) is None

@@ -1,5 +1,5 @@
 """Unit tests for rules: classification (positive / seminegative /
-negative), the B(r)/H(r) accessors, guards and renaming."""
+negative), the B(r)/H(r) accessors, and guards."""
 
 import pytest
 
@@ -68,12 +68,6 @@ class TestVariablesAndRenaming:
         guard = Comparison(">", Variable("X"), Variable("Z"))
         r = Rule(pos("p", "X"), (pos("q", "Y"), guard))
         assert r.variables() == {Variable("X"), Variable("Y"), Variable("Z")}
-
-    def test_rename(self):
-        r = rule(pos("p", "X"), pos("q", "X", "Y"))
-        renamed = r.rename("_1")
-        assert renamed.variables() == {Variable("X_1"), Variable("Y_1")}
-        assert renamed.head.predicate == "p"
 
     def test_ground_rule_has_no_variables(self):
         assert rule(pos("p", "a"), pos("q", "b")).is_ground

@@ -9,12 +9,10 @@ versions).  The serving column is :mod:`.serving`.
 from __future__ import annotations
 
 import random
-from unittest import mock
 
 from repro.analysis.abstract import analyze_view, signed_name
 from repro.analysis.static import classify_view
 from repro.classical.stratified import stratified_least_model
-from repro.core import maintenance
 from repro.core.compiled import CompiledRuleIndex, DenseFixpoint
 from repro.core.interpretation import Interpretation
 from repro.core.semantics import OrderedSemantics
@@ -197,7 +195,7 @@ def soundness(row: Row) -> int:
 
 
 # ----------------------------------------------------------------------
-# Kernel provenance
+# The explainer: kernel provenance and why_not
 # ----------------------------------------------------------------------
 def provenance(row: Row) -> int:
     """Every node of every derivation the explainer reads off the kernel
@@ -232,11 +230,32 @@ def provenance(row: Row) -> int:
     return len(row.views)
 
 
+def why_not(row: Row) -> int:
+    """For every literal of the base outside the least model, the
+    explainer's failures — reason, rule and witness, in order — are
+    :func:`.oracle.diagnose` over the oracle's full instantiation and
+    least model."""
+    for view in row.views:
+        expected = oracle.of(row, view)
+        explainer = Explainer(semantics(row.program, view))
+        ev = expected.evaluator()
+        for atom in sorted(expected.model.base, key=str):
+            for literal in (Literal(atom, True), Literal(atom, False)):
+                if literal in expected.model:
+                    continue
+                where = f"{row}/{view}: {literal}"
+                report = explainer.why_not(literal)
+                assert report.value is expected.model.value(literal), where
+                mine = [(f.reason, f.rule, f.witness) for f in report.failures]
+                assert mine == oracle.diagnose(ev, expected.model, literal), where
+    return len(row.views)
+
+
 # ----------------------------------------------------------------------
 # Grounder ids vs encoded rules
 # ----------------------------------------------------------------------
 #: The watch-list arrays of a :class:`CompiledRuleIndex`.
-ARRAYS = (
+WATCH_ARRAYS = (
     "heads",
     "body_sizes",
     "body_watch_start",
@@ -249,6 +268,10 @@ ARRAYS = (
     "init_live_defeaters",
     "source_facts",
 )
+
+#: Every array of a :class:`CompiledRuleIndex`: the watch lists and each
+#: rule's threats.
+ARRAYS = (*WATCH_ARRAYS, "threat_start", "threats")
 
 
 def grounder_ids(row: Row) -> int:
@@ -325,10 +348,6 @@ def retract_reassert(row: Row) -> int:
 #: Mutation steps per random trace.
 TRACE_LENGTH = 10
 
-#: The status-frontier thresholds a trace runs under: the last two make
-#: the cascade cap trip regularly.
-FRONTIER_THRESHOLDS = (1.0, 0.5, 0.0)
-
 
 def mutations(sem: OrderedSemantics, rng: random.Random, steps: int):
     """Drive ``sem`` through a random tell/retract trace: ~45 % retract
@@ -357,34 +376,32 @@ def mutations(sem: OrderedSemantics, rng: random.Random, steps: int):
 
 def trace(row: Row) -> int:
     """One random mutation trace of the row's first view, each step
-    against the oracle of the mutated program, under a frontier
-    threshold drawn per row."""
+    against the oracle of the mutated program."""
     rng = random.Random(f"trace/{row}")
     view = row.views[0]
-    with mock.patch.object(maintenance, "FRONTIER_THRESHOLD", rng.choice(FRONTIER_THRESHOLDS)):
-        sem = semantics(row.program, view)
+    sem = semantics(row.program, view)
+    try:
+        sem.least_model
+    except InconsistencyError:
+        return 0
+    checked = 0
+    for op, error in mutations(sem, rng, TRACE_LENGTH):
+        where = f"{row}/{view} step {checked} {op}"
         try:
-            sem.least_model
+            want = Oracle(sem.program, view).literals
         except InconsistencyError:
-            return 0
-        checked = 0
-        for op, error in mutations(sem, rng, TRACE_LENGTH):
-            where = f"{row}/{view} step {checked} {op}"
-            try:
-                want = Oracle(sem.program, view).literals
-            except InconsistencyError:
-                # The mutated program's own least model is inconsistent:
-                # the engine must have said so.
-                if error is None:
-                    try:
-                        sem.least_model
-                    except InconsistencyError:
-                        return checked
-                    raise AssertionError(f"{where}: engine missed an inconsistency")
-                return checked
-            assert error is None, f"{where}: engine raised {error!r}, oracle did not"
-            assert_maintained(sem, want, where)
-            checked += 1
+            # The mutated program's own least model is inconsistent:
+            # the engine must have said so.
+            if error is None:
+                try:
+                    sem.least_model
+                except InconsistencyError:
+                    return checked
+                raise AssertionError(f"{where}: engine missed an inconsistency")
+            return checked
+        assert error is None, f"{where}: engine raised {error!r}, oracle did not"
+        assert_maintained(sem, want, where)
+        checked += 1
     return checked
 
 

@@ -12,7 +12,8 @@ least model leaves undefined (Theorem 1b) is an
 and :class:`AssumptionAnalyzer` (Definition 7), never by the
 :class:`~repro.core.solver.ModelEnumerator` the search column tests.
 :func:`of` computes the oracle once per (row, view) and every column
-shares the result.
+shares the result.  :func:`diagnose` is Definition 2 read over the same
+objects, per rule heading a literal outside the least model.
 
 The serving column's oracle is the serialized replay at the bottom:
 the leader's recorded batches re-executed one op at a time through
@@ -30,6 +31,7 @@ from operator import mul
 from repro.core.assumptions import AssumptionAnalyzer, literal_closure
 from repro.core.interpretation import Interpretation
 from repro.core.models import ModelChecker
+from repro.core.solver import SearchBudget
 from repro.core.statuses import ComponentOrder, StatusEvaluator
 from repro.core.transform import OrderedTransform
 from repro.grounding.grounder import Grounder
@@ -54,7 +56,19 @@ class Search:
 def generate_and_test(least, base, choices, accept) -> Search:
     """Every leaf of ``choices`` — per atom, the literals to try,
     ``None`` leaving it undefined — on top of ``least``, in depth-first
-    order (the first atom varies slowest); ``accept`` judges each."""
+    order (the first atom varies slowest); ``accept`` judges each.
+
+    A tree of more leaves than ``SearchBudget().max_leaves``, the bound
+    at which the facade's own search refuses, fails the cell before a
+    leaf is built: an oracle that would run for hours shows a bug (a row
+    left mostly undefined), not a result."""
+    widths = list(map(len, choices))
+    budget = SearchBudget().max_leaves
+    if prod(widths) > budget:
+        raise AssertionError(
+            f"oracle search over {len(choices)} atoms has {prod(widths)} leaves, "
+            f"over SearchBudget().max_leaves = {budget}"
+        )
     found = tuple(
         leaf
         for picked in product(*choices)
@@ -63,7 +77,6 @@ def generate_and_test(least, base, choices, accept) -> Search:
     )
     # Level k of the tree has prod(widths[:k]) nodes; each tries all
     # its options and undoes every one that decided a literal.
-    widths = list(map(len, choices))
     above = [1, *accumulate(widths, mul)][:-1]
     decided = [sum(l is not None for l in options) for options in choices]
     return Search(
@@ -177,6 +190,32 @@ def of(row: Row, view: str) -> Oracle:
     if key not in _ORACLES:
         _ORACLES[key] = Oracle(row.program, view)
     return _ORACLES[key]
+
+
+def diagnose(ev: StatusEvaluator, model: Interpretation, literal) -> list[tuple]:
+    """Why each rule heading ``literal`` did not establish it in
+    ``model``, as ``(reason, rule, witness)`` in rule order: Definition 2
+    read over objects, the reference the ``why_not`` column holds the
+    explainer to."""
+    return [_failure(ev, r, model) for r in ev.rules_with_head(literal)]
+
+
+def _failure(ev: StatusEvaluator, r, model: Interpretation) -> tuple:
+    """A blocking body literal's complement, else a non-blocked
+    contradictor strictly below, else one incomparable or equal, else an
+    unmet body literal (bodies in literal order)."""
+    for body_literal in sorted(r.body):
+        if body_literal.complement() in model:
+            return ("blocked", r, body_literal.complement())
+    kinds = (("overruled", ev.order.strictly_below), ("defeated", ev.order.incomparable_or_equal))
+    for reason, kind in kinds:
+        for other in ev.contradictors(r):
+            if kind(other.component, r.component) and not ev.blocked(other, model):
+                return (reason, r, other)
+    for body_literal in sorted(r.body):
+        if body_literal not in model:
+            return ("unmet-body", r, body_literal)
+    return ("not fired (no failing condition found)", r, None)
 
 
 # ----------------------------------------------------------------------

@@ -1,18 +1,15 @@
 """Property-based tests of the language layer: parser/printer round
 trips (over guards with nested arithmetic, the keywords as predicate
-names, and bare top-level rules), substitution laws, unification, and
-partial-order laws."""
+names, and bare top-level rules) and partial-order laws."""
 
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.grounding.substitution import Substitution, match, unify
 from repro.lang.parser import DEFAULT_COMPONENT, parse_program, parse_rule
 from repro.lang.poset import PartialOrder
 from repro.lang.printer import render_component, render_program
-from repro.lang.terms import Variable
 
-from .strategies import fo_programs, fo_rules, terms, variable_names
+from .strategies import fo_programs, fo_rules, variable_names
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -70,47 +67,6 @@ def test_top_level_rules_round_trip(program):
 def test_written_guards_parse_render_round_trip(left, op, right):
     r = parse_rule(f"t :- p(X, Y, Z, W), {left} {op} {right}.")
     assert parse_rule(str(r)) == r
-
-
-# ----------------------------------------------------------------------
-# Substitutions and unification
-# ----------------------------------------------------------------------
-
-ground_terms = terms.filter(lambda t: t.is_ground)
-
-
-@SETTINGS
-@given(terms, st.dictionaries(st.builds(Variable, variable_names), ground_terms, max_size=4))
-def test_substitution_grounds_covered_variables(term, mapping):
-    theta = Substitution(mapping)
-    applied = theta.apply_term(term)
-    remaining = applied.variables()
-    assert remaining == term.variables() - set(mapping)
-
-
-@SETTINGS
-@given(terms, st.dictionaries(st.builds(Variable, variable_names), ground_terms, min_size=4, max_size=4))
-def test_match_recovers_instance(pattern, mapping):
-    theta = Substitution(mapping)
-    target = theta.apply_term(pattern)
-    assume(target.is_ground)
-    found = match(pattern, target)
-    assert found is not None
-    assert found.apply_term(pattern) == target
-
-
-@SETTINGS
-@given(terms, terms)
-def test_unify_produces_common_instance(a, b):
-    theta = unify(a, b)
-    if theta is not None:
-        assert theta.apply_term(a) == theta.apply_term(b)
-
-
-@SETTINGS
-@given(terms, terms)
-def test_unify_symmetric_in_success(a, b):
-    assert (unify(a, b) is None) == (unify(b, a) is None)
 
 
 # ----------------------------------------------------------------------
