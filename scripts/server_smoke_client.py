@@ -12,7 +12,9 @@ banners for the bound ports, then checks every serving path a
 deployment depends on: health, define, query, coalesced concurrent
 tells, a traced write that decomposes into queue-wait / coalesce /
 apply / publish, snapshot versioning, a semantics rejection, stats,
-the Prometheus ``/metrics`` + ``/healthz`` sidecar, the ``olp top``
+the Prometheus ``/metrics`` + ``/healthz`` sidecar (whose ``/metrics``
+must agree with ``stats`` at quiescence on ``version``, ``writes.ops``
+and ``requests{op="tell"}``), the ``olp top``
 and ``olp slow`` clients against the live server, and a clean
 ``shutdown`` drain (subprocess must exit 0 and print its "drained and
 stopped" line).  Exits non-zero on the first surprise.
@@ -24,7 +26,8 @@ disk (booted with ``-v``, so the event registry is on: its
 ``/metrics`` must still carry each series once), a ``--follow``
 follower catches up over ``subscribe`` from that cold journal and then
 tracks a live write, its ``/metrics`` sidecar exposes
-``repro_replica_lag_versions``, an ``olp serve --fleet`` front end
+``repro_replica_lag_versions`` and agrees with its ``stats`` on
+``lag_versions`` and ``entries_applied``, an ``olp serve --fleet`` front end
 routes one write to the leader and one read to the follower, and the
 fleet, the leader (with the follower still subscribed) and the follower
 each drain cleanly while an idle client connection is open to it.
@@ -204,6 +207,8 @@ def main() -> int:
         ):
             if needle not in exposition:
                 fail(f"/metrics missing {needle!r}")
+        # No write since the stats call: both renderings show one value.
+        agree("leader", stats, exposition, LEADER_TWINS)
         with urllib.request.urlopen(
             f"http://{HOST}:{metrics_port}/healthz", timeout=10
         ) as response:
@@ -286,6 +291,35 @@ def read_banners(server: subprocess.Popen, *patterns: re.Pattern) -> list:
 def scrape(port: int) -> str:
     with urllib.request.urlopen(f"http://{HOST}:{port}/metrics", timeout=10) as response:
         return response.read().decode()
+
+
+#: ``stats`` key path -> the ``/metrics`` series that must show the same
+#: value at quiescence.
+LEADER_TWINS = {
+    "version": "repro_server_version",
+    "writes.ops": "repro_server_ops_applied_total",
+    "requests.tell": 'repro_server_requests_total{op="tell"}',
+}
+FOLLOWER_TWINS = {
+    "replica.lag_versions": "repro_replica_lag_versions",
+    "replica.entries_applied": "repro_replica_entries_total",
+}
+
+
+def agree(name: str, stats: dict, exposition: str, twins: dict) -> None:
+    """Fail unless each ``stats`` path and its series show one value."""
+    samples = dict(
+        line.rsplit(" ", 1)
+        for line in exposition.splitlines()
+        if line and not line.startswith("#")
+    )
+    for path, series in twins.items():
+        value = stats
+        for key in path.split("."):
+            value = value[key]
+        if series not in samples or float(samples[series]) != value:
+            fail(f"{name} stats {path}={value!r} but /metrics {series}={samples.get(series)}")
+    print(f"smoke: {name} stats and /metrics agree on {', '.join(twins)}")
 
 
 def duplicate_series(exposition: str) -> list[str]:
@@ -410,6 +444,7 @@ def replication_smoke() -> None:
         if rejected.get("ok") or rejected["error"]["code"] != "not_leader":
             fail(f"follower accepted a write: {rejected!r}")
 
+        stats = follower_session.expect_ok(id="s2", op="stats")["result"]
         exposition = scrape(int(metrics.group(2)))
         for needle in (
             "repro_replica_lag_versions",
@@ -418,6 +453,8 @@ def replication_smoke() -> None:
             if needle not in exposition:
                 fail(f"follower /metrics missing {needle!r}")
         print("smoke: follower /metrics exposes replication lag")
+        # The follower has applied the live write and nothing follows it.
+        agree("follower", stats, exposition, FOLLOWER_TWINS)
 
         # Each serving fact is recorded once, registry on or off.
         leader_exposition = scrape(int(leader_metrics.group(2)))

@@ -116,7 +116,7 @@ class Literal:
     models are printed.
     """
 
-    __slots__ = ("atom", "positive", "_hash")
+    __slots__ = ("atom", "positive", "_hash", "_complement")
 
     def __init__(self, atom: Atom, positive: bool = True) -> None:
         if not isinstance(atom, Atom):
@@ -124,6 +124,7 @@ class Literal:
         object.__setattr__(self, "atom", atom)
         object.__setattr__(self, "positive", bool(positive))
         object.__setattr__(self, "_hash", hash(("lit", atom, positive)))
+        object.__setattr__(self, "_complement", None)
 
     def __setattr__(self, key: str, value: object) -> None:
         raise AttributeError("Literal is immutable")
@@ -152,8 +153,17 @@ class Literal:
         return self.atom.variables()
 
     def complement(self) -> "Literal":
-        """The complementary literal ``¬A`` (or ``A`` for ``¬A``)."""
-        return Literal(self.atom, not self.positive)
+        """The complementary literal ``¬A`` (or ``A`` for ``¬A``).
+
+        Built on first use and kept.  The complement does not point
+        back: a pair pointing at each other would be a reference cycle
+        only the cyclic collector frees.
+        """
+        other = self._complement
+        if other is None:
+            other = Literal(self.atom, not self.positive)
+            _set_complement(self, other)
+        return other
 
     def __invert__(self) -> "Literal":
         return self.complement()
@@ -186,6 +196,7 @@ class Literal:
 _set_predicate, _set_args, _set_atom_hash, _set_ground = (
     getattr(Atom, slot).__set__ for slot in Atom.__slots__
 )
+_set_complement = Literal._complement.__set__
 
 
 def pos(predicate: str, *args: Union[Term, str, int]) -> Literal:

@@ -35,7 +35,8 @@ import asyncio
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Optional
+from operator import itemgetter
+from typing import Any, Callable, NamedTuple, Optional
 
 from ..core.interpretation import Interpretation, TruthValue
 from ..explain.trace import Explainer
@@ -128,8 +129,8 @@ class Snapshot:
         self.published_at = time.monotonic()
         self.models: dict[str, Interpretation] = models if models is not None else {}
 
-    def age(self, now: Optional[float] = None) -> float:
-        return (now if now is not None else time.monotonic()) - self.published_at
+    def age(self) -> float:
+        return time.monotonic() - self.published_at
 
 
 def _latency_dict(hist: Histogram) -> dict:
@@ -191,18 +192,120 @@ class Subscriber:
     journal, which has no buffer bound).
     """
 
-    __slots__ = ("queue", "views", "lagging", "delivered")
+    __slots__ = ("queue", "views", "lagging")
 
     def __init__(self, maxsize: int, views: Optional[frozenset[str]] = None) -> None:
         self.queue: asyncio.Queue = asyncio.Queue(maxsize=maxsize)
         self.views = views
         self.lagging = False
-        self.delivered = 0
 
     def wants(self, op: dict) -> bool:
         if self.views is None:
             return True
         return bool(self.views.intersection(op.get("seers", ())))
+
+
+def _same(value: Any) -> Any:
+    return value
+
+
+class Figure(NamedTuple):
+    """One serving figure, declared once for ``stats`` and ``/metrics``.
+
+    ``path`` is its dotted ``stats`` key path; ``value`` reads it from
+    its section's source.  A figure with a ``family`` is exported as
+    that Prometheus ``kind`` with ``help``; ``label`` marks a map value,
+    exported as one labelled sample per key.  ``shape`` gives a value
+    (each map value, when labelled) its ``stats`` form; ``/metrics``
+    takes the value as it is.
+    """
+
+    path: str
+    value: Callable[[Any], Any]
+    family: Optional[str] = None
+    kind: str = "gauge"
+    help: Optional[str] = None
+    label: Optional[str] = None
+    shape: Callable[[Any], Any] = _same
+
+
+def _refresh_dict(hist: Histogram) -> dict:
+    return {
+        "refreshes": hist.count,
+        "mean_s": hist.mean,
+        "max_s": hist.max or 0.0,
+        "p95_s": hist.quantile(0.95),
+    }
+
+
+ENGINE_FIGURES = (
+    Figure("version", lambda e: e._version, "repro_server_version", "gauge",
+           "Published snapshot version."),
+    Figure("uptime_s", lambda e: time.monotonic() - e.started_at,
+           "repro_server_uptime_seconds", "gauge", "Seconds since the engine started."),
+    Figure("snapshot_age_s", lambda e: e._snapshot.age(), "repro_server_snapshot_age_seconds",
+           "gauge", "Age of the latest published snapshot."),
+    Figure("queue_depth", lambda e: e._queue.qsize(), "repro_server_queue_depth", "gauge",
+           "Write requests waiting in the bounded queue."),
+    Figure("draining", lambda e: e._draining, "repro_server_draining", "gauge",
+           "1 while the server is draining."),
+    Figure("objects", lambda e: len(e.kb.objects)),
+    Figure("views_materialized", lambda e: len(e._snapshot.models)),
+    Figure("requests", lambda e: e._requests, "repro_server_requests_total", "counter",
+           "Requests handled, by op.", label="op"),
+    Figure("errors", lambda e: e._errors, "repro_server_errors_total", "counter",
+           "Error replies, by code.", label="code"),
+    Figure("writes.batches", lambda e: e._batches, "repro_server_batches_total", "counter",
+           "Published write batches."),
+    Figure("writes.ops", lambda e: e._ops_applied, "repro_server_ops_applied_total", "counter",
+           "Write requests applied."),
+    Figure("writes.max_batch", lambda e: e._max_batch_seen),
+    Figure("writes.mean_batch", lambda e: e._ops_applied / e._batches if e._batches else 0.0),
+    Figure("latency.read", lambda e: e._read_latency, "repro_server_read_latency_seconds",
+           "histogram", "Read latency (query/ask/explain).", shape=_latency_dict),
+    Figure("latency.write", lambda e: e._write_latency, "repro_server_write_latency_seconds",
+           "histogram", "Write latency (admission to publish).", shape=_latency_dict),
+    Figure("queue_wait_ms", lambda e: e._queue_wait, "repro_server_queue_wait_ms", "histogram",
+           "Write-queue wait in milliseconds.", shape=Histogram.as_dict),
+    Figure("slow.threshold_ms", lambda e: e.config.slow_ms),
+    Figure("slow.total", lambda e: e._slow_total, "repro_server_slow_queries_total", "counter",
+           "Requests at or above the --slow-ms threshold."),
+    Figure("slow.logged", lambda e: len(e._slow)),
+    Figure("slow.max_ms", lambda e: e._slow_max_ms),
+    Figure("views", lambda e: e._view_refresh, "repro_server_view_refresh_seconds",
+           "histogram", "Hot-view re-materialization cost at publish.", label="view",
+           shape=_refresh_dict),
+    Figure("replication.subscribers", lambda e: len(e._subscribers),
+           "repro_server_subscribers", "gauge", "Live subscribe streams (replication followers)."),
+    Figure("replication.subscribes_total", lambda e: e._subscribers_total),
+    Figure("replication.lagged_total", lambda e: e._subscribers_lagged,
+           "repro_server_subscribers_lagged_total", "counter",
+           "Subscribe streams cut for falling behind the buffer."),
+)
+
+
+def _wal(key: str, *export: Any) -> Figure:
+    """The figure ``wal.<key>``, read from one ``Wal.stats()`` dict."""
+    return Figure(f"wal.{key}", itemgetter(key), *export)
+
+
+WAL_FIGURES = (
+    _wal("directory"),
+    _wal("fsync"),
+    _wal("appends", "repro_wal_appends_total", "counter", "Journal records appended."),
+    _wal("bytes", "repro_wal_bytes_total", "counter", "Journal bytes appended."),
+    _wal("fsyncs", "repro_wal_fsyncs_total", "counter", "Journal fsyncs issued."),
+    _wal("rotations", "repro_wal_rotations_total", "counter", "Journal segment rotations."),
+    _wal("checkpoints", "repro_wal_checkpoints_total", "counter", "Checkpoints written."),
+    _wal("checkpoint_version", "repro_wal_checkpoint_version", "gauge",
+         "Version of the newest checkpoint."),
+    _wal("replayed_on_boot"),
+    _wal("recovered_version"),
+    _wal("truncated_segments"),
+)
+
+#: The figures the ``health`` op reports beside its status.
+HEALTH_FIGURES = ("uptime_s", "snapshot_age_s", "queue_depth")
 
 
 class ServerEngine:
@@ -213,6 +316,15 @@ class ServerEngine:
     point for every request (the TCP service, benchmarks and tests all
     drive it directly).
     """
+
+    #: The one list of serving figures: ``(source, figures)`` sections,
+    #: each figure reading its value from ``source(engine)``; a section
+    #: whose source gives None (no WAL) is left out.  :meth:`stats` and
+    #: :meth:`exposition` are its only renderers.
+    FIGURES: tuple = (
+        (_same, ENGINE_FIGURES),
+        (lambda e: None if e.wal is None else e.wal.stats(), WAL_FIGURES),
+    )
 
     def __init__(
         self,
@@ -366,17 +478,7 @@ class ServerEngine:
             )
         view, pattern = request.view, request.pattern
         assert view is not None and pattern is not None  # parse_request guarantees
-        ctx: Optional[TraceContext] = None
-        if request.trace is not None or self.config.slow_ms is not None:
-            trace = request.trace or {}
-            ctx = TraceContext(
-                trace_id=trace.get("id"),
-                baggage=trace.get("baggage"),
-                name=f"server.{request.op}",
-                op=request.op,
-                view=view,
-                pattern=pattern,
-            )
+        ctx = self._open_trace(request, pattern=pattern)
         t0 = time.perf_counter()
         try:
             if ctx is not None:
@@ -391,15 +493,7 @@ class ServerEngine:
         elapsed = time.perf_counter() - t0
         self._read_latency.observe(elapsed)
         if ctx is not None:
-            ctx.annotate(version=snap.version)
-            ctx.close()
-            if (
-                self.config.slow_ms is not None
-                and elapsed * 1000.0 >= self.config.slow_ms
-            ):
-                self._record_slow(request, ctx, elapsed, snap.version)
-            if request.trace is not None:
-                result["trace"] = ctx.summary()
+            self._close_trace(request, ctx, result, snap.version, elapsed, version=snap.version)
         return protocol.ok_response(request.id, snap.version, result)
 
     def _evaluate_read(
@@ -450,199 +544,117 @@ class ServerEngine:
         }
 
     def _health(self, request: Request) -> dict:
-        return protocol.ok_response(
-            request.id,
-            self._version,
-            {
-                "status": "draining" if self._draining else "ok",
-                "uptime_s": time.monotonic() - self.started_at,
-                "snapshot_age_s": self._snapshot.age(),
-                "queue_depth": self._queue.qsize(),
-            },
+        result = {"status": "draining" if self._draining else "ok"}
+        result.update(
+            (f.path, f.value(self)) for f in ENGINE_FIGURES if f.path in HEALTH_FIGURES
         )
+        return protocol.ok_response(request.id, self._version, result)
+
+    def _figures(self):
+        """Each figure of :attr:`FIGURES` with its current value."""
+        for source, figures in self.FIGURES:
+            scope = source(self)
+            if scope is not None:
+                for figure in figures:
+                    yield figure, figure.value(scope)
 
     def stats(self) -> dict:
-        """The ``stats`` result: serving counters plus pipeline state."""
-        payload = {
-            "version": self._version,
-            "uptime_s": time.monotonic() - self.started_at,
-            "snapshot_age_s": self._snapshot.age(),
-            "queue_depth": self._queue.qsize(),
-            "draining": self._draining,
-            "objects": len(self.kb.objects),
-            "views_materialized": len(self._snapshot.models),
-            "requests": dict(sorted(self._requests.items())),
-            "errors": dict(sorted(self._errors.items())),
-            "writes": {
-                "batches": self._batches,
-                "ops": self._ops_applied,
-                "max_batch": self._max_batch_seen,
-                "mean_batch": (
-                    self._ops_applied / self._batches if self._batches else 0.0
-                ),
-            },
-            "latency": {
-                "read": _latency_dict(self._read_latency),
-                "write": _latency_dict(self._write_latency),
-            },
-            "queue_wait_ms": self._queue_wait.as_dict(),
-            "slow": {
-                "threshold_ms": self.config.slow_ms,
-                "total": self._slow_total,
-                "logged": len(self._slow),
-                "max_ms": self._slow_max_ms,
-            },
-            "views": {
-                view: {
-                    "refreshes": hist.count,
-                    "mean_s": hist.mean,
-                    "max_s": hist.max or 0.0,
-                    "p95_s": hist.quantile(0.95),
-                }
-                for view, hist in sorted(self._view_refresh.items())
-            },
-            "replication": {
-                "subscribers": len(self._subscribers),
-                "subscribes_total": self._subscribers_total,
-                "lagged_total": self._subscribers_lagged,
-            },
-        }
-        if self.wal is not None:
-            payload["wal"] = self.wal.stats()
+        """The ``stats`` result: every figure at its key path."""
+        payload: dict = {}
+        for figure, value in self._figures():
+            *parents, leaf = figure.path.split(".")
+            node = payload
+            for key in parents:
+                node = node.setdefault(key, {})
+            node[leaf] = (
+                figure.shape(value)
+                if figure.label is None
+                else {key: figure.shape(v) for key, v in sorted(value.items())}
+            )
         return payload
 
     def exposition(self) -> str:
-        """Prometheus text-format exposition: the always-on serving
-        instruments plus (when the registry is enabled) every registry
-        instrument via :func:`~repro.obs.exposition.write_registry`."""
+        """Prometheus text-format exposition: every exported figure plus
+        (when the registry is enabled) every registry instrument via
+        :func:`~repro.obs.exposition.write_registry`."""
         writer = PrometheusWriter()
-        writer.gauge(
-            "repro_server_version", self._version, help="Published snapshot version."
-        )
-        writer.gauge(
-            "repro_server_uptime_seconds",
-            time.monotonic() - self.started_at,
-            help="Seconds since the engine started.",
-        )
-        writer.gauge(
-            "repro_server_queue_depth",
-            self._queue.qsize(),
-            help="Write requests waiting in the bounded queue.",
-        )
-        writer.gauge(
-            "repro_server_snapshot_age_seconds",
-            self._snapshot.age(),
-            help="Age of the latest published snapshot.",
-        )
-        writer.gauge(
-            "repro_server_draining",
-            int(self._draining),
-            help="1 while the server is draining.",
-        )
-        for op, n in sorted(self._requests.items()):
-            writer.counter(
-                "repro_server_requests_total",
-                n,
-                labels={"op": op},
-                help="Requests handled, by op.",
-            )
-        for code, n in sorted(self._errors.items()):
-            writer.counter(
-                "repro_server_errors_total",
-                n,
-                labels={"code": code},
-                help="Error replies, by code.",
-            )
-        writer.counter(
-            "repro_server_batches_total",
-            self._batches,
-            help="Published write batches.",
-        )
-        writer.counter(
-            "repro_server_ops_applied_total",
-            self._ops_applied,
-            help="Write requests applied.",
-        )
-        writer.counter(
-            "repro_server_slow_queries_total",
-            self._slow_total,
-            help="Requests at or above the --slow-ms threshold.",
-        )
-        writer.histogram(
-            "repro_server_read_latency_seconds",
-            self._read_latency,
-            help="Read latency (query/ask/explain).",
-        )
-        writer.histogram(
-            "repro_server_write_latency_seconds",
-            self._write_latency,
-            help="Write latency (admission to publish).",
-        )
-        writer.histogram(
-            "repro_server_queue_wait_ms",
-            self._queue_wait,
-            help="Write-queue wait in milliseconds.",
-        )
-        for view, hist in sorted(self._view_refresh.items()):
-            writer.histogram(
-                "repro_server_view_refresh_seconds",
-                hist,
-                labels={"view": view},
-                help="Hot-view re-materialization cost at publish.",
-            )
-        writer.gauge(
-            "repro_server_subscribers",
-            len(self._subscribers),
-            help="Live subscribe streams (replication followers).",
-        )
-        writer.counter(
-            "repro_server_subscribers_lagged_total",
-            self._subscribers_lagged,
-            help="Subscribe streams cut for falling behind the buffer.",
-        )
-        if self.wal is not None:
-            wal = self.wal.stats()
-            writer.counter(
-                "repro_wal_appends_total",
-                wal["appends"],
-                help="Journal records appended.",
-            )
-            writer.counter(
-                "repro_wal_bytes_total",
-                wal["bytes"],
-                help="Journal bytes appended.",
-            )
-            writer.counter(
-                "repro_wal_fsyncs_total",
-                wal["fsyncs"],
-                help="Journal fsyncs issued.",
-            )
-            writer.counter(
-                "repro_wal_rotations_total",
-                wal["rotations"],
-                help="Journal segment rotations.",
-            )
-            writer.counter(
-                "repro_wal_checkpoints_total",
-                wal["checkpoints"],
-                help="Checkpoints written.",
-            )
-            writer.gauge(
-                "repro_wal_checkpoint_version",
-                wal["checkpoint_version"],
-                help="Version of the newest checkpoint.",
-            )
-        self._expose_extra(writer)
+        for figure, value in self._figures():
+            if figure.family is None:
+                continue
+            emit = getattr(writer, figure.kind)
+            if figure.label is None:
+                emit(figure.family, value, help=figure.help)
+            else:
+                for key, v in sorted(value.items()):
+                    emit(figure.family, v, labels={figure.label: key}, help=figure.help)
         write_registry(writer, get_instrumentation())
         return writer.render()
 
-    def _expose_extra(self, writer: PrometheusWriter) -> None:
-        """Subclass hook: extra always-on instruments in ``/metrics``
-        (the follower engine adds its replication lag here)."""
+    # ------------------------------------------------------------------
+    # Request traces and the slow-query log
+    # ------------------------------------------------------------------
+    def _open_trace(self, request: Request, **fields: Any) -> Optional[TraceContext]:
+        """The request's trace, or None when neither the request nor the
+        slow log wants its span tree."""
+        if request.trace is None and self.config.slow_ms is None:
+            return None
+        trace = request.trace or {}
+        return TraceContext(
+            trace_id=trace.get("id"),
+            baggage=trace.get("baggage"),
+            name=f"server.{request.op}",
+            op=request.op,
+            view=request.view or "",
+            **fields,
+        )
 
-    # ------------------------------------------------------------------
-    # Slow-query log
-    # ------------------------------------------------------------------
+    def _close_trace(
+        self,
+        request: Request,
+        ctx: TraceContext,
+        result: dict,
+        at: int,
+        elapsed: Optional[float] = None,
+        **fields: Any,
+    ) -> None:
+        """Annotate and close the trace of a request answered at version
+        ``at``, log it when it took at least ``slow_ms`` (``elapsed``, by
+        default the root span's duration) and echo it in ``result`` when
+        the request asked."""
+        ctx.annotate(**fields)
+        ctx.close()
+        if elapsed is None:
+            elapsed = ctx.root.duration or 0.0
+        if self.config.slow_ms is not None and elapsed * 1000.0 >= self.config.slow_ms:
+            elapsed_ms = round(elapsed * 1000.0, 3)
+            self._slow_total += 1
+            self._slow_max_ms = max(self._slow_max_ms, elapsed_ms)
+            self._slow.append(
+                {
+                    "at": time.time(),
+                    "id": request.id,
+                    "op": request.op,
+                    "view": request.view,
+                    "pattern": request.pattern,
+                    "rules": (request.rules or "")[:200] or None,
+                    "mode": request.mode,
+                    "elapsed_ms": elapsed_ms,
+                    "version": at,
+                    "trace_id": ctx.trace_id,
+                    "spans": ctx.root.to_dict(),
+                    "cost": dict(ctx.costs),
+                }
+            )
+            get_instrumentation().event(
+                "server.slow_query",
+                op=request.op,
+                view=request.view,
+                elapsed_ms=elapsed_ms,
+                trace_id=ctx.trace_id,
+            )
+        if request.trace is not None:
+            result["trace"] = ctx.summary()
+
     def slow_log(self) -> dict:
         """The ``slow`` result: the ring buffer, newest last."""
         return {
@@ -650,41 +662,6 @@ class ServerEngine:
             "total": self._slow_total,
             "entries": list(self._slow),
         }
-
-    def _record_slow(
-        self,
-        request: Request,
-        ctx: TraceContext,
-        elapsed: float,
-        version: int,
-    ) -> None:
-        elapsed_ms = round(elapsed * 1000.0, 3)
-        self._slow_total += 1
-        if elapsed_ms > self._slow_max_ms:
-            self._slow_max_ms = elapsed_ms
-        self._slow.append(
-            {
-                "at": time.time(),
-                "id": request.id,
-                "op": request.op,
-                "view": request.view,
-                "pattern": request.pattern,
-                "rules": (request.rules or "")[:200] or None,
-                "mode": request.mode,
-                "elapsed_ms": elapsed_ms,
-                "version": version,
-                "trace_id": ctx.trace_id,
-                "spans": ctx.root.to_dict(),
-                "cost": dict(ctx.costs),
-            }
-        )
-        get_instrumentation().event(
-            "server.slow_query",
-            op=request.op,
-            view=request.view,
-            elapsed_ms=elapsed_ms,
-            trace_id=ctx.trace_id,
-        )
 
     # ------------------------------------------------------------------
     # Write path (single-writer pipeline)
@@ -701,16 +678,7 @@ class ServerEngine:
                 "write-ahead log failed; refusing writes the journal "
                 "cannot make durable",
             )
-        ctx: Optional[TraceContext] = None
-        if request.trace is not None or self.config.slow_ms is not None:
-            trace = request.trace or {}
-            ctx = TraceContext(
-                trace_id=trace.get("id"),
-                baggage=trace.get("baggage"),
-                name=f"server.{request.op}",
-                op=request.op,
-                view=request.view or "",
-            )
+        ctx = self._open_trace(request)
         future: asyncio.Future[dict] = asyncio.get_running_loop().create_future()
         try:
             self._queue.put_nowait(_WriteItem(request, future, ctx))
@@ -852,18 +820,10 @@ class ServerEngine:
                 if pub_ctx is not None:
                     node.children.extend(pub_ctx.root.children)
                     ctx.add_cost(**pub_ctx.costs)
-                ctx.annotate(batch_version=version, batch_size=len(applied))
-                ctx.close()
-                if (
-                    self.config.slow_ms is not None
-                    and ctx.root.duration is not None
-                    and ctx.root.duration * 1000.0 >= self.config.slow_ms
-                ):
-                    self._record_slow(
-                        item.request, ctx, ctx.root.duration, version
-                    )
-                if item.request.trace is not None:
-                    result["trace"] = ctx.summary()
+                self._close_trace(
+                    item.request, ctx, result, version,
+                    batch_version=version, batch_size=len(applied),
+                )
             if not item.future.done():
                 item.future.set_result(
                     protocol.ok_response(item.request.id, version, result)

@@ -35,13 +35,13 @@ from __future__ import annotations
 import asyncio
 import json
 import time
+from operator import attrgetter
 from typing import Any, Optional, Sequence
 
 from ..obs import get_instrumentation
-from ..obs.exposition import PrometheusWriter
 from ..serialize import kb_from_dict
 from . import protocol
-from .engine import ServerConfig, ServerEngine, Snapshot
+from .engine import Figure, ServerConfig, ServerEngine, Snapshot
 from .protocol import Request
 from .service import MetricsSidecar, QueryServer, ServingShell, run_shell
 
@@ -61,8 +61,37 @@ class ReplicationError(RuntimeError):
     unexpected frame, an error reply on the subscribe connection)."""
 
 
+def _replica(attr: str, *export: Any) -> Figure:
+    """The figure ``replica.<attr>``, read off the follower engine."""
+    return Figure(f"replica.{attr}", attrgetter(attr), *export)
+
+
+REPLICA_FIGURES = (
+    _replica("leader"),
+    Figure("replica.views", lambda f: None if f.views is None else list(f.views)),
+    _replica("leader_version", "repro_replica_leader_version", "gauge",
+             "Newest leader version observed on the stream."),
+    Figure("replica.applied_version", attrgetter("version"), "repro_replica_applied_version",
+           "gauge", "Last leader version applied by this follower."),
+    _replica("lag_versions", "repro_replica_lag_versions", "gauge",
+             "Replication lag (replica.lag_versions): leader version minus applied version."),
+    _replica("entries_applied", "repro_replica_entries_total", "counter",
+             "Journal entries applied from the stream."),
+    _replica("ops_replicated", "repro_replica_ops_total", "counter",
+             "Write ops replicated from the leader."),
+    _replica("snapshots_loaded", "repro_replica_snapshots_total", "counter",
+             "Full-snapshot resyncs performed."),
+    _replica("reconnects", "repro_replica_reconnects_total", "counter",
+             "Subscribe-stream reconnects."),
+    _replica("resets", "repro_replica_resets_total", "counter",
+             "Full state wipes after a mid-entry apply failure."),
+)
+
+
 class FollowerEngine(ServerEngine):
     """A read-only engine fed by a leader's ``subscribe`` stream."""
+
+    FIGURES = ServerEngine.FIGURES + ((lambda f: f, REPLICA_FIGURES),)
 
     def __init__(
         self,
@@ -152,66 +181,6 @@ class FollowerEngine(ServerEngine):
         self.note_leader(version)
         self.snapshots_loaded += 1
         get_instrumentation().event("replica.snapshot_loaded", version=version)
-
-    # -- observability -------------------------------------------------
-    def stats(self) -> dict:
-        payload = super().stats()
-        payload["replica"] = {
-            "leader": self.leader,
-            "views": list(self.views) if self.views is not None else None,
-            "leader_version": self.leader_version,
-            "applied_version": self.version,
-            "lag_versions": self.lag_versions,
-            "entries_applied": self.entries_applied,
-            "ops_replicated": self.ops_replicated,
-            "snapshots_loaded": self.snapshots_loaded,
-            "reconnects": self.reconnects,
-            "resets": self.resets,
-        }
-        return payload
-
-    def _expose_extra(self, writer: PrometheusWriter) -> None:
-        writer.gauge(
-            "repro_replica_lag_versions",
-            self.lag_versions,
-            help="Replication lag (replica.lag_versions): leader version "
-            "minus applied version.",
-        )
-        writer.gauge(
-            "repro_replica_applied_version",
-            self.version,
-            help="Last leader version applied by this follower.",
-        )
-        writer.gauge(
-            "repro_replica_leader_version",
-            self.leader_version,
-            help="Newest leader version observed on the stream.",
-        )
-        writer.counter(
-            "repro_replica_entries_total",
-            self.entries_applied,
-            help="Journal entries applied from the stream.",
-        )
-        writer.counter(
-            "repro_replica_ops_total",
-            self.ops_replicated,
-            help="Write ops replicated from the leader.",
-        )
-        writer.counter(
-            "repro_replica_snapshots_total",
-            self.snapshots_loaded,
-            help="Full-snapshot resyncs performed.",
-        )
-        writer.counter(
-            "repro_replica_reconnects_total",
-            self.reconnects,
-            help="Subscribe-stream reconnects.",
-        )
-        writer.counter(
-            "repro_replica_resets_total",
-            self.resets,
-            help="Full state wipes after a mid-entry apply failure.",
-        )
 
 
 # ----------------------------------------------------------------------

@@ -398,7 +398,6 @@ class QueryServer(ServingShell):
                     return
                 if entry["version"] <= applied:
                     continue  # already delivered by catch-up
-                sub.delivered += 1
                 applied = entry["version"]
                 frame(
                     entry["version"],

@@ -1,14 +1,18 @@
 """Unit tests for the ordered immediate transformation V (Definition 4,
 Lemma 1, Proposition 1)."""
 
+import functools
 import random
 
+import pytest
 
 from repro.core.interpretation import Interpretation
 from repro.core.semantics import OrderedSemantics
+from repro.lang.literals import Literal
 from repro.obs import trace
 from repro.reductions.ordered_version import ordered_version
 from repro.workloads import ancestor_chain, release_chain
+from repro.workloads.paper import scaled_figure2
 from repro.workloads.random_programs import random_ordered_program
 
 from ..conftest import semantics_of
@@ -146,3 +150,28 @@ class TestDenseKernelWork:
         # The CWA component decides every atom: the least model is total.
         assert costs["literals_derived"] == len(sem.ground.base)
         assert naive >= 10 * dense, (naive, dense)
+
+
+class TestNaiveStepAllocations:
+    """A literal keeps its complement, so once the rules' complements
+    exist a naive ``V`` step builds no :class:`Literal` (counted as in
+    ``tests/grounding/test_id_route.py``; a complement built per call
+    made 54 / 32 / 16 per step here)."""
+
+    @pytest.mark.parametrize("view", ["c1", "c2", "c3"])
+    def test_step_on_the_least_model_builds_no_literal(self, view, monkeypatch):
+        sem = OrderedSemantics(scaled_figure2(6, 2), view)
+        model = sem.least_model
+        transform = sem.transform
+        assert transform.step(model) == model  # decodes the rules once
+        built = [0]
+        init = Literal.__init__
+
+        @functools.wraps(init)
+        def counted(self, *args, **kwargs):
+            built[0] += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Literal, "__init__", counted)
+        assert transform.step(model) == model
+        assert built == [0]

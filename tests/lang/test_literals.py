@@ -50,6 +50,15 @@ class TestLiteral:
         assert l.complement().complement() == l
         assert (~l) == l.complement()
 
+    def test_complement_is_built_once_and_kept_one_way(self):
+        l = pos("fly", "tweety")
+        c = l.complement()
+        assert l.complement() is c
+        assert hash(c) == hash(neg("fly", "tweety"))
+        # No back pointer: a pair pointing at each other would be a
+        # reference cycle only the cyclic collector frees.
+        assert c.complement() == l and c.complement() is not l
+
     def test_complement_flips_sign_only(self):
         l = pos("fly", "tweety")
         assert l.complement().atom == l.atom

@@ -255,3 +255,145 @@ def test_stats_paths_and_always_on_families_are_pinned(tmp_path):
     assert leader_stats["wal"]["checkpoints"] == 1
     assert follower_stats["replica"]["resets"] == 0
     assert follower_stats["errors"] == {"not_leader": 1}
+
+
+#: Each exported family -> the ``stats`` key path of its twin (a
+#: histogram's twin is its count; ``*`` is the label value).  The two
+#: gauges that read the clock at each rendering have no twin.
+TWINS = {
+    "repro_server_version": "version",
+    "repro_server_queue_depth": "queue_depth",
+    "repro_server_draining": "draining",
+    "repro_server_requests_total": "requests.*",
+    "repro_server_errors_total": "errors.*",
+    "repro_server_batches_total": "writes.batches",
+    "repro_server_ops_applied_total": "writes.ops",
+    "repro_server_slow_queries_total": "slow.total",
+    "repro_server_read_latency_seconds": "latency.read.count",
+    "repro_server_write_latency_seconds": "latency.write.count",
+    "repro_server_queue_wait_ms": "queue_wait_ms.count",
+    "repro_server_view_refresh_seconds": "views.*.refreshes",
+    "repro_server_subscribers": "replication.subscribers",
+    "repro_server_subscribers_lagged_total": "replication.lagged_total",
+    "repro_wal_appends_total": "wal.appends",
+    "repro_wal_bytes_total": "wal.bytes",
+    "repro_wal_fsyncs_total": "wal.fsyncs",
+    "repro_wal_rotations_total": "wal.rotations",
+    "repro_wal_checkpoints_total": "wal.checkpoints",
+    "repro_wal_checkpoint_version": "wal.checkpoint_version",
+    "repro_replica_applied_version": "replica.applied_version",
+    "repro_replica_entries_total": "replica.entries_applied",
+    "repro_replica_lag_versions": "replica.lag_versions",
+    "repro_replica_leader_version": "replica.leader_version",
+    "repro_replica_ops_total": "replica.ops_replicated",
+    "repro_replica_reconnects_total": "replica.reconnects",
+    "repro_replica_resets_total": "replica.resets",
+    "repro_replica_snapshots_total": "replica.snapshots_loaded",
+}
+CLOCK_READ = {"repro_server_uptime_seconds", "repro_server_snapshot_age_seconds"}
+
+#: What the two scenarios did, read through the twins (WAL bytes are the
+#: record format's business, not the scenario's).
+LEADER_READINGS = {
+    "repro_server_version": 1,
+    "repro_server_queue_depth": 0,
+    "repro_server_draining": 0,
+    "repro_server_requests_total": {"query": 1, "retract": 1, "tell": 1},
+    "repro_server_errors_total": {"semantics": 1},
+    "repro_server_batches_total": 1,
+    "repro_server_ops_applied_total": 1,
+    "repro_server_slow_queries_total": 0,
+    "repro_server_read_latency_seconds": 1,
+    "repro_server_write_latency_seconds": 2,
+    "repro_server_queue_wait_ms": 2,
+    "repro_server_view_refresh_seconds": {"bird": 1},
+    "repro_server_subscribers": 0,
+    "repro_server_subscribers_lagged_total": 0,
+    "repro_wal_appends_total": 1,
+    "repro_wal_fsyncs_total": 1,
+    "repro_wal_rotations_total": 0,
+    "repro_wal_checkpoints_total": 1,
+    "repro_wal_checkpoint_version": 1,
+}
+FOLLOWER_READINGS = {
+    "repro_server_version": 2,
+    "repro_server_queue_depth": 0,
+    "repro_server_draining": 0,
+    "repro_server_requests_total": {"query": 1, "tell": 1},
+    "repro_server_errors_total": {"not_leader": 1},
+    "repro_server_batches_total": 2,
+    "repro_server_ops_applied_total": 2,
+    "repro_server_slow_queries_total": 0,
+    "repro_server_read_latency_seconds": 1,
+    "repro_server_write_latency_seconds": 0,
+    "repro_server_queue_wait_ms": 0,
+    "repro_server_view_refresh_seconds": {"bird": 1},
+    "repro_server_subscribers": 0,
+    "repro_server_subscribers_lagged_total": 0,
+    "repro_replica_applied_version": 2,
+    "repro_replica_entries_total": 2,
+    "repro_replica_lag_versions": 0,
+    "repro_replica_leader_version": 2,
+    "repro_replica_ops_total": 2,
+    "repro_replica_reconnects_total": 0,
+    "repro_replica_resets_total": 0,
+    "repro_replica_snapshots_total": 0,
+}
+
+
+def exposition_readings(text: str) -> dict:
+    """family -> value (a histogram's count; label value -> value for a
+    labelled family), for every family except the clock-read gauges."""
+    families, _, _ = parse_exposition(text)
+    readings: dict = {}
+    for line in text.splitlines():
+        if not line or line.startswith("#"):
+            continue
+        key, value = line.rsplit(" ", 1)
+        name, _, labels = key.partition("{")
+        family = name.removesuffix("_count")
+        if family in CLOCK_READ or family not in families:
+            continue  # a bucket or sum sample, or a clock read
+        if families[family][0] == "histogram" and not name.endswith("_count"):
+            continue
+        if labels:
+            label = labels.rstrip("}").split("=", 1)[1].strip('"')
+            readings.setdefault(family, {})[label] = float(value)
+        else:
+            readings[family] = float(value)
+    return readings
+
+
+def twin_readings(stats: dict, families) -> dict:
+    """family -> the value of its ``stats`` twin, shaped like
+    :func:`exposition_readings`."""
+    readings = {}
+    for family in families:
+        node, rest = stats, TWINS[family].split(".")
+        while rest and rest[0] != "*":
+            node = node[rest.pop(0)]
+        if rest:  # "*" then the leaf key under each label value
+            leaf = rest[1:]
+            node = {
+                label: value[leaf[0]] if leaf else value
+                for label, value in node.items()
+            }
+        readings[family] = node
+    return readings
+
+
+def test_stats_and_metrics_agree_on_every_twin(tmp_path):
+    get_instrumentation().reset()
+    leader_stats, leader = run(leader_scrapes(tmp_path))
+    _, follower_stats, follower = run(follower_scrapes())
+    for stats, text, expected in (
+        (leader_stats, leader, LEADER_READINGS),
+        (follower_stats, follower, FOLLOWER_READINGS),
+    ):
+        exported = exposition_readings(text)
+        # Every exported family has a twin, and the two show one value.
+        assert set(exported) <= set(TWINS)
+        assert twin_readings(stats, exported) == exported
+        # ... the value of the scenario, so two figures whose sources
+        # were swapped do not agree by accident.
+        assert {f: v for f, v in exported.items() if f in expected} == expected
