@@ -53,7 +53,6 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
-from ..classical.stratified import strongly_connected_components
 from ..grounding.herbrand import HerbrandUniverse, universe_of
 from ..lang.builtins import Comparison
 from ..lang.errors import GroundingError
@@ -62,6 +61,7 @@ from ..lang.program import Component, OrderedProgram
 from ..lang.rules import Rule
 from ..lang.terms import Compound, Constant, Term, Variable, term_depth
 from ..obs import get_instrumentation
+from .graph import PredicateDependencyGraph
 
 __all__ = [
     "VALUE_CAP",
@@ -314,29 +314,20 @@ class AbstractAnalysis:
     # ------------------------------------------------------------------
     def _run(self) -> None:
         by_head: dict[Signed, list[Rule]] = {}
-        edges: set[tuple[Signed, Signed]] = set()
         for r in self._rules:
-            head = _signed(r.head)
-            self._ensure(head)
-            self._heads.add(head)
-            by_head.setdefault(head, []).append(r)
-            for l in r.body_literals():
-                key = _signed(l)
-                self._ensure(key)
-                # Tarjan emits sink SCCs first, so orient edges
-                # head → body to get callees before callers.
-                edges.add((head, key))
+            by_head.setdefault(_signed(r.head), []).append(r)
+            for l in (r.head, *r.body_literals()):
+                self._ensure(_signed(l))
+        self._heads.update(by_head)
         self._rules_by_head = by_head
-        sccs = strongly_connected_components(sorted(self._sorts), edges)
-        index = {key: i for i, scc in enumerate(sccs) for key in scc}
-        for src, dst in edges:
-            if index[src] == index[dst]:
-                self._recursive.update({src, dst} & set(by_head))
-        for scc in sccs:
-            if len(scc) > 1:
-                self._recursive.update(scc & set(by_head))
+        graph = PredicateDependencyGraph(
+            (("", r) for r in self._rules), key=_signed
+        )
+        self._recursive.update(graph.recursive & self._heads)
         obs = get_instrumentation()
-        # SCCs arrive callees-first, so each SCC sees converged inputs.
+        # Reversed, the graph's SCCs run callees first, so each SCC sees
+        # converged inputs.
+        sccs = graph.sccs[::-1]
         for scc in sccs:
             scc_rules = [r for key in sorted(scc) for r in by_head.get(key, ())]
             if not scc_rules:

@@ -6,13 +6,11 @@ Everything in :mod:`repro.analysis.lint` and
 authoring mistakes only surface as runtime failures or silently
 ``undefined`` atoms.  This module works purely on the program text:
 
-* :func:`build_pdg` constructs a graph whose nodes are predicate
-  signatures ``(name, arity)`` annotated with the components that define
-  and use them, and whose edges carry a polarity — ``POSITIVE`` body
-  dependency, ``BLOCKING`` (negative body literal) dependency, or a
-  ``CONTRADICTION`` between a positive and a negative head — together
-  with the order relation (below / above / equal / incomparable) between
-  the two components involved.
+* :func:`build_pdg` builds the program's
+  :class:`~repro.analysis.graph.PredicateDependencyGraph` over predicate
+  signatures ``(name, arity)``: the components that define and use each
+  one, body edges by polarity, and the contradictions with the order
+  relation (below / above / equal / incomparable) of the two components.
 * :func:`analyze_program` runs the checks and returns a
   :class:`StaticReport` of :class:`Diagnostic` records.
 * :func:`classify_view` labels each component view as ``positive``,
@@ -24,7 +22,8 @@ authoring mistakes only surface as runtime failures or silently
   what the demand route of :mod:`repro.query` needs and what
   ``olp check`` reports.
 
-A contradiction only violates stratification when the order does *not*
+:func:`classify_view` reads the same graph over the view's rules.  A
+contradiction only violates stratification when the order does *not*
 resolve it: Figure 1's ``fly``/``¬fly`` clash between comparable
 components is the paper's intended override and stays stratified, while
 Figure 2's clash between incomparable components (the *defeat* trap) is
@@ -35,20 +34,21 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Iterable, Mapping, Optional, Sequence
+from operator import attrgetter
+from typing import Mapping, Optional
 
-from ..classical.stratified import (
-    dependency_graph,
-    stratification,
-    strongly_connected_components,
-)
-from ..lang.poset import PartialOrder
 from ..lang.program import OrderedProgram
-from ..lang.rules import Rule
 from ..lang.terms import Compound, walk_terms
 from ..obs import get_instrumentation
 from .abstract import AbstractAnalysis, analyze_whole_program, signed_name
+from .graph import (
+    EdgeKind,
+    OrderRelation,
+    PDGEdge,
+    PDGNode,
+    PredicateDependencyGraph,
+    relation_between,
+)
 
 __all__ = [
     "Severity",
@@ -135,207 +135,16 @@ class Diagnostic:
         return text
 
 
-class EdgeKind(enum.Enum):
-    """Polarity of a PDG edge."""
-
-    POSITIVE = "positive"  # positive body literal -> head
-    BLOCKING = "blocking"  # negative body literal -> head
-    CONTRADICTION = "contradiction"  # positive head vs negative head
-
-    def __str__(self) -> str:
-        return self.value
-
-
-class OrderRelation(enum.Enum):
-    """How the source component of an edge relates to the target
-    component in the program order (lower = more specific)."""
-
-    BELOW = "below"
-    ABOVE = "above"
-    EQUAL = "equal"
-    INCOMPARABLE = "incomparable"
-
-    def __str__(self) -> str:
-        return self.value
-
-
-def relation_between(order: PartialOrder, a: str, b: str) -> OrderRelation:
-    """The order relation of component ``a`` relative to component ``b``."""
-    if a == b:
-        return OrderRelation.EQUAL
-    if order.less(a, b):
-        return OrderRelation.BELOW
-    if order.less(b, a):
-        return OrderRelation.ABOVE
-    return OrderRelation.INCOMPARABLE
-
-
-@dataclass(frozen=True)
-class PDGNode:
-    """A predicate signature with its defining and using components."""
-
-    signature: Signature
-    positive_components: frozenset[str]  # components heading it positively
-    negative_components: frozenset[str]  # components heading it negatively
-    using_components: frozenset[str]  # components with a body occurrence
-
-    @property
-    def defining_components(self) -> frozenset[str]:
-        return self.positive_components | self.negative_components
-
-    @property
-    def contradicted(self) -> bool:
-        """True when the predicate is headed with both signs somewhere."""
-        return bool(self.positive_components and self.negative_components)
-
-    @property
-    def name(self) -> str:
-        return f"{self.signature[0]}/{self.signature[1]}"
-
-
-@dataclass(frozen=True)
-class PDGEdge:
-    """A dependency or contradiction between two signatures.
-
-    For body edges the source is the body signature (one edge per
-    defining component of it), the target is the head signature, and
-    ``relation`` relates the defining component to the rule's component.
-    For contradiction edges source and target are the same signature;
-    ``source_component`` heads it positively, ``target_component``
-    negatively, and ``relation`` relates the two.
-    """
-
-    kind: EdgeKind
-    source: Signature
-    target: Signature
-    source_component: str
-    target_component: str
-    relation: OrderRelation
-
-
-@dataclass(frozen=True)
-class PredicateDependencyGraph:
-    """The PDG plus its Tarjan condensation."""
-
-    nodes: Mapping[Signature, PDGNode]
-    edges: frozenset[PDGEdge]
-    order: PartialOrder
-
-    def dependency_edges(self) -> frozenset[PDGEdge]:
-        return frozenset(
-            e for e in self.edges if e.kind is not EdgeKind.CONTRADICTION
-        )
-
-    def contradiction_edges(self) -> frozenset[PDGEdge]:
-        return frozenset(
-            e for e in self.edges if e.kind is EdgeKind.CONTRADICTION
-        )
-
-    @cached_property
-    def sccs(self) -> tuple[frozenset[Signature], ...]:
-        """Strongly connected components over the dependency (positive +
-        blocking) edges, in reverse topological order."""
-        pairs = {(e.source, e.target) for e in self.dependency_edges()}
-        return tuple(strongly_connected_components(self.nodes, pairs))
-
-    @cached_property
-    def scc_index(self) -> Mapping[Signature, int]:
-        return {
-            sig: i for i, scc in enumerate(self.sccs) for sig in scc
-        }
-
-    @cached_property
-    def recursive_signatures(self) -> frozenset[Signature]:
-        """Signatures on a dependency cycle (incl. self-recursion)."""
-        loops = {
-            e.source
-            for e in self.dependency_edges()
-            if self.scc_index[e.source] == self.scc_index[e.target]
-        }
-        multi = {
-            sig for scc in self.sccs if len(scc) > 1 for sig in scc
-        }
-        return frozenset(loops | multi)
-
-    def condensation(self) -> frozenset[tuple[int, int]]:
-        """Edges between SCC indices (dependency edges only)."""
-        return frozenset(
-            (self.scc_index[e.source], self.scc_index[e.target])
-            for e in self.dependency_edges()
-            if self.scc_index[e.source] != self.scc_index[e.target]
-        )
-
-
 def build_pdg(program: OrderedProgram) -> PredicateDependencyGraph:
-    """Build the predicate dependency graph of an ordered program."""
-    positive_heads: dict[Signature, set[str]] = {}
-    negative_heads: dict[Signature, set[str]] = {}
-    users: dict[Signature, set[str]] = {}
-    order = program.order
-    edges: set[PDGEdge] = set()
-
-    components = sorted(program.components(), key=lambda c: c.name)
-    for comp in components:
-        for r in comp.rules:
-            head_sig = r.head.signature
-            bucket = positive_heads if r.head.positive else negative_heads
-            bucket.setdefault(head_sig, set()).add(comp.name)
-            positive_heads.setdefault(head_sig, set())
-            negative_heads.setdefault(head_sig, set())
-            users.setdefault(head_sig, set())
-            for l in r.body_literals():
-                users.setdefault(l.signature, set()).add(comp.name)
-                positive_heads.setdefault(l.signature, set())
-                negative_heads.setdefault(l.signature, set())
-
-    # Body edges: one per (defining component of the body signature,
-    # using rule's component).  An undefined body signature keeps a
-    # single self-relative edge so the dependency structure survives.
-    for comp in components:
-        for r in comp.rules:
-            head_sig = r.head.signature
-            for l in r.body_literals():
-                kind = EdgeKind.POSITIVE if l.positive else EdgeKind.BLOCKING
-                sig = l.signature
-                definers = positive_heads[sig] | negative_heads[sig]
-                for definer in definers or {comp.name}:
-                    edges.add(
-                        PDGEdge(
-                            kind=kind,
-                            source=sig,
-                            target=head_sig,
-                            source_component=definer,
-                            target_component=comp.name,
-                            relation=relation_between(order, definer, comp.name),
-                        )
-                    )
-
-    # Contradiction edges: a signature headed positively in one
-    # component and negatively in another (or the same).
-    for sig in positive_heads:
-        for cp in positive_heads[sig]:
-            for cn in negative_heads[sig]:
-                edges.add(
-                    PDGEdge(
-                        kind=EdgeKind.CONTRADICTION,
-                        source=sig,
-                        target=sig,
-                        source_component=cp,
-                        target_component=cn,
-                        relation=relation_between(order, cp, cn),
-                    )
-                )
-
-    nodes = {
-        sig: PDGNode(
-            signature=sig,
-            positive_components=frozenset(positive_heads[sig]),
-            negative_components=frozenset(negative_heads[sig]),
-            using_components=frozenset(users[sig]),
-        )
-        for sig in positive_heads
-    }
-    return PredicateDependencyGraph(nodes, frozenset(edges), order)
+    """The predicate dependency graph of an ordered program."""
+    return PredicateDependencyGraph(
+        (
+            (comp.name, r)
+            for comp in sorted(program.components(), key=lambda c: c.name)
+            for r in comp.rules
+        ),
+        program.order,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -351,7 +160,7 @@ class ViewClassification:
     single_component: bool
     seminegative: bool
     classification: str  # positive | stratified | locally-stratified | unstratified
-    strata: Optional[Mapping[str, int]] = field(default=None, compare=False)
+    strata: Optional[Mapping[Signature, int]] = field(default=None, compare=False)
 
     @property
     def routable(self) -> bool:
@@ -374,111 +183,32 @@ class ViewClassification:
         return f"the view is {self.classification}"
 
 
-def _unresolved_contradiction_loops(
-    rules_by_component: Sequence[tuple[str, Rule]], order: PartialOrder
-) -> frozenset[str]:
-    """Predicates headed with both signs by components the order does
-    not relate (equal or incomparable) — the Figure 2 defeat pattern.
-    Contradictions between comparable components are resolved by
-    overruling and do not break stratification."""
-    positive: dict[str, set[str]] = {}
-    negative: dict[str, set[str]] = {}
-    for comp, r in rules_by_component:
-        bucket = positive if r.head.positive else negative
-        bucket.setdefault(r.head.predicate, set()).add(comp)
-    loops = set()
-    for pred in positive.keys() & negative.keys():
-        for cp in positive[pred]:
-            for cn in negative[pred]:
-                if relation_between(order, cp, cn) in (
-                    OrderRelation.EQUAL,
-                    OrderRelation.INCOMPARABLE,
-                ):
-                    loops.add(pred)
-    return frozenset(loops)
-
-
-def _is_stratified_with_loops(
-    rules: Sequence[Rule], loops: Iterable[str]
-) -> bool:
-    """Classical stratification test, with extra negative self-loops for
-    unresolved contradictions."""
-    graph = dependency_graph(rules)
-    negative = set(graph.negative_edges) | {(p, p) for p in loops}
-    nodes = graph.predicates | set(loops)
-    sccs = strongly_connected_components(
-        nodes, graph.positive_edges | frozenset(negative)
-    )
-    member = {p: i for i, scc in enumerate(sccs) for p in scc}
-    return all(member[a] != member[b] for a, b in negative)
-
-
-def _is_locally_stratified(
-    rules_by_component: Sequence[tuple[str, Rule]],
-    order: PartialOrder,
-) -> Optional[bool]:
-    """Atom-level stratification for ground views; None when the view is
-    not ground (the atom graph would be infinite in general)."""
-    if not all(r.is_ground for _, r in rules_by_component):
-        return None
-    positive_atoms: dict[str, set[str]] = {}
-    negative_atoms: dict[str, set[str]] = {}
-    pos_edges: set[tuple[str, str]] = set()
-    neg_edges: set[tuple[str, str]] = set()
-    atoms: set[str] = set()
-    for comp, r in rules_by_component:
-        head = str(r.head.atom)
-        atoms.add(head)
-        bucket = positive_atoms if r.head.positive else negative_atoms
-        bucket.setdefault(head, set()).add(comp)
-        for l in r.body_literals():
-            body = str(l.atom)
-            atoms.add(body)
-            (pos_edges if l.positive else neg_edges).add((body, head))
-    for atom in positive_atoms.keys() & negative_atoms.keys():
-        for cp in positive_atoms[atom]:
-            for cn in negative_atoms[atom]:
-                if relation_between(order, cp, cn) in (
-                    OrderRelation.EQUAL,
-                    OrderRelation.INCOMPARABLE,
-                ):
-                    neg_edges.add((atom, atom))
-    sccs = strongly_connected_components(atoms, pos_edges | neg_edges)
-    member = {a: i for i, scc in enumerate(sccs) for a in scc}
-    return all(member[a] != member[b] for a, b in neg_edges)
-
-
 def classify_view(program: OrderedProgram, component: str) -> ViewClassification:
     """Classify the view ``C*`` of ``component`` (demand eligibility and
     the ``stratification`` diagnostic)."""
     visible = program.visible_components(component)
-    tagged = tuple(
-        (comp.name, r) for comp in visible for r in comp.rules
-    )
+    tagged = tuple((comp.name, r) for comp in visible for r in comp.rules)
     rules = tuple(r for _, r in tagged)
-    single = len(visible) == 1
     seminegative = all(r.is_seminegative for r in rules)
-    positive = all(r.is_positive for r in rules)
-    loops = _unresolved_contradiction_loops(tagged, program.order)
-    stratified = _is_stratified_with_loops(rules, loops)
-
-    strata: Optional[Mapping[str, int]] = None
-    if positive:
+    graph = PredicateDependencyGraph(tagged, program.order)
+    if all(r.is_positive for r in rules):
         label = "positive"
-    elif stratified:
+    elif graph.stratified:
         label = "stratified"
-    elif _is_locally_stratified(tagged, program.order):
+    elif all(r.is_ground for r in rules) and PredicateDependencyGraph(
+        tagged, program.order, key=attrgetter("atom")
+    ).stratified:
+        # A ground view's atom graph is finite: local stratification.
         label = "locally-stratified"
     else:
         label = "unstratified"
-    if seminegative and label in ("positive", "stratified"):
-        strata = stratification(rules)
+    routable_shape = seminegative and label in ("positive", "stratified")
     return ViewClassification(
         component=component,
-        single_component=single,
+        single_component=len(visible) == 1,
         seminegative=seminegative,
         classification=label,
-        strata=strata,
+        strata=graph.strata if routable_shape else None,
     )
 
 
@@ -523,9 +253,7 @@ def _check_safety(program: OrderedProgram) -> list[Diagnostic]:
     return out
 
 
-def _visible_definitions(
-    program: OrderedProgram, pdg: PredicateDependencyGraph
-) -> Mapping[str, frozenset[Signature]]:
+def _visible_definitions(program: OrderedProgram) -> Mapping[str, frozenset[Signature]]:
     """For each component X, the signatures headed somewhere in at least
     one view that contains X — i.e. in ``upset(C)`` for some
     ``C <= X``.  A body signature of X outside this set can never be
@@ -552,7 +280,7 @@ def _check_undefined(
     program: OrderedProgram, pdg: PredicateDependencyGraph
 ) -> list[Diagnostic]:
     out = []
-    visible = _visible_definitions(program, pdg)
+    visible = _visible_definitions(program)
     for comp in sorted(program.components(), key=lambda c: c.name):
         reported: set[Signature] = set()
         for r in comp.rules:
@@ -687,24 +415,16 @@ def _check_unreachable_components(program: OrderedProgram) -> list[Diagnostic]:
 def _check_potential_defeat(pdg: PredicateDependencyGraph) -> list[Diagnostic]:
     out = []
     seen: set[tuple[Signature, frozenset[str]]] = set()
-    for e in sorted(
-        pdg.contradiction_edges(),
-        key=lambda e: (e.source, e.source_component, e.target_component),
-    ):
-        if e.relation not in (OrderRelation.EQUAL, OrderRelation.INCOMPARABLE):
-            continue
-        key = (e.source, frozenset((e.source_component, e.target_component)))
+    for sig, cp, cn in sorted(pdg.unresolved):
+        key = (sig, frozenset((cp, cn)))
         if key in seen:
             continue
         seen.add(key)
-        name = f"{e.source[0]}/{e.source[1]}"
-        if e.source_component == e.target_component:
-            where = f"within component {e.source_component}"
+        name = f"{sig[0]}/{sig[1]}"
+        if cp == cn:
+            where = f"within component {cp}"
         else:
-            where = (
-                f"between incomparable components {e.source_component} "
-                f"and {e.target_component}"
-            )
+            where = f"between incomparable components {cp} and {cn}"
         out.append(
             Diagnostic(
                 code="potential-defeat",
@@ -745,7 +465,7 @@ def _check_function_growth(
         for r in comp.rules:
             head_sig = r.head.signature
             scc = pdg.scc_index.get(head_sig)
-            recursive = head_sig in pdg.recursive_signatures or any(
+            recursive = head_sig in pdg.recursive or any(
                 pdg.scc_index.get(l.signature) == scc
                 for l in r.body_literals()
             )

@@ -20,13 +20,7 @@ from .stable import (
     positive_version,
     stable_models,
 )
-from .stratified import (
-    DependencyGraph,
-    dependency_graph,
-    is_stratified,
-    perfect_model,
-    stratification,
-)
+from .stratified import perfect_model, stratification
 from .threevalued import (
     is_three_valued_model,
     minimal_three_valued_models,
@@ -53,9 +47,6 @@ __all__ = [
     "gl_reduct",
     "is_gl_stable",
     "gl_stable_models",
-    "DependencyGraph",
-    "dependency_graph",
-    "is_stratified",
     "stratification",
     "perfect_model",
     "WellFoundedResult",

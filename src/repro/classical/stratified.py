@@ -6,181 +6,41 @@ unique perfect model, computed by the iterated fixpoint: evaluate the
 strata bottom-up, applying the closed-world assumption to each stratum
 once it is complete.
 
-The dependency graph and strata work at the *predicate* level on the
-non-ground program (the classical definition); evaluation then runs on
-the ground rules.
+The strata work at the *predicate* level on the non-ground program (the
+classical definition), read from the one dependency graph
+(:class:`repro.analysis.graph.PredicateDependencyGraph`) keyed by
+signature; evaluation then runs on the ground rules.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import (
-    AbstractSet,
-    Hashable,
-    Iterable,
-    Mapping,
-    Optional,
-    Sequence,
-    TypeVar,
-)
+from typing import AbstractSet, Iterable, Mapping, Optional, Sequence
 
+from ..analysis.graph import PredicateDependencyGraph
 from ..core.assumptions import literal_closure
 from ..grounding.grounder import GroundRule
 from ..lang.literals import Atom, Literal
 from ..lang.rules import Rule
 
 __all__ = [
-    "DependencyGraph",
-    "dependency_graph",
-    "strongly_connected_components",
-    "is_stratified",
     "stratification",
     "perfect_model",
     "stratified_least_model",
 ]
 
-T = TypeVar("T", bound=Hashable)
 
-
-@dataclass(frozen=True)
-class DependencyGraph:
-    """Predicate dependency graph.
-
-    Attributes:
-        predicates: all predicate symbols.
-        positive_edges: ``(body_pred, head_pred)`` pairs from positive
-            body literals.
-        negative_edges: the same from negative body literals.
-    """
-
-    predicates: frozenset[str]
-    positive_edges: frozenset[tuple[str, str]]
-    negative_edges: frozenset[tuple[str, str]]
-
-    def edges(self) -> frozenset[tuple[str, str]]:
-        return self.positive_edges | self.negative_edges
-
-
-def dependency_graph(rules: Iterable[Rule]) -> DependencyGraph:
-    """Build the predicate dependency graph of a (non-ground) program."""
-    predicates: set[str] = set()
-    positive: set[tuple[str, str]] = set()
-    negative: set[tuple[str, str]] = set()
-    for r in rules:
-        head = r.head.predicate
-        predicates.add(head)
-        for l in r.body_literals():
-            predicates.add(l.predicate)
-            edge = (l.predicate, head)
-            if l.positive:
-                positive.add(edge)
-            else:
-                negative.add(edge)
-    return DependencyGraph(
-        frozenset(predicates), frozenset(positive), frozenset(negative)
-    )
-
-
-def strongly_connected_components(
-    nodes: Iterable[T], edges: Iterable[tuple[T, T]]
-) -> list[frozenset[T]]:
-    """Tarjan's algorithm, iterative to avoid recursion limits.  Returns
-    SCCs in reverse topological order (callees before callers).  Nodes
-    must be mutually sortable for the deterministic visit order."""
-    successors: dict[T, list[T]] = {n: [] for n in nodes}
-    for src, dst in edges:
-        successors[src].append(dst)
-    index_counter = 0
-    indices: dict[T, int] = {}
-    lowlinks: dict[T, int] = {}
-    on_stack: set[T] = set()
-    stack: list[T] = []
-    result: list[frozenset[T]] = []
-
-    for root in sorted(successors):  # type: ignore[type-var]
-        if root in indices:
-            continue
-        work: list[tuple[T, int]] = [(root, 0)]
-        while work:
-            node, child_index = work[-1]
-            if child_index == 0:
-                indices[node] = index_counter
-                lowlinks[node] = index_counter
-                index_counter += 1
-                stack.append(node)
-                on_stack.add(node)
-            advanced = False
-            children = successors[node]
-            while child_index < len(children):
-                child = children[child_index]
-                child_index += 1
-                if child not in indices:
-                    work[-1] = (node, child_index)
-                    work.append((child, 0))
-                    advanced = True
-                    break
-                if child in on_stack:
-                    lowlinks[node] = min(lowlinks[node], indices[child])
-            if advanced:
-                continue
-            work.pop()
-            if lowlinks[node] == indices[node]:
-                component: set[str] = set()
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    component.add(member)
-                    if member == node:
-                        break
-                result.append(frozenset(component))
-            if work:
-                parent = work[-1][0]
-                lowlinks[parent] = min(lowlinks[parent], lowlinks[node])
-    return result
-
-
-def is_stratified(rules: Iterable[Rule]) -> bool:
-    """True when no dependency cycle passes through a negative edge."""
-    graph = dependency_graph(rules)
-    components = strongly_connected_components(graph.predicates, graph.edges())
-    membership = {
-        pred: i for i, comp in enumerate(components) for pred in comp
-    }
-    return all(
-        membership[src] != membership[dst] for src, dst in graph.negative_edges
-    )
-
-
-def stratification(rules: Iterable[Rule]) -> Optional[Mapping[str, int]]:
-    """A stratum number per predicate, or None when not stratified.
+def stratification(
+    rules: Iterable[Rule],
+) -> Optional[Mapping[tuple[str, int], int]]:
+    """A stratum number per predicate signature, or None when not
+    stratified.
 
     Strata satisfy: positive dependencies stay within or below the
-    head's stratum; negative dependencies come from strictly below.
+    head's stratum; negative dependencies come from strictly below.  The
+    rules form one component, so a predicate headed with both signs is a
+    contradiction no order resolves, and the rules have no strata.
     """
-    rules = tuple(rules)
-    graph = dependency_graph(rules)
-    components = strongly_connected_components(graph.predicates, graph.edges())
-    membership = {pred: i for i, comp in enumerate(components) for pred in comp}
-    for src, dst in graph.negative_edges:
-        if membership[src] == membership[dst]:
-            return None
-    # Longest-path layering over the condensation; negative edges force a
-    # strict increase.  Components arrive callees-first, so one pass works.
-    strata: dict[int, int] = {i: 0 for i in range(len(components))}
-    changed = True
-    while changed:
-        changed = False
-        for src, dst in graph.positive_edges:
-            s, d = membership[src], membership[dst]
-            if strata[d] < strata[s]:
-                strata[d] = strata[s]
-                changed = True
-        for src, dst in graph.negative_edges:
-            s, d = membership[src], membership[dst]
-            if strata[d] < strata[s] + 1:
-                strata[d] = strata[s] + 1
-                changed = True
-    return {pred: strata[membership[pred]] for pred in graph.predicates}
+    return PredicateDependencyGraph(("", r) for r in rules).strata
 
 
 def perfect_model(
@@ -209,7 +69,7 @@ def perfect_model(
     true_atoms: set[Atom] = set()
     for level in range(max_stratum + 1):
         level_rules = [
-            r for r in ground_rules if strata.get(r.head.predicate, 0) == level
+            r for r in ground_rules if strata.get(r.head.signature, 0) == level
         ]
         changed = True
         while changed:
@@ -262,7 +122,7 @@ def stratified_least_model(
     horn = [r for r in ground_rules if all(l.positive for l in r.body)]
     by_level: dict[int, list[GroundRule]] = {}
     for r in horn:
-        by_level.setdefault(strata.get(r.head.predicate, 0), []).append(r)
+        by_level.setdefault(strata.get(r.head.signature, 0), []).append(r)
     derived: frozenset[Literal] = frozenset()
     for level in sorted(by_level):
         derived = literal_closure(by_level[level], derived)

@@ -237,7 +237,14 @@ class OrderedSemantics:
         try:
             # A maintained view always holds its model; a cold one may
             # have none yet, and then there is nothing to repair.
-            if engine_ops and not reground and "least_model" in self.__dict__:
+            # An asserted atom outside the base needs re-grounding, and
+            # a cold view learns that before it seeds an engine.
+            if (
+                engine_ops
+                and not reground
+                and "least_model" in self.__dict__
+                and (self._maintained is not None or self._within_base(engine_ops))
+            ):
                 if self._maintained is None:
                     # A told fact can make an instance relevance dropped
                     # applicable, or flip a rule's prune-safety: seed the
@@ -285,6 +292,23 @@ class OrderedSemantics:
             full_rebuilds=int(stats.full_rebuild),
         )
         return stats
+
+    def _within_base(self, ops: Sequence[tuple[str, str, Literal]]) -> bool:
+        """True when every asserted atom lies in the Herbrand base of
+        ``C*``, tested without building the base: the atom's signature
+        is one ``C*`` spans and each argument is a universe term."""
+        spanned = frozenset().union(
+            *(
+                comp.predicate_signatures()
+                for comp in self.program.visible_components(self.component)
+            )
+        )
+        universe = self.ground.universe
+        return all(
+            literal.signature in spanned and all(t in universe for t in literal.args)
+            for kind, _, literal in ops
+            if kind == ASSERT
+        )
 
     def _drop_caches(self) -> None:
         for name in self._CACHED:

@@ -125,14 +125,14 @@ class Histogram:
         return self.max  # target rank sits in the overflow bucket
 
     def bucket_pairs(self) -> list[tuple[Optional[float], int]]:
-        """Non-empty ``(le, cumulative_count)`` pairs, ending with the
-        ``(None, count)`` overflow (+Inf) bucket."""
+        """Every ``(le, cumulative_count)`` pair, one per bound, ending
+        with the ``(None, count)`` overflow (+Inf) bucket: a Prometheus
+        histogram's series are all there from the first scrape."""
         pairs: list[tuple[Optional[float], int]] = []
         cumulative = 0
         for boundary, in_bucket in zip(self.buckets, self.bucket_counts):
-            if in_bucket:
-                cumulative += in_bucket
-                pairs.append((boundary, cumulative))
+            cumulative += in_bucket
+            pairs.append((boundary, cumulative))
         pairs.append((None, self.count))
         return pairs
 

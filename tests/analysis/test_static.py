@@ -4,6 +4,10 @@ triggering program, the figures' cleanliness, and the per-view
 stratification classification."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -18,10 +22,16 @@ from repro.analysis.static import (
     classify_view,
     relation_between,
 )
+from repro.core.semantics import OrderedSemantics
+from repro.kb.query import answers_in
 from repro.lang.parser import parse_program
+from repro.query.api import demand_answers
 from repro.workloads.paper import figure1, figure2, figure3
 
 FIGURE3_LOAN = figure3(("inflation(19).", "loan_rate(16)."))
+
+#: One name at two arities, on both sides of a negative edge.
+ARITY_VARIANTS = "component c { p(a). q :- -p(a). p :- q. }"
 
 
 def codes(report, severity=None):
@@ -114,8 +124,8 @@ class TestPDG:
             """
         )
         pdg = build_pdg(program)
-        assert ("anc", 2) in pdg.recursive_signatures
-        assert ("parent", 2) not in pdg.recursive_signatures
+        assert ("anc", 2) in pdg.recursive
+        assert ("parent", 2) not in pdg.recursive
         # parent's SCC feeds anc's SCC in the condensation.
         scc = pdg.scc_index
         assert (scc[("parent", 2)], scc[("anc", 2)]) in pdg.condensation()
@@ -283,7 +293,23 @@ class TestClassification:
         assert info.classification == "stratified"
         assert info.routable
         assert info.strata is not None
-        assert info.strata["b"] > info.strata["c"]
+        assert info.strata[("b", 0)] > info.strata[("c", 0)]
+
+    def test_arity_variants_are_distinct_predicates(self):
+        # p/0 and p/1 are different predicates: no cycle runs through
+        # the negative edge from p/1 to q.
+        info = self.classification(ARITY_VARIANTS, "c")
+        assert info.classification == "stratified"
+        assert info.routable
+        assert info.strata[("p", 1)] < info.strata[("q", 0)]
+
+    @pytest.mark.parametrize("goal", ["p(X)", "p", "q", "-p(X)"])
+    def test_arity_variants_demand_matches_materialized(self, goal):
+        program = parse_program(ARITY_VARIANTS)
+        result = demand_answers(program, "c", goal)
+        assert result.used, result.reason
+        model = OrderedSemantics(program, "c").least_model
+        assert result.answers == answers_in(model, goal)
 
     def test_locally_stratified(self):
         info = self.classification(
@@ -366,3 +392,30 @@ class TestReport:
             counters = obs.snapshot()["counters"]
         assert counters["check.diagnostic.potential-defeat"] == 2
         assert counters["check.diagnostics"] == 9
+
+
+SEEDED_REPORT = """
+import json
+from repro.analysis.static import analyze_program
+from repro.workloads.sessions import session_program
+
+print(json.dumps(analyze_program(session_program(4, 8)).to_dict(), sort_keys=True))
+"""
+
+
+def report_under(seed: str) -> str:
+    root = Path(__file__).resolve().parents[2]
+    env = dict(os.environ, PYTHONHASHSEED=seed)
+    paths = [str(root / "src"), env.get("PYTHONPATH")]
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, paths))
+    done = subprocess.run(
+        [sys.executable, "-c", SEEDED_REPORT],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    return done.stdout
+
+
+def test_report_identical_across_hash_seeds():
+    # The SCC list included: Tarjan visits keys in rule order.
+    assert report_under("1") == report_under("2")

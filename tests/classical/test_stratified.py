@@ -5,12 +5,8 @@ from functools import partial
 
 import pytest
 
-from repro.classical.stratified import (
-    dependency_graph,
-    is_stratified,
-    perfect_model,
-    stratification,
-)
+from repro.analysis.graph import PredicateDependencyGraph
+from repro.classical.stratified import perfect_model, stratification
 from repro.grounding.grounder import Grounder
 from repro.lang.literals import Atom
 from repro.lang.parser import parse_program, parse_rules
@@ -21,36 +17,40 @@ from ..oracle import columns
 from ..oracle.rows import PAPER, Row, family
 
 
+A, B, C = ("a", 0), ("b", 0), ("c", 0)
+
+
 class TestDependencyGraph:
     def test_edges(self):
         rules = parse_rules("a :- b, -c.")
-        graph = dependency_graph(rules)
-        assert graph.positive_edges == {("b", "a")}
-        assert graph.negative_edges == {("c", "a")}
-        assert graph.predicates == {"a", "b", "c"}
+        graph = PredicateDependencyGraph(("", r) for r in rules)
+        assert set(graph.positive_edges) == {(B, A)}
+        assert set(graph.negative_edges) == {(C, A)}
+        assert set(graph.users) == {A, B, C}
 
 
 class TestStratification:
     def test_positive_recursion_is_stratified(self):
-        assert is_stratified(parse_rules("anc(X,Y) :- par(X,Z), anc(Z,Y)."))
+        rules = parse_rules("anc(X,Y) :- par(X,Z), anc(Z,Y).")
+        assert stratification(rules) is not None
 
     def test_negation_below_is_stratified(self):
-        assert is_stratified(parse_rules("a :- -b. b :- c."))
+        assert stratification(parse_rules("a :- -b. b :- c.")) is not None
 
     def test_negative_cycle_not_stratified(self):
-        assert not is_stratified(parse_rules("a :- -b. b :- a."))
+        assert stratification(parse_rules("a :- -b. b :- a.")) is None
 
     def test_self_negation_not_stratified(self):
-        assert not is_stratified(parse_rules("p :- -p."))
+        assert stratification(parse_rules("p :- -p.")) is None
 
     def test_strata_levels(self):
         strata = stratification(parse_rules("a :- -b. b :- -c. c."))
-        assert strata["c"] < strata["b"] < strata["a"]
+        assert strata[C] < strata[B] < strata[A]
 
     def test_positive_edges_weakly_increase(self):
         strata = stratification(parse_rules("a :- b. b :- -c."))
-        assert strata["b"] <= strata["a"]
-        assert strata["c"] < strata["b"]
+        assert strata[B] <= strata[A]
+        assert strata[C] < strata[B]
 
     def test_none_for_unstratified(self):
         assert stratification(parse_rules("a :- -b. b :- a.")) is None

@@ -1,17 +1,20 @@
 """Unit tests for the OrderedSemantics facade."""
 
+import functools
 import random
 
 import pytest
 
 from repro.analysis.static import classify_view
 from repro.core.interpretation import TruthValue
+from repro.core.maintenance import ASSERT, MaintainedModel
 from repro.core.semantics import OrderedSemantics
 from repro.lang.errors import SemanticsError
 from repro.lang.literals import pos
 from repro.obs import instrumented
 from repro.obs.trace import trace
 from repro.reductions import ordered_version
+from repro.workloads import forest_program
 from repro.workloads.paper import example6_ancestor, figure1
 from repro.workloads.random_programs import random_stratified_program
 
@@ -109,3 +112,31 @@ class TestDiagnostics:
         text = figure1_semantics.describe()
         assert "component c1" in text
         assert "least model" in text
+
+
+class TestNewConstantTell:
+    """A told fact with a constant outside the view's universe needs
+    re-grounding: a cold view finds that out before it grounds ``C*`` in
+    full or seeds a delta engine, both of which it would throw away."""
+
+    def test_refresh_builds_no_ground_rule_and_no_engine(self, monkeypatch):
+        sem = OrderedSemantics(forest_program(3, depth=3), "main")
+        sem.least_model
+        built = {MaintainedModel: 0}
+        init = MaintainedModel.__init__
+
+        @functools.wraps(init)
+        def counted(self, *args, **kwargs):
+            built[MaintainedModel] += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(MaintainedModel, "__init__", counted)
+        with instrumented() as obs:
+            stats = sem.apply_ops([(ASSERT, "main", "owner(q9, n0_0)")])
+            counters = obs.snapshot()["counters"]
+        assert counters.get("ground.instances_kept", 0) == 0
+        assert built == {MaintainedModel: 0}
+        assert stats.full_rebuild
+        cold = OrderedSemantics(sem.program, "main").least_model
+        assert sem.least_model.literals == cold.literals
+        assert sem.holds("owns(q9, n0_1)")

@@ -69,8 +69,8 @@ class TestWriter:
         assert 'lat_seconds_bucket{le="0.1"} 1' in text
         assert 'lat_seconds_bucket{le="1"} 3' in text
         assert 'lat_seconds_bucket{le="+Inf"} 4' in text
-        # The empty (1, 10] bucket is omitted; +Inf still totals.
-        assert 'le="10"' not in text
+        # The empty (1, 10] bucket is listed, cumulative; +Inf totals.
+        assert 'lat_seconds_bucket{le="10"} 3' in text
         assert "lat_seconds_count 4" in text
 
     def test_histogram_labels_apply_to_all_series(self):

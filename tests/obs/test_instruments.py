@@ -9,7 +9,7 @@ from repro.obs import (
     instrumented,
     render_report,
 )
-from repro.obs.instruments import NULL_SPAN, Counter, Gauge, Histogram
+from repro.obs.instruments import DEFAULT_BUCKETS, NULL_SPAN, Counter, Gauge, Histogram
 
 
 class TestPrimitives:
@@ -45,6 +45,12 @@ class TestPrimitives:
         h.observe(9.0)  # overflow
         assert h.bucket_counts == [1, 1, 1]
         assert h.bucket_pairs() == [(1.0, 1), (2.0, 2), (None, 3)]
+
+    def test_histogram_bucket_pairs_list_empty_buckets(self):
+        h = Histogram("x", buckets=(1.0, 2.0, 3.0))
+        assert h.bucket_pairs() == [(1.0, 0), (2.0, 0), (3.0, 0), (None, 0)]
+        h.observe(2.5)
+        assert h.bucket_pairs() == [(1.0, 0), (2.0, 0), (3.0, 1), (None, 1)]
 
     def test_histogram_buckets_sorted_on_construction(self):
         assert Histogram("x", buckets=(5.0, 1.0)).buckets == (1.0, 5.0)
@@ -82,7 +88,9 @@ class TestPrimitives:
         h.observe(3e-6)
         h.observe(40_000)
         assert h.quantile(0.5) > 0
-        assert len(h.bucket_pairs()) == 3  # two hit buckets + overflow
+        pairs = h.bucket_pairs()
+        assert [le for le, _ in pairs] == [*DEFAULT_BUCKETS, None]  # every bound + overflow
+        assert pairs[0] == (1e-6, 0) and pairs[-1] == (None, 2)
 
 
 class TestRegistry:

@@ -14,9 +14,11 @@ registry enabled and check the exposition's shape, then pin the
 import asyncio
 from collections import Counter
 
+from repro.kb import KnowledgeBase
 from repro.obs import get_instrumentation, instrumented
 from repro.obs.exposition import render_registry
 from repro.server import FollowerEngine, ServerEngine, Wal, parse_request
+from repro.server.engine import LATENCY_BUCKETS, QUEUE_WAIT_BUCKETS
 
 #: Maps keyed by a runtime name (op, error code, view): a key path ends
 #: at the map.
@@ -397,3 +399,27 @@ def test_stats_and_metrics_agree_on_every_twin(tmp_path):
         # ... the value of the scenario, so two figures whose sources
         # were swapped do not agree by accident.
         assert {f: v for f, v in exported.items() if f in expected} == expected
+
+
+def test_fresh_engine_lists_every_bucket_bound():
+    # Every ``le`` series exists from the first scrape, so a bucket's
+    # rate is defined before its first observation lands in it.
+    async def fresh():
+        async with ServerEngine(KnowledgeBase()) as engine:
+            return engine.exposition()
+
+    text = run(fresh())
+    bounds: dict[str, list[str]] = {}
+    for line in text.splitlines():
+        name, _, rest = line.partition('_bucket{le="')
+        if rest:
+            bounds.setdefault(name, []).append(rest.split('"', 1)[0])
+    expected = {
+        "repro_server_read_latency_seconds": LATENCY_BUCKETS,
+        "repro_server_write_latency_seconds": LATENCY_BUCKETS,
+        "repro_server_queue_wait_ms": QUEUE_WAIT_BUCKETS,
+    }
+    assert bounds.keys() == expected.keys()
+    for name, buckets in expected.items():
+        assert bounds[name][-1] == "+Inf"
+        assert [float(le) for le in bounds[name][:-1]] == list(buckets), name

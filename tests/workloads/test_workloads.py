@@ -117,14 +117,14 @@ class TestClassicPrograms:
         assert heads == {"move", "win"}
 
     def test_even_odd_stratified(self):
-        from repro.classical.stratified import is_stratified
+        from repro.classical.stratified import stratification
 
-        assert is_stratified(even_odd(3))
+        assert stratification(even_odd(3)) is not None
 
     def test_two_stable_not_stratified(self):
-        from repro.classical.stratified import is_stratified
+        from repro.classical.stratified import stratification
 
-        assert not is_stratified(two_stable(2))
+        assert stratification(two_stable(2)) is None
 
     def test_validations(self):
         for factory in (ancestor_chain, win_move, even_odd, two_stable):
