@@ -42,7 +42,8 @@ from .analysis.stats import program_stats
 from .core.semantics import OrderedSemantics
 from .core.transform import DEFAULT_STRATEGY, STRATEGIES
 from .grounding.grounder import GroundingOptions
-from .kb.knowledge_base import KnowledgeBase
+from .kb.knowledge_base import OPS, READ, KnowledgeBase, ops_of
+from .kb.query import MODES
 from .lang.errors import ReproError
 from .lang.parser import parse_program
 from .lang.program import OrderedProgram
@@ -58,6 +59,13 @@ from .obs import (
 
 __all__ = ["main", "build_parser"]
 
+#: ``--semantics``: the ``OrderedSemantics`` attribute each name reads —
+#: the least model, or an enumeration (``olp profile`` takes the first four).
+SEMANTICS = {
+    "least": "least_model", "stable": "stable_models", "af": "assumption_free_models",
+    "models": "models", "total": "total_models", "exhaustive": "exhaustive_models",
+}
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -70,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(run)
     run.add_argument(
         "--semantics",
-        choices=["least", "stable", "af", "models", "total", "exhaustive"],
+        choices=list(SEMANTICS),
         default="least",
         help="which models to compute (default: the least model)",
     )
@@ -92,14 +100,10 @@ def build_parser() -> argparse.ArgumentParser:
         "kernel, 'naive' the reference iteration of V",
     )
 
-    query = sub.add_parser("query", help="answer a literal pattern")
+    query = sub.add_parser("query", help=OPS["query"].help)
     _add_common(query)
     query.add_argument("-q", "--query", required=True, help="literal pattern, e.g. 'fly(X)'")
-    query.add_argument(
-        "--mode",
-        choices=["cautious", "skeptical", "credulous"],
-        default="cautious",
-    )
+    query.add_argument("--mode", choices=MODES, default=MODES[0])
     query.add_argument(
         "--metrics",
         action="store_true",
@@ -111,9 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_common(explain)
 
-    why = sub.add_parser(
-        "why", help="derivation tree (or failure analysis) for a literal"
-    )
+    why = sub.add_parser("why", help=OPS["explain"].help)
     _add_common(why)
     why.add_argument("-q", "--query", required=True, help="ground literal")
 
@@ -186,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(profile)
     profile.add_argument(
         "--semantics",
-        choices=["least", "stable", "af", "models"],
+        choices=list(SEMANTICS)[:4],
         default="least",
         help="how far to take the run (default: ground + least model)",
     )
@@ -459,14 +461,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         else:
             models = [sem.transform.least_fixpoint(strategy=args.strategy)]
     else:
-        chooser = {
-            "stable": sem.stable_models,
-            "af": sem.assumption_free_models,
-            "models": sem.models,
-            "total": sem.total_models,
-            "exhaustive": sem.exhaustive_models,
-        }
-        models = chooser[args.semantics]()
+        models = getattr(sem, SEMANTICS[args.semantics])()
     if args.json:
         from .serialize import interpretation_to_dict
 
@@ -496,17 +491,23 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_query(args: argparse.Namespace) -> int:
+def _cmd_read(args: argparse.Namespace) -> int:
+    """``olp query`` / ``olp why``: one ``query`` / ``explain`` op,
+    answered by the knowledge base's read dispatch and printed as the
+    REPL prints it; a query without an answer exits 1."""
+    from .repl import render_read
+
     kb, component = _session(args)
-    answers = kb.query(component, args.query, args.mode)
-    if not answers:
-        print("no")
-        _print_metrics(args)
-        return 1
-    for answer in answers:
-        print(answer.literal)
+    op = {
+        "op": "query" if args.command == "query" else "explain",
+        "view": component,
+        "pattern": args.query,
+        "mode": getattr(args, "mode", MODES[0]),
+    }
+    result = kb.answer(op)
+    print(render_read(op, result))
     _print_metrics(args)
-    return 0
+    return 1 if result.get("count") == 0 else 0
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
@@ -521,12 +522,8 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         _ = sem.ground  # grounding phase (span "ground")
         model = sem.least_model  # fixpoint phase
         counts = {"least": len(model.literals)}
-        if args.semantics == "stable":
-            counts["stable"] = len(sem.stable_models())
-        elif args.semantics == "af":
-            counts["af"] = len(sem.assumption_free_models())
-        elif args.semantics == "models":
-            counts["models"] = len(sem.models())
+        if args.semantics != "least":
+            counts[args.semantics] = len(getattr(sem, SEMANTICS[args.semantics])())
     snapshot = obs.snapshot()
     if args.json:
         payload = {
@@ -565,14 +562,6 @@ def _cmd_explain(args: argparse.Namespace) -> int:
         f"conflicts: {summary['overrule']} overruling pair(s), "
         f"{summary['defeat']} defeating pair(s)"
     )
-    return 0
-
-
-def _cmd_why(args: argparse.Namespace) -> int:
-    from .explain.trace import Explainer
-
-    sem = _semantics(args)
-    print(Explainer(sem).explain(args.query))
     return 0
 
 
@@ -832,12 +821,8 @@ def _render_top_frame(
         f"draining {'yes' if stats['draining'] else 'no'}"
     ]
     if prev is not None and interval > 0:
-        reads_now = sum(
-            stats["requests"].get(op, 0) for op in ("query", "ask", "explain")
-        )
-        reads_before = sum(
-            prev["requests"].get(op, 0) for op in ("query", "ask", "explain")
-        )
+        reads_now = sum(stats["requests"].get(op, 0) for op in ops_of(READ))
+        reads_before = sum(prev["requests"].get(op, 0) for op in ops_of(READ))
         writes_now = stats["writes"]["ops"]
         writes_before = prev["writes"]["ops"]
         lines.append(
@@ -959,9 +944,9 @@ def _print_span(node: dict, depth: int) -> None:
 
 _COMMANDS = {
     "run": _cmd_run,
-    "query": _cmd_query,
+    "query": _cmd_read,
     "explain": _cmd_explain,
-    "why": _cmd_why,
+    "why": _cmd_read,
     "stats": _cmd_stats,
     "lint": _cmd_lint,
     "check": _cmd_check,

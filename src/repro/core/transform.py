@@ -61,18 +61,14 @@ STRATEGIES = ("naive", "seminaive")
 DEFAULT_STRATEGY = "seminaive"
 
 
-def validate(
-    strategy: str,
-    allowed: Sequence[str],
-    error: type[Exception] = ValueError,
-    message: str = "unknown fixpoint strategy {!r}; expected one of {}",
-) -> str:
-    """The one check behind every strategy name the system accepts —
-    engine (:data:`STRATEGIES`) and per-read
-    (:data:`repro.kb.query.READ_STRATEGIES`); ``message`` is formatted
-    with the offending name and the comma-joined allowed ones."""
+def validate(strategy: str, allowed: Sequence[str]) -> str:
+    """The check behind every engine strategy name the system accepts
+    (:data:`STRATEGIES`); a read strategy is a field of the op table
+    (``repro.kb.knowledge_base.FIELD_TYPES``)."""
     if strategy not in allowed:
-        raise error(message.format(strategy, ", ".join(allowed)))
+        raise ValueError(
+            f"unknown fixpoint strategy {strategy!r}; expected one of {', '.join(allowed)}"
+        )
     return strategy
 
 

@@ -34,21 +34,25 @@ drop the affected views.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence, Union
+from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 from ..core.interpretation import Interpretation, TruthValue
 from ..core.maintenance import ASSERT, RETRACT
 from ..core.semantics import OrderedSemantics
 from ..core.solver import SearchBudget
+from ..explain.trace import Explainer
 from ..grounding.grounder import GroundingOptions
-from ..lang.errors import SemanticsError
+from ..lang.errors import QueryError, SemanticsError
 from ..lang.literals import Literal
 from ..lang.parser import parse_rules
 from ..obs import get_instrumentation
+from ..obs.trace import current_trace
 from ..lang.program import Component, FactUpdate, OrderedProgram
 from ..lang.rules import Rule
 from .query import (
     DEMAND_STRATEGY,
+    MODES,
+    READ_STRATEGIES,
     Answer,
     QueryMode,
     answers_in,
@@ -56,15 +60,110 @@ from .query import (
     goal,
     holds_in,
     query_mode,
-    read_strategy,
 )
 
-__all__ = ["KnowledgeBase"]
+__all__ = ["KnowledgeBase", "OP_TABLE", "OPS", "ops_of", "field_value"]
 
 #: Most fact updates queued for a cached view nobody reads; one more
 #: write drops the view and its next read evaluates cold (no dearer than
 #: replaying a queue that long, and the queue cannot grow for ever).
 MAX_PENDING_UPDATES = 256
+
+
+# ----------------------------------------------------------------------
+# The command language: every op a knowledge base is asked or told
+# ----------------------------------------------------------------------
+#: Op kinds: reads are answered by :meth:`KnowledgeBase.answer`, writes
+#: applied by :meth:`KnowledgeBase.apply_op`; the server owns the rest.
+KINDS = READ, WRITE, ADMIN, STREAM = ("read", "write", "admin", "stream")
+
+
+class Op(NamedTuple):
+    """One op: its name, kind, fields (``?`` marks an optional one; a
+    required field is a non-empty string) and one-line help."""
+
+    name: str
+    kind: str
+    fields: tuple[str, ...]
+    help: str
+
+
+#: Every op, declared once: the query server's op sets and request
+#: checks, the REPL's op words and ``olp query`` / ``olp why`` read it.
+OP_TABLE = (
+    Op("query", READ, ("view", "pattern", "mode?", "strategy?"), "answer a literal pattern"),
+    Op("ask", READ, ("view", "pattern", "mode?", "strategy?"), "does a literal pattern hold"),
+    Op("explain", READ, ("view", "pattern", "strategy?"),
+       "derivation tree (or failure analysis) for a literal"),
+    Op("tell", WRITE, ("view", "rules"), "add rules and facts to an object"),
+    Op("retract", WRITE, ("view", "rules"), "withdraw told ground facts"),
+    Op("define", WRITE, ("view", "rules?", "isa?"), "add an object below its isa parents"),
+    Op("stats", ADMIN, (), "serving counters"),
+    Op("health", ADMIN, (), "liveness and queue depth"),
+    Op("metrics", ADMIN, (), "Prometheus text exposition of every instrument"),
+    Op("slow", ADMIN, (), "the slow-query ring buffer"),
+    Op("shutdown", ADMIN, (), "drain and stop"),
+    Op("subscribe", STREAM, ("from_version?", "views?"), "stream published journal entries"),
+)
+OPS = {op.name: op for op in OP_TABLE}
+
+
+def ops_of(kind: str) -> frozenset[str]:
+    return frozenset(op.name for op in OP_TABLE if op.kind == kind)
+
+
+def _number(v: Any) -> bool:
+    """A non-negative JSON number — never a boolean."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and not v < 0
+
+
+def _names(v: Any, nonempty: bool = False) -> bool:
+    return isinstance(v, list) and all(isinstance(p, str) and (p or not nonempty) for p in v)
+
+
+_MUST = "op {op!r} field {key!r} must be "
+#: The type of every required field.
+_REQUIRED = (
+    None, lambda v: isinstance(v, str) and v != "", "op {op!r} requires a non-empty string {key!r}"
+)
+
+#: Each field's type: the value an absent optional field takes, the
+#: test a present value must pass, and the refusal (formatted with
+#: ``op``, ``key`` and ``value``) when it does not.
+FIELD_TYPES: dict[str, tuple[Any, Callable[[Any], bool], str]] = {
+    "view": _REQUIRED,
+    "pattern": _REQUIRED,
+    "rules": ("", lambda v: isinstance(v, str), _MUST + "a string"),
+    "isa": ((), _names, _MUST + "a list of strings"),
+    "mode": (MODES[0], lambda v: v in MODES, f"unknown mode {{value!r}}; expected one of {MODES}"),
+    "strategy": (None, lambda v: v is None or v in READ_STRATEGIES,
+                 "unknown read strategy {value!r}; expected one of " + ", ".join(READ_STRATEGIES)),
+    "from_version": (
+        0, lambda v: _number(v) and isinstance(v, int), _MUST + "a non-negative integer"
+    ),
+    "views": (None, lambda v: v is None or (v != [] and _names(v, nonempty=True)),
+              _MUST + "a non-empty list of object names"),
+    # Any request may carry a relative deadline, whatever its op.
+    "deadline_ms": (
+        None, lambda v: v is None or _number(v), "{key!r} must be a non-negative number"
+    ),
+}
+
+_ABSENT = object()
+
+
+def field_value(field: str, op: str, data: dict, error: type[Exception]) -> Any:
+    """Field ``field`` (``?`` when optional) of a decoded request of op
+    ``op``, checked against its type: a JSON list comes back a tuple, an
+    absent optional field as its default; anything else raises ``error``."""
+    key = field.rstrip("?")
+    default, accepts, refusal = FIELD_TYPES[key] if key != field else _REQUIRED
+    value = data.get(key, _ABSENT)
+    if value is _ABSENT and key != field:
+        return default
+    if not accepts(value):
+        raise error(refusal.format(op=op, key=key, value=value))
+    return tuple(value) if isinstance(value, list) else value
 
 
 class KnowledgeBase:
@@ -259,6 +358,47 @@ class KnowledgeBase:
             self.define(view, rules, isa=list(op.get("isa") or ()))
         else:
             raise ValueError(f"cannot replay unknown op {kind!r}")
+
+    def answer(
+        self, op: dict, pinned: Optional[dict[str, Interpretation]] = None
+    ) -> dict[str, Any]:
+        """One read op (``query``, ``ask`` or ``explain``) answered as the
+        result dict the query server encodes: the one read dispatch of
+        the leader and its followers (which pass a snapshot's ``pinned``
+        models, see :meth:`read`), the REPL and ``olp query`` / ``olp why``.
+        """
+        kind, view, pattern = op["op"], op["view"], op["pattern"]
+        if kind == "explain":
+            ctx = current_trace()
+            if ctx is not None:
+                ctx.annotate(route="materialized")
+            sem = self.view(view)
+            if pinned is not None:
+                pinned.setdefault(view, sem.least_model)
+            value = sem.value(pattern)
+            return {
+                "literal": pattern,
+                "value": value.name.lower(),
+                "derived": value is TruthValue.TRUE,
+                "explanation": Explainer(sem).explain(pattern),
+            }
+        mode = op.get("mode", MODES[0])
+        found = self.read(
+            view, pattern, mode, op.get("strategy"), first=kind == "ask", pinned=pinned
+        )
+        if kind == "ask":
+            return {"holds": found}
+        return {
+            "answers": [
+                {
+                    "literal": str(a.literal),
+                    "bindings": {str(v): str(t) for v, t in a.bindings.items()},
+                }
+                for a in found
+            ],
+            "count": len(found),
+            "mode": mode,
+        }
 
     # ------------------------------------------------------------------
     # Negation conventions (Section 2's discussion after Example 4)
@@ -511,7 +651,7 @@ class KnowledgeBase:
         """
         mode = query_mode(mode)
         if strategy is not None:
-            read_strategy(strategy)
+            field_value("strategy?", "read", {"strategy": strategy}, QueryError)
         sources = self.edb_sources(name) if self._edb else ()
         if strategy == DEMAND_STRATEGY or (
             (sources or name not in self._semantics_cache)

@@ -28,11 +28,10 @@ import enum
 from contextlib import closing
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Generator, Optional, Union
+from typing import Generator, Union
 
 from ..core.interpretation import Interpretation
 from ..core.semantics import OrderedSemantics
-from ..core.transform import validate
 from ..grounding.substitution import Substitution, match_atom
 from ..lang.errors import QueryError
 from ..lang.literals import Literal
@@ -42,11 +41,11 @@ from ..obs.trace import current_trace
 
 __all__ = [
     "QueryMode",
+    "MODES",
     "AUTO_STRATEGY",
     "DEMAND_STRATEGY",
     "READ_STRATEGIES",
     "query_mode",
-    "read_strategy",
     "Answer",
     "goal",
     "evaluate_query",
@@ -73,6 +72,10 @@ class QueryMode(enum.Enum):
     SKEPTICAL = "skeptical"
     CREDULOUS = "credulous"
 
+
+#: The read modes by name, in :class:`QueryMode` order: the wire's
+#: ``mode`` field, ``olp query --mode`` and the REPL's mode word.
+MODES = tuple(mode.value for mode in QueryMode)
 
 #: Read strategy: demand first for an unforced cautious ground read of a
 #: view with no warm model or with an attached store, else materialize
@@ -101,21 +104,6 @@ def query_mode(mode: Union[QueryMode, str]) -> QueryMode:
             f"unknown query mode {mode!r}; "
             f"use one of {[m.value for m in QueryMode]}"
         ) from None
-
-
-def read_strategy(
-    strategy: Optional[str], error: type[Exception] = QueryError
-) -> Optional[str]:
-    """A read strategy as given (None means ``"auto"``); a name outside
-    :data:`READ_STRATEGIES` raises ``error``."""
-    if strategy is not None:
-        validate(
-            strategy,
-            READ_STRATEGIES,
-            error,
-            "unknown read strategy {!r}; expected one of {}",
-        )
-    return strategy
 
 
 @dataclass(frozen=True)

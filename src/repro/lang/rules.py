@@ -39,19 +39,25 @@ class Rule:
     body; guards are not part of ``B(r)``).
     """
 
-    __slots__ = ("head", "body", "_hash")
+    __slots__ = ("head", "body", "_literals", "_hash")
 
     def __init__(self, head: Literal, body: Iterable[BodyItem] = ()) -> None:
         if not isinstance(head, Literal):
             raise TypeError(f"rule head must be a Literal, got {head!r}")
         body = tuple(body)
+        guarded = False
         for item in body:
-            if not isinstance(item, (Literal, Comparison)):
-                raise TypeError(
-                    f"rule body items must be Literal or Comparison, got {item!r}"
-                )
+            if not isinstance(item, Literal):
+                if not isinstance(item, Comparison):
+                    raise TypeError(
+                        f"rule body items must be Literal or Comparison, got {item!r}"
+                    )
+                guarded = True
         object.__setattr__(self, "head", head)
         object.__setattr__(self, "body", body)
+        # B(r), built once: the body itself when it holds no guard.
+        literals = tuple(i for i in body if isinstance(i, Literal)) if guarded else body
+        object.__setattr__(self, "_literals", literals)
         object.__setattr__(self, "_hash", hash(("rule", head, body)))
 
     def __setattr__(self, key: str, value: object) -> None:
@@ -62,7 +68,7 @@ class Rule:
     # ------------------------------------------------------------------
     def body_literals(self) -> tuple[Literal, ...]:
         """``B(r)``: the literals of the body, in order (guards excluded)."""
-        return tuple(item for item in self.body if isinstance(item, Literal))
+        return self._literals
 
     def body_literal_set(self) -> frozenset[Literal]:
         """``B(r)`` as a set, the form used by Definition 2."""

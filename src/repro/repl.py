@@ -1,22 +1,23 @@
 """An interactive shell for ordered logic programs.
 
 Launched by ``olp repl [FILE]``.  The session is one
-:class:`~repro.kb.KnowledgeBase` plus a *focus* object: every command
-is a knowledge-base call, so the REPL reads and writes exactly as the
-library and the server do (``docs/maintenance.md``, ``docs/query.md``).
-
-Commands::
+:class:`~repro.kb.KnowledgeBase` plus a *focus* object.  A word of
+:data:`WORDS` either sends an op of the command language
+(:data:`~repro.kb.knowledge_base.OP_TABLE`, the table the query server
+checks requests against) — the line parsed into the op's dict, written
+through ``KnowledgeBase.apply_op`` or answered by
+``KnowledgeBase.answer``, as on the wire — or renders the session::
 
     load FILE                 load an .olp file (replaces the program)
-    focus COMPONENT           set the component whose meaning is queried
-    assert [COMPONENT] RULE   add a rule (defaults to the focus)
-    retract [COMPONENT] FACT  remove a told ground fact
+    focus COMPONENT           set the focus (``define`` a new name)
+    assert [COMPONENT] RULE   ``tell`` a rule (defaults to the focus)
+    retract [COMPONENT] FACT  ``retract`` a told ground fact
     order A < B               add an order pair
     model                     print the least model of the focus
     stable                    print the stable models
-    value LITERAL             truth value in the least model
-    query PATTERN [MODE]      bindings (cautious/skeptical/credulous)
-    why LITERAL               derivation tree or failure analysis
+    value LITERAL             truth value in the least model (``explain``)
+    query PATTERN [MODE]      bindings (``query``; cautious/skeptical/credulous)
+    why LITERAL               derivation tree or failure analysis (``explain``)
     statuses                  Definition-2 statuses under the least model
     hierarchy                 ASCII Hasse diagram
     lint                      closure-gap findings
@@ -30,19 +31,37 @@ tests can drive it directly.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
 from .analysis.hasse import render_hasse
 from .analysis.lint import lint_program
+from .core.interpretation import TruthValue
 from .core.semantics import OrderedSemantics
-from .explain.trace import Explainer
-from .kb.knowledge_base import KnowledgeBase
+from .kb.knowledge_base import OPS, WRITE, KnowledgeBase
+from .kb.query import MODES
 from .lang.errors import ReproError
 from .lang.parser import parse_program, parse_rule
 from .lang.printer import render_program
 from .lang.program import OrderedProgram
 
-__all__ = ["ReplSession"]
+__all__ = ["ReplSession", "WORDS", "render_read"]
+
+#: Every REPL word, in ``help`` order, with the op of the command
+#: language it sends (None: a local renderer, the ``_word`` method).
+WORDS: dict[str, Optional[str]] = {
+    "load": None, "focus": "define", "assert": "tell", "retract": "retract",
+    "order": None, "model": None, "stable": None, "value": "explain",
+    "query": "query", "why": "explain", "statuses": None, "hierarchy": None,
+    "lint": None, "show": None, "save": None, "help": None,
+}
+
+
+def render_read(op: dict, result: dict) -> str:
+    """A read's result (:meth:`KnowledgeBase.answer`) as text: the
+    explanation, or one answer literal per line (``no`` for none)."""
+    if op["op"] == "explain":
+        return result["explanation"]
+    return "\n".join(a["literal"] for a in result["answers"]) or "no"
 
 
 class ReplSession:
@@ -52,24 +71,6 @@ class ReplSession:
         if program is None:
             program = OrderedProgram.single((), "main")
         self._adopt(program)
-        self._commands: dict[str, Callable[[str], str]] = {
-            "load": self._cmd_load,
-            "focus": self._cmd_focus,
-            "assert": self._cmd_assert,
-            "retract": self._cmd_retract,
-            "order": self._cmd_order,
-            "model": self._cmd_model,
-            "stable": self._cmd_stable,
-            "value": self._cmd_value,
-            "query": self._cmd_query,
-            "why": self._cmd_why,
-            "statuses": self._cmd_statuses,
-            "hierarchy": self._cmd_hierarchy,
-            "lint": self._cmd_lint,
-            "show": self._cmd_show,
-            "save": self._cmd_save,
-            "help": self._cmd_help,
-        }
 
     # ------------------------------------------------------------------
     # Session state: one knowledge base and a focus object
@@ -99,53 +100,60 @@ class ReplSession:
         if line in ("quit", "exit"):
             raise EOFError
         word, _, rest = line.partition(" ")
-        handler = self._commands.get(word)
-        try:
-            if handler is not None:
-                return handler(rest.strip())
+        rest = rest.strip()
+        if word not in WORDS:
+            if not line.endswith("."):
+                return f"unknown command {word!r}; try 'help'"
             # Bare rule syntax: "fly(X) :- bird(X)." asserts into focus.
-            if line.endswith("."):
-                return self._cmd_assert(line)
-            return f"unknown command {word!r}; try 'help'"
+            word, rest = "assert", line
+        try:
+            if WORDS[word] is None:
+                return getattr(self, f"_{word}")(rest)
+            return self._send(word, rest)
         except (ReproError, ValueError, OSError) as error:
             return f"error: {error}"
 
+    def _send(self, word: str, arg: str) -> str:
+        """Send the op a word names, its dict read off the line, and
+        render the reply.  ``define`` takes the argument as its ``view``;
+        another op reads the focus — or, before a rule, a leading object
+        name — and the rest of the line fills its text field, less a
+        trailing mode word when the op declares ``mode``."""
+        name = WORDS[word] or ""
+        if name == "define":
+            if arg not in self._kb.objects:
+                self._kb.apply_op({"op": name, "view": arg})
+            self._focus = arg
+            return f"focus = {arg}"
+        fields = OPS[name].fields
+        op = {"op": name, "view": self._focus, fields[1]: arg}
+        words = arg.split()
+        if "mode?" in fields and words and words[-1] in MODES:
+            op["mode"] = words.pop()
+            op[fields[1]] = " ".join(words)
+        if OPS[name].kind != WRITE:
+            result = self._kb.answer(op)
+            if word == "value":
+                return str(TruthValue[result["value"].upper()])
+            return render_read(op, result)
+        target, _, rule = arg.partition(" ")
+        if target in self._kb.objects and rule.strip().endswith("."):
+            op["view"], op["rules"] = target, rule.strip()
+        if not op["rules"] and name == "retract":
+            return "usage: retract [COMPONENT] FACT."
+        parsed = parse_rule(op["rules"])  # one rule a line, echoed as parsed
+        self._kb.apply_op(op)
+        return f"[{op['view']}] {'retracted ' if name == 'retract' else ''}{parsed}"
+
     # ------------------------------------------------------------------
-    # Commands
+    # Local renderers
     # ------------------------------------------------------------------
-    def _cmd_load(self, arg: str) -> str:
+    def _load(self, arg: str) -> str:
         with open(arg) as handle:
             self._adopt(parse_program(handle.read()))
         return f"loaded {len(self.program())} component(s); focus = {self._focus}"
 
-    def _cmd_focus(self, arg: str) -> str:
-        if arg not in self._kb.objects:
-            self._kb.define(arg)
-        self._focus = arg
-        return f"focus = {arg}"
-
-    def _split_target(self, arg: str) -> tuple[str, str]:
-        target = self._focus
-        word, _, rest = arg.partition(" ")
-        if word in self._kb.objects and rest.strip().endswith("."):
-            target, arg = word, rest.strip()
-        return target, arg
-
-    def _cmd_assert(self, arg: str) -> str:
-        target, arg = self._split_target(arg)
-        r = parse_rule(arg)
-        self._kb.tell(target, [r])
-        return f"[{target}] {r}"
-
-    def _cmd_retract(self, arg: str) -> str:
-        target, arg = self._split_target(arg)
-        if not arg:
-            return "usage: retract [COMPONENT] FACT."
-        r = parse_rule(arg)
-        self._kb.retract(target, [r])
-        return f"[{target}] retracted {r}"
-
-    def _cmd_order(self, arg: str) -> str:
+    def _order(self, arg: str) -> str:
         parts = [p.strip() for p in arg.split("<")]
         if len(parts) < 2 or not all(parts):
             return "usage: order A < B [< C ...]"
@@ -161,7 +169,7 @@ class ReplSession:
             raise
         return " < ".join(parts)
 
-    def _cmd_model(self, arg: str) -> str:
+    def _model(self, arg: str) -> str:
         model = self._kb.least_model(self._focus)
         lines = [f"least model of {self._focus}: {model}"]
         undefined = sorted(map(str, model.undefined_atoms()))
@@ -169,55 +177,37 @@ class ReplSession:
             lines.append(f"undefined: {', '.join(undefined)}")
         return "\n".join(lines)
 
-    def _cmd_stable(self, arg: str) -> str:
+    def _stable(self, arg: str) -> str:
         models = self._kb.stable_models(self._focus)
         lines = [f"{len(models)} stable model(s):"]
         lines += [f"  [{i}] {m}" for i, m in enumerate(models)]
         return "\n".join(lines)
 
-    def _cmd_value(self, arg: str) -> str:
-        return str(self._kb.value(self._focus, arg))
-
-    def _cmd_query(self, arg: str) -> str:
-        parts = arg.split()
-        mode = "cautious"
-        if parts and parts[-1] in ("cautious", "skeptical", "credulous"):
-            mode = parts[-1]
-            arg = " ".join(parts[:-1])
-        answers = self._kb.query(self._focus, arg, mode)
-        if not answers:
-            return "no"
-        return "\n".join(str(a.literal) for a in answers)
-
-    def _cmd_why(self, arg: str) -> str:
-        return Explainer(self.semantics()).explain(arg)
-
-    def _cmd_statuses(self, arg: str) -> str:
+    def _statuses(self, arg: str) -> str:
         return "\n".join(str(r) for r in self.semantics().statuses())
 
-    def _cmd_hierarchy(self, arg: str) -> str:
+    def _hierarchy(self, arg: str) -> str:
         return render_hasse(self.program())
 
-    def _cmd_lint(self, arg: str) -> str:
+    def _lint(self, arg: str) -> str:
         findings = lint_program(self.program())
         if not findings:
             return "no findings"
         return "\n\n".join(str(f) for f in findings)
 
-    def _cmd_show(self, arg: str) -> str:
+    def _show(self, arg: str) -> str:
         return render_program(self.program())
 
-    def _cmd_save(self, arg: str) -> str:
+    def _save(self, arg: str) -> str:
         if not arg:
             return "usage: save FILE"
         with open(arg, "w") as handle:
             handle.write(render_program(self.program()))
         return f"saved to {arg}"
 
-    def _cmd_help(self, arg: str) -> str:
+    def _help(self, arg: str) -> str:
         return (
-            "commands: load focus assert retract order model stable value "
-            "query why statuses hierarchy lint show save help quit\n"
+            f"commands: {' '.join(WORDS)} quit\n"
             "bare rules ending in '.' are asserted into the focus component"
         )
 

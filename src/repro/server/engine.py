@@ -34,12 +34,12 @@ from __future__ import annotations
 import asyncio
 import time
 from collections import deque
+from contextlib import nullcontext
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Any, Callable, NamedTuple, Optional
 
-from ..core.interpretation import Interpretation, TruthValue
-from ..explain.trace import Explainer
+from ..core.interpretation import Interpretation
 from ..kb.knowledge_base import KnowledgeBase
 from ..lang.errors import ReproError
 from ..lang.program import OrderedProgram
@@ -47,7 +47,7 @@ from ..obs import get_instrumentation
 from ..obs import exposition
 from ..obs.exposition import PrometheusWriter, write_registry
 from ..obs.instruments import Histogram
-from ..obs.trace import TraceContext, current_trace
+from ..obs.trace import TraceContext
 from ..serialize import kb_to_dict
 from . import protocol
 from .protocol import Request
@@ -158,18 +158,6 @@ class _WriteItem:
         self.request = request
         self.future = future
         self.trace = trace
-
-
-def _op_dict(request: Request) -> dict:
-    """One write request as the op :meth:`KnowledgeBase.apply_op`
-    replays — the leader applies it through the same path as WAL
-    recovery and followers."""
-    return {
-        "op": request.op,
-        "view": request.view,
-        "rules": request.rules or "",
-        "isa": list(request.isa),
-    }
 
 
 _SENTINEL = object()
@@ -418,26 +406,8 @@ class ServerEngine:
     async def handle(self, request: Request) -> dict:
         """Execute one validated request; returns the response payload."""
         self._requests[request.op] = self._requests.get(request.op, 0) + 1
-        if request.op == "health":
-            return self._health(request)
-        if request.op == "stats":
-            return protocol.ok_response(request.id, self._version, self.stats())
-        if request.op == "metrics":
-            return protocol.ok_response(
-                request.id,
-                self._version,
-                {
-                    "exposition": self.exposition(),
-                    "content_type": exposition.CONTENT_TYPE,
-                },
-            )
-        if request.op == "slow":
-            return protocol.ok_response(request.id, self._version, self.slow_log())
-        if request.op == "shutdown":
-            self.shutdown_requested.set()
-            return protocol.ok_response(
-                request.id, self._version, {"draining": True}
-            )
+        if request.op in protocol.ADMIN_OPS:
+            return protocol.ok_response(request.id, self._version, self._admin(request.op))
         if self._closed:
             return self._error(
                 request, protocol.SHUTTING_DOWN, "server is shut down"
@@ -476,16 +446,14 @@ class ServerEngine:
             return self._error(
                 request, protocol.TIMEOUT, "deadline expired before execution"
             )
-        view, pattern = request.view, request.pattern
-        assert view is not None and pattern is not None  # parse_request guarantees
-        ctx = self._open_trace(request, pattern=pattern)
+        ctx = self._open_trace(request, pattern=request.pattern)
         t0 = time.perf_counter()
         try:
-            if ctx is not None:
-                with ctx.activate():
-                    result = self._evaluate_read(snap, request, view, pattern)
-            else:
-                result = self._evaluate_read(snap, request, view, pattern)
+            with ctx.activate() if ctx is not None else nullcontext():
+                with get_instrumentation().span(
+                    "server.read", op=request.op, view=request.view, mode=request.mode
+                ):
+                    result = self.kb.answer(request.args, snap.models)
         except ReproError as error:
             return self._error(
                 request, protocol.SEMANTICS, str(error), snap.version
@@ -496,59 +464,19 @@ class ServerEngine:
             self._close_trace(request, ctx, result, snap.version, elapsed, version=snap.version)
         return protocol.ok_response(request.id, snap.version, result)
 
-    def _evaluate_read(
-        self, snap: Snapshot, request: Request, view: str, pattern: str
-    ) -> dict[str, Any]:
-        """Evaluate one query/ask/explain against a captured snapshot."""
-        with get_instrumentation().span(
-            "server.read", op=request.op, view=view, mode=request.mode
-        ):
-            if request.op == "explain":
-                return self._explain(snap, view, pattern)
-            found = self.kb.read(
-                view,
-                pattern,
-                request.mode,
-                request.strategy,
-                first=request.op == "ask",
-                pinned=snap.models,
-            )
-            if request.op == "ask":
-                return {"holds": found}
-        return {
-            "answers": [
-                {
-                    "literal": str(a.literal),
-                    "bindings": {str(v): str(t) for v, t in a.bindings.items()},
-                }
-                for a in found
-            ],
-            "count": len(found),
-            "mode": request.mode,
-        }
-
-    def _explain(self, snap: Snapshot, view: str, pattern: str) -> dict[str, Any]:
-        """The ``explain`` op: derivation (or failure analysis) of one
-        ground literal against the captured snapshot."""
-        ctx = current_trace()
-        if ctx is not None:
-            ctx.annotate(route="materialized")
-        sem = self.kb.view(view)
-        snap.models.setdefault(view, sem.least_model)
-        value = sem.value(pattern)
-        return {
-            "literal": pattern,
-            "value": value.name.lower(),
-            "derived": value is TruthValue.TRUE,
-            "explanation": Explainer(sem).explain(pattern),
-        }
-
-    def _health(self, request: Request) -> dict:
-        result = {"status": "draining" if self._draining else "ok"}
-        result.update(
-            (f.path, f.value(self)) for f in ENGINE_FIGURES if f.path in HEALTH_FIGURES
-        )
-        return protocol.ok_response(request.id, self._version, result)
+    def _admin(self, op: str) -> dict:
+        """The result of one admin op (``protocol.ADMIN_OPS``)."""
+        if op == "shutdown":
+            self.shutdown_requested.set()
+            return {"draining": True}
+        if op == "metrics":
+            return {"exposition": self.exposition(), "content_type": exposition.CONTENT_TYPE}
+        if op == "health":
+            return {
+                "status": "draining" if self._draining else "ok",
+                **{f.path: f.value(self) for f in ENGINE_FIGURES if f.path in HEALTH_FIGURES},
+            }
+        return self.stats() if op == "stats" else self.slow_log()
 
     def _figures(self):
         """Each figure of :attr:`FIGURES` with its current value."""
@@ -769,9 +697,9 @@ class ServerEngine:
                         with get_instrumentation().span(
                             "apply", op=request.op, view=request.view or ""
                         ):
-                            self.kb.apply_op(_op_dict(request))
+                            self.kb.apply_op(request.args)
                 else:
-                    self.kb.apply_op(_op_dict(request))
+                    self.kb.apply_op(request.args)
             except Exception as error:
                 # Not ReproError alone: one request's failure is its
                 # own, and letting it out of the loop would skip the
@@ -838,9 +766,10 @@ class ServerEngine:
         Each journal/stream op carries the ``seers`` downset at publish
         time (the views it can change — the replication filter's sole
         input)."""
-        ops = [_op_dict(request) for request in applied]
-        for op in ops:
-            op["seers"] = sorted(self.kb.seers(op["view"]))
+        ops = [
+            dict(request.args, seers=sorted(self.kb.seers(request.args["view"])))
+            for request in applied
+        ]
         self._publish_ops(ops, self._version + 1)
 
     def _publish_ops(self, ops: list[dict], version: int) -> Snapshot:

@@ -2,35 +2,11 @@
 
 One request per line, one response line per request, both JSON objects.
 Requests carry a client-chosen ``id`` echoed verbatim in the response,
-an ``op``, and per-op fields:
-
-========  =====================================================markdown
-op        fields
-========  =====================================================
-query     ``view`` (object name), ``pattern`` (literal pattern,
-          e.g. ``"fly(X)"``), optional ``mode``
-          (``cautious``/``skeptical``/``credulous``), optional
-          ``strategy`` (``auto``/``demand`` — ``demand`` answers
-          goal-directed without materializing the model where sound,
-          see ``docs/query.md``)
-ask       ``view``, ``pattern`` — boolean entailment; accepts the
-          same ``mode``/``strategy`` fields as ``query``
-explain   ``view``, ``pattern`` (ground literal) — the derivation tree
-          (or per-rule failure analysis) against the current snapshot
-tell      ``view``, ``rules`` (surface-syntax rules/facts)
-retract   ``view``, ``rules`` (ground facts previously told)
-define    ``view`` (the new object's name), optional ``rules``,
-          optional ``isa`` (list of parent object names)
-stats     —
-health    —
-metrics   — Prometheus text-format exposition of all instruments
-slow      — dump the slow-query ring buffer (``--slow-ms``)
-shutdown  — request a graceful drain-and-stop
-subscribe ``from_version`` (stream journal entries after this
-          version; default 0), optional ``views`` (list of object
-          names: only entries whose ``seers`` intersect it are
-          delivered with ops — other versions arrive empty)
-========  =====================================================
+an ``op``, and per-op fields.  Each op, its kind and its fields are
+declared once, in :data:`repro.kb.knowledge_base.OP_TABLE`:
+:data:`OPS` and the per-kind sets are derived from it, and
+:func:`parse_request` checks a request against its op's declared
+fields (``docs/server.md`` lists them).
 
 ``subscribe`` switches the connection into streaming mode: after one
 normal ok reply (``result.type == "subscribed"``) the server keeps
@@ -79,7 +55,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Optional, Union
 
-from ..kb.query import QueryMode, read_strategy
+from ..kb.knowledge_base import FIELD_TYPES, KINDS, OPS as _TABLE, field_value, ops_of
 
 __all__ = [
     "OPS",
@@ -95,7 +71,6 @@ __all__ = [
     "SHUTTING_DOWN",
     "NOT_LEADER",
     "INTERNAL",
-    "MODES",
     "MAX_LINE_BYTES",
     "ProtocolError",
     "Request",
@@ -109,14 +84,8 @@ __all__ = [
     "encode",
 ]
 
-READ_OPS = frozenset({"query", "ask", "explain"})
-WRITE_OPS = frozenset({"tell", "retract", "define"})
-ADMIN_OPS = frozenset({"stats", "health", "metrics", "slow", "shutdown"})
-STREAM_OPS = frozenset({"subscribe"})
-OPS = READ_OPS | WRITE_OPS | ADMIN_OPS | STREAM_OPS
-
-#: Read modes, in :class:`~repro.kb.query.QueryMode` order.
-MODES = tuple(mode.value for mode in QueryMode)
+READ_OPS, WRITE_OPS, ADMIN_OPS, STREAM_OPS = map(ops_of, KINDS)
+OPS = frozenset(_TABLE)
 
 BAD_REQUEST = "bad_request"
 SEMANTICS = "semantics"
@@ -132,6 +101,17 @@ ERROR_CODES = frozenset(
 #: Longest request line a connection may send (asyncio's stream default,
 #: named so the refusal can state it; front-ends pass it as ``limit=``).
 MAX_LINE_BYTES = 2**16
+
+
+class _OpField:
+    """A field of a request's op dict, or its type's default when the op
+    does not declare it: ``request.view`` reads ``request.args``."""
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name, self.default = name, FIELD_TYPES[name][0]
+
+    def __get__(self, request: Any, owner: Optional[type] = None) -> Any:
+        return self if request is None else request.args.get(self.name, self.default)
 
 
 class ProtocolError(ValueError):
@@ -150,23 +130,23 @@ class Request:
 
     op: str
     id: Any = None
-    view: Optional[str] = None
-    pattern: Optional[str] = None
-    mode: str = "cautious"
-    rules: Optional[str] = None
-    isa: tuple[str, ...] = ()
-    #: Read ops only: None (server default) or one of ``READ_STRATEGIES``.
-    strategy: Optional[str] = None
-    #: ``subscribe`` only: stream entries with version > this.
-    from_version: int = 0
-    #: ``subscribe`` only: None streams every entry; a tuple restricts
-    #: op delivery to entries whose ``seers`` intersect it.
-    views: Optional[tuple[str, ...]] = None
+    #: The op dict: ``{"op": op}`` plus every field the op declares,
+    #: checked and defaulted — what ``KnowledgeBase.answer`` answers or
+    #: ``KnowledgeBase.apply_op`` applies.
+    args: dict = field(default_factory=dict)
     deadline_ms: Optional[float] = None
     #: None (no tracing requested) or a normalized ``{"id": str|None,
     #: "baggage": {str: str}}`` — see :func:`parse_request`.
     trace: Optional[dict] = None
     arrived_at: float = field(default_factory=time.monotonic)
+
+    view = _OpField()
+    pattern = _OpField()
+    mode = _OpField()
+    rules = _OpField()
+    isa = _OpField()
+    from_version = _OpField()
+    views = _OpField()
 
     @property
     def deadline(self) -> Optional[float]:
@@ -180,13 +160,6 @@ class Request:
         if deadline is None:
             return False
         return (now if now is not None else time.monotonic()) > deadline
-
-
-def _require_str(data: dict, key: str, op: str) -> str:
-    value = data.get(key)
-    if not isinstance(value, str) or not value:
-        raise ProtocolError(f"op {op!r} requires a non-empty string {key!r}")
-    return value
 
 
 def decode_request(raw: Union[str, bytes, dict]) -> dict:
@@ -222,72 +195,23 @@ def parse_request(
             ill-typed per-op field.
     """
     data = decode_request(raw)
-    op = data.get("op")
-    if op not in OPS:
-        raise ProtocolError(f"unknown op {op!r}; expected one of {sorted(OPS)}")
-
-    view = pattern = rules = strategy = None
-    isa: tuple[str, ...] = ()
-    from_version = 0
-    views: Optional[tuple[str, ...]] = None
-    mode = data.get("mode", "cautious")
-    if mode not in MODES:
-        raise ProtocolError(f"unknown mode {mode!r}; expected one of {MODES}")
-    if op == "subscribe":
-        raw_from = data.get("from_version", 0)
-        if not isinstance(raw_from, int) or raw_from < 0:
-            raise ProtocolError(
-                "op 'subscribe' field 'from_version' must be a non-negative integer"
-            )
-        from_version = raw_from
-        raw_views = data.get("views")
-        if raw_views is not None:
-            if (
-                not isinstance(raw_views, list)
-                or not raw_views
-                or not all(isinstance(v, str) and v for v in raw_views)
-            ):
-                raise ProtocolError(
-                    "op 'subscribe' field 'views' must be a non-empty "
-                    "list of object names"
-                )
-            views = tuple(raw_views)
-    elif op in READ_OPS:
-        view = _require_str(data, "view", op)
-        pattern = _require_str(data, "pattern", op)
-        strategy = read_strategy(data.get("strategy"), ProtocolError)
-    elif op in ("tell", "retract"):
-        view = _require_str(data, "view", op)
-        rules = _require_str(data, "rules", op)
-    elif op == "define":
-        view = _require_str(data, "view", op)
-        rules = data.get("rules", "")
-        if not isinstance(rules, str):
-            raise ProtocolError("op 'define' field 'rules' must be a string")
-        raw_isa = data.get("isa", [])
-        if not isinstance(raw_isa, list) or not all(
-            isinstance(p, str) for p in raw_isa
-        ):
-            raise ProtocolError("op 'define' field 'isa' must be a list of strings")
-        isa = tuple(raw_isa)
-
-    deadline_ms = data.get("deadline_ms", default_deadline_ms)
-    if deadline_ms is not None and (
-        not isinstance(deadline_ms, (int, float)) or deadline_ms < 0
-    ):
-        raise ProtocolError("'deadline_ms' must be a non-negative number")
-
+    spec = _TABLE.get(data.get("op"))
+    if spec is None:
+        raise ProtocolError(
+            f"unknown op {data.get('op')!r}; expected one of {sorted(OPS)}"
+        )
+    if "mode" in data:  # every op refuses an unknown mode, not only the reads
+        field_value("mode?", spec.name, data, ProtocolError)
+    args = {"op": spec.name}
+    for key in spec.fields:
+        args[key.rstrip("?")] = field_value(key, spec.name, data, ProtocolError)
+    deadline_ms = default_deadline_ms
+    if "deadline_ms" in data:
+        deadline_ms = field_value("deadline_ms?", spec.name, data, ProtocolError)
     return Request(
-        op=op,
+        op=spec.name,
         id=data.get("id"),
-        view=view,
-        pattern=pattern,
-        mode=mode,
-        rules=rules,
-        isa=isa,
-        strategy=strategy,
-        from_version=from_version,
-        views=views,
+        args=args,
         deadline_ms=deadline_ms,
         trace=_parse_trace(data.get("trace")),
     )

@@ -273,11 +273,6 @@ class QueryServer(ServingShell):
     async def _reply(
         self, line: bytes, writer: asyncio.StreamWriter
     ) -> Optional[bytes]:
-        # Cheap pre-filter; the parse decides for real.  A subscribe
-        # dedicates the rest of the connection to the stream (one
-        # writer task, ordered entries).
-        if b"subscribe" in line and await self._maybe_subscribe(line, writer):
-            return None
         try:
             request = protocol.parse_request(
                 line,
@@ -289,6 +284,14 @@ class QueryServer(ServingShell):
                     protocol.request_id_of(line), protocol.BAD_REQUEST, str(error)
                 )
             )
+        if request.op in protocol.STREAM_OPS:
+            # A subscribe dedicates the rest of the connection to the
+            # stream (one writer task, ordered entries).
+            try:
+                await self._serve_subscription(request, writer)
+            except (ConnectionResetError, BrokenPipeError):
+                pass
+            return None
         try:
             payload = await self.engine.handle(request)
         except Exception as error:  # defensive: a reply beats a hang
@@ -296,28 +299,6 @@ class QueryServer(ServingShell):
                 request.id, protocol.INTERNAL, f"unhandled failure: {error!r}"
             )
         return protocol.encode(payload)
-
-    async def _maybe_subscribe(
-        self, line: bytes, writer: asyncio.StreamWriter
-    ) -> bool:
-        """Run the ``subscribe`` stream if the line asks for one.
-
-        Returns True when the connection was consumed by a stream (or
-        the subscribe request was malformed and answered with an
-        error); False when the line turned out to be some other op and
-        the normal request/response path should handle it.
-        """
-        try:
-            request = protocol.parse_request(line)
-        except ProtocolError:
-            return False  # let _reply produce the error reply
-        if request.op != "subscribe":
-            return False
-        try:
-            await self._serve_subscription(request, writer)
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-        return True
 
     async def _serve_subscription(
         self, request: protocol.Request, writer: asyncio.StreamWriter

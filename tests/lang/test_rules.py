@@ -26,6 +26,17 @@ class TestConstruction:
         assert r.body_literals() == (pos("b"), neg("c"))
         assert r.body_literal_set() == {pos("b"), neg("c")}
 
+    def test_body_literals_built_once(self):
+        r = rule(pos("a"), pos("b"), neg("c"))
+        assert r.body_literals() is r.body_literals()
+        # Without a guard, B(r) is the body itself: no second tuple.
+        assert r.body_literals() is r.body
+        guarded = rule(
+            pos("a", "X"), pos("b", "X"), Comparison(">", Variable("X"), Constant(1))
+        )
+        assert guarded.body_literals() is guarded.body_literals()
+        assert guarded.body_literals() == (pos("b", "X"),)
+
     def test_bad_head_rejected(self):
         with pytest.raises(TypeError):
             Rule("a", ())

@@ -221,23 +221,12 @@ def _failure(ev: StatusEvaluator, r, model: Interpretation) -> tuple:
 # ----------------------------------------------------------------------
 # Serialized replay (the serving column)
 # ----------------------------------------------------------------------
-def op(request) -> dict:
-    """A recorded write request as the op ``KnowledgeBase.apply_op``
-    replays."""
-    return {
-        "op": request.op,
-        "view": request.view,
-        "rules": request.rules or "",
-        "isa": list(request.isa),
-    }
-
-
 def replay(history, kb):
     """Walk a leader's recorded ``(snapshot, batch)`` history, applying
-    each batch to ``kb`` before yielding it."""
+    each batch's op dicts to ``kb`` before yielding it."""
     for snapshot, batch in history:
         for request in batch:
-            kb.apply_op(op(request))
+            kb.apply_op(request.args)
         yield snapshot, batch
 
 

@@ -15,9 +15,9 @@ leader's recorded batches replayed one op at a time through
   on its reply.
 * **REPL** (:func:`repl`): the leader's client traces, interleaved into
   one serial stream and typed as REPL lines (``focus``, ``assert V
-  fact.``, ``retract V fact.``, ``query PATTERN cautious``), give the
-  oracle's reply at every step, and the session ends on the oracle's
-  program.
+  fact.``, ``retract V fact.``, ``query PATTERN cautious``, and ``why
+  P`` / ``value P`` for a ground read), give the oracle's reply at
+  every step, and the session ends on the oracle's program.
 """
 
 from __future__ import annotations
@@ -27,8 +27,9 @@ import json
 import random
 
 from repro.core.semantics import OrderedSemantics
+from repro.explain.trace import Explainer
 from repro.lang.errors import SemanticsError
-from repro.lang.parser import parse_rule
+from repro.lang.parser import parse_literal, parse_rule
 from repro.repl import ReplSession
 from repro.serialize import interpretation_to_dict, kb_signature
 from repro.server import QueryServer, ServerConfig, ServerEngine
@@ -153,6 +154,13 @@ def repl(seed: int) -> None:
             got = session.execute(f"query {payload['pattern']} cautious")
             want = oracle.read(serial, {**payload, "op": "query"})["answers"]
             assert got == ("\n".join(a["literal"] for a in want) or "no"), where
+            pattern = payload["pattern"]
+            if parse_literal(pattern).is_ground:
+                # why and value read the explain op's result.
+                explained = Explainer(serial.view(view)).explain(pattern)
+                assert session.execute(f"why {pattern}") == explained, where
+                value = str(serial.value(view, pattern))
+                assert session.execute(f"value {pattern}") == value, where
             continue
         command = "assert" if payload["op"] == "tell" else "retract"
         got = session.execute(f"{command} {view} {payload['rules']}")

@@ -1,12 +1,15 @@
 """Wire-protocol validation: parsing, per-op fields, error replies."""
 
 import json
+import re
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.kb.knowledge_base import OP_TABLE
 from repro.server import protocol
 from repro.server.protocol import (
     ProtocolError,
@@ -68,6 +71,9 @@ def test_parse_define_with_isa():
         ('{"op": "define", "view": "x", "isa": "bird"}', "list of strings"),
         ('{"op": "query", "view": "c", "pattern": "p", "mode": "brave"}', "mode"),
         ('{"op": "ask", "view": "c", "pattern": "p", "deadline_ms": -1}', "deadline_ms"),
+        # JSON booleans are not numbers.
+        ('{"op": "ask", "view": "c", "pattern": "p", "deadline_ms": true}', "deadline_ms"),
+        ('{"op": "subscribe", "from_version": true}', "from_version"),
     ],
 )
 def test_parse_rejections(payload, fragment):
@@ -145,3 +151,12 @@ def test_request_is_frozen():
     req = Request(op="stats")
     with pytest.raises(AttributeError):
         req.op = "health"
+
+
+def test_docs_wire_table_is_the_op_table():
+    """docs/server.md's wire-protocol table names every op of the op
+    table with its declared fields (``?`` marks an optional one)."""
+    text = (Path(__file__).resolve().parents[2] / "docs" / "server.md").read_text()
+    rows = re.findall(r"^\| `(\w+)` \| ([^|]*) \|", text, re.MULTILINE)
+    documented = [(op, re.findall(r"`(\w+\??)`", fields)) for op, fields in rows]
+    assert sorted(documented) == sorted((op.name, list(op.fields)) for op in OP_TABLE)
