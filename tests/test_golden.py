@@ -2,7 +2,8 @@
 
 ``tests/golden/`` holds a REPL script that uses every REPL command
 (error and usage lines included) and the stdout of one-shot
-``olp query`` / ``olp why`` runs over ``examples/figure1.olp``.  Each
+``olp query`` / ``olp why`` runs over ``examples/figure1.olp``, and the
+``olp check --json`` report on the three figure examples.  Each
 test replays the command through ``python -m repro`` and compares its
 stdout byte for byte; the CI smoke job runs the same commands and
 ``cmp``s the output.
@@ -29,6 +30,16 @@ CASES = {
     ),
     "why_fly_pigeon.out": (
         ["why", "examples/figure1.olp", "-c", "c1", "-q", "fly(pigeon)"],
+        b"",
+    ),
+    "check_examples.json": (
+        [
+            "check",
+            "--json",
+            "examples/figure1.olp",
+            "examples/figure2.olp",
+            "examples/figure3.olp",
+        ],
         b"",
     ),
 }
