@@ -18,9 +18,10 @@ authoring mistakes only surface as runtime failures or silently
   negative-program reduction); under the first two labels a
   single-component seminegative view is *routable*: its least model is
   the stratified Horn closure
-  (:func:`repro.classical.stratified.stratified_least_model`), which is
-  what the demand route of :mod:`repro.query` needs and what
-  ``olp check`` reports.
+  (:func:`repro.classical.stratified.stratified_least_model`).  That is
+  ``olp check``'s label only: the read path classifies no view, and
+  decides demand eligibility per goal from the goal's cone
+  (:func:`repro.query.magic.negative_head_taint`).
 
 :func:`classify_view` reads the same graph over the view's rules.  A
 contradiction only violates stratification when the order does *not*
@@ -135,6 +136,14 @@ class Diagnostic:
         return text
 
 
+def _diagnostic(code: str, location: str, message: str, fix_hint: str = "") -> Diagnostic:
+    """A finding whose severity is its code's entry in
+    :data:`DIAGNOSTIC_CODES`, the only place a severity is declared."""
+    return Diagnostic(
+        code, Severity.parse(DIAGNOSTIC_CODES[code]), location, message, fix_hint
+    )
+
+
 def build_pdg(program: OrderedProgram) -> PredicateDependencyGraph:
     """The predicate dependency graph of an ordered program."""
     return PredicateDependencyGraph(
@@ -184,10 +193,10 @@ class ViewClassification:
 
 
 def classify_view(program: OrderedProgram, component: str) -> ViewClassification:
-    """Classify the view ``C*`` of ``component`` (demand eligibility and
-    the ``stratification`` diagnostic)."""
+    """Classify the view ``C*`` of ``component`` (the ``stratification``
+    diagnostic; demand eligibility does not read it)."""
     visible = program.visible_components(component)
-    tagged = tuple((comp.name, r) for comp in visible for r in comp.rules)
+    tagged = program.visible_rules(component)
     rules = tuple(r for _, r in tagged)
     seminegative = all(r.is_seminegative for r in rules)
     graph = PredicateDependencyGraph(tagged, program.order)
@@ -234,9 +243,8 @@ def _check_safety(program: OrderedProgram) -> list[Diagnostic]:
             if unbound:
                 names = ", ".join(unbound)
                 out.append(
-                    Diagnostic(
+                    _diagnostic(
                         code="unsafe-rule",
-                        severity=Severity.WARNING,
                         location=f"component {comp.name}: {r}",
                         message=(
                             f"variable(s) {names} are not bound by any "
@@ -300,9 +308,8 @@ def _check_undefined(
                 else:
                     detail = "it is headed nowhere in the program"
                 out.append(
-                    Diagnostic(
+                    _diagnostic(
                         code="undefined-predicate",
-                        severity=Severity.WARNING,
                         location=f"component {comp.name}: {r}",
                         message=(
                             f"body predicate {name} is undefined in every "
@@ -336,9 +343,8 @@ def _check_arity(pdg: PredicateDependencyGraph) -> list[Diagnostic]:
             )
         )
         out.append(
-            Diagnostic(
+            _diagnostic(
                 code="arity-clash",
-                severity=Severity.WARNING,
                 location=f"predicate {name}",
                 message=(
                     f"predicate {name} is used with conflicting arities "
@@ -366,9 +372,8 @@ def _check_unused_heads(pdg: PredicateDependencyGraph) -> list[Diagnostic]:
             continue
         where = ", ".join(sorted(node.defining_components))
         out.append(
-            Diagnostic(
+            _diagnostic(
                 code="unused-head",
-                severity=Severity.INFO,
                 location=f"predicate {node.name} (components {where})",
                 message=(
                     f"{node.name} is headed in {where} but never occurs "
@@ -394,9 +399,8 @@ def _check_unreachable_components(program: OrderedProgram) -> list[Diagnostic]:
     for name in sorted(program.component_names):
         if order.upset(name) == {name} and order.downset(name) == {name}:
             out.append(
-                Diagnostic(
+                _diagnostic(
                     code="unreachable-component",
-                    severity=Severity.WARNING,
                     location=f"component {name}",
                     message=(
                         f"component {name} is unrelated to every other "
@@ -426,9 +430,8 @@ def _check_potential_defeat(pdg: PredicateDependencyGraph) -> list[Diagnostic]:
         else:
             where = f"between incomparable components {cp} and {cn}"
         out.append(
-            Diagnostic(
+            _diagnostic(
                 code="potential-defeat",
-                severity=Severity.INFO,
                 location=f"predicate {name} ({where})",
                 message=(
                     f"{name} and ¬{name} are derivable {where}; neither "
@@ -488,9 +491,8 @@ def _check_function_growth(
                 continue
             terms = ", ".join(growing)
             out.append(
-                Diagnostic(
+                _diagnostic(
                     code="function-growth",
-                    severity=Severity.WARNING,
                     location=f"component {comp.name}: {r}",
                     message=(
                         f"recursive rule builds the term(s) {terms} in its "
@@ -528,9 +530,8 @@ def _check_abstract(
         if fact.derivable:
             continue
         out.append(
-            Diagnostic(
+            _diagnostic(
                 code="provably-empty",
-                severity=Severity.INFO,
                 location=f"predicate {fact.name}",
                 message=(
                     f"{fact.name} has rules but is underivable in every "
@@ -551,9 +552,8 @@ def _check_abstract(
             if clash is not None:
                 literal, position, term = clash
                 out.append(
-                    Diagnostic(
+                    _diagnostic(
                         code="type-clash",
-                        severity=Severity.WARNING,
                         location=f"component {comp.name}: {r}",
                         message=(
                             f"argument {term} (position {position + 1} of "
@@ -593,9 +593,8 @@ def _check_abstract(
                     "unsatisfiable"
                 )
             out.append(
-                Diagnostic(
+                _diagnostic(
                     code="dead-rule",
-                    severity=Severity.INFO,
                     location=f"component {comp.name}: {r}",
                     message=(
                         f"the rule can never fire in any component view: "
@@ -622,9 +621,8 @@ def _check_stratification(program: OrderedProgram) -> tuple[
         else:
             note = f"not a stratified Horn view ({info.ineligibility})"
         out.append(
-            Diagnostic(
+            _diagnostic(
                 code="stratification",
-                severity=Severity.INFO,
                 location=f"view {name}*",
                 message=f"the view of component {name} is "
                 f"{info.classification}; {note}",
@@ -636,8 +634,9 @@ def _check_stratification(program: OrderedProgram) -> tuple[
 
 _DEMAND_FIX_HINTS = {
     "unroutable": (
-        "demand answering needs a seminegative, positive-or-stratified "
-        "view; queries fall back to full materialization"
+        "goals over a predicate whose cone holds no negative-head rule "
+        "are answered on demand; goals over these predicates fall back "
+        "to full materialization"
     ),
     "unsafe-sips": (
         "bind every head and guard variable in a positive body literal "
@@ -651,12 +650,13 @@ _DEMAND_FIX_HINTS = {
 
 
 def _check_demand(program: OrderedProgram) -> list[Diagnostic]:
-    """Views no goal can ever take the demand path against
-    (``strategy="demand"`` silently falls back to materialization).
+    """Views with goals that cannot take the demand path
+    (``strategy="demand"`` silently falls back to materialization for
+    them), by the same per-goal rule the read path applies.
 
     Informational: programs that never use goal-directed queries lose
-    nothing.  The import is deferred because :mod:`repro.query` builds
-    on this module's :func:`classify_view`.
+    nothing.  The import is deferred because :mod:`repro.query` imports
+    :mod:`repro.analysis`.
     """
     from ..query import demand_ineligibility
 
@@ -667,13 +667,12 @@ def _check_demand(program: OrderedProgram) -> list[Diagnostic]:
             continue
         reason, detail = problem
         out.append(
-            Diagnostic(
+            _diagnostic(
                 code="demand-ineligible",
-                severity=Severity.INFO,
                 location=f"view {name}*",
                 message=(
-                    f"queries against the view of component {name} cannot "
-                    f"use strategy='demand' ({reason}): {detail}"
+                    f"some goals against the view of component {name} "
+                    f"cannot use strategy='demand' ({reason}): {detail}"
                 ),
                 fix_hint=_DEMAND_FIX_HINTS.get(reason, ""),
             )

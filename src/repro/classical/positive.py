@@ -2,14 +2,15 @@
 
 The minimal total model of a positive program is unique and is the least
 fixpoint of the immediate-consequence transformation (Section 2 of the
-paper, citing [L, U]).  Evaluation is semi-naive: a rule is re-examined
-only when one of its body atoms is newly derived.
+paper, citing [L, U]).  On Horn clauses that fixpoint is the semi-naive
+:func:`repro.core.assumptions.literal_closure`, read back as atoms.
 """
 
 from __future__ import annotations
 
 from typing import AbstractSet, Iterable
 
+from ..core.assumptions import literal_closure
 from ..grounding.grounder import GroundRule
 from ..lang.literals import Atom
 from .common import require_positive
@@ -37,24 +38,4 @@ def minimal_model(rules: Iterable[GroundRule]) -> frozenset[Atom]:
     """
     rules = tuple(rules)
     require_positive(rules)
-    derived: set[Atom] = set()
-    # Index rules by body atom for semi-naive evaluation.
-    waiting: dict[Atom, list[GroundRule]] = {}
-    frontier: list[Atom] = []
-    for r in rules:
-        if r.body:
-            for l in r.body:
-                waiting.setdefault(l.atom, []).append(r)
-        elif r.head.atom not in derived:
-            derived.add(r.head.atom)
-            frontier.append(r.head.atom)
-    while frontier:
-        atom = frontier.pop()
-        for r in waiting.get(atom, ()):
-            head = r.head.atom
-            if head in derived:
-                continue
-            if all(l.atom in derived for l in r.body):
-                derived.add(head)
-                frontier.append(head)
-    return frozenset(derived)
+    return frozenset(l.atom for l in literal_closure(rules))

@@ -7,20 +7,21 @@ of such a value — the knowledge base, whose read path
 the server share — keeps and asks it, and :func:`demand_answers` is the
 compile-then-ask-once form.  All three answer a literal pattern against
 one view of an ordered program *without materializing the least model*,
-when sound:
+when sound.  Soundness is decided per goal, from the goal's cone alone:
 
-* the view must be seminegative and positive-or-stratified
-  (:func:`~repro.analysis.static.classify_view`; single-component is
-  *not* required — see :func:`_view_unroutable`), because only then
-  does the ordered least model coincide with the Horn closure the
+* no rule in the goal predicate's cone may have a negative head
+  (:func:`~repro.query.magic.negative_head_taint`): only then is the
+  ordered least model, restricted to the cone, the Horn closure the
   magic-sets rewrite evaluates;
 * the goal's cone must be safe and free of recursive function growth
   (:func:`~repro.query.magic.cone_ineligibility`);
 * the mode must be cautious — skeptical/credulous entailment consults
   stable models, which demand evaluation does not enumerate.
 
-Anything else returns ``DemandResult(used=False, reason=...)`` and the
-caller falls back to full materialization; every fallback increments a
+No view is classified: stratification and the component count do not
+enter the decision.  Anything else returns
+``DemandResult(used=False, reason=...)`` and the caller falls back to
+full materialization; every fallback increments a
 ``query.demand.fallback.<reason>`` counter so operators can see *why*
 the fast path declined.
 """
@@ -31,7 +32,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
 from ..analysis.abstract import analyze_rules
-from ..analysis.static import classify_view
 from ..kb.query import Answer
 from ..lang.literals import Atom, Literal
 from ..lang.parser import parse_literal
@@ -40,7 +40,13 @@ from ..lang.rules import Rule
 from ..obs import get_instrumentation
 from ..obs.trace import current_trace
 from .engine import DemandEngine, JoinPlan
-from .magic import DemandIneligible, build_plan, cone_ineligibility, goal_adornment
+from .magic import (
+    DemandIneligible,
+    build_plan,
+    cone_ineligibility,
+    goal_adornment,
+    negative_head_taint,
+)
 from .sources import FactSource, MemoryFactSource, UnionFactSource
 
 __all__ = [
@@ -67,30 +73,6 @@ class DemandResult:
     #: ``"compiled"`` when this request compiled its goal shape's plan,
     #: ``"hit"`` when it found one, None when no plan was involved.
     plan: Optional[str] = None
-
-
-def _partition(
-    program: OrderedProgram, component: str
-) -> tuple[list[Rule], MemoryFactSource]:
-    """Split the view into the demandable rule set and the told facts.
-
-    Ground positive facts become a :class:`MemoryFactSource`.  Rules
-    carrying a negative body literal are dropped entirely: under the
-    membership reading of a seminegative view no negative literal is
-    ever derivable, so those rules never fire (see
-    :func:`repro.classical.stratified.stratified_least_model`).
-    Non-ground facts stay in the rule set so the safety check flags
-    them.
-    """
-    facts = MemoryFactSource()
-    rules: list[Rule] = []
-    for comp in program.visible_components(component):
-        for r in comp.rules:
-            if r.is_fact and r.is_ground:
-                facts.add(r.head.atom)
-            elif all(l.positive for l in r.body_literals()):
-                rules.append(r)
-    return rules, facts
 
 
 class _StubRows:
@@ -144,31 +126,14 @@ def _cardinality_estimator(rules: Sequence[Rule], source: FactSource):
     return estimate
 
 
-def _view_unroutable(program: OrderedProgram, component: str) -> Optional[str]:
-    """Why the view's least model is not the Horn closure the demand
-    rewrite evaluates, or None when it is.
-
-    This is :attr:`~repro.analysis.static.ViewClassification.routable`
-    minus the single-component requirement: a seminegative view derives
-    no negative literals, hence has no contradictions, hence no
-    overruling or defeating *between components either* — the component
-    order is inert and ``V_{P,C}`` degenerates to the stratified Horn
-    consequence operator over all visible rules, exactly as in
-    :func:`repro.classical.stratified.stratified_least_model`.
-    """
-    info = classify_view(program, component)
-    if not info.seminegative:
-        return "the view contains negative-head rules"
-    if info.classification not in ("positive", "stratified"):
-        return f"the view is {info.classification}"
-    return None
-
-
 class CompiledDemand:
     """The demand route of one view, compiled from one program value.
 
     Everything a request would otherwise re-derive about the *program*
-    is worked out here once: the routability verdict, the split into
+    is worked out here once: the tainted predicates
+    (:func:`~repro.query.magic.negative_head_taint`, the only thing
+    compiled up front, so a view whose goals all decline pays for that
+    walk alone), and on the first untainted goal the split into
     demandable rules and told facts (with their
     :class:`MemoryFactSource`), the cardinality estimates (abstract
     analysis seeded from the sources' ``count``/``sample``, read on the
@@ -194,15 +159,12 @@ class CompiledDemand:
         sources: Sequence[FactSource] = (),
     ) -> None:
         self.program = program
+        self.component = component
         self.sources = tuple(sources)
         self._schemas = [dict(source.schema()) for source in self.sources]
-        self.unroutable = _view_unroutable(program, component)
-        if self.unroutable is not None:
-            return
-        self.rules, facts = _partition(program, component)
-        self.source = UnionFactSource((facts, *self.sources))
-        self._schema = self.source.schema()
-        self._idb = frozenset(r.head.predicate for r in self.rules)
+        self.taint = negative_head_taint(r for _, r in program.visible_rules(component))
+        #: The demandable rules, split off by :meth:`_split` on first use.
+        self.rules: Optional[list[Rule]] = None
         self._cardinality: Optional[Callable[[Literal], Optional[int]]] = None
         self._plans: dict[tuple[str, str], Union[JoinPlan, DemandIneligible]] = {}
 
@@ -219,11 +181,39 @@ class CompiledDemand:
             )
         )
 
+    def _split(self) -> None:
+        """Split the view, once, into the demandable rules and a
+        :class:`MemoryFactSource` of the ground positive facts.
+
+        Negative facts and negative-head rules are left out: they only
+        reach tainted goals, which never get here.  Rules carrying a
+        negative body literal are dropped too: an untainted cone derives
+        no negative literal, so those rules never fire.  Non-ground
+        facts stay in the rule set so the safety check flags them.
+        """
+        if self.rules is not None:
+            return
+        facts = MemoryFactSource()
+        self.rules = []
+        for _, r in self.program.visible_rules(self.component):
+            if not all(l.positive for l in (r.head, *r.body_literals())):
+                continue
+            if r.is_fact and r.is_ground:
+                facts.add(r.head.atom)
+            else:
+                self.rules.append(r)
+        self.source = UnionFactSource((facts, *self.sources))
+        self._schema = self.source.schema()
+        self._idb = frozenset(r.head.predicate for r in self.rules)
+
     def ineligibility(self) -> Optional[tuple[str, str]]:
-        """Why *no* goal against this view can take the demand path
-        (``(reason, detail)``), or None."""
-        if self.unroutable is not None:
-            return (REASON_UNROUTABLE, self.unroutable)
+        """Why some goals against this view cannot take the demand path
+        (``(reason, detail)``), or None: the tainted predicates, else
+        the first unsafe or function-growing rule."""
+        if self.taint:
+            tainted = ", ".join(sorted(self.taint))
+            return (REASON_UNROUTABLE, f"the cone of each of {tainted} holds negative-head rules")
+        self._split()
         problem = cone_ineligibility(None, self.rules)
         if problem is not None:
             return (problem.reason, problem.detail)
@@ -263,12 +253,15 @@ class CompiledDemand:
             pattern = parse_literal(pattern)
         if mode != "cautious":
             return _declined(REASON_MODE, f"mode {mode!r} needs stable models")
-        if self.unroutable is not None:
-            return _declined(REASON_UNROUTABLE, self.unroutable)
+        origin = self.taint.get(pattern.predicate)
+        if origin is not None:
+            detail = f"the cone of {pattern.predicate} holds negative-head rules for {origin}"
+            return _declined(REASON_UNROUTABLE, detail)
         if not pattern.positive:
-            # A routable (seminegative) view derives no negative literals:
-            # the least model cannot match a negative pattern.
+            # No rule of the cone heads the complement: the least model
+            # holds no negative literal over this predicate.
             return _served([])
+        self._split()
         if pattern.predicate not in self._idb:
             # Purely extensional goal: answer straight from the sources.
             return _served(_extensional_answers(pattern, self.source))
@@ -298,12 +291,13 @@ def _declined(
 def demand_ineligibility(
     program: OrderedProgram, component: str
 ) -> Optional[tuple[str, str]]:
-    """Why *no* goal against this view can take the demand path, or None.
+    """Why some goals against this view cannot take the demand path,
+    or None.
 
     Goal-independent: used by ``olp check`` for the ``demand-ineligible``
     diagnostic.  Returns ``(reason, detail)`` with reason one of
-    ``unroutable`` (unstratified / negative heads), ``unsafe-sips`` or
-    ``function-growth``.
+    ``unroutable`` (the detail names the predicates whose cones hold
+    negative-head rules), ``unsafe-sips`` or ``function-growth``.
     """
     return CompiledDemand(program, component).ineligibility()
 

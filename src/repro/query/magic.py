@@ -1,11 +1,10 @@
 """The demand (magic-sets) transformation over the ordered transform.
 
-Given a goal pattern against a *routable* view (single-component,
-seminegative, positive-or-stratified — see
-:func:`repro.analysis.static.classify_view`), the least ordered model
-degenerates to the Horn closure of the positive-body rules
-(:func:`repro.classical.stratified.stratified_least_model`).  That Horn
-subset is what this module rewrites:
+When no rule in a goal's cone has a negative head, nothing in the cone
+can be blocked, overruled or defeated (Definition 2), so the least
+ordered model restricted to the cone is the Horn closure of the cone's
+positive-body rules (:func:`negative_head_taint` finds the goals for
+which that fails).  That Horn subset is what this module rewrites:
 
 1. **Cone** — the predicates reachable from the goal through rule
    bodies; rules outside the cone can never contribute to an answer.
@@ -37,7 +36,7 @@ The output :class:`MagicPlan` is consumed by
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from ..grounding.joins import join_order
 from ..lang.builtins import Comparison
@@ -53,6 +52,7 @@ __all__ = [
     "build_plan",
     "cone_ineligibility",
     "goal_adornment",
+    "negative_head_taint",
 ]
 
 #: Fallback / ineligibility reasons (stable: they name obs counters and
@@ -182,6 +182,29 @@ def _cone(
                 if lit.predicate not in seen:
                     stack.append(lit.predicate)
     return frozenset(seen), cone_rules
+
+
+def negative_head_taint(rules: Iterable[Rule]) -> dict[str, str]:
+    """Every predicate whose cone reaches a rule with a negative head,
+    mapped to one negative-head predicate it reaches (itself, when it
+    heads one).  The cone runs over all of ``rules``, negative body
+    literals included, and is keyed by predicate name as :func:`_cone`
+    is: ``¬p`` heads and ``¬p`` body literals file under ``p``."""
+    users: dict[str, set[str]] = {}
+    taint: dict[str, str] = {}
+    for r in rules:
+        if not r.head.positive:
+            taint[r.head.predicate] = r.head.predicate
+        for lit in r.body_literals():
+            users.setdefault(lit.predicate, set()).add(r.head.predicate)
+    for origin in sorted(taint):
+        stack = [origin]
+        while stack:
+            for user in users.get(stack.pop(), ()):
+                if user not in taint:
+                    taint[user] = origin
+                    stack.append(user)
+    return taint
 
 
 def cone_ineligibility(

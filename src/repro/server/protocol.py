@@ -22,12 +22,13 @@ Every request also accepts ``deadline_ms``: a relative per-request
 deadline; work not *started* before it expires is shed with a
 ``timeout`` error.
 
-Every query/ask/explain/tell/retract/define request additionally
-accepts ``trace``: either ``true`` or ``{"id": <hex>, "baggage":
-{str: str}}``.  A traced request executes under a
-:class:`~repro.obs.trace.TraceContext`; the reply's result carries a
+Every request also accepts ``trace``: either ``true`` or ``{"id":
+<hex>, "baggage": {str: str}}``.  Only query/ask/explain/tell/retract/
+define honour it: a traced read or write executes under a
+:class:`~repro.obs.trace.TraceContext`, and the reply's result carries a
 ``trace`` object (``trace_id``, the span tree, and the engine cost
-digest — see ``docs/observability.md`` for the schema).
+digest — see ``docs/observability.md`` for the schema).  The other ops
+ignore it, as they ignore any field they do not declare.
 
 Responses are ``{"id": ..., "ok": true, "version": v, "result": {...}}``
 or ``{"id": ..., "ok": false, "error": {"code": ..., "message": ...}}``.

@@ -66,7 +66,7 @@ class Spy:
 class TestPlanReuse:
     def test_same_shape_goals_compile_once(self, forest_kb, monkeypatch):
         spies = [
-            Spy(monkeypatch, api, "classify_view"),
+            Spy(monkeypatch, api, "negative_head_taint"),
             Spy(monkeypatch, api, "analyze_rules"),
             Spy(monkeypatch, api, "build_plan"),
             Spy(monkeypatch, EdbStore, "count"),

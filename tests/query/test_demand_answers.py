@@ -1,6 +1,7 @@
 """Unit tests for the demand evaluation entry point and fact sources."""
 
 from repro.core.semantics import OrderedSemantics
+from repro.kb.knowledge_base import KnowledgeBase
 from repro.kb.query import answers_in
 from repro.lang.parser import parse_rules
 from repro.lang.program import OrderedProgram
@@ -8,12 +9,14 @@ from repro.lang.literals import Atom
 from repro.lang.terms import Constant
 from repro.obs import trace
 from repro.query import (
+    CompiledDemand,
     MemoryFactSource,
     UnionFactSource,
     demand_answers,
     demand_ineligibility,
 )
 from repro.workloads import forest_program
+from repro.workloads.paper import figure1
 
 
 def program(text: str) -> OrderedProgram:
@@ -87,10 +90,14 @@ class TestFallbacks:
             thing(a).
             """
         )
+        # No rule heads a negative literal, so no ~q(a) or ~p(a) is ever
+        # derived: the negative-body rules never fire, and the goal is
+        # answered on demand however the view classifies.
         result = demand_answers(tangled, "main", "p(a)")
-        assert not result.used and result.reason == "unroutable"
-        problem = demand_ineligibility(tangled, "main")
-        assert problem is not None and problem[0] == "unroutable"
+        model = OrderedSemantics(tangled, "main").least_model
+        assert result.used
+        assert literals(result) == [str(a.literal) for a in answers_in(model, "p(a)")]
+        assert demand_ineligibility(tangled, "main") is None
 
     def test_function_growth_cone(self):
         growing = program(
@@ -104,6 +111,30 @@ class TestFallbacks:
 
     def test_eligible_view_reports_no_problem(self):
         assert demand_ineligibility(ANCESTOR, "main") is None
+
+
+class TestPerGoalEligibility:
+    def test_figure1_serves_the_horn_cone_and_declines_the_tainted_one(self):
+        kb = KnowledgeBase.from_program(figure1())
+        with trace("bird") as ctx:
+            kb.query("c1", "bird(X)", strategy="demand")
+        assert ctx.root.fields["route"] == "demand"
+        with trace("fly") as ctx:
+            kb.query("c1", "fly(X)", strategy="demand")
+        assert ctx.root.fields["route"] == "materialized"
+        assert ctx.root.fields["demand.fallback"] == "unroutable"
+        result = demand_answers(figure1(), "c1", "fly(X)")
+        assert not result.used and result.reason == "unroutable"
+        assert "fly" in result.detail and "negative-head" in result.detail
+
+    def test_a_negative_fact_is_never_a_positive_row(self):
+        view = program("-s(a). t(b).")
+        compiled = CompiledDemand(view, "main")
+        assert compiled.ask("t(X)").used
+        assert compiled.source.count("s") == 0
+        for goal in ("s(a)", "s(X)"):
+            result = compiled.ask(goal)
+            assert not result.used and result.reason == "unroutable"
 
 
 class TestExtraSources:

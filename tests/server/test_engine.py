@@ -592,7 +592,7 @@ def test_publishing_builds_no_literal_whatever_the_size_of_the_model(
         async with ServerEngine(kb) as engine:
             for level in range(depth):
                 warm = await engine.handle(
-                    req(id=level, op="query", view=f"level{level}", pattern="known(e0)")
+                    req(id=level, op="query", view=f"level{level}", pattern="known(X)")
                 )
                 assert warm["ok"]
             assert len(engine.snapshot.models["level0"]) == literals
@@ -710,7 +710,7 @@ def test_reads_during_a_write_stream_ground_and_evaluate_nothing():
 
     async def scenario():
         async with ServerEngine(build_session_kb(depth, entities)) as engine:
-            await engine.handle(req(id="warm", op="ask", view="level0", pattern="known(e0)"))
+            await engine.handle(req(id="warm", op="ask", view="level0", pattern="known(X)"))
             writing = True
 
             async def stream_writes():
@@ -754,7 +754,7 @@ def test_a_durable_batch_costs_one_append_one_fsync_and_one_repair(tmp_path):
         wal = Wal(str(tmp_path), fsync="always")
         async with ServerEngine(build_session_kb(depth, entities), config, wal=wal) as engine:
             # level0 sees every level: each tell reaches this hot view.
-            await engine.handle(req(id="warm", op="ask", view="level0", pattern="known(e0)"))
+            await engine.handle(req(id="warm", op="ask", view="level0", pattern="known(X)"))
             with instrumented() as obs:
                 replies = await asyncio.gather(
                     *(

@@ -130,6 +130,16 @@ class TestTracedReads:
 
         run(scenario())
 
+    def test_admin_ops_ignore_trace(self):
+        # ``trace`` parses on every op, but only reads and writes honour
+        # it: other ops ignore it like any field they do not declare.
+        async def scenario():
+            async with ServerEngine(make_kb()) as engine:
+                reply = await roundtrip(engine, op="health", trace=True, id=1)
+                assert "trace" not in reply["result"]
+
+        run(scenario())
+
 
 class TestTracedWrites:
     def test_write_decomposes_into_pipeline_phases(self):
