@@ -652,7 +652,8 @@ _DEMAND_FIX_HINTS = {
 def _check_demand(program: OrderedProgram) -> list[Diagnostic]:
     """Views with goals that cannot take the demand path
     (``strategy="demand"`` silently falls back to materialization for
-    them), by the same per-goal rule the read path applies.
+    them), by the same per-goal rule the read path applies: one
+    diagnostic per reason.
 
     Informational: programs that never use goal-directed queries lose
     nothing.  The import is deferred because :mod:`repro.query` imports
@@ -660,24 +661,19 @@ def _check_demand(program: OrderedProgram) -> list[Diagnostic]:
     """
     from ..query import demand_ineligibility
 
-    out = []
-    for name in sorted(program.component_names):
-        problem = demand_ineligibility(program, name)
-        if problem is None:
-            continue
-        reason, detail = problem
-        out.append(
-            _diagnostic(
-                code="demand-ineligible",
-                location=f"view {name}*",
-                message=(
-                    f"some goals against the view of component {name} "
-                    f"cannot use strategy='demand' ({reason}): {detail}"
-                ),
-                fix_hint=_DEMAND_FIX_HINTS.get(reason, ""),
-            )
+    return [
+        _diagnostic(
+            code="demand-ineligible",
+            location=f"view {name}*",
+            message=(
+                f"some goals against the view of component {name} "
+                f"cannot use strategy='demand' ({reason}): {detail}"
+            ),
+            fix_hint=_DEMAND_FIX_HINTS.get(reason, ""),
         )
-    return out
+        for name in sorted(program.component_names)
+        for reason, detail in demand_ineligibility(program, name)
+    ]
 
 
 # ----------------------------------------------------------------------

@@ -77,10 +77,11 @@ DeltaOp = tuple[str, str, Literal]
 
 
 class DeltaUnsupported(SemanticsError):
-    """The delta path cannot absorb this mutation (e.g. the asserted
-    atom lies outside the view's grounded Herbrand base, so new ground
-    instances of non-fact rules may exist).  Callers fall back to full
-    recomputation."""
+    """The delta path cannot absorb this mutation: the asserted atom
+    lies outside the model's Herbrand base, so new ground instances of
+    non-fact rules may exist.  A guard for direct callers of
+    :meth:`MaintainedModel.apply`; a view checks its ops against
+    :attr:`MaintainedModel.base` first and re-grounds instead."""
 
 
 @dataclass
@@ -95,9 +96,9 @@ class DeltaStats:
             includes cascade survivors that were re-established.
         rules_reevaluated: rule-status updates performed (the *status
             frontier* of the delta).
-        full_rebuild: the view could not absorb the delta (an asserted
-            atom outside its grounded base, say) and was re-grounded —
-            set by :meth:`OrderedSemantics.apply_updates`, never here.
+        full_rebuild: the view did not absorb the delta (an asserted
+            atom outside its base, say) and re-grounds — set by
+            :meth:`OrderedSemantics.apply_updates`, never here.
     """
 
     asserted: int = 0
@@ -168,6 +169,11 @@ class MaintainedModel:
         (:meth:`DenseFixpoint.interpretation`)."""
         return self._fp.interpretation(self._base)
 
+    @property
+    def base(self) -> frozenset[Atom]:
+        """The Herbrand base the model runs over (read-only)."""
+        return self._base
+
     def alive_count(self) -> int:
         return self._alive.count(1)
 
@@ -178,7 +184,9 @@ class MaintainedModel:
         """Absorb a batch of assert/retract ops, in order.
 
         The final model depends only on the final rule multiset, so the
-        whole batch runs one deletion cascade and one rederive pass.
+        whole batch runs one deletion cascade and one rederive pass.  A
+        refused op leaves the earlier ones applied and the model
+        mid-repair: check the ops first, as ``apply_updates`` does.
 
         Raises:
             SemanticsError: retracting a fact that is not present.
@@ -269,11 +277,7 @@ class MaintainedModel:
     def _append_tombstone(self, component: str, literal: Literal) -> int:
         """Append a never-yet-told fact as a tombstone wired into the
         contradiction watches; returns its rule id."""
-        if not literal.is_ground:
-            raise DeltaUnsupported(
-                f"only ground facts can be asserted incrementally: {literal}"
-            )
-        if literal.atom not in self._base:
+        if literal.atom not in self._base:  # a non-ground atom never is
             raise DeltaUnsupported(
                 f"atom {literal.atom} is outside the grounded base; "
                 "the view must be re-grounded"

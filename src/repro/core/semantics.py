@@ -29,7 +29,7 @@ from ..lang.program import FactUpdate, OrderedProgram
 from ..obs import get_instrumentation, record_costs
 from .assumptions import AssumptionAnalyzer
 from .interpretation import Interpretation, TruthValue
-from .maintenance import ASSERT, DeltaStats, DeltaUnsupported, MaintainedModel
+from .maintenance import ASSERT, DeltaStats, MaintainedModel
 from .models import ModelChecker
 from .solver import ModelEnumerator, SearchBudget
 from .statuses import ComponentOrder, StatusEvaluator, StatusReport
@@ -84,6 +84,8 @@ class OrderedSemantics:
         self._grounding_options = grounding
         self._budget = budget
         self.strategy = validate(strategy, STRATEGIES)
+        #: The components of ``C*``: fact writes never change ``<``.
+        self.scope = program.order.upset(component)
         #: The delta engine: the only state a cold view lacks.
         self._maintained: Optional[MaintainedModel] = None
 
@@ -223,28 +225,18 @@ class OrderedSemantics:
         program equal to it on this view's ``C*``: a knowledge base
         computes one update per write for every view that sees it).
 
-        Moves :attr:`program` to the last successor and repairs the
-        cached least model through the delta engine when possible
-        (:meth:`FactUpdate.seen_from` says which ops reach it and when
-        only re-grounding can tell); falls back to invalidation +
-        recomputation otherwise (no least model computed yet, or an
-        asserted atom outside the grounded base).  Only the model is
-        kept: every other cached property is recomputed from the new
+        Moves :attr:`program` to the last successor.  Whether the delta
+        engine repairs the cached least model is decided once per batch,
+        before anything is grounded or any engine state moves
+        (:meth:`_absorbs`); otherwise every cache is invalidated and the
+        view re-grounds cold on its next read.  Only the model is kept:
+        every other cached property is recomputed from the new
         :attr:`program` on first read, as a cold view would.
         """
-        engine_ops, reground = FactUpdate.seen_from(updates, self.component)
+        engine_ops, reground = FactUpdate.seen_from(updates, self.scope)
         stats: Optional[DeltaStats] = None
         try:
-            # A maintained view always holds its model; a cold one may
-            # have none yet, and then there is nothing to repair.
-            # An asserted atom outside the base needs re-grounding, and
-            # a cold view learns that before it seeds an engine.
-            if (
-                engine_ops
-                and not reground
-                and "least_model" in self.__dict__
-                and (self._maintained is not None or self._within_base(engine_ops))
-            ):
+            if engine_ops and not reground and self._absorbs(engine_ops):
                 if self._maintained is None:
                     # A told fact can make an instance relevance dropped
                     # applicable, or flip a rule's prune-safety: seed the
@@ -257,10 +249,6 @@ class OrderedSemantics:
                 stats = self._maintained.apply(engine_ops)
                 self._drop_caches()
                 self.__dict__["least_model"] = self._maintained.interpretation()
-        except DeltaUnsupported:
-            # e.g. an asserted atom outside the grounded base: the view
-            # must be re-grounded from the mutated program.
-            pass
         except Exception:
             # The maintained state may be mid-mutation; drop it so the
             # next read recomputes from the mutated program.
@@ -293,22 +281,27 @@ class OrderedSemantics:
         )
         return stats
 
-    def _within_base(self, ops: Sequence[tuple[str, str, Literal]]) -> bool:
-        """True when every asserted atom lies in the Herbrand base of
-        ``C*``, tested without building the base: the atom's signature
-        is one ``C*`` spans and each argument is a universe term."""
-        spanned = frozenset().union(
-            *(
-                comp.predicate_signatures()
-                for comp in self.program.visible_components(self.component)
+    def _absorbs(self, ops: Sequence[tuple[str, str, Literal]]) -> bool:
+        """Whether the delta engine can absorb ``ops``: there is a model
+        to repair, every asserted atom lies in the engine's base (a cold
+        view's :attr:`ground` has the same), and a cold view's seed, the
+        full instantiation, fits the instance cap: Σ |HU|^|vars(r)| ≤ cap
+        over the rules of ``C*``."""
+        if self._maintained is not None:
+            base = self._maintained.base
+        elif "least_model" in self.__dict__:
+            base = self.ground.base
+            terms = len(self.ground.universe)
+            instances = sum(
+                terms ** len(r.variables())
+                for name in self.scope
+                for r in self.program.component(name).rules
             )
-        )
-        universe = self.ground.universe
-        return all(
-            literal.signature in spanned and all(t in universe for t in literal.args)
-            for kind, _, literal in ops
-            if kind == ASSERT
-        )
+            if instances > self._grounding_options.instance_cap:
+                return False
+        else:
+            return False
+        return all(literal.atom in base for kind, _, literal in ops if kind == ASSERT)
 
     def _drop_caches(self) -> None:
         for name in self._CACHED:

@@ -271,30 +271,29 @@ class FactUpdate(NamedTuple):
 
     @staticmethod
     def seen_from(
-        updates: Sequence["FactUpdate"], view: str
+        updates: Sequence["FactUpdate"], scope: frozenset[str]
     ) -> tuple[list[tuple[str, str, Literal]], bool]:
         """What a run of consecutive updates does to ``ground(C*)`` of
-        one view: the engine ops (the changes in components it sees)
-        and whether the view must be re-grounded from the last
-        successor because copy counting cannot tell — a seen change is
-        an ``open_head`` one, or a symbol's last occurrence left the
-        view's ``C*`` (its Herbrand universe or base shrinks, so atoms
-        over the symbol are no longer grounded, even if components the
-        view cannot see still mention it).
+        the view whose ``C*`` components are ``scope``: the engine ops
+        (the changes in components it sees) and whether the view must
+        be re-grounded from the last successor because copy counting
+        cannot tell — a seen change is an ``open_head`` one, or a
+        symbol's last occurrence left ``C*`` (its Herbrand universe or
+        base shrinks, so atoms over the symbol are no longer grounded,
+        even if components the view cannot see still mention it).
         """
-        program = updates[-1].program
-        visible = program.order.upset(view)
         engine_ops: list[tuple[str, str, Literal]] = []
         reground = False
         dropped: set[object] = set()
         for update in updates:
             for kind, name, lit, open_head in update.changes:
-                if name in visible:
+                if name in scope:
                     engine_ops.append((kind, name, lit))
                     reground = reground or open_head
-            dropped.update(s for name, s in update.dropped if name in visible)
+            dropped.update(s for name, s in update.dropped if name in scope)
         if dropped and not reground:
-            held = [program.component(n)._fact_ledger().symbols for n in visible]
+            program = updates[-1].program
+            held = [program.component(n)._fact_ledger().symbols for n in scope]
             reground = not all(any(s in symbols for symbols in held) for s in dropped)
         return engine_ops, reground
 
@@ -389,9 +388,9 @@ class OrderedProgram:
         """The components whose rules ``name`` sees: itself plus every
         component above it, most general first."""
         self.component(name)
-        upset = self._order.upset(name)
+        order = self._order
         return tuple(
-            self._components[n] for n in self._order.topological() if n in upset
+            self._components[n] for n in order.topological() if order.less_equal(name, n)
         )
 
     def visible_rules(self, name: str) -> tuple[tuple[str, Rule], ...]:

@@ -206,18 +206,21 @@ class CompiledDemand:
         self._schema = self.source.schema()
         self._idb = frozenset(r.head.predicate for r in self.rules)
 
-    def ineligibility(self) -> Optional[tuple[str, str]]:
-        """Why some goals against this view cannot take the demand path
-        (``(reason, detail)``), or None: the tainted predicates, else
-        the first unsafe or function-growing rule."""
+    def ineligibility(self) -> list[tuple[str, str]]:
+        """One ``(reason, detail)`` per reason :meth:`ask` declines some
+        goal over a head predicate of this view: the tainted predicates
+        together, then the first offending rule an untainted cone holds."""
+        problems: dict[str, str] = {}
         if self.taint:
             tainted = ", ".join(sorted(self.taint))
-            return (REASON_UNROUTABLE, f"the cone of each of {tainted} holds negative-head rules")
+            problems[REASON_UNROUTABLE] = f"the cone of each of {tainted} holds negative-head rules"
         self._split()
-        problem = cone_ineligibility(None, self.rules)
-        if problem is not None:
-            return (problem.reason, problem.detail)
-        return None
+        if cone_ineligibility(None, self.rules) is not None:
+            for predicate in sorted(self._idb - self.taint.keys()):
+                problem = cone_ineligibility(predicate, self.rules)
+                if problem is not None:
+                    problems.setdefault(problem.reason, problem.detail)
+        return list(problems.items())
 
     def _plan(self, goal: Literal) -> tuple[Union[JoinPlan, DemandIneligible], bool]:
         """The goal shape's plan (or why it has none), and whether this
@@ -290,14 +293,15 @@ def _declined(
 
 def demand_ineligibility(
     program: OrderedProgram, component: str
-) -> Optional[tuple[str, str]]:
-    """Why some goals against this view cannot take the demand path,
-    or None.
+) -> list[tuple[str, str]]:
+    """Why some goals against this view cannot take the demand path:
+    ``[]`` when every goal can.
 
     Goal-independent: used by ``olp check`` for the ``demand-ineligible``
-    diagnostic.  Returns ``(reason, detail)`` with reason one of
-    ``unroutable`` (the detail names the predicates whose cones hold
-    negative-head rules), ``unsafe-sips`` or ``function-growth``.
+    diagnostic.  One ``(reason, detail)`` per reason the route gives
+    some goal over a head predicate of the view: ``unroutable`` (the
+    detail names the predicates whose cones hold negative-head rules),
+    ``unsafe-sips`` or ``function-growth``.
     """
     return CompiledDemand(program, component).ineligibility()
 

@@ -20,6 +20,14 @@ def semantics_of(source: str, component: str) -> OrderedSemantics:
     return OrderedSemantics(parse_program(source), component)
 
 
+def chain_program(edges: int = 40):
+    """``q(k0, k1) ... q(k<n-1>, k<n>)`` under one rule with a four-edge
+    body: its relevance grounding is a few dozen instances, its full
+    instantiation ``(n + 1)^5`` (115,856,201 at 40 edges)."""
+    facts = " ".join(f"q(k{i}, k{i + 1})." for i in range(edges))
+    return parse_program(f"{facts}\np(X) :- q(X, Y), q(Y, Z), q(Z, W), q(W, V).")
+
+
 def dense_run(
     sem: OrderedSemantics, max_iterations: Optional[int] = None
 ) -> tuple[DenseFixpoint, Interpretation, list[frozenset[Literal]]]:

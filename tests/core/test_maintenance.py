@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.maintenance import ASSERT, RETRACT, MaintainedModel
+from repro.core.maintenance import ASSERT, RETRACT, DeltaUnsupported, MaintainedModel
 from repro.core.semantics import OrderedSemantics
 from repro.grounding.grounder import GroundingOptions
 from repro.lang.errors import SemanticsError
@@ -135,6 +135,15 @@ def test_retract_missing_fact_raises():
     sem, engine = figure1_engine()
     with pytest.raises(SemanticsError, match="no such told fact"):
         engine.apply([(RETRACT, "c1", parse_literal("bird(penguin)"))])
+
+
+@pytest.mark.parametrize("fact", ["bird(ostrich)", "bird(X)"])
+def test_an_atom_outside_the_base_is_refused(fact):
+    # The guard a direct caller meets; a view checks engine.base first.
+    sem, engine = figure1_engine()
+    assert parse_literal(fact).atom not in engine.base
+    with pytest.raises(DeltaUnsupported, match="outside the grounded base"):
+        engine.apply([(ASSERT, "c2", parse_literal(fact))])
 
 
 def test_batched_ops_single_cascade():

@@ -2,21 +2,28 @@
 
 import functools
 import random
+import time
 
 import pytest
 
 from repro.analysis.static import classify_view
 from repro.core.interpretation import TruthValue
-from repro.core.maintenance import ASSERT, MaintainedModel
+from repro.core.maintenance import ASSERT, RETRACT, MaintainedModel
 from repro.core.semantics import OrderedSemantics
+from repro.grounding.grounder import Grounder
+from repro.kb.knowledge_base import KnowledgeBase
+from repro.kb.query import answers_in
 from repro.lang.errors import SemanticsError
 from repro.lang.literals import pos
+from repro.lang.poset import PartialOrder
 from repro.obs import instrumented
 from repro.obs.trace import trace
 from repro.reductions import ordered_version
 from repro.workloads import forest_program
 from repro.workloads.paper import example6_ancestor, figure1
 from repro.workloads.random_programs import random_stratified_program
+
+from ..conftest import chain_program
 
 
 class TestConstruction:
@@ -140,3 +147,63 @@ class TestNewConstantTell:
         cold = OrderedSemantics(sem.program, "main").least_model
         assert sem.least_model.literals == cold.literals
         assert sem.holds("owns(q9, n0_1)")
+
+
+class TestAbsorbOrReground:
+    """A view decides once per batch, before it grounds anything or
+    moves its delta engine, whether it absorbs the batch or re-grounds
+    cold."""
+
+    def test_a_seed_past_the_instance_cap_regrounds_cold(self, monkeypatch):
+        sem = OrderedSemantics(chain_program(40), "main")
+        cold = sem.least_model
+        ground = Grounder.ground_component_star
+
+        def relevance_only(self, program, component, *, full=False):
+            assert not full, "built the full instantiation"
+            return ground(self, program, component)
+
+        monkeypatch.setattr(Grounder, "ground_component_star", relevance_only)
+        start = time.perf_counter()
+        stats = sem.apply_ops([(ASSERT, "main", "q(k5, k7)")])
+        model = sem.least_model
+        assert time.perf_counter() - start < 1.0
+        assert stats.full_rebuild
+        assert model.literals == OrderedSemantics(sem.program, "main").least_model.literals
+        assert answers_in(model, "p(X)") == answers_in(cold, "p(X)")
+
+    def test_a_warm_view_refuses_a_batch_before_it_moves(self, monkeypatch):
+        sem = OrderedSemantics(figure1(), "c1")
+        sem.least_model
+        assert not sem.apply_ops([(RETRACT, "c2", "bird(penguin)")]).full_rebuild
+        entered = []
+        monkeypatch.setattr(MaintainedModel, "apply", lambda *args: entered.append(args))
+        stats = sem.apply_ops(
+            [(ASSERT, "c2", "bird(penguin)"), (ASSERT, "c2", "bird(ostrich)")]
+        )
+        assert entered == []
+        assert stats.full_rebuild
+        cold = OrderedSemantics(sem.program, "c1").least_model
+        assert sem.least_model.literals == cold.literals
+        assert sem.holds("fly(ostrich)") and sem.holds("-fly(penguin)")
+
+    def test_repairs_never_rebuild_the_upset(self, monkeypatch):
+        kb = KnowledgeBase.from_program(figure1())
+        kb.least_model("c1")
+        kb.retract("c2", "bird(penguin).")
+        kb.least_model("c1")  # the view's delta engine is seeded
+        upset = PartialOrder.upset
+        calls = []
+
+        def counted(self, element):
+            calls.append(element)
+            return upset(self, element)
+
+        monkeypatch.setattr(PartialOrder, "upset", counted)
+        for _ in range(3):
+            kb.tell("c2", "bird(penguin).")
+            assert kb.ask("c1", "-fly(penguin)")
+            kb.retract("c2", "bird(penguin).")
+            assert not kb.ask("c1", "bird(penguin)")
+        assert calls == []
+        assert kb.view("c1")._maintained is not None  # repaired, not re-grounded

@@ -1,5 +1,6 @@
 """Unit tests for the demand evaluation entry point and fact sources."""
 
+from repro.analysis.static import analyze_program
 from repro.core.semantics import OrderedSemantics
 from repro.kb.knowledge_base import KnowledgeBase
 from repro.kb.query import answers_in
@@ -97,7 +98,7 @@ class TestFallbacks:
         model = OrderedSemantics(tangled, "main").least_model
         assert result.used
         assert literals(result) == [str(a.literal) for a in answers_in(model, "p(a)")]
-        assert demand_ineligibility(tangled, "main") is None
+        assert demand_ineligibility(tangled, "main") == []
 
     def test_function_growth_cone(self):
         growing = program(
@@ -110,7 +111,7 @@ class TestFallbacks:
         assert not result.used and result.reason == "function-growth"
 
     def test_eligible_view_reports_no_problem(self):
-        assert demand_ineligibility(ANCESTOR, "main") is None
+        assert demand_ineligibility(ANCESTOR, "main") == []
 
 
 class TestPerGoalEligibility:
@@ -135,6 +136,27 @@ class TestPerGoalEligibility:
         for goal in ("s(a)", "s(X)"):
             result = compiled.ask(goal)
             assert not result.used and result.reason == "unroutable"
+
+    def test_every_reason_a_goal_declines_with_is_reported(self):
+        # The taint of q does not hide the unsafe rule in p's cone.
+        view = program("-q(a). r(b). p(X) <- r(Y).")
+        assert demand_answers(view, "main", "p(X)").reason == "unsafe-sips"
+        problems = demand_ineligibility(view, "main")
+        assert [reason for reason, _ in problems] == ["unroutable", "unsafe-sips"]
+        assert "of each of q" in problems[0][1] and "p(X)" in problems[1][1]
+        diagnostics = [
+            d for d in analyze_program(view).diagnostics if d.code == "demand-ineligible"
+        ]
+        assert ["(unroutable)" in d.message for d in diagnostics] == [True, False]
+        assert ["(unsafe-sips)" in d.message for d in diagnostics] == [False, True]
+        assert diagnostics[0].fix_hint != diagnostics[1].fix_hint
+
+    def test_a_tainted_cone_alone_hides_nothing_else(self):
+        # An unsafe rule only tainted goals reach is never asked about.
+        view = program("-q(a). q(X) <- r(Y). r(b).")
+        assert demand_ineligibility(view, "main") == [
+            ("unroutable", "the cone of each of q holds negative-head rules")
+        ]
 
 
 class TestExtraSources:

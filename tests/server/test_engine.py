@@ -3,11 +3,13 @@ deadlines, stats/obs threading, graceful drain."""
 
 import asyncio
 import sys
+import time
 
 import pytest
 
 from repro.core.semantics import OrderedSemantics
 from repro.kb.knowledge_base import KnowledgeBase
+from repro.kb.query import answers_in
 from repro.obs import instrumented
 from repro.server import ServerConfig, ServerEngine, parse_request
 from repro.serialize import kb_signature
@@ -15,7 +17,7 @@ from repro.server import protocol
 from repro.server.wal import Wal, read_journal
 from repro.workloads import build_session_kb, session_program
 
-from ..conftest import record_history
+from ..conftest import chain_program, record_history
 
 
 def run(coro):
@@ -670,6 +672,32 @@ def test_the_serve_path_grounds_each_view_once_for_its_seed():
     grounds, maintained = run(scenario())
     assert maintained == views[1:]  # no write reaches the root's view
     assert grounds == len(maintained)
+
+
+
+def test_a_view_too_large_to_seed_stays_pinned_through_its_writes():
+    """A view whose full instantiation exceeds the instance cap never
+    seeds a delta engine: each tell re-grounds it cold at publish, in
+    milliseconds, and the next snapshot still pins its model."""
+    from repro.grounding.grounder import GroundingOptions
+
+    async def scenario():
+        kb = KnowledgeBase.from_program(
+            chain_program(40), grounding=GroundingOptions(instance_cap=300_000)
+        )
+        async with ServerEngine(kb) as engine:
+            warm = await engine.handle(req(id=0, op="query", view="main", pattern="p(X)"))
+            assert warm["result"]["count"] == 37
+            for i, fact in enumerate(["q(k5, k7).", "q(k9, k12).", "q(k20, k30)."], 1):
+                start = time.perf_counter()
+                told = await engine.handle(req(id=i, op="tell", view="main", rules=fact))
+                assert told["ok"] and time.perf_counter() - start < 0.5
+                assert "main" in engine.snapshot.models
+            read = await engine.handle(req(id=9, op="query", view="main", pattern="p(X)"))
+            cold = OrderedSemantics(engine.kb.program(), "main").least_model
+            assert read["result"]["count"] == len(answers_in(cold, "p(X)"))
+
+    run(scenario())
 
 
 def test_a_read_looks_at_the_same_candidates_whatever_the_size_of_the_model():
